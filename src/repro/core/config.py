@@ -103,14 +103,6 @@ class LigerConfig:
         harness's cache-off arm disables them together with the plan and
         assembly caches so the A/B measures every cache as one unit; all of
         them are bit-identical on/off.
-    enable_timeline_replay:
-        The compiled-timeline fast path (:mod:`repro.sim.timeline`): after
-        each HYBRID round launch, the anchor-to-anchor window is compiled
-        into a batched advance instead of being interpreted event by event.
-        Bit-identical on/off by construction (the compiler bails to the
-        interpreted path on anything it does not model); the golden suite
-        pins the equivalence.  Only HYBRID windows are eligible, so the
-        flag is inert under ``CPU_GPU``/``INTER_STREAM``.
     """
 
     max_inflight: int = 4
@@ -127,7 +119,6 @@ class LigerConfig:
     plan_cache_size: int = 256
     enable_assembly_cache: bool = True
     enable_sim_memos: bool = True
-    enable_timeline_replay: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:

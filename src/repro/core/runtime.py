@@ -42,7 +42,6 @@ from repro.sim.gpu import Machine
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel, KernelKind
 from repro.sim.stream import Stream
-from repro.sim.timeline import TimelineExecutor
 
 __all__ = ["LigerRuntime", "RuntimeStats"]
 
@@ -116,16 +115,6 @@ class LigerRuntime:
         self._prev_end0: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._prev_end1: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._chain_active = False
-        #: Compiled-timeline fast path: each HYBRID window is batch-advanced
-        #: by :class:`~repro.sim.timeline.TimelineExecutor` when eligible
-        #: (bit-identical to the interpreted path; see that module).
-        self.timeline: Optional[TimelineExecutor] = (
-            TimelineExecutor(machine)
-            if config.enable_timeline_replay
-            and config.sync_mode is SyncMode.HYBRID
-            else None
-        )
-        self._last_pre_kick: Optional[CudaEvent] = None
         # Serving-side accounting hooks: (batch_id, n_kernels) / (batch_id, t).
         self._on_batch_launched = on_batch_launched or (lambda bid, n: None)
         self._on_batch_drained = on_batch_drained or (lambda bid: None)
@@ -189,15 +178,8 @@ class LigerRuntime:
                 self._advance,
                 multi_gpu=True,
             )
-            return
         # HYBRID: the pre-kick host callback registered inside _launch_round
-        # drives the chain.  With the fast path on, try to compile the whole
-        # window up to that callback and commit it as one batched advance —
-        # on a bail nothing was touched and the interpreted path proceeds.
-        pre_kick_event = self._last_pre_kick
-        self._last_pre_kick = None
-        if self.timeline is not None and pre_kick_event is not None:
-            self.timeline.fast_forward(pre_kick_event)
+        # drives the chain.
 
     def _flush_drained(self) -> None:
         for fv in self.scheduler.take_drained():
@@ -350,7 +332,6 @@ class LigerRuntime:
         if pre_kick:
             assert pre_kick_event is not None
             self.host.when_event(pre_kick_event, self._advance)
-            self._last_pre_kick = pre_kick_event
 
         self.stats.rounds_launched += 1
         self.stats.kernels_launched += (

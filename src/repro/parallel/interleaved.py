@@ -166,14 +166,6 @@ class InterleavedStrategy(ParallelStrategy):
             "assembly_cache_evictions": assembler.cache_evictions,
             "assembly_build_seconds": assembler.build_seconds,
         }
-        timeline = self.runtime.timeline
-        if timeline is not None:
-            out.update(
-                timeline_builds=timeline.timeline_builds,
-                timeline_replays=timeline.timeline_replays,
-                timeline_bails=timeline.timeline_bails,
-                batched_events=timeline.batched_events,
-            )
         # Fan-out workers: set by repro.perf.fanout in worker processes so
         # merged BENCH cells record which parallelism produced them (0 =
         # in-process sequential run).

@@ -7,7 +7,7 @@ with no shared state.  The contract that makes this safe to merge:
 * **Seeded determinism.**  Every scenario derives all randomness from the
   seeds baked into its builder, and every worker starts from a fresh
   interpreter state, so a cell's deterministic fields (``events``,
-  ``sim_s``, cache and timeline counters) are identical no matter which
+  ``sim_s``, cache counters) are identical no matter which
   process — or how many processes — produced it.
 * **Canonical merge order.**  The parent assembles the merged document in
   the same scenario order as the sequential :func:`~repro.perf.harness

@@ -44,11 +44,10 @@ def bench_scale(scale: str) -> str:
 def ablation_config(cache_on: bool, **overrides):
     """The A/B arms: every PR-introduced cache toggled as one unit.
 
-    The off arm disables the schedule-plan cache, the assembly cache, the
-    simulator memos (machine slowdown-shape memo + profiler occupancy/
-    memory memos), and the compiled-timeline fast path together — the
-    harness measures "all hot-path caches" vs "none", and the golden suite
-    pins both arms to identical timelines.
+    The off arm disables the schedule-plan cache, the assembly cache and
+    the simulator memos (machine slowdown-shape memo + profiler occupancy/
+    memory memos) together — the harness measures "all hot-path caches" vs
+    "none", and the golden suite pins both arms to identical timelines.
     """
     from repro.core import LigerConfig
 
@@ -56,7 +55,6 @@ def ablation_config(cache_on: bool, **overrides):
         enable_plan_cache=cache_on,
         enable_assembly_cache=cache_on,
         enable_sim_memos=cache_on,
-        enable_timeline_replay=cache_on,
         **overrides,
     )
 

@@ -575,10 +575,6 @@ class ServingSession:
         "assembly_cache_misses": "Function-assembly cache misses (rebuilds).",
         "assembly_cache_evictions": "Function-assembly cache LRU evictions.",
         "assembly_build_seconds": "Host seconds spent assembling on misses.",
-        "timeline_builds": "Compiled-timeline windows attempted.",
-        "timeline_replays": "Windows committed as one batched advance.",
-        "timeline_bails": "Window compilations aborted to the interpreted path.",
-        "batched_events": "Engine events consumed via batched window replay.",
         "fanout_workers": "Perf fan-out worker count that produced this run (0 = in-process).",
     }
 

@@ -69,10 +69,6 @@ class Engine:
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-        #: The ``until`` bound of the active run() call (None outside run or
-        #: for unbounded runs) — the timeline fast path refuses to commit a
-        #: batched advance that would jump past it.
-        self._run_until: Optional[float] = None
         self._live_beats = 0
         # O(1) liveness bookkeeping: live entries still on the heap, and
         # cancelled entries (tombstones) not yet swallowed by a pop.
@@ -135,42 +131,6 @@ class Engine:
         heapq.heappush(self._heap, (handle.time, priority, next(self._seq), handle))
         self._live += 1
         return handle
-
-    def schedule_many(
-        self,
-        entries: "List[Tuple[float, int, Callable[[], None]]]",
-    ) -> List[EventHandle]:
-        """Batch-schedule ``(time, priority, callback)`` triples.
-
-        The batched counterpart of :meth:`schedule_at` — one call splices a
-        whole precomputed timeline into the queue without creating (and then
-        popping) intermediate tombstones.  Relative order among same-instant
-        entries follows list order, exactly as repeated ``schedule_at`` calls
-        would order them.  For splices larger than the live heap the push
-        loop is replaced by one extend-and-heapify pass (same complexity
-        class as building the heap from scratch, far fewer comparisons).
-        """
-        handles: List[EventHandle] = []
-        staged: List[Tuple[float, int, int, EventHandle]] = []
-        for time, priority, callback in entries:
-            if not math.isfinite(time):
-                raise SimulationError(f"non-finite event time: {time}")
-            if time < self.now - 1e-9:
-                raise SimulationError(
-                    f"cannot schedule event at {time} before current time {self.now}"
-                )
-            handle = EventHandle(max(time, self.now), callback, self)
-            staged.append((handle.time, priority, next(self._seq), handle))
-            handles.append(handle)
-        heap = self._heap
-        if len(staged) > len(heap):
-            heap.extend(staged)
-            heapq.heapify(heap)
-        else:
-            for item in staged:
-                heapq.heappush(heap, item)
-        self._live += len(staged)
-        return handles
 
     def heartbeat(
         self,
@@ -246,7 +206,6 @@ class Engine:
         if self._running:
             raise SimulationError("Engine.run is not reentrant")
         self._running = True
-        self._run_until = until
         try:
             processed = 0
             heap = self._heap
@@ -281,7 +240,6 @@ class Engine:
             return self.now
         finally:
             self._running = False
-            self._run_until = None
 
     def step(self) -> bool:
         """Execute exactly one pending event.  Returns False when idle.

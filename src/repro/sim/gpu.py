@@ -230,17 +230,6 @@ class Machine:
             (lambda gid=g.gpu_id: self._schedule_pump(gid)) for g in self.gpus
         ]
         self.kernels_completed = 0
-        # Timeline fast path bookkeeping (repro.sim.timeline): when tracking
-        # is armed, every pump/kick/deferred handle this machine schedules is
-        # appended here so the window compiler can discover its seed events
-        # in O(1) instead of scanning the engine heap.  Fired handles are
-        # consumed (cancelled) by the engine, so the executor prunes the list
-        # lazily each window.  Completeness is a hit-rate concern only: a
-        # pending machine event that slipped past tracking fails the
-        # compiler's commit-time heap verification and falls back to the
-        # interpreted path.
-        self._track_events = False
-        self._tracked_events: List[EventHandle] = []
         #: Set by :meth:`halt` — a crashed node.  All submission and pump
         #: paths become no-ops; nothing in flight ever completes.
         self.halted = False
@@ -365,45 +354,38 @@ class Machine:
             if self._pump_scheduled.get(gpu_id):
                 return
             self._pump_scheduled[gpu_id] = True
-            handle = self.engine.schedule(
-                0.0, self._run_pump_fns[gpu_id], priority=5
-            )
-        else:
-            handle = self.engine.schedule(
-                delay, self._run_pump_fns[gpu_id], priority=5
-            )
-        if self._track_events:
-            self._tracked_events.append(handle)
+            delay = 0.0
+        self.engine.schedule(delay, self._run_pump_fns[gpu_id], priority=5)
 
     def _schedule_avail_pump(self, stream: Stream, command: Command) -> None:
         """Arm one pump at ``command.pump_at`` (dedup'd per stream head)."""
         if stream.avail_pump_at == command.pump_at:
             return
         stream.avail_pump_at = command.pump_at
-        handle = self.engine.schedule_at(
+        self.engine.schedule_at(
             command.pump_at, self._run_pump_fns[stream.gpu_id], priority=5
         )
-        if self._track_events:
-            self._tracked_events.append(handle)
 
     def _run_pump(self, gpu_id: int) -> None:
         self._pump_scheduled[gpu_id] = False
         if self.halted:
             return
-        self._pump(self.gpus[gpu_id])
+        if self._pump(self.gpus[gpu_id]):
+            self._reschedule()
 
-    def _pump(self, gpu: Gpu) -> None:
+    def _pump(self, gpu: Gpu) -> bool:
         """Advance every stream on ``gpu`` as far as dependencies allow.
 
         The sweep processes at most one command per stream per pass — the
         per-pass round-robin is load-bearing, because ``ready_seq`` (and
-        with it same-instant admission order) follows pop order.
+        with it same-instant admission order) follows pop order.  Returns
+        whether a kernel was admitted; rescheduling is the caller's job
+        (see :meth:`_reschedule`).
         """
         now = self.engine.now
         threshold = now + _EPS
         streams = gpu.streams
         progressed = True
-        became_ready = False
         while progressed:
             progressed = False
             for stream in streams:
@@ -438,7 +420,6 @@ class Machine:
                             ready_at=now,
                         )
                     )
-                    became_ready = True
                     progressed = True
                 elif kind is _RECORD_EVENT:
                     stream.retired += 1
@@ -454,14 +435,11 @@ class Machine:
                     else:
                         stream.blocked_on_event = event
                         event.add_stream_waiter(self._kick_pump_fns[gpu.gpu_id])
-        if became_ready or gpu.ready:
-            self._try_admit(gpu)
+        return self._try_admit(gpu)
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
         """Deferred-call hook handed to CudaEvent.record."""
-        handle = self.engine.schedule(delay, callback, priority=4)
-        if self._track_events:
-            self._tracked_events.append(handle)
+        self.engine.schedule(delay, callback, priority=4)
 
     # ------------------------------------------------------------------
     # Admission: the left-over policy
@@ -479,9 +457,10 @@ class Machine:
             rs.ready_seq,
         )
 
-    def _try_admit(self, gpu: Gpu) -> None:
+    def _try_admit(self, gpu: Gpu) -> bool:
+        """Admit ready kernels under the left-over policy; True if any was."""
         if not gpu.ready:
-            return
+            return False
         self._bank_progress()
         admitted_any = False
         gpu.ready.sort(key=self._admission_key)
@@ -493,8 +472,7 @@ class Machine:
             else:
                 still_ready.append(rs)
         gpu.ready = still_ready
-        if admitted_any:
-            self._reschedule()
+        return admitted_any
 
     def _admit(self, gpu: Gpu, rs: _RunState) -> None:
         now = self.engine.now
@@ -616,6 +594,12 @@ class Machine:
         inflation, and the min-scan for the next completion instant.  These
         used to be three separate walks; this is the hottest path in the
         simulator under steady-state decode.
+
+        Runs once per machine callback that changed a resident set: a pump
+        event reschedules only if it admitted something, and a completion
+        callback pumps every touched device first and reschedules after the
+        last pump (see ``docs/INTERNALS.md`` §1 for why that is
+        bit-identical to rescheduling after every admission).
         """
         # Per-device maps are consulted in place (uids are globally unique,
         # so the old merged dict was pure overhead); ``maps`` is kept for the
@@ -696,7 +680,10 @@ class Machine:
             self._complete_collective(crun, now)
             touched.update(crun.members.keys())
 
-        for gpu_id in touched:
+        # Every pump below runs at the same instant, so progress banking
+        # between them is a no-op and one reschedule after the last covers
+        # them all.  Devices are pumped in id order, never set order.
+        for gpu_id in sorted(touched):
             self._pump(self.gpus[gpu_id])
         self._reschedule()
 

@@ -22,7 +22,7 @@ GEMM co-resident at all under the left-over policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.topology import Topology
@@ -97,6 +97,11 @@ class CollectiveCostModel:
         #: reduced bandwidth.  ``None`` (the default) means healthy links and
         #: is bit-exact with the unhooked cost model.
         self.bandwidth_scale: Optional[Callable[[], float]] = None
+        #: Ring-hop latency per participant tuple.  The topology graph never
+        #: changes after construction (link faults go through
+        #: ``bandwidth_scale``), and every instantiated collective would
+        #: otherwise run ``p`` shortest-path searches.
+        self._hop_latency: Dict[Tuple[int, ...], float] = {}
 
     def _link_health(self) -> float:
         """Current bandwidth fraction from the fault hook (1.0 when healthy)."""
@@ -167,13 +172,17 @@ class CollectiveCostModel:
         return self.nccl.min_latency + latency + size_bytes / bw * 1e6
 
     def _ring_hop_latency(self, participants: Sequence[int]) -> float:
-        """Mean adjacent-pair latency along the ring order given."""
-        p = len(participants)
-        hops = [
-            self.topology.p2p_latency(participants[i], participants[(i + 1) % p])
-            for i in range(p)
-        ]
-        return sum(hops) / len(hops)
+        """Mean adjacent-pair latency along the ring order given (memoized)."""
+        key = tuple(participants)
+        latency = self._hop_latency.get(key)
+        if latency is None:
+            p = len(key)
+            hops = [
+                self.topology.p2p_latency(key[i], key[(i + 1) % p])
+                for i in range(p)
+            ]
+            latency = self._hop_latency[key] = sum(hops) / p
+        return latency
 
     # ------------------------------------------------------------------
     # Kernel-group construction

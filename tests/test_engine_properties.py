@@ -3,8 +3,7 @@
 The engine tracks ``_live`` (entries on the heap whose handle can still
 fire) and ``_tombstones`` (cancelled entries not yet swallowed by a pop)
 incrementally, because ``pending`` is consulted on hot paths — heartbeat
-liveness, the timeline fast path's batched splices — where an O(heap)
-recount would be felt.  Incremental counters are exactly the kind of
+liveness above all — where an O(heap) recount would be felt.  Incremental counters are exactly the kind of
 state that drifts under adversarial interleavings of schedule / cancel /
 step / compaction, so these tests drive randomized interleavings and
 compare against a brute-force recount of the real heap after every

@@ -3,7 +3,7 @@
 The merge contract of :mod:`repro.perf.fanout` is that a fanned-out suite
 differs from a sequential run *only* in wall-clock-derived fields and the
 ``fanout_workers`` provenance counter — every deterministic field (event
-counts, simulated time, cache and timeline counters) must be identical,
+counts, simulated time, cache counters) must be identical,
 because each scenario derives all randomness from its baked-in seeds and
 workers start from fresh interpreter state.
 

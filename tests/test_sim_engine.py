@@ -213,52 +213,6 @@ def test_negative_epsilon_delay_clamps_to_now():
         eng.schedule_at(eng.now - 1e-8, lambda: None)
 
 
-def test_schedule_many_matches_repeated_schedule_at():
-    """A batch splice fires in exactly the order repeated schedule_at gives."""
-    entries = [(3.0, 0, "c"), (1.0, 0, "a"), (1.0, 1, "b"), (3.0, 0, "d")]
-
-    seq_eng = Engine()
-    seq_fired = []
-    for t, p, tag in entries:
-        seq_eng.schedule_at(t, lambda tag=tag: seq_fired.append(tag), priority=p)
-    seq_eng.run()
-
-    many_eng = Engine()
-    many_fired = []
-    handles = many_eng.schedule_many(
-        [(t, p, lambda tag=tag: many_fired.append(tag)) for t, p, tag in entries]
-    )
-    assert len(handles) == len(entries)
-    many_eng.run()
-    assert many_fired == seq_fired == ["a", "b", "c", "d"]
-
-
-def test_schedule_many_big_splice_heapifies():
-    """Splices larger than the live heap take the extend-and-heapify path."""
-    eng = Engine()
-    eng.schedule(100.0, lambda: None)  # one pre-existing entry
-    fired = []
-    n = 50
-    eng.schedule_many(
-        [(float(i % 7), 0, lambda i=i: fired.append(i)) for i in range(n)]
-    )
-    assert eng.pending == n + 1
-    eng.run()
-    assert len(fired) == n
-    # Same-instant entries keep list order within each timestamp bucket.
-    assert fired == sorted(range(n), key=lambda i: (i % 7, i))
-
-
-def test_schedule_many_rejects_past_and_nonfinite():
-    eng = Engine()
-    eng.schedule(5.0, lambda: None)
-    eng.run()
-    with pytest.raises(SimulationError):
-        eng.schedule_many([(1.0, 0, lambda: None)])
-    with pytest.raises(SimulationError):
-        eng.schedule_many([(float("inf"), 0, lambda: None)])
-
-
 def test_step_consumes_tombstones_like_run():
     """step() shares run()'s pop path: tombstones swallowed, peek consistent."""
     eng = Engine()

@@ -3,9 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.hw import InterconnectKind, nvlink_mesh, pcie_switch
+from repro.hw import (
+    InterconnectKind,
+    a100_pcie_node,
+    nvlink_mesh,
+    pcie_switch,
+    v100_nvlink_node,
+)
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 from repro.units import GB, GBps, us
 
@@ -133,3 +141,28 @@ class TestCollectiveCosts:
         c_def = default.make_allreduce(size, [0, 1, 2, 3])
         c_red = reduced.make_allreduce(size, [0, 1, 2, 3])
         assert c_red.members[0].occupancy < c_def.members[0].occupancy
+
+
+@st.composite
+def _ring(draw):
+    """A node size and an ordered participant list of at least two ranks."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    ranks = draw(st.permutations(range(n)))
+    return n, ranks[: draw(st.integers(min_value=2, max_value=n))]
+
+
+@given(ring=_ring(), node=st.sampled_from([v100_nvlink_node, a100_pcie_node]))
+@settings(max_examples=80, deadline=None)
+def test_memoized_hop_latency_is_bit_identical_to_uncached(ring, node):
+    n, participants = ring
+    topology = node(n).topology
+    ccm = CollectiveCostModel(topology)
+    p = len(participants)
+    hops = [
+        topology.p2p_latency(participants[i], participants[(i + 1) % p])
+        for i in range(p)
+    ]
+    expected = (sum(hops) / len(hops)).hex()
+    assert ccm._ring_hop_latency(participants).hex() == expected  # miss
+    assert ccm._ring_hop_latency(list(participants)).hex() == expected  # hit
+    assert tuple(participants) in ccm._hop_latency

@@ -285,6 +285,84 @@ class TestCollectives:
 
 
 # ----------------------------------------------------------------------
+# Rescheduling contract: one rate recompute per machine callback
+# ----------------------------------------------------------------------
+def _trace_completion_callbacks(m):
+    """Log, per completion callback, the GPUs pumped and the timers armed.
+
+    Priority 1 is the completion timer's alone, so every priority-1
+    schedule call is a timer being (re)armed.
+    """
+    log = []
+    current = None
+    pump, schedule, on_timer = m._pump, m.engine.schedule, m._on_completion_timer
+
+    def traced_pump(gpu):
+        if current is not None:
+            current["pumped"].append(gpu.gpu_id)
+        return pump(gpu)
+
+    def traced_schedule(delay, callback, *, priority=0):
+        handle = schedule(delay, callback, priority=priority)
+        if current is not None and priority == 1:
+            current["armed"].append(handle)
+        return handle
+
+    def traced_on_timer():
+        nonlocal current
+        current = {"now": m.engine.now, "pumped": [], "armed": []}
+        tombstones = m.engine._tombstones
+        on_timer()
+        current["tombstones"] = m.engine._tombstones - tombstones
+        log.append(current)
+        current = None
+
+    m._pump = traced_pump
+    m.engine.schedule = traced_schedule
+    m._on_completion_timer = traced_on_timer
+    return log
+
+
+class TestRescheduling:
+    def test_allreduce_and_locals_retiring_together_arm_one_timer(self):
+        m = make_machine(4)
+        log = _trace_completion_callbacks(m)
+        coll = CollectiveCostModel(m.node.topology).make_allreduce(1e6, [0, 1, 2, 3])
+        for g in range(4):
+            m.launch(m.gpu(g).stream("comm"), coll.members[g], available_at=0.0)
+            main = m.gpu(g).stream("main")
+            # Retires at the collective's instant; its successor is admitted
+            # by the same callback's pump.
+            m.launch(main, k(f"local{g}", coll.duration, occ=0.5), available_at=0.0)
+            m.launch(main, k(f"next{g}", 5.0, occ=0.5), available_at=0.0)
+        m.run()
+        rows = {r.name: r for r in m.trace.rows}
+        assert all(rows[f"next{g}"].start == coll.duration for g in range(4))
+        joint = [c for c in log if c["now"] == coll.duration]
+        assert len(joint) == 1
+        assert joint[0]["pumped"] == [0, 1, 2, 3]
+        for callback in log:
+            assert callback["tombstones"] == 0, callback
+            assert len(callback["armed"]) <= 1, callback
+        assert len(joint[0]["armed"]) == 1
+
+    def test_completion_pumps_touched_gpus_in_id_order(self):
+        # Ranks admitted 15, 7, 11, 3: the members dict, and a set built
+        # from it, iterate in an order that is not the id order.
+        m = make_machine(16)
+        log = _trace_completion_callbacks(m)
+        ranks = [15, 7, 11, 3]
+        coll = CollectiveCostModel(m.node.topology).make_allreduce(1e6, ranks)
+        for t, g in enumerate(ranks):
+            s = m.gpu(g).stream("comm")
+            m.launch(s, coll.members[g], available_at=float(t))
+            m.launch(s, k(f"after{g}", 5.0), available_at=float(t))
+        m.run()
+        assert list(coll.members) == ranks
+        assert log[0]["pumped"] == sorted(ranks)
+
+
+# ----------------------------------------------------------------------
 # CUDA_DEVICE_MAX_CONNECTIONS (soft model)
 # ----------------------------------------------------------------------
 class TestMaxConnections:
