@@ -9,7 +9,6 @@ Usage::
     python -m repro --strategy liger --rate 55 --gantt   # ASCII timeline
     python -m repro faults --straggler 1:4.0:0:400       # fault injection
     python -m repro trace --out t.json --metrics-out m.prom  # observability
-    python -m repro perf --scale smoke                   # perf harness
     python -m repro chaos --replicas 3 --crashes 1       # cluster chaos
     python -m repro telemetry --report --alerts          # series + SLO burn
 
@@ -47,10 +46,6 @@ def main(argv=None) -> int:
         from repro.obs.cli import main as trace_main
 
         return trace_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.perf.cli import main as perf_main
-
-        return perf_main(argv[1:])
     if argv and argv[0] == "chaos":
         from repro.cluster.cli import main as chaos_main
 

@@ -99,10 +99,9 @@ class LigerConfig:
     enable_sim_memos:
         The remaining hot-path memos this subsystem layers onto its
         execution substrate: the machine's shape-keyed contention-slowdown
-        memo and the profiler's occupancy/memory-footprint memos.  The perf
-        harness's cache-off arm disables them together with the plan and
-        assembly caches so the A/B measures every cache as one unit; all of
-        them are bit-identical on/off.
+        memo and the profiler's occupancy/memory-footprint memos.  All of
+        them are bit-identical on/off; ``python -m bench --config
+        enable_sim_memos=false`` measures what they save.
     """
 
     max_inflight: int = 4

@@ -11,10 +11,11 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import sys
-import time
+from concurrent.futures import ProcessPoolExecutor
 
-from repro.experiments.figures import ALL_FIGURES
+from repro.experiments.figures import ALL_FIGURES, _timed_figure
 
 
 def main(argv=None) -> int:
@@ -44,38 +45,28 @@ def main(argv=None) -> int:
     unknown = [n for n in names if n not in ALL_FIGURES]
     if unknown:
         parser.error(f"unknown figure(s): {', '.join(unknown)}")
+    if args.workers < 0:
+        parser.error(f"--workers must be >= 0, got {args.workers}")
 
+    # Every figure reseeds its own workloads, so a freshly spawned worker
+    # produces the same text as the in-process run; map() yields results in
+    # request order.
+    tasks = [(name, args.scale) for name in names]
     if args.workers > 0:
-        # Figures fan out like perf scenarios: every figure reseeds its own
-        # workloads, and results print in request order, so the figure text
-        # matches a sequential run.  Headers carry no per-figure timing (the
-        # sequential loop's one annotation — workers report no comparable
-        # wall time) and no worker marker: provenance is already recorded in
-        # the fanout_workers counter, and decorating the header would make
-        # fanned output gratuitously diff against sequential output.
-        from repro.perf.fanout import _figure_task, fanout_map
-
-        start = time.time()
-        results = fanout_map(
-            _figure_task,
-            [(name, args.scale) for name in names],
-            args.workers,
-        )
-        elapsed = time.time() - start
-        for figure, title, text in results:
-            print(f"\n=== {figure}: {title} ===")
-            print(text)
-        print(f"\n{len(results)} figure(s) in {elapsed:.1f}s across "
-              f"{min(args.workers, len(names))} workers")
-        return 0
-
-    for name in names:
-        start = time.time()
-        result = ALL_FIGURES[name](scale=args.scale)
-        elapsed = time.time() - start
-        print(f"\n=== {result.figure}: {result.title} [{elapsed:.1f}s] ===")
-        print(result.text)
+        with ProcessPoolExecutor(
+            max_workers=min(args.workers, len(names)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            _print_results(pool.map(_timed_figure, tasks))
+    else:
+        _print_results(map(_timed_figure, tasks))
     return 0
+
+
+def _print_results(results) -> None:
+    for figure, title, text, elapsed in results:
+        print(f"\n=== {figure}: {title} [{elapsed:.1f}s] ===")
+        print(text)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ paper likewise tunes rates per node, §D).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -933,3 +934,12 @@ ALL_FIGURES: Dict[str, Callable[..., FigureResult]] = {
     "continuous": continuous_batching,
     "lifecycle": lifecycle,
 }
+
+
+def _timed_figure(task: Tuple[str, str]) -> Tuple[str, str, str, float]:
+    # ``python -m repro.experiments --workers N`` sends this to spawned
+    # workers by import path, so it cannot live in the CLI's ``__main__``.
+    name, scale = task
+    start = time.perf_counter()
+    result = ALL_FIGURES[name](scale=scale)
+    return result.figure, result.title, result.text, time.perf_counter() - start

@@ -76,8 +76,8 @@ class OpProfiler:
     memoize:
         Cache per-op occupancy/memory-intensity lookups (the duration
         profile database itself is always cached — it *is* the profile).
-        The perf harness's cache-off arm disables this to measure the
-        pre-memo hot path; results are bit-identical either way.
+        ``LigerConfig(enable_sim_memos=False)`` disables this to measure
+        the pre-memo hot path; results are bit-identical either way.
     """
 
     def __init__(

@@ -575,7 +575,6 @@ class ServingSession:
         "assembly_cache_misses": "Function-assembly cache misses (rebuilds).",
         "assembly_cache_evictions": "Function-assembly cache LRU evictions.",
         "assembly_build_seconds": "Host seconds spent assembling on misses.",
-        "fanout_workers": "Perf fan-out worker count that produced this run (0 = in-process).",
     }
 
     def _register_perf_gauges(self, obs: Observability) -> None:

@@ -214,8 +214,9 @@ class Machine:
             getattr(self.contention, "pure_in_shape", False)
         )
         #: Public toggle for the shape memo (the model must also declare
-        #: ``pure_in_shape``).  The perf harness's cache-off arm clears it
-        #: to measure the pre-memo hot path; output is bit-identical.
+        #: ``pure_in_shape``).  ``LigerConfig(enable_sim_memos=False)``
+        #: clears it to measure the pre-memo hot path; output is
+        #: bit-identical.
         self.slowdown_memo = True
         self._last_bank_time = 0.0
         self._completion_timer: Optional[EventHandle] = None

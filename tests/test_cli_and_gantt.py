@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -123,3 +124,22 @@ class TestExperimentsCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "Decomposition factor" in out
+
+    def test_workers_match_sequential(self, capsys):
+        from repro.experiments.__main__ import main
+
+        def bodies(argv):
+            assert main(argv) == 0
+            # Headers carry per-figure wall time; everything else must match.
+            return re.sub(r" \[[0-9.]+s\] ===", " ===", capsys.readouterr().out)
+
+        argv = ["table1", "fig14", "--scale", "smoke"]
+        sequential = bodies(argv)
+        assert sequential.index("=== table1") < sequential.index("=== fig14")
+        assert bodies(argv + ["--workers", "2"]) == sequential
+
+    def test_negative_workers_rejected(self, capsys):
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit):
+            main(["table1", "--workers", "-1"])

@@ -6,12 +6,18 @@ import math
 
 import pytest
 
+from repro.core import LigerConfig
 from repro.errors import ConfigError, PartitionError
+from repro.hw import v100_nvlink_node
 from repro.models import MOE_16E, MODELS, ModelSpec, expert_capacity
 from repro.models.kvcache import decode_layer_ops
 from repro.models.moe import moe_ffn_ops, moe_layer_ops, validate_ep
 from repro.models.transformer import layer_ops
+from repro.serving.api import make_strategy
+from repro.serving.server import Server
+from repro.serving.workload import general_trace
 from repro.units import FP16_BYTES
+from serving_goldens import reset_batch_ids
 
 
 class TestSpec:
@@ -140,3 +146,25 @@ class TestLayerDelegation:
         )
         with pytest.raises(PartitionError, match="not divisible"):
             layer_ops(model, 1, 16, 4, layer=0)
+
+
+class TestExpertOverlapGain:
+    def test_overlap_beats_single_batch_serving(self):
+        """expert_overlap finishes the same MoE trace strictly faster."""
+        model = MOE_16E.scaled_layers(2)
+        node = v100_nvlink_node(4)
+
+        def serve(max_inflight):
+            # Same batch ids in both runs, so both see the same kernels.
+            reset_batch_ids()
+            config = LigerConfig(policy="expert_overlap", max_inflight=max_inflight)
+            strategy = make_strategy("liger", model, node, config=config)
+            server = Server(model, node, strategy, record_trace=False,
+                            check_memory=False)
+            server.run(general_trace(12, 2000.0, 2, seed=0))
+            return server.engine.now, strategy.stats
+
+        base_us, _ = serve(1)
+        overlap_us, stats = serve(6)
+        assert stats.total_fill > 0
+        assert overlap_us < base_us
