@@ -34,12 +34,12 @@ decomposition *penalty* (sum of pieces > whole) is emergent, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import KernelFunc
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc
-from repro.profiling.profiler import OpProfiler
+from repro.profiling.profiler import OpProfiler, op_key
 
 __all__ = [
     "DecompositionPlanner",
@@ -117,6 +117,13 @@ def _check_fraction(numer: int, denom: int) -> None:
 class DecompositionPlanner:
     """Chooses the largest profiled piece of a kernel that fits a window.
 
+    The §3.6 offline profile is kept as *division tables*: one per split
+    rule and ``op_key(op)`` (and ``d``), holding the profiled duration of
+    each ``i/d`` piece.  An entry is profiled the first time a scan reaches
+    it, so the profiler sees the same calls in the same order as a scan
+    that re-derives every piece; after that :meth:`split_to_fit` is a table
+    lookup, and only the chosen division builds its piece/rest ops.
+
     Parameters
     ----------
     profiler:
@@ -139,12 +146,17 @@ class DecompositionPlanner:
             "gemm": split_gemm_vertical,
             "all_reduce": split_allreduce,
         }
+        #: Division tables, ``(splitter, d, op_key)`` → piece duration per
+        #: numerator (index 0 unused; None until profiled).
+        self._tables: Dict[Tuple, List[Optional[float]]] = {}
 
     def register_split_rule(self, flavour: str, splitter) -> None:
         """Teach the planner to decompose a new op flavour.
 
         ``splitter(op, numer, denom) -> (piece_op, rest_op)`` must follow
-        the piece/rest naming conventions of the built-in splitters.
+        the piece/rest naming conventions of the built-in splitters, and
+        the piece's profile must depend only on ``op_key(op)`` — the
+        division tables are keyed by it.
         """
         self._split_rules[flavour] = splitter
 
@@ -176,12 +188,14 @@ class DecompositionPlanner:
         """
         if not self.can_decompose(func):
             return None
-        splitter = self._split_rules[func.op.op]
+        op = func.op
+        splitter = self._split_rules[op.op]
         d = self.division_factor
+        table = self._table(splitter, op)
         for numer in range(d - 1, 0, -1):
-            piece_op, rest_op = splitter(func.op, numer, d)
-            piece_duration = self.profiler.duration(piece_op)
+            piece_duration = self._division(splitter, op, table, numer)
             if piece_duration * scale <= window:
+                piece_op, rest_op = splitter(op, numer, d)
                 piece = KernelFunc(
                     op=piece_op,
                     duration=piece_duration,
@@ -207,10 +221,27 @@ class DecompositionPlanner:
         """Offline table: duration of every ``i/d`` division of a kernel."""
         if not self.can_decompose(func):
             return []
-        splitter = self._split_rules[func.op.op]
-        out: List[Tuple[str, float]] = []
+        op = func.op
+        splitter = self._split_rules[op.op]
         d = self.division_factor
-        for numer in range(1, d):
-            piece_op, _ = splitter(func.op, numer, d)
-            out.append((f"{numer}/{d}", self.profiler.duration(piece_op)))
-        return out
+        table = self._table(splitter, op)
+        return [
+            (f"{numer}/{d}", self._division(splitter, op, table, numer))
+            for numer in range(1, d)
+        ]
+
+    def _table(self, splitter, op: OpDesc) -> List[Optional[float]]:
+        d = self.division_factor
+        key = (splitter, d, op_key(op))
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = [None] * d
+        return table
+
+    def _division(self, splitter, op: OpDesc, table, numer: int) -> float:
+        """Table entry ``numer``, profiled on first use."""
+        duration = table[numer]
+        if duration is None:
+            piece_op, _ = splitter(op, numer, self.division_factor)
+            duration = table[numer] = self.profiler.duration(piece_op)
+        return duration

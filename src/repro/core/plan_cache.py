@@ -16,24 +16,24 @@ function of that input.  :class:`SchedulePlanCache` exploits this:
   ``fingerprint``) makes the call uncacheable — counted, never guessed.
 * **Record** — on a miss the scheduler plans normally while recording its
   secondary-subset actions (pops and splits); the entry stores those
-  actions, the round's window/fill floats, and one *kernel prototype* per
-  subset position snapshotted from the kernels the normal
-  :func:`~repro.parallel.base.instantiate_op` path built.
+  actions and the round's window/fill floats — nothing else.
 * **Replay** — on a hit the cached actions are applied to the live
   processing list (real pops, so batch draining and accounting are
-  untouched) and kernels are rebuilt from the prototypes with fresh uids,
-  skipping the planner, the decomposer, and the profiler entirely.
+  untouched), skipping the planner and the decomposer.  The runtime then
+  instantiates the replayed round's kernels through
+  :func:`~repro.parallel.base.instantiate_op`, the same path a miss takes.
 
 The contract is **bit-identity**: a replayed round launches kernels with the
 same names, durations, footprints, and ordering as planning from scratch
 would have — the golden-trace suite asserts cache-on and cache-off timelines
-hash identically.  Floats are never recomputed on the hit path (window,
-fill, durations are stored), so there is no room for ulp drift.
+hash identically.  The planner's floats (window, fill, piece durations) are
+stored, so there is no room for ulp drift.
 
 Invalidation is structural, not temporal: contention scales live *in* the
 key (an :class:`~repro.core.contention.AdaptiveAnticipator` that learned a
-new factor simply stops matching), and fault-injected slowdowns are applied
-by the machine at execution time, outside anything this cache stores.
+new factor simply stops matching).  Fault effects sit outside the entries:
+the machine applies slowdowns at execution time, and collectives are costed
+at instantiation, so a link fault applies to replayed rounds too.
 """
 
 from __future__ import annotations
@@ -43,20 +43,13 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import KernelFunc, rebind
 from repro.core.scheduler import LigerScheduler, Round
-from repro.sim.kernel import (
-    CollectiveKind,
-    CollectiveOp,
-    Kernel,
-    KernelKind,
-    _collective_ids,
-    _kernel_ids,
-)
 
 __all__ = ["SchedulePlanCache"]
 
 
 class _PlanEntry:
-    """One memoized round: the decisions plus per-position kernel prototypes."""
+    """One memoized round: the primary run length, the secondary actions,
+    and the round's floats."""
 
     __slots__ = (
         "n_primary",
@@ -65,20 +58,10 @@ class _PlanEntry:
         "window",
         "fill",
         "actions",
-        "protos0",
-        "protos1",
     )
 
     def __init__(
-        self,
-        n_primary,
-        primary_kind,
-        primary_class,
-        window,
-        fill,
-        actions,
-        protos0,
-        protos1,
+        self, n_primary, primary_kind, primary_class, window, fill, actions
     ) -> None:
         self.n_primary = n_primary
         self.primary_kind = primary_kind
@@ -86,34 +69,14 @@ class _PlanEntry:
         self.window = window
         self.fill = fill
         self.actions = actions
-        self.protos0 = protos0
-        self.protos1 = protos1
-
-
-def _proto(kernels: Dict[int, Kernel]) -> Tuple:
-    """Snapshot one instantiated op's profiler-derived floats.
-
-    Everything else a replayed kernel needs (names, kind, layer, batch id)
-    comes from the KernelFunc being replayed; only the values that would
-    cost a profiler/cost-model call are stored.
-    """
-    kern = next(iter(kernels.values()))
-    coll = kern.collective
-    kind = None if coll is None else coll.kind
-    return (kind, kern.duration, kern.occupancy, kern.memory_intensity)
 
 
 class SchedulePlanCache:
     """LRU memo of planned rounds, keyed by the scheduler's full input state."""
 
     def __init__(
-        self,
-        gpus: List[int],
-        *,
-        max_entries: int = 256,
-        policy_id: str = "dichotomy",
+        self, *, max_entries: int = 256, policy_id: str = "dichotomy"
     ) -> None:
-        self.gpus = list(gpus)
         self.max_entries = max_entries
         #: The scheduling-policy id this cache serves; per-policy counter
         #: rows are keyed by it so the cache-key dimension is observable.
@@ -125,8 +88,8 @@ class SchedulePlanCache:
         #: Planning calls whose input could not be fingerprinted (assembly
         #: cache off, foreign FuncVec, anticipator without a fingerprint).
         self.uncacheable = 0
-        #: Wall seconds spent planning + instantiating on misses — the cost
-        #: a hit avoids (exported as a perf gauge).
+        #: Wall seconds spent planning on misses — the cost a hit avoids
+        #: (exported as a perf gauge).
         self.build_seconds = 0.0
         #: Per-policy split of hits/misses/evictions/uncacheable.
         self.per_policy: Dict[str, Dict[str, int]] = {}
@@ -191,15 +154,8 @@ class SchedulePlanCache:
         self._bump("hits")
         return entry
 
-    def put(
-        self,
-        key: Tuple,
-        round_: Round,
-        actions: List,
-        maps0: List[Dict[int, Kernel]],
-        maps1: List[Dict[int, Kernel]],
-    ) -> None:
-        """Memoize a freshly-planned round and its instantiated kernels."""
+    def put(self, key: Tuple, round_: Round, actions: List) -> None:
+        """Memoize a freshly-planned round's decisions."""
         self._entries[key] = _PlanEntry(
             n_primary=len(round_.subset0),
             primary_kind=round_.primary_kind,
@@ -207,8 +163,6 @@ class SchedulePlanCache:
             window=round_.window,
             fill=round_.secondary_fill,
             actions=tuple(actions),
-            protos0=tuple(_proto(m) for m in maps0),
-            protos1=tuple(_proto(m) for m in maps1),
         )
         if len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
@@ -221,14 +175,11 @@ class SchedulePlanCache:
     # ------------------------------------------------------------------
     # Replay
     # ------------------------------------------------------------------
-    def replay(
-        self, scheduler: LigerScheduler, entry: _PlanEntry
-    ) -> Tuple[Round, List[Dict[int, Kernel]], List[Dict[int, Kernel]]]:
+    def replay(self, scheduler: LigerScheduler, entry: _PlanEntry) -> Round:
         """Re-apply a memoized round to the live scheduler state.
 
-        Pops are performed on the real FuncVecs (so drain bookkeeping and
-        downstream accounting see exactly what planning would have done) and
-        kernels are rebuilt from the stored prototypes with fresh uids.
+        Pops are performed on the real FuncVecs, so drain bookkeeping and
+        downstream accounting see exactly what planning would have done.
         ``validate_principle1`` is skipped: the round passed it when it was
         recorded, and every float here is the recorded value.
         """
@@ -259,93 +210,4 @@ class SchedulePlanCache:
         )
         scheduler.rounds_planned += 1
         scheduler._sweep_drained()
-        maps0 = [
-            self._instantiate(p, f) for p, f in zip(entry.protos0, subset0)
-        ]
-        maps1 = [
-            self._instantiate(p, f) for p, f in zip(entry.protos1, subset1)
-        ]
-        return round_, maps0, maps1
-
-    # ------------------------------------------------------------------
-    # Fast kernel instantiation (mirrors repro.parallel.base.instantiate_op
-    # field for field, with the profiler-derived floats from the prototype)
-    # ------------------------------------------------------------------
-    def _instantiate(self, proto: Tuple, func: KernelFunc) -> Dict[int, Kernel]:
-        coll_kind, duration, occupancy, mem = proto
-        op = func.op
-        bid = func.batch_id
-        if coll_kind is None:
-            return {
-                gpu: _fast_kernel(
-                    f"{op.name}_b{bid}@g{gpu}",
-                    op.kind,
-                    duration,
-                    occupancy,
-                    mem,
-                    0.0,
-                    bid,
-                    op.layer,
-                    op.op,
-                    None,
-                    op.decomposable,
-                    {"desc": op},
-                )
-                for gpu in self.gpus
-            }
-        participants = (
-            [op.p2p_src, op.p2p_dst]
-            if coll_kind is CollectiveKind.P2P
-            else list(self.gpus)
-        )
-        coll = CollectiveOp.__new__(CollectiveOp)
-        coll.kind = coll_kind
-        coll.bytes = op.comm_bytes
-        coll.participants = participants
-        coll.duration = duration
-        coll.batch_id = bid
-        coll.name = f"{op.name}_b{bid}"
-        coll.members = {}
-        coll.uid = next(_collective_ids)
-        # Every non-P2P collective keeps the op flavour (all_reduce,
-        # all_to_all, ...); P2P members are always flavoured "p2p".
-        member_op = "p2p" if coll_kind is CollectiveKind.P2P else op.op
-        for gpu in participants:
-            coll.members[gpu] = _fast_kernel(
-                f"{coll.name}@g{gpu}",
-                KernelKind.COMM,
-                duration,
-                occupancy,
-                mem,
-                op.comm_bytes,
-                bid,
-                op.layer,
-                member_op,
-                coll,
-                False,
-                {},
-            )
-        return dict(coll.members)
-
-
-def _fast_kernel(
-    name, kind, duration, occupancy, mem, nbytes, bid, layer, op, coll, decomposable, meta
-) -> Kernel:
-    """Build a Kernel bypassing ``__init__`` — all values were validated when
-    the prototype's original kernel was constructed the slow way."""
-    kern = Kernel.__new__(Kernel)
-    kern.name = name
-    kern.kind = kind
-    kern.duration = duration
-    kern.occupancy = occupancy
-    kern.memory_intensity = mem
-    kern.flops = 0.0
-    kern.bytes = nbytes
-    kern.batch_id = bid
-    kern.layer = layer
-    kern.op = op
-    kern.collective = coll
-    kern.decomposable = decomposable
-    kern.meta = meta
-    kern.uid = next(_kernel_ids)
-    return kern
+        return round_

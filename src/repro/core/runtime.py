@@ -98,9 +98,7 @@ class LigerRuntime:
         #: Memoized Algorithm 1 (bit-identical replay of recurring rounds).
         self.plan_cache: Optional[SchedulePlanCache] = (
             SchedulePlanCache(
-                self._gpus,
-                max_entries=config.plan_cache_size,
-                policy_id=policy.name,
+                max_entries=config.plan_cache_size, policy_id=policy.name
             )
             if config.enable_plan_cache
             else None
@@ -191,17 +189,21 @@ class LigerRuntime:
 
         Returns ``(round, subset0_kernels, subset1_kernels)`` or None.  With
         the plan cache enabled, a fingerprint hit replays the recorded round;
-        a miss plans normally while recording, then memoizes.
+        a miss plans normally while recording, then memoizes.  Either way
+        the kernels come from :func:`instantiate_op`.
         """
+        round_ = self._plan()
+        if round_ is None:
+            return None
+        return round_, self._instantiate(round_.subset0), self._instantiate(
+            round_.subset1
+        )
+
+    def _plan(self) -> Optional[Round]:
         sched = self.scheduler
         cache = self.plan_cache
         if cache is None:
-            round_ = sched.plan_round()
-            if round_ is None:
-                return None
-            return round_, self._instantiate(round_.subset0), self._instantiate(
-                round_.subset1
-            )
+            return sched.plan_round()
         sched._sweep_drained()
         key = cache.fingerprint(sched)
         if key is not None:
@@ -213,12 +215,10 @@ class LigerRuntime:
         round_ = sched.plan_swept(record)
         if round_ is None:
             return None
-        maps0 = self._instantiate(round_.subset0)
-        maps1 = self._instantiate(round_.subset1)
         if key is not None:
-            cache.put(key, round_, record, maps0, maps1)
+            cache.put(key, round_, record)
         cache.build_seconds += perf_counter() - start
-        return round_, maps0, maps1
+        return round_
 
     def _instantiate(self, funcs: List[KernelFunc]):
         return [
@@ -236,10 +236,9 @@ class LigerRuntime:
     ) -> Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]]:
         """Issue one round's commands on every GPU; returns end events.
 
-        The kernel maps come from :meth:`_next_round` — instantiated fresh on
-        a plan-cache miss, rebuilt from prototypes on a hit — so this single
-        issue path serves both, which is what makes cache-on bit-identical
-        to cache-off.
+        The kernel maps come from :meth:`_next_round`, which instantiates
+        planned and replayed rounds alike, so this single issue path serves
+        both — which is what makes cache-on bit-identical to cache-off.
         """
         cfg = self.config
         inter_stream_gating = cfg.sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)

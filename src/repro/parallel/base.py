@@ -27,12 +27,14 @@ from repro.profiling.profiler import OpProfiler
 from repro.serving.request import Batch, Phase
 from repro.sim.gpu import Machine
 from repro.sim.host import Host
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import CollectiveKind, Kernel, kernel_from_profile
 from repro.sim.memory import NodeMemoryModel
 
 __all__ = ["ParallelStrategy", "instantiate_op"]
 
 BatchCallback = Callable[[Batch, float], None]
+
+_COLLECTIVE_KINDS = {kind.value: kind for kind in CollectiveKind}
 
 
 def instantiate_op(
@@ -44,60 +46,33 @@ def instantiate_op(
     """Materialise one op as simulator kernels, one per participating GPU.
 
     Compute-like ops become independent per-GPU kernel clones (each device
-    executes its shard); ``all_reduce`` / ``all_to_all`` become rendezvous
-    collectives over ``gpus``; ``p2p`` becomes a two-member collective over
-    its endpoints.
+    executes its shard) of the op's memoized
+    :meth:`~repro.profiling.profiler.OpProfiler.kernel_profile`;
+    ``all_reduce`` / ``all_to_all`` become rendezvous collectives over
+    ``gpus``; ``p2p`` becomes a two-member collective over its endpoints.
+    Collectives are costed here, so a link fault active now applies.
     """
     if not gpus:
         raise ConfigError(f"op {op.name}: no target GPUs")
-    if op.op == "all_reduce":
-        coll = profiler.collectives.make_allreduce(
+    duration, occupancy, mem = profiler.kernel_profile(op)
+    flavour = op.op
+    name = f"{op.name}_b{batch_id}"
+    if duration is None:
+        coll = profiler.collectives.instantiate(
+            _COLLECTIVE_KINDS[flavour],
             op.comm_bytes,
-            gpus,
-            batch_id=batch_id,
-            layer=op.layer,
-            name=f"{op.name}_b{batch_id}",
-            op=op.op,
+            (op.p2p_src, op.p2p_dst) if flavour == "p2p" else gpus,
+            occupancy, mem, batch_id, op.layer, name, flavour,
         )
         return dict(coll.members)
-    if op.op == "all_to_all":
-        coll = profiler.collectives.make_all_to_all(
-            op.comm_bytes,
-            gpus,
-            batch_id=batch_id,
-            layer=op.layer,
-            name=f"{op.name}_b{batch_id}",
-            op=op.op,
+    kind, layer, decomposable = op.kind, op.layer, op.decomposable
+    kernels = {}
+    for gpu in gpus:
+        kernels[gpu] = kernel_from_profile(
+            f"{name}@g{gpu}", kind, duration, occupancy, mem, 0.0, batch_id,
+            layer, flavour, None, decomposable, {"desc": op},
         )
-        return dict(coll.members)
-    if op.op == "p2p":
-        coll = profiler.collectives.make_p2p(
-            op.comm_bytes,
-            op.p2p_src,
-            op.p2p_dst,
-            batch_id=batch_id,
-            layer=op.layer,
-            name=f"{op.name}_b{batch_id}",
-        )
-        return dict(coll.members)
-    duration = profiler.duration(op)
-    occupancy = profiler.occupancy(op)
-    mem = profiler.memory_intensity(op)
-    return {
-        gpu: Kernel(
-            name=f"{op.name}_b{batch_id}@g{gpu}",
-            kind=op.kind,
-            duration=duration,
-            occupancy=occupancy,
-            memory_intensity=mem,
-            batch_id=batch_id,
-            layer=op.layer,
-            op=op.op,
-            decomposable=op.decomposable,
-            meta={"desc": op},
-        )
-        for gpu in gpus
-    }
+    return kernels
 
 
 class ParallelStrategy(abc.ABC):

@@ -25,10 +25,13 @@ from repro.sim.contention import NullContention
 from repro.sim.engine import Engine
 from repro.sim.gpu import Machine
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import Kernel, check_kernel_profile
 from repro.sim.tracing import Trace
 
 __all__ = ["OpProfiler", "op_key"]
+
+#: Op flavours instantiated as rendezvous collectives.
+_COLLECTIVE_FLAVOURS = ("all_reduce", "all_to_all", "p2p")
 
 
 def op_key(op: OpDesc) -> Tuple:
@@ -74,7 +77,7 @@ class OpProfiler:
     participants:
         Ranks collectives run over (defaults to all GPUs of the node).
     memoize:
-        Cache per-op occupancy/memory-intensity lookups (the duration
+        Cache per-op kernel profiles (:meth:`kernel_profile`; the duration
         profile database itself is always cached — it *is* the profile).
         ``LigerConfig(enable_sim_memos=False)`` disables this to measure
         the pre-memo hot path; results are bit-identical either way.
@@ -98,8 +101,7 @@ class OpProfiler:
         )
         self.memoize = memoize
         self._cache: Dict[Tuple, float] = {}
-        self._occ_cache: Dict[Tuple, float] = {}
-        self._mem_cache: Dict[Tuple, float] = {}
+        self._profiles: Dict[Tuple, Tuple[Optional[float], float, float]] = {}
 
     # ------------------------------------------------------------------
     # The profile database
@@ -122,40 +124,41 @@ class OpProfiler:
         return value
 
     def occupancy(self, op: OpDesc) -> float:
-        """SM footprint of the op's kernel, memoized when enabled."""
-        if self.memoize:
-            key = op_key(op)
-            hit = self._occ_cache.get(key)
-            if hit is not None:
-                return hit
+        """SM footprint of the op's kernel."""
         if op.is_comm:
             # Ring and all-to-all collectives carry the full NCCL channel
             # footprint; p2p copies ride the copy engines.
-            value = (
-                self.nccl.occupancy
-                if op.op in ("all_reduce", "all_to_all")
-                else min(self.nccl.occupancy, 0.04)
-            )
-        else:
-            value = self.cost_model.occupancy(op)
-        if self.memoize:
-            self._occ_cache[key] = value
-        return value
+            if op.op in ("all_reduce", "all_to_all"):
+                return self.nccl.occupancy
+            return min(self.nccl.occupancy, 0.04)
+        return self.cost_model.occupancy(op)
 
     def memory_intensity(self, op: OpDesc) -> float:
-        """HBM footprint of the op's kernel, memoized when enabled."""
+        """HBM footprint of the op's kernel."""
+        if op.is_comm:
+            return self.collectives._comm_memory_intensity(op.comm_bytes)
+        return self.cost_model.memory_intensity(op)
+
+    def kernel_profile(self, op: OpDesc) -> Tuple[Optional[float], float, float]:
+        """``(duration, occupancy, memory_intensity)`` of the op's kernels.
+
+        Checked against the :class:`Kernel` invariants when the entry is
+        made (memoized when enabled), so kernels built from it use the
+        slot-copy constructors of :mod:`repro.sim.kernel`.  A collective's
+        duration is None: it depends on the ranks and on the current link
+        health, so the collective cost model prices it at instantiation.
+        """
         if self.memoize:
             key = op_key(op)
-            hit = self._mem_cache.get(key)
+            hit = self._profiles.get(key)
             if hit is not None:
                 return hit
-        if op.is_comm:
-            value = self.collectives._comm_memory_intensity(op.comm_bytes)
-        else:
-            value = self.cost_model.memory_intensity(op)
+        duration = None if op.op in _COLLECTIVE_FLAVOURS else self.duration(op)
+        profile = (duration, self.occupancy(op), self.memory_intensity(op))
+        check_kernel_profile(op.name, duration or 0.0, *profile[1:])
         if self.memoize:
-            self._mem_cache[key] = value
-        return value
+            self._profiles[key] = profile
+        return profile
 
     @property
     def cache_size(self) -> int:

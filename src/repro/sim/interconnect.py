@@ -26,7 +26,13 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.topology import Topology
-from repro.sim.kernel import CollectiveKind, CollectiveOp
+from repro.sim.kernel import (
+    CollectiveKind,
+    CollectiveOp,
+    check_collective,
+    check_kernel_profile,
+    collective_from_profile,
+)
 from repro.units import us
 
 __all__ = ["NcclConfig", "CollectiveCostModel"]
@@ -198,24 +204,11 @@ class CollectiveCostModel:
         op: str = "all_reduce",
     ) -> CollectiveOp:
         """Build an all-reduce :class:`CollectiveOp` with one member per rank."""
-        duration = self.allreduce_duration(size_bytes, participants)
-        coll = CollectiveOp(
-            kind=CollectiveKind.ALL_REDUCE,
-            bytes=size_bytes,
-            participants=list(participants),
-            duration=duration,
-            batch_id=batch_id,
-            name=name or f"allreduce_L{layer}_b{batch_id}",
+        return self._make(
+            CollectiveKind.ALL_REDUCE, size_bytes, participants,
+            self.nccl.occupancy, batch_id, layer,
+            name or f"allreduce_L{layer}_b{batch_id}", op,
         )
-        for gpu in participants:
-            coll.make_member(
-                gpu,
-                occupancy=self.nccl.occupancy,
-                memory_intensity=self._comm_memory_intensity(size_bytes),
-                layer=layer,
-                op=op,
-            )
-        return coll
 
     def make_all_to_all(
         self,
@@ -228,24 +221,11 @@ class CollectiveCostModel:
         op: str = "all_to_all",
     ) -> CollectiveOp:
         """Build an all-to-all :class:`CollectiveOp` with one member per rank."""
-        duration = self.alltoall_duration(size_bytes, participants)
-        coll = CollectiveOp(
-            kind=CollectiveKind.ALL_TO_ALL,
-            bytes=size_bytes,
-            participants=list(participants),
-            duration=duration,
-            batch_id=batch_id,
-            name=name or f"alltoall_L{layer}_b{batch_id}",
+        return self._make(
+            CollectiveKind.ALL_TO_ALL, size_bytes, participants,
+            self.nccl.occupancy, batch_id, layer,
+            name or f"alltoall_L{layer}_b{batch_id}", op,
         )
-        for gpu in participants:
-            coll.make_member(
-                gpu,
-                occupancy=self.nccl.occupancy,
-                memory_intensity=self._comm_memory_intensity(size_bytes),
-                layer=layer,
-                op=op,
-            )
-        return coll
 
     def make_p2p(
         self,
@@ -258,28 +238,49 @@ class CollectiveCostModel:
         name: str = "",
     ) -> CollectiveOp:
         """Build a p2p send/recv pair as a two-member collective."""
-        if src == dst:
-            raise ConfigError("p2p requires distinct src and dst")
-        duration = self.p2p_duration(size_bytes, src, dst)
-        coll = CollectiveOp(
-            kind=CollectiveKind.P2P,
-            bytes=size_bytes,
-            participants=[src, dst],
-            duration=duration,
-            batch_id=batch_id,
-            name=name or f"p2p_{src}to{dst}_b{batch_id}",
+        return self._make(
+            # p2p copies are driven by copy engines + a light proxy kernel;
+            # much smaller SM footprint than a ring collective.
+            CollectiveKind.P2P, size_bytes, [src, dst],
+            min(self.nccl.occupancy, 0.04), batch_id, layer,
+            name or f"p2p_{src}to{dst}_b{batch_id}", "p2p",
         )
-        for gpu in (src, dst):
-            coll.make_member(
-                gpu,
-                # p2p copies are driven by copy engines + a light proxy
-                # kernel; much smaller SM footprint than a ring collective.
-                occupancy=min(self.nccl.occupancy, 0.04),
-                memory_intensity=self._comm_memory_intensity(size_bytes),
-                layer=layer,
-                op="p2p",
-            )
-        return coll
+
+    def _make(
+        self, kind, size_bytes, participants, occupancy, batch_id, layer, name, op
+    ) -> CollectiveOp:
+        mem = self._comm_memory_intensity(size_bytes)
+        check_kernel_profile(name, 0.0, occupancy, mem)
+        return self.instantiate(
+            kind, size_bytes, participants, occupancy, mem, batch_id, layer,
+            name, op,
+        )
+
+    def instantiate(
+        self, kind, size_bytes, participants, occupancy, memory_intensity,
+        batch_id, layer, name, op,
+    ) -> CollectiveOp:
+        """Cost a collective at the current link health and build it.
+
+        The footprint (``occupancy``, ``memory_intensity``) must already
+        have passed :func:`~repro.sim.kernel.check_kernel_profile`; the
+        ranks and duration are checked here, once per collective, and the
+        op and its members are built by the slot-copy constructor.
+        """
+        participants = list(participants)
+        if kind is CollectiveKind.P2P:
+            duration = self.p2p_duration(size_bytes, *participants)
+        elif kind is CollectiveKind.ALL_REDUCE:
+            duration = self.allreduce_duration(size_bytes, participants)
+        elif kind is CollectiveKind.ALL_TO_ALL:
+            duration = self.alltoall_duration(size_bytes, participants)
+        else:
+            raise ConfigError(f"no cost model for {kind.value} collectives")
+        check_collective(participants, duration)
+        return collective_from_profile(
+            kind, size_bytes, participants, duration, occupancy,
+            memory_intensity, batch_id, layer, name, op,
+        )
 
     @staticmethod
     def _comm_memory_intensity(size_bytes: float) -> float:

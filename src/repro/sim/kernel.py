@@ -115,16 +115,9 @@ class Kernel:
     uid: int = field(default_factory=lambda: next(_kernel_ids))
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ConfigError(f"kernel {self.name}: negative duration")
-        if not 0.0 < self.occupancy <= 1.0:
-            raise ConfigError(
-                f"kernel {self.name}: occupancy must be in (0, 1], got {self.occupancy}"
-            )
-        if not 0.0 <= self.memory_intensity <= 1.0:
-            raise ConfigError(
-                f"kernel {self.name}: memory_intensity must be in [0, 1]"
-            )
+        check_kernel_profile(
+            self.name, self.duration, self.occupancy, self.memory_intensity
+        )
 
     @property
     def is_comm(self) -> bool:
@@ -157,6 +150,51 @@ class Kernel:
         )
 
 
+def check_kernel_profile(
+    name: str, duration: float, occupancy: float, memory_intensity: float
+) -> None:
+    """Raise :class:`ConfigError` unless the values are valid Kernel fields."""
+    if duration < 0:
+        raise ConfigError(f"kernel {name}: negative duration")
+    if not 0.0 < occupancy <= 1.0:
+        raise ConfigError(
+            f"kernel {name}: occupancy must be in (0, 1], got {occupancy}"
+        )
+    if not 0.0 <= memory_intensity <= 1.0:
+        raise ConfigError(f"kernel {name}: memory_intensity must be in [0, 1]")
+
+
+def kernel_from_profile(
+    name, kind, duration, occupancy, memory_intensity, nbytes, batch_id,
+    layer, op, collective, decomposable, meta,
+) -> Kernel:
+    """Slot-copy constructor: a :class:`Kernel` that skips ``__post_init__``.
+
+    Only for values that already passed :func:`check_kernel_profile` — once
+    per profile entry, not once per kernel.  This is how every simulator
+    kernel of an instantiated op is built (fresh uid, ``flops`` = 0).
+    """
+    kern = _new_kernel(Kernel)
+    kern.name = name
+    kern.kind = kind
+    kern.duration = duration
+    kern.occupancy = occupancy
+    kern.memory_intensity = memory_intensity
+    kern.flops = 0.0
+    kern.bytes = nbytes
+    kern.batch_id = batch_id
+    kern.layer = layer
+    kern.op = op
+    kern.collective = collective
+    kern.decomposable = decomposable
+    kern.meta = meta
+    kern.uid = next(_kernel_ids)
+    return kern
+
+
+_new_kernel = Kernel.__new__
+
+
 @dataclass(slots=True)
 class CollectiveOp:
     """A group of COMM kernels executing one collective across GPUs.
@@ -177,12 +215,7 @@ class CollectiveOp:
     uid: int = field(default_factory=lambda: next(_collective_ids))
 
     def __post_init__(self) -> None:
-        if len(self.participants) < 1:
-            raise ConfigError("collective needs at least one participant")
-        if len(set(self.participants)) != len(self.participants):
-            raise ConfigError("collective participants must be distinct")
-        if self.duration < 0:
-            raise ConfigError("collective duration must be >= 0")
+        check_collective(self.participants, self.duration)
         if not self.name:
             self.name = f"{self.kind.value}#{self.uid}"
 
@@ -221,3 +254,44 @@ class CollectiveOp:
     def complete_membership(self) -> bool:
         """True once every participant has a member kernel created."""
         return set(self.members) == set(self.participants)
+
+
+def check_collective(participants: List[int], duration: float) -> None:
+    """Raise :class:`ConfigError` unless the values are valid CollectiveOp fields."""
+    if len(participants) < 1:
+        raise ConfigError("collective needs at least one participant")
+    if len(set(participants)) != len(participants):
+        raise ConfigError("collective participants must be distinct")
+    if duration < 0:
+        raise ConfigError("collective duration must be >= 0")
+
+
+def collective_from_profile(
+    kind, nbytes, participants, duration, occupancy, memory_intensity,
+    batch_id, layer, name, op,
+) -> CollectiveOp:
+    """Slot-copy constructor: a :class:`CollectiveOp` with one member kernel
+    per participant, in participant order, skipping every ``__post_init__``.
+
+    Only for values that passed :func:`check_collective` and
+    :func:`check_kernel_profile`, and a non-empty ``name``.
+    """
+    coll = _new_collective(CollectiveOp)
+    coll.kind = kind
+    coll.bytes = nbytes
+    coll.participants = participants
+    coll.duration = duration
+    coll.batch_id = batch_id
+    coll.name = name
+    coll.uid = next(_collective_ids)
+    coll.members = members = {}
+    comm = KernelKind.COMM
+    for gpu in participants:
+        members[gpu] = kernel_from_profile(
+            f"{name}@g{gpu}", comm, duration, occupancy, memory_intensity,
+            nbytes, batch_id, layer, op, coll, False, {},
+        )
+    return coll
+
+
+_new_collective = CollectiveOp.__new__

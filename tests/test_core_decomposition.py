@@ -238,6 +238,124 @@ class TestSplitToFitEdges:
         assert planner.split_to_fit(f, smallest * 0.5) is None
 
 
+def reference_split(profiler, splitter, func, window, scale, d):
+    """The division scan without tables: split and profile every candidate."""
+    for numer in range(d - 1, 0, -1):
+        piece_op, rest_op = splitter(func.op, numer, d)
+        piece_duration = profiler.duration(piece_op)
+        if piece_duration * scale <= window:
+            return piece_op, piece_duration, rest_op, profiler.duration(rest_op)
+    return None
+
+
+def reference_divisions(profiler, splitter, op, d):
+    return [
+        (f"{numer}/{d}", profiler.duration(splitter(op, numer, d)[0]))
+        for numer in range(1, d)
+    ]
+
+
+@st.composite
+def _decomposable_op(draw):
+    """A GEMM with n >= d, or an all-reduce / all-to-all payload."""
+    d = draw(st.integers(min_value=2, max_value=16))
+    flavour = draw(st.sampled_from(["gemm", "all_reduce", "all_to_all"]))
+    if flavour == "gemm":
+        op = gemm_op(
+            "g", 0,
+            draw(st.integers(min_value=1, max_value=1024)),
+            draw(st.integers(min_value=1, max_value=8192)),
+            draw(st.integers(min_value=d, max_value=32768)),
+        )
+    else:
+        make = allreduce_op if flavour == "all_reduce" else all_to_all_op
+        op = make("c", 0, draw(st.floats(min_value=1.0, max_value=1e9)))
+    return op, d
+
+
+class TestDivisionTables:
+    """split_to_fit / profile_divisions against the table-free scan."""
+
+    @given(
+        case=_decomposable_op(),
+        window_fracs=st.lists(
+            st.floats(min_value=0.0, max_value=1.5), min_size=1, max_size=4
+        ),
+        scale=st.floats(min_value=0.5, max_value=3.0),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_split_to_fit_matches_reference_scan(self, case, window_fracs, scale):
+        op, d = case
+        node = v100_nvlink_node(4)
+        planner = DecompositionPlanner(OpProfiler(node), d)
+        planner.register_split_rule("all_to_all", split_all_to_all)
+        reference = OpProfiler(node)
+        splitter = planner.split_rule(op.op)
+        f = kfunc(op, reference)
+        whole = reference.duration(op)
+        for frac in window_fracs:
+            window = whole * frac
+            got = planner.split_to_fit(f, window, scale=scale)
+            want = reference_split(reference, splitter, f, window, scale, d)
+            if want is None:
+                assert got is None
+                continue
+            piece_op, piece_duration, rest_op, rest_duration = want
+            piece, rest = got
+            assert piece.op == piece_op and rest.op == rest_op
+            assert piece.duration == piece_duration
+            assert rest.duration == rest_duration
+            assert (piece.decomposable, rest.decomposable) == (False, True)
+            for part in (piece, rest):
+                assert (part.kind, part.batch_id, part.batch_size, part.seq_len) == (
+                    f.kind, f.batch_id, f.batch_size, f.seq_len,
+                )
+        assert planner.profile_divisions(f) == reference_divisions(
+            reference, splitter, op, d
+        )
+
+    def test_second_split_calls_the_rule_once_for_the_chosen_division(
+        self, profiler
+    ):
+        calls = []
+
+        def counted(op, numer, denom):
+            calls.append((numer, denom))
+            return split_gemm_vertical(op, numer, denom)
+
+        planner = DecompositionPlanner(profiler, 8)
+        planner.register_split_rule("gemm", counted)
+        first = kfunc(gemm_op("a", 0, 144, 7168, 28672), profiler)
+        window = profiler.duration(first.op) * 0.4
+        piece, _ = planner.split_to_fit(first, window)
+        assert len(calls) > 1  # the first scan profiles every candidate it tries
+        calls.clear()
+        # Same shape, another name and layer: the table is keyed by shape.
+        second = kfunc(gemm_op("b", 3, 144, 7168, 28672), profiler)
+        again, _ = planner.split_to_fit(second, window)
+        numer = int(piece.op.name.split(".v")[1].split("/")[0])
+        assert calls == [(numer, 8)]
+        assert again.op.name == f"b.v{numer}/8"
+        assert again.duration == piece.duration
+
+    def test_profile_divisions_fills_the_table_split_to_fit_reads(self, profiler):
+        calls = []
+
+        def counted(op, numer, denom):
+            calls.append(numer)
+            return split_allreduce(op, numer, denom)
+
+        planner = DecompositionPlanner(profiler, 4)
+        planner.register_split_rule("all_reduce", counted)
+        f = kfunc(allreduce_op("ar", 0, 8e6), profiler)
+        table = planner.profile_divisions(f)
+        assert calls == [1, 2, 3]
+        calls.clear()
+        piece, _ = planner.split_to_fit(f, table[1][1])
+        assert calls == [2]
+        assert piece.duration == table[1][1]
+
+
 @given(
     window_frac=st.floats(min_value=0.05, max_value=0.95),
     d=st.sampled_from([2, 4, 8, 16]),

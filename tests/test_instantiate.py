@@ -1,0 +1,168 @@
+"""instantiate_op against kernels built with the validated constructors.
+
+``instantiate_op`` builds every kernel with the slot-copy constructors of
+:mod:`repro.sim.kernel` from a profile checked once per entry.  The
+reference here is the constructor path — ``Kernel(...)`` per GPU clone,
+``CollectiveOp(...)`` plus ``make_member`` per rank — and every field must
+agree.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.errors import ConfigError
+from repro.hw import v100_nvlink_node
+from repro.models.costs import KernelCostModel
+from repro.models.ops import (
+    all_to_all_op,
+    allreduce_op,
+    attention_op,
+    gemm_op,
+    p2p_op,
+)
+from repro.parallel.base import instantiate_op
+from repro.profiling import OpProfiler
+from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel
+
+GPUS = [2, 0, 3, 1]  # not sorted: member order must follow the argument
+FIELDS = (
+    "name", "kind", "duration", "occupancy", "memory_intensity", "flops",
+    "bytes", "batch_id", "layer", "op", "decomposable", "meta",
+)
+
+OPS = [
+    gemm_op("qkv", 3, 144, 7168, 5376),
+    attention_op("attn", 3, batch=2, q_len=64, ctx_len=64, heads=14, head_dim=128),
+    allreduce_op("ar", 3, 2e6),
+    all_to_all_op("a2a", 3, 1.5e6),
+    p2p_op("xfer", 3, 4e5, 1, 3),
+]
+
+
+def reference(op, gpus, batch_id, profiler):
+    """Kernels built through the validated constructors."""
+    occupancy = profiler.occupancy(op)
+    mem = profiler.memory_intensity(op)
+    if op.op not in ("all_reduce", "all_to_all", "p2p"):
+        return {
+            gpu: Kernel(
+                name=f"{op.name}_b{batch_id}@g{gpu}",
+                kind=op.kind,
+                duration=profiler.duration(op),
+                occupancy=occupancy,
+                memory_intensity=mem,
+                batch_id=batch_id,
+                layer=op.layer,
+                op=op.op,
+                decomposable=op.decomposable,
+                meta={"desc": op},
+            )
+            for gpu in gpus
+        }
+    ccm = profiler.collectives
+    if op.op == "p2p":
+        participants = [op.p2p_src, op.p2p_dst]
+        duration = ccm.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
+    elif op.op == "all_reduce":
+        participants = list(gpus)
+        duration = ccm.allreduce_duration(op.comm_bytes, participants)
+    else:
+        participants = list(gpus)
+        duration = ccm.alltoall_duration(op.comm_bytes, participants)
+    coll = CollectiveOp(
+        kind=CollectiveKind(op.op),
+        bytes=op.comm_bytes,
+        participants=participants,
+        duration=duration,
+        batch_id=batch_id,
+        name=f"{op.name}_b{batch_id}",
+    )
+    for gpu in participants:
+        coll.make_member(
+            gpu, occupancy=occupancy, memory_intensity=mem, layer=op.layer,
+            op=op.op,
+        )
+    return dict(coll.members)
+
+
+@pytest.fixture
+def profiler():
+    return OpProfiler(v100_nvlink_node(4))
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.op)
+def test_fields_match_validated_constructors(op, profiler):
+    want = reference(op, GPUS, 7, profiler)
+    for _ in range(2):  # the profile-entry miss, then the hit
+        got = instantiate_op(op, GPUS, 7, profiler)
+        assert list(got) == list(want)
+        for gpu, kern in got.items():
+            for field in FIELDS:
+                assert getattr(kern, field) == getattr(want[gpu], field), field
+        uids = [kern.uid for kern in got.values()]
+        assert uids == list(range(uids[0], uids[0] + len(uids)))
+        metas = [kern.meta for kern in got.values()]
+        assert len({id(meta) for meta in metas}) == len(metas)
+        colls = {id(kern.collective) for kern in got.values()}
+        if want[next(iter(want))].collective is None:
+            assert colls == {id(None)}
+            continue
+        assert len(colls) == 1
+        coll = next(iter(got.values())).collective
+        ref = next(iter(want.values())).collective
+        for field in ("kind", "bytes", "participants", "duration", "batch_id", "name"):
+            assert getattr(coll, field) == getattr(ref, field), field
+        assert coll.members == got
+        assert all(coll.members[g] is kern for g, kern in got.items())
+        assert coll.complete_membership
+
+
+class _Counting(KernelCostModel):
+    def __init__(self, gpu, *, occupancy=None):
+        super().__init__(gpu)
+        self.calls = {"occupancy": 0, "memory_intensity": 0}
+        self._occupancy = occupancy
+
+    def occupancy(self, op):
+        self.calls["occupancy"] += 1
+        if self._occupancy is not None:
+            return self._occupancy
+        return super().occupancy(op)
+
+    def memory_intensity(self, op):
+        self.calls["memory_intensity"] += 1
+        return super().memory_intensity(op)
+
+
+def test_invalid_profile_raises_every_time():
+    node = v100_nvlink_node(4)
+    profiler = OpProfiler(node, cost_model=_Counting(node.gpu, occupancy=0.0))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="occupancy"):
+            instantiate_op(gemm_op("g", 0, 64, 512, 512), GPUS, 1, profiler)
+
+
+@pytest.mark.parametrize("memoize,expected", [(True, 1), (False, 3)])
+def test_memoize_false_bypasses_the_profile_memo(memoize, expected):
+    node = v100_nvlink_node(4)
+    cost_model = _Counting(node.gpu)
+    profiler = OpProfiler(node, cost_model=cost_model, memoize=memoize)
+    op = gemm_op("g", 0, 64, 512, 512)
+    kernels = [instantiate_op(op, GPUS, b, profiler)[0] for b in range(3)]
+    assert cost_model.calls == {"occupancy": expected, "memory_intensity": expected}
+    assert len({(k.duration, k.occupancy, k.memory_intensity) for k in kernels}) == 1
+
+
+def test_enable_sim_memos_false_builds_an_unmemoized_profiler():
+    from repro.core import LigerConfig
+    from repro.models import OPT_30B
+    from repro.serving.api import make_strategy
+
+    node = v100_nvlink_node(4)
+    model = OPT_30B.scaled_layers(1)
+    on = make_strategy("liger", model, node)
+    off = make_strategy(
+        "liger", model, node, config=LigerConfig(enable_sim_memos=False)
+    )
+    assert on.profiler.memoize and not off.profiler.memoize

@@ -45,6 +45,58 @@ class TestCacheOffEquivalence:
         )
 
 
+class TestLinkFaultEquivalence:
+    """A replayed round must see the link health at its own launch time."""
+
+    @staticmethod
+    def _decode_trace(*, plan_cache: bool, link_fault: bool):
+        from repro.core import LigerConfig
+        from repro.faults.plan import FaultPlan, LinkDegradation
+        from repro.hw import v100_nvlink_node
+        from repro.models import OPT_30B
+        from repro.serving import (
+            ContinuousBatchingServer,
+            ServingConfig,
+            generation_workload,
+        )
+        from repro.serving.api import make_strategy
+        from serving_goldens import reset_batch_ids
+
+        reset_batch_ids()
+        model = OPT_30B.scaled_layers(2)
+        node = v100_nvlink_node(4)
+        strat = make_strategy(
+            "liger", model, node,
+            config=LigerConfig(
+                max_inflight=6, division_factor=16,
+                enable_plan_cache=plan_cache,
+            ),
+        )
+        plan = (
+            FaultPlan([LinkDegradation(start=5_000.0, end=20_000.0, fraction=0.3)])
+            if link_fault
+            else None
+        )
+        srv = ContinuousBatchingServer(
+            model, node, strat, max_batch=8, pipeline_depth=2,
+            config=ServingConfig(fault_plan=plan, record_trace=True),
+        )
+        jobs = generation_workload(
+            120, 3770.0, context_len=16, gen_tokens=(1, 1), seed=0
+        )
+        result = srv.run(jobs)
+        if plan_cache:
+            assert strat.perf_counters()["plan_cache_hits"] > 0
+        return fingerprint(result.trace)
+
+    def test_cache_on_matches_cache_off_under_link_degradation(self):
+        cache_on = self._decode_trace(plan_cache=True, link_fault=True)
+        cache_off = self._decode_trace(plan_cache=False, link_fault=True)
+        fault_free = self._decode_trace(plan_cache=True, link_fault=False)
+        assert cache_on == cache_off
+        assert cache_on != fault_free
+
+
 # ----------------------------------------------------------------------
 # Fingerprint separation
 # ----------------------------------------------------------------------
@@ -70,27 +122,27 @@ def _scheduler_stub(
 
 class TestFingerprint:
     def test_identical_inputs_share_a_key(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         assert cache.fingerprint(_scheduler_stub()) == cache.fingerprint(
             _scheduler_stub()
         )
 
     def test_same_shapes_different_contention_factors_miss(self):
         """The §3.5 scales live in the key: a changed factor changes plans."""
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         base = cache.fingerprint(_scheduler_stub(factors=(1.2, 1.3)))
         bumped = cache.fingerprint(_scheduler_stub(factors=(1.2, 1.4)))
         assert base != bumped
 
     def test_division_factor_and_packing_separate(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         base = cache.fingerprint(_scheduler_stub())
         assert base != cache.fingerprint(_scheduler_stub(division=16))
         assert base != cache.fingerprint(_scheduler_stub(division=None))
         assert base != cache.fingerprint(_scheduler_stub(packing="best_fit"))
 
     def test_shapes_separate(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         base = cache.fingerprint(_scheduler_stub(sigs=("sig-a", "sig-b")))
         assert base != cache.fingerprint(_scheduler_stub(sigs=("sig-a",)))
         assert base != cache.fingerprint(
@@ -98,21 +150,21 @@ class TestFingerprint:
         )
 
     def test_unfingerprintable_funcvec_is_uncacheable(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         stub = _scheduler_stub()
         stub.processing[1].sig = None
         assert cache.fingerprint(stub) is None
         assert cache.uncacheable == 1
 
     def test_anticipator_without_fingerprint_is_uncacheable(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         stub = _scheduler_stub()
         stub.anticipator = object()
         assert cache.fingerprint(stub) is None
         assert cache.uncacheable == 1
 
     def test_empty_processing_is_not_counted_uncacheable(self):
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         assert cache.fingerprint(_scheduler_stub(sigs=())) is None
         assert cache.uncacheable == 0
 
@@ -120,7 +172,7 @@ class TestFingerprint:
         """Learned-scale drift changes the key — stale replays can't match."""
         from repro.core.contention import AdaptiveAnticipator
 
-        cache = SchedulePlanCache([0, 1])
+        cache = SchedulePlanCache()
         stub = _scheduler_stub()
         stub.anticipator = AdaptiveAnticipator()
         before = cache.fingerprint(stub)
@@ -138,10 +190,10 @@ class TestLru:
         round_ = SimpleNamespace(
             subset0=[], primary_kind=None, window=1.0, secondary_fill=0.0
         )
-        cache.put(key, round_, actions=[], maps0=[], maps1=[])
+        cache.put(key, round_, actions=[])
 
     def test_eviction_counts_and_caps(self):
-        cache = SchedulePlanCache([0], max_entries=2)
+        cache = SchedulePlanCache(max_entries=2)
         for key in ("a", "b", "c"):
             self._put(cache, key)
         assert len(cache) == 2
@@ -150,7 +202,7 @@ class TestLru:
         assert cache.get("b") is not None
 
     def test_get_bumps_lru_age(self):
-        cache = SchedulePlanCache([0], max_entries=2)
+        cache = SchedulePlanCache(max_entries=2)
         self._put(cache, "a")
         self._put(cache, "b")
         assert cache.get("a") is not None  # refresh "a"
@@ -159,7 +211,7 @@ class TestLru:
         assert cache.get("b") is None
 
     def test_hit_miss_counters(self):
-        cache = SchedulePlanCache([0])
+        cache = SchedulePlanCache()
         assert cache.get("missing") is None
         self._put(cache, "k")
         assert cache.get("k") is not None
