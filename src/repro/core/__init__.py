@@ -20,7 +20,6 @@ from repro.core.decomposition import (
     split_gemm_horizontal,
     split_gemm_vertical,
 )
-from repro.core.plan_cache import SchedulePlanCache
 from repro.core.policy import (
     POLICIES,
     ExpertOverlapPolicy,
@@ -56,7 +55,6 @@ __all__ = [
     "default_resource_class",
     "LigerScheduler",
     "Round",
-    "SchedulePlanCache",
     "LigerRuntime",
     "RuntimeStats",
 ]

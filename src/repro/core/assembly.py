@@ -14,9 +14,7 @@ every batch re-enumerates the same op sequence and re-attaches the same
 profiled durations.  :class:`FunctionAssembler` therefore memoizes assembled
 function lists by batch *shape* ``(phase, size, seq_len, context_len)``: a
 hit rebinds the cached wrappers to the new batch identity without touching
-the op enumerator or the profiler.  The cache key doubles as the FuncVec's
-``content_key``, which the schedule-plan cache
-(:mod:`repro.core.plan_cache`) builds its fingerprints on.
+the op enumerator or the profiler.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ def rebind(
 
     Bypasses ``__init__`` — the template's duration was validated when it was
     first built, and the op/kind/decomposable fields are shared verbatim.
-    This is the assembly- and plan-cache replay primitive.
+    This is the assembly-cache hit primitive.
     """
     func = KernelFunc.__new__(KernelFunc)
     func.op = template.op
@@ -81,31 +79,14 @@ def rebind(
 
 
 class FuncVec:
-    """The assembled kernel-function list of one batch (FIFO with push-front).
+    """The assembled kernel-function list of one batch (FIFO with push-front)."""
 
-    ``content_key`` (optional) identifies the *content* of the original list
-    — assembler-cache key of the op sequence and durations.  When present,
-    :attr:`sig` exposes an incrementally-maintained consumption signature
-    ``(content_key, pops, front)`` that two FuncVecs share exactly when their
-    remaining kernel sequences are identical; the schedule-plan cache
-    fingerprints the processing list with it.  ``front`` records decomposition
-    remainders pushed back onto the head as ``(op_name, duration)`` tags.
-    """
-
-    def __init__(
-        self,
-        batch: Batch,
-        funcs: List[KernelFunc],
-        content_key: Optional[Tuple] = None,
-    ) -> None:
+    def __init__(self, batch: Batch, funcs: List[KernelFunc]) -> None:
         if not funcs:
             raise ConfigError(f"batch {batch.batch_id}: empty function list")
         self.batch = batch
         self._funcs: Deque[KernelFunc] = deque(funcs)
         self.total_assembled = len(funcs)
-        self._content_key = content_key
-        self._popped = 0
-        self._front: Tuple = ()
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -114,13 +95,6 @@ class FuncVec:
     @property
     def empty(self) -> bool:
         return not self._funcs
-
-    @property
-    def sig(self) -> Optional[Tuple]:
-        """Consumption signature for plan-cache fingerprints (or None)."""
-        if self._content_key is None:
-            return None
-        return (self._content_key, self._popped, self._front)
 
     def peek(self) -> KernelFunc:
         """The head kernel function without consuming it."""
@@ -132,15 +106,10 @@ class FuncVec:
         """Consume and return the head kernel function."""
         if not self._funcs:
             raise ConfigError("pop on empty FuncVec")
-        if self._front:
-            self._front = self._front[1:]
-        else:
-            self._popped += 1
         return self._funcs.popleft()
 
     def push_front(self, func: KernelFunc) -> None:
         """Return a decomposition remainder to the head of the list."""
-        self._front = ((func.op.name, func.duration),) + self._front
         self._funcs.appendleft(func)
 
     def next_switches(self) -> bool:
@@ -218,7 +187,7 @@ class FunctionAssembler:
                     for t in templates
                 ]
                 self.batches_assembled += 1
-                return FuncVec(batch, funcs, content_key=key)
+                return FuncVec(batch, funcs)
             self.cache_misses += 1
         start = time.perf_counter()
         ops = self._ops_fn(batch)
@@ -241,4 +210,4 @@ class FunctionAssembler:
                 self._cache.popitem(last=False)
                 self.cache_evictions += 1
         self.batches_assembled += 1
-        return FuncVec(batch, funcs, content_key=key)
+        return FuncVec(batch, funcs)

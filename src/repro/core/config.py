@@ -84,18 +84,11 @@ class LigerConfig:
         Extra communication-kernel startup latency (µs) charged in pure
         ``INTER_STREAM`` mode — the empirically-observed launch-queue lag
         that motivated the hybrid approach.
-    enable_plan_cache:
-        Memoize Algorithm 1: when the scheduler's input state fingerprints
-        identically to an earlier planning call (same processing-list
-        shapes, same contention scales, same decomposition config), replay
-        the recorded round instead of re-planning.  Bit-identical to
-        planning from scratch; disable only to measure the planner.
-    plan_cache_size:
-        LRU capacity (entries) of the schedule-plan cache.
     enable_assembly_cache:
         Memoize function assembly by batch shape
-        (:class:`~repro.core.assembly.FunctionAssembler`).  Also what makes
-        FuncVecs fingerprintable — with this off the plan cache never hits.
+        (:class:`~repro.core.assembly.FunctionAssembler`).  Bit-identical
+        on/off; ``python -m bench --config enable_assembly_cache=false``
+        measures what it saves.
     enable_sim_memos:
         The remaining hot-path memos this subsystem layers onto its
         execution substrate: the machine's shape-keyed contention-slowdown
@@ -114,8 +107,6 @@ class LigerConfig:
     packing: str = "first_fit"
     policy: str = "dichotomy"
     comm_lag_penalty: float = us(12.0)
-    enable_plan_cache: bool = True
-    plan_cache_size: int = 256
     enable_assembly_cache: bool = True
     enable_sim_memos: bool = True
 
@@ -139,5 +130,3 @@ class LigerConfig:
             )
         if self.comm_lag_penalty < 0:
             raise ConfigError("comm_lag_penalty must be >= 0")
-        if self.plan_cache_size < 1:
-            raise ConfigError("plan_cache_size must be >= 1")

@@ -35,15 +35,6 @@ class ContentionAnticipator:
             raise ConfigError("duration must be >= 0")
         return duration * self.scale(kind)
 
-    def fingerprint(self) -> tuple:
-        """Hashable identity of the scales this anticipator applies.
-
-        Part of the schedule-plan cache key: two planning calls may share a
-        cached round only if every anticipated duration would come out
-        identical, i.e. the factors match exactly.
-        """
-        return ("static", self.factors.compute, self.factors.comm)
-
 
 #: The ablation: schedule with raw no-load durations (risking scheduling
 #: failures — the secondary subset outliving the primary one).
@@ -100,20 +91,6 @@ class AdaptiveAnticipator:
         if duration < 0:
             raise ConfigError("duration must be >= 0")
         return duration * self.scale(kind)
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity of the *current* learned scales.
-
-        The estimates drift with every observation, so plan-cache entries
-        recorded under older estimates simply stop matching — stale replays
-        are impossible by construction, no invalidation hook needed.
-        """
-        return (
-            "adaptive",
-            self._estimate[False],
-            self._estimate[True],
-            self.margin,
-        )
 
     @property
     def factors(self) -> ContentionFactors:

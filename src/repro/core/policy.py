@@ -27,7 +27,7 @@ the primary run (Principle 1 per resource class instead of per kind).
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.core.assembly import FuncVec, KernelFunc
 from repro.errors import ConfigError
@@ -86,11 +86,10 @@ class SchedulingPolicy:
     classification (decision a) defaults to :func:`default_resource_class`.
     The packing machinery itself — first-fit in arrival order or greedy
     best-fit over batch heads, with §3.6 decomposition fallback — is shared
-    on the base class so every policy gets both packers and the plan-cache
-    ``record`` protocol for free.
+    on the base class so every policy gets both packers for free.
     """
 
-    #: Registry / cache-key identity.  Subclasses must override.
+    #: Registry identity.  Subclasses must override.
     name = "abstract"
 
     def __init__(self, *, packing: str = "first_fit") -> None:
@@ -99,15 +98,6 @@ class SchedulingPolicy:
                 f"packing must be 'first_fit' or 'best_fit', got {packing!r}"
             )
         self.packing = packing
-
-    # -- identity -------------------------------------------------------
-    def fingerprint(self) -> Tuple[str, str]:
-        """Identity tuple joined into the schedule-plan cache key.
-
-        Two schedulers whose policies fingerprint differently must never
-        share a memoized plan — the policy decides the plan's shape.
-        """
-        return (self.name, self.packing)
 
     # -- decision (a): resource classification --------------------------
     def resource_class(self, func: KernelFunc) -> str:
@@ -138,7 +128,6 @@ class SchedulingPolicy:
         primary_class: str,
         kind: KernelKind,
         window: float,
-        record: Optional[List] = None,
     ) -> Tuple[List[KernelFunc], float]:
         """Select and pack secondary kernels into the window.
 
@@ -146,16 +135,11 @@ class SchedulingPolicy:
         packing by the configured discipline (first-fit pops greedily in
         arrival order; best-fit takes the largest fitting head each
         pass).  Returns ``(subset1, fill)`` with ``fill`` in anticipated
-        (contention-scaled) time; ``record``, when given, captures the
-        pop/split actions for plan-cache replay.
+        (contention-scaled) time.
         """
         if self.packing == "best_fit":
-            return self._pack_best_fit(
-                scheduler, primary_class, kind, window, record
-            )
-        return self._pack_first_fit(
-            scheduler, primary_class, kind, window, record
-        )
+            return self._pack_best_fit(scheduler, primary_class, kind, window)
+        return self._pack_first_fit(scheduler, primary_class, kind, window)
 
     # -- validation ------------------------------------------------------
     def validate_round(self, round_) -> None:
@@ -170,39 +154,30 @@ class SchedulingPolicy:
     # Shared packing machinery (moved verbatim from LigerScheduler; the
     # only change is that eligibility goes through :meth:`blocks`).
     # ------------------------------------------------------------------
-    def _take_whole(self, scheduler, fv, idx, subset1, record) -> float:
-        """Pop an eligible head whole; returns its anticipated duration.
-
-        The shared half of both packers' accept path: pop, collect, record
-        the replayable ``(index, None)`` action.
+    def _take_whole(self, scheduler, fv, subset1) -> float:
+        """Pop an eligible head whole into ``subset1``; returns its
+        anticipated duration (the shared half of both packers' accept path).
         """
         func = fv.pop()
         subset1.append(func)
-        if record is not None:
-            record.append((idx, None))
         return scheduler.anticipator.anticipated(func.duration, func.kind)
 
-    def _take_split(self, scheduler, fv, idx, split, subset1, record) -> float:
+    def _take_split(self, scheduler, fv, split, subset1) -> float:
         """Apply a §3.6 decomposition: pop, push the remainder back, collect
-        the piece, record the replayable ``(index, (piece, rest))`` action.
-        Returns the piece's anticipated duration.
+        the piece.  Returns the piece's anticipated duration.
         """
         piece, rest = split
         fv.pop()
         fv.push_front(rest)
         subset1.append(piece)
-        if record is not None:
-            record.append((idx, (piece, rest)))
         return scheduler.anticipator.anticipated(piece.duration, piece.kind)
 
-    def _pack_first_fit(
-        self, scheduler, primary_class, kind, window, record=None
-    ):
+    def _pack_first_fit(self, scheduler, primary_class, kind, window):
         """The paper's policy: walk subsequent batches in arrival order."""
         subset1: List[KernelFunc] = []
         fill = 0.0
         remaining = window
-        for idx, fv in enumerate(scheduler.processing[1:], start=1):
+        for fv in scheduler.processing[1:]:
             while remaining > 0 and not fv.empty:
                 nxt = fv.peek()
                 if self.blocks(nxt, primary_class, kind):
@@ -214,9 +189,7 @@ class SchedulingPolicy:
                     nxt.duration, nxt.kind
                 )
                 if anticipated <= remaining:
-                    taken = self._take_whole(
-                        scheduler, fv, idx, subset1, record
-                    )
+                    taken = self._take_whole(scheduler, fv, subset1)
                     fill += taken
                     remaining -= taken
                     continue
@@ -231,17 +204,13 @@ class SchedulingPolicy:
                 if split is None:
                     remaining = 0.0  # window effectively unusable (line 15)
                     break
-                taken = self._take_split(
-                    scheduler, fv, idx, split, subset1, record
-                )
+                taken = self._take_split(scheduler, fv, split, subset1)
                 fill += taken
                 remaining -= taken
                 break  # residual window is below the smallest division
         return subset1, fill
 
-    def _pack_best_fit(
-        self, scheduler, primary_class, kind, window, record=None
-    ):
+    def _pack_best_fit(self, scheduler, primary_class, kind, window):
         """Extension: greedy best-fit over eligible batch heads.
 
         Only the *head* kernel of each subsequent batch is eligible (batch
@@ -278,10 +247,7 @@ class SchedulingPolicy:
                         v.peek().duration, v.peek().kind
                     ),
                 )
-                taken = self._take_whole(
-                    scheduler, fv, scheduler.processing.index(fv),
-                    subset1, record,
-                )
+                taken = self._take_whole(scheduler, fv, subset1)
                 fill += taken
                 remaining -= taken
                 continue
@@ -307,10 +273,7 @@ class SchedulingPolicy:
             if best_split is None:
                 break
             assert best_fv is not None
-            taken = self._take_split(
-                scheduler, best_fv, scheduler.processing.index(best_fv),
-                best_split, subset1, record,
-            )
+            taken = self._take_split(scheduler, best_fv, best_split, subset1)
             fill += taken
             remaining -= taken
             break  # residual window is below the smallest division

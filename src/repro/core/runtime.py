@@ -24,14 +24,12 @@ Per the paper, the communication subset is launched first within a round.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import FunctionAssembler, KernelFunc
 from repro.core.config import LigerConfig, SyncMode
 from repro.core.contention import ContentionAnticipator
 from repro.core.decomposition import DecompositionPlanner
-from repro.core.plan_cache import SchedulePlanCache
 from repro.core.policy import make_policy
 from repro.core.scheduler import LigerScheduler, Round
 from repro.parallel.base import instantiate_op
@@ -86,23 +84,14 @@ class LigerRuntime:
             if config.enable_decomposition
             else None
         )
-        policy = make_policy(config.policy, packing=config.packing)
         self.scheduler = LigerScheduler(
             anticipator=anticipator,
             decomposer=decomposer,
             max_inflight=config.max_inflight,
-            policy=policy,
+            policy=make_policy(config.policy, packing=config.packing),
         )
         self.stats = RuntimeStats()
         self._gpus = list(range(machine.node.num_gpus))
-        #: Memoized Algorithm 1 (bit-identical replay of recurring rounds).
-        self.plan_cache: Optional[SchedulePlanCache] = (
-            SchedulePlanCache(
-                max_entries=config.plan_cache_size, policy_id=policy.name
-            )
-            if config.enable_plan_cache
-            else None
-        )
         self._s0: Dict[int, Stream] = {
             g: machine.gpu(g).stream("liger_s0") for g in self._gpus
         }
@@ -185,40 +174,16 @@ class LigerRuntime:
 
     # ------------------------------------------------------------------
     def _next_round(self):
-        """Plan (or replay) the next round plus its instantiated kernels.
+        """Plan the next round and instantiate its kernels.
 
-        Returns ``(round, subset0_kernels, subset1_kernels)`` or None.  With
-        the plan cache enabled, a fingerprint hit replays the recorded round;
-        a miss plans normally while recording, then memoizes.  Either way
-        the kernels come from :func:`instantiate_op`.
+        Returns ``(round, subset0_kernels, subset1_kernels)`` or None.
         """
-        round_ = self._plan()
+        round_ = self.scheduler.plan_round()
         if round_ is None:
             return None
         return round_, self._instantiate(round_.subset0), self._instantiate(
             round_.subset1
         )
-
-    def _plan(self) -> Optional[Round]:
-        sched = self.scheduler
-        cache = self.plan_cache
-        if cache is None:
-            return sched.plan_round()
-        sched._sweep_drained()
-        key = cache.fingerprint(sched)
-        if key is not None:
-            entry = cache.get(key)
-            if entry is not None:
-                return cache.replay(sched, entry)
-        start = perf_counter()
-        record: Optional[list] = [] if key is not None else None
-        round_ = sched.plan_swept(record)
-        if round_ is None:
-            return None
-        if key is not None:
-            cache.put(key, round_, record)
-        cache.build_seconds += perf_counter() - start
-        return round_
 
     def _instantiate(self, funcs: List[KernelFunc]):
         return [
@@ -236,9 +201,7 @@ class LigerRuntime:
     ) -> Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]]:
         """Issue one round's commands on every GPU; returns end events.
 
-        The kernel maps come from :meth:`_next_round`, which instantiates
-        planned and replayed rounds alike, so this single issue path serves
-        both — which is what makes cache-on bit-identical to cache-off.
+        The kernel maps come from :meth:`_next_round`.
         """
         cfg = self.config
         inter_stream_gating = cfg.sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)

@@ -148,22 +148,9 @@ class LigerScheduler:
     # ------------------------------------------------------------------
     # Algorithm 1
     # ------------------------------------------------------------------
-    def plan_round(self, record: Optional[List] = None) -> Optional[Round]:
+    def plan_round(self) -> Optional[Round]:
         """Produce the next round, or None when no work is available."""
         self._sweep_drained()
-        return self.plan_swept(record)
-
-    def plan_swept(self, record: Optional[List] = None) -> Optional[Round]:
-        """Algorithm 1 proper, assuming :meth:`_sweep_drained` already ran.
-
-        The split from :meth:`plan_round` exists for the schedule-plan cache
-        (:mod:`repro.core.plan_cache`): the sweep mutates the processing list,
-        so the cache fingerprints *after* it and replays *instead of* the rest.
-        When ``record`` is a list it receives the secondary-subset packing
-        actions — ``(processing_index, None)`` for a whole-kernel pop and
-        ``(processing_index, (piece, rest))`` for a decomposition — enough to
-        replay this round's decisions without re-running the algorithm.
-        """
         if not self.processing:
             return None
         primary = self.processing[0]
@@ -177,7 +164,7 @@ class LigerScheduler:
         # (lines 10–20, plus §3.5 anticipation and §3.6 decomposition;
         # decision (c): eligibility and packing belong to the policy)
         subset1, fill = self.policy.pack_secondary(
-            self, primary_class, kind, window, record
+            self, primary_class, kind, window
         )
 
         round_ = Round(

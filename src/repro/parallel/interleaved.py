@@ -151,7 +151,7 @@ class InterleavedStrategy(ParallelStrategy):
         return self.runtime.stats
 
     def perf_counters(self) -> dict:
-        """Hot-path cache statistics (plan cache + assembly cache).
+        """Hot-path cache statistics (the assembly cache).
 
         The serving session exports these as ``repro_perf_*`` gauges when
         observability is attached; the benchmark's ``bench/child.py`` reads
@@ -160,52 +160,9 @@ class InterleavedStrategy(ParallelStrategy):
         if self.runtime is None:
             return {}
         assembler = self.runtime.assembler
-        out = {
+        return {
             "assembly_cache_hits": assembler.cache_hits,
             "assembly_cache_misses": assembler.cache_misses,
             "assembly_cache_evictions": assembler.cache_evictions,
             "assembly_build_seconds": assembler.build_seconds,
         }
-        cache = self.runtime.plan_cache
-        if cache is not None:
-            out.update(
-                plan_cache_hits=cache.hits,
-                plan_cache_misses=cache.misses,
-                plan_cache_evictions=cache.evictions,
-                plan_cache_uncacheable=cache.uncacheable,
-                plan_cache_entries=len(cache),
-                plan_build_seconds=cache.build_seconds,
-            )
-            # Per-policy split: the policy id is a cache-key dimension, so
-            # aggregate counters alone can't attribute misses to a policy.
-            for pid in sorted(set(cache.per_policy) | {cache.policy_id}):
-                row = cache.per_policy.get(pid, {})
-                for counter in ("hits", "misses", "evictions", "uncacheable"):
-                    out[f"plan_cache_{pid}_{counter}"] = row.get(counter, 0)
-        return out
-
-    def perf_gauge_help(self) -> dict:
-        """Help text for the strategy-specific (per-policy) perf gauges.
-
-        The serving session merges these with its static gauge table — the
-        keys are dynamic (they embed the policy id) so they can't live in a
-        class-level constant there.
-        """
-        if self.runtime is None or self.runtime.plan_cache is None:
-            return {}
-        cache = self.runtime.plan_cache
-        out = {}
-        for pid in sorted(set(cache.per_policy) | {cache.policy_id}):
-            out[f"plan_cache_{pid}_hits"] = (
-                f"Schedule-plan cache hits under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_misses"] = (
-                f"Schedule-plan cache misses under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_evictions"] = (
-                f"Schedule-plan cache evictions under the {pid} policy."
-            )
-            out[f"plan_cache_{pid}_uncacheable"] = (
-                f"Unfingerprintable planning calls under the {pid} policy."
-            )
-        return out

@@ -565,12 +565,6 @@ class ServingSession:
     #: statistics, published only by strategies that expose
     #: ``perf_counters()`` (duck-typed — the session stays strategy-agnostic).
     _PERF_GAUGE_HELP = {
-        "plan_cache_hits": "Schedule-plan cache hits (rounds replayed).",
-        "plan_cache_misses": "Schedule-plan cache misses (Algorithm 1 ran).",
-        "plan_cache_evictions": "Schedule-plan cache LRU evictions.",
-        "plan_cache_uncacheable": "Planning calls with unfingerprintable input.",
-        "plan_cache_entries": "Live entries in the schedule-plan cache.",
-        "plan_build_seconds": "Host seconds spent planning on cache misses.",
         "assembly_cache_hits": "Function-assembly cache hits (rebinds).",
         "assembly_cache_misses": "Function-assembly cache misses (rebuilds).",
         "assembly_cache_evictions": "Function-assembly cache LRU evictions.",
@@ -578,7 +572,7 @@ class ServingSession:
     }
 
     def _register_perf_gauges(self, obs: Observability) -> None:
-        """Expose plan/assembly cache counters as ``repro_perf_*`` gauges."""
+        """Expose assembly-cache counters as ``repro_perf_*`` gauges."""
         counters = getattr(self.strategy, "perf_counters", None)
         if counters is None:
             return
@@ -586,13 +580,7 @@ class ServingSession:
         def _reader(key: str) -> Callable[[], float]:
             return lambda: float(counters().get(key, 0.0))
 
-        gauges = dict(self._PERF_GAUGE_HELP)
-        # Strategy-specific gauges with dynamic keys (e.g. the per-policy
-        # plan-cache split, whose names embed the scheduling-policy id).
-        extra = getattr(self.strategy, "perf_gauge_help", None)
-        if extra is not None:
-            gauges.update(extra())
-        for key, help_text in gauges.items():
+        for key, help_text in self._PERF_GAUGE_HELP.items():
             obs.register_gauge(f"repro_perf_{key}", help_text, _reader(key))
 
     # ------------------------------------------------------------------

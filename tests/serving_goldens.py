@@ -47,8 +47,8 @@ def _model_node():
 def _make_scenario_strategy(strategy: str, model, node, cache_off: bool, liger_config=None):
     """Build the scenario strategy, optionally with every hot-path cache off.
 
-    The off arm disables the plan cache, assembly cache, and profiler memos
-    (liger config flags) — and, for strategies without a config, the
+    The off arm disables the assembly cache and profiler memos (liger
+    config flags) — and, for strategies without a config, the
     profiler memos directly; the machine's slowdown memo is flipped by
     :func:`run_scenario` after the server builds it.  An explicit
     ``liger_config`` takes over entirely — the caller encodes its own
@@ -66,7 +66,6 @@ def _make_scenario_strategy(strategy: str, model, node, cache_off: bool, liger_c
         return make_strategy(
             strategy, model, node,
             config=LigerConfig(
-                enable_plan_cache=False,
                 enable_assembly_cache=False,
                 enable_sim_memos=False,
             ),

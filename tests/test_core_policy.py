@@ -79,18 +79,10 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="packing must be"):
             make_policy("dichotomy", packing="worst_fit")
 
-    def test_fingerprint_separates_policies_and_packing(self):
-        fps = {
-            make_policy(name, packing=packing).fingerprint()
-            for name in POLICIES
-            for packing in ("first_fit", "best_fit")
-        }
-        assert len(fps) == 2 * len(POLICIES)
-
     def test_default_is_dichotomy_first_fit(self):
         s = LigerScheduler(anticipator=NO_ANTICIPATION)
         assert isinstance(s.policy, LigerDichotomyPolicy)
-        assert s.policy.fingerprint() == ("dichotomy", "first_fit")
+        assert s.policy.packing == "first_fit"
 
 
 # ----------------------------------------------------------------------
@@ -138,10 +130,10 @@ class TestPrimaryDelimitation:
 
 
 # ----------------------------------------------------------------------
-# Shared pop/split/record helpers
+# Shared pop/split helpers
 # ----------------------------------------------------------------------
 class TestSharedHelpers:
-    def test_take_whole_pops_collects_records(self):
+    def test_take_whole_pops_and_collects(self):
         policy = LigerDichotomyPolicy()
         s = _scheduler(
             policy,
@@ -149,11 +141,10 @@ class TestSharedHelpers:
              [make_func("all_reduce", 4.0), make_func("gemm", 1.0)]],
         )
         fv = s.processing[1]
-        subset1, record = [], []
-        taken = policy._take_whole(s, fv, 1, subset1, record)
+        subset1 = []
+        taken = policy._take_whole(s, fv, subset1)
         assert taken == 4.0
         assert [f.op.op for f in subset1] == ["all_reduce"]
-        assert record == [(1, None)]
         assert fv.peek().op.op == "gemm"  # head consumed
 
     def test_take_split_pushes_remainder_back(self):
@@ -167,24 +158,12 @@ class TestSharedHelpers:
         whole = fv.peek()
         piece = make_func("all_reduce", 3.0, name="ar.c1/3", batch_id=1)
         rest = make_func("all_reduce", 6.0, name="ar.rest", batch_id=1)
-        subset1, record = [], []
-        taken = policy._take_split(s, fv, 1, (piece, rest), subset1, record)
+        subset1 = []
+        taken = policy._take_split(s, fv, (piece, rest), subset1)
         assert taken == 3.0
         assert subset1 == [piece]
-        assert record == [(1, (piece, rest))]
         assert fv.peek() is rest  # remainder at the head, whole gone
         assert whole not in (fv.peek(),)
-
-    def test_take_whole_without_record(self):
-        policy = LigerDichotomyPolicy()
-        s = _scheduler(
-            policy,
-            [[make_func("gemm", 10.0)],
-             [make_func("all_reduce", 4.0), make_func("gemm", 1.0)]],
-        )
-        subset1 = []
-        policy._take_whole(s, s.processing[1], 1, subset1, None)
-        assert len(subset1) == 1
 
 
 # ----------------------------------------------------------------------

@@ -129,6 +129,37 @@ class TestPrinciple1Runtime:
         run(strat, [fixed_batch(1.0), fixed_batch(2.0), fixed_batch(3.0)])
         assert strat.stats.total_fill <= strat.stats.total_window + 1e-6
 
+    def test_every_launched_round_is_validated(self):
+        """Steady decode repeats the same round shapes; each one must still
+        pass the policy's Principle-1 check before it launches."""
+        from repro.models import MODELS
+        from repro.serving import ContinuousBatchingServer, generation_workload
+        from repro.serving.api import make_strategy as make_serving_strategy
+
+        model = MODELS["OPT-13B"].scaled_layers(2)
+        node = v100_nvlink_node(2)
+        strat = make_serving_strategy("liger", model, node, config=LigerConfig())
+        srv = ContinuousBatchingServer(
+            model, node, strat, max_batch=4, pipeline_depth=2,
+            record_trace=False, check_memory=False,
+        )
+        policy = strat.runtime.scheduler.policy
+        validate = policy.validate_round
+        validated = []
+
+        def counting(round_):
+            validated.append(round_.index)
+            validate(round_)
+
+        policy.validate_round = counting
+        srv.run(
+            generation_workload(
+                24, 1200.0, context_len=16, gen_tokens=(1, 1), seed=0
+            )
+        )
+        assert validated
+        assert len(validated) == strat.stats.rounds_launched
+
 
 class TestMemoryAwareAdmission:
     def test_interleaving_depth_bounded_by_hbm(self):

@@ -398,6 +398,48 @@ class TestLifecycleUnderFaults:
         assert not report.watchdog_tripped
 
 
+class TestLinkFaultEquivalence:
+    """A link fault reaches every collective launched inside its window."""
+
+    @staticmethod
+    def _decode_trace(*, link_fault: bool):
+        from repro.core import LigerConfig
+        from repro.models import OPT_30B
+        from repro.serving import (
+            ContinuousBatchingServer,
+            ServingConfig,
+            generation_workload,
+        )
+        from repro.serving.api import make_strategy
+        from serving_goldens import fingerprint, reset_batch_ids
+
+        reset_batch_ids()
+        model = OPT_30B.scaled_layers(2)
+        node = v100_nvlink_node(4)
+        strat = make_strategy(
+            "liger", model, node,
+            config=LigerConfig(max_inflight=6, division_factor=16),
+        )
+        plan = (
+            FaultPlan([LinkDegradation(start=5_000.0, end=20_000.0, fraction=0.3)])
+            if link_fault
+            else None
+        )
+        srv = ContinuousBatchingServer(
+            model, node, strat, max_batch=8, pipeline_depth=2,
+            config=ServingConfig(fault_plan=plan, record_trace=True),
+        )
+        jobs = generation_workload(
+            120, 3770.0, context_len=16, gen_tokens=(1, 1), seed=0
+        )
+        return fingerprint(srv.run(jobs).trace)
+
+    def test_link_degradation_is_deterministic_and_visible(self):
+        faulted = self._decode_trace(link_fault=True)
+        assert faulted == self._decode_trace(link_fault=True)
+        assert faulted != self._decode_trace(link_fault=False)
+
+
 class TestTopLevelExports:
     def test_fault_api_importable_from_repro(self):
         import repro

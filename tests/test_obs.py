@@ -417,6 +417,59 @@ class TestServedRuns:
 
 
 # ----------------------------------------------------------------------
+# The ``repro_perf_*`` section: hot-path cache counters as gauges
+# ----------------------------------------------------------------------
+class TestPerfGauges:
+    @staticmethod
+    def _serve_continuous(strategy: str, **workload):
+        from repro.models import MODELS
+        from repro.serving import (
+            ContinuousBatchingServer,
+            ServingConfig,
+            generation_workload,
+        )
+        from repro.serving.api import make_strategy
+        from serving_goldens import reset_batch_ids
+
+        reset_batch_ids()
+        model = MODELS["OPT-13B"].scaled_layers(2)
+        node = v100_nvlink_node(2)
+        strat = make_strategy(strategy, model, node)
+        obs = Observability()
+        srv = ContinuousBatchingServer(
+            model, node, strat, max_batch=4, pipeline_depth=2,
+            check_memory=False,
+            config=ServingConfig(observability=obs, record_trace=False),
+        )
+        srv.run(generation_workload(seed=0, **workload))
+        return strat, obs.to_prometheus()
+
+    def test_perf_gauges_in_prometheus_export(self):
+        strat, text = self._serve_continuous(
+            "liger", num_requests=12, rate=1200.0,
+            context_len=16, gen_tokens=(1, 1),
+        )
+        exported = set(re.findall(r"^(repro_perf_\w+) ", text, re.M))
+        assert exported == {
+            "repro_perf_assembly_cache_hits",
+            "repro_perf_assembly_cache_misses",
+            "repro_perf_assembly_cache_evictions",
+            "repro_perf_assembly_build_seconds",
+        }
+        # The gauges carry the live counter values, not zeros.
+        hits = strat.perf_counters()["assembly_cache_hits"]
+        assert hits > 0
+        assert f"repro_perf_assembly_cache_hits {hits}" in text
+
+    def test_intra_strategy_exports_no_perf_gauges(self):
+        """Duck-typing: strategies without perf_counters stay gauge-free."""
+        _, text = self._serve_continuous(
+            "intra", num_requests=6, rate=400.0
+        )
+        assert "repro_perf_" not in text
+
+
+# ----------------------------------------------------------------------
 # Trace edge cases (empty / single kernel) and its Chrome export
 # ----------------------------------------------------------------------
 class TestTraceEdgeCases:

@@ -5,7 +5,9 @@ Two halves:
 * **Equivalence** — every (server, strategy) golden scenario must reproduce
   the pre-chassis fingerprint bit-for-bit with an empty
   :class:`~repro.serving.session.ServingConfig` (the zero-cost convention
-  survives the rebase).
+  survives the rebase), and again with the assembly cache and the
+  simulator memos disabled (every remaining hot-path cache is
+  bit-identical on/off).
 * **Capabilities** — the generation servers now ride the chassis, so fault
   injection, admission control, deadlines, and observability must work on
   :class:`~repro.serving.generation.ContinuousBatchingServer` — none of
@@ -81,6 +83,19 @@ class TestGoldenEquivalence:
                 observability=Observability(),
                 check_memory=False,
             )
+
+
+class TestCacheOffEquivalence:
+    @pytest.mark.parametrize("server,strategy", SCENARIOS)
+    def test_cache_off_matches_golden(self, server, strategy):
+        """Disabling the assembly cache and the simulator memos must not
+        move a single float."""
+        goldens = _load_goldens()
+        _, trace = run_scenario(server, strategy, cache_off=True)
+        assert fingerprint(trace) == goldens[f"{server}/{strategy}"], (
+            f"{server}/{strategy}: cache-off timeline diverged from the "
+            "golden — a cache is not bit-identical"
+        )
 
 
 # ----------------------------------------------------------------------
