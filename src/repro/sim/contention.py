@@ -55,14 +55,15 @@ class ContentionModel:
     #: memoize slowdown vectors by resident *shape* (identical shapes recur
     #: endlessly under steady-state decode) instead of recomputing on every
     #: resident-set change.  Leave False in a subclass that reads any other
-    #: kernel attribute — the machine then only uses its per-epoch cache.
+    #: kernel attribute — the machine then asks the model on every change.
     pure_in_shape = False
 
     def slowdowns(self, resident: Iterable[Kernel]) -> Dict[int, float]:
         """Return ``{kernel.uid: slowdown}`` for every resident kernel.
 
         Slowdowns must be ≥ 1.  A kernel running alone must get exactly 1.0
-        (profiled no-load durations are definitions, not approximations).
+        (profiled no-load durations are definitions, not approximations);
+        the machine relies on this and never asks about a lone kernel.
         """
         raise NotImplementedError
 

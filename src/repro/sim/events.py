@@ -89,7 +89,12 @@ class CudaEvent:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, now: float, schedule) -> None:
+    def record(
+        self,
+        now: float,
+        schedule,
+        local: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Mark the event recorded at ``now`` and release all waiters.
 
         Parameters
@@ -100,12 +105,17 @@ class CudaEvent:
             ``schedule(delay, callback)`` — the machine's deferred-call hook,
             used so waiter callbacks run as fresh engine events rather than
             deep inside the recording call stack.
+        local:
+            The recording device's own stream-resume callback.  Waiters
+            registered with it are not scheduled: the recording pump's sweep
+            unblocks them itself.
         """
         if self.is_recorded:
             raise StreamProtocolError(f"{self.name}: recorded twice")
         self.recorded_at = now
         for resume in self._stream_waiters:
-            schedule(0.0, resume)
+            if resume is not local:
+                schedule(0.0, resume)
         self._stream_waiters.clear()
         for delay, callback in self._host_waiters:
             schedule(delay, callback)

@@ -66,9 +66,6 @@ _LAUNCH = CommandKind.LAUNCH
 _RECORD_EVENT = CommandKind.RECORD_EVENT
 _WAIT_EVENT = CommandKind.WAIT_EVENT
 
-#: Shared empty slowdown map for devices with nothing resident.
-_NO_SLOWDOWNS: Dict[int, float] = {}
-
 
 @dataclass(slots=True)
 class _RunState:
@@ -82,6 +79,9 @@ class _RunState:
     start_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
+    #: Clamped contention slowdown from the device's resident set, without
+    #: fault inflation; refreshed only after the resident set changes.
+    contention: float = 1.0
     # Accumulated (stretched-time, no-load-time) for average-slowdown stats.
     stretched: float = 0.0
 
@@ -115,9 +115,9 @@ class Gpu:
         #: Non-collective residents in admission order — the progress
         #: integrator iterates this instead of re-filtering ``resident``.
         self.active_local: Dict[int, _RunState] = {}
-        #: Bumped on every admit/release; keys the machine's per-device
-        #: contention-slowdown cache.
-        self.resident_epoch = 0
+        #: Set on every admit/release: the residents' stored contention
+        #: slowdowns are stale until the next reschedule refreshes them.
+        self.dirty = False
 
     def stream(self, name: str, priority: int = 0) -> Stream:
         """Get-or-create the stream named ``name`` on this device.
@@ -138,10 +138,6 @@ class Gpu:
         s = Stream(self.gpu_id, name, priority)
         self.streams.append(s)
         return s
-
-    def resident_kernels(self) -> List[Kernel]:
-        """Kernels currently occupying this device."""
-        return [rs.kernel for rs in self.resident.values()]
 
     @property
     def busy(self) -> bool:
@@ -202,13 +198,9 @@ class Machine:
         self.fault_injector = None
         self.gpus: List[Gpu] = [Gpu(i, self) for i in range(node.num_gpus)]
         self._collectives: Dict[int, _CollectiveRun] = {}
-        #: Per-device contention slowdown maps, keyed by ``resident_epoch``.
-        #: Valid because contention models are pure functions of the resident
-        #: kernel set (fault inflation is layered on top, never cached).
-        self._slowdown_cache: Dict[int, tuple] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
-        #: kernel uids, so the epoch cache alone misses constantly.
+        #: kernel uids.
         self._shape_cache: Dict[tuple, tuple] = {}
         self._contention_pure_in_shape = bool(
             getattr(self.contention, "pure_in_shape", False)
@@ -425,7 +417,11 @@ class Machine:
                 elif kind is _RECORD_EVENT:
                     stream.retired += 1
                     queue.popleft()
-                    cmd.event.record(now, self._deferred)
+                    # This device's own waiters are unblocked by the next
+                    # pass of this sweep, so only other devices get a kick.
+                    cmd.event.record(
+                        now, self._deferred, self._kick_pump_fns[gpu.gpu_id]
+                    )
                     progressed = True
                 else:  # WAIT_EVENT
                     stream.retired += 1
@@ -464,7 +460,8 @@ class Machine:
             return False
         self._bank_progress()
         admitted_any = False
-        gpu.ready.sort(key=self._admission_key)
+        if len(gpu.ready) > 1:
+            gpu.ready.sort(key=self._admission_key)
         still_ready: List[_RunState] = []
         for rs in gpu.ready:
             if gpu.used_occupancy + rs.kernel.occupancy <= 1.0 + _EPS:
@@ -484,7 +481,7 @@ class Machine:
         rs.remaining = rs.kernel.duration
         gpu.resident[rs.kernel.uid] = rs
         gpu.used_occupancy += rs.kernel.occupancy
-        gpu.resident_epoch += 1
+        gpu.dirty = True
         coll = rs.kernel.collective
         if coll is None:
             gpu.active_local[rs.kernel.uid] = rs
@@ -538,18 +535,22 @@ class Machine:
                 crun.stretched += dt
         self._last_bank_time = now
 
-    def _gpu_slowdowns(self, gpu: Gpu) -> Dict[int, float]:
-        """Contention map for one device, cached per resident-set epoch.
+    def _refresh_contention(self, gpu: Gpu) -> None:
+        """Store each resident's clamped contention slowdown on its run state.
 
-        When the model declares shape purity, the slowdown *vector* is
-        additionally memoized by the resident kernels' shapes — new uids
-        with recurring shapes (the steady-decode pattern) skip the model
-        entirely and just re-key the cached floats.
+        A lone kernel gets exactly 1.0 without consulting the model — the
+        :meth:`ContentionModel.slowdowns` contract.  The ≥ 1.0 clamp defends
+        against custom models that would accelerate kernels.  When the model
+        declares shape purity, the slowdown vector is memoized by the
+        resident kernels' shapes — new uids with recurring shapes (the
+        steady-decode pattern) skip the model entirely.
         """
-        cached = self._slowdown_cache.get(gpu.gpu_id)
-        if cached is not None and cached[0] == gpu.resident_epoch:
-            return cached[1]
-        kernels = [rs.kernel for rs in gpu.resident.values()]
+        gpu.dirty = False
+        rss = list(gpu.resident.values())
+        if len(rss) == 1:
+            rss[0].contention = 1.0
+            return
+        kernels = [rs.kernel for rs in rss]
         if self._contention_pure_in_shape and self.slowdown_memo:
             shape = tuple(
                 (k.kind, k.occupancy, k.memory_intensity) for k in kernels
@@ -557,21 +558,17 @@ class Machine:
             values = self._shape_cache.get(shape)
             if values is None:
                 per_kernel = self.contention.slowdowns(kernels)
-                self._shape_cache[shape] = tuple(
-                    per_kernel[k.uid] for k in kernels
-                )
+                values = tuple(per_kernel[k.uid] for k in kernels)
+                self._shape_cache[shape] = values
                 if len(self._shape_cache) > 8192:
                     # Unbounded shape diversity (e.g. a bursty prefill mix)
                     # must not leak; recurring shapes repopulate quickly.
                     self._shape_cache.clear()
-            else:
-                per_kernel = {
-                    k.uid: v for k, v in zip(kernels, values)
-                }
         else:
             per_kernel = self.contention.slowdowns(kernels)
-        self._slowdown_cache[gpu.gpu_id] = (gpu.resident_epoch, per_kernel)
-        return per_kernel
+            values = [per_kernel.get(k.uid, 1.0) for k in kernels]
+        for rs, slow in zip(rss, values):
+            rs.contention = 1.0 if slow < 1.0 else slow
 
     def refresh_rates(self) -> None:
         """Re-bank progress and recompute slowdowns at the current instant.
@@ -589,12 +586,11 @@ class Machine:
     def _reschedule(self) -> None:
         """Recompute rates and (re)arm the single completion timer.
 
-        One fused pass over the active sets: per-kernel contention slowdowns
-        (cached per device epoch), the ≥ 1.0 clamp (a contention model may
-        never accelerate kernels — defends against custom models), fault
-        inflation, and the min-scan for the next completion instant.  These
-        used to be three separate walks; this is the hottest path in the
-        simulator under steady-state decode.
+        One fused pass over the active sets: contention slowdowns (stored on
+        the run states, refreshed only on devices whose resident set
+        changed), fault inflation (never stored), and the min-scan for the
+        next completion instant.  This is the hottest path in the simulator
+        under steady-state decode.
 
         Runs once per machine callback that changed a resident set: a pump
         event reschedules only if it admitted something, and a completion
@@ -602,28 +598,15 @@ class Machine:
         last pump (see ``docs/INTERNALS.md`` §1 for why that is
         bit-identical to rescheduling after every admission).
         """
-        # Per-device maps are consulted in place (uids are globally unique,
-        # so the old merged dict was pure overhead); ``maps`` is kept for the
-        # collective loop, whose members span devices.
         inj = self.fault_injector
-        cache = self._slowdown_cache
-        maps: List[Dict[int, float]] = []
         next_dt: Optional[float] = None
         for gpu in self.gpus:
             if not gpu.resident:
-                maps.append(_NO_SLOWDOWNS)
                 continue
-            cached = cache.get(gpu.gpu_id)
-            if cached is not None and cached[0] == gpu.resident_epoch:
-                per_kernel = cached[1]
-            else:
-                per_kernel = self._gpu_slowdowns(gpu)
-            maps.append(per_kernel)
-            get_slow = per_kernel.get
+            if gpu.dirty:
+                self._refresh_contention(gpu)
             for rs in gpu.active_local.values():
-                slow = get_slow(rs.kernel.uid, 1.0)
-                if slow < 1.0:
-                    slow = 1.0
+                slow = rs.contention
                 if inj is not None:
                     slow *= inj.kernel_inflation(rs.kernel, rs.gpu_id)
                 rs.slowdown = slow
@@ -635,9 +618,7 @@ class Machine:
                 continue
             slow = None
             for gid, rs in crun.members.items():
-                member = maps[gid].get(rs.kernel.uid, 1.0)
-                if member < 1.0:
-                    member = 1.0
+                member = rs.contention
                 if inj is not None:
                     member *= inj.kernel_inflation(rs.kernel, gid)
                 if slow is None or member > slow:
@@ -696,7 +677,7 @@ class Machine:
         del gpu.resident[rs.kernel.uid]
         gpu.active_local.pop(rs.kernel.uid, None)
         gpu.used_occupancy = max(0.0, gpu.used_occupancy - rs.kernel.occupancy)
-        gpu.resident_epoch += 1
+        gpu.dirty = True
         if rs.stream.running_kernel is rs.kernel:
             rs.stream.running_kernel = None
 
@@ -748,7 +729,6 @@ class Machine:
             gpu.resident.clear()
             gpu.active_local.clear()
             gpu.used_occupancy = 0.0
-            gpu.resident_epoch += 1
         self._collectives.clear()
 
     # ------------------------------------------------------------------

@@ -163,8 +163,11 @@ class Host:
         *,
         multi_gpu: bool = False,
     ) -> None:
-        """Run ``callback`` once every event in ``events`` has recorded."""
-        pending = list(events)
+        """Run ``callback`` once every event in ``events`` has recorded.
+
+        A repeated event is waited on once, so ``callback`` runs exactly once.
+        """
+        pending = list(dict.fromkeys(events))
         remaining = {e.uid for e in pending}
 
         def _one_done(uid: int) -> Callable[[], None]:

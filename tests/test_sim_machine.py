@@ -13,6 +13,7 @@ import pytest
 from repro.errors import DeadlockError, StreamProtocolError
 from repro.hw import v100_nvlink_node
 from repro.sim import (
+    ContentionModel,
     CudaEvent,
     Engine,
     Kernel,
@@ -210,6 +211,23 @@ class TestEvents:
         assert rows["g1"].start == pytest.approx(30.0)
         assert rows["g1"].gpu == 1
 
+    def test_same_gpu_wait_resolved_by_the_recording_pump(self):
+        m = make_machine(1)
+        a = m.gpu(0).stream("a")
+        b = m.gpu(0).stream("b")
+        ev = CudaEvent("e")
+        m.launch(a, k("first", 10.0, occ=0.4), available_at=0.0)
+        m.record_event(a, ev, available_at=0.0)
+        m.wait_event(b, ev, available_at=0.0)
+        m.launch(b, k("second", 5.0, occ=0.4), available_at=0.0)
+        m.run()
+        rows = {r.name: r for r in m.trace.rows}
+        assert rows["second"].start == 10.0 and rows["second"].end == 15.0
+        # One pump at t=0 and one completion timer per kernel.  The sweep
+        # that records ``e`` unblocks ``b`` itself: no waiter kick is
+        # scheduled, and so no no-op pump either.
+        assert m.engine.events_processed == 3
+
     def test_unrecorded_event_deadlock_detected(self):
         m = make_machine(1)
         s1 = m.gpu(0).stream("s1")
@@ -360,6 +378,41 @@ class TestRescheduling:
         m.run()
         assert list(coll.members) == ranks
         assert log[0]["pumped"] == sorted(ranks)
+
+
+class CountingContention(ContentionModel):
+    """Records the size of every resident set the machine asks about; each
+    co-resident kernel adds 0.5 to everyone's slowdown."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def slowdowns(self, resident):
+        kernels = list(resident)
+        self.sizes.append(len(kernels))
+        return {kern.uid: 1.0 + 0.5 * (len(kernels) - 1) for kern in kernels}
+
+
+class TestContentionRefresh:
+    def test_model_never_asked_about_a_lone_kernel(self):
+        model = CountingContention()
+        m = make_machine(2, contention=model)
+        a = m.gpu(0).stream("a")
+        m.launch(a, k("a1", 10.0, occ=0.4), available_at=0.0)
+        m.launch(a, k("a2", 10.0, occ=0.4), available_at=0.0)
+        m.launch(m.gpu(0).stream("b"), k("b1", 10.0, occ=0.4), available_at=5.0)
+        m.launch(m.gpu(1).stream("a"), k("solo", 30.0), available_at=0.0)
+        m.run()
+        rows = {r.name: r for r in m.trace.rows}
+        # a1 runs alone for 5 µs, then at 1.5x beside b1; a2 replaces a1
+        # beside b1 and finishes alone.
+        assert rows["a1"].end == 12.5
+        assert rows["b1"].end == 20.0
+        assert rows["a2"].end == 25.0
+        assert rows["solo"].end == 30.0
+        # Asked once when b1 joins and once when a2 replaces a1; never for
+        # a1 or a2 alone, nor for GPU 1's lone kernel.
+        assert model.sizes == [2, 2]
 
 
 # ----------------------------------------------------------------------

@@ -4,8 +4,15 @@ streams, events, and the error hierarchy."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import errors
+from repro.sim.contention import (
+    DefaultContention,
+    NullContention,
+    default_contention_for,
+)
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel, KernelKind
 from repro.sim.stream import Command, CommandKind, Stream
@@ -142,6 +149,16 @@ class TestCudaEvent:
         delays = sorted(d for d, _ in calls)
         assert delays == [0.0, 3.0]
 
+    def test_local_waiter_is_not_scheduled(self):
+        ev = CudaEvent("e")
+        local, remote = (lambda: None), (lambda: None)
+        ev.add_stream_waiter(local)
+        ev.add_stream_waiter(remote)
+        ev.add_stream_waiter(local)
+        calls = []
+        ev.record(1.0, lambda d, cb: calls.append(cb), local)
+        assert calls == [remote]
+
     def test_late_registration_rejected(self):
         ev = CudaEvent("e")
         ev.record(0.0, lambda d, cb: None)
@@ -149,3 +166,32 @@ class TestCudaEvent:
             ev.add_stream_waiter(lambda: None)
         with pytest.raises(errors.StreamProtocolError):
             ev.on_host(lambda: None)
+
+
+class TestLoneKernelContention:
+    """The machine gives a lone resident kernel exactly 1.0 without asking
+    its contention model; every built-in model must agree."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(KernelKind)),
+        occupancy=st.floats(min_value=1e-3, max_value=1.0),
+        memory=st.floats(min_value=0.0, max_value=1.0),
+        duration=st.floats(min_value=0.0, max_value=1e6),
+    )
+    def test_builtin_models_give_a_lone_kernel_exactly_one(
+        self, kind, occupancy, memory, duration
+    ):
+        kern = Kernel(
+            name="solo",
+            kind=kind,
+            duration=duration,
+            occupancy=occupancy,
+            memory_intensity=memory,
+        )
+        for model in (
+            DefaultContention(),
+            default_contention_for("a100"),
+            NullContention(),
+        ):
+            assert model.slowdowns([kern]) == {kern.uid: 1.0}

@@ -183,6 +183,17 @@ class TestHost:
         # fires only after the slower (g1) event
         assert seen[0] >= 40.0
 
+    def test_when_all_events_repeated_event_fires_once(self):
+        m = make_machine()
+        host = Host(m, launch_overhead=0.0)
+        s = m.gpu(0).stream("s0")
+        ev = CudaEvent()
+        host.record_event(s, ev)
+        seen = []
+        host.when_all_events([ev, ev], lambda: seen.append(m.engine.now))
+        m.run()
+        assert seen == [pytest.approx(2.3)]
+
     def test_when_all_events_empty_fires_immediately(self):
         m = make_machine()
         host = Host(m)
