@@ -193,7 +193,7 @@ class BatchCompleted(Event):
     """A batch retired by the strategy.
 
     ``completed_rids`` are the members that reached the terminal
-    ``COMPLETED`` state at this instant; the lifecycle server publishes
+    ``COMPLETED`` state at this instant; the job servers publish
     intermediate prefill/decode completions with members still mid-flight
     (``completed_rids`` ⊂ ``rids``).
     """
@@ -210,15 +210,18 @@ class BatchCompleted(Event):
     deadline_misses: int = 0
 
     @staticmethod
-    def from_batch(batch, time_us: float) -> "BatchCompleted":
-        tracked = [r for r in batch.requests if r.deadline is not None]
-        met = sum(1 for r in tracked if r.completion <= r.deadline)
+    def from_batch(batch, time_us: float, completed=None) -> "BatchCompleted":
+        """``completed`` (jobs with ``rid``/``arrival``/``deadline``) are the
+        members finishing now; by default every member of ``batch``."""
+        done = batch.requests if completed is None else completed
+        tracked = [r for r in done if r.deadline is not None]
+        met = sum(1 for r in tracked if time_us <= r.deadline)
         return BatchCompleted(
             time_us=time_us,
             batch_id=batch.batch_id,
             rids=tuple(r.rid for r in batch.requests),
-            completed_rids=tuple(r.rid for r in batch.requests),
-            latencies_us=tuple(time_us - r.arrival for r in batch.requests),
+            completed_rids=tuple(r.rid for r in done),
+            latencies_us=tuple(time_us - r.arrival for r in done),
             slo_tracked=len(tracked),
             slo_met=met,
             deadline_misses=len(tracked) - met,

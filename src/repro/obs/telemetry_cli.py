@@ -160,6 +160,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             node,
             strategy=args.strategy,
             workload=args.workload,
+            policy=args.policy,
             arrival_rate=args.rate,
             num_requests=args.requests,
             batch_size=args.batch,

@@ -35,13 +35,18 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.obs.events import RequestsAdmitted, RequestsShed, RequestsTimedOut
+from repro.obs.events import (
+    BatchCompleted,
+    RequestsAdmitted,
+    RequestsShed,
+    RequestsTimedOut,
+)
 from repro.obs.observability import Observability
 from repro.serving.arrival import ArrivalProcess, ConstantRate
-from repro.serving.overload import AdmissionPolicy, OverloadConfig, OverloadReport
+from repro.serving.overload import OverloadConfig, OverloadReport, shed_victim
 from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.serving.server import ServingResult
-from repro.serving.session import ServingConfig, ServingSession
+from repro.serving.session import RunResult, ServingConfig, ServingSession
 from repro.sim.contention import ContentionModel
 from repro.sim.memory import NodeMemoryModel, activation_bytes
 
@@ -134,8 +139,22 @@ def generation_workload(
     ]
 
 
-class _GenerationServerBase:
-    """Shared plumbing: the serving session and terminal bookkeeping."""
+class JobServer:
+    """The core the three job servers share.
+
+    Static, continuous and lifecycle serving all run long-lived jobs as a
+    sequence of iteration (and prefill) batches, so admission, memory and
+    terminal bookkeeping live here at job granularity instead of in the
+    session's batch-level overload controller.  Every terminal outcome
+    lands in the session's :class:`~repro.serving.metrics.ServingMetrics`,
+    the one serving-side tally, with the matching bus event when observed.
+
+    Subclasses keep their queue of waiting jobs in ``_queue`` and implement
+    ``_waiting`` (the jobs the admission bound counts, oldest first),
+    ``_on_batch_complete`` and ``_on_shed``.
+    """
+
+    discipline = "generation"
 
     def __init__(
         self,
@@ -161,20 +180,15 @@ class _GenerationServerBase:
             overload=overload,
             observability=observability,
         )
-        # The strategy's per-batch accounting would re-reserve the KV cache
-        # for every iteration; generation memory lives at sequence/group
-        # granularity, so this server owns the memory model instead
-        # (track_memory=False at bind time).
         self.session = ServingSession(
             model,
             node,
             strategy,
             config=config,
             check_memory=check_memory,
-            track_memory=False,
             complete_callback=self._on_batch_complete,
             shed_callback=self._on_shed,
-            track_first_dispatch=True,
+            per_job=True,
         )
         s = self.session
         self.model = model
@@ -189,106 +203,190 @@ class _GenerationServerBase:
         self.bus = s.bus
         self.recovery = s.recovery
         self.memory = NodeMemoryModel(model, node)
-        self.total_tokens = 0
         self.overload = config.overload
+        #: Iteration tokens put through the strategy.
+        self.total_tokens = 0
+        self._busy: set = set()  # rids in an in-flight decode iteration
         self._admitted = 0
         self._peak_pending = 0
 
-    # Subclasses map batch completions back to generation progress.
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
         raise NotImplementedError
 
-    # Subclasses restore their scheduling state when the recovery layer
-    # drops a batch (only reachable when faults/resilience are armed).
     def _on_shed(self, batch: Batch) -> None:
+        """The recovery layer dropped ``batch`` (faults/resilience armed)."""
+        raise NotImplementedError
+
+    def _waiting(self) -> list:
         raise NotImplementedError
 
     def _submit(self, batch: Batch) -> None:
-        """Feed one iteration batch into the session's submission pipeline."""
+        """Feed one batch into the session's submission pipeline."""
         self.session.submit(batch)
 
-    # ------------------------------------------------------------------
-    # Terminal bookkeeping (every job ends in exactly one terminal state)
-    # ------------------------------------------------------------------
-    def _finish_request(self, gen: GenRequest, time: float) -> None:
-        gen.completion = time
-        gen.state = RequestState.COMPLETED
-        proxy = Request(
-            rid=gen.rid, arrival=gen.arrival, seq_len=gen.gen_tokens,
-            phase=Phase.DECODE, context_len=gen.context_len,
-            deadline=gen.deadline,
+    def run(self, requests: Sequence) -> RunResult:
+        """Serve the jobs to completion and return the run's result."""
+        ordered = sorted(requests, key=lambda r: r.arrival)
+        if not ordered:
+            raise ConfigError("no requests to serve")
+        self._schedule_arrivals(ordered)
+        self.session.run_machine()
+        m = self.metrics
+        self.session.check_drained(
+            expected=len(ordered),
+            completed=m.num_completed,
+            shed=m.shed_requests,
+            timed_out=m.timed_out_requests,
         )
-        proxy.mark_completed(time)
-        self.metrics.record([proxy])
+        return self._result(ordered)
 
-    def _shed_gen(self, gen: GenRequest, *, where: str = "admission") -> None:
-        gen.state = RequestState.SHED
-        self.metrics.note_shed([gen])
-        if self.bus is not None:
-            self.bus.publish(
-                RequestsShed.from_requests(
-                    [gen], self.engine.now, batch_id=-1, where=where
-                )
+    def _schedule_arrivals(self, ordered: Sequence) -> None:
+        """One ``_on_arrival(job)`` callback per job at its arrival time."""
+        for job in ordered:
+            self.engine.schedule_at(
+                job.arrival, lambda j=job: self._on_arrival(j), priority=10
             )
 
-    def _time_out_gen(self, gen: GenRequest, *, where: str = "pending") -> None:
-        gen.state = RequestState.TIMED_OUT
-        self.metrics.note_timed_out([gen])
-        if self.bus is not None:
-            self.bus.publish(
-                RequestsTimedOut.from_requests(
-                    [gen], self.engine.now, batch_id=-1, where=where
-                )
-            )
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def _admit(self, jobs: Sequence) -> bool:
+        """Admit an arrival of ``jobs``; False = the arrival was shed.
 
-    def _note_admitted(self, gen: GenRequest) -> None:
-        self._admitted += 1
+        Stamps the default deadline, enforces the pending bound, counts the
+        admission and publishes ``RequestsAdmitted``; the caller enqueues.
+        """
+        cfg = self.overload
+        if cfg is not None:
+            if cfg.default_deadline_us is not None:
+                for job in jobs:
+                    if job.deadline is None:
+                        job.deadline = job.arrival + cfg.default_deadline_us
+            while len(self._waiting()) + len(jobs) > cfg.max_pending_requests:
+                if not self._evict_victim():
+                    for job in jobs:
+                        self._shed_job(job)
+                    return False
+        self._admitted += len(jobs)
+        self._peak_pending = max(
+            self._peak_pending, len(self._waiting()) + len(jobs)
+        )
         if self.bus is not None:
-            self.bus.publish(
-                RequestsAdmitted(
-                    time_us=self.engine.now,
-                    batch_id=-1,
-                    rids=(gen.rid,),
-                    arrivals_us=(gen.arrival,),
+            for job in jobs:
+                self.bus.publish(
+                    RequestsAdmitted(
+                        time_us=self.engine.now,
+                        batch_id=-1,
+                        rids=(job.rid,),
+                        arrivals_us=(job.arrival,),
+                    )
                 )
-            )
+        return True
+
+    def _evict_victim(self) -> bool:
+        """Shed one waiting job per the admission policy; False if none."""
+        waiting = self._waiting()
+        i = shed_victim(self.overload.policy, waiting)
+        if i is None:
+            return False
+        victim = waiting[i]
+        self._queue.remove(victim)
+        self._shed_job(victim)
+        return True
 
     def _overload_report(self) -> Optional[OverloadReport]:
         """Summarise this server's job-granularity admission layer."""
         if self.overload is None:
             return None
+        m = self.metrics
         return OverloadReport(
             policy=self.overload.policy.value,
             admitted_requests=self._admitted,
-            shed_requests=self.metrics.shed_requests,
-            timed_out_requests=self.metrics.timed_out_requests,
+            shed_requests=m.shed_requests,
+            timed_out_requests=m.timed_out_requests,
+            preempted_batches=m.preemptions,
             peak_pending_requests=self._peak_pending,
         )
 
-    def _result(self, expected: int) -> ServingResult:
-        self.session.check_drained(
-            expected=expected,
-            completed=self.metrics.num_completed,
-            shed=self.metrics.shed_requests,
-            timed_out=self.metrics.timed_out_requests,
+    # ------------------------------------------------------------------
+    # Terminal bookkeeping (every job ends in exactly one terminal state)
+    # ------------------------------------------------------------------
+    def _retire(self, batch: Batch, time: float, finished: Sequence) -> None:
+        """Publish ``batch``'s retirement; complete its ``finished`` jobs."""
+        if self.bus is not None:
+            self.bus.publish(BatchCompleted.from_batch(batch, time, finished))
+        for job in finished:
+            job.completion = time
+            job.state = RequestState.COMPLETED
+            record = Request(
+                rid=job.rid, arrival=job.arrival, seq_len=job.gen_tokens,
+                phase=Phase.DECODE, deadline=job.deadline,
+            )
+            record.mark_completed(time)
+            self.metrics.record([record])
+
+    def _shed_job(self, job, *, where: str = "admission") -> None:
+        job.state = RequestState.SHED
+        self.metrics.note_shed([job])
+        if self.bus is not None:
+            self.bus.publish(
+                RequestsShed.from_requests(
+                    [job], self.engine.now, batch_id=-1, where=where
+                )
+            )
+
+    def _time_out_job(self, job, *, where: str = "pending") -> None:
+        job.state = RequestState.TIMED_OUT
+        self.metrics.note_timed_out([job])
+        if self.bus is not None:
+            self.bus.publish(
+                RequestsTimedOut.from_requests(
+                    [job], self.engine.now, batch_id=-1, where=where
+                )
+            )
+
+    def _requeue_after_backoff(self, members: Sequence, relaunch) -> None:
+        """Return a retry-exhausted decode iteration's members to scheduling.
+
+        The members keep their KV reservations (the retry re-decodes the
+        same context) but stay busy for one recovery backoff, so the launch
+        loop cannot instantly rebuild and re-shed the same batch without
+        simulated time advancing.
+        """
+        assert self.recovery is not None
+
+        def _requeue() -> None:
+            for job in members:
+                self._busy.discard(job.rid)
+            relaunch()
+
+        self.engine.schedule(
+            self.recovery.config.retry_backoff_us, _requeue, priority=10
         )
-        return ServingResult(
+
+    # ------------------------------------------------------------------
+    def _result_fields(self) -> dict:
+        """The result fields every job server reports the same way."""
+        return dict(
             strategy=f"{self.strategy.name}+{self.discipline}",
             model=self.model.name,
             node=self.node.name,
-            num_requests=expected,
-            metrics=self.metrics,
-            trace=self.trace,
             wall_events=self.engine.events_processed,
             resilience=self.session.finalize_resilience(),
             overload=self._overload_report(),
             observability=self.obs,
         )
 
-    discipline = "generation"
+    def _result(self, ordered: Sequence) -> ServingResult:
+        return ServingResult(
+            num_requests=len(ordered),
+            metrics=self.metrics,
+            trace=self.trace,
+            **self._result_fields(),
+        )
 
 
-class StaticBatchingServer(_GenerationServerBase):
+class StaticBatchingServer(JobServer):
     """FasterTransformer-style static batches of generation jobs.
 
     Requests are grouped in arrival order into fixed-size batches; each
@@ -319,7 +417,7 @@ class StaticBatchingServer(_GenerationServerBase):
         self.session.add_gauge(
             "repro_pending_queue_requests",
             "Generation jobs waiting in queued static groups.",
-            lambda: float(sum(len(g) for g in self._pending_groups)),
+            lambda: float(len(self._waiting())),
         )
         self.session.add_gauge(
             "repro_inflight_batches",
@@ -327,55 +425,34 @@ class StaticBatchingServer(_GenerationServerBase):
             lambda: float(len(self._groups)),
         )
 
-    def run(self, requests: Sequence[GenRequest]) -> ServingResult:
-        """Serve the generation jobs to completion; returns metrics."""
-        ordered = sorted(requests, key=lambda r: r.arrival)
+    def _schedule_arrivals(self, ordered: Sequence[GenRequest]) -> None:
         for i in range(0, len(ordered), self.batch_size):
             group = list(ordered[i : i + self.batch_size])
             arrival = max(r.arrival for r in group)
             self.engine.schedule_at(
                 arrival, lambda g=group: self._enqueue_group(g), priority=10
             )
-        self.session.run_machine()
-        return self._result(len(ordered))
 
     # ------------------------------------------------------------------
     # Admission (group-granular)
     # ------------------------------------------------------------------
-    def _pending_jobs(self) -> int:
-        return sum(len(g) for g in self._pending_groups)
+    def _waiting(self) -> List[GenRequest]:
+        return [gen for group in self._pending_groups for gen in group]
 
-    def _admit_group(self, group: List[GenRequest]) -> bool:
-        """Enforce the bounded admission queue; False = group was shed."""
-        cfg = self.overload
-        assert cfg is not None
-        while self._pending_jobs() + len(group) > cfg.max_pending_requests:
-            if cfg.policy is AdmissionPolicy.SHED_OLDEST and self._pending_groups:
-                for gen in self._pending_groups.pop(0):
-                    self._shed_gen(gen)
-                continue
-            if (
-                cfg.policy is AdmissionPolicy.SHED_BY_DEADLINE
-                and self._pending_groups
-            ):
-                deadlines = [
-                    min(
-                        (g.deadline for g in grp if g.deadline is not None),
-                        default=None,
-                    )
-                    for grp in self._pending_groups
-                ]
-                if any(d is not None for d in deadlines):
-                    idx = min(
-                        (i for i, d in enumerate(deadlines) if d is not None),
-                        key=lambda i: deadlines[i],
-                    )
-                    for gen in self._pending_groups.pop(idx):
-                        self._shed_gen(gen)
-                    continue
-            for gen in group:
-                self._shed_gen(gen)
+    def _evict_victim(self) -> bool:
+        """Shed one whole queued group per the admission policy."""
+        i = shed_victim(
+            self.overload.policy,
+            self._pending_groups,
+            lambda group: min(
+                (g.deadline for g in group if g.deadline is not None),
+                default=None,
+            ),
+        )
+        if i is None:
             return False
+        for gen in self._pending_groups.pop(i):
+            self._shed_job(gen)
         return True
 
     def _expire_pending(self) -> None:
@@ -390,7 +467,7 @@ class StaticBatchingServer(_GenerationServerBase):
             alive = []
             for gen in group:
                 if gen.deadline_passed(now):
-                    self._time_out_gen(gen)
+                    self._time_out_job(gen)
                 else:
                     alive.append(gen)
             if alive:
@@ -398,19 +475,9 @@ class StaticBatchingServer(_GenerationServerBase):
         self._pending_groups = kept
 
     def _enqueue_group(self, group: List[GenRequest]) -> None:
-        if self.overload is not None:
-            cfg = self.overload
-            if cfg.default_deadline_us is not None:
-                for gen in group:
-                    if gen.deadline is None:
-                        gen.deadline = gen.arrival + cfg.default_deadline_us
-            if not self._admit_group(group):
-                return
-        for gen in group:
-            self._note_admitted(gen)
-        self._pending_groups.append(group)
-        self._peak_pending = max(self._peak_pending, self._pending_jobs())
-        self._drain_pending_groups()
+        if self._admit(group):
+            self._pending_groups.append(group)
+            self._drain_pending_groups()
 
     def _drain_pending_groups(self) -> None:
         """Admit queued groups while their KV/workspace fits free HBM.
@@ -480,7 +547,7 @@ class StaticBatchingServer(_GenerationServerBase):
         self._groups.pop(info["last_bid"], None)
         self.memory.release(f"group{gid}")
         for gen in info["members"]:
-            self._shed_gen(gen, where="retry-exhausted")
+            self._shed_job(gen, where="retry-exhausted")
         self._drain_pending_groups()
 
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
@@ -491,11 +558,11 @@ class StaticBatchingServer(_GenerationServerBase):
         self.memory.release(f"group{info['gid']}")
         for gen in info["members"]:
             gen.tokens_done = gen.gen_tokens
-            self._finish_request(gen, time)
+        self._retire(batch, time, info["members"])
         self._drain_pending_groups()
 
 
-class ContinuousBatchingServer(_GenerationServerBase):
+class ContinuousBatchingServer(JobServer):
     """Orca-style iteration-level scheduling.
 
     The running batch is re-formed every iteration from (a) unfinished
@@ -530,13 +597,11 @@ class ContinuousBatchingServer(_GenerationServerBase):
         self._queue: List[GenRequest] = []
         self._reserved: set = set()
         self._inflight: Dict[int, List[GenRequest]] = {}
-        self._busy: set = set()  # rids currently in an in-flight iteration
-        self._expected = 0
         self.iterations_run = 0
         self.session.add_gauge(
             "repro_pending_queue_requests",
             "Generation jobs waiting for their first KV reservation.",
-            lambda: float(self._waiting_jobs()),
+            lambda: float(len(self._waiting())),
         )
         self.session.add_gauge(
             "repro_inflight_batches",
@@ -544,45 +609,12 @@ class ContinuousBatchingServer(_GenerationServerBase):
             lambda: float(len(self._inflight)),
         )
 
-    def run(self, requests: Sequence[GenRequest]) -> ServingResult:
-        """Serve the generation jobs to completion; returns metrics."""
-        ordered = sorted(requests, key=lambda r: r.arrival)
-        self._expected = len(ordered)
-        for r in ordered:
-            self.engine.schedule_at(
-                r.arrival, lambda req=r: self._on_arrival(req), priority=10
-            )
-        self.session.run_machine()
-        return self._result(self._expected)
-
     # ------------------------------------------------------------------
     # Admission (job-granular)
     # ------------------------------------------------------------------
-    def _waiting_jobs(self) -> int:
+    def _waiting(self) -> List[GenRequest]:
         """Queued jobs not yet holding a KV reservation."""
-        return sum(1 for r in self._queue if r.rid not in self._reserved)
-
-    def _admit(self, req: GenRequest) -> bool:
-        """Enforce the bounded admission queue; False = arrival was shed."""
-        cfg = self.overload
-        assert cfg is not None
-        while self._waiting_jobs() >= cfg.max_pending_requests:
-            waiting = [r for r in self._queue if r.rid not in self._reserved]
-            if cfg.policy is AdmissionPolicy.SHED_OLDEST and waiting:
-                victim = waiting[0]
-                self._queue.remove(victim)
-                self._shed_gen(victim)
-                continue
-            if cfg.policy is AdmissionPolicy.SHED_BY_DEADLINE:
-                with_deadline = [r for r in waiting if r.deadline is not None]
-                if with_deadline:
-                    victim = min(with_deadline, key=lambda r: r.deadline)
-                    self._queue.remove(victim)
-                    self._shed_gen(victim)
-                    continue
-            self._shed_gen(req)
-            return False
-        return True
+        return [r for r in self._queue if r.rid not in self._reserved]
 
     def _expire_idle(self) -> None:
         """Time out idle jobs whose deadline passed (KV released if held)."""
@@ -597,29 +629,12 @@ class ContinuousBatchingServer(_GenerationServerBase):
             if req.rid in self._reserved:
                 self.memory.release(f"seq{req.rid}")
                 self._reserved.discard(req.rid)
-            self._time_out_gen(req, where="queue")
+            self._time_out_job(req, where="queue")
 
     def _on_arrival(self, req: GenRequest) -> None:
-        cfg = self.overload
-        if cfg is not None:
-            if req.deadline is None and cfg.default_deadline_us is not None:
-                req.deadline = req.arrival + cfg.default_deadline_us
-            if not self._admit(req):
-                return
-            self._note_admitted(req)
-        elif self.bus is not None:
-            self._admitted += 1
-            self.bus.publish(
-                RequestsAdmitted(
-                    time_us=self.engine.now,
-                    batch_id=-1,
-                    rids=(req.rid,),
-                    arrivals_us=(req.arrival,),
-                )
-            )
-        self._queue.append(req)
-        self._peak_pending = max(self._peak_pending, self._waiting_jobs())
-        self._maybe_launch_iteration()
+        if self._admit([req]):
+            self._queue.append(req)
+            self._maybe_launch_iteration()
 
     def _try_reserve_seq(self, req: GenRequest) -> bool:
         """Reserve a sequence's lifetime KV on first scheduling; False on OOM.
@@ -666,28 +681,14 @@ class ContinuousBatchingServer(_GenerationServerBase):
 
     # ------------------------------------------------------------------
     def _on_shed(self, batch: Batch) -> None:
-        """Return a retry-exhausted iteration's members to the queue.
-
-        The members keep their KV reservations (the retry re-decodes the
-        same context) but stay marked busy for one recovery backoff, so the
-        launch loop cannot instantly rebuild and re-shed the same batch
-        without simulated time advancing.
-        """
+        """Return a retry-exhausted iteration's members to the queue."""
         members = self._inflight.pop(batch.batch_id, [])
         self.total_tokens -= len(members)
-        assert self.recovery is not None
-
-        def _requeue() -> None:
-            for req in members:
-                self._busy.discard(req.rid)
-            self._maybe_launch_iteration()
-
-        self.engine.schedule(
-            self.recovery.config.retry_backoff_us, _requeue, priority=10
-        )
+        self._requeue_after_backoff(members, self._maybe_launch_iteration)
 
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
         members = self._inflight.pop(batch.batch_id)
+        finished = []
         for gen in members:
             gen.tokens_done += 1
             self._busy.discard(gen.rid)
@@ -695,5 +696,6 @@ class ContinuousBatchingServer(_GenerationServerBase):
                 self._queue.remove(gen)
                 self.memory.release(f"seq{gen.rid}")
                 self._reserved.discard(gen.rid)
-                self._finish_request(gen, time)
+                finished.append(gen)
+        self._retire(batch, time, finished)
         self._maybe_launch_iteration()

@@ -24,31 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError, IncompleteRequestError
-from repro.obs.events import (
-    BatchCompleted,
-    BatchPreempted,
-    RequestsAdmitted,
-    RequestsShed,
-    RequestsTimedOut,
-)
-from repro.obs.observability import Observability
+from repro.obs.events import BatchPreempted
 from repro.serving.arrival import ArrivalProcess, ConstantRate
+from repro.serving.generation import JobServer
 from repro.serving.metrics import LatencyStats
-from repro.serving.overload import AdmissionPolicy, OverloadConfig, OverloadReport
+from repro.serving.overload import AdmissionPolicy
 from repro.serving.request import Batch, Phase, Request, RequestState
-from repro.serving.session import RunResult, ServingConfig, ServingSession
-from repro.sim.contention import ContentionModel
-from repro.sim.memory import NodeMemoryModel, activation_bytes
+from repro.serving.session import RunResult
+from repro.sim.memory import activation_bytes
 from repro.units import us_to_s
-
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
-    from repro.faults.plan import FaultPlan
-    from repro.faults.resilience import ResilienceConfig
 
 __all__ = ["ChatRequest", "chat_workload", "LifecycleResult", "LifecycleServer"]
 
@@ -178,8 +167,10 @@ class LifecycleResult(RunResult):
         return line
 
 
-class LifecycleServer:
+class LifecycleServer(JobServer):
     """Serves full chat requests (prefill + decode) through one strategy."""
+
+    discipline = "lifecycle"
 
     def __init__(
         self,
@@ -190,79 +181,26 @@ class LifecycleServer:
         prefill_batch: int = 4,
         max_decode_batch: int = 32,
         decode_pipeline_depth: int = 2,
-        config: Optional[ServingConfig] = None,
-        contention: Optional[ContentionModel] = None,
-        record_trace: bool = False,
-        check_memory: bool = True,
-        fault_plan: Optional["FaultPlan"] = None,
-        resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional[OverloadConfig] = None,
-        observability: Optional[Observability] = None,
+        **kw,
     ) -> None:
         if prefill_batch < 1 or max_decode_batch < 1 or decode_pipeline_depth < 1:
             raise ConfigError("batching parameters must be >= 1")
-        config = ServingConfig.resolve(
-            config,
-            contention=contention,
-            record_trace=record_trace,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            overload=overload,
-            observability=observability,
-        )
+        super().__init__(model, node, strategy, **kw)
         self.prefill_batch = prefill_batch
         self.max_decode_batch = max_decode_batch
         self.decode_pipeline_depth = decode_pipeline_depth
-        # Chat-granularity admission and KV accounting live in this server,
-        # not the chassis' OverloadController (which works on pre-packed
-        # batches); the chassis still owns everything else.
-        self.session = ServingSession(
-            model,
-            node,
-            strategy,
-            config=config,
-            check_memory=check_memory,
-            # Sequence-granularity memory (KV lives from prefill → last token).
-            track_memory=False,
-            complete_callback=self._on_batch_complete,
-            shed_callback=self._on_shed,
-            track_first_dispatch=True,
-        )
-        s = self.session
-        self.model = model
-        self.node = node
-        self.strategy = strategy
-        self.engine = s.engine
-        self.trace = s.trace
-        self.machine = s.machine
-        self.host = s.host
-        self.obs = s.obs
-        self.bus = s.bus
-        self.recovery = s.recovery
-        self.memory = NodeMemoryModel(model, node)
 
-        self._prefill_queue: List[ChatRequest] = []
+        #: The prefill admission queue: chats waiting for their prefill.
+        self._queue: List[ChatRequest] = []
         self._prefill_inflight: Dict[int, List[ChatRequest]] = {}
         self._decode_pool: List[ChatRequest] = []
         self._decode_inflight: Dict[int, List[ChatRequest]] = {}
-        self._decode_busy: set = set()
-        self._finished: List[ChatRequest] = []
-        self._shed: List[ChatRequest] = []
-        self._timed_out: List[ChatRequest] = []
-        self.tokens_generated = 0
 
-        self.overload = config.overload
-        self.preemptions = 0
-        self._admitted = 0
-        self._peak_pending = 0
-        self._deadline_misses = 0
-        self._slo_tracked = 0
-        self._slo_met = 0
-
+        s = self.session
         s.add_gauge(
             "repro_pending_queue_requests",
             "Chats waiting in the prefill admission queue.",
-            lambda: float(len(self._prefill_queue)),
+            lambda: float(len(self._queue)),
         )
         s.add_gauge(
             "repro_decode_pool_chats",
@@ -278,10 +216,6 @@ class LifecycleServer:
         )
 
     # ------------------------------------------------------------------
-    def _submit(self, batch: Batch) -> None:
-        """Feed one batch into the session's submission pipeline."""
-        self.session.submit(batch)
-
     def _on_shed(self, batch: Batch) -> None:
         """Clean up lifecycle state for a batch the recovery layer dropped.
 
@@ -294,181 +228,58 @@ class LifecycleServer:
         if group is not None:
             for req in group:
                 self.memory.release(f"chat{req.rid}")
-                self._shed_chat(req, where="retry-exhausted")
+                self._shed_job(req, where="retry-exhausted")
             self._maybe_submit_prefill()
             return
         members = self._decode_inflight.pop(batch.batch_id, [])
-        # The members stay marked busy until one backoff period has passed:
-        # freeing them at this instant would let the submit loop rebuild the
-        # same batch and shed it again without simulated time advancing.
-        assert self.recovery is not None
-
-        def _requeue() -> None:
-            for req in members:
-                self._decode_busy.discard(req.rid)
-            self._maybe_submit_decode()
-
-        self.engine.schedule(
-            self.recovery.config.retry_backoff_us, _requeue, priority=10
-        )
+        self._requeue_after_backoff(members, self._maybe_submit_decode)
 
     # ------------------------------------------------------------------
-    def run(self, requests: Sequence[ChatRequest]) -> LifecycleResult:
-        """Serve the chat jobs to completion and return metrics."""
-        ordered = sorted(requests, key=lambda r: r.arrival)
-        if not ordered:
-            raise ConfigError("no requests to serve")
-        for r in ordered:
-            self.engine.schedule_at(
-                r.arrival, lambda req=r: self._on_arrival(req), priority=10
-            )
-        self.session.run_machine()
-        self.session.check_drained(
-            expected=len(ordered),
-            completed=len(self._finished),
-            shed=len(self._shed),
-            timed_out=len(self._timed_out),
-            open_ids=sorted(
-                set(self._prefill_inflight) | set(self._decode_inflight)
-            ),
-        )
-        if self._finished:
-            first = min(r.arrival for r in self._finished)
-            last = max(r.completion for r in self._finished)  # type: ignore[type-var]
+    def _result(self, ordered: Sequence[ChatRequest]) -> LifecycleResult:
+        m = self.metrics
+        by_rid = {r.rid: r for r in ordered}
+        done = [by_rid[r.rid] for r in m.completed]  # completion order
+        # A run where every chat was shed or timed out is a legitimate
+        # outcome under admission control, not a simulation failure: it
+        # reports zero throughput and empty-safe latency stats.
+        tok_per_s = 0.0
+        if done:
+            first = min(r.arrival for r in done)
+            last = max(r.completion for r in done)  # type: ignore[type-var]
             span_s = us_to_s(last - first)
-            tok_per_s = self.tokens_generated / span_s if span_s > 0 else 0.0
-        else:
-            # Every chat was shed or timed out.  That is a legitimate outcome
-            # under admission control (e.g. an impossible deadline), not a
-            # simulation failure: return a zero-completion result with the
-            # terminals counted and empty-safe latency stats.
-            tok_per_s = 0.0
+            tok_per_s = self.total_tokens / span_s if span_s > 0 else 0.0
         return LifecycleResult(
-            strategy=f"{self.strategy.name}+lifecycle",
-            model=self.model.name,
-            node=self.node.name,
-            num_requests=len(self._finished),
-            ttft=LatencyStats.from_latencies_us([r.ttft for r in self._finished]),
-            latency=LatencyStats.from_latencies_us(
-                [r.latency for r in self._finished]
-            ),
-            tokens_generated=self.tokens_generated,
+            num_requests=m.num_completed,
+            ttft=LatencyStats.from_latencies_us([r.ttft for r in done]),
+            latency=m.latency_stats(),
+            tokens_generated=self.total_tokens,
             tokens_per_second=tok_per_s,
-            wall_events=self.engine.events_processed,
-            shed_requests=len(self._shed),
-            timed_out_requests=len(self._timed_out),
-            preemptions=self.preemptions,
-            deadline_misses=self._deadline_misses,
-            slo_attainment=(
-                self._slo_met / self._slo_tracked if self._slo_tracked else None
-            ),
-            resilience=self.session.finalize_resilience(),
-            overload=self._overload_report(),
-            observability=self.obs,
+            shed_requests=m.shed_requests,
+            timed_out_requests=m.timed_out_requests,
+            preemptions=m.preemptions,
+            deadline_misses=m.deadline_misses,
+            slo_attainment=m.slo_attainment(),
+            **self._result_fields(),
         )
-
-    def _overload_report(self) -> Optional[OverloadReport]:
-        """Summarise this server's chat-granularity admission layer.
-
-        The lifecycle server admits at request (not batch) granularity, so
-        it fills the shared :class:`~repro.serving.overload.OverloadReport`
-        from its own counters instead of an ``OverloadController``.
-        """
-        if self.overload is None:
-            return None
-        return OverloadReport(
-            policy=self.overload.policy.value,
-            admitted_requests=self._admitted,
-            shed_requests=len(self._shed),
-            timed_out_requests=len(self._timed_out),
-            preempted_batches=self.preemptions,
-            peak_pending_requests=self._peak_pending,
-        )
-
-    # ------------------------------------------------------------------
-    # Terminal bookkeeping (every chat ends in exactly one terminal state)
-    # ------------------------------------------------------------------
-    def _note_slo_terminal(self, req: ChatRequest) -> None:
-        if req.deadline is not None:
-            self._slo_tracked += 1
-
-    def _shed_chat(self, req: ChatRequest, *, where: str = "admission") -> None:
-        req.state = RequestState.SHED
-        self._shed.append(req)
-        self._note_slo_terminal(req)
-        if self.bus is not None:
-            self.bus.publish(
-                RequestsShed.from_requests(
-                    [req], self.engine.now, batch_id=-1, where=where
-                )
-            )
-
-    def _time_out_chat(self, req: ChatRequest, *, where: str = "pending") -> None:
-        req.state = RequestState.TIMED_OUT
-        self._timed_out.append(req)
-        self._note_slo_terminal(req)
-        if self.bus is not None:
-            self.bus.publish(
-                RequestsTimedOut.from_requests(
-                    [req], self.engine.now, batch_id=-1, where=where
-                )
-            )
 
     # ------------------------------------------------------------------
     # Prefill path
     # ------------------------------------------------------------------
-    def _on_arrival(self, req: ChatRequest) -> None:
-        cfg = self.overload
-        if cfg is not None:
-            if req.deadline is None and cfg.default_deadline_us is not None:
-                req.deadline = req.arrival + cfg.default_deadline_us
-            if not self._admit(req):
-                return
-            self._admitted += 1
-        if self.bus is not None:
-            self.bus.publish(
-                RequestsAdmitted(
-                    time_us=self.engine.now,
-                    batch_id=-1,
-                    rids=(req.rid,),
-                    arrivals_us=(req.arrival,),
-                )
-            )
-        self._prefill_queue.append(req)
-        self._peak_pending = max(self._peak_pending, len(self._prefill_queue))
-        self._maybe_submit_prefill()
+    def _waiting(self) -> List[ChatRequest]:
+        return self._queue
 
-    def _admit(self, req: ChatRequest) -> bool:
-        """Enforce the bounded admission queue; False = arrival was shed."""
-        cfg = self.overload
-        assert cfg is not None
-        while len(self._prefill_queue) >= cfg.max_pending_requests:
-            if (
-                cfg.policy is AdmissionPolicy.SHED_OLDEST
-                and self._prefill_queue
-            ):
-                self._shed_chat(self._prefill_queue.pop(0))
-                continue
-            if cfg.policy is AdmissionPolicy.SHED_BY_DEADLINE:
-                with_deadline = [
-                    c for c in self._prefill_queue if c.deadline is not None
-                ]
-                if with_deadline:
-                    victim = min(with_deadline, key=lambda c: c.deadline)
-                    self._prefill_queue.remove(victim)
-                    self._shed_chat(victim)
-                    continue
-            self._shed_chat(req)
-            return False
-        return True
+    def _on_arrival(self, req: ChatRequest) -> None:
+        if self._admit([req]):
+            self._queue.append(req)
+            self._maybe_submit_prefill()
 
     def _expire_queued(self) -> None:
         """Shed queued chats whose deadline passed — cheaply, pre-launch."""
         now = self.engine.now
-        expired = [r for r in self._prefill_queue if r.deadline_passed(now)]
+        expired = [r for r in self._queue if r.deadline_passed(now)]
         for req in expired:
-            self._prefill_queue.remove(req)
-            self._time_out_chat(req)
+            self._queue.remove(req)
+            self._time_out_job(req)
 
     def _chat_reserve_bytes(self, req: ChatRequest) -> float:
         """Per-device footprint of one resident chat: full KV + workspace."""
@@ -511,7 +322,7 @@ class LifecycleServer:
         candidates = [
             c
             for c in self._decode_pool
-            if c.rid not in self._decode_busy and c.arrival > req.arrival
+            if c.rid not in self._busy and c.arrival > req.arrival
         ]
         releasable = sum(self._chat_reserve_bytes(c) for c in candidates)
         needed = self._chat_reserve_bytes(req)
@@ -520,8 +331,8 @@ class LifecycleServer:
         for victim in sorted(candidates, key=lambda c: -c.arrival):
             self._decode_pool.remove(victim)
             self.memory.release(f"chat{victim.rid}")
-            self._prefill_queue.append(victim)
-            self.preemptions += 1
+            self._queue.append(victim)
+            self.metrics.preemptions += 1
             if self.bus is not None:
                 self.bus.publish(
                     BatchPreempted(
@@ -545,18 +356,18 @@ class LifecycleServer:
             and self.overload.policy is AdmissionPolicy.SHED_BY_DEADLINE
         ):
             return sorted(
-                self._prefill_queue,
+                self._queue,
                 key=lambda c: (
                     c.deadline if c.deadline is not None else math.inf,
                     c.arrival,
                 ),
             )
-        return self._prefill_queue
+        return self._queue
 
     def _maybe_submit_prefill(self) -> None:
         if self.overload is not None:
             self._expire_queued()
-        while self._prefill_queue:
+        while self._queue:
             group: List[ChatRequest] = []
             for req in list(self._queue_order()[: self.prefill_batch]):
                 if not self._reserve_with_preemption(req):
@@ -565,7 +376,7 @@ class LifecycleServer:
             if not group:
                 return  # memory-blocked: retried on chat completion
             for req in group:
-                self._prefill_queue.remove(req)
+                self._queue.remove(req)
             batch = Batch(
                 requests=[
                     Request(
@@ -589,18 +400,18 @@ class LifecycleServer:
         expired = [
             r
             for r in self._decode_pool
-            if r.rid not in self._decode_busy and r.deadline_passed(now)
+            if r.rid not in self._busy and r.deadline_passed(now)
         ]
         for req in expired:
             self._decode_pool.remove(req)
             self.memory.release(f"chat{req.rid}")
-            self._time_out_chat(req, where="decode-pool")
+            self._time_out_job(req, where="decode-pool")
 
     def _maybe_submit_decode(self) -> None:
         if self.overload is not None:
             self._expire_decode_pool()
         while len(self._decode_inflight) < self.decode_pipeline_depth:
-            ready = [r for r in self._decode_pool if r.rid not in self._decode_busy]
+            ready = [r for r in self._decode_pool if r.rid not in self._busy]
             if not ready:
                 return
             members = ready[: self.max_decode_batch]
@@ -614,69 +425,39 @@ class LifecycleServer:
                 ]
             )
             self._decode_inflight[batch.batch_id] = members
-            self._decode_busy.update(r.rid for r in members)
+            self._busy.update(r.rid for r in members)
             self._submit(batch)
 
     # ------------------------------------------------------------------
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
         if batch.batch_id in self._prefill_inflight:
             group = self._prefill_inflight.pop(batch.batch_id)
-            if self.bus is not None:
-                # Intermediate completion: the batch retired but no chat is
-                # terminal yet (completed_rids stays empty).
-                self.bus.publish(
-                    BatchCompleted(
-                        time_us=time,
-                        batch_id=batch.batch_id,
-                        rids=tuple(r.rid for r in group),
-                    )
-                )
+            # Intermediate completion: the batch retired but no chat is
+            # terminal yet.
+            self._retire(batch, time, ())
             for req in group:
                 if req.prefill_done is None:  # a re-prefill keeps its TTFT
                     req.prefill_done = time
                 if self.overload is not None and req.deadline_passed(time):
                     # Expired while prefilling: record the miss, free the KV.
                     self.memory.release(f"chat{req.rid}")
-                    self._time_out_chat(req, where="prefill")
+                    self._time_out_job(req, where="prefill")
                     continue
                 self._decode_pool.append(req)
             self._maybe_submit_decode()
             return
-        members = self._decode_inflight.pop(batch.batch_id)
-        if self.bus is not None:
-            finished = [r for r in members if r.tokens_done + 1 >= r.gen_tokens]
-            tracked = [r for r in finished if r.deadline is not None]
-            met = sum(1 for r in tracked if time <= r.deadline)
-            self.bus.publish(
-                BatchCompleted(
-                    time_us=time,
-                    batch_id=batch.batch_id,
-                    rids=tuple(r.rid for r in members),
-                    completed_rids=tuple(r.rid for r in finished),
-                    latencies_us=tuple(time - r.arrival for r in finished),
-                    slo_tracked=len(tracked),
-                    slo_met=met,
-                    deadline_misses=len(tracked) - met,
-                )
-            )
-        for req in members:
+        finished = []
+        for req in self._decode_inflight.pop(batch.batch_id):
             req.tokens_done += 1
-            self.tokens_generated += 1
-            self._decode_busy.discard(req.rid)
+            self.total_tokens += 1
+            self._busy.discard(req.rid)
             if req.finished:
-                req.completion = time
-                req.state = RequestState.COMPLETED
+                # Mid-execution expiry still completes; it is recorded as a
+                # deadline miss rather than wasted work.
                 self._decode_pool.remove(req)
                 self.memory.release(f"chat{req.rid}")
-                self._finished.append(req)
-                if req.deadline is not None:
-                    # Mid-execution expiry still completes; it is recorded
-                    # as a deadline miss rather than wasted work.
-                    self._slo_tracked += 1
-                    if req.completion <= req.deadline:
-                        self._slo_met += 1
-                    else:
-                        self._deadline_misses += 1
+                finished.append(req)
+        self._retire(batch, time, finished)
         if self.overload is not None:
             # Under admission control, blocked head-of-line prompts get
             # first claim on just-freed memory — the decode pool is briefly

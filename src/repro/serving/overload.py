@@ -44,7 +44,8 @@ import enum
 import logging
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import ConfigError, OutOfMemoryError
 from repro.hw.devices import NodeSpec
@@ -66,8 +67,11 @@ from repro.sim.engine import Engine
 
 logger = logging.getLogger("repro.serving.overload")
 
+T = TypeVar("T")
+
 __all__ = [
     "AdmissionPolicy",
+    "shed_victim",
     "OverloadConfig",
     "KVCacheAccountant",
     "BreakerEvent",
@@ -152,6 +156,32 @@ class OverloadConfig:
             raise ConfigError("need 0 <= low_frac <= high_frac <= 1")
         if self.breaker_trip_checks < 1:
             raise ConfigError("breaker_trip_checks must be >= 1")
+
+
+def shed_victim(
+    policy: AdmissionPolicy,
+    queued: Sequence[T],
+    deadline_of: Callable[[T], Optional[float]] = attrgetter("deadline"),
+) -> Optional[int]:
+    """The admission victim rule, shared by every server.
+
+    Returns the index of the queued entry (oldest first) to shed so an
+    arrival fits, or ``None`` when the arrival itself must be shed:
+    ``shed-oldest`` picks the head, ``shed-by-deadline`` the first entry
+    with the earliest deadline (entries without one are never picked), and
+    ``reject`` picks nothing.
+    """
+    if policy is AdmissionPolicy.SHED_OLDEST:
+        return 0 if queued else None
+    if policy is AdmissionPolicy.SHED_BY_DEADLINE:
+        best: Optional[int] = None
+        best_deadline = 0.0
+        for i, entry in enumerate(queued):
+            d = deadline_of(entry)
+            if d is not None and (best is None or d < best_deadline):
+                best, best_deadline = i, d
+        return best
+    return None
 
 
 class KVCacheAccountant:
@@ -404,27 +434,14 @@ class OverloadController:
         """Enforce the queue bound; returns False if the arrival was shed."""
         cfg = self.config
         while self.queue_depth + batch.size > cfg.max_pending_requests:
-            if cfg.policy is AdmissionPolicy.SHED_OLDEST and self._pending:
-                self._shed_batch(self._pending.popleft())
-                continue
-            if cfg.policy is AdmissionPolicy.SHED_BY_DEADLINE:
-                victim = self._earliest_deadline_pending()
-                if victim is not None:
-                    self._pending.remove(victim)
-                    self._shed_batch(victim)
-                    continue
-            # REJECT, or no shed-able victim left: drop the arrival.
-            self._shed_batch(batch)
-            return False
+            i = shed_victim(cfg.policy, self._pending)
+            if i is None:
+                self._shed_batch(batch)
+                return False
+            victim = self._pending[i]
+            del self._pending[i]
+            self._shed_batch(victim)
         return True
-
-    def _earliest_deadline_pending(self) -> Optional[Batch]:
-        best: Optional[Tuple[float, Batch]] = None
-        for b in self._pending:
-            d = b.deadline
-            if d is not None and (best is None or d < best[0]):
-                best = (d, b)
-        return best[1] if best else None
 
     # ------------------------------------------------------------------
     # Dispatch pipeline

@@ -103,9 +103,6 @@ class Server:
             config=config,
             check_memory=check_memory,
             complete_callback=self._on_batch_complete,
-            use_overload_controller=True,
-            announce_arrivals=True,
-            recovery_uses_metrics=True,
             engine=engine,
         )
         s = self.session

@@ -376,31 +376,25 @@ class ServingSession:
         The cross-cutting :class:`ServingConfig`.
     check_memory:
         Validate model placement against the node before serving.
-    track_memory:
-        Bind-time memory-tracking mode for the strategy (``None`` keeps the
-        strategy's own setting; the lifecycle/generation servers pass
-        ``False`` because they account memory at sequence granularity).
     complete_callback:
         Registered as the strategy's (and fallback's) batch-completion
         callback.
     shed_callback:
         Invoked — after the pipeline stages — when the recovery layer drops
         a batch, so servers with per-batch state can clean it up.
-    use_overload_controller:
-        Build an :class:`~repro.serving.overload.OverloadController` head
-        stage from ``config.overload``.  Servers that implement their own
-        request-granularity admission (lifecycle, generation) leave this
-        off and read ``config.overload`` themselves.
-    announce_arrivals:
-        Publish ``RequestsAdmitted`` per submitted batch when no admission
-        stage is present (the plain server's arrival semantics).
-    track_first_dispatch:
-        See :class:`DispatchStage`.
-    recovery_uses_metrics:
-        Let the recovery layer stamp shed batches into the session's
-        :class:`~repro.serving.metrics.ServingMetrics` directly.  Servers
-        whose requests outlive individual batches keep this off and do
-        their own terminal bookkeeping in ``shed_callback``.
+    per_job:
+        The one mode switch.  ``False`` (the batch server, whose requests
+        live and die with one pre-packed batch): the session owns
+        admission — an :class:`~repro.serving.overload.OverloadController`
+        head stage built from ``config.overload``, else a
+        ``RequestsAdmitted`` announcement stage when observed — and the
+        recovery layer stamps shed batches into the session's
+        :class:`~repro.serving.metrics.ServingMetrics`.  ``True`` (the job
+        servers, whose requests outlive individual batches): the server
+        does admission, memory and terminal bookkeeping itself at job
+        granularity, so the strategy binds with ``track_memory=False``,
+        recovery sheds reach only ``shed_callback``, and dispatch events
+        flag a request's first hand-off (see :class:`DispatchStage`).
     engine:
         Share an externally owned :class:`~repro.sim.engine.Engine` instead
         of creating a private one.  The cluster layer passes a single engine
@@ -416,13 +410,9 @@ class ServingSession:
         *,
         config: ServingConfig,
         check_memory: bool = True,
-        track_memory: Optional[bool] = None,
         complete_callback: Callable[[Batch, float], None],
         shed_callback: Optional[Callable[[Batch], None]] = None,
-        use_overload_controller: bool = False,
-        announce_arrivals: bool = False,
-        track_first_dispatch: bool = False,
-        recovery_uses_metrics: bool = False,
+        per_job: bool = False,
         engine: Optional[Engine] = None,
     ) -> None:
         if strategy.model is not model or strategy.node is not node:
@@ -448,7 +438,10 @@ class ServingSession:
         #: ``if bus is not None`` so an unobserved session allocates nothing
         #: (the zero-cost convention).
         self.bus = self.obs.bus if self.obs is not None else None
-        strategy.bind(self.machine, self.host, track_memory=track_memory)
+        # Job servers account memory at sequence granularity themselves.
+        strategy.bind(
+            self.machine, self.host, track_memory=False if per_job else None
+        )
         strategy.on_batch_complete(complete_callback)
 
         self.recovery: Optional["RecoveryManager"] = None
@@ -465,7 +458,7 @@ class ServingSession:
                 self.host,
                 fault_plan=config.fault_plan,
                 config=config.resilience,
-                metrics=self.metrics if recovery_uses_metrics else None,
+                metrics=None if per_job else self.metrics,
                 complete_callback=complete_callback,
                 bus=self.bus,
             )
@@ -474,7 +467,7 @@ class ServingSession:
         stages: List[SubmissionStage] = []
         self.overload_ctl: Optional[OverloadController] = None
         self._admission: Optional[AdmissionStage] = None
-        if use_overload_controller and config.overload is not None:
+        if not per_job and config.overload is not None:
             self.overload_ctl = OverloadController(
                 config.overload,
                 model,
@@ -486,11 +479,9 @@ class ServingSession:
             )
             self._admission = AdmissionStage(self.overload_ctl)
             stages.append(self._admission)
-        elif announce_arrivals and self.bus is not None:
+        elif not per_job and self.bus is not None:
             stages.append(AnnounceStage(self.engine, self.bus))
-        stages.append(
-            DispatchStage(self.engine, self.bus, track_first=track_first_dispatch)
-        )
+        stages.append(DispatchStage(self.engine, self.bus, track_first=per_job))
         if self.recovery is not None:
             stages.append(RecoveryStage(self.recovery))
         else:
@@ -624,7 +615,6 @@ class ServingSession:
         completed: int,
         shed: int = 0,
         timed_out: int = 0,
-        open_ids: Optional[List[int]] = None,
     ) -> None:
         """Raise :class:`~repro.errors.DeadlockError` unless every request
         reached a terminal state — a simulation that returns without
@@ -632,8 +622,7 @@ class ServingSession:
         error names the batches that never completed."""
         if completed + shed + timed_out == expected:
             return
-        if open_ids is None:
-            open_ids = self.open_batch_ids()
+        open_ids = self.open_batch_ids()
         raise DeadlockError(
             f"served {completed} of {expected} requests"
             f"{f' ({shed} shed)' if shed else ''}"

@@ -315,6 +315,65 @@ def _serve_overloaded(observability=None, record_trace=False):
     )
 
 
+def _overloaded_job_server(kind, observability):
+    """48 jobs in 12 ms against a pending bound of 8, with free KV cut to
+    two static groups (context 16 + up to 16 tokens) or four chats
+    (prompt up to 128 + up to 16 tokens) so work queues: every variant
+    completes some jobs and sheds others."""
+    from repro.serving import (
+        ContinuousBatchingServer,
+        LifecycleServer,
+        StaticBatchingServer,
+        chat_workload,
+        generation_workload,
+    )
+    from repro.serving.api import make_strategy
+    from repro.sim.memory import activation_bytes
+
+    cls, kw, jobs, room = {
+        "static": (
+            StaticBatchingServer, {"batch_size": 4}, generation_workload,
+            2 * (MODEL.kv_cache_bytes(4, 32, tp=4)
+                 + activation_bytes(MODEL, 4, 1, 4)),
+        ),
+        "continuous": (
+            ContinuousBatchingServer, {"max_batch": 8}, generation_workload,
+            None,
+        ),
+        "lifecycle": (
+            LifecycleServer, {"prefill_batch": 4, "max_decode_batch": 8},
+            chat_workload,
+            4 * (MODEL.kv_cache_bytes(1, 144, tp=4)
+                 + activation_bytes(MODEL, 1, 1, 4)),
+        ),
+    }[kind]
+    server = cls(
+        MODEL, NODE, make_strategy("intra", MODEL, NODE),
+        check_memory=False,
+        overload=OverloadConfig(
+            max_pending_requests=8,
+            policy="shed-oldest",
+            default_deadline_us=100_000.0,
+        ),
+        observability=observability,
+        **kw,
+    )
+    if room is not None:
+        server.memory.reserve("squeeze", server.memory.min_available() - room)
+    server.run(jobs(48, 4000.0, seed=0))
+    return server.metrics
+
+
+def _overloaded_metrics(kind, observability):
+    """The ServingMetrics of an overloaded run on one of the four servers."""
+    if kind == "server":
+        return _serve_overloaded(observability=observability).metrics
+    return _overloaded_job_server(kind, observability)
+
+
+SERVER_KINDS = ["server", "lifecycle", "static", "continuous"]
+
+
 def _normalized_rows(trace):
     """Trace rows with the process-global batch-id counter rebased to 0."""
     base = min(r.batch_id for r in trace.rows)
@@ -345,10 +404,10 @@ class TestServedRuns:
         # comparing: every kernel must land at the same instant either way.
         assert _normalized_rows(plain.trace) == _normalized_rows(observed.trace)
 
-    def test_registry_agrees_with_serving_metrics(self):
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    def test_registry_agrees_with_serving_metrics(self, kind):
         obs = Observability()
-        result = _serve_overloaded(observability=obs)
-        m = result.metrics
+        m = _overloaded_metrics(kind, obs)
         c = obs.registry._counters
         assert c["repro_requests_terminal_total"].value(state="completed") == (
             m.num_completed
@@ -364,20 +423,21 @@ class TestServedRuns:
         assert c["repro_slo_met_total"].total() == m.slo_met
         assert c["repro_batches_preempted_total"].total() == m.preemptions
         assert c["repro_retries_total"].total() == m.retries
-        # The overloaded run must actually have dropped something, or this
-        # test is vacuous.
+        # The overloaded run must actually have completed some requests and
+        # dropped others, or this test is vacuous.
+        assert m.num_completed > 0
         assert m.shed_requests + m.timed_out_requests > 0
         hist = obs.registry._histograms["repro_request_latency_ms"]
         assert hist.count == m.num_completed
 
-    def test_spans_cover_every_terminal_request(self):
+    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    def test_spans_cover_every_terminal_request(self, kind):
         obs = Observability()
-        result = _serve_overloaded(observability=obs)
+        m = _overloaded_metrics(kind, obs)
         states = {"completed": 0, "shed": 0, "timed_out": 0}
         for span in obs.spans():
             assert span.state in states
             states[span.state] += 1
-        m = result.metrics
         assert states["completed"] == m.num_completed
         assert states["shed"] == m.shed_requests
         assert states["timed_out"] == m.timed_out_requests

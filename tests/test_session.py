@@ -112,11 +112,12 @@ class TestServingSession:
         )
         assert session.pipeline.describe() == "dispatch → strategy"
 
-    def test_pipeline_stage_order_fully_armed(self):
+    @staticmethod
+    def _fully_armed(**kw):
         from repro.serving.overload import OverloadConfig
 
         strat = make_strategy("intra", MODEL, NODE)
-        session = ServingSession(
+        return ServingSession(
             MODEL, NODE, strat,
             config=ServingConfig(
                 fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1.0)]),
@@ -125,12 +126,28 @@ class TestServingSession:
             ),
             check_memory=False,
             complete_callback=lambda b, t: None,
-            use_overload_controller=True,
-            recovery_uses_metrics=True,
+            **kw,
         )
+
+    def test_pipeline_stage_order_fully_armed(self):
+        """Batch mode: the session owns admission and recovery sheds."""
+        session = self._fully_armed()
         assert session.pipeline.describe() == "admission → dispatch → recovery"
         assert session.recovery is not None
         assert session.overload_ctl is not None
+        assert session.recovery.metrics is session.metrics
+        assert session.strategy.track_memory
+
+    def test_per_job_mode_leaves_accounting_to_the_server(self):
+        """Job mode: no admission stage, memory and recovery sheds are the
+        server's, and dispatch events flag first hand-offs."""
+        session = self._fully_armed(per_job=True)
+        assert session.pipeline.describe() == "dispatch → recovery"
+        assert session.overload_ctl is None
+        assert session.recovery.metrics is None
+        assert not session.strategy.track_memory
+        dispatch = session.pipeline.stages[0]
+        assert dispatch._dispatched_rids is not None
 
     def test_strategy_mismatch_rejected(self):
         other = MODELS["OPT-13B"].scaled_layers(4)

@@ -609,6 +609,25 @@ class TestTelemetryCli:
         assert snap["windows"]
         validate_merged_trace(json.loads(timeline.read_text()))
 
+    def test_single_node_mode_forwards_policy(self, monkeypatch, capsys):
+        import repro.serving.api as api
+        from repro.obs.telemetry_cli import main
+
+        seen = {}
+        real_serve = api.serve
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return real_serve(*args, **kwargs)
+
+        monkeypatch.setattr(api, "serve", spy)
+        rc = main([
+            "--layers", "2", "--requests", "8", "--rate", "100",
+            "--policy", "expert_overlap", "--report",
+        ])
+        assert rc == 0
+        assert seen["policy"] == "expert_overlap"
+
     def test_build_policies_default_and_flags(self):
         from repro.obs.telemetry_cli import _build_parser, build_policies
 
