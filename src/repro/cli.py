@@ -1,72 +1,89 @@
-"""Shared CLI building blocks for the ``repro`` entry points.
-
-The three entry points (``python -m repro``, ``python -m repro faults``,
-``python -m repro trace``) serve the same kind of workload and accept the
-same model/node/workload and overload flags; this module defines them once
-as argparse *parent parsers* so each subcommand only declares what is
-unique to it (its defaults and its own flags).
+"""The ``python -m repro`` command line: one parser, six subcommands.
 
 Usage::
 
-    parser = argparse.ArgumentParser(
-        prog="python -m repro ...",
-        parents=[workload_parent(), overload_parent(kv_frac=True)],
-    )
-    args = parser.parse_args(argv)
-    model, node = resolve_model_node(args)
-    overload = overload_config_from_args(args)
+    python -m repro --model OPT-30B --node v100 --strategy liger \\
+        --rate 50 --requests 64 --batch 2            # same as `serve ...`
+    python -m repro serve --strategy liger --rate 55 --gantt
+    python -m repro faults --straggler 1:4.0:0:400   # fault injection
+    python -m repro trace --out t.json --metrics-out m.prom  # observability
+    python -m repro chaos --replicas 3 --crashes 1   # cluster chaos
+    python -m repro telemetry --report --alerts      # series + SLO burn
+    python -m repro experiments table1 fig3 --scale smoke
+
+With no subcommand, or when the first argument is an option, ``serve``
+runs.  The serving subcommands share the model/node/workload flags
+(:func:`workload_parent`) and differ in their defaults (``set_defaults``
+on each subparser) and their own flags.  An invalid value, i.e. a
+:class:`~repro.errors.ConfigError` from anywhere in the run, becomes an
+argparse error: a one-line message on stderr and exit status 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import json
 import logging
+import multiprocessing
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from repro.core.policy import policy_names
+from repro.errors import ConfigError
+from repro.experiments.figures import ALL_FIGURES, _timed_figure
+from repro.faults.plan import build_plan
+from repro.faults.resilience import ResilienceConfig
 from repro.hw.devices import TESTBEDS
 from repro.models.specs import MODELS
-from repro.serving.api import STRATEGIES
+from repro.obs.export import summarize_trace
+from repro.obs.observability import Observability, ObservabilityConfig
+from repro.obs.slo import SloPolicy
+from repro.serving import api
+from repro.serving.session import ServingConfig
 
 __all__ = [
+    "main",
+    "build_parser",
     "workload_parent",
     "overload_parent",
+    "cluster_parent",
     "resolve_model_node",
     "overload_config_from_args",
+    "chaos_config",
+    "build_policies",
     "install_log_handler",
 ]
 
 
-def workload_parent(
-    *,
-    model_default: str = "OPT-30B",
-    rate_default: float = 20.0,
-    requests_default: int = 64,
-    batch_default: int = 2,
-    seed_default: int = 0,
-) -> argparse.ArgumentParser:
-    """The model/node/strategy/workload flags every subcommand shares.
+# ----------------------------------------------------------------------
+# Shared flags
+# ----------------------------------------------------------------------
+def workload_parent() -> argparse.ArgumentParser:
+    """The model/node/strategy/workload flags every serving subcommand shares.
 
-    Defaults differ per subcommand (e.g. the faults CLI serves a smaller
-    model at a higher rate), so each caller passes its own.
+    The defaults are ``serve``'s; other subcommands override them with
+    ``set_defaults``.  Build a fresh parent per subparser: ``set_defaults``
+    rewrites the defaults on the (shared) action objects.
     """
     parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--model", default=model_default, choices=sorted(MODELS))
+    parent.add_argument("--model", default="OPT-30B", choices=sorted(MODELS))
     parent.add_argument("--node", default="v100", choices=sorted(TESTBEDS))
     parent.add_argument("--gpus", type=int, default=4)
-    parent.add_argument("--strategy", default="liger", choices=STRATEGIES)
+    parent.add_argument("--strategy", default="liger", choices=api.STRATEGIES)
     parent.add_argument(
         "--policy", default=None, choices=policy_names(),
         help="operator scheduling policy (liger strategy only; "
         "default: dichotomy)")
     parent.add_argument("--workload", default="general",
                         choices=("general", "generative"))
-    parent.add_argument("--rate", type=float, default=rate_default,
+    parent.add_argument("--rate", type=float, default=20.0,
                         help="arrival rate (requests/second)")
-    parent.add_argument("--requests", type=int, default=requests_default)
-    parent.add_argument("--batch", type=int, default=batch_default)
-    parent.add_argument("--seed", type=int, default=seed_default)
+    parent.add_argument("--requests", type=int, default=64)
+    parent.add_argument("--batch", type=int, default=2)
+    parent.add_argument("--seed", type=int, default=0)
     return parent
 
 
@@ -92,6 +109,35 @@ def overload_parent(*, kv_frac: bool = False) -> argparse.ArgumentParser:
     return parent
 
 
+def cluster_parent(*, degradations: bool = False) -> argparse.ArgumentParser:
+    """The replicated-cluster flags of ``chaos`` and ``telemetry``; the
+    defaults are ``chaos``'s."""
+    parent = argparse.ArgumentParser(add_help=False)
+    group = parent.add_argument_group("cluster")
+    group.add_argument("--replicas", type=int, default=3,
+                       help="replicated serving nodes (telemetry: > 1 runs "
+                       "a seeded chaos cluster)")
+    group.add_argument("--layers", type=int, default=4, metavar="N",
+                       help="scale the model to N layers (0 = full model)")
+    group.add_argument("--crashes", type=int, default=1,
+                       help="node crashes to draw")
+    group.add_argument("--partitions", type=int, default=0,
+                       help="network partitions to draw")
+    if degradations:
+        group.add_argument("--degradations", type=int, default=0,
+                           help="whole-node stragglers to draw")
+    return parent
+
+
+def _add_log_level(group) -> None:
+    group.add_argument(
+        "--log-level", default=None, metavar="LEVEL",
+        help="emit repro.* logs at LEVEL (e.g. INFO, WARNING) to stderr")
+
+
+# ----------------------------------------------------------------------
+# Parsed flags -> library objects
+# ----------------------------------------------------------------------
 def resolve_model_node(args: argparse.Namespace):
     """Turn the parsed ``--model``/``--node``/``--gpus`` flags into specs."""
     return MODELS[args.model], TESTBEDS[args.node](args.gpus)
@@ -100,7 +146,9 @@ def resolve_model_node(args: argparse.Namespace):
 def overload_config_from_args(args: argparse.Namespace):
     """Build the :class:`~repro.serving.overload.OverloadConfig` the parsed
     overload flags describe, or ``None`` when none were given."""
-    if args.max_pending is None and args.deadline_ms is None:
+    max_pending = getattr(args, "max_pending", None)
+    deadline_ms = getattr(args, "deadline_ms", None)
+    if max_pending is None and deadline_ms is None:
         return None
     from repro.serving.overload import OverloadConfig
 
@@ -108,28 +156,506 @@ def overload_config_from_args(args: argparse.Namespace):
     if getattr(args, "kv_frac", None) is not None:
         kwargs["kv_capacity_frac"] = args.kv_frac
     return OverloadConfig(
-        max_pending_requests=(
-            args.max_pending if args.max_pending is not None else 64
-        ),
+        max_pending_requests=max_pending if max_pending is not None else 64,
         policy=args.admission,
         default_deadline_us=(
-            args.deadline_ms * 1000.0 if args.deadline_ms is not None else None
+            deadline_ms * 1000.0 if deadline_ms is not None else None
         ),
         **kwargs,
     )
 
 
-def install_log_handler(
-    level_name: Optional[str], parser: argparse.ArgumentParser
-) -> None:
+def chaos_config(args: argparse.Namespace, **fields):
+    """The :class:`~repro.cluster.chaos.ChaosConfig` the parsed cluster and
+    workload flags describe; ``fields`` sets the remaining config fields."""
+    from repro.cluster.chaos import ChaosConfig
+
+    return ChaosConfig(
+        replicas=args.replicas,
+        strategy=args.strategy,
+        model=args.model,
+        node=args.node,
+        gpus=args.gpus,
+        layers=args.layers,
+        num_requests=args.requests,
+        rate=args.rate,
+        batch_size=args.batch,
+        crashes=args.crashes,
+        partitions=args.partitions,
+        seed=args.seed,
+        **fields,
+    )
+
+
+def build_policies(args: argparse.Namespace) -> tuple:
+    """Translate the ``--slo-*`` flags into :class:`SloPolicy` objects.
+
+    With no flags given, a default availability policy is armed so the
+    alert table always has an objective to judge.
+    """
+    policies = []
+    if args.slo_availability is not None:
+        policies.append(SloPolicy("availability", target=args.slo_availability))
+    if args.slo_p99_ms is not None:
+        policies.append(
+            SloPolicy(
+                "latency-p99",
+                objective="latency",
+                target=args.slo_latency_target,
+                latency_threshold_ms=args.slo_p99_ms,
+            )
+        )
+    if args.slo_deadline is not None:
+        policies.append(
+            SloPolicy("deadline", objective="deadline", target=args.slo_deadline)
+        )
+    if not policies:
+        policies.append(SloPolicy("availability", target=0.95))
+    return tuple(policies)
+
+
+def install_log_handler(level_name: Optional[str]) -> None:
     """Attach a stderr handler to the ``repro.*`` logger hierarchy."""
     if level_name is None:
         return
     level = getattr(logging, level_name.upper(), None)
     if not isinstance(level, int):
-        parser.error(f"unknown log level {level_name!r}")
+        raise ConfigError(f"unknown log level {level_name!r}")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
     repro_logger = logging.getLogger("repro")
     repro_logger.addHandler(handler)
     repro_logger.setLevel(level)
+
+
+# ----------------------------------------------------------------------
+# Running and reporting
+# ----------------------------------------------------------------------
+def _serve(args: argparse.Namespace, **config):
+    """Serve the workload the flags describe.  ``config`` holds
+    :class:`ServingConfig` fields; the overload flags fill in ``overload``."""
+    model, node = resolve_model_node(args)
+    return api.serve(
+        model,
+        node,
+        strategy=args.strategy,
+        workload=args.workload,
+        policy=args.policy,
+        arrival_rate=args.rate,
+        num_requests=args.requests,
+        batch_size=args.batch,
+        seed=args.seed,
+        config=ServingConfig(overload=overload_config_from_args(args), **config),
+    )
+
+
+def _print_served(result) -> None:
+    print(result.summary())
+    if result.overload is not None:
+        print(result.overload.describe())
+    stats = result.latency_stats()
+    print(
+        f"latency ms: mean={stats.mean:.1f} p50={stats.p50:.1f} "
+        f"p95={stats.p95:.1f} p99={stats.p99:.1f} max={stats.max:.1f}"
+    )
+
+
+#: The line printed after writing each kind of file; ``telemetry`` and
+#: ``chaos`` keep their own wording of some of them.
+_WROTE = {
+    "timeline": "merged trace written to {path}: {kernel} kernel slice(s), "
+    "{span} request span segment(s), {instant} control instant(s)",
+    "metrics": "prometheus metrics written to {path}",
+    "snapshot": "metrics snapshot written to {path}",
+    "series": "windowed series written to {path}",
+}
+_SHORT_COUNTS = "({kernel} kernels, {span} span rows, {instant} instants)"
+_TELEMETRY_WROTE = {
+    **_WROTE, "timeline": "merged timeline written to {path} " + _SHORT_COUNTS,
+}
+_CHAOS_WROTE = {
+    "metrics": "wrote metrics to {path}",
+    "timeline": "wrote merged timeline to {path} " + _SHORT_COUNTS,
+}
+
+
+def _write_outputs(
+    obs: Observability, outputs, *, trace=None, traces=(), wording=_WROTE
+):
+    """Write each requested ``(kind, path)`` of ``outputs`` in order and
+    print its ``wording`` line; an unset path is skipped."""
+    save = {
+        "metrics": obs.save_prometheus,
+        "snapshot": obs.save_snapshot,
+        "series": obs.save_series,
+    }
+    for kind, path in outputs:
+        if not path:
+            continue
+        counts = {}
+        if kind == "timeline":
+            counts = obs.save_merged_trace(path, trace=trace, traces=traces)
+        else:
+            save[kind](path)
+        print(wording[kind].format(path=path, **counts))
+
+
+def _run_serve(args) -> int:
+    install_log_handler(args.log_level)
+    observability = None
+    if args.trace_out is not None or args.metrics_out is not None:
+        observability = Observability()
+    result = _serve(
+        args,
+        record_trace=(
+            args.gantt
+            or args.chrome_trace is not None
+            or args.trace_out is not None
+        ),
+        observability=observability,
+    )
+    _print_served(result)
+    if args.gantt:
+        from repro.sim.gantt import render_gantt
+
+        print()
+        print(render_gantt(result.trace, gpus=[0], width=100))
+    if args.chrome_trace:
+        result.trace.save_chrome_trace(args.chrome_trace)
+        print(f"chrome trace written to {args.chrome_trace}")
+    if observability is not None:
+        _write_outputs(
+            observability,
+            [("timeline", args.trace_out), ("metrics", args.metrics_out)],
+            trace=result.trace,
+        )
+    return 0
+
+
+def _run_faults(args) -> int:
+    result = _serve(
+        args,
+        fault_plan=build_plan(
+            args.straggler, args.link, args.launch_fail, args.jitter
+        ),
+        resilience=ResilienceConfig(
+            violation_threshold=args.violation_threshold,
+            recovery_probe_us=args.probe_ms * 1e3,
+            max_retries=args.max_retries,
+            enable_fallback=not args.no_fallback,
+            enable_watchdog=not args.no_watchdog,
+        ),
+    )
+    _print_served(result)
+    print()
+    print(result.resilience.describe())
+    return 0
+
+
+def _run_trace(args) -> int:
+    if args.summarize is not None:
+        try:
+            print(summarize_trace(args.summarize))
+        except (OSError, json.JSONDecodeError, ConfigError) as exc:
+            raise ConfigError(f"cannot summarize {args.summarize}: {exc}") from exc
+        return 0
+    obs = Observability()
+    result = _serve(args, record_trace=True, observability=obs)
+    print(result.summary())
+    _write_outputs(
+        obs,
+        [("timeline", args.out), ("metrics", args.metrics_out),
+         ("snapshot", args.snapshot_out)],
+        trace=result.trace,
+    )
+    return 0
+
+
+def _run_chaos(args) -> int:
+    from repro.cluster.chaos import check_single_replica_identity, run_chaos
+
+    install_log_handler(args.log_level)
+    config = chaos_config(
+        args,
+        degradations=args.degradations,
+        min_goodput=args.min_goodput,
+        record_trace=args.timeline is not None,
+    )
+    if args.check_identity:
+        identical, fp_server, fp_cluster = check_single_replica_identity(
+            dataclasses.replace(
+                config, replicas=1, crashes=0, partitions=0, degradations=0
+            )
+        )
+        print(f"server  fingerprint: {fp_server}")
+        print(f"cluster fingerprint: {fp_cluster}")
+        print(
+            "single-replica identity: "
+            + ("bit-identical" if identical else "DIVERGED")
+        )
+        return 0 if identical else 1
+
+    observability = None
+    if args.timeline is not None or args.metrics is not None:
+        observability = Observability()
+    report = run_chaos(config, observability=observability)
+    print(report.describe())
+    status = 0 if report.ok else 1
+    if args.verify_replay:
+        replay = run_chaos(config)
+        identical = replay.fingerprint == report.fingerprint
+        print(
+            f"replay (seed={config.seed}): "
+            + ("bit-identical" if identical else "DIVERGED")
+        )
+        if not identical:
+            status = 1
+    if observability is not None:
+        _write_outputs(
+            observability,
+            [("metrics", args.metrics), ("timeline", args.timeline)],
+            traces=report.result.traces,
+            wording=_CHAOS_WROTE,
+        )
+    return status
+
+
+def _run_telemetry(args) -> int:
+    install_log_handler(args.log_level)
+    obs = Observability(
+        ObservabilityConfig(
+            telemetry=True,
+            window_us=args.window_ms * 1e3,
+            slo_policies=build_policies(args),
+        )
+    )
+    if args.replicas != 1:  # ChaosConfig rejects replicas < 1
+        from repro.cluster.chaos import run_chaos
+
+        report = run_chaos(chaos_config(args, record_trace=True), observability=obs)
+        print(report.describe())
+        trace, traces = None, report.result.traces
+        status = 0 if report.ok else 1
+    else:
+        result = _serve(args, record_trace=True, observability=obs)
+        print(result.summary())
+        trace, traces = result.trace, ()
+        status = 0
+
+    both = not (args.report or args.alerts)
+    if args.report or both:
+        print()
+        print(obs.critical_path(trace, traces=traces).describe())
+    if args.alerts or both:
+        print()
+        print(obs.slo.alert_table())
+    _write_outputs(
+        obs,
+        [("series", args.series_out), ("metrics", args.metrics_out),
+         ("timeline", args.timeline)],
+        trace=trace, traces=traces, wording=_TELEMETRY_WROTE,
+    )
+    return status
+
+
+def _run_experiments(args) -> int:
+    names = args.figures or list(ALL_FIGURES)
+    unknown = [n for n in names if n not in ALL_FIGURES]
+    if unknown:
+        raise ConfigError(f"unknown figure(s): {', '.join(unknown)}")
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be >= 0, got {args.workers}")
+
+    # Every figure reseeds its own workloads, so a freshly spawned worker
+    # produces the same text as the in-process run; map() yields results in
+    # request order.
+    tasks = [(name, args.scale) for name in names]
+    with contextlib.ExitStack() as stack:
+        mapper = map
+        if args.workers > 0:
+            mapper = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(args.workers, len(names)),
+                mp_context=multiprocessing.get_context("spawn"),
+            )).map
+        for figure, title, text, elapsed in mapper(_timed_figure, tasks):
+            print(f"\n=== {figure}: {title} [{elapsed:.1f}s] ===")
+            print(text)
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The parser
+# ----------------------------------------------------------------------
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` parser with its six subcommands."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Serve a large language model on a simulated multi-GPU "
+        "node, under faults or on a replicated cluster, and regenerate the "
+        "paper's figures.",
+        epilog="With no command, or when the first argument is an option, "
+        "`serve` runs: `python -m repro --rate 55` is "
+        "`python -m repro serve --rate 55`.",
+    )
+    commands = parser.add_subparsers(
+        dest="command", title="commands", metavar="COMMAND"
+    )
+
+    def command(name, run, summary, description=None, parents=(), **defaults):
+        sub = commands.add_parser(
+            name, help=summary, description=description or summary,
+            parents=list(parents),
+        )
+        sub.set_defaults(run=run, parser=sub, **defaults)
+        return sub
+
+    serve = command(
+        "serve", _run_serve, "serve a workload (the default command)",
+        "Serve a large language model on a simulated multi-GPU node.",
+        [workload_parent(), overload_parent(kv_frac=True)],
+    )
+    serve.add_argument("--gantt", action="store_true",
+                       help="print an ASCII timeline of GPU 0")
+    serve.add_argument("--chrome-trace", metavar="PATH",
+                       help="write a Chrome trace JSON of the run")
+    group = serve.add_argument_group("observability")
+    group.add_argument(
+        "--trace-out", metavar="PATH",
+        help="write the merged Perfetto timeline (request spans + kernel "
+        "slices + control instants) to PATH")
+    group.add_argument(
+        "--metrics-out", metavar="PATH",
+        help="write the run's Prometheus text exposition to PATH")
+    _add_log_level(group)
+
+    # Fault windows are in milliseconds of simulated time; repeat a flag to
+    # inject several faults of one kind.
+    faults = command(
+        "faults", _run_faults, "serve under injected faults",
+        "Serve a workload under injected faults and report the recovery "
+        "layer's behaviour.",
+        [workload_parent()],
+        model="OPT-13B", rate=40.0, requests=32, seed=1,
+    )
+    faults.add_argument("--straggler", action="append", default=[],
+                        metavar="GPU:FACTOR:START:END",
+                        help="slow one GPU's compute kernels (window in ms)")
+    faults.add_argument("--link", action="append", default=[],
+                        metavar="FRACTION:START:END",
+                        help="degrade interconnect bandwidth (window in ms)")
+    faults.add_argument("--launch-fail", action="append", default=[],
+                        metavar="START:END",
+                        help="transient launch failures (window in ms)")
+    faults.add_argument("--jitter", action="append", default=[],
+                        metavar="AMPLITUDE_US:START:END",
+                        help="host launch jitter (amplitude in µs, window in ms)")
+    faults.add_argument("--violation-threshold", type=int, default=3,
+                        help="Principle-1 violations tolerated before downgrade")
+    faults.add_argument("--probe-ms", type=float, default=20.0,
+                        help="recovery probe period while degraded (ms)")
+    faults.add_argument("--max-retries", type=int, default=5)
+    faults.add_argument("--no-fallback", action="store_true",
+                        help="never downgrade the strategy")
+    faults.add_argument("--no-watchdog", action="store_true",
+                        help="disable the livelock watchdog")
+
+    trace = command(
+        "trace", _run_trace, "serve and export the merged timeline + metrics",
+        "Serve a workload with observability armed and export the merged "
+        "Perfetto timeline (request spans + kernel slices + control "
+        "instants) and metrics.",
+        [workload_parent(), overload_parent()],
+    )
+    trace.add_argument("--summarize", metavar="PATH",
+                       help="summarize an existing merged trace and exit")
+    trace.add_argument("--out", default="trace.json", metavar="PATH",
+                       help="merged Chrome/Perfetto trace (default trace.json)")
+    trace.add_argument("--metrics-out", metavar="PATH",
+                       help="Prometheus text exposition of the run's metrics")
+    trace.add_argument("--snapshot-out", metavar="PATH",
+                       help="JSON metrics snapshot (counters + samples)")
+
+    # Exit status is non-zero when an invariant fails, a replay diverges,
+    # or the identity check finds a difference.
+    chaos = command(
+        "chaos", _run_chaos, "chaos-test a replicated serving cluster",
+        "Chaos-test a replicated serving cluster.",
+        [workload_parent(), cluster_parent(degradations=True)],
+        rate=60.0, requests=36,
+    )
+    group = chaos.add_argument_group("invariants and artifacts")
+    group.add_argument("--min-goodput", type=float, default=0.5,
+                       help="completed/admitted floor (default 0.5)")
+    group.add_argument("--verify-replay", action="store_true",
+                       help="run the scenario twice and require "
+                       "bit-identical fingerprints")
+    group.add_argument("--check-identity", action="store_true",
+                       help="check the 1-replica cluster reproduces the "
+                       "plain server bit-for-bit, then exit")
+    group.add_argument("--timeline", metavar="PATH", default=None,
+                       help="write the merged Perfetto timeline JSON")
+    group.add_argument("--metrics", metavar="PATH", default=None,
+                       help="write the Prometheus text exposition")
+    _add_log_level(chaos)
+
+    # --replicas > 1 switches to the chaos harness; with none of
+    # --report/--alerts given, both are printed.
+    telemetry = command(
+        "telemetry", _run_telemetry, "windowed series, SLO alerts, critical path",
+        "Serve a workload with the telemetry store and SLO engine armed; "
+        "render series, burn-rate alerts, and the critical-path report.",
+        [workload_parent(), overload_parent(), cluster_parent()],
+        replicas=1, crashes=0,
+    )
+    group = telemetry.add_argument_group("SLO policies")
+    group.add_argument("--slo-availability", type=float, default=None,
+                       metavar="T", help="availability objective, e.g. 0.95")
+    group.add_argument("--slo-p99-ms", type=float, default=None, metavar="MS",
+                       help="latency objective: good = completed under MS")
+    group.add_argument("--slo-latency-target", type=float, default=0.99,
+                       metavar="T", help="good fraction for --slo-p99-ms "
+                       "(default 0.99)")
+    group.add_argument("--slo-deadline", type=float, default=None, metavar="T",
+                       help="deadline-attainment objective, e.g. 0.9")
+    group = telemetry.add_argument_group("outputs")
+    group.add_argument("--report", action="store_true",
+                       help="print the critical-path report")
+    group.add_argument("--alerts", action="store_true",
+                       help="print the burn-rate alert table")
+    group.add_argument("--series-out", metavar="PATH", default=None,
+                       help="write the windowed series (.prom = exposition "
+                       "with timestamps, else JSON)")
+    group.add_argument("--metrics-out", metavar="PATH", default=None,
+                       help="write the end-of-run Prometheus exposition")
+    group.add_argument("--timeline", metavar="PATH", default=None,
+                       help="write the merged Perfetto timeline JSON")
+    group.add_argument("--window-ms", type=float, default=50.0, metavar="MS",
+                       help="telemetry window width (default 50 ms)")
+    _add_log_level(telemetry)
+
+    experiments = command(
+        "experiments", _run_experiments, "regenerate the paper's figures",
+        "Regenerate the Liger paper's tables and figures.",
+    )
+    experiments.add_argument(
+        "figures", nargs="*", default=[],
+        help=f"figures to run (default: all). Choices: {', '.join(ALL_FIGURES)}")
+    experiments.add_argument(
+        "--scale", choices=("smoke", "quick", "full"), default="quick",
+        help="experiment size (smoke: seconds; quick: default; full: paper grid)")
+    experiments.add_argument(
+        "--workers", type=int, default=0, metavar="N",
+        help="fan figures across N worker processes (0 = in-process)")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Entry point for ``python -m repro``; returns the exit status."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if not argv or (argv[0].startswith("-") and argv[0] not in ("-h", "--help")):
+        argv.insert(0, "serve")
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
+    except ConfigError as exc:
+        args.parser.error(str(exc))

@@ -17,8 +17,9 @@ every replica is a full :class:`~repro.serving.server.Server` on a
 * :mod:`repro.cluster.cluster` — :class:`Cluster`: construction, fault
   scheduling, the run loop, and :class:`ClusterResult`;
 * :mod:`repro.cluster.chaos` — the seeded chaos harness
-  (:func:`run_chaos`) and the runnable zero-cost identity check, also
-  reachable as ``python -m repro chaos``.
+  (:func:`run_chaos`) and the runnable zero-cost identity check; the
+  ``chaos`` command of :mod:`repro.cli` (``python -m repro chaos``) and
+  ``python -m repro telemetry --replicas N`` drive it.
 
 Quickstart::
 

@@ -192,10 +192,11 @@ class Router:
                 )
             if transition == "mark-unhealthy":
                 self._handle_unhealthy(index, now, crashed=not node.alive)
-        # Keep probing while work is in flight or arrivals are still due;
-        # once both are exhausted the run's outcome is sealed and further
-        # sweeps would only keep an otherwise-idle engine alive.
-        if self._inflight or now < self.watch_until:
+        # Keep probing while work is in flight or arrivals are still due
+        # (an arrival at exactly ``watch_until`` fires after a same-instant
+        # sweep); once both are exhausted the run's outcome is sealed and
+        # further sweeps would only keep an otherwise-idle engine alive.
+        if self._inflight or now <= self.watch_until:
             self._schedule_sweep()
 
     def _handle_unhealthy(self, index: int, now: float, *, crashed: bool) -> None:

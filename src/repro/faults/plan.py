@@ -70,6 +70,7 @@ __all__ = [
     "NodeDegradation",
     "FaultPlan",
     "plan_from_specs",
+    "build_plan",
 ]
 
 #: Deterministic jitter profile: fractions of the amplitude applied to
@@ -474,3 +475,54 @@ def plan_from_specs(
     faults += [LaunchFailure(start=s, end=e) for s, e in launch_windows]
     faults += [HostJitter(start=s, end=e, amplitude=a) for a, s, e in jitters]
     return FaultPlan(faults)
+
+
+_MS = 1e3  # CLI windows are in ms; the simulator runs in µs.
+
+
+def _split(spec: str, n: int, flag: str) -> List[float]:
+    parts = spec.split(":")
+    if len(parts) != n:
+        raise ConfigError(
+            f"{flag} expects {n} colon-separated fields, got {spec!r}"
+        )
+    try:
+        return [float(p) for p in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: non-numeric field in {spec!r}") from exc
+
+
+def build_plan(
+    stragglers: Sequence[str],
+    links: Sequence[str],
+    launch_fails: Sequence[str],
+    jitters: Sequence[str],
+) -> FaultPlan:
+    """Parse the CLI fault specs (windows in ms) into a :class:`FaultPlan`.
+
+    Spec formats — ``--straggler GPU:FACTOR:START:END``,
+    ``--link FRACTION:START:END``, ``--launch-fail START:END``,
+    ``--jitter AMPLITUDE_US:START:END``.
+    """
+    s_specs = []
+    for spec in stragglers:
+        gpu, factor, start, end = _split(spec, 4, "--straggler")
+        s_specs.append((int(gpu), factor, start * _MS, end * _MS))
+    l_specs = []
+    for spec in links:
+        fraction, start, end = _split(spec, 3, "--link")
+        l_specs.append((fraction, start * _MS, end * _MS))
+    f_specs = []
+    for spec in launch_fails:
+        start, end = _split(spec, 2, "--launch-fail")
+        f_specs.append((start * _MS, end * _MS))
+    j_specs = []
+    for spec in jitters:
+        amplitude, start, end = _split(spec, 3, "--jitter")
+        j_specs.append((amplitude, start * _MS, end * _MS))
+    return plan_from_specs(
+        stragglers=s_specs,
+        links=l_specs,
+        launch_windows=f_specs,
+        jitters=j_specs,
+    )

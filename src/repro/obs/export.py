@@ -37,6 +37,7 @@ __all__ = [
     "fault_window_chrome_events",
     "merged_chrome_trace",
     "validate_merged_trace",
+    "summarize_trace",
 ]
 
 #: Event kinds rendered as control instants on the merged timeline.
@@ -196,3 +197,18 @@ def validate_merged_trace(obj) -> Dict[str, int]:
         elif pid == _CONTROL_PID:
             counts["fault"] += 1
     return counts
+
+
+def summarize_trace(path: str) -> str:
+    """Parse an existing merged trace and render its per-class counts."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    counts = validate_merged_trace(obj)
+    total = len(obj["traceEvents"])
+    lines = [f"{path}: {total} event(s)"]
+    lines.append(f"  kernel slices:    {counts['kernel']}")
+    lines.append(f"  request spans:    {counts['span']}")
+    lines.append(f"  control instants: {counts['instant']}")
+    if counts["fault"]:
+        lines.append(f"  fault windows:    {counts['fault']}")
+    return "\n".join(lines)

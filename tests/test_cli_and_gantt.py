@@ -1,7 +1,8 @@
-"""Tests for the serving CLI, the experiments CLI, and the Gantt renderer."""
+"""Tests for the ``python -m repro`` CLI tree and the Gantt renderer."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
@@ -143,3 +144,131 @@ class TestExperimentsCli:
 
         with pytest.raises(SystemExit):
             main(["table1", "--workers", "-1"])
+
+
+# Every subcommand's option strings and defaults, recorded from the six
+# separate parsers the subcommand tree replaced; the tree must keep them.
+_WORKLOAD = {
+    "--model": "OPT-30B", "--node": "v100", "--gpus": 4, "--strategy": "liger",
+    "--policy": None, "--workload": "general", "--rate": 20.0,
+    "--requests": 64, "--batch": 2, "--seed": 0,
+}
+_OVERLOAD = {"--max-pending": None, "--admission": "reject", "--deadline-ms": None}
+_CLUSTER = {"--replicas": 3, "--layers": 4, "--crashes": 1, "--partitions": 0}
+OPTIONS = {
+    "serve": {
+        **_WORKLOAD, **_OVERLOAD, "--kv-frac": 0.9, "--gantt": False,
+        "--chrome-trace": None, "--trace-out": None, "--metrics-out": None,
+        "--log-level": None,
+    },
+    "faults": {
+        **_WORKLOAD, "--model": "OPT-13B", "--rate": 40.0, "--requests": 32,
+        "--seed": 1, "--straggler": [], "--link": [], "--launch-fail": [],
+        "--jitter": [], "--violation-threshold": 3, "--probe-ms": 20.0,
+        "--max-retries": 5, "--no-fallback": False, "--no-watchdog": False,
+    },
+    "trace": {
+        **_WORKLOAD, **_OVERLOAD, "--summarize": None, "--out": "trace.json",
+        "--metrics-out": None, "--snapshot-out": None,
+    },
+    "chaos": {
+        **_WORKLOAD, **_CLUSTER, "--rate": 60.0, "--requests": 36,
+        "--degradations": 0, "--min-goodput": 0.5, "--verify-replay": False,
+        "--check-identity": False, "--timeline": None, "--metrics": None,
+        "--log-level": None,
+    },
+    "telemetry": {
+        **_WORKLOAD, **_OVERLOAD, **_CLUSTER, "--replicas": 1, "--crashes": 0,
+        "--slo-availability": None, "--slo-p99-ms": None,
+        "--slo-latency-target": 0.99, "--slo-deadline": None,
+        "--report": False, "--alerts": False, "--series-out": None,
+        "--metrics-out": None, "--timeline": None, "--window-ms": 50.0,
+        "--log-level": None,
+    },
+    "experiments": {"figures": [], "--scale": "quick", "--workers": 0},
+}
+
+# Bad user values and the one-line error each must produce (exit status 2).
+_BAD_VALUES = [
+    (["--gpus", "0"], "num_gpus must be >= 1"),
+    (["--requests", "0"], "num_requests must be >= 1"),
+    (["--rate", "-1"], "rate must be positive"),
+    (["--batch", "0"], "batch_size must be >= 1"),
+    (["--deadline-ms", "-5"], "default_deadline_us must be positive"),
+    (["--max-pending", "4", "--kv-frac", "2"], "kv_capacity_frac"),
+    (["--strategy", "intra", "--policy", "expert_overlap"],
+     "does not schedule with policies"),
+    (["chaos", "--replicas", "0"], "replicas must be >= 1"),
+    (["telemetry", "--replicas", "0"], "replicas must be >= 1"),
+    (["faults", "--straggler", "9:4.0:0:400"], "targets GPU 9"),
+    (["faults", "--straggler", "1:4.0:0"], "expects 4 colon-separated"),
+]
+
+
+class TestCliTree:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_options_and_defaults_unchanged(self, command):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args([command])
+        table = {
+            " ".join(a.option_strings) or a.dest: getattr(args, a.dest)
+            for a in args.parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert table == OPTIONS[command]
+
+    def test_help_lists_every_subcommand(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in OPTIONS:
+            assert re.search(rf"^\s+{command}\b", out, re.MULTILINE), command
+
+    def test_serve_spelling_matches_bare_flags(self, capsys):
+        from repro.cli import main
+
+        flags = ["--requests", "8", "--rate", "200", "--max-pending", "4",
+                 "--admission", "shed-by-deadline", "--deadline-ms", "50"]
+        assert main(["serve", *flags]) == 0
+        spelled = capsys.readouterr().out
+        assert main(flags) == 0
+        assert capsys.readouterr().out == spelled
+        assert "latency ms:" in spelled
+
+    @pytest.mark.parametrize("argv, message", _BAD_VALUES,
+                             ids=[" ".join(argv) for argv, _ in _BAD_VALUES])
+    def test_bad_values_are_usage_errors(self, argv, message, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ": error: " in err.splitlines()[-1]
+        assert message in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv, line", [
+        (["serve", "--requests", "8", "--rate", "40"], "latency ms: mean="),
+        (["faults", "--requests", "8", "--straggler", "1:4.0:0:400"],
+         "resilience report:"),
+        (["trace", "--requests", "8", "--out", "t.json",
+          "--metrics-out", "m.prom", "--snapshot-out", "s.json"],
+         "merged trace written to t.json: "),
+        (["chaos", "--layers", "2", "--gpus", "2", "--strategy", "intra",
+          "--requests", "8", "--metrics", "m.prom"], "wrote metrics to m.prom"),
+        (["telemetry", "--requests", "8", "--series-out", "s.json"],
+         "windowed series written to s.json"),
+        (["experiments", "table1", "--scale", "smoke"], "=== table1: "),
+    ], ids=["serve", "faults", "trace", "chaos", "telemetry", "experiments"])
+    def test_every_subcommand_runs(self, argv, line, capsys, tmp_path,
+                                   monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert line in capsys.readouterr().out

@@ -10,7 +10,7 @@ The hypothesis test pins the second half over arbitrary schedules.
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ChaosConfig, Cluster, run_chaos
@@ -172,6 +172,13 @@ def crash_scenarios(draw):
 
 
 @given(scenario=crash_scenarios())
+# The last batch arrives at exactly a sweep instant and lands on a node that
+# crashes 1 µs later: the sweep must keep running to fail it over.
+@example(scenario=dict(
+    replicas=2, rate=100.0, seed=3,
+    plan=FaultPlan([NodeCrash(start=120_001.0, end=float("inf"), node=0)]),
+    recovery=ReplicaRecoveryConfig(health_check_period_us=1_000.0),
+))
 @settings(
     max_examples=12,
     deadline=None,

@@ -355,7 +355,7 @@ class TestResilienceConfig:
 
 class TestFaultsCli:
     def test_build_plan_parses_all_kinds(self):
-        from repro.faults.cli import build_plan
+        from repro.faults.plan import build_plan
 
         plan = build_plan(
             ["1:4.0:0:400"], ["0.5:0:300"], ["50:53"], ["5.0:0:100"]
@@ -367,7 +367,7 @@ class TestFaultsCli:
         assert plan.launch_failing(51_000.0)
 
     def test_malformed_spec_rejected(self):
-        from repro.faults.cli import build_plan
+        from repro.faults.plan import build_plan
 
         with pytest.raises(ConfigError):
             build_plan(["1:4.0:0"], [], [], [])  # missing a field

@@ -592,12 +592,12 @@ class TestZeroCost:
 # ----------------------------------------------------------------------
 class TestTelemetryCli:
     def test_cluster_mode_writes_artifacts(self, tmp_path, capsys):
-        from repro.obs.telemetry_cli import main
+        from repro.cli import main
 
         series = tmp_path / "series.json"
         timeline = tmp_path / "merged.json"
         rc = main([
-            "--replicas", "2", "--layers", "2", "--requests", "12",
+            "telemetry", "--replicas", "2", "--layers", "2", "--requests", "12",
             "--rate", "100", "--batch", "2", "--seed", "0",
             "--report", "--alerts",
             "--series-out", str(series), "--timeline", str(timeline),
@@ -611,7 +611,7 @@ class TestTelemetryCli:
 
     def test_single_node_mode_forwards_policy(self, monkeypatch, capsys):
         import repro.serving.api as api
-        from repro.obs.telemetry_cli import main
+        from repro.cli import main
 
         seen = {}
         real_serve = api.serve
@@ -622,19 +622,19 @@ class TestTelemetryCli:
 
         monkeypatch.setattr(api, "serve", spy)
         rc = main([
-            "--layers", "2", "--requests", "8", "--rate", "100",
+            "telemetry", "--layers", "2", "--requests", "8", "--rate", "100",
             "--policy", "expert_overlap", "--report",
         ])
         assert rc == 0
         assert seen["policy"] == "expert_overlap"
 
     def test_build_policies_default_and_flags(self):
-        from repro.obs.telemetry_cli import _build_parser, build_policies
+        from repro.cli import build_parser, build_policies
 
-        parser = _build_parser()
-        default = build_policies(parser.parse_args([]))
+        parser = build_parser()
+        default = build_policies(parser.parse_args(["telemetry"]))
         assert [p.name for p in default] == ["availability"]
-        armed = build_policies(
-            parser.parse_args(["--slo-p99-ms", "50", "--slo-deadline", "0.9"])
-        )
+        armed = build_policies(parser.parse_args(
+            ["telemetry", "--slo-p99-ms", "50", "--slo-deadline", "0.9"]
+        ))
         assert [p.objective for p in armed] == ["latency", "deadline"]
