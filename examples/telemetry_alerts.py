@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Telemetry: SLO burn-rate alerts and critical-path analytics on a
-bursty, overloaded cluster run.
+"""Telemetry: SLO burn-rate alerts and critical-path analytics on an
+overloaded single-node run.
 
-Runs a seeded 3-replica chaos scenario (one mid-run node crash) at a
-request rate well past what the fleet can serve on time, with the
-telemetry store and two SLO policies armed:
+Serves a seeded workload through an 8-layer OPT-30B on a simulated 4xV100
+node at a request rate well past what the node can serve on time, with
+the telemetry store and two SLO policies armed:
 
 * ``latency-p99`` — completed requests must finish under 50 ms; under
   this overload nearly every window blows through it, so the fast
@@ -32,9 +32,16 @@ Run:
 
 import json
 
-from repro.cluster.chaos import ChaosConfig, run_chaos
+from repro import v100_nvlink_node
+from repro.models import OPT_30B
 from repro.obs import Observability, ObservabilityConfig, validate_merged_trace
 from repro.obs.slo import BurnRule, SloPolicy
+from repro.serving.api import serve
+
+MODEL = OPT_30B.scaled_layers(8)
+NODE = v100_nvlink_node(4)
+RATE = 2000.0  # req/s: well past the node's on-time capacity
+N = 96
 
 SERIES_PATH = "telemetry-series.json"
 METRICS_PATH = "telemetry-metrics.prom"
@@ -56,27 +63,23 @@ def main() -> None:
     obs = Observability(
         ObservabilityConfig(telemetry=True, window_us=50_000.0, slo_policies=policies)
     )
-    config = ChaosConfig(
-        replicas=3,
+    print(f"Serving {N} requests at {RATE:.0f} req/s on {NODE.name} "
+          f"({NODE.num_gpus} GPUs), seed 7\n")
+    result = serve(
+        MODEL,
+        NODE,
         strategy="intra",
-        layers=8,
-        rate=2000.0,         # well past the fleet's on-time capacity
-        num_requests=96,
+        arrival_rate=RATE,
+        num_requests=N,
         batch_size=2,
-        crashes=1,           # one seeded mid-run node crash
         seed=7,
         record_trace=True,
+        observability=obs,
     )
-    print(
-        f"Chaos run: {config.replicas} replicas, {config.num_requests} "
-        f"requests at {config.rate:.0f} req/s, {config.crashes} crash, "
-        f"seed {config.seed}\n"
-    )
-    report = run_chaos(config, observability=obs)
-    print(report.describe())
+    print(result.summary())
 
     # ------------------------------------------------------------------
-    # Alerts: the overloaded fleet must page.
+    # Alerts: the overloaded node must page.
     # ------------------------------------------------------------------
     print()
     print(obs.slo.alert_table())
@@ -86,7 +89,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     # Critical path: attribution must partition the makespan exactly.
     # ------------------------------------------------------------------
-    path_report = obs.critical_path(traces=report.result.traces)
+    path_report = obs.critical_path(result.trace)
     with open(REPORT_PATH, "w", encoding="utf-8") as fh:
         fh.write(path_report.describe())
     print(path_report.describe())
@@ -102,7 +105,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     obs.save_series(SERIES_PATH)
     obs.save_prometheus(METRICS_PATH)
-    counts = obs.save_merged_trace(TIMELINE_PATH, traces=report.result.traces)
+    counts = obs.save_merged_trace(TIMELINE_PATH, trace=result.trace)
     print(f"{SERIES_PATH}: windowed time-series")
     print(f"{METRICS_PATH}: Prometheus text exposition")
     print(f"{TIMELINE_PATH}: {counts['kernel']} kernel slice(s), "

@@ -1,4 +1,4 @@
-"""The ``python -m repro`` command line: one parser, six subcommands.
+"""The ``python -m repro`` command line: one parser, five subcommands.
 
 Usage::
 
@@ -7,7 +7,6 @@ Usage::
     python -m repro serve --strategy liger --rate 55 --gantt
     python -m repro faults --straggler 1:4.0:0:400   # fault injection
     python -m repro trace --out t.json --metrics-out m.prom  # observability
-    python -m repro chaos --replicas 3 --crashes 1   # cluster chaos
     python -m repro telemetry --report --alerts      # series + SLO burn
     python -m repro experiments table1 fig3 --scale smoke
 
@@ -23,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import logging
 import multiprocessing
@@ -49,10 +47,8 @@ __all__ = [
     "build_parser",
     "workload_parent",
     "overload_parent",
-    "cluster_parent",
     "resolve_model_node",
     "overload_config_from_args",
-    "chaos_config",
     "build_policies",
     "install_log_handler",
 ]
@@ -109,26 +105,6 @@ def overload_parent(*, kv_frac: bool = False) -> argparse.ArgumentParser:
     return parent
 
 
-def cluster_parent(*, degradations: bool = False) -> argparse.ArgumentParser:
-    """The replicated-cluster flags of ``chaos`` and ``telemetry``; the
-    defaults are ``chaos``'s."""
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("cluster")
-    group.add_argument("--replicas", type=int, default=3,
-                       help="replicated serving nodes (telemetry: > 1 runs "
-                       "a seeded chaos cluster)")
-    group.add_argument("--layers", type=int, default=4, metavar="N",
-                       help="scale the model to N layers (0 = full model)")
-    group.add_argument("--crashes", type=int, default=1,
-                       help="node crashes to draw")
-    group.add_argument("--partitions", type=int, default=0,
-                       help="network partitions to draw")
-    if degradations:
-        group.add_argument("--degradations", type=int, default=0,
-                           help="whole-node stragglers to draw")
-    return parent
-
-
 def _add_log_level(group) -> None:
     group.add_argument(
         "--log-level", default=None, metavar="LEVEL",
@@ -139,8 +115,13 @@ def _add_log_level(group) -> None:
 # Parsed flags -> library objects
 # ----------------------------------------------------------------------
 def resolve_model_node(args: argparse.Namespace):
-    """Turn the parsed ``--model``/``--node``/``--gpus`` flags into specs."""
-    return MODELS[args.model], TESTBEDS[args.node](args.gpus)
+    """Turn the parsed ``--model``/``--node``/``--gpus`` flags (and
+    ``telemetry``'s ``--layers``, 0 = the full model) into specs."""
+    model = MODELS[args.model]
+    layers = getattr(args, "layers", 0)
+    if layers:
+        model = model.scaled_layers(layers)
+    return model, TESTBEDS[args.node](args.gpus)
 
 
 def overload_config_from_args(args: argparse.Namespace):
@@ -162,28 +143,6 @@ def overload_config_from_args(args: argparse.Namespace):
             deadline_ms * 1000.0 if deadline_ms is not None else None
         ),
         **kwargs,
-    )
-
-
-def chaos_config(args: argparse.Namespace, **fields):
-    """The :class:`~repro.cluster.chaos.ChaosConfig` the parsed cluster and
-    workload flags describe; ``fields`` sets the remaining config fields."""
-    from repro.cluster.chaos import ChaosConfig
-
-    return ChaosConfig(
-        replicas=args.replicas,
-        strategy=args.strategy,
-        model=args.model,
-        node=args.node,
-        gpus=args.gpus,
-        layers=args.layers,
-        num_requests=args.requests,
-        rate=args.rate,
-        batch_size=args.batch,
-        crashes=args.crashes,
-        partitions=args.partitions,
-        seed=args.seed,
-        **fields,
     )
 
 
@@ -260,8 +219,8 @@ def _print_served(result) -> None:
     )
 
 
-#: The line printed after writing each kind of file; ``telemetry`` and
-#: ``chaos`` keep their own wording of some of them.
+#: The line printed after writing each kind of file; ``telemetry`` keeps its
+#: own wording of the timeline line.
 _WROTE = {
     "timeline": "merged trace written to {path}: {kernel} kernel slice(s), "
     "{span} request span segment(s), {instant} control instant(s)",
@@ -269,19 +228,14 @@ _WROTE = {
     "snapshot": "metrics snapshot written to {path}",
     "series": "windowed series written to {path}",
 }
-_SHORT_COUNTS = "({kernel} kernels, {span} span rows, {instant} instants)"
 _TELEMETRY_WROTE = {
-    **_WROTE, "timeline": "merged timeline written to {path} " + _SHORT_COUNTS,
-}
-_CHAOS_WROTE = {
-    "metrics": "wrote metrics to {path}",
-    "timeline": "wrote merged timeline to {path} " + _SHORT_COUNTS,
+    **_WROTE,
+    "timeline": "merged timeline written to {path} "
+    "({kernel} kernels, {span} span rows, {instant} instants)",
 }
 
 
-def _write_outputs(
-    obs: Observability, outputs, *, trace=None, traces=(), wording=_WROTE
-):
+def _write_outputs(obs: Observability, outputs, *, trace=None, wording=_WROTE):
     """Write each requested ``(kind, path)`` of ``outputs`` in order and
     print its ``wording`` line; an unset path is skipped."""
     save = {
@@ -294,7 +248,7 @@ def _write_outputs(
             continue
         counts = {}
         if kind == "timeline":
-            counts = obs.save_merged_trace(path, trace=trace, traces=traces)
+            counts = obs.save_merged_trace(path, trace=trace)
         else:
             save[kind](path)
         print(wording[kind].format(path=path, **counts))
@@ -371,55 +325,6 @@ def _run_trace(args) -> int:
     return 0
 
 
-def _run_chaos(args) -> int:
-    from repro.cluster.chaos import check_single_replica_identity, run_chaos
-
-    install_log_handler(args.log_level)
-    config = chaos_config(
-        args,
-        degradations=args.degradations,
-        min_goodput=args.min_goodput,
-        record_trace=args.timeline is not None,
-    )
-    if args.check_identity:
-        identical, fp_server, fp_cluster = check_single_replica_identity(
-            dataclasses.replace(
-                config, replicas=1, crashes=0, partitions=0, degradations=0
-            )
-        )
-        print(f"server  fingerprint: {fp_server}")
-        print(f"cluster fingerprint: {fp_cluster}")
-        print(
-            "single-replica identity: "
-            + ("bit-identical" if identical else "DIVERGED")
-        )
-        return 0 if identical else 1
-
-    observability = None
-    if args.timeline is not None or args.metrics is not None:
-        observability = Observability()
-    report = run_chaos(config, observability=observability)
-    print(report.describe())
-    status = 0 if report.ok else 1
-    if args.verify_replay:
-        replay = run_chaos(config)
-        identical = replay.fingerprint == report.fingerprint
-        print(
-            f"replay (seed={config.seed}): "
-            + ("bit-identical" if identical else "DIVERGED")
-        )
-        if not identical:
-            status = 1
-    if observability is not None:
-        _write_outputs(
-            observability,
-            [("metrics", args.metrics), ("timeline", args.timeline)],
-            traces=report.result.traces,
-            wording=_CHAOS_WROTE,
-        )
-    return status
-
-
 def _run_telemetry(args) -> int:
     install_log_handler(args.log_level)
     obs = Observability(
@@ -429,23 +334,13 @@ def _run_telemetry(args) -> int:
             slo_policies=build_policies(args),
         )
     )
-    if args.replicas != 1:  # ChaosConfig rejects replicas < 1
-        from repro.cluster.chaos import run_chaos
-
-        report = run_chaos(chaos_config(args, record_trace=True), observability=obs)
-        print(report.describe())
-        trace, traces = None, report.result.traces
-        status = 0 if report.ok else 1
-    else:
-        result = _serve(args, record_trace=True, observability=obs)
-        print(result.summary())
-        trace, traces = result.trace, ()
-        status = 0
+    result = _serve(args, record_trace=True, observability=obs)
+    print(result.summary())
 
     both = not (args.report or args.alerts)
     if args.report or both:
         print()
-        print(obs.critical_path(trace, traces=traces).describe())
+        print(obs.critical_path(result.trace).describe())
     if args.alerts or both:
         print()
         print(obs.slo.alert_table())
@@ -453,9 +348,9 @@ def _run_telemetry(args) -> int:
         obs,
         [("series", args.series_out), ("metrics", args.metrics_out),
          ("timeline", args.timeline)],
-        trace=trace, traces=traces, wording=_TELEMETRY_WROTE,
+        trace=result.trace, wording=_TELEMETRY_WROTE,
     )
-    return status
+    return 0
 
 
 def _run_experiments(args) -> int:
@@ -487,12 +382,11 @@ def _run_experiments(args) -> int:
 # The parser
 # ----------------------------------------------------------------------
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` parser with its six subcommands."""
+    """The ``python -m repro`` parser with its five subcommands."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Serve a large language model on a simulated multi-GPU "
-        "node, under faults or on a replicated cluster, and regenerate the "
-        "paper's figures.",
+        "node, under faults or overload, and regenerate the paper's figures.",
         epilog="With no command, or when the first argument is an option, "
         "`serve` runs: `python -m repro --rate 55` is "
         "`python -m repro serve --rate 55`.",
@@ -575,38 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--snapshot-out", metavar="PATH",
                        help="JSON metrics snapshot (counters + samples)")
 
-    # Exit status is non-zero when an invariant fails, a replay diverges,
-    # or the identity check finds a difference.
-    chaos = command(
-        "chaos", _run_chaos, "chaos-test a replicated serving cluster",
-        "Chaos-test a replicated serving cluster.",
-        [workload_parent(), cluster_parent(degradations=True)],
-        rate=60.0, requests=36,
-    )
-    group = chaos.add_argument_group("invariants and artifacts")
-    group.add_argument("--min-goodput", type=float, default=0.5,
-                       help="completed/admitted floor (default 0.5)")
-    group.add_argument("--verify-replay", action="store_true",
-                       help="run the scenario twice and require "
-                       "bit-identical fingerprints")
-    group.add_argument("--check-identity", action="store_true",
-                       help="check the 1-replica cluster reproduces the "
-                       "plain server bit-for-bit, then exit")
-    group.add_argument("--timeline", metavar="PATH", default=None,
-                       help="write the merged Perfetto timeline JSON")
-    group.add_argument("--metrics", metavar="PATH", default=None,
-                       help="write the Prometheus text exposition")
-    _add_log_level(chaos)
-
-    # --replicas > 1 switches to the chaos harness; with none of
-    # --report/--alerts given, both are printed.
+    # With none of --report/--alerts given, both are printed.
     telemetry = command(
         "telemetry", _run_telemetry, "windowed series, SLO alerts, critical path",
         "Serve a workload with the telemetry store and SLO engine armed; "
         "render series, burn-rate alerts, and the critical-path report.",
-        [workload_parent(), overload_parent(), cluster_parent()],
-        replicas=1, crashes=0,
+        [workload_parent(), overload_parent()],
     )
+    telemetry.add_argument("--layers", type=int, default=0, metavar="N",
+                           help="scale the model to N layers (0 = full model)")
     group = telemetry.add_argument_group("SLO policies")
     group.add_argument("--slo-availability", type=float, default=None,
                        metavar="T", help="availability objective, e.g. 0.95")

@@ -7,9 +7,7 @@ and survivable:
 
 * :mod:`repro.faults.plan` — declarative fault windows
   (:class:`GpuStraggler`, :class:`LinkDegradation`, :class:`LaunchFailure`,
-  :class:`HostJitter`, plus the cluster-level :class:`NodeCrash`,
-  :class:`NetworkPartition`, and :class:`NodeDegradation`) grouped in a
-  :class:`FaultPlan`.
+  :class:`HostJitter`) grouped in a :class:`FaultPlan`.
 * :mod:`repro.faults.injector` — :class:`FaultInjector` binds a plan to a
   machine's hook sites (kernel rates, interconnect bandwidth, launch path).
 * :mod:`repro.faults.watchdog` — :class:`Watchdog` turns livelocks into
@@ -38,17 +36,10 @@ from repro.faults.plan import (
     HostJitter,
     LaunchFailure,
     LinkDegradation,
-    NetworkPartition,
-    NodeCrash,
-    NodeDegradation,
     plan_from_specs,
 )
 from repro.faults.resilience import (
-    ClusterResilienceReport,
     RecoveryManager,
-    ReplicaAction,
-    ReplicaRecovery,
-    ReplicaRecoveryConfig,
     ResilienceConfig,
     ResilienceReport,
     StrategyChange,
@@ -62,19 +53,12 @@ __all__ = [
     "LinkDegradation",
     "LaunchFailure",
     "HostJitter",
-    "NodeCrash",
-    "NetworkPartition",
-    "NodeDegradation",
     "plan_from_specs",
     "FaultInjector",
     "PrincipleMonitor",
     "Watchdog",
     "RecoveryManager",
-    "ReplicaAction",
-    "ReplicaRecovery",
-    "ReplicaRecoveryConfig",
     "ResilienceConfig",
     "ResilienceReport",
-    "ClusterResilienceReport",
     "StrategyChange",
 ]

@@ -25,26 +25,13 @@ degradation) can be exercised deterministically:
   command's device visibility is delayed by a deterministic jitter of up to
   ``amplitude`` µs.
 
-The cluster layer (:mod:`repro.cluster`) adds three *node-level* faults that
-ride the same plan machinery but are interpreted by the cluster's fault
-driver rather than a per-machine injector:
-
-* :class:`NodeCrash` — a whole replica dies (its machine halts, in-flight
-  work is lost) and, if the window is finite, restarts fresh at the end.
-* :class:`NetworkPartition` — a set of replicas becomes unreachable from
-  the router: health probes fail and no new work is dispatched, but work
-  already on the replica keeps executing and its completions still count.
-* :class:`NodeDegradation` — a whole-node straggler: every GPU of one
-  replica is throttled by ``factor`` (translated into per-GPU
-  :class:`GpuStraggler` windows on that replica's machine).
-
 Every fault is a half-open window ``[start, end)`` in µs; plans carry no
 randomness of their own, so a given plan replays identically — the property
 all fault tests rely on.
 
 Validation: besides per-fault parameter checks, :class:`FaultPlan` rejects
-two windows that overlap *on the same target* (same GPU, same node, the
-one shared link, ...).  Overlapping same-target windows used to compose
+two windows that overlap *on the same target* (same GPU, the one shared
+link, ...).  Overlapping same-target windows used to compose
 silently (factors multiplied mid-window), which made injector behaviour
 confusing to reason about and impossible to name in a report; now they are
 a :class:`~repro.errors.ConfigError` naming both offending windows.
@@ -65,9 +52,6 @@ __all__ = [
     "LinkDegradation",
     "LaunchFailure",
     "HostJitter",
-    "NodeCrash",
-    "NetworkPartition",
-    "NodeDegradation",
     "FaultPlan",
     "plan_from_specs",
     "build_plan",
@@ -128,9 +112,10 @@ class GpuStraggler(Fault):
         super().__post_init__()
         if self.gpu < 0:
             raise ConfigError(f"straggler gpu must be >= 0, got {self.gpu}")
-        if self.factor < 1.0:
+        if not math.isfinite(self.factor) or self.factor < 1.0:
             raise ConfigError(
-                f"straggler factor must be >= 1 (a slowdown), got {self.factor}"
+                "straggler factor must be finite and >= 1 (a slowdown), "
+                f"got {self.factor}"
             )
 
     def targets(self) -> Tuple[Hashable, ...]:
@@ -196,8 +181,10 @@ class HostJitter(Fault):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.amplitude < 0:
-            raise ConfigError(f"jitter amplitude must be >= 0, got {self.amplitude}")
+        if not math.isfinite(self.amplitude) or self.amplitude < 0:
+            raise ConfigError(
+                f"jitter amplitude must be finite and >= 0, got {self.amplitude}"
+            )
 
     def jitter(self, sequence: int) -> float:
         """The delay (µs) applied to the ``sequence``-th jittered submission."""
@@ -207,112 +194,6 @@ class HostJitter(Fault):
         """One-line human description."""
         return (
             f"jitter(±{self.amplitude:g}us)[{self.start:.0f}..{self.end:.0f}us]"
-        )
-
-
-# ----------------------------------------------------------------------
-# Node-level faults (interpreted by repro.cluster, not the per-machine
-# injector — a plan carrying these must be handed to a Cluster).
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NodeCrash(Fault):
-    """A whole replica dies for the window.
-
-    At ``start`` the replica's machine halts: every queued command, ready
-    kernel, and in-flight collective vanishes — the simulated analogue of
-    the serving process being SIGKILLed.  Work that was dispatched there is
-    *lost* and must be failed over (re-dispatched elsewhere) or shed.  A
-    finite ``end`` models a restart: the node comes back with a fresh
-    machine and strategy (empty caches, no KV state) and is re-admitted by
-    the router once health probes succeed again.
-    """
-
-    node: int = 0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node < 0:
-            raise ConfigError(f"crash node must be >= 0, got {self.node}")
-
-    def targets(self) -> Tuple[Hashable, ...]:
-        """One crash window per node at a time."""
-        return (("crash", self.node),)
-
-    def describe(self) -> str:
-        """One-line human description."""
-        return f"crash(node={self.node})[{self.start:.0f}..{self.end:.0f}us]"
-
-
-@dataclass(frozen=True)
-class NetworkPartition(Fault):
-    """A set of replicas becomes unreachable from the router.
-
-    Unlike a crash, the partitioned nodes keep executing: work already
-    dispatched drains normally and its completions still count (the
-    response path is modelled as eventually-delivered).  What the partition
-    severs is the *control* plane — health probes fail, so the router marks
-    the nodes unhealthy and stops dispatching new work until the window
-    closes and probes succeed again.
-    """
-
-    nodes: Tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        # Normalise any iterable to a tuple so the dataclass stays hashable.
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if not self.nodes:
-            raise ConfigError("a partition must name at least one node")
-        if any(n < 0 for n in self.nodes):
-            raise ConfigError(f"partition nodes must be >= 0, got {self.nodes}")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise ConfigError(f"partition names a node twice: {self.nodes}")
-
-    def covers(self, node: int) -> bool:
-        """True when ``node`` is inside the partitioned set."""
-        return node in self.nodes
-
-    def targets(self) -> Tuple[Hashable, ...]:
-        """A partition occupies every node it cuts off."""
-        return tuple(("partition", n) for n in self.nodes)
-
-    def describe(self) -> str:
-        """One-line human description."""
-        members = ",".join(str(n) for n in self.nodes)
-        return f"partition(nodes={members})[{self.start:.0f}..{self.end:.0f}us]"
-
-
-@dataclass(frozen=True)
-class NodeDegradation(Fault):
-    """A whole-node straggler: every GPU of one replica runs ``factor``× slow.
-
-    Models node-wide thermal capping or a shared power budget.  The cluster
-    translates this into one :class:`GpuStraggler` per GPU on the replica's
-    machine, so the per-kernel semantics (compute inflated, bandwidth-bound
-    collectives untouched) are exactly the single-node straggler's.
-    """
-
-    node: int = 0
-    factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.node < 0:
-            raise ConfigError(f"degraded node must be >= 0, got {self.node}")
-        if self.factor < 1.0:
-            raise ConfigError(
-                f"degradation factor must be >= 1 (a slowdown), got {self.factor}"
-            )
-
-    def targets(self) -> Tuple[Hashable, ...]:
-        """One degradation window per node at a time."""
-        return (("degrade", self.node),)
-
-    def describe(self) -> str:
-        """One-line human description."""
-        return (
-            f"degrade(node={self.node}, x{self.factor:g})"
-            f"[{self.start:.0f}..{self.end:.0f}us]"
         )
 
 
@@ -334,13 +215,6 @@ class FaultPlan:
         self._links = [f for f in self.faults if isinstance(f, LinkDegradation)]
         self._launch = [f for f in self.faults if isinstance(f, LaunchFailure)]
         self._jitters = [f for f in self.faults if isinstance(f, HostJitter)]
-        self._crashes = [f for f in self.faults if isinstance(f, NodeCrash)]
-        self._partitions = [
-            f for f in self.faults if isinstance(f, NetworkPartition)
-        ]
-        self._degradations = [
-            f for f in self.faults if isinstance(f, NodeDegradation)
-        ]
 
     def _check_overlaps(self) -> None:
         """Reject two windows that overlap on the same target.
@@ -375,36 +249,6 @@ class FaultPlan:
     def stragglers(self) -> List["GpuStraggler"]:
         """The plan's GPU-straggler faults (for target validation at arm)."""
         return list(self._stragglers)
-
-    @property
-    def crashes(self) -> List["NodeCrash"]:
-        """The plan's node-crash faults (cluster-level)."""
-        return list(self._crashes)
-
-    @property
-    def partitions(self) -> List["NetworkPartition"]:
-        """The plan's network-partition faults (cluster-level)."""
-        return list(self._partitions)
-
-    @property
-    def degradations(self) -> List["NodeDegradation"]:
-        """The plan's whole-node degradation faults (cluster-level)."""
-        return list(self._degradations)
-
-    @property
-    def node_faults(self) -> List[Fault]:
-        """Faults only a :class:`repro.cluster.Cluster` can interpret."""
-        return [*self._crashes, *self._partitions, *self._degradations]
-
-    def node_crashed(self, node: int, now: float) -> bool:
-        """True while a crash window covers ``node`` at ``now``."""
-        return any(f.node == node and f.active(now) for f in self._crashes)
-
-    def node_partitioned(self, node: int, now: float) -> bool:
-        """True while a partition window cuts ``node`` off at ``now``."""
-        return any(
-            f.covers(node) and f.active(now) for f in self._partitions
-        )
 
     def boundaries(self) -> List[float]:
         """Sorted unique window edges — the instants rates must be refreshed."""
@@ -507,6 +351,8 @@ def build_plan(
     s_specs = []
     for spec in stragglers:
         gpu, factor, start, end = _split(spec, 4, "--straggler")
+        if not gpu.is_integer():
+            raise ConfigError(f"--straggler: GPU must be an integer, got {spec!r}")
         s_specs.append((int(gpu), factor, start * _MS, end * _MS))
     l_specs = []
     for spec in links:

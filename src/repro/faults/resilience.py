@@ -55,10 +55,6 @@ __all__ = [
     "ResilienceReport",
     "RecoveryManager",
     "attach_recovery",
-    "ReplicaRecoveryConfig",
-    "ReplicaAction",
-    "ClusterResilienceReport",
-    "ReplicaRecovery",
 ]
 
 
@@ -509,235 +505,3 @@ def attach_recovery(
         injector, strategy, fallback=fallback, config=cfg, metrics=metrics, bus=bus
     )
 
-
-# ----------------------------------------------------------------------
-# Replica-level recovery (the cluster layer's policy core)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ReplicaRecoveryConfig:
-    """Knobs of the replica-level recovery policy (times in µs).
-
-    Where :class:`ResilienceConfig` governs what happens *inside* one
-    serving session (retry a launch, downgrade a strategy), this config
-    governs what the cluster router does *about* a whole replica: when to
-    mark it unhealthy, whether to drain or fail over its in-flight work,
-    how many re-dispatches one batch may consume, and when to re-admit the
-    replica after recovery.
-    """
-
-    #: Health-probe period of the router's heartbeat sweep.
-    health_check_period_us: float = 5_000.0
-    #: Consecutive failed probes before a replica is marked unhealthy.
-    unhealthy_after: int = 1
-    #: Consecutive successful probes before an unhealthy replica is
-    #: re-admitted into the dispatch set.
-    readmit_after: int = 2
-    #: Re-dispatch budget per batch: how many times failover may move it to
-    #: another replica before it is shed.
-    max_failovers: int = 2
-    #: What to do with in-flight work on an *unreachable* (partitioned, not
-    #: crashed) replica: ``False`` drains it in place — the replica is still
-    #: executing and its completions still count — ``True`` re-dispatches it
-    #: as if the replica had died (duplicate work; the completion gate keeps
-    #: requests exactly-once either way).
-    failover_on_unreachable: bool = False
-    #: Shed immediately when no healthy replica can take a dispatch
-    #: (``True``, the liveness-preserving default) instead of raising.
-    shed_when_no_target: bool = True
-
-    def __post_init__(self) -> None:
-        if self.health_check_period_us <= 0:
-            raise ConfigError(
-                f"health_check_period_us must be > 0, got "
-                f"{self.health_check_period_us}"
-            )
-        if self.unhealthy_after < 1:
-            raise ConfigError(
-                f"unhealthy_after must be >= 1, got {self.unhealthy_after}"
-            )
-        if self.readmit_after < 1:
-            raise ConfigError(
-                f"readmit_after must be >= 1, got {self.readmit_after}"
-            )
-        if self.max_failovers < 0:
-            raise ConfigError(
-                f"max_failovers must be >= 0, got {self.max_failovers}"
-            )
-
-
-@dataclass(frozen=True)
-class ReplicaAction:
-    """One recorded replica-level recovery decision."""
-
-    kind: str  #: ``mark-unhealthy`` / ``drain`` / ``failover`` / ``shed`` / ``readmit``
-    time_us: float
-    node: int
-    detail: str
-
-    def describe(self) -> str:
-        """One-line rendering for the report."""
-        return f"t={self.time_us:.0f}us node{self.node} {self.kind}: {self.detail}"
-
-
-@dataclass
-class ClusterResilienceReport:
-    """What the replica-level recovery layer did during one cluster run."""
-
-    actions: List[ReplicaAction] = field(default_factory=list)
-    unhealthy_marks: int = 0
-    readmissions: int = 0
-    #: Batches re-dispatched to another replica after a failure.
-    failovers: int = 0
-    #: Requests shed because their failover budget ran out or no healthy
-    #: replica was available.
-    failover_shed_requests: int = 0
-    #: Batches left to drain in place on an unreachable replica.
-    drains: int = 0
-
-    def record(self, kind: str, time_us: float, node: int, detail: str) -> None:
-        """Append one action and bump its aggregate counter."""
-        self.actions.append(ReplicaAction(kind, time_us, node, detail))
-        if kind == "mark-unhealthy":
-            self.unhealthy_marks += 1
-        elif kind == "readmit":
-            self.readmissions += 1
-        elif kind == "failover":
-            self.failovers += 1
-        elif kind == "drain":
-            self.drains += 1
-
-    def describe(self) -> str:
-        """Multi-line human-readable summary."""
-        lines = ["cluster resilience report:"]
-        lines.append(
-            f"  replicas: {self.unhealthy_marks} unhealthy mark(s), "
-            f"{self.readmissions} readmission(s)"
-        )
-        lines.append(
-            f"  failover: {self.failovers} batch(es) re-dispatched, "
-            f"{self.drains} left to drain, "
-            f"{self.failover_shed_requests} request(s) shed"
-        )
-        for action in self.actions:
-            lines.append(f"    {action.describe()}")
-        return "\n".join(lines)
-
-
-class ReplicaRecovery:
-    """Per-replica health state machine plus the failover budget.
-
-    The cluster :class:`~repro.cluster.router.Router` consults this object
-    on every heartbeat sweep and dispatch decision; it owns no engine state
-    itself (pure bookkeeping), which keeps the policy unit-testable without
-    a simulation.  The four replica-level actions the issue tracker of this
-    layer names — *mark-unhealthy*, *drain*, *re-dispatch with retry
-    budget*, *re-admit on recovery* — all flow through here and land in the
-    :class:`ClusterResilienceReport`.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        config: Optional[ReplicaRecoveryConfig] = None,
-    ) -> None:
-        if num_nodes < 1:
-            raise ConfigError(f"need at least one replica, got {num_nodes}")
-        self.config = config or ReplicaRecoveryConfig()
-        self.num_nodes = num_nodes
-        self.report = ClusterResilienceReport()
-        self._healthy = [True] * num_nodes
-        self._consecutive_failures = [0] * num_nodes
-        self._consecutive_successes = [0] * num_nodes
-        self._failover_attempts: dict = {}
-
-    # ------------------------------------------------------------------
-    def healthy(self, node: int) -> bool:
-        """Whether the router currently considers ``node`` dispatchable."""
-        return self._healthy[node]
-
-    @property
-    def healthy_count(self) -> int:
-        """Number of replicas currently marked healthy."""
-        return sum(self._healthy)
-
-    def note_probe(self, node: int, ok: bool, now: float, reason: str) -> Optional[str]:
-        """Fold one health-probe result into the state machine.
-
-        Returns ``"mark-unhealthy"`` or ``"readmit"`` when this probe flips
-        the replica's state, else ``None``.  ``reason`` names the probe
-        outcome (``"crashed"``, ``"partitioned"``, ``"probe ok"``).
-        """
-        if ok:
-            self._consecutive_failures[node] = 0
-            self._consecutive_successes[node] += 1
-            if (
-                not self._healthy[node]
-                and self._consecutive_successes[node] >= self.config.readmit_after
-            ):
-                self._healthy[node] = True
-                self.report.record(
-                    "readmit",
-                    now,
-                    node,
-                    f"{self._consecutive_successes[node]} consecutive probe(s) ok",
-                )
-                return "readmit"
-            return None
-        self._consecutive_successes[node] = 0
-        self._consecutive_failures[node] += 1
-        if (
-            self._healthy[node]
-            and self._consecutive_failures[node] >= self.config.unhealthy_after
-        ):
-            self._healthy[node] = False
-            self.report.record(
-                "mark-unhealthy",
-                now,
-                node,
-                f"{reason} ({self._consecutive_failures[node]} failed probe(s))",
-            )
-            return "mark-unhealthy"
-        return None
-
-    # ------------------------------------------------------------------
-    def allow_failover(self, batch_id: int) -> bool:
-        """Charge one re-dispatch against ``batch_id``'s budget.
-
-        Returns ``False`` once the batch has been failed over
-        ``max_failovers`` times — the caller must shed it.
-        """
-        used = self._failover_attempts.get(batch_id, 0)
-        if used >= self.config.max_failovers:
-            return False
-        self._failover_attempts[batch_id] = used + 1
-        return True
-
-    def failover_attempts(self, batch_id: int) -> int:
-        """How many re-dispatches ``batch_id`` has consumed."""
-        return self._failover_attempts.get(batch_id, 0)
-
-    def note_drain(self, node: int, now: float, batch_ids: List[int]) -> None:
-        """Record in-flight work left to drain on an unreachable replica."""
-        self.report.record(
-            "drain",
-            now,
-            node,
-            f"{len(batch_ids)} in-flight batch(es) draining in place: {batch_ids}",
-        )
-
-    def note_failover(
-        self, node: int, now: float, batch_id: int, target: int
-    ) -> None:
-        """Record one successful re-dispatch decision."""
-        self.report.record(
-            "failover",
-            now,
-            node,
-            f"batch {batch_id} re-dispatched to node{target} "
-            f"(attempt {self.failover_attempts(batch_id)})",
-        )
-
-    def note_shed(self, node: int, now: float, batch_id: int, why: str, requests: int) -> None:
-        """Record a failover-path shed (budget exhausted / no target)."""
-        self.report.failover_shed_requests += requests
-        self.report.record("shed", now, node, f"batch {batch_id}: {why}")

@@ -4,18 +4,16 @@ Five pieces, all derived from one structured event stream:
 
 * :mod:`repro.obs.events` — typed events with sim-timestamps for every
   serving-layer decision (admission, dispatch, shed, preemption, retry,
-  breaker, strategy change, Principle-1 violation, replica lifecycle,
-  SLO alerts) on a synchronous :class:`~repro.obs.events.EventBus`;
+  breaker, strategy change, Principle-1 violation, SLO alerts) on a synchronous :class:`~repro.obs.events.EventBus`;
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms that
   re-derives the :class:`~repro.serving.metrics.ServingMetrics` aggregates
   from the bus and exports Prometheus text plus JSON snapshots;
 * :mod:`repro.obs.telemetry` — a ring of sim-timestamped windows every
-  registry metric samples into on the heartbeat, with per-replica label
-  federation and windowed rate/percentile queries;
+  registry metric samples into on the heartbeat, with labelled series and
+  windowed rate/percentile queries;
 * :mod:`repro.obs.slo` — declarative :class:`~repro.obs.slo.SloPolicy`
   objectives evaluated per window into multi-window burn-rate alerts,
-  surfaced as typed events, counters, timeline instants, and an advisory
-  signal for the router and the overload breaker;
+  surfaced as typed events, counters and timeline instants;
 * :mod:`repro.obs.spans` / :mod:`repro.obs.export` /
   :mod:`repro.obs.analysis` — per-request spans, the merged
   Chrome/Perfetto timeline, and the critical-path analyzer that
@@ -25,7 +23,8 @@ The front door is :class:`~repro.obs.observability.Observability`,
 configured by :class:`~repro.obs.observability.ObservabilityConfig`; pass
 one to ``serve(..., observability=obs)`` or a ``Server``/``LifecycleServer``.
 A server without one publishes nothing and behaves bit-identically to a
-build without this subsystem.
+build without this subsystem; a server with one behaves identically too,
+because no serving decision reads the bus, the store or the SLO engine.
 """
 
 from repro.obs.analysis import (
@@ -43,8 +42,6 @@ from repro.obs.events import (
     BreakerOpened,
     Event,
     EventBus,
-    NodeCrashed,
-    NodeRecovered,
     Principle1Violation,
     RequestsAdmitted,
     RequestsShed,
@@ -78,8 +75,6 @@ __all__ = [
     "StrategyDowngraded",
     "StrategyUpgraded",
     "Principle1Violation",
-    "NodeCrashed",
-    "NodeRecovered",
     "SloBurnRateAlert",
     "SloAlertResolved",
     "Counter",

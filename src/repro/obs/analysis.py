@@ -4,8 +4,7 @@ Answers the question end-of-run aggregates cannot: *where did the makespan
 go*.  Two views, both derived from the kernel traces (plus request spans
 for queue context):
 
-**Per-GPU attribution** — an interval sweep over each (replica, GPU) lane
-classifies every instant of the run makespan as ``compute`` (a
+**Per-GPU attribution** — an interval sweep over each GPU lane classifies every instant of the run makespan as ``compute`` (a
 compute-like kernel resident, regardless of overlap), ``comm`` (only
 communication resident), or ``idle`` (nothing resident); the three
 partition the makespan exactly.  Contention — the time kernels spent
@@ -14,8 +13,7 @@ then carved proportionally out of the busy classes, so::
 
     compute + comm + contention + idle == makespan   (per lane, exactly)
 
-which is the invariant the acceptance tests pin on all four servers and a
-seeded chaos run.
+which is the invariant the acceptance tests pin on all four servers.
 
 **Critical path** — a backward walk from the last kernel to finish.  At
 each step the gating edge is chosen the way the simulator actually
@@ -32,7 +30,7 @@ time by (kind, op) — the segments to attack first, MPK-style.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.sim.kernel import KernelKind
 
@@ -48,9 +46,8 @@ _EPS = 1e-6  # float-comparison slack, µs
 
 @dataclass
 class GpuAttribution:
-    """Makespan attribution for one (replica, GPU) lane, in µs."""
+    """Makespan attribution for one GPU lane, in µs."""
 
-    replica: str
     gpu: int
     compute_us: float = 0.0
     comm_us: float = 0.0
@@ -63,7 +60,7 @@ class GpuAttribution:
 
     @property
     def lane(self) -> str:
-        return f"{self.replica}:gpu{self.gpu}" if self.replica else f"gpu{self.gpu}"
+        return f"gpu{self.gpu}"
 
 
 @dataclass
@@ -72,7 +69,6 @@ class PathSegment:
 
     kind: str  # "compute" | "comm" | "wait"
     name: str
-    replica: str
     gpu: int
     start_us: float
     end_us: float
@@ -155,16 +151,6 @@ class CriticalPathReport:
         return "\n".join(lines) + "\n"
 
 
-class _Row:
-    """A trace row tagged with its replica label."""
-
-    __slots__ = ("replica", "row")
-
-    def __init__(self, replica: str, row) -> None:
-        self.replica = replica
-        self.row = row
-
-
 def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, float]:
     """(compute, comm, idle) partition of [t0, t1] for one lane's rows.
 
@@ -202,29 +188,27 @@ def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, flo
     return compute, comm, idle
 
 
-def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
+def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
     """Backward critical-path walk over every lane's rows."""
-    if not tagged:
+    if not rows:
         return []
-    by_lane: Dict[Tuple[str, int], List[_Row]] = {}
-    for t in tagged:
-        by_lane.setdefault((t.replica, t.row.gpu), []).append(t)
+    by_lane: Dict[int, List] = {}
+    for r in rows:
+        by_lane.setdefault(r.gpu, []).append(r)
 
     def kind_of(row) -> str:
         return "comm" if row.kind is KernelKind.COMM else "compute"
 
-    cur = max(tagged, key=lambda t: (t.row.end, t.row.start))
-    frontier = cur.row.end
+    row = max(rows, key=lambda r: (r.end, r.start))
+    frontier = row.end
     segments: List[PathSegment] = []
-    for _ in range(len(tagged) + 1):  # bounded: each hop strictly recedes
-        row = cur.row
+    for _ in range(len(rows) + 1):  # bounded: each hop strictly recedes
         seg_start = min(row.start, frontier)
         if frontier > seg_start:
             segments.append(
                 PathSegment(
                     kind=kind_of(row),
                     name=row.op or row.name,
-                    replica=cur.replica,
                     gpu=row.gpu,
                     start_us=seg_start,
                     end_us=frontier,
@@ -235,19 +219,19 @@ def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
             break
         if row.start > row.ready + _EPS:
             # Device-gated: the lane was busy until our start.
-            pool = by_lane.get((cur.replica, row.gpu), [])
+            pool = by_lane.get(row.gpu, [])
             gate = row.start
         else:
             # Input-gated: follow whatever finished last before we were
             # ready — on another GPU this is the comm/readiness edge.
-            pool = tagged
+            pool = rows
             gate = row.ready
         limit = min(gate + _EPS, frontier)
-        pred: Optional[_Row] = None
+        pred = None
         for cand in pool:
-            if cand is cur or cand.row.end > limit:
+            if cand is row or cand.end > limit:
                 continue
-            if pred is None or cand.row.end > pred.row.end:
+            if pred is None or cand.end > pred.end:
                 pred = cand
         if pred is None:
             if frontier > t0:
@@ -255,50 +239,40 @@ def _walk_path(tagged: List[_Row], t0: float) -> List[PathSegment]:
                     PathSegment(
                         kind="wait",
                         name="start",
-                        replica=cur.replica,
                         gpu=row.gpu,
                         start_us=t0,
                         end_us=frontier,
                     )
                 )
             break
-        if pred.row.end < frontier - _EPS:
+        if pred.end < frontier - _EPS:
             segments.append(
                 PathSegment(
                     kind="wait",
-                    name="dependency" if pool is tagged else "device",
-                    replica=cur.replica,
+                    name="dependency" if pool is rows else "device",
                     gpu=row.gpu,
-                    start_us=pred.row.end,
+                    start_us=pred.end,
                     end_us=frontier,
                 )
             )
-            frontier = pred.row.end
-        cur = pred
+            frontier = pred.end
+        row = pred
     segments.reverse()
     return segments
 
 
 def analyze_critical_path(
-    trace=None,
-    *,
-    traces: Sequence[Tuple[str, object]] = (),
-    spans: Sequence = (),
+    trace=None, *, spans: Sequence = ()
 ) -> CriticalPathReport:
     """Build the :class:`CriticalPathReport` for one run.
 
-    ``trace`` is a single-server :class:`~repro.sim.tracing.Trace`;
-    ``traces`` takes the cluster's labelled ``(label, Trace)`` pairs.  Both
-    may be given; lanes are keyed ``replica:gpuN``.
+    ``trace`` is the run's :class:`~repro.sim.tracing.Trace`; lanes are
+    keyed by GPU.
     """
-    tagged: List[_Row] = []
-    if trace is not None:
-        tagged.extend(_Row("", r) for r in trace.rows)
-    for label, t in traces:
-        tagged.extend(_Row(str(label), r) for r in t.rows)
+    rows = trace.rows if trace is not None else []
 
     queue_wait = sum(s.queue_wait_us or 0.0 for s in spans)
-    if not tagged:
+    if not rows:
         return CriticalPathReport(
             t0_us=0.0,
             makespan_us=0.0,
@@ -306,15 +280,17 @@ def analyze_critical_path(
             span_count=len(spans),
         )
 
-    t0 = min(t.row.start for t in tagged)
-    t1 = max(t.row.end for t in tagged)
+    t0 = min(r.start for r in rows)
+    t1 = max(r.end for r in rows)
     per_gpu: List[GpuAttribution] = []
-    by_lane: Dict[Tuple[str, int], List] = {}
-    for t in tagged:
-        by_lane.setdefault((t.replica, t.row.gpu), []).append(t.row)
-    for (replica, gpu), rows in sorted(by_lane.items()):
-        compute, comm, idle = _sweep_lane(rows, t0, t1)
-        inflation = sum(max(0.0, r.duration - r.noload_duration) for r in rows)
+    by_lane: Dict[int, List] = {}
+    for r in rows:
+        by_lane.setdefault(r.gpu, []).append(r)
+    for gpu, lane_rows in sorted(by_lane.items()):
+        compute, comm, idle = _sweep_lane(lane_rows, t0, t1)
+        inflation = sum(
+            max(0.0, r.duration - r.noload_duration) for r in lane_rows
+        )
         busy = compute + comm
         contention = min(inflation, busy)
         if busy > 0 and contention > 0:
@@ -323,7 +299,6 @@ def analyze_critical_path(
             comm *= scale
         per_gpu.append(
             GpuAttribution(
-                replica=replica,
                 gpu=gpu,
                 compute_us=compute,
                 comm_us=comm,
@@ -336,7 +311,7 @@ def analyze_critical_path(
         t0_us=t0,
         makespan_us=t1 - t0,
         per_gpu=per_gpu,
-        path=_walk_path(tagged, t0),
+        path=_walk_path(rows, t0),
         span_queue_wait_us=queue_wait,
         span_count=len(spans),
     )

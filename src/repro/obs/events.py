@@ -36,10 +36,6 @@ __all__ = [
     "StrategyDowngraded",
     "StrategyUpgraded",
     "Principle1Violation",
-    "NodeHealthChanged",
-    "RequestsFailedOver",
-    "NodeCrashed",
-    "NodeRecovered",
     "SloBurnRateAlert",
     "SloAlertResolved",
     "EventBus",
@@ -284,54 +280,6 @@ class Principle1Violation(Event):
     kind: ClassVar[str] = "principle1-violation"
     round_index: int = -1
     overshoot_us: float = 0.0
-
-
-# ----------------------------------------------------------------------
-# Cluster: replica health and failover
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class NodeHealthChanged(Event):
-    """The router flipped a replica's health state."""
-
-    kind: ClassVar[str] = "node-health"
-    node: int = -1
-    healthy: bool = True
-    #: What the probe saw: ``"crashed"``, ``"partitioned"``, ``"probe ok"``.
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class RequestsFailedOver(Event):
-    """In-flight requests re-dispatched from a failed replica to another."""
-
-    kind: ClassVar[str] = "failover"
-    batch_id: int = -1
-    rids: Tuple[int, ...] = ()
-    from_node: int = -1
-    to_node: int = -1
-    #: Which re-dispatch this is for the batch (1 = first failover).
-    attempt: int = 0
-
-
-@dataclass(frozen=True)
-class NodeCrashed(Event):
-    """A replica process died (fault injection or chaos plan)."""
-
-    kind: ClassVar[str] = "node-crash"
-    node: int = -1
-    #: Monotonic restart count for the replica (0 = first life).
-    incarnation: int = 0
-    inflight: int = 0
-
-
-@dataclass(frozen=True)
-class NodeRecovered(Event):
-    """A crashed replica came back with a fresh incarnation."""
-
-    kind: ClassVar[str] = "node-recover"
-    node: int = -1
-    incarnation: int = 0
-    down_us: float = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -52,10 +52,6 @@ INSTANT_KINDS = frozenset(
         "downgrade",
         "upgrade",
         "principle1-violation",
-        "node-health",
-        "failover",
-        "node-crash",
-        "node-recover",
         "slo-burn-alert",
         "slo-alert-resolved",
     }
@@ -142,26 +138,16 @@ def merged_chrome_trace(
     spans: Sequence[RequestSpan] = (),
     events: Iterable[Event] = (),
     trace=None,
-    traces: Sequence[Tuple[str, object]] = (),
     fault_windows: Sequence[Tuple[str, float, float]] = (),
 ) -> Dict[str, object]:
     """Build the merged trace object (call ``json.dumps`` to serialize).
 
     ``trace`` is an optional :class:`~repro.sim.tracing.Trace`; kernel
     slices are taken from its :meth:`~repro.sim.tracing.Trace.chrome_events`.
-    ``traces`` holds additional labelled traces — the cluster layer passes
-    ``[("node0", t0), ("node1", t1), ...]`` — whose kernel rows get their
-    ``pid`` prefixed ``"<label>:gpuN"`` so replicas stay distinguishable on
-    one timeline.
     """
     rows: List[dict] = []
     if trace is not None:
         rows.extend(trace.chrome_events())
-    for label, t in traces:
-        for row in t.chrome_events():
-            row = dict(row)
-            row["pid"] = f"{label}:{row['pid']}"
-            rows.append(row)
     rows.extend(span_chrome_events(spans))
     rows.extend(instant_chrome_events(events))
     rows.extend(fault_window_chrome_events(fault_windows))
@@ -188,7 +174,7 @@ def validate_merged_trace(obj) -> Dict[str, int]:
             if key not in row:
                 raise ConfigError(f"trace event missing {key!r}: {row!r}")
         pid = str(row["pid"])
-        if pid.startswith("gpu") or ":gpu" in pid:
+        if pid.startswith("gpu"):
             counts["kernel"] += 1
         elif pid == _SPAN_PID:
             counts["span"] += 1

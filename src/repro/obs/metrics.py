@@ -32,12 +32,8 @@ from repro.obs.events import (
     BreakerOpened,
     Event,
     EventBus,
-    NodeCrashed,
-    NodeHealthChanged,
-    NodeRecovered,
     Principle1Violation,
     RequestsAdmitted,
-    RequestsFailedOver,
     RequestsShed,
     RequestsTimedOut,
     RetryScheduled,
@@ -351,18 +347,6 @@ class MetricsRegistry:
             "Executed rounds whose secondary subset outlived its window.",
         )
         self.counter(
-            "repro_failovers_total",
-            "Batches re-dispatched from a failed replica to another.",
-        )
-        self.counter(
-            "repro_node_health_transitions_total",
-            "Router health-state flips, by resulting state.",
-        )
-        self.counter(
-            "repro_node_lifecycle_total",
-            "Replica crash/recover transitions, by kind.",
-        )
-        self.counter(
             "repro_slo_alerts_total",
             "Burn-rate alerts fired, by policy and severity.",
         )
@@ -423,16 +407,6 @@ class MetricsRegistry:
             c["repro_strategy_changes_total"].inc(1, kind="upgrade")
         elif isinstance(event, Principle1Violation):
             c["repro_principle1_violations_total"].inc(1)
-        elif isinstance(event, RequestsFailedOver):
-            c["repro_failovers_total"].inc(1)
-        elif isinstance(event, NodeHealthChanged):
-            c["repro_node_health_transitions_total"].inc(
-                1, healthy=str(event.healthy).lower()
-            )
-        elif isinstance(event, NodeCrashed):
-            c["repro_node_lifecycle_total"].inc(1, kind="crash")
-        elif isinstance(event, NodeRecovered):
-            c["repro_node_lifecycle_total"].inc(1, kind="recover")
         elif isinstance(event, SloBurnRateAlert):
             c["repro_slo_alerts_total"].inc(
                 1, policy=event.policy, severity=event.severity

@@ -24,9 +24,8 @@ subsystem (the test suite asserts it).  When present, the only engine
 interaction is a read-only sampling heartbeat on ``Engine.heartbeat`` —
 gauge snapshots, store pumping and SLO evaluation all ride it and never
 reschedule device work, so enabling telemetry does not move a single
-kernel.  The *advisory* signal (router spread, breaker early-trip) exists
-only when ``slo_policies`` are explicitly configured; a default
-``Observability()`` stays bit-identical.
+kernel.  Burn-rate alerts are events on the bus: nothing in the serving
+path reads them, so no decision depends on whether a run is observed.
 """
 
 from __future__ import annotations
@@ -134,17 +133,6 @@ class Observability:
         """Expose a live reading (queue depth, KV bytes, ...) as a gauge."""
         self.registry.gauge(name, help, fn)
 
-    def register_source(
-        self, name: str, fn: Callable[[], float], **labels: str
-    ) -> None:
-        """Register a labelled store source (per-replica federation).
-
-        No-op when telemetry is off, so the cluster can wire its replicas
-        unconditionally.
-        """
-        if self.telemetry is not None:
-            self.telemetry.add_source(name, fn, **labels)
-
     def note_fault_plan(self, plan) -> None:
         """Record the armed fault windows for the merged timeline."""
         for fault in getattr(plan, "faults", ()):
@@ -203,12 +191,6 @@ class Observability:
     def fault_windows(self) -> List[Tuple[str, float, float]]:
         return list(self._fault_windows)
 
-    def fast_burn_advisor(self) -> Optional[Callable[[], bool]]:
-        """The advisory callable for the router/breaker, if SLOs are armed."""
-        if self.slo is None:
-            return None
-        return self.slo.under_fast_burn
-
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
@@ -226,9 +208,9 @@ class Observability:
             raise ConfigError("telemetry store not armed (set telemetry=True)")
         self.telemetry.save_series(path)
 
-    def critical_path(self, trace=None, *, traces=()) -> CriticalPathReport:
-        """Makespan attribution + critical-path walk over the timelines."""
-        return analyze_critical_path(trace, traces=traces, spans=self.spans())
+    def critical_path(self, trace=None) -> CriticalPathReport:
+        """Makespan attribution + critical-path walk over the timeline."""
+        return analyze_critical_path(trace, spans=self.spans())
 
     def json_snapshot(self) -> dict:
         """Counters, gauges, histograms, heartbeat samples, span summary."""
@@ -254,23 +236,18 @@ class Observability:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.json_snapshot(), fh, indent=2)
 
-    def merged_chrome_trace(self, trace=None, *, traces=()) -> dict:
-        """The merged timeline: request spans + kernel slices + instants.
-
-        ``traces`` takes labelled ``(label, Trace)`` pairs — the cluster's
-        per-replica timelines — rendered with ``pid`` ``"<label>:gpuN"``.
-        """
+    def merged_chrome_trace(self, trace=None) -> dict:
+        """The merged timeline: request spans + kernel slices + instants."""
         return merged_chrome_trace(
             spans=self.spans(),
             events=self.bus.events,
             trace=trace,
-            traces=traces,
             fault_windows=self._fault_windows,
         )
 
-    def save_merged_trace(self, path: str, trace=None, *, traces=()) -> dict:
+    def save_merged_trace(self, path: str, trace=None) -> dict:
         """Write the merged trace JSON; returns the per-class event counts."""
-        obj = self.merged_chrome_trace(trace=trace, traces=traces)
+        obj = self.merged_chrome_trace(trace=trace)
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
         return validate_merged_trace(obj)

@@ -17,14 +17,11 @@ happening) exceed the threshold.  A ``fast`` rule (short spans, high
 threshold, ~10x) is the page; a ``slow`` rule (long spans, low threshold,
 ~2x) is the ticket.
 
-Alerts are **observable decisions**, not logs: each fire publishes a typed
-:class:`~repro.obs.events.SloBurnRateAlert` on the bus (so it lands in the
+Alerts are typed events, not logs: each fire publishes a
+:class:`~repro.obs.events.SloBurnRateAlert` on the bus, so it lands in the
 Prometheus export via ``repro_slo_alerts_total`` and on the merged
-Perfetto timeline as an instant), and :meth:`SloEngine.under_fast_burn` is
-the advisory signal the cluster router and the overload breaker consult.
-The advisory only exists when policies are explicitly configured — a
-default ``Observability()`` carries none, preserving the obs-on
-bit-identity contract.
+Perfetto timeline as an instant.  They are read-only: no serving decision
+consults them, so arming SLO policies never changes a run.
 """
 
 from __future__ import annotations
@@ -251,21 +248,9 @@ class SloEngine:
                     )
         return fired
 
-    # ------------------------------------------------------------------
-    # Advisory signal
-    # ------------------------------------------------------------------
     def active_alerts(self) -> List[SloBurnRateAlert]:
         """Alerts currently firing (not yet resolved)."""
         return list(self._active.values())
-
-    def under_fast_burn(self) -> bool:
-        """True while any fast-severity alert is firing.
-
-        This is the advisory the router and the overload breaker consult:
-        under fast burn the router spreads load (skips affinity stickiness)
-        and the breaker trips at its low watermark.
-        """
-        return any(sev == "fast" for _, sev in self._active)
 
     # ------------------------------------------------------------------
     # Rendering

@@ -5,17 +5,16 @@ answers "when did it happen".  A :class:`TimeSeriesStore` keeps a ring of
 fixed-width, sim-timestamped windows.  On every ``Engine.heartbeat`` tick
 the observability facade pumps the registry into the store:
 
-* every **gauge** (and every registered *source* — see below) is sampled
-  into the current window (last-write-wins within a window);
+* every **gauge** is sampled into the current window (last-write-wins
+  within a window);
 * every **counter** label-series records its cumulative value, so windowed
   rates fall out as deltas between windows;
 * raw **observations** (latencies, queue waits) stream in from the event
   bus so the store can answer windowed percentile queries exactly.
 
-Per-replica federation: the cluster registers one *source* per replica for
-the same metric name with a ``replica`` label, so the PR-6 fleet rolls up
-into a single queryable series family (``sum_latest`` gives the fleet
-total, ``series(name, replica="2")`` one replica's history).
+Series are keyed by name plus labels: the SLO engine's
+``repro_slo_burn_rate`` gauge carries ``policy`` and ``severity`` labels,
+and ``series(name, policy=..., severity=...)`` reads one rule's history.
 
 Everything here is read-only with respect to the simulation: sampling
 happens on the same heartbeat the gauge snapshots already ride, so turning
@@ -33,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.metrics import MetricsRegistry, _fmt, _label_key, _render_labels
@@ -82,8 +81,6 @@ class TimeSeriesStore:
         #: Metric name -> declared type ("gauge"/"counter"/"observations"),
         #: pinned on first write so the exporter can emit one TYPE header.
         self._kinds: Dict[str, str] = {}
-        #: Registered live sources: (name, labels) -> callback.
-        self._sources: List[Tuple[str, _LabelKey, Callable[[], float]]] = []
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -131,24 +128,11 @@ class TimeSeriesStore:
         key = (name, _label_key(labels))
         self._window_for(time_us).observations.setdefault(key, []).append(float(value))
 
-    # ------------------------------------------------------------------
-    # Federation sources
-    # ------------------------------------------------------------------
-    def add_source(self, name: str, fn: Callable[[], float], **labels: str) -> None:
-        """Register a live gauge source sampled on every pump.
-
-        The cluster registers one source per replica under the same
-        ``name`` with a distinguishing label (``replica="0"`` ...), which
-        is what federates the fleet into one series family.
-        """
-        self._declare(name, "gauge")
-        self._sources.append((name, _label_key(labels), fn))
-
     def pump(self, registry: MetricsRegistry, time_us: float) -> None:
-        """Sample the registry and every registered source at ``time_us``.
+        """Sample the registry at ``time_us``.
 
         Called from the observability heartbeat.  Counters record their
-        cumulative per-label values; gauges and sources record last-value.
+        cumulative per-label values; gauges record last-value.
         Histograms are covered by the bus-fed observation streams plus the
         ``_count``/``_sum`` cumulative series recorded here.
         """
@@ -165,8 +149,6 @@ class TimeSeriesStore:
             self._declare(hname + "_sum", "counter")
             window.counters[(hname + "_count", ())] = float(hist.count)
             window.counters[(hname + "_sum", ())] = float(hist.sum)
-        for sname, lkey, fn in self._sources:
-            window.gauges[(sname, lkey)] = float(fn())
 
     # ------------------------------------------------------------------
     # Queries
@@ -191,18 +173,6 @@ class TimeSeriesStore:
             if key in w.counters:
                 return w.counters[key]
         return None
-
-    def sum_latest(self, name: str) -> float:
-        """Fleet roll-up: sum of the latest value of every label-series."""
-        latest: Dict[_LabelKey, float] = {}
-        for w in self.windows:
-            for (sname, lkey), val in w.gauges.items():
-                if sname == name:
-                    latest[lkey] = val
-            for (sname, lkey), val in w.counters.items():
-                if sname == name:
-                    latest[lkey] = val
-        return sum(latest.values())
 
     def label_sets(self, name: str) -> List[Dict[str, str]]:
         """Every label combination ever recorded under ``name``."""

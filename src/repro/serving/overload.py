@@ -348,12 +348,6 @@ class OverloadController:
         self._slo_tracked_at_check = 0
         self._slo_met_at_check = 0
         self.recovery = None  # optional RecoveryManager, wired by the server
-        #: Optional SLO-burn advisory (wired by the session when burn-rate
-        #: policies are configured): while it returns True the breaker
-        #: treats the *low* watermark as the trip threshold.
-        self.advisor: Optional[Callable[[], bool]] = None
-        #: Breaker trips in which the advisory lowered the threshold.
-        self.advisory_trips = 0
         self._high = max(
             1, int(config.breaker_high_frac * config.max_pending_requests)
         )
@@ -373,10 +367,6 @@ class OverloadController:
         recovery.hold_upgrade = lambda: (
             self.breaker_open or self.queue_depth > self._low
         )
-
-    def attach_advisor(self, advisor: Callable[[], bool]) -> None:
-        """Wire the SLO fast-burn advisory into the breaker's trip logic."""
-        self.advisor = advisor
 
     def arm(self) -> None:
         """Start the backpressure heartbeat (call once work is scheduled)."""
@@ -642,12 +632,7 @@ class OverloadController:
             self._slo_tracked_at_check = self.metrics.slo_tracked
             self._slo_met_at_check = self.metrics.slo_met
         attainment = (met / tracked) if tracked > 0 else None
-        # Under an active SLO fast-burn advisory the budget is already
-        # being spent at page-rate, so the breaker trips at the low
-        # watermark instead of waiting for the queue to reach the high one.
-        advisory = self.advisor is not None and self.advisor()
-        high = self._low if advisory else self._high
-        too_deep = depth > high
+        too_deep = depth > self._high
         slo_collapsed = (
             depth > 0
             and attainment is not None
@@ -660,9 +645,7 @@ class OverloadController:
         if too_deep or slo_collapsed:
             self._over_checks += 1
             if self._over_checks >= self.config.breaker_trip_checks:
-                self._open_breaker(
-                    depth, attainment, too_deep, slo_collapsed, advisory, high
-                )
+                self._open_breaker(depth, attainment, too_deep, slo_collapsed)
         else:
             self._over_checks = 0
         return None
@@ -673,20 +656,13 @@ class OverloadController:
         attainment: Optional[float],
         too_deep: bool,
         slo_collapsed: bool,
-        advisory: bool = False,
-        high: Optional[int] = None,
     ) -> None:
         self.breaker_open = True
         self._over_checks = 0
         self.report.breaker_trips += 1
-        if advisory:
-            self.advisory_trips += 1
         parts = []
         if too_deep:
-            threshold = self._high if high is None else high
-            parts.append(f"queue depth {depth} > {threshold}")
-            if advisory:
-                parts.append("slo-burn advisory lowered watermark")
+            parts.append(f"queue depth {depth} > {self._high}")
         if slo_collapsed:
             parts.append(
                 f"window SLO attainment {attainment:.2f} < "

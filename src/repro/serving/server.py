@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # avoid a circular import; the server only type-hints it
     from repro.faults.plan import FaultPlan
     from repro.faults.resilience import ResilienceConfig
     from repro.parallel.base import ParallelStrategy
-    from repro.sim.engine import Engine
 
 __all__ = ["Server", "ServingResult"]
 
@@ -85,7 +84,6 @@ class Server:
         resilience: Optional["ResilienceConfig"] = None,
         overload: Optional[OverloadConfig] = None,
         observability: Optional[Observability] = None,
-        engine: Optional["Engine"] = None,
     ) -> None:
         config = ServingConfig.resolve(
             config,
@@ -103,7 +101,6 @@ class Server:
             config=config,
             check_memory=check_memory,
             complete_callback=self._on_batch_complete,
-            engine=engine,
         )
         s = self.session
         self.model = model

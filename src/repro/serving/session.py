@@ -395,11 +395,6 @@ class ServingSession:
         granularity, so the strategy binds with ``track_memory=False``,
         recovery sheds reach only ``shed_callback``, and dispatch events
         flag a request's first hand-off (see :class:`DispatchStage`).
-    engine:
-        Share an externally owned :class:`~repro.sim.engine.Engine` instead
-        of creating a private one.  The cluster layer passes a single engine
-        to every replica so all nodes advance on one simulated clock; the
-        caller then owns ``engine.run()``.
     """
 
     def __init__(
@@ -413,7 +408,6 @@ class ServingSession:
         complete_callback: Callable[[Batch, float], None],
         shed_callback: Optional[Callable[[Batch], None]] = None,
         per_job: bool = False,
-        engine: Optional[Engine] = None,
     ) -> None:
         if strategy.model is not model or strategy.node is not node:
             raise ConfigError("strategy was built for a different model/node")
@@ -423,7 +417,7 @@ class ServingSession:
         self.node = node
         self.strategy = strategy
         self.config = config
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.trace = Trace() if config.record_trace else None
         self.machine = Machine(
             node,
@@ -499,12 +493,6 @@ class ServingSession:
                 self.obs.note_fault_plan(config.fault_plan)
             self._register_overload_gauges(self.obs)
             self._register_perf_gauges(self.obs)
-            # SLO burn-rate advisory: only exists when policies were
-            # explicitly configured, so a default Observability keeps the
-            # obs-on bit-identity contract.
-            advisor = self.obs.fast_burn_advisor()
-            if advisor is not None and self.overload_ctl is not None:
-                self.overload_ctl.attach_advisor(advisor)
 
     @staticmethod
     def _reject_unwired(batch: Batch) -> None:  # pragma: no cover - guard
@@ -585,18 +573,15 @@ class ServingSession:
         """Flow a downstream completion back through the pipeline stages."""
         self.pipeline.on_complete(batch, time)
 
-    def arm(self) -> None:
-        """The arm sequence: recovery → overload → observability."""
+    def run_machine(self) -> None:
+        """Arm every subsystem (recovery → overload → observability) and
+        drive the simulation to quiescence."""
         if self.recovery is not None:
             self.recovery.arm()
         if self._admission is not None:
             self._admission.arm()
         if self.obs is not None:
             self.obs.arm(self.engine)
-
-    def run_machine(self) -> None:
-        """Arm every subsystem and drive the simulation to quiescence."""
-        self.arm()
         self.machine.run()
 
     # ------------------------------------------------------------------

@@ -223,9 +223,6 @@ class Machine:
             (lambda gid=g.gpu_id: self._schedule_pump(gid)) for g in self.gpus
         ]
         self.kernels_completed = 0
-        #: Set by :meth:`halt` — a crashed node.  All submission and pump
-        #: paths become no-ops; nothing in flight ever completes.
-        self.halted = False
         # Observers notified with each completed kernel (serving layer hooks).
         self._completion_observers: List[Callable[[Kernel, float], None]] = []
 
@@ -261,8 +258,6 @@ class Machine:
         ``Command.pump_at``, which makes the skipped eager pumps pure
         no-ops removed from the event stream.
         """
-        if self.halted:
-            return  # crashed node: commands are dropped on the floor
         gpu = self.gpus[stream.gpu_id]
         # Position of this stream among the device's busy streams (the old
         # busy-list was built only to take this index); the idle test is
@@ -361,8 +356,6 @@ class Machine:
 
     def _run_pump(self, gpu_id: int) -> None:
         self._pump_scheduled[gpu_id] = False
-        if self.halted:
-            return
         if self._pump(self.gpus[gpu_id]):
             self._reschedule()
 
@@ -578,8 +571,6 @@ class Machine:
         inflation factors apply — the same piecewise integration contract the
         contention model relies on.
         """
-        if self.halted:
-            return
         self._bank_progress()
         self._reschedule()
 
@@ -638,8 +629,6 @@ class Machine:
 
     def _on_completion_timer(self) -> None:
         self._completion_timer = None
-        if self.halted:
-            return
         self._bank_progress()
         now = self.engine.now
         touched: set = set()
@@ -701,35 +690,6 @@ class Machine:
             # Observers see one representative member per rank.
             for rs in crun.members.values():
                 fn(rs.kernel, now)
-
-    # ------------------------------------------------------------------
-    # Crash semantics (cluster layer)
-    # ------------------------------------------------------------------
-    def halt(self) -> None:
-        """Kill the node: drop every queued, ready, and resident command.
-
-        Models a machine crash — in-flight kernels never complete, queued
-        commands vanish, and all later :meth:`submit` calls are silently
-        discarded.  After a halt the machine reports :meth:`all_idle` and an
-        empty :meth:`stuck_summary`, so a shared engine can drain the rest of
-        the cluster without this node tripping the quiescence check.
-        Idempotent; there is no un-halt — recovery builds a fresh
-        :class:`Machine` (a rebooted node has no residual device state).
-        """
-        self.halted = True
-        if self._completion_timer is not None:
-            self._completion_timer.cancel()
-            self._completion_timer = None
-        for gpu in self.gpus:
-            for stream in gpu.streams:
-                stream.queue.clear()
-                stream.running_kernel = None
-                stream.blocked_on_event = None
-            gpu.ready.clear()
-            gpu.resident.clear()
-            gpu.active_local.clear()
-            gpu.used_occupancy = 0.0
-        self._collectives.clear()
 
     # ------------------------------------------------------------------
     # Introspection

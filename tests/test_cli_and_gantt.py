@@ -146,15 +146,14 @@ class TestExperimentsCli:
             main(["table1", "--workers", "-1"])
 
 
-# Every subcommand's option strings and defaults, recorded from the six
-# separate parsers the subcommand tree replaced; the tree must keep them.
+# Every subcommand's option strings and defaults: a change here is a change
+# to the command line.
 _WORKLOAD = {
     "--model": "OPT-30B", "--node": "v100", "--gpus": 4, "--strategy": "liger",
     "--policy": None, "--workload": "general", "--rate": 20.0,
     "--requests": 64, "--batch": 2, "--seed": 0,
 }
 _OVERLOAD = {"--max-pending": None, "--admission": "reject", "--deadline-ms": None}
-_CLUSTER = {"--replicas": 3, "--layers": 4, "--crashes": 1, "--partitions": 0}
 OPTIONS = {
     "serve": {
         **_WORKLOAD, **_OVERLOAD, "--kv-frac": 0.9, "--gantt": False,
@@ -171,15 +170,8 @@ OPTIONS = {
         **_WORKLOAD, **_OVERLOAD, "--summarize": None, "--out": "trace.json",
         "--metrics-out": None, "--snapshot-out": None,
     },
-    "chaos": {
-        **_WORKLOAD, **_CLUSTER, "--rate": 60.0, "--requests": 36,
-        "--degradations": 0, "--min-goodput": 0.5, "--verify-replay": False,
-        "--check-identity": False, "--timeline": None, "--metrics": None,
-        "--log-level": None,
-    },
     "telemetry": {
-        **_WORKLOAD, **_OVERLOAD, **_CLUSTER, "--replicas": 1, "--crashes": 0,
-        "--slo-availability": None, "--slo-p99-ms": None,
+        **_WORKLOAD, **_OVERLOAD, "--layers": 0, "--slo-availability": None, "--slo-p99-ms": None,
         "--slo-latency-target": 0.99, "--slo-deadline": None,
         "--report": False, "--alerts": False, "--series-out": None,
         "--metrics-out": None, "--timeline": None, "--window-ms": 50.0,
@@ -198,10 +190,14 @@ _BAD_VALUES = [
     (["--max-pending", "4", "--kv-frac", "2"], "kv_capacity_frac"),
     (["--strategy", "intra", "--policy", "expert_overlap"],
      "does not schedule with policies"),
-    (["chaos", "--replicas", "0"], "replicas must be >= 1"),
-    (["telemetry", "--replicas", "0"], "replicas must be >= 1"),
     (["faults", "--straggler", "9:4.0:0:400"], "targets GPU 9"),
     (["faults", "--straggler", "1:4.0:0"], "expects 4 colon-separated"),
+    (["faults", "--straggler", "0:inf:0:100"], "straggler factor must be finite"),
+    (["faults", "--jitter", "inf:0:100"], "jitter amplitude must be finite"),
+    (["faults", "--jitter", "nan:0:100"], "jitter amplitude must be finite"),
+    (["faults", "--straggler", "1.7:4.0:0:400"], "GPU must be an integer"),
+    # `=` keeps argparse from reading the leading minus as an option.
+    (["faults", "--straggler=-0.5:4.0:0:400"], "GPU must be an integer"),
 ]
 
 
@@ -259,12 +255,10 @@ class TestCliTree:
         (["trace", "--requests", "8", "--out", "t.json",
           "--metrics-out", "m.prom", "--snapshot-out", "s.json"],
          "merged trace written to t.json: "),
-        (["chaos", "--layers", "2", "--gpus", "2", "--strategy", "intra",
-          "--requests", "8", "--metrics", "m.prom"], "wrote metrics to m.prom"),
         (["telemetry", "--requests", "8", "--series-out", "s.json"],
          "windowed series written to s.json"),
         (["experiments", "table1", "--scale", "smoke"], "=== table1: "),
-    ], ids=["serve", "faults", "trace", "chaos", "telemetry", "experiments"])
+    ], ids=["serve", "faults", "trace", "telemetry", "experiments"])
     def test_every_subcommand_runs(self, argv, line, capsys, tmp_path,
                                    monkeypatch):
         from repro.cli import main

@@ -99,46 +99,6 @@ class TestPlanValidation:
             ]
         )
 
-    def test_node_fault_parameters_enforced(self):
-        from repro.faults.plan import NetworkPartition, NodeCrash, NodeDegradation
-
-        with pytest.raises(ConfigError):
-            NodeCrash(start=0.0, end=1.0, node=-1)
-        with pytest.raises(ConfigError):
-            NetworkPartition(start=0.0, end=1.0, nodes=())
-        with pytest.raises(ConfigError):
-            NetworkPartition(start=0.0, end=1.0, nodes=(1, 1))
-        with pytest.raises(ConfigError):
-            NodeDegradation(start=0.0, end=1.0, node=0, factor=0.5)
-        # Same node, overlapping crash windows: one target.
-        with pytest.raises(ConfigError, match="overlap"):
-            FaultPlan(
-                [
-                    NodeCrash(start=0.0, end=100.0, node=1),
-                    NodeCrash(start=50.0, end=150.0, node=1),
-                ]
-            )
-        # Partitions occupy every node they cut off.
-        with pytest.raises(ConfigError, match="overlap"):
-            FaultPlan(
-                [
-                    NetworkPartition(start=0.0, end=100.0, nodes=(1, 2)),
-                    NetworkPartition(start=50.0, end=150.0, nodes=(2,)),
-                ]
-            )
-        # Distinct nodes never conflict.
-        plan = FaultPlan(
-            [
-                NodeCrash(start=0.0, end=100.0, node=1),
-                NodeCrash(start=50.0, end=150.0, node=2),
-                NodeDegradation(start=0.0, end=150.0, node=1, factor=3.0),
-            ]
-        )
-        assert len(plan.node_faults) == 3
-        assert plan.node_crashed(1, 50.0)
-        assert not plan.node_crashed(1, 100.0)
-        assert not plan.node_partitioned(1, 50.0)
-
 
 class TestPlanQueries:
     def test_windows_are_half_open(self):

@@ -1,5 +1,5 @@
 """Tests for the telemetry store, SLO burn-rate engine, and the
-critical-path analyzer (plus their advisory wiring)."""
+critical-path analyzer."""
 
 from __future__ import annotations
 
@@ -91,25 +91,21 @@ class TestTimeSeriesStore:
         s.record_gauge("h", 2_400.0, 9.0)  # not newer: clamped, no new window
         assert len(s.windows) == 1
 
-    def test_federation_rollup(self):
+    def test_labelled_series(self):
+        # The SLO engine's burn-rate gauge: one series per policy/severity.
         s = TimeSeriesStore(window_us=1_000.0)
-        s.record_gauge("inflight", 100.0, 3.0, replica="0")
-        s.record_gauge("inflight", 100.0, 5.0, replica="1")
-        s.record_gauge("inflight", 1_200.0, 1.0, replica="0")
-        assert s.sum_latest("inflight") == 6.0  # 1 (latest r0) + 5 (r1)
-        assert s.series("inflight", replica="0") == [(0.0, 3.0), (1_000.0, 1.0)]
-        assert s.label_sets("inflight") == [{"replica": "0"}, {"replica": "1"}]
-
-    def test_sources_sampled_on_pump(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        s = TimeSeriesStore(window_us=1_000.0)
-        box = {"v": 2.0}
-        s.add_source("live", lambda: box["v"], replica="0")
-        s.pump(MetricsRegistry(), 100.0)
-        box["v"] = 7.0
-        s.pump(MetricsRegistry(), 1_100.0)
-        assert s.series("live", replica="0") == [(0.0, 2.0), (1_000.0, 7.0)]
+        s.record_gauge("burn", 100.0, 3.0, policy="a", severity="fast")
+        s.record_gauge("burn", 100.0, 5.0, policy="a", severity="slow")
+        s.record_gauge("burn", 1_200.0, 1.0, policy="a", severity="fast")
+        assert s.series("burn", policy="a", severity="fast") == [
+            (0.0, 3.0), (1_000.0, 1.0),
+        ]
+        assert s.latest("burn", policy="a", severity="slow") == 5.0
+        assert s.series("burn") == []  # the unlabelled series was never set
+        assert s.label_sets("burn") == [
+            {"policy": "a", "severity": "fast"},
+            {"policy": "a", "severity": "slow"},
+        ]
 
     def test_kind_collision_raises(self):
         s = TimeSeriesStore()
@@ -121,11 +117,11 @@ class TestTimeSeriesStore:
         s = TimeSeriesStore(window_us=1_000.0)
         s.record_counter("c_total", 0.0, 1.0)
         s.record_counter("c_total", 1_000.0, 4.0)
-        s.record_gauge("g", 1_000.0, 2.5, replica="0")
+        s.record_gauge("g", 1_000.0, 2.5, policy="a")
         text = s.to_prometheus()
         assert "# TYPE c_total counter" in text
         assert "c_total 1 0" in text and "c_total 4 1" in text
-        assert 'g{replica="0"} 2.5 1' in text
+        assert 'g{policy="a"} 2.5 1' in text
         # One TYPE header per family, in spec order before its samples.
         assert text.count("# TYPE c_total") == 1
 
@@ -213,6 +209,10 @@ def _engine(policies, window_us=1_000.0):
     return SloEngine(policies, bus=bus, store=store), bus, store
 
 
+def _fast_burning(eng):
+    return any(a.severity == "fast" for a in eng.active_alerts())
+
+
 class TestSloEngine:
     def _availability_policy(self):
         return SloPolicy(
@@ -234,7 +234,7 @@ class TestSloEngine:
         assert alert.policy == "avail" and alert.objective == "availability"
         assert alert.burn_long == pytest.approx(10.0)
         assert alert.burn_short == pytest.approx(10.0)
-        assert eng.under_fast_burn()
+        assert _fast_burning(eng)
         # The burn-rate gauge landed in the store for both rules.
         assert store.latest("repro_slo_burn_rate", policy="avail", severity="fast") == (
             pytest.approx(10.0)
@@ -249,7 +249,7 @@ class TestSloEngine:
         fired = eng.evaluate(2_900.0)
         # Long span burns 6.7x >= 5 but the short (current) window is clean.
         assert not [a for a in fired if a.severity == "fast"]
-        assert not eng.under_fast_burn()
+        assert not _fast_burning(eng)
 
     def test_alert_resolves_when_short_burn_drops(self):
         eng, bus, _ = _engine([self._availability_policy()])
@@ -258,7 +258,7 @@ class TestSloEngine:
         assert eng.evaluate(2_900.0)
         bus.publish(_completed(3_100.0, range(8), [1.0] * 8))
         assert eng.evaluate(3_900.0) == []  # nothing new fires
-        assert not eng.under_fast_burn()
+        assert not _fast_burning(eng)
         assert "slo-alert-resolved" in [e.kind for e in bus.events]
         # A re-fire later produces a fresh alert, not a duplicate.
         bus.publish(_shed(4_100.0, range(9), batch_id=2))
@@ -290,7 +290,7 @@ class TestSloEngine:
     def test_no_data_means_no_burn(self):
         eng, _, _ = _engine([self._availability_policy()])
         assert eng.evaluate(10_000.0) == []
-        assert not eng.under_fast_burn()
+        assert not _fast_burning(eng)
 
     def test_alert_table_renders(self):
         eng, bus, _ = _engine([self._availability_policy()])
@@ -314,62 +314,6 @@ class TestSloEngine:
             SloPolicy("x", objective="latency")  # missing threshold
         with pytest.raises(ConfigError):
             BurnRule("fast", long_windows=1, short_windows=2)
-
-
-# ----------------------------------------------------------------------
-# Advisory wiring (breaker watermark + router spread)
-# ----------------------------------------------------------------------
-class TestAdvisory:
-    def test_default_observability_has_no_advisor(self):
-        assert Observability().fast_burn_advisor() is None
-        armed = Observability(
-            ObservabilityConfig(slo_policies=(SloPolicy("avail"),))
-        )
-        assert armed.fast_burn_advisor() is not None
-
-    def test_breaker_trips_at_low_watermark_under_advisory(self):
-        from repro.serving.metrics import ServingMetrics
-        from repro.serving.overload import OverloadConfig, OverloadController
-        from repro.serving.workload import general_trace
-        from repro.sim.engine import Engine
-
-        cfg = OverloadConfig(max_pending_requests=8, breaker_trip_checks=1)
-        ctl = OverloadController(
-            cfg, MODEL, NODE, Engine(), ServingMetrics(), lambda b: None
-        )
-        assert (ctl._low, ctl._high) == (2, 6)
-        # Depth 4: between the watermarks.
-        ctl._pending.extend(general_trace(4, 1_000.0, 2, seed=0))
-        ctl._breaker_check()
-        assert not ctl.breaker_open  # 4 <= high watermark 6
-        ctl.attach_advisor(lambda: True)
-        ctl._breaker_check()
-        assert ctl.breaker_open  # 4 > lowered watermark 2
-        assert ctl.advisory_trips == 1
-        (event,) = ctl.report.events
-        assert "advisory" in event.reason
-
-    def test_router_spreads_instead_of_affinity_under_advisory(self):
-        from repro.cluster.cluster import Cluster
-        from repro.serving.workload import general_trace
-
-        cluster = Cluster(
-            MODEL,
-            NODE,
-            replicas=2,
-            strategy="intra",
-            check_memory=False,
-            affinity=lambda b: "tenant",
-            seed=0,
-        )
-        router = cluster.router
-        batches = general_trace(8, 1_000.0, 2, seed=0)
-        home = router._pick_target(batches[0], frozenset())
-        assert router._pick_target(batches[1], frozenset()) == home
-        assert router.advisory_spreads == 0
-        router.attach_advisor(lambda: True)
-        router._pick_target(batches[2], frozenset())
-        assert router.advisory_spreads == 1
 
 
 # ----------------------------------------------------------------------
@@ -491,68 +435,6 @@ class TestAttributionAcceptance:
 
 
 # ----------------------------------------------------------------------
-# Chaos integration: lanes per incarnation, validated merged timeline
-# ----------------------------------------------------------------------
-class TestChaosTelemetry:
-    @pytest.fixture(scope="class")
-    def chaos_run(self):
-        from repro.cluster.chaos import ChaosConfig, run_chaos
-
-        obs = Observability(
-            ObservabilityConfig(
-                telemetry=True,
-                window_us=20_000.0,
-                slo_policies=(SloPolicy("avail", target=0.9),),
-            )
-        )
-        config = ChaosConfig(
-            replicas=3, crashes=1, seed=7, num_requests=36, rate=60.0,
-            record_trace=True,
-        )
-        report = run_chaos(config, observability=obs)
-        return obs, report
-
-    def test_attribution_sums_on_every_incarnation_lane(self, chaos_run):
-        obs, report = chaos_run
-        path_report = obs.critical_path(traces=report.result.traces)
-        _assert_partitions(path_report)
-        # The crash produced a fresh incarnation -> a distinct lane label.
-        labels = {lane.replica for lane in path_report.per_gpu}
-        assert any(re.match(r"node\d+r\d+", lbl) for lbl in labels)
-
-    def test_merged_trace_validates_with_lifecycle_instants(self, chaos_run):
-        obs, report = chaos_run
-        merged = obs.merged_chrome_trace(traces=report.result.traces)
-        counts = validate_merged_trace(merged)
-        assert counts["kernel"] > 0 and counts["span"] > 0
-        instants = [
-            ev["name"] for ev in merged["traceEvents"] if ev.get("ph") == "i"
-        ]
-        assert "node-crash" in instants
-        assert "failover" in instants
-        ts = [ev["ts"] for ev in merged["traceEvents"]]
-        assert ts == sorted(ts)
-
-    def test_store_federates_per_replica_series(self, chaos_run):
-        obs, _ = chaos_run
-        sets = obs.telemetry.label_sets("repro_cluster_node_alive")
-        assert sets == [{"replica": "0"}, {"replica": "1"}, {"replica": "2"}]
-        # The crashed replica's liveness series dipped to 0 and came back.
-        crashed = [
-            lbl["replica"]
-            for lbl in sets
-            if 0.0 in dict(obs.telemetry.series(
-                "repro_cluster_node_alive", replica=lbl["replica"]
-            )).values()
-        ]
-        assert crashed
-        # Lifecycle transitions landed in the registry counter too.
-        c = obs.registry._counters["repro_node_lifecycle_total"]
-        assert c.value(kind="crash") >= 1
-        assert c.value(kind="recover") >= 1
-
-
-# ----------------------------------------------------------------------
 # Zero-cost contract: telemetry moves no kernel
 # ----------------------------------------------------------------------
 def _normalized_rows(trace):
@@ -591,13 +473,13 @@ class TestZeroCost:
 # CLI
 # ----------------------------------------------------------------------
 class TestTelemetryCli:
-    def test_cluster_mode_writes_artifacts(self, tmp_path, capsys):
+    def test_writes_artifacts(self, tmp_path, capsys):
         from repro.cli import main
 
         series = tmp_path / "series.json"
         timeline = tmp_path / "merged.json"
         rc = main([
-            "telemetry", "--replicas", "2", "--layers", "2", "--requests", "12",
+            "telemetry", "--layers", "2", "--requests", "12",
             "--rate", "100", "--batch", "2", "--seed", "0",
             "--report", "--alerts",
             "--series-out", str(series), "--timeline", str(timeline),
@@ -608,6 +490,18 @@ class TestTelemetryCli:
         snap = json.loads(series.read_text())
         assert snap["windows"]
         validate_merged_trace(json.loads(timeline.read_text()))
+
+    def test_layers_scales_the_model(self, capsys):
+        from repro.cli import main
+
+        def avg_latency_ms(*flags):
+            argv = ["telemetry", "--strategy", "intra", "--requests", "4",
+                    "--rate", "200", "--report", *flags]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            return float(re.search(r"avg latency ([\d.]+) ms", out).group(1))
+
+        assert avg_latency_ms("--layers", "2") < avg_latency_ms()
 
     def test_single_node_mode_forwards_policy(self, monkeypatch, capsys):
         import repro.serving.api as api
