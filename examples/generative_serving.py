@@ -10,9 +10,12 @@ Run:
     python examples/generative_serving.py
 """
 
-from repro import GLM_130B, a100_pcie_node, serve
+from repro import GLM_130B, a100_pcie_node
 from repro.core import LigerConfig
 from repro.experiments.figures import PINNED_FACTORS
+from repro.serving import Server
+from repro.serving.api import make_strategy
+from repro.serving.workload import general_trace, generative_trace
 
 
 def main() -> None:
@@ -30,17 +33,14 @@ def main() -> None:
     ):
         results = {}
         for strategy in ("intra", "liger"):
+            # The LigerConfig configures the strategy, not the server.
             kwargs = {"config": cfg} if strategy == "liger" else {}
-            results[strategy] = serve(
-                model=GLM_130B,
-                node=node,
-                strategy=strategy,
-                workload=workload,
-                arrival_rate=rate,
-                num_requests=n,
-                batch_size=batch,
-                **kwargs,
-            )
+            strat = make_strategy(strategy, GLM_130B, node, **kwargs)
+            if workload == "generative":
+                batches = generative_trace(n, rate, batch_size=batch)
+            else:
+                batches = general_trace(n, rate, batch)
+            results[strategy] = Server(GLM_130B, node, strat).run(batches)
             print(results[strategy].summary())
         gains[workload] = (
             results["liger"].throughput / results["intra"].throughput

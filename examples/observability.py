@@ -11,8 +11,8 @@ observability layer saw:
   (queued/prefill/decode, one thread per request), and control instants
   (sheds, breaker trips) on a single time axis.  Load it at
   https://ui.perfetto.dev or chrome://tracing.
-* ``observability-metrics.prom`` — Prometheus text exposition whose
-  counters agree with the run's ``ServingMetrics``.
+* ``observability-metrics.prom`` — Prometheus text exposition; its
+  request-outcome counters read the run's ``ServingMetrics``.
 * ``observability-snapshot.json`` — the JSON snapshot: counters,
   heartbeat-sampled gauges, histograms, and span summaries.
 
@@ -96,8 +96,8 @@ def main() -> None:
         snapshot = json.load(fh)  # JSON-valid
     assert snapshot["samples"], "heartbeat gauge samples missing"
 
-    # The registry derived its numbers from the bus independently of the
-    # serving layer's hand-kept aggregates; they must agree.
+    # The registry's terminal-request counters read the serving layer's
+    # ServingMetrics.
     terminal = obs.registry._counters["repro_requests_terminal_total"]
     assert terminal.value(state="completed") == m.num_completed
     assert terminal.value(state="shed") == m.shed_requests

@@ -39,7 +39,6 @@ from repro.faults.watchdog import Watchdog
 from repro.obs.events import (
     EventBus,
     Principle1Violation,
-    RequestsShed,
     RetryScheduled,
     StrategyDowngraded,
     StrategyUpgraded,
@@ -126,6 +125,7 @@ class ResilienceReport:
     overload_downgrades: int = 0
     upgrades: int = 0
     recovery_times_us: List[float] = field(default_factory=list)
+    #: Launch retries, read from the session's ServingMetrics at finalize().
     retries: int = 0
     shed_batches: List[int] = field(default_factory=list)
     batches_on_fallback: int = 0
@@ -191,8 +191,10 @@ class RecoveryManager:
     config:
         Policy knobs; defaults are sized for the bundled scenarios.
     metrics:
-        Optional :class:`~repro.serving.metrics.ServingMetrics` whose
-        ``retries``/``shed_requests`` counters are kept in sync.
+        The serving session's :class:`~repro.serving.metrics.ServingMetrics`;
+        every scheduled retry is counted there, and :meth:`finalize` copies
+        the count into the report.  Shed batches go to :attr:`on_shed`,
+        which owns their terminal bookkeeping.
     """
 
     def __init__(
@@ -202,7 +204,7 @@ class RecoveryManager:
         *,
         fallback: Optional[ParallelStrategy] = None,
         config: Optional[ResilienceConfig] = None,
-        metrics=None,
+        metrics,
         bus: Optional[EventBus] = None,
     ) -> None:
         self.config = config or ResilienceConfig()
@@ -219,9 +221,9 @@ class RecoveryManager:
         self._degraded_since = 0.0
         self._violations_since_ok = 0
         self._finalized = False
-        #: Optional observer called with each shed batch — servers that keep
-        #: their own per-batch state (the lifecycle server) clean it up here.
-        self.on_shed = None
+        #: Called with each shed batch; the serving session sets it to its
+        #: fan-out, which owns the batch's terminal bookkeeping.
+        self.on_shed: Optional[Callable[[Batch], None]] = None
         #: Optional predicate holding the upgrade probe back even when no
         #: fault window is active — the overload layer parks the run on the
         #: fallback until its queue has drained (upgrading into a still-full
@@ -308,9 +310,7 @@ class RecoveryManager:
                 f"{attempt + 1} attempt(s): {exc}"
             ) from exc
         delay = cfg.retry_backoff_us * (cfg.backoff_multiplier ** attempt)
-        self.report.retries += 1
-        if self.metrics is not None:
-            self.metrics.retries += 1
+        self.metrics.retries += 1
         now = self.machine.engine.now
         logger.info(
             "t=%.0fus batch %d launch failed (attempt %d), retrying in %.0fus",
@@ -340,18 +340,6 @@ class RecoveryManager:
             now,
             batch.batch_id,
         )
-        if self.metrics is not None:
-            batch.shed()  # terminal state: nothing is dropped silently
-            self.metrics.note_shed(batch.requests)
-            if self.bus is not None:
-                self.bus.publish(
-                    RequestsShed.from_requests(
-                        batch.requests,
-                        now,
-                        batch_id=batch.batch_id,
-                        where="retry-exhausted",
-                    )
-                )
         if self.on_shed is not None:
             self.on_shed(batch)
 
@@ -456,6 +444,7 @@ class RecoveryManager:
             if self.monitor is not None:
                 self.report.violations = self.monitor.violations
                 self.report.rounds_observed = self.monitor.rounds_observed
+            self.report.retries = self.metrics.retries
             self.report.launch_attempts = self.injector.launch_attempts
             self.report.launch_failures = self.injector.launch_failures
             self.report.jittered_commands = self.injector.jittered_commands
@@ -474,7 +463,7 @@ def attach_recovery(
     *,
     fault_plan=None,
     config: Optional[ResilienceConfig] = None,
-    metrics=None,
+    metrics,
     complete_callback=None,
     bus: Optional[EventBus] = None,
 ) -> RecoveryManager:

@@ -1,13 +1,15 @@
 """repro.obs — the unified observability layer.
 
-Five pieces, all derived from one structured event stream:
+Five pieces, derived from one structured event stream plus the run's
+:class:`~repro.serving.metrics.ServingMetrics` tally of request outcomes:
 
 * :mod:`repro.obs.events` — typed events with sim-timestamps for every
   serving-layer decision (admission, dispatch, shed, preemption, retry,
   breaker, strategy change, Principle-1 violation, SLO alerts) on a synchronous :class:`~repro.obs.events.EventBus`;
-* :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms that
-  re-derives the :class:`~repro.serving.metrics.ServingMetrics` aggregates
-  from the bus and exports Prometheus text plus JSON snapshots;
+* :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
+  that counts what only the bus knows, reads request outcomes from the
+  ``ServingMetrics`` through callbacks, and exports Prometheus text plus
+  JSON snapshots;
 * :mod:`repro.obs.telemetry` — a ring of sim-timestamped windows every
   registry metric samples into on the heartbeat, with labelled series and
   windowed rate/percentile queries;

@@ -3,10 +3,13 @@
 Every layer that makes a decision the final counters used to swallow —
 admission, staging, dispatch, preemption, shedding, deadline expiry, retry,
 strategy downgrade/upgrade, breaker transitions, Principle-1 violations —
-publishes a typed event here instead of (only) bumping an aggregate.  The
-subscribers are the metrics registry (:mod:`repro.obs.metrics`), which
-re-derives the aggregate counters, and the span builder
-(:mod:`repro.obs.spans`), which reconstructs per-request timelines.
+publishes a typed event here.  The subscribers are the span builder
+(:mod:`repro.obs.spans`), which reconstructs per-request timelines, the
+SLO engine and telemetry store, which window outcomes in sim time, and the
+metrics registry (:mod:`repro.obs.metrics`), which counts what only events
+know (sheds by mechanism, dispatches by phase, transitions).  Totals of
+request outcomes are not re-derived here: they are read from the run's
+:class:`~repro.serving.metrics.ServingMetrics`.
 
 Zero-overhead contract: no layer constructs an event unless a bus is
 attached (`if self.bus is not None`), and a server built without
@@ -87,24 +90,20 @@ class RequestsAdmitted(Event):
 
 
 @dataclass(frozen=True)
-class RequestsShed(Event):
-    """Requests dropped without service (terminal ``SHED``)."""
+class _RequestsDropped(Event):
+    """Requests that reached a terminal state without being served."""
 
-    kind: ClassVar[str] = "shed"
     batch_id: int = -1
     rids: Tuple[int, ...] = ()
-    #: Which mechanism dropped them: ``"admission"`` (bounded queue),
-    #: ``"breaker"`` (fail-fast while open), ``"collateral"`` (batchmates of
-    #: an expired request), or ``"retry-exhausted"`` (recovery layer).
-    where: str = "admission"
+    where: str = ""
     #: How many of them carried a deadline (they count against SLO).
     slo_tracked: int = 0
 
-    @staticmethod
+    @classmethod
     def from_requests(
-        requests: Sequence, time_us: float, *, batch_id: int, where: str
-    ) -> "RequestsShed":
-        return RequestsShed(
+        cls, requests: Sequence, time_us: float, *, batch_id: int, where: str
+    ):
+        return cls(
             time_us=time_us,
             batch_id=batch_id,
             rids=tuple(r.rid for r in requests),
@@ -114,27 +113,23 @@ class RequestsShed(Event):
 
 
 @dataclass(frozen=True)
-class RequestsTimedOut(Event):
+class RequestsShed(_RequestsDropped):
+    """Requests dropped without service (terminal ``SHED``)."""
+
+    kind: ClassVar[str] = "shed"
+    #: Which mechanism dropped them: ``"admission"`` (bounded queue),
+    #: ``"breaker"`` (fail-fast while open), ``"collateral"`` (batchmates of
+    #: an expired request), or ``"retry-exhausted"`` (recovery layer).
+    where: str = "admission"
+
+
+@dataclass(frozen=True)
+class RequestsTimedOut(_RequestsDropped):
     """Requests whose deadline expired before service (terminal ``TIMED_OUT``)."""
 
     kind: ClassVar[str] = "timed-out"
-    batch_id: int = -1
-    rids: Tuple[int, ...] = ()
     #: Where the expiry was observed (``"pending"``, ``"staged"``, ...).
     where: str = "pending"
-    slo_tracked: int = 0
-
-    @staticmethod
-    def from_requests(
-        requests: Sequence, time_us: float, *, batch_id: int, where: str
-    ) -> "RequestsTimedOut":
-        return RequestsTimedOut(
-            time_us=time_us,
-            batch_id=batch_id,
-            rids=tuple(r.rid for r in requests),
-            where=where,
-            slo_tracked=sum(1 for r in requests if r.deadline is not None),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -200,8 +195,7 @@ class BatchCompleted(Event):
     completed_rids: Tuple[int, ...] = ()
     #: Arrival→completion latency per completed member (µs).
     latencies_us: Tuple[float, ...] = ()
-    #: Of the completed members with a deadline: tracked / met / missed.
-    slo_tracked: int = 0
+    #: Of the completed members with a deadline: met / missed.
     slo_met: int = 0
     deadline_misses: int = 0
 
@@ -218,7 +212,6 @@ class BatchCompleted(Event):
             rids=tuple(r.rid for r in batch.requests),
             completed_rids=tuple(r.rid for r in done),
             latencies_us=tuple(time_us - r.arrival for r in done),
-            slo_tracked=len(tracked),
             slo_met=met,
             deadline_misses=len(tracked) - met,
         )
@@ -330,14 +323,12 @@ class EventBus:
 
     Publishing is a plain loop over subscribers on the simulation's control
     path — no queueing, no threads — so event order equals decision order
-    and the bus adds no events to the engine.  With ``retain=True`` (the
-    default, and what the exporters need) every published event is also
-    appended to :attr:`events`.
+    and the bus adds no events to the engine.  Every published event is
+    also appended to :attr:`events`, which the exporters read.
     """
 
-    def __init__(self, *, retain: bool = True) -> None:
+    def __init__(self) -> None:
         self.events: List[Event] = []
-        self._retain = retain
         self._all: List[Callable[[Event], None]] = []
         self._by_type: Dict[Type[Event], List[Callable[[Event], None]]] = {}
 
@@ -356,15 +347,14 @@ class EventBus:
 
     def publish(self, event: Event) -> None:
         """Deliver ``event`` to every matching subscriber, in order."""
-        if self._retain:
-            self.events.append(event)
+        self.events.append(event)
         for fn in self._all:
             fn(event)
         for fn in self._by_type.get(type(event), ()):
             fn(event)
 
     def of_kind(self, kind: str) -> List[Event]:
-        """Retained events whose ``kind`` matches (requires ``retain=True``)."""
+        """Retained events whose ``kind`` matches."""
         return [e for e in self.events if e.kind == kind]
 
     def __len__(self) -> int:

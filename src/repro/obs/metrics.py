@@ -1,12 +1,13 @@
 """Metrics registry: counters, gauges, histograms, and their exporters.
 
-The registry is the numeric face of the event bus: it subscribes to the
-typed events of :mod:`repro.obs.events` and re-derives every aggregate the
-serving layer used to keep by hand — terminal request counts by state,
-retries, preemptions, SLO tracking, breaker and strategy transitions — plus
-latency and queue-wait histograms.  A run's Prometheus exposition therefore
-*must* agree with its :class:`~repro.serving.metrics.ServingMetrics`; the
-test suite asserts exactly that.
+The registry counts only what the typed events of :mod:`repro.obs.events`
+alone know — admissions, sheds by mechanism, dispatches by phase, staging,
+queue waits, breaker and strategy transitions, Principle-1 violations and
+SLO alerts.  Request outcomes are not counted here: a counter or histogram
+built with ``fn=`` reads its series from a callback when it is sampled or
+exported, the way a callback-backed :class:`Gauge` does, and
+:class:`~repro.obs.observability.Observability` points those callbacks at
+the run's :class:`~repro.serving.metrics.ServingMetrics`, the one tally.
 
 Exports:
 
@@ -18,15 +19,12 @@ Exports:
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.events import (
-    BatchCompleted,
     BatchDispatched,
-    BatchPreempted,
     BatchStaged,
     BreakerClosed,
     BreakerOpened,
@@ -35,8 +33,6 @@ from repro.obs.events import (
     Principle1Violation,
     RequestsAdmitted,
     RequestsShed,
-    RequestsTimedOut,
-    RetryScheduled,
     SloBurnRateAlert,
     StrategyDowngraded,
     StrategyUpgraded,
@@ -82,11 +78,22 @@ def _fmt(value: float) -> str:
 
 
 class Counter:
-    """Monotonic counter, optionally labelled."""
+    """Monotonic counter, optionally labelled.
 
-    def __init__(self, name: str, help: str) -> None:
+    With ``fn`` the counter is read-only and pulls its series — a mapping
+    of label key to cumulative count, holding only the series that exist
+    yet — from the callback on every read.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        help: str,
+        fn: Optional[Callable[[], Dict[_LabelKey, float]]] = None,
+    ) -> None:
         self.name = name
         self.help = help
+        self._fn = fn
         self._values: Dict[_LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
@@ -96,32 +103,36 @@ class Counter:
         key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + amount
 
+    def series(self) -> Dict[_LabelKey, float]:
+        """Label key -> count for every series that exists so far."""
+        return self._fn() if self._fn is not None else self._values
+
     def value(self, **labels: str) -> float:
         """Current count for one label combination (0.0 if never touched)."""
-        return self._values.get(_label_key(labels), 0.0)
+        return self.series().get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over every label combination."""
-        return sum(self._values.values())
+        return sum(self.series().values())
 
     def expose(self) -> List[str]:
         """Prometheus text-exposition lines for this counter."""
+        values = self.series()
         lines = [f"# HELP {self.name} {self.help}", f"# TYPE {self.name} counter"]
-        for key in sorted(self._values):
-            lines.append(
-                f"{self.name}{_render_labels(key)} {_fmt(self._values[key])}"
-            )
-        if not self._values:
+        for key in sorted(values):
+            lines.append(f"{self.name}{_render_labels(key)} {_fmt(values[key])}")
+        if not values:
             lines.append(f"{self.name} 0")
         return lines
 
     def snapshot(self) -> Dict[str, float]:
         """JSON-friendly mapping of rendered label set -> count."""
-        if not self._values:
+        values = self.series()
+        if not values:
             return {"": 0.0}
         return {
             ",".join(f"{k}={v}" for k, v in key) or "": val
-            for key, val in self._values.items()
+            for key, val in values.items()
         }
 
 
@@ -166,6 +177,10 @@ class Histogram:
     queries between observations reuse one sort (``sort_count`` counts the
     sorts actually performed, and the unit tests pin query-after-query
     identity on it).
+
+    With ``fn`` the histogram is fed by a callback instead: every read
+    first observes ``fn(n)``, the observations after the first ``n`` it
+    has already taken, so a read costs O(new observations).
     """
 
     def __init__(
@@ -173,32 +188,47 @@ class Histogram:
         name: str,
         help: str,
         buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
+        fn: Optional[Callable[[int], Iterable[float]]] = None,
     ) -> None:
         if not buckets or sorted(buckets) != list(buckets):
             raise ConfigError(f"histogram {name}: buckets must be sorted")
         self.name = name
         self.help = help
         self.buckets: Tuple[float, ...] = tuple(buckets)
-        self.counts: List[int] = [0] * (len(self.buckets) + 1)  # +Inf last
-        self.sum = 0.0
-        self.count = 0
+        self._fn = fn
+        self._counts: List[int] = [0] * (len(self.buckets) + 1)  # +Inf last
+        self._sum = 0.0
         self._raw: List[float] = []
         self._sorted: List[float] = []
         self._dirty = False
         #: Number of full sorts performed (observability for the cache).
         self.sort_count = 0
 
+    def _pull(self) -> None:
+        if self._fn is not None:
+            for value in self._fn(len(self._raw)):
+                self.observe(value)
+
+    @property
+    def sum(self) -> float:
+        self._pull()
+        return self._sum
+
+    @property
+    def count(self) -> int:
+        self._pull()
+        return len(self._raw)
+
     def observe(self, value: float) -> None:
         """Record one observation into its bucket."""
-        self.sum += value
-        self.count += 1
+        self._sum += value
         self._raw.append(value)
         self._dirty = True
         for i, bound in enumerate(self.buckets):
             if value <= bound:
-                self.counts[i] += 1
+                self._counts[i] += 1
                 return
-        self.counts[-1] += 1
+        self._counts[-1] += 1
 
     def percentile(self, q: float) -> Optional[float]:
         """Exact ``q``-quantile (0 <= q <= 1) of the raw observations.
@@ -209,6 +239,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 1.0:
             raise ConfigError(f"histogram {self.name}: quantile {q} not in [0, 1]")
+        self._pull()
         if not self._raw:
             return None
         if self._dirty:
@@ -224,13 +255,14 @@ class Histogram:
             f"# HELP {self.name} {self.help}",
             f"# TYPE {self.name} histogram",
         ]
+        self._pull()
         cumulative = 0
-        for bound, n in zip(self.buckets, self.counts):
+        for bound, n in zip(self.buckets, self._counts):
             cumulative += n
             lines.append(
                 f'{self.name}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
             )
-        cumulative += self.counts[-1]
+        cumulative += self._counts[-1]
         lines.append(f'{self.name}_bucket{{le="+Inf"}} {cumulative}')
         lines.append(f"{self.name}_sum {_fmt(round(self.sum, 6))}")
         lines.append(f"{self.name}_count {self.count}")
@@ -238,16 +270,17 @@ class Histogram:
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-friendly buckets / counts / sum / count."""
+        self._pull()
         return {
             "buckets": list(self.buckets),
-            "counts": list(self.counts),
+            "counts": list(self._counts),
             "sum": self.sum,
             "count": self.count,
         }
 
 
 class MetricsRegistry:
-    """Holds the run's metrics and derives the standard set from the bus."""
+    """Holds the run's metrics and counts the event-only set from the bus."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
@@ -260,11 +293,16 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def counter(self, name: str, help: str) -> Counter:
+    def counter(
+        self,
+        name: str,
+        help: str,
+        fn: Optional[Callable[[], Dict[_LabelKey, float]]] = None,
+    ) -> Counter:
         """Get or create the counter ``name`` (idempotent)."""
         if name not in self._counters:
             self._require_fresh(name)
-            self._counters[name] = Counter(name, help)
+            self._counters[name] = Counter(name, help, fn)
         return self._counters[name]
 
     def gauge(
@@ -280,12 +318,16 @@ class MetricsRegistry:
         return self._gauges[name]
 
     def histogram(
-        self, name: str, help: str, buckets: Sequence[float] = DEFAULT_BUCKETS_MS
+        self,
+        name: str,
+        help: str,
+        buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
+        fn: Optional[Callable[[int], Iterable[float]]] = None,
     ) -> Histogram:
         """Get or create the histogram ``name`` (idempotent)."""
         if name not in self._histograms:
             self._require_fresh(name)
-            self._histograms[name] = Histogram(name, help, buckets)
+            self._histograms[name] = Histogram(name, help, buckets, fn)
         return self._histograms[name]
 
     def _require_fresh(self, name: str) -> None:
@@ -293,17 +335,13 @@ class MetricsRegistry:
             raise ConfigError(f"metric {name!r} already registered with another type")
 
     # ------------------------------------------------------------------
-    # The standard event-derived set
+    # The event-derived set
     # ------------------------------------------------------------------
     def bind(self, bus: EventBus) -> None:
-        """Register the standard metrics and subscribe their derivations."""
+        """Register the event-only metrics and subscribe their derivations."""
         self.counter(
             "repro_requests_admitted_total",
             "Requests accepted into the serving pipeline.",
-        )
-        self.counter(
-            "repro_requests_terminal_total",
-            "Requests reaching a terminal state, by state.",
         )
         self.counter(
             "repro_requests_shed_total",
@@ -316,23 +354,6 @@ class MetricsRegistry:
         self.counter(
             "repro_batches_staged_total",
             "Batches KV-charged onto the staged runway.",
-        )
-        self.counter(
-            "repro_batches_preempted_total",
-            "Staged batches preempted-and-requeued under KV pressure.",
-        )
-        self.counter("repro_retries_total", "Launch retries scheduled.")
-        self.counter(
-            "repro_deadline_misses_total",
-            "Completed requests that finished after their deadline.",
-        )
-        self.counter(
-            "repro_slo_tracked_total",
-            "Deadline-carrying requests that reached a terminal state.",
-        )
-        self.counter(
-            "repro_slo_met_total",
-            "Deadline-carrying requests that completed on time.",
         )
         self.counter(
             "repro_breaker_transitions_total",
@@ -351,10 +372,6 @@ class MetricsRegistry:
             "Burn-rate alerts fired, by policy and severity.",
         )
         self.histogram(
-            "repro_request_latency_ms",
-            "Arrival-to-completion latency of completed requests (ms).",
-        )
-        self.histogram(
             "repro_request_queue_wait_ms",
             "Arrival-to-dispatch wait of dispatched requests (ms).",
         )
@@ -365,14 +382,7 @@ class MetricsRegistry:
         if isinstance(event, RequestsAdmitted):
             c["repro_requests_admitted_total"].inc(len(event.rids))
         elif isinstance(event, RequestsShed):
-            c["repro_requests_terminal_total"].inc(len(event.rids), state="shed")
             c["repro_requests_shed_total"].inc(len(event.rids), where=event.where)
-            c["repro_slo_tracked_total"].inc(event.slo_tracked)
-        elif isinstance(event, RequestsTimedOut):
-            c["repro_requests_terminal_total"].inc(
-                len(event.rids), state="timed_out"
-            )
-            c["repro_slo_tracked_total"].inc(event.slo_tracked)
         elif isinstance(event, BatchDispatched):
             c["repro_batches_dispatched_total"].inc(1, phase=event.phase)
             if event.first:
@@ -381,20 +391,6 @@ class MetricsRegistry:
                     hist.observe(wait / 1e3)
         elif isinstance(event, BatchStaged):
             c["repro_batches_staged_total"].inc(1)
-        elif isinstance(event, BatchPreempted):
-            c["repro_batches_preempted_total"].inc(1)
-        elif isinstance(event, BatchCompleted):
-            c["repro_requests_terminal_total"].inc(
-                len(event.completed_rids), state="completed"
-            )
-            c["repro_deadline_misses_total"].inc(event.deadline_misses)
-            c["repro_slo_tracked_total"].inc(event.slo_tracked)
-            c["repro_slo_met_total"].inc(event.slo_met)
-            hist = self._histograms["repro_request_latency_ms"]
-            for lat in event.latencies_us:
-                hist.observe(lat / 1e3)
-        elif isinstance(event, RetryScheduled):
-            c["repro_retries_total"].inc(1)
         elif isinstance(event, BreakerOpened):
             c["repro_breaker_transitions_total"].inc(1, state="open")
         elif isinstance(event, BreakerClosed):
@@ -436,11 +432,6 @@ class MetricsRegistry:
             lines.extend(self._histograms[name].expose())
         return "\n".join(lines) + "\n"
 
-    def save_prometheus(self, path: str) -> None:
-        """Write :meth:`to_prometheus` to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_prometheus())
-
     def snapshot(self) -> Dict[str, object]:
         """Everything, JSON-friendly: counters, gauges, histograms, samples."""
         return {
@@ -456,8 +447,3 @@ class MetricsRegistry:
             },
             "samples": self.samples,
         }
-
-    def save_snapshot(self, path: str) -> None:
-        """Write :meth:`snapshot` as indented JSON to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2)

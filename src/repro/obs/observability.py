@@ -26,13 +26,18 @@ gauge snapshots, store pumping and SLO evaluation all ride it and never
 reschedule device work, so enabling telemetry does not move a single
 kernel.  Burn-rate alerts are events on the bus: nothing in the serving
 path reads them, so no decision depends on whether a run is observed.
+
+Request outcomes have one tally, the session's
+:class:`~repro.serving.metrics.ServingMetrics`, handed over once with
+:meth:`Observability.attach_metrics`; the registry reads it and counts
+nothing beside it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.obs.analysis import CriticalPathReport, analyze_critical_path
@@ -42,6 +47,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import SloEngine, SloPolicy
 from repro.obs.spans import RequestSpan, SpanBuilder
 from repro.obs.telemetry import TimeSeriesStore
+
+if TYPE_CHECKING:  # the serving layer imports this module
+    from repro.serving.metrics import ServingMetrics
 
 __all__ = ["Observability", "ObservabilityConfig"]
 
@@ -57,7 +65,6 @@ class ObservabilityConfig:
     """
 
     sample_period_us: float = 10_000.0
-    retain_events: bool = True
     #: Arm the windowed TimeSeriesStore (implied by ``slo_policies``).
     telemetry: bool = False
     #: Telemetry window width (µs); also the SLO burn-rate quantum.
@@ -79,34 +86,17 @@ class ObservabilityConfig:
 
 
 class Observability:
-    """Bus + registry + spans (+ store + SLO engine) for one serving run.
+    """Bus + registry + spans (+ store + SLO engine) for one serving run."""
 
-    Accepts an :class:`ObservabilityConfig`; the legacy keyword form
-    ``Observability(sample_period_us=..., retain_events=...)`` still works
-    and overrides the config's fields.
-    """
-
-    def __init__(
-        self,
-        config: Optional[ObservabilityConfig] = None,
-        *,
-        sample_period_us: Optional[float] = None,
-        retain_events: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         if config is None:
             config = ObservabilityConfig()
-        if sample_period_us is not None or retain_events is not None:
-            overrides = {}
-            if sample_period_us is not None:
-                overrides["sample_period_us"] = sample_period_us
-            if retain_events is not None:
-                overrides["retain_events"] = retain_events
-            config = replace(config, **overrides)
         self.config = config
         self.sample_period_us = config.sample_period_us
-        self.bus = EventBus(retain=config.retain_events)
+        self.bus = EventBus()
         self.registry = MetricsRegistry()
         self.registry.bind(self.bus)
+        self._metrics: Optional["ServingMetrics"] = None
         self.spans_builder = SpanBuilder(self.bus)
         self.telemetry: Optional[TimeSeriesStore] = None
         self.slo: Optional[SloEngine] = None
@@ -123,6 +113,61 @@ class Observability:
                 )
         self._fault_windows: List[Tuple[str, float, float]] = []
         self._armed = False
+
+    # ------------------------------------------------------------------
+    # The tally
+    # ------------------------------------------------------------------
+    def attach_metrics(self, metrics: "ServingMetrics") -> None:
+        """Export request outcomes from ``metrics``, the session's tally.
+
+        One Observability observes one session.  The families registered
+        here read the tally whenever sampled or exported.  A series exists
+        once what it counts can have happened: a terminal state once a
+        request reached it, the SLO series once a request completed (any
+        terminal state, for the tracked count), retries and preemptions
+        once one occurred.
+        """
+        if self._metrics is not None:
+            raise ConfigError(
+                "this Observability already reads another session's metrics"
+            )
+        self._metrics = m = metrics
+
+        def terminal() -> Dict[tuple, float]:
+            counts = (
+                ("completed", m.num_completed),
+                ("shed", m.shed_requests),
+                ("timed_out", m.timed_out_requests),
+            )
+            return {(("state", state),): float(n) for state, n in counts if n}
+
+        def once(attr: str, since: str) -> Callable[[], Dict[tuple, float]]:
+            return lambda: {(): float(getattr(m, attr))} if getattr(m, since) else {}
+
+        reg = self.registry
+        reg.counter(
+            "repro_requests_terminal_total",
+            "Requests reaching a terminal state, by state.",
+            fn=terminal,
+        )
+        for name, attr, since, help_text in (
+            ("repro_deadline_misses_total", "deadline_misses", "num_completed",
+             "Completed requests that finished after their deadline."),
+            ("repro_slo_tracked_total", "slo_tracked", "num_terminal",
+             "Deadline-carrying requests that reached a terminal state."),
+            ("repro_slo_met_total", "slo_met", "num_completed",
+             "Deadline-carrying requests that completed on time."),
+            ("repro_retries_total", "retries", "retries", "Launch retries scheduled."),
+            ("repro_batches_preempted_total", "preemptions", "preemptions",
+             "Staged batches preempted-and-requeued under KV pressure."),
+        ):
+            reg.counter(name, help_text, fn=once(attr, since))
+        reg.histogram(
+            "repro_request_latency_ms",
+            "Arrival-to-completion latency of completed requests (ms).",
+            # Only the completions since the last read, in completion order.
+            fn=lambda n: [r.latency / 1e3 for r in m.completed[n:]],
+        )
 
     # ------------------------------------------------------------------
     # Server wiring
@@ -187,10 +232,6 @@ class Observability:
         """Per-request spans reconstructed so far."""
         return self.spans_builder.spans()
 
-    @property
-    def fault_windows(self) -> List[Tuple[str, float, float]]:
-        return list(self._fault_windows)
-
     # ------------------------------------------------------------------
     # Exports
     # ------------------------------------------------------------------
@@ -200,7 +241,8 @@ class Observability:
 
     def save_prometheus(self, path: str) -> None:
         """Write the Prometheus text exposition to ``path``."""
-        self.registry.save_prometheus(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_prometheus())
 
     def save_series(self, path: str) -> None:
         """Write the windowed series (``.prom`` or JSON by extension)."""

@@ -139,7 +139,7 @@ class TimeSeriesStore:
         window = self._window_for(time_us)
         for cname, counter in registry._counters.items():
             self._declare(cname, "counter")
-            for lkey, val in counter._values.items():
+            for lkey, val in counter.series().items():
                 window.counters[(cname, lkey)] = val
         for gname, gauge in registry._gauges.items():
             self._declare(gname, "gauge")

@@ -10,7 +10,8 @@ Under overload the outcome of a request is no longer binary, so the metrics
 additionally account every terminal state (:class:`~repro.serving.request.
 RequestState`): shed, timed out, deadline-missed-but-completed — and derive
 **SLO attainment**, the fraction of deadline-carrying requests that
-completed on time.
+completed on time.  :class:`ServingMetrics` is the only count of these
+outcomes: reports and the metrics registry read it.
 """
 
 from __future__ import annotations
@@ -64,10 +65,12 @@ class LatencyStats:
 class ServingMetrics:
     """Accumulates terminal request outcomes and derives the paper's metrics.
 
-    The recovery layer (:mod:`repro.faults.resilience`) keeps ``retries``/
-    ``shed_requests`` in sync; the overload layer
-    (:mod:`repro.serving.overload`) drives ``timed_out_requests``,
-    ``preemptions``, and the SLO counters.  All stay 0 on a healthy run.
+    This is the run's one tally of request outcomes, retries and
+    preemptions: the recovery layer (:mod:`repro.faults.resilience`) counts
+    ``retries`` here, the session and servers record every terminal state,
+    and the overload layers count ``preemptions``.  The reports and the
+    obs metrics registry read these fields instead of keeping their own
+    counts.  Everything but ``completed`` stays 0 on a healthy run.
     """
 
     completed: List[Request] = field(default_factory=list)

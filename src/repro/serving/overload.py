@@ -43,7 +43,7 @@ from __future__ import annotations
 import enum
 import logging
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, TypeVar
 
@@ -334,7 +334,7 @@ class OverloadController:
             self.accountant = KVCacheAccountant(
                 model, node, capacity_frac=config.kv_capacity_frac
             )
-        self.report = OverloadReport(
+        self._report = OverloadReport(
             policy=config.policy.value,
             kv_capacity_bytes=(
                 self.accountant.capacity if self.accountant else 0.0
@@ -389,6 +389,17 @@ class OverloadController:
     def inflight_batches(self) -> int:
         return len(self._staged) + len(self._dispatched)
 
+    @property
+    def report(self) -> OverloadReport:
+        """What the layer did so far; terminal counts read the tally."""
+        m = self.metrics
+        return replace(
+            self._report,
+            shed_requests=m.shed_requests,
+            timed_out_requests=m.timed_out_requests,
+            preempted_batches=m.preemptions,
+        )
+
     def idle(self) -> bool:
         """True when no batch is pending, staged, or dispatched."""
         return not (self._pending or self._staged or self._dispatched)
@@ -411,12 +422,12 @@ class OverloadController:
             return
         if not self._make_room(batch):
             return  # policy shed the arrival itself
-        self.report.admitted_requests += batch.size
+        self._report.admitted_requests += batch.size
         if self.bus is not None:
             self.bus.publish(RequestsAdmitted.from_batch(batch, now))
         self._pending.append(batch)
-        self.report.peak_pending_requests = max(
-            self.report.peak_pending_requests, self.queue_depth
+        self._report.peak_pending_requests = max(
+            self._report.peak_pending_requests, self.queue_depth
         )
         self._pump()
 
@@ -493,7 +504,7 @@ class OverloadController:
                 return False
             self._preempt(victim)
         self.accountant.charge(batch)
-        self.report.peak_kv_bytes = self.accountant.peak
+        self._report.peak_kv_bytes = self.accountant.peak
         return True
 
     def _preemption_victim(self, head: Batch) -> Optional[Batch]:
@@ -515,9 +526,8 @@ class OverloadController:
         self._release_kv(batch.batch_id)
         self._pending.append(batch)
         self.metrics.preemptions += 1
-        self.report.preempted_batches += 1
-        self.report.peak_pending_requests = max(
-            self.report.peak_pending_requests, self.queue_depth
+        self._report.peak_pending_requests = max(
+            self._report.peak_pending_requests, self.queue_depth
         )
         logger.info(
             "t=%.0fus preempted staged decode batch %d (%d request(s)) "
@@ -552,13 +562,12 @@ class OverloadController:
         """The recovery layer dropped a dispatched batch (retry exhaustion)."""
         self._dispatched.pop(batch.batch_id, None)
         self._release_kv(batch.batch_id)
-        self.report.shed_requests += batch.size
         self._pump()
 
     def _release_kv(self, batch_id: int) -> None:
         if self.accountant is not None:
             self.accountant.release(batch_id)
-            self.report.peak_kv_bytes = self.accountant.peak
+            self._report.peak_kv_bytes = self.accountant.peak
 
     # ------------------------------------------------------------------
     # Terminal bookkeeping
@@ -566,7 +575,6 @@ class OverloadController:
     def _shed_batch(self, batch: Batch, *, where: str = "admission") -> None:
         batch.shed()
         self.metrics.note_shed(batch.requests)
-        self.report.shed_requests += batch.size
         if self.bus is not None:
             self.bus.publish(
                 RequestsShed.from_requests(
@@ -595,7 +603,6 @@ class OverloadController:
                 r.mark_shed()
                 collateral.append(r)
         self.metrics.note_timed_out(expired)
-        self.report.timed_out_requests += len(expired)
         if self.bus is not None and expired:
             self.bus.publish(
                 RequestsTimedOut.from_requests(
@@ -604,7 +611,6 @@ class OverloadController:
             )
         if collateral:
             self.metrics.note_shed(collateral)
-            self.report.shed_requests += len(collateral)
             if self.bus is not None:
                 self.bus.publish(
                     RequestsShed.from_requests(
@@ -659,7 +665,7 @@ class OverloadController:
     ) -> None:
         self.breaker_open = True
         self._over_checks = 0
-        self.report.breaker_trips += 1
+        self._report.breaker_trips += 1
         parts = []
         if too_deep:
             parts.append(f"queue depth {depth} > {self._high}")
@@ -669,7 +675,7 @@ class OverloadController:
                 f"{self.config.breaker_min_attainment:.2f}"
             )
         reason = ", ".join(parts) or f"queue depth {depth}"
-        self.report.events.append(
+        self._report.events.append(
             BreakerEvent(self.engine.now, "open", reason)
         )
         logger.warning(
@@ -685,7 +691,7 @@ class OverloadController:
     def _close_breaker(self, depth: int) -> None:
         self.breaker_open = False
         reason = f"queue drained to {depth} <= {self._low}"
-        self.report.events.append(
+        self._report.events.append(
             BreakerEvent(self.engine.now, "closed", reason)
         )
         logger.info(

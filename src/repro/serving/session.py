@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import ConfigError, DeadlockError
 from repro.models.partition import check_placement
-from repro.obs.events import BatchDispatched, RequestsAdmitted
+from repro.obs.events import BatchDispatched, RequestsAdmitted, RequestsShed
 from repro.obs.observability import Observability
 from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadConfig, OverloadController, OverloadReport
@@ -102,16 +102,6 @@ class ServingConfig:
     def wants_recovery(self) -> bool:
         return self.fault_plan is not None or self.resilience is not None
 
-    @property
-    def empty(self) -> bool:
-        """True when no cross-cutting subsystem is enabled."""
-        return (
-            self.fault_plan is None
-            and self.resilience is None
-            and self.overload is None
-            and self.observability is None
-        )
-
     @staticmethod
     def resolve(
         config: Optional["ServingConfig"],
@@ -129,6 +119,11 @@ class ServingConfig:
         the legacy subsystem kwargs is a :class:`~repro.errors.ConfigError`
         (silently preferring one over the other would hide a typo).
         """
+        if config is not None and not isinstance(config, ServingConfig):
+            raise ConfigError(
+                f"config= takes a ServingConfig, not {type(config).__name__}; "
+                "build a configured strategy with make_strategy(..., config=...)"
+            )
         if config is None:
             return ServingConfig(
                 contention=contention,
@@ -387,8 +382,8 @@ class ServingSession:
         live and die with one pre-packed batch): the session owns
         admission — an :class:`~repro.serving.overload.OverloadController`
         head stage built from ``config.overload``, else a
-        ``RequestsAdmitted`` announcement stage when observed — and the
-        recovery layer stamps shed batches into the session's
+        ``RequestsAdmitted`` announcement stage when observed — and a batch
+        the recovery layer sheds is stamped into the session's
         :class:`~repro.serving.metrics.ServingMetrics`.  ``True`` (the job
         servers, whose requests outlive individual batches): the server
         does admission, memory and terminal bookkeeping itself at job
@@ -428,6 +423,8 @@ class ServingSession:
         self.host = Host(self.machine)
         self.metrics = ServingMetrics()
         self.obs = config.observability
+        if self.obs is not None:
+            self.obs.attach_metrics(self.metrics)
         #: The event bus, or ``None`` — every publish site is guarded by
         #: ``if bus is not None`` so an unobserved session allocates nothing
         #: (the zero-cost convention).
@@ -452,7 +449,7 @@ class ServingSession:
                 self.host,
                 fault_plan=config.fault_plan,
                 config=config.resilience,
-                metrics=None if per_job else self.metrics,
+                metrics=self.metrics,
                 complete_callback=complete_callback,
                 bus=self.bus,
             )
@@ -485,8 +482,9 @@ class ServingSession:
         if self.recovery is not None:
             if self.overload_ctl is not None:
                 self.overload_ctl.attach_recovery(self.recovery)
-            if self.overload_ctl is not None or shed_callback is not None:
-                self.recovery.on_shed = self._make_on_shed(shed_callback)
+            self._per_job = per_job
+            self._shed_callback = shed_callback
+            self.recovery.on_shed = self._on_recovery_shed
 
         if self.obs is not None:
             if config.fault_plan is not None:
@@ -498,16 +496,28 @@ class ServingSession:
     def _reject_unwired(batch: Batch) -> None:  # pragma: no cover - guard
         raise ConfigError("overload controller used before pipeline wiring")
 
-    def _make_on_shed(self, shed_callback):
-        """Recovery-shed fan-out: pipeline stages first, then the server."""
-        pipeline = self.pipeline
+    def _on_recovery_shed(self, batch: Batch) -> None:
+        """Recovery-shed fan-out: the batch server's terminal bookkeeping,
+        then the pipeline stages, then the server's ``shed_callback``.
 
-        def _on_shed(batch: Batch) -> None:
-            pipeline.on_shed(batch)
-            if shed_callback is not None:
-                shed_callback(batch)
-
-        return _on_shed
+        Job servers requeue at job granularity, so their sheds skip the
+        tally here and reach only ``shed_callback``.
+        """
+        if not self._per_job:
+            batch.shed()  # terminal state: nothing is dropped silently
+            self.metrics.note_shed(batch.requests)
+            if self.bus is not None:
+                self.bus.publish(
+                    RequestsShed.from_requests(
+                        batch.requests,
+                        self.engine.now,
+                        batch_id=batch.batch_id,
+                        where="retry-exhausted",
+                    )
+                )
+        self.pipeline.on_shed(batch)
+        if self._shed_callback is not None:
+            self._shed_callback(batch)
 
     # ------------------------------------------------------------------
     # Observability wiring

@@ -19,6 +19,7 @@ from repro.obs import (
     BreakerOpened,
     EventBus,
     Observability,
+    ObservabilityConfig,
     RequestsAdmitted,
     RequestsShed,
     merged_chrome_trace,
@@ -26,9 +27,12 @@ from repro.obs import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serving.api import serve
+from repro.serving.metrics import ServingMetrics
 from repro.serving.overload import OverloadConfig
+from repro.serving.request import Request
 from repro.sim.kernel import KernelKind
 from repro.sim.tracing import Trace, TraceRow
+from serving_goldens import normalized_rows
 
 MODEL = OPT_30B.scaled_layers(6)
 NODE = v100_nvlink_node(4)
@@ -55,13 +59,6 @@ class TestEventBus:
         bus.publish(BreakerClosed(time_us=0.0, reason=""))
         bus.publish(BreakerOpened(time_us=1.0, reason=""))
         assert [e.kind for e in seen] == ["breaker-open"]
-
-    def test_no_retain(self):
-        bus = EventBus(retain=False)
-        seen = []
-        bus.subscribe(seen.append)
-        bus.publish(BreakerOpened(time_us=0.0, reason=""))
-        assert bus.events == [] and len(seen) == 1
 
     def test_to_dict_is_flat_json(self):
         ev = RequestsShed(
@@ -133,8 +130,10 @@ class TestMetricPrimitives:
 # The golden hand-built scenario (pure events, no simulation)
 # ----------------------------------------------------------------------
 def _golden_scenario() -> Observability:
-    """A fixed event sequence covering all three exporter event classes."""
-    obs = Observability()
+    """A fixed event sequence covering all three exporter event classes,
+    with its outcomes recorded in the ServingMetrics the registry reads."""
+    obs, metrics = Observability(), ServingMetrics()
+    obs.attach_metrics(metrics)
 
     class _Window:
         start, end = 400.0, 900.0
@@ -165,12 +164,18 @@ def _golden_scenario() -> Observability:
     bus.publish(
         RequestsAdmitted(time_us=200.0, batch_id=1, rids=(2,), arrivals_us=(200.0,))
     )
+    metrics.note_shed([Request(rid=2, arrival=200.0, seq_len=8, deadline=6000.0)])
     bus.publish(
         RequestsShed(
             time_us=300.0, batch_id=1, rids=(2,), where="admission", slo_tracked=1
         )
     )
     bus.publish(BreakerOpened(time_us=400.0, reason="queue depth 9 > 6"))
+    done = [Request(rid=0, arrival=0.0, seq_len=8, deadline=6000.0),
+            Request(rid=1, arrival=10.0, seq_len=8)]
+    for r in done:
+        r.mark_completed(5100.0)
+    metrics.record(done)
     bus.publish(
         BatchCompleted(
             time_us=5100.0,
@@ -178,7 +183,6 @@ def _golden_scenario() -> Observability:
             rids=(0, 1),
             completed_rids=(0, 1),
             latencies_us=(5100.0, 5090.0),
-            slo_tracked=1,
             slo_met=1,
             deadline_misses=0,
         )
@@ -364,31 +368,6 @@ def _overloaded_job_server(kind, observability):
     return server.metrics
 
 
-def _overloaded_metrics(kind, observability):
-    """The ServingMetrics of an overloaded run on one of the four servers."""
-    if kind == "server":
-        return _serve_overloaded(observability=observability).metrics
-    return _overloaded_job_server(kind, observability)
-
-
-SERVER_KINDS = ["server", "lifecycle", "static", "continuous"]
-
-
-def _normalized_rows(trace):
-    """Trace rows with the process-global batch-id counter rebased to 0."""
-    base = min(r.batch_id for r in trace.rows)
-    fix = lambda name: re.sub(
-        r"_b(\d+)", lambda m: f"_b{int(m.group(1)) - base}", name
-    )
-    return [
-        (
-            r.gpu, r.stream, fix(r.name), r.kind, r.batch_id - base,
-            r.layer, r.op, r.ready, r.start, r.end, r.noload_duration,
-        )
-        for r in trace.rows
-    ]
-
-
 class TestServedRuns:
     def test_disabled_observability_is_bit_identical(self):
         plain = _serve(record_trace=True)
@@ -402,38 +381,21 @@ class TestServedRuns:
         ]
         # Batch ids come from a process-global counter, so rebase before
         # comparing: every kernel must land at the same instant either way.
-        assert _normalized_rows(plain.trace) == _normalized_rows(observed.trace)
+        assert normalized_rows(plain.trace) == normalized_rows(observed.trace)
 
-    @pytest.mark.parametrize("kind", SERVER_KINDS)
-    def test_registry_agrees_with_serving_metrics(self, kind):
+    def test_one_observability_reads_one_session(self):
         obs = Observability()
-        m = _overloaded_metrics(kind, obs)
-        c = obs.registry._counters
-        assert c["repro_requests_terminal_total"].value(state="completed") == (
-            m.num_completed
-        )
-        assert c["repro_requests_terminal_total"].value(state="shed") == (
-            m.shed_requests
-        )
-        assert c["repro_requests_terminal_total"].value(state="timed_out") == (
-            m.timed_out_requests
-        )
-        assert c["repro_deadline_misses_total"].total() == m.deadline_misses
-        assert c["repro_slo_tracked_total"].total() == m.slo_tracked
-        assert c["repro_slo_met_total"].total() == m.slo_met
-        assert c["repro_batches_preempted_total"].total() == m.preemptions
-        assert c["repro_retries_total"].total() == m.retries
-        # The overloaded run must actually have completed some requests and
-        # dropped others, or this test is vacuous.
-        assert m.num_completed > 0
-        assert m.shed_requests + m.timed_out_requests > 0
-        hist = obs.registry._histograms["repro_request_latency_ms"]
-        assert hist.count == m.num_completed
+        _serve(observability=obs)
+        with pytest.raises(ConfigError, match="another session"):
+            _serve(observability=obs)
 
-    @pytest.mark.parametrize("kind", SERVER_KINDS)
+    @pytest.mark.parametrize("kind", ["server", "lifecycle", "static", "continuous"])
     def test_spans_cover_every_terminal_request(self, kind):
         obs = Observability()
-        m = _overloaded_metrics(kind, obs)
+        if kind == "server":
+            m = _serve_overloaded(observability=obs).metrics
+        else:
+            m = _overloaded_job_server(kind, obs)
         states = {"completed": 0, "shed": 0, "timed_out": 0}
         for span in obs.spans():
             assert span.state in states
@@ -443,7 +405,7 @@ class TestServedRuns:
         assert states["timed_out"] == m.timed_out_requests
 
     def test_heartbeat_samples_gauges(self):
-        obs = Observability(sample_period_us=5_000.0)
+        obs = Observability(ObservabilityConfig(sample_period_us=5_000.0))
         cfg = OverloadConfig(max_pending_requests=32)
         _serve(observability=obs, overload=cfg)
         samples = obs.registry.samples
@@ -634,7 +596,7 @@ class TestLogging:
 class TestObservabilityConfig:
     def test_rejects_nonpositive_sample_period(self):
         with pytest.raises(ConfigError):
-            Observability(sample_period_us=0.0)
+            ObservabilityConfig(sample_period_us=0.0)
 
     def test_arm_is_idempotent(self):
         from repro.sim.engine import Engine

@@ -20,6 +20,7 @@ import json
 
 import pytest
 
+from repro.core import LigerConfig
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, LaunchFailure
 from repro.faults.resilience import ResilienceConfig
@@ -34,7 +35,8 @@ from repro.serving import (
     chat_workload,
     generation_workload,
 )
-from repro.serving.api import make_strategy
+from repro.serving.api import make_strategy, serve
+from repro.serving.request import Batch, Request, RequestState
 from repro.serving.session import ServingSession
 from serving_goldens import (
     GOLDEN_PATH,
@@ -73,6 +75,10 @@ class TestGoldenEquivalence:
             "continuous", "liger", config=ServingConfig(record_trace=True)
         )
         assert fingerprint(trace) == goldens["continuous/liger"]
+
+    def test_config_rejects_a_strategy_config(self):
+        with pytest.raises(ConfigError, match="make_strategy"):
+            serve(MODEL, NODE, num_requests=2, config=LigerConfig())
 
     def test_config_and_legacy_kwargs_clash(self):
         strat = make_strategy("intra", MODEL, NODE)
@@ -144,7 +150,12 @@ class TestServingSession:
         session = self._fully_armed(per_job=True)
         assert session.pipeline.describe() == "dispatch → recovery"
         assert session.overload_ctl is None
-        assert session.recovery.metrics is None
+        # Retries count in the one tally; a shed batch is left to the server.
+        assert session.recovery.metrics is session.metrics
+        batch = Batch([Request(rid=0, arrival=0.0, seq_len=8)])
+        session.recovery.on_shed(batch)
+        assert session.metrics.shed_requests == 0
+        assert batch.requests[0].state is RequestState.PENDING
         assert not session.strategy.track_memory
         dispatch = session.pipeline.stages[0]
         assert dispatch._dispatched_rids is not None
@@ -175,16 +186,22 @@ class TestContinuousBatchingCapabilities:
         return srv.run(jobs)
 
     def test_fault_injection_with_recovery(self):
-        """A launch-fail window triggers retries, yet every job completes."""
+        """A launch-fail window triggers retries, yet every job completes;
+        the retries land in the one tally every view reads."""
+        obs = Observability()
         jobs = generation_workload(8, 200.0, seed=0)
         plan = FaultPlan([LaunchFailure(start=0.0, end=20_000.0)])
         result = self._serve(
             jobs,
             fault_plan=plan,
             resilience=ResilienceConfig(max_retries=8, enable_fallback=False),
+            observability=obs,
         )
         assert result.resilience is not None
-        assert result.resilience.retries > 0
+        assert result.metrics.retries > 0
+        assert result.resilience.retries == result.metrics.retries
+        retries = obs.registry.counter("repro_retries_total", "")
+        assert retries.total() == result.metrics.retries
         assert result.metrics.num_completed == 8
         assert result.metrics.num_terminal == 8
 
@@ -199,7 +216,6 @@ class TestContinuousBatchingCapabilities:
         )
         assert result.overload is not None
         assert result.overload.shed_requests > 0
-        assert result.metrics.shed_requests == result.overload.shed_requests
         assert result.metrics.num_terminal == 24
         assert result.metrics.num_completed < 24
 

@@ -25,6 +25,7 @@ from repro.obs.slo import BurnRule, SloEngine, SloPolicy
 from repro.obs.telemetry import TimeSeriesStore
 from repro.sim.kernel import KernelKind
 from repro.sim.tracing import Trace, TraceRow
+from serving_goldens import normalized_rows
 
 MODEL = OPT_30B.scaled_layers(2)
 NODE = v100_nvlink_node(2)
@@ -187,7 +188,6 @@ def _completed(t, rids, latencies, batch_id=0):
         rids=tuple(rids),
         completed_rids=tuple(rids),
         latencies_us=tuple(latencies),
-        slo_tracked=0,
         slo_met=0,
         deadline_misses=0,
     )
@@ -437,20 +437,6 @@ class TestAttributionAcceptance:
 # ----------------------------------------------------------------------
 # Zero-cost contract: telemetry moves no kernel
 # ----------------------------------------------------------------------
-def _normalized_rows(trace):
-    base = min(r.batch_id for r in trace.rows)
-    fix = lambda name: re.sub(
-        r"_b(\d+)", lambda m: f"_b{int(m.group(1)) - base}", name
-    )
-    return [
-        (
-            r.gpu, r.stream, fix(r.name), r.kind, r.batch_id - base,
-            r.layer, r.op, r.ready, r.start, r.end, r.noload_duration,
-        )
-        for r in trace.rows
-    ]
-
-
 class TestZeroCost:
     def test_telemetry_enabled_run_is_bit_identical(self):
         from repro.serving.api import serve
@@ -466,7 +452,7 @@ class TestZeroCost:
         observed = _run(
             Observability(ObservabilityConfig(telemetry=True, window_us=10_000.0))
         )
-        assert _normalized_rows(plain.trace) == _normalized_rows(observed.trace)
+        assert normalized_rows(plain.trace) == normalized_rows(observed.trace)
 
 
 # ----------------------------------------------------------------------
