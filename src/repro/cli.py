@@ -14,8 +14,9 @@ With no subcommand, or when the first argument is an option, ``serve``
 runs.  The serving subcommands share the model/node/workload flags
 (:func:`workload_parent`) and differ in their defaults (``set_defaults``
 on each subparser) and their own flags.  An invalid value, i.e. a
-:class:`~repro.errors.ConfigError` from anywhere in the run, becomes an
-argparse error: a one-line message on stderr and exit status 2.
+:class:`~repro.errors.ConfigError` from anywhere in the run, and a model
+that does not fit the node (:class:`~repro.errors.PartitionError`) become
+an argparse error: a one-line message on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from repro.core.policy import policy_names
-from repro.errors import ConfigError
+from repro.errors import ConfigError, PartitionError
 from repro.experiments.figures import ALL_FIGURES, _timed_figure
 from repro.faults.plan import build_plan
 from repro.faults.resilience import ResilienceConfig
@@ -528,5 +529,5 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except ConfigError as exc:
+    except (ConfigError, PartitionError) as exc:
         args.parser.error(str(exc))

@@ -98,6 +98,11 @@ class LigerRuntime:
         self._s1: Dict[int, Stream] = {
             g: machine.gpu(g).stream("liger_s1", priority=1) for g in self._gpus
         }
+        # Every rank issues the same commands, except that under HYBRID
+        # GPU 0 alone records the pre-kick event: simulate the rest once.
+        machine.mirror_ranks(
+            self._gpus[1:] if config.sync_mode is SyncMode.HYBRID else self._gpus
+        )
         # End-of-round events per GPU for cross-stream gating.
         self._prev_end0: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._prev_end1: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}

@@ -53,7 +53,9 @@ class FaultInjector:
 
         Schedules one rate-refresh event per fault-window boundary so
         in-flight kernels re-integrate at the new factors the instant a
-        fault activates or clears.
+        fault activates or clears.  Faults skew ranks, so an armed machine
+        simulates every rank on its own
+        (:meth:`~repro.sim.gpu.Machine.arm_fault_injector`).
         """
         if self.machine is not None:
             raise ConfigError("fault injector is already armed")
@@ -63,8 +65,8 @@ class FaultInjector:
                     f"straggler targets GPU {fault.gpu} but the machine has "
                     f"{len(machine.gpus)} GPUs (0..{len(machine.gpus) - 1})"
                 )
+        machine.arm_fault_injector(self)
         self.machine = machine
-        machine.fault_injector = self
         for ccm in cost_models:
             ccm.bandwidth_scale = self._bandwidth_scale
         now = machine.engine.now

@@ -32,6 +32,8 @@ class IntraOpStrategy(ParallelStrategy):
         self._streams: Dict[int, Stream] = {
             g: machine.gpu(g).stream("main") for g in range(self.node.num_gpus)
         }
+        # Every rank runs the same command stream: simulate them once.
+        machine.mirror_ranks(range(self.node.num_gpus))
 
     def submit_batch(self, batch: Batch) -> None:
         machine = self._require_bound()

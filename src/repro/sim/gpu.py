@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -51,7 +51,6 @@ except ImportError:  # pragma: no cover
 __all__ = ["Machine", "Gpu"]
 
 _EPS = 1e-6
-_ready_seq = itertools.count()
 
 #: Active-set size past which progress banking runs on numpy arrays.  The
 #: gather/scatter has fixed cost, so typical decode sets stay scalar; the
@@ -69,12 +68,16 @@ _WAIT_EVENT = CommandKind.WAIT_EVENT
 
 @dataclass(slots=True)
 class _RunState:
-    """A kernel that is ready or resident on a device."""
+    """A kernel that is ready or resident on a device.
+
+    On a mirrored device the state runs the lead rank's ``kernel`` for every
+    rank of the group; ``mirrors`` holds the other ranks' own kernels.
+    """
 
     kernel: Kernel
     gpu_id: int
     stream: Stream
-    ready_seq: int = field(default_factory=lambda: next(_ready_seq))
+    ready_seq: int
     ready_at: float = 0.0
     start_at: float = -1.0
     remaining: float = 0.0
@@ -82,8 +85,12 @@ class _RunState:
     #: Clamped contention slowdown from the device's resident set, without
     #: fault inflation; refreshed only after the resident set changes.
     contention: float = 1.0
-    # Accumulated (stretched-time, no-load-time) for average-slowdown stats.
-    stretched: float = 0.0
+    #: The follower lanes' kernels, in lane order (empty on a one-rank device).
+    mirrors: Sequence[Kernel] = ()
+
+    def lane_kernel(self, lane: int) -> Kernel:
+        """The kernel this state runs on mirror lane ``lane`` (0 = lead)."""
+        return self.mirrors[lane - 1] if lane else self.kernel
 
 
 @dataclass(slots=True)
@@ -91,11 +98,12 @@ class _CollectiveRun:
     """Shared progress state of an in-flight collective."""
 
     op: CollectiveOp
+    #: Rank → the run state holding its member, in per-rank admission order
+    #: (a mirrored device's ranks share one state and enter together).
     members: Dict[int, _RunState] = field(default_factory=dict)
     started_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
-    stretched: float = 0.0
 
     @property
     def started(self) -> bool:
@@ -103,7 +111,15 @@ class _CollectiveRun:
 
 
 class Gpu:
-    """Per-device state: streams, ready set, resident set."""
+    """One rank's streams, and the device state of its rank group.
+
+    The machine simulates each group of rank-symmetric GPUs once (see
+    :meth:`Machine.mirror_ranks`).  The group's lowest rank is its *device*:
+    its ready set, resident set and occupancy stand for every rank in
+    ``ranks``.  A follower rank keeps its own streams, but its ``device``
+    is the lead and its ``lane`` is its index in the lead's ``ranks``.  An
+    undeclared rank is a one-rank group: its own device, lane 0.
+    """
 
     def __init__(self, gpu_id: int, machine: "Machine") -> None:
         self.gpu_id = gpu_id
@@ -118,6 +134,9 @@ class Gpu:
         #: Set on every admit/release: the residents' stored contention
         #: slowdowns are stale until the next reschedule refreshes them.
         self.dirty = False
+        self.device: Gpu = self
+        self.ranks: Tuple[int, ...] = (gpu_id,)
+        self.lane = 0
 
     def stream(self, name: str, priority: int = 0) -> Stream:
         """Get-or-create the stream named ``name`` on this device.
@@ -125,7 +144,9 @@ class Gpu:
         Idempotent by name: repeated calls return the same stream (asking
         for a different priority on an existing name is a config error) —
         creating a fresh stream per call is the kind of silent concurrency
-        bug no caller ever wants.
+        bug no caller ever wants.  On a follower rank the new stream mirrors
+        the lead's stream at the same position, which must have the same
+        name and priority.
         """
         for s in self.streams:
             if s.name == name:
@@ -136,16 +157,67 @@ class Gpu:
                     )
                 return s
         s = Stream(self.gpu_id, name, priority)
+        lead = self.device
+        if lead is not self:
+            position = len(self.streams)
+            if position >= len(lead.streams) or _layout(
+                lead.streams[position]
+            ) != _layout(s):
+                raise ConfigError(
+                    f"stream {name!r} on GPU {self.gpu_id} has no counterpart "
+                    f"at position {position} on its mirror lead GPU "
+                    f"{lead.gpu_id}"
+                )
+            _link(lead.streams[position], s, self.lane)
         self.streams.append(s)
         return s
 
     @property
     def busy(self) -> bool:
-        return bool(self.resident) or bool(self.ready)
+        device = self.device
+        return bool(device.resident) or bool(device.ready)
 
     def all_idle(self) -> bool:
         """True when nothing is resident, ready, or queued on any stream."""
         return not self.busy and all(s.idle for s in self.streams)
+
+
+def _layout(stream: Stream) -> Tuple[str, int]:
+    return stream.name, stream.priority
+
+
+def _link(lead: Stream, follower: Stream, lane: int) -> None:
+    follower.lead = lead
+    follower.lane = lane
+    lead.followers.append(follower)
+
+
+def _bind_counterpart(
+    event: CudaEvent, lane: int, counterpart: CudaEvent, lanes: int
+) -> bool:
+    """Bind ``counterpart`` as ``event``'s copy on follower ``lane``.
+
+    The first binding wins (a record or a wait, whichever attaches first);
+    a later one must name the same event.
+    """
+    bound = event.mirrors
+    if bound is None:
+        bound = event.mirrors = [None] * lanes
+    elif len(bound) != lanes:
+        return False
+    prior = bound[lane - 1]
+    if prior is None:
+        bound[lane - 1] = counterpart
+        return True
+    return prior is counterpart
+
+
+def _label(kind: CommandKind, payload, issued_at: float) -> str:
+    return f"{kind.value} {payload.name} @ {issued_at!r}"
+
+
+def _command_label(cmd: Command) -> str:
+    return _label(cmd.kind, cmd.kernel if cmd.kind is _LAUNCH else cmd.event, cmd.issued_at)
 
 
 class Machine:
@@ -192,11 +264,23 @@ class Machine:
         #: visibility delay (µs).
         self.max_connections = max_connections
         self.connection_contention_delay = connection_contention_delay
-        #: Optional fault-injection hook (see :mod:`repro.faults.injector`).
-        #: When None — the default — every fault code path is skipped and the
-        #: machine behaves bit-for-bit like a fault-free build.
+        #: Optional fault-injection hook (see :mod:`repro.faults.injector`),
+        #: set by :meth:`arm_fault_injector`.  When None — the default —
+        #: every fault code path is skipped and the machine behaves
+        #: bit-for-bit like a fault-free build.
         self.fault_injector = None
         self.gpus: List[Gpu] = [Gpu(i, self) for i in range(node.num_gpus)]
+        #: The device states the machine pumps, admits on and integrates:
+        #: one per rank group, in lead-rank order (see :meth:`mirror_ranks`).
+        self._devices: List[Gpu] = []
+        #: ``(device id, rank, lane)`` for every rank, in rank order.
+        self._lanes: List[Tuple[int, int, int]] = []
+        self._regroup()
+        #: Set once a command reaches a multi-rank group; faults can no
+        #: longer be armed after that.
+        self._mirrored = False
+        #: Admission tie-break within one device's ready list (pop order).
+        self._ready_seq = itertools.count()
         self._collectives: Dict[int, _CollectiveRun] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
@@ -240,6 +324,89 @@ class Machine:
         self._completion_observers.append(fn)
 
     # ------------------------------------------------------------------
+    # Rank mirroring
+    # ------------------------------------------------------------------
+    def mirror_ranks(self, ranks: Iterable[int]) -> None:
+        """Declare that ``ranks`` are issued identical command streams.
+
+        The caller promises that every rank in ``ranks`` receives the same
+        commands, in the same order, on its same-position stream: kernels
+        with the same profile and collective, issued at the same host
+        instant, and events that correspond rank for rank.  The machine then
+        simulates the group once.  The lowest rank's device state pumps,
+        admits, prices contention and banks progress for all of them, and
+        each follower command only attaches its kernel or event to the lead
+        command at the same queue position.  Per-rank effects are kept, in
+        per-rank order: every rank's kernel completes, is traced and is
+        observed, and every rank's event records.
+
+        Attachment verifies the promise.  A follower command that differs
+        from its lead command, or a lead command that reaches its device
+        before every follower attached, raises
+        :class:`~repro.errors.SimulationError`.
+
+        Ignored while a fault injector is armed: faults skew the ranks, so
+        each rank is then simulated on its own.  Declare before submitting
+        to the ranks; already-declared ranks cannot be regrouped.
+        """
+        if self.fault_injector is not None:
+            return
+        ranks = sorted(set(ranks))
+        if len(ranks) < 2:
+            return
+        gpus = [self.gpu(r) for r in ranks]
+        for g in gpus:
+            if g.device is not g or len(g.ranks) > 1:
+                raise ConfigError(f"GPU {g.gpu_id} is already rank-mirrored")
+            if not g.all_idle():
+                raise ConfigError(
+                    f"GPU {g.gpu_id} has work queued; declare mirroring first"
+                )
+        lead = gpus[0]
+        layout = [_layout(s) for s in lead.streams]
+        for g in gpus[1:]:
+            if [_layout(s) for s in g.streams] != layout:
+                raise ConfigError(
+                    f"GPU {g.gpu_id} streams {[_layout(s) for s in g.streams]} "
+                    f"differ from GPU {lead.gpu_id}'s {layout}"
+                )
+        lead.ranks = tuple(ranks)
+        for lane, g in enumerate(gpus[1:], 1):
+            g.device = lead
+            g.lane = lane
+            g.ranks = ()
+            for lead_stream, stream in zip(lead.streams, g.streams):
+                _link(lead_stream, stream, lane)
+        self._regroup()
+
+    def arm_fault_injector(self, injector) -> None:
+        """Attach a fault injector, simulating every rank on its own.
+
+        Faults skew the ranks, so any rank mirroring is undone.  That is
+        only possible before a command reached a mirrored group.
+        """
+        if self._mirrored:
+            raise ConfigError(
+                "arm the fault injector before submitting work: commands "
+                "already run rank-mirrored"
+            )
+        for g in self.gpus:
+            g.device = g
+            g.ranks = (g.gpu_id,)
+            g.lane = 0
+            for s in g.streams:
+                s.lead = None
+                s.lane = 0
+                s.followers = []
+                s.expect.clear()
+        self._regroup()
+        self.fault_injector = injector
+
+    def _regroup(self) -> None:
+        self._devices = [g for g in self.gpus if g.device is g]
+        self._lanes = [(g.device.gpu_id, g.gpu_id, g.lane) for g in self.gpus]
+
+    # ------------------------------------------------------------------
     # Command submission (host side)
     # ------------------------------------------------------------------
     def submit(self, stream: Stream, command: Command) -> None:
@@ -257,7 +424,17 @@ class Machine:
         it schedules the availability pump *lazily* at the pre-stamped
         ``Command.pump_at``, which makes the skipped eager pumps pure
         no-ops removed from the event stream.
+
+        A follower rank's command is not queued: it attaches to its lead
+        command (see :meth:`mirror_ranks`).
         """
+        if stream.lead is not None:
+            kind = command.kind
+            self._attach(
+                stream, kind, command.available_at,
+                command.kernel if kind is _LAUNCH else command.event,
+            )
+            return
         gpu = self.gpus[stream.gpu_id]
         # Position of this stream among the device's busy streams (the old
         # busy-list was built only to take this index); the idle test is
@@ -274,6 +451,9 @@ class Machine:
             command.available_at += stream.visibility_penalty
         if self.fault_injector is not None:
             command.available_at += self.fault_injector.submit_delay(stream)
+        lanes = len(gpu.ranks) - 1
+        if lanes:
+            self._expect(stream, command, lanes)
         was_idle = not (
             stream.queue
             or stream.running_kernel is not None
@@ -291,17 +471,81 @@ class Machine:
             if was_idle:
                 self._schedule_avail_pump(stream, command)
 
+    def _expect(self, stream: Stream, command: Command, lanes: int) -> None:
+        """Open ``lanes`` follower slots on a lead command."""
+        followers = stream.followers
+        if len(followers) != lanes:
+            raise SimulationError(
+                f"stream {stream.name!r} on GPU {stream.gpu_id} is mirrored "
+                f"on only {len(followers)} of {lanes} follower ranks"
+            )
+        command.mirrors = [None] * lanes
+        command.missing = lanes
+        for follower in followers:
+            follower.expect.append(command)
+        self._mirrored = True
+
+    def _attach(
+        self, stream: Stream, kind: CommandKind, available_at: float, payload
+    ) -> None:
+        """Attach a follower rank's command to its lead command.
+
+        The follower must issue what the lead issued at the same queue
+        position: the same kind at the same host instant, a kernel of the
+        same profile and collective, and an event that is the lead event's
+        counterpart on this rank.
+        """
+        expect = stream.expect
+        lead = expect.popleft() if expect else None
+        if lead is not None and kind is lead.kind and available_at == lead.issued_at:
+            if kind is _LAUNCH:
+                lk = lead.kernel
+                same = (
+                    payload.kind is lk.kind
+                    and payload.duration == lk.duration
+                    and payload.occupancy == lk.occupancy
+                    and payload.memory_intensity == lk.memory_intensity
+                    and payload.collective is lk.collective
+                )
+            elif kind is _RECORD_EVENT and payload is lead.event:
+                same = False
+            else:
+                same = _bind_counterpart(
+                    lead.event, stream.lane, payload, len(lead.mirrors)
+                )
+            if same:
+                lead.mirrors[stream.lane - 1] = payload
+                lead.missing -= 1
+                return
+        raise SimulationError(
+            f"rank {stream.gpu_id} diverged from its mirror lead GPU "
+            f"{stream.lead.gpu_id} on stream {stream.name!r}: it issued "
+            f"{_label(kind, payload, available_at)} where the lead issued "
+            f"{_command_label(lead) if lead is not None else 'nothing'}"
+        )
+
+    # The convenience wrappers attach a follower's payload directly: its
+    # command object would be dropped at once.
     def launch(self, stream: Stream, kernel: Kernel, available_at: float) -> None:
         """Convenience: submit a LAUNCH command."""
-        self.submit(stream, _fast_command(_LAUNCH, available_at, kernel=kernel))
+        if stream.lead is not None:
+            self._attach(stream, _LAUNCH, available_at, kernel)
+        else:
+            self.submit(stream, _fast_command(_LAUNCH, available_at, kernel=kernel))
 
     def record_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a RECORD_EVENT command."""
-        self.submit(stream, _fast_command(_RECORD_EVENT, available_at, event=event))
+        if stream.lead is not None:
+            self._attach(stream, _RECORD_EVENT, available_at, event)
+        else:
+            self.submit(stream, _fast_command(_RECORD_EVENT, available_at, event=event))
 
     def wait_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a WAIT_EVENT command."""
-        self.submit(stream, _fast_command(_WAIT_EVENT, available_at, event=event))
+        if stream.lead is not None:
+            self._attach(stream, _WAIT_EVENT, available_at, event)
+        else:
+            self.submit(stream, _fast_command(_WAIT_EVENT, available_at, event=event))
 
     # ------------------------------------------------------------------
     # Running
@@ -322,9 +566,19 @@ class Machine:
 
         Used by the quiescence check above and by the fault subsystem's
         watchdog to name the stuck streams/kernels in its diagnostics.
+        Follower ranks are named rank by rank, through their group.
         """
-        stuck = [repr(s) for g in self.gpus for s in g.streams if not s.idle]
-        stuck += [f"ready:{rs.kernel.name}" for g in self.gpus for rs in g.ready]
+        stuck = [
+            self._describe_stream(s)
+            for g in self.gpus
+            for s in g.streams
+            if not s.idle
+        ]
+        stuck += [
+            f"ready:{rs.lane_kernel(g.lane).name}"
+            for g in self.gpus
+            for rs in g.device.ready
+        ]
         for crun in self._collectives.values():
             if not crun.started:
                 missing = sorted(set(crun.op.participants) - set(crun.members))
@@ -332,6 +586,23 @@ class Machine:
                     f"collective:{crun.op.name} awaiting ranks {missing}"
                 )
         return stuck
+
+    def _describe_stream(self, stream: Stream) -> str:
+        lead = stream.lead
+        if lead is None:
+            return repr(stream)
+        lane = stream.lane
+        running = lead.running_kernel
+        if running is not None:
+            device = self.gpus[lead.gpu_id]
+            rs = device.resident.get(running.uid) or next(
+                r for r in device.ready if r.kernel is running
+            )
+            running = rs.lane_kernel(lane)
+        blocked = lead.blocked_on_event
+        if blocked is not None:
+            blocked = blocked.mirrors[lane - 1]
+        return stream.describe(running, blocked, len(lead.queue))
 
     # ------------------------------------------------------------------
     # Pumping: advance stream heads into the ready set
@@ -366,11 +637,14 @@ class Machine:
         per-pass round-robin is load-bearing, because ``ready_seq`` (and
         with it same-instant admission order) follows pop order.  Returns
         whether a kernel was admitted; rescheduling is the caller's job
-        (see :meth:`_reschedule`).
+        (see :meth:`_reschedule`).  On a mirrored device each retired
+        command stands for every rank: a record records every rank's event,
+        in rank order.
         """
         now = self.engine.now
         threshold = now + _EPS
         streams = gpu.streams
+        kick = self._kick_pump_fns[gpu.gpu_id]
         progressed = True
         while progressed:
             progressed = False
@@ -392,10 +666,11 @@ class Machine:
                     # (the eager submit-time pump is elided for busy streams).
                     self._schedule_avail_pump(stream, cmd)
                     continue
+                if cmd.missing:
+                    self._raise_unattached(stream, cmd)
+                queue.popleft()
                 kind = cmd.kind
                 if kind is _LAUNCH:
-                    stream.retired += 1
-                    queue.popleft()
                     kernel = cmd.kernel
                     stream.running_kernel = kernel
                     gpu.ready.append(
@@ -403,29 +678,49 @@ class Machine:
                             kernel=kernel,
                             gpu_id=gpu.gpu_id,
                             stream=stream,
+                            ready_seq=next(self._ready_seq),
                             ready_at=now,
+                            mirrors=cmd.mirrors,
                         )
                     )
                     progressed = True
                 elif kind is _RECORD_EVENT:
-                    stream.retired += 1
-                    queue.popleft()
                     # This device's own waiters are unblocked by the next
                     # pass of this sweep, so only other devices get a kick.
-                    cmd.event.record(
-                        now, self._deferred, self._kick_pump_fns[gpu.gpu_id]
-                    )
+                    event = cmd.event
+                    if event.mirrors is not None and not cmd.mirrors:
+                        self._check_shared(event)
+                    event.record(now, self._deferred, kick)
+                    for mirror in cmd.mirrors:
+                        mirror.record(now, self._deferred, kick)
                     progressed = True
                 else:  # WAIT_EVENT
-                    stream.retired += 1
-                    queue.popleft()
                     event = cmd.event
                     if event.is_recorded:
                         progressed = True
                     else:
                         stream.blocked_on_event = event
-                        event.add_stream_waiter(self._kick_pump_fns[gpu.gpu_id])
+                        event.add_stream_waiter(kick)
         return self._try_admit(gpu)
+
+    def _raise_unattached(self, stream: Stream, cmd: Command) -> None:
+        absent = [f.gpu_id for f in stream.followers if any(c is cmd for c in f.expect)]
+        raise SimulationError(
+            f"rank(s) {absent} never issued their copy of "
+            f"{_command_label(cmd)} on stream {stream.name!r} before it ran "
+            f"on mirror lead GPU {stream.gpu_id}"
+        )
+
+    @staticmethod
+    def _check_shared(event: CudaEvent) -> None:
+        """A one-rank record of an event mirrored ranks wait on: they must
+        all wait on this very event, which then unblocks them together."""
+        for other in event.mirrors:
+            if other is not None and other is not event:
+                raise SimulationError(
+                    f"mirrored ranks wait on {other.name} as the copy of "
+                    f"{event.name}, which an unmirrored stream records"
+                )
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
         """Deferred-call hook handed to CudaEvent.record."""
@@ -468,28 +763,34 @@ class Machine:
     def _admit(self, gpu: Gpu, rs: _RunState) -> None:
         now = self.engine.now
         rs.start_at = now
+        kernel = rs.kernel
         # Stamped for completion observers that want measured durations
         # (e.g. online contention estimation) without a full trace.
-        rs.kernel.meta["_started_at"] = now
-        rs.remaining = rs.kernel.duration
-        gpu.resident[rs.kernel.uid] = rs
-        gpu.used_occupancy += rs.kernel.occupancy
+        kernel.meta["_started_at"] = now
+        for mirror in rs.mirrors:
+            mirror.meta["_started_at"] = now
+        rs.remaining = kernel.duration
+        gpu.resident[kernel.uid] = rs
+        gpu.used_occupancy += kernel.occupancy
         gpu.dirty = True
-        coll = rs.kernel.collective
+        coll = kernel.collective
         if coll is None:
-            gpu.active_local[rs.kernel.uid] = rs
-        if coll is not None:
-            crun = self._collectives.get(coll.uid)
-            if crun is None:
-                crun = _CollectiveRun(op=coll, remaining=coll.duration)
-                self._collectives[coll.uid] = crun
-            if gpu.gpu_id in crun.members:
+            gpu.active_local[kernel.uid] = rs
+            return
+        crun = self._collectives.get(coll.uid)
+        if crun is None:
+            crun = _CollectiveRun(op=coll, remaining=coll.duration)
+            self._collectives[coll.uid] = crun
+        members = crun.members
+        for rank in gpu.ranks:
+            if rank in members:
                 raise SimulationError(
-                    f"collective {coll.name}: duplicate member on GPU {gpu.gpu_id}"
+                    f"collective {coll.name}: duplicate member on GPU {rank}"
                 )
-            crun.members[gpu.gpu_id] = rs
-            if set(crun.members) == set(coll.participants):
-                crun.started_at = now
+            members[rank] = rs
+        participants = coll.participants
+        if len(members) == len(participants) and set(members) == set(participants):
+            crun.started_at = now
 
     # ------------------------------------------------------------------
     # Progress integration
@@ -501,7 +802,7 @@ class Machine:
         if dt <= _EPS:
             self._last_bank_time = now
             return
-        for gpu in self.gpus:
+        for gpu in self._devices:
             active = gpu.active_local
             if _np is not None and len(active) >= _VECTOR_MIN_ACTIVE:
                 rss = list(active.values())
@@ -515,17 +816,14 @@ class Machine:
                 # NaN-to-zero behaviour); a masked assignment would not.
                 for rs, r in zip(rss, _np.where(rem > 0.0, rem, 0.0).tolist()):
                     rs.remaining = r
-                    rs.stretched += dt
             else:
                 for rs in active.values():
                     rem = rs.remaining - dt / rs.slowdown
                     rs.remaining = rem if rem > 0.0 else 0.0
-                    rs.stretched += dt
         for crun in self._collectives.values():
             if crun.started_at >= 0.0:
                 rem = crun.remaining - dt / crun.slowdown
                 crun.remaining = rem if rem > 0.0 else 0.0
-                crun.stretched += dt
         self._last_bank_time = now
 
     def _refresh_contention(self, gpu: Gpu) -> None:
@@ -591,7 +889,7 @@ class Machine:
         """
         inj = self.fault_injector
         next_dt: Optional[float] = None
-        for gpu in self.gpus:
+        for gpu in self._devices:
             if not gpu.resident:
                 continue
             if gpu.dirty:
@@ -631,25 +929,41 @@ class Machine:
         self._completion_timer = None
         self._bank_progress()
         now = self.engine.now
-        touched: set = set()
 
-        due_locals = [
-            rs
-            for gpu in self.gpus
-            for rs in gpu.active_local.values()
-            if rs.remaining <= _EPS
-        ]
+        due_locals: Dict[int, List[_RunState]] = {}
+        for gpu in self._devices:
+            due = [rs for rs in gpu.active_local.values() if rs.remaining <= _EPS]
+            if due:
+                due_locals[gpu.gpu_id] = due
         due_colls = [
             crun
             for crun in self._collectives.values()
             if crun.started_at >= 0.0 and crun.remaining <= _EPS
         ]
-        for rs in due_locals:
-            self._complete_local(rs, now)
-            touched.add(rs.gpu_id)
+        touched = set(due_locals)
+        if due_locals:
+            # Per-rank order: GPU id, then admission order within the GPU.
+            # A device state is released once, by its lead lane.
+            trace = self.trace
+            observers = self._completion_observers
+            for device_id, rank, lane in self._lanes:
+                due = due_locals.get(device_id)
+                if due is None:
+                    continue
+                self.kernels_completed += len(due)
+                for rs in due:
+                    if lane:
+                        kernel = rs.mirrors[lane - 1]
+                    else:
+                        self._release(rs)
+                        kernel = rs.kernel
+                    if trace is not None:
+                        trace.record_kernel(rs, now, kernel, rank)
+                    for fn in observers:
+                        fn(kernel, now)
         for crun in due_colls:
             self._complete_collective(crun, now)
-            touched.update(crun.members.keys())
+            touched.update(rs.gpu_id for rs in crun.members.values())
 
         # Every pump below runs at the same instant, so progress banking
         # between them is a no-op and one reschedule after the last covers
@@ -670,26 +984,23 @@ class Machine:
         if rs.stream.running_kernel is rs.kernel:
             rs.stream.running_kernel = None
 
-    def _complete_local(self, rs: _RunState, now: float) -> None:
-        self._release(rs)
-        self.kernels_completed += 1
-        if self.trace is not None:
-            self.trace.record_kernel(rs, end=now)
-        for fn in self._completion_observers:
-            fn(rs.kernel, now)
-
     def _complete_collective(self, crun: _CollectiveRun, now: float) -> None:
         del self._collectives[crun.op.uid]
-        for rs in crun.members.values():
-            self._release(rs)
+        gpus = self.gpus
+        members = [
+            (rs, rank, rs.lane_kernel(gpus[rank].lane))
+            for rank, rs in crun.members.items()
+        ]
+        for rs, rank, kernel in members:
+            if rank == rs.gpu_id:
+                self._release(rs)
             self.kernels_completed += 1
             if self.trace is not None:
-                rs.stretched = crun.stretched  # members share the op timeline
-                self.trace.record_kernel(rs, end=now)
+                self.trace.record_kernel(rs, now, kernel, rank)
         for fn in self._completion_observers:
             # Observers see one representative member per rank.
-            for rs in crun.members.values():
-                fn(rs.kernel, now)
+            for _, _, kernel in members:
+                fn(kernel, now)
 
     # ------------------------------------------------------------------
     # Introspection

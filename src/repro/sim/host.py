@@ -17,7 +17,7 @@ asynchronous-launch semantics the hybrid approach exploits.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional
 
 from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
@@ -126,10 +126,6 @@ class Host:
         self.cursors[g] += EVENT_CMD_OVERHEAD
         self.machine.wait_event(stream, event, available_at=self.cursors[g])
         return self.cursors[g]
-
-    def launch_group(self, launches: Sequence[Tuple[Stream, Kernel]]) -> List[float]:
-        """Issue a sequence of launches; per-rank cursors advance independently."""
-        return [self.launch_kernel(s, k) for s, k in launches]
 
     # ------------------------------------------------------------------
     # CPU-GPU synchronization

@@ -19,7 +19,7 @@ import enum
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional
+from typing import Any, Deque, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
@@ -44,13 +44,21 @@ class Command:
     available_at: float
     kernel: Optional[Kernel] = None
     event: Optional[CudaEvent] = None
-    seq: int = field(default_factory=lambda: next(_stream_ids))
     #: The instant the machine would pump this command into view, stamped at
     #: submit time with the exact ``now + max(0, available_at - now)`` float
     #: arithmetic the submit-time pump used to be scheduled with — so a pump
     #: scheduled lazily (when the command is first seen waiting at its
     #: stream's head) fires at the bit-identical time.
     pump_at: float = 0.0
+    #: ``available_at`` as the host issued it, before the machine's
+    #: submit-time delays; mirrored ranks must issue the same value.
+    issued_at: float = field(default=0.0, init=False)
+    #: The follower ranks' payloads (kernel or event), one per mirror lane,
+    #: when this command heads a rank-mirrored stream (see
+    #: :meth:`repro.sim.gpu.Machine.mirror_ranks`); empty otherwise.
+    mirrors: Sequence[Any] = field(default=(), init=False)
+    #: Follower lanes that have not attached their copy yet.
+    missing: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.kind is CommandKind.LAUNCH and self.kernel is None:
@@ -58,6 +66,7 @@ class Command:
         if self.kind in (CommandKind.RECORD_EVENT, CommandKind.WAIT_EVENT):
             if self.event is None:
                 raise ConfigError(f"{self.kind.value} command requires an event")
+        self.issued_at = self.available_at
 
 
 def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
@@ -71,8 +80,10 @@ def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
     cmd.available_at = available_at
     cmd.kernel = kernel
     cmd.event = event
-    cmd.seq = next(_stream_ids)
     cmd.pump_at = 0.0
+    cmd.issued_at = available_at
+    cmd.mirrors = ()
+    cmd.missing = 0
     return cmd
 
 
@@ -102,8 +113,6 @@ class Stream:
         # Head-state flags owned by the machine pump:
         self.blocked_on_event: Optional[CudaEvent] = None
         self.running_kernel: Optional[Kernel] = None
-        # Monotone count of fully retired commands (for tests/metrics).
-        self.retired = 0
         #: Extra per-command visibility delay (µs) added by the machine when
         #: commands are submitted to this stream.  Fault injection raises it
         #: for the window of a degraded-host fault; 0.0 (the default) is
@@ -112,40 +121,48 @@ class Stream:
         #: Latest ``pump_at`` the machine has already scheduled a lazy
         #: availability pump for (dedup marker owned by the machine).
         self.avail_pump_at: float = -1.0
+        # Rank mirroring, owned by the machine (see Machine.mirror_ranks).
+        # A *follower* stream keeps no queue of its own: ``lead`` is the
+        # same-position stream of its group's lowest rank, ``lane`` its
+        # index among the group's ranks, and ``expect`` the lead commands
+        # it has yet to attach a copy to.  A lead stream lists its
+        # followers in lane order.
+        self.lead: Optional["Stream"] = None
+        self.lane = 0
+        self.expect: Deque[Command] = deque()
+        self.followers: List["Stream"] = []
 
     # ------------------------------------------------------------------
-    def enqueue(self, command: Command) -> None:
-        """Append a command (host-side launch already accounted for)."""
-        self.queue.append(command)
-
-    def head(self) -> Optional[Command]:
-        """The next command to execute, or None when drained."""
-        return self.queue[0] if self.queue else None
-
-    def pop_head(self) -> Command:
-        """Retire the head command."""
-        self.retired += 1
-        return self.queue.popleft()
-
     @property
     def idle(self) -> bool:
-        """True when nothing is queued, running, or blocked."""
+        """True when nothing is queued, running, or blocked.
+
+        A follower reports its group's stream: it runs the same commands.
+        """
+        s = self.lead or self
         return (
-            not self.queue
-            and self.running_kernel is None
-            and self.blocked_on_event is None
+            not s.queue
+            and s.running_kernel is None
+            and s.blocked_on_event is None
         )
 
-    @property
-    def pending_commands(self) -> int:
-        return len(self.queue)
+    def describe(
+        self,
+        running: Optional[Kernel],
+        blocked: Optional[CudaEvent],
+        queued: int,
+    ) -> str:
+        """This stream's diagnostic line for the given head state."""
+        state = "idle"
+        if running is not None:
+            state = f"running {running.name}"
+        elif blocked is not None:
+            state = f"blocked on {blocked.name}"
+        elif queued:
+            state = f"{queued} queued"
+        return f"Stream(g{self.gpu_id}/{self.name} prio={self.priority}: {state})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "idle"
-        if self.running_kernel is not None:
-            state = f"running {self.running_kernel.name}"
-        elif self.blocked_on_event is not None:
-            state = f"blocked on {self.blocked_on_event.name}"
-        elif self.queue:
-            state = f"{len(self.queue)} queued"
-        return f"Stream(g{self.gpu_id}/{self.name} prio={self.priority}: {state})"
+        return self.describe(
+            self.running_kernel, self.blocked_on_event, len(self.queue)
+        )

@@ -66,24 +66,28 @@ class Trace:
         self.rows: List[TraceRow] = []
 
     # Called by Machine with a _RunState; duck-typed to avoid a cycle.
-    def record_kernel(self, rs, end: float) -> None:
-        """Append one executed kernel's row (called by the machine)."""
-        k = rs.kernel
+    def record_kernel(self, rs, end: float, kernel, gpu: int) -> None:
+        """Append one executed kernel's row (called by the machine).
+
+        ``kernel`` ran on ``gpu`` under run state ``rs``: a rank-mirrored
+        run state carries every rank of its group, so the machine names
+        the rank and its kernel.
+        """
         self.rows.append(
             TraceRow(
-                gpu=rs.gpu_id,
+                gpu=gpu,
                 stream=rs.stream.name,
-                name=k.name,
-                kind=k.kind,
-                batch_id=k.batch_id,
-                layer=k.layer,
-                op=k.op,
+                name=kernel.name,
+                kind=kernel.kind,
+                batch_id=kernel.batch_id,
+                layer=kernel.layer,
+                op=kernel.op,
                 ready=rs.ready_at,
                 start=rs.start_at,
                 end=end,
-                noload_duration=k.duration,
-                policy=k.meta.get("_policy", ""),
-                resource_class=k.meta.get("_rclass", ""),
+                noload_duration=kernel.duration,
+                policy=kernel.meta.get("_policy", ""),
+                resource_class=kernel.meta.get("_rclass", ""),
             )
         )
 

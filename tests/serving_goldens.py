@@ -78,7 +78,12 @@ def _make_scenario_strategy(strategy: str, model, node, cache_off: bool, liger_c
 
 
 def run_scenario(
-    server: str, strategy: str, cache_off: bool = False, liger_config=None, **extra
+    server: str,
+    strategy: str,
+    cache_off: bool = False,
+    liger_config=None,
+    keep=None,
+    **extra,
 ):
     """Serve one golden workload; returns (result, trace).
 
@@ -87,7 +92,9 @@ def run_scenario(
     identically to the committed golden.  ``liger_config`` pins an
     explicit :class:`~repro.core.LigerConfig` instead of the cache_off
     presets (the timeline-replay equivalence matrix builds its own);
-    ``config`` in ``**extra`` stays the *server's* ServingConfig.
+    ``config`` in ``**extra`` stays the *server's* ServingConfig.  A
+    ``keep`` list receives the server object, for tests that read its
+    metrics or machine.
     """
     reset_batch_ids()
     model, node = _model_node()
@@ -96,6 +103,8 @@ def run_scenario(
     def _run(srv, payload):
         if cache_off:
             srv.session.machine.slowdown_memo = False
+        if keep is not None:
+            keep.append(srv)
         return srv.run(payload)
 
     if server == "server":

@@ -183,6 +183,8 @@ OPTIONS = {
 # Bad user values and the one-line error each must produce (exit status 2).
 _BAD_VALUES = [
     (["--gpus", "0"], "num_gpus must be >= 1"),
+    # OPT-30B's weights do not fit two V100s.
+    (["--gpus", "2", "--requests", "4"], "OPT-30B needs"),
     (["--requests", "0"], "num_requests must be >= 1"),
     (["--rate", "-1"], "rate must be positive"),
     (["--batch", "0"], "batch_size must be >= 1"),

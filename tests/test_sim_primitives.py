@@ -117,15 +117,15 @@ class TestStreamAndCommands:
     def test_stream_fifo_and_counters(self):
         s = Stream(gpu_id=0, name="s", priority=2)
         ev = CudaEvent()
-        s.enqueue(Command(CommandKind.RECORD_EVENT, available_at=0.0, event=ev))
+        s.queue.append(Command(CommandKind.RECORD_EVENT, available_at=0.0, event=ev))
         k = Kernel(name="k", kind=KernelKind.COMPUTE, duration=1.0)
-        s.enqueue(Command(CommandKind.LAUNCH, available_at=0.0, kernel=k))
-        assert s.pending_commands == 2
+        s.queue.append(Command(CommandKind.LAUNCH, available_at=0.0, kernel=k))
+        assert len(s.queue) == 2
         assert not s.idle
-        first = s.pop_head()
+        first = s.queue.popleft()
         assert first.kind is CommandKind.RECORD_EVENT
-        assert s.retired == 1
-        s.pop_head()
+        assert first.issued_at == first.available_at == 0.0
+        s.queue.popleft()
         assert s.idle
 
 

@@ -212,12 +212,3 @@ class TestHost:
         assert t0 == pytest.approx(5.0)
         assert t1 == pytest.approx(5.0)  # not 10.0
         m.run()
-
-    def test_launch_group(self):
-        m = make_machine()
-        host = Host(m, launch_overhead=2.0)
-        s = m.gpu(0).stream("s0")
-        times = host.launch_group([(s, k("a", 1.0)), (s, k("b", 1.0))])
-        assert times == [pytest.approx(2.0), pytest.approx(4.0)]
-        assert host.launches_issued == 2
-        m.run()
