@@ -62,9 +62,7 @@ def __getattr__(name):
         "KVCacheAccountant",
         "RequestState",
         "RunResult",
-        "ServingConfig",
         "ServingSession",
-        "SubmissionPipeline",
     }:
         from repro import serving
 

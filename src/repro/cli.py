@@ -41,7 +41,6 @@ from repro.obs.export import summarize_trace
 from repro.obs.observability import Observability, ObservabilityConfig
 from repro.obs.slo import SloPolicy
 from repro.serving import api
-from repro.serving.session import ServingConfig
 
 __all__ = [
     "main",
@@ -191,9 +190,11 @@ def install_log_handler(level_name: Optional[str]) -> None:
 # ----------------------------------------------------------------------
 # Running and reporting
 # ----------------------------------------------------------------------
-def _serve(args: argparse.Namespace, **config):
-    """Serve the workload the flags describe.  ``config`` holds
-    :class:`ServingConfig` fields; the overload flags fill in ``overload``."""
+def _serve(args: argparse.Namespace, **subsystems):
+    """Serve the workload the flags describe.  ``subsystems`` holds
+    :func:`~repro.serving.api.serve` keywords (``record_trace``,
+    ``fault_plan``, ``observability``, ...); the overload flags fill in
+    ``overload``."""
     model, node = resolve_model_node(args)
     return api.serve(
         model,
@@ -205,7 +206,8 @@ def _serve(args: argparse.Namespace, **config):
         num_requests=args.requests,
         batch_size=args.batch,
         seed=args.seed,
-        config=ServingConfig(overload=overload_config_from_args(args), **config),
+        overload=overload_config_from_args(args),
+        **subsystems,
     )
 
 

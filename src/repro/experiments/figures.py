@@ -19,7 +19,7 @@ paper likewise tunes rates per node, §D).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -513,16 +513,7 @@ def fig13(scale: str = "quick") -> FigureResult:
                 "liger", rate, num_requests=sc.requests, batch_size=2,
                 config=LigerConfig(sync_mode=mode, contention_factors=factors),
             )
-            records.append(
-                ExperimentRecord(
-                    figure="fig13", panel=f"sync={mode.value}",
-                    strategy="liger", rate=rate,
-                    num_requests=record.num_requests, batch_size=2,
-                    avg_latency_ms=record.avg_latency_ms,
-                    p99_latency_ms=record.p99_latency_ms,
-                    throughput=record.throughput,
-                )
-            )
+            records.append(replace(record, panel=f"sync={mode.value}"))
     summary = _panel_vs_panel(records, "sync=hybrid", "sync=cpu_gpu")
     text = format_table(ExperimentRecord.ROW_HEADERS, [r.row() for r in records])
     text += "\n\n" + format_kv(sorted(summary.items()))
@@ -577,15 +568,7 @@ def fig14(scale: str = "quick") -> FigureResult:
                 "liger", rate, num_requests=sc.requests, batch_size=2,
                 config=LigerConfig(division_factor=d, contention_factors=factors),
             )
-            records.append(
-                ExperimentRecord(
-                    figure="fig14", panel=f"d={d}", strategy="liger", rate=rate,
-                    num_requests=record.num_requests, batch_size=2,
-                    avg_latency_ms=record.avg_latency_ms,
-                    p99_latency_ms=record.p99_latency_ms,
-                    throughput=record.throughput,
-                )
-            )
+            records.append(replace(record, panel=f"d={d}"))
     lat_by_d = {
         d: float(np.mean([r.avg_latency_ms for r in records if r.panel == f"d={d}"]))
         for d in (2, 4, 8, 16)
@@ -672,15 +655,7 @@ def ablations(scale: str = "quick") -> FigureResult:
         record, _ = runner.run_point(
             "liger", rate, num_requests=sc.requests, batch_size=2, config=cfg
         )
-        records.append(
-            ExperimentRecord(
-                figure="ablations", panel=name, strategy="liger", rate=rate,
-                num_requests=record.num_requests, batch_size=2,
-                avg_latency_ms=record.avg_latency_ms,
-                p99_latency_ms=record.p99_latency_ms,
-                throughput=record.throughput,
-            )
-        )
+        records.append(replace(record, panel=name))
     base = records[0]
     summary = {
         f"{r.panel}:lat_vs_default": r.avg_latency_ms / base.avg_latency_ms
@@ -734,16 +709,7 @@ def fluctuating(scale: str = "quick") -> FigureResult:
                 num_requests=max(sc.requests, 48), batch_size=2,
                 arrival=arrival,
             )
-            records.append(
-                ExperimentRecord(
-                    figure="fluctuating", panel=f"{label}",
-                    strategy=strategy, rate=mean_rate,
-                    num_requests=record.num_requests, batch_size=2,
-                    avg_latency_ms=record.avg_latency_ms,
-                    p99_latency_ms=record.p99_latency_ms,
-                    throughput=record.throughput,
-                )
-            )
+            records.append(replace(record, panel=label))
 
     def lat(panel, strategy):
         return next(

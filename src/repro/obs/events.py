@@ -154,19 +154,32 @@ class BatchDispatched(Event):
     phase: str = "prefill"
     #: Exact per-member queue wait: own arrival → this dispatch (µs).
     queue_waits_us: Tuple[float, ...] = ()
-    #: False for a re-dispatch of already-served requests (lifecycle decode
-    #: iterations) — queue-wait derivations skip those.
-    first: bool = True
+    #: Members handed off before (a job server's later decode iterations);
+    #: queue-wait derivations skip those.
+    redispatched: Tuple[int, ...] = ()
 
     @staticmethod
-    def from_batch(batch, time_us: float, *, first: bool = True) -> "BatchDispatched":
+    def from_batch(
+        batch, time_us: float, *, redispatched: Tuple[int, ...] = ()
+    ) -> "BatchDispatched":
         return BatchDispatched(
             time_us=time_us,
             batch_id=batch.batch_id,
             rids=tuple(r.rid for r in batch.requests),
             phase=batch.phase.value,
             queue_waits_us=tuple(time_us - r.arrival for r in batch.requests),
-            first=first,
+            redispatched=redispatched,
+        )
+
+    def first_queue_waits_us(self) -> Tuple[float, ...]:
+        """Queue waits of the members on their first hand-off (µs)."""
+        if not self.redispatched:
+            return self.queue_waits_us
+        again = set(self.redispatched)
+        return tuple(
+            wait
+            for rid, wait in zip(self.rids, self.queue_waits_us)
+            if rid not in again
         )
 
 

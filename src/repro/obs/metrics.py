@@ -385,10 +385,9 @@ class MetricsRegistry:
             c["repro_requests_shed_total"].inc(len(event.rids), where=event.where)
         elif isinstance(event, BatchDispatched):
             c["repro_batches_dispatched_total"].inc(1, phase=event.phase)
-            if event.first:
-                hist = self._histograms["repro_request_queue_wait_ms"]
-                for wait in event.queue_waits_us:
-                    hist.observe(wait / 1e3)
+            hist = self._histograms["repro_request_queue_wait_ms"]
+            for wait in event.first_queue_waits_us():
+                hist.observe(wait / 1e3)
         elif isinstance(event, BatchStaged):
             c["repro_batches_staged_total"].inc(1)
         elif isinstance(event, BreakerOpened):

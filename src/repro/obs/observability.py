@@ -194,8 +194,8 @@ class Observability:
         if isinstance(event, BatchCompleted):
             for lat in event.latencies_us:
                 store.observe("repro_request_latency_ms", event.time_us, lat / 1e3)
-        elif isinstance(event, BatchDispatched) and event.first:
-            for wait in event.queue_waits_us:
+        elif isinstance(event, BatchDispatched):
+            for wait in event.first_queue_waits_us():
                 store.observe("repro_request_queue_wait_ms", event.time_us, wait / 1e3)
 
     def arm(self, engine) -> None:

@@ -36,12 +36,7 @@ from repro.serving.overload import (
 )
 from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.serving.server import Server, ServingResult
-from repro.serving.session import (
-    RunResult,
-    ServingConfig,
-    ServingSession,
-    SubmissionPipeline,
-)
+from repro.serving.session import RunResult, ServingSession
 from repro.serving.workload import (
     general_trace,
     generative_trace,
@@ -73,9 +68,7 @@ __all__ = [
     "Server",
     "ServingResult",
     "RunResult",
-    "ServingConfig",
     "ServingSession",
-    "SubmissionPipeline",
     "GenRequest",
     "generation_workload",
     "StaticBatchingServer",

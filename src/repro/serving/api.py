@@ -30,7 +30,6 @@ from repro.parallel.inter_theoretical import InterTheoreticalStrategy
 from repro.parallel.intra_op import IntraOpStrategy
 from repro.profiling.profiler import OpProfiler
 from repro.serving.server import Server, ServingResult
-from repro.serving.session import ServingConfig
 from repro.serving.workload import general_trace, generative_trace
 from repro.sim.interconnect import NcclConfig
 
@@ -110,7 +109,6 @@ def serve(
     seed: int = 0,
     record_trace: bool = False,
     check_memory: bool = True,
-    config: Optional[ServingConfig] = None,
     fault_plan=None,
     resilience=None,
     overload=None,
@@ -127,12 +125,6 @@ def serve(
     ``policy`` picks the Liger operator-scheduling policy (see
     :func:`~repro.core.policy.policy_names`); ``None`` keeps the strategy's
     configured default, and non-``"liger"`` strategies reject it.
-
-    ``config`` (a :class:`~repro.serving.session.ServingConfig`) bundles the
-    cross-cutting subsystems in one object; it is mutually exclusive with
-    the individual ``fault_plan``/``resilience``/``overload``/
-    ``observability`` keywords below, and when given it also governs
-    ``record_trace``.
 
     ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) injects faults
     into the run and arms the recovery layer; ``resilience`` (a
@@ -152,15 +144,13 @@ def serve(
     ``observability.save_merged_trace(..., trace=result.trace)``.  When
     ``None``, nothing is published and the run is bit-identical to one
     without the observability subsystem.
+
+    Every other keyword goes to :func:`make_strategy`, so
+    ``config=LigerConfig(...)`` configures the Liger strategy.
     """
     if deadline_us is not None:
         from repro.serving.overload import OverloadConfig
 
-        if config is not None:
-            raise ConfigError(
-                "deadline_us cannot be combined with config=; set "
-                "default_deadline_us on the config's OverloadConfig instead"
-            )
         if overload is None:
             overload = OverloadConfig(default_deadline_us=deadline_us)
         elif overload.default_deadline_us is None:
@@ -186,7 +176,6 @@ def serve(
         model,
         node,
         strat,
-        config=config,
         record_trace=record_trace,
         check_memory=check_memory,
         fault_plan=fault_plan,

@@ -21,8 +21,7 @@ all-reduces with another's GEMMs.
 
 Both ride the :class:`~repro.serving.session.ServingSession` chassis, so
 the cross-cutting subsystems compose here exactly as on the other servers:
-pass a :class:`~repro.serving.session.ServingConfig` (or the individual
-``fault_plan``/``resilience``/``overload``/``observability`` kwargs) and a
+pass ``fault_plan``/``resilience``/``overload``/``observability`` and a
 generation run gains fault injection with retry/degradation, bounded
 admission with deadlines, and the event bus/metrics/span exports.
 """
@@ -46,7 +45,7 @@ from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.overload import OverloadConfig, OverloadReport, shed_victim
 from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.serving.server import ServingResult
-from repro.serving.session import RunResult, ServingConfig, ServingSession
+from repro.serving.session import RunResult, ServingSession
 from repro.sim.contention import ContentionModel
 from repro.sim.memory import NodeMemoryModel, activation_bytes
 
@@ -162,7 +161,6 @@ class JobServer:
         node,
         strategy,
         *,
-        config: Optional[ServingConfig] = None,
         contention: Optional[ContentionModel] = None,
         record_trace: bool = False,
         check_memory: bool = True,
@@ -171,22 +169,18 @@ class JobServer:
         overload: Optional[OverloadConfig] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        config = ServingConfig.resolve(
-            config,
+        self.session = ServingSession(
+            model,
+            node,
+            strategy,
+            complete_callback=self._on_batch_complete,
             contention=contention,
             record_trace=record_trace,
             fault_plan=fault_plan,
             resilience=resilience,
             overload=overload,
             observability=observability,
-        )
-        self.session = ServingSession(
-            model,
-            node,
-            strategy,
-            config=config,
             check_memory=check_memory,
-            complete_callback=self._on_batch_complete,
             shed_callback=self._on_shed,
             per_job=True,
         )
@@ -203,7 +197,7 @@ class JobServer:
         self.bus = s.bus
         self.recovery = s.recovery
         self.memory = NodeMemoryModel(model, node)
-        self.overload = config.overload
+        self.overload = overload
         #: Iteration tokens put through the strategy.
         self.total_tokens = 0
         self._busy: set = set()  # rids in an in-flight decode iteration
@@ -219,10 +213,6 @@ class JobServer:
 
     def _waiting(self) -> list:
         raise NotImplementedError
-
-    def _submit(self, batch: Batch) -> None:
-        """Feed one batch into the session's submission pipeline."""
-        self.session.submit(batch)
 
     def run(self, requests: Sequence) -> RunResult:
         """Serve the jobs to completion and return the run's result."""
@@ -530,7 +520,7 @@ class StaticBatchingServer(JobServer):
             )
             last_bid = batch.batch_id
             self._batch_group[batch.batch_id] = gid
-            self._submit(batch)
+            self.session.submit(batch)
             self.total_tokens += len(group)
         info["last_bid"] = last_bid
         self._groups[last_bid] = info
@@ -677,7 +667,7 @@ class ContinuousBatchingServer(JobServer):
             self._busy.update(r.rid for r in members)
             self.iterations_run += 1
             self.total_tokens += len(members)
-            self._submit(batch)
+            self.session.submit(batch)
 
     # ------------------------------------------------------------------
     def _on_shed(self, batch: Batch) -> None:

@@ -389,7 +389,7 @@ class LifecycleServer(JobServer):
                 ]
             )
             self._prefill_inflight[batch.batch_id] = group
-            self._submit(batch)
+            self.session.submit(batch)
 
     # ------------------------------------------------------------------
     # Decode path (continuous batching)
@@ -426,7 +426,7 @@ class LifecycleServer(JobServer):
             )
             self._decode_inflight[batch.batch_id] = members
             self._busy.update(r.rid for r in members)
-            self._submit(batch)
+            self.session.submit(batch)
 
     # ------------------------------------------------------------------
     def _on_batch_complete(self, batch: Batch, time: float) -> None:

@@ -26,7 +26,7 @@ from repro.obs.observability import Observability
 from repro.serving.metrics import LatencyStats, ServingMetrics
 from repro.serving.overload import OverloadConfig
 from repro.serving.request import Batch
-from repro.serving.session import RunResult, ServingConfig, ServingSession
+from repro.serving.session import RunResult, ServingSession
 from repro.sim.contention import ContentionModel
 from repro.sim.tracing import Trace
 
@@ -76,7 +76,6 @@ class Server:
         node: NodeSpec,
         strategy: ParallelStrategy,
         *,
-        config: Optional[ServingConfig] = None,
         contention: Optional[ContentionModel] = None,
         record_trace: bool = True,
         check_memory: bool = True,
@@ -85,22 +84,18 @@ class Server:
         overload: Optional[OverloadConfig] = None,
         observability: Optional[Observability] = None,
     ) -> None:
-        config = ServingConfig.resolve(
-            config,
+        self.session = ServingSession(
+            model,
+            node,
+            strategy,
+            complete_callback=self._on_batch_complete,
             contention=contention,
             record_trace=record_trace,
             fault_plan=fault_plan,
             resilience=resilience,
             overload=overload,
             observability=observability,
-        )
-        self.session = ServingSession(
-            model,
-            node,
-            strategy,
-            config=config,
             check_memory=check_memory,
-            complete_callback=self._on_batch_complete,
         )
         s = self.session
         self.model = model
@@ -124,10 +119,6 @@ class Server:
             self.bus.publish(BatchCompleted.from_batch(batch, time))
         self.session.notify_complete(batch, time)
 
-    def _on_arrival(self, batch: Batch) -> None:
-        """Entry point at a batch's arrival time: the submission pipeline."""
-        self.session.submit(batch)
-
     def run(self, batches: Sequence[Batch]) -> ServingResult:
         """Serve ``batches`` to completion and return metrics."""
         if not batches:
@@ -136,7 +127,7 @@ class Server:
         for batch in ordered:
             self.engine.schedule_at(
                 batch.arrival,
-                lambda b=batch: self._on_arrival(b),
+                lambda b=batch: self.session.submit(b),
                 priority=10,  # arrivals fire after same-time device events
             )
         self.session.run_machine()

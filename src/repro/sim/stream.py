@@ -16,7 +16,6 @@ that drained its queue waits for the CPU; §4.5).
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, List, Optional, Sequence
@@ -26,8 +25,6 @@ from repro.sim.events import CudaEvent
 from repro.sim.kernel import Kernel
 
 __all__ = ["CommandKind", "Command", "Stream"]
-
-_stream_ids = itertools.count()
 
 
 class CommandKind(enum.Enum):
@@ -105,7 +102,6 @@ class Stream:
     """
 
     def __init__(self, gpu_id: int, name: str, priority: int = 0) -> None:
-        self.uid = next(_stream_ids)
         self.gpu_id = gpu_id
         self.name = name
         self.priority = priority

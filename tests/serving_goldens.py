@@ -92,7 +92,7 @@ def run_scenario(
     identically to the committed golden.  ``liger_config`` pins an
     explicit :class:`~repro.core.LigerConfig` instead of the cache_off
     presets (the timeline-replay equivalence matrix builds its own);
-    ``config`` in ``**extra`` stays the *server's* ServingConfig.  A
+    ``**extra`` goes to the server (its subsystem keywords).  A
     ``keep`` list receives the server object, for tests that read its
     metrics or machine.
     """

@@ -365,11 +365,7 @@ class TestLinkFaultEquivalence:
     def _decode_trace(*, link_fault: bool):
         from repro.core import LigerConfig
         from repro.models import OPT_30B
-        from repro.serving import (
-            ContinuousBatchingServer,
-            ServingConfig,
-            generation_workload,
-        )
+        from repro.serving import ContinuousBatchingServer, generation_workload
         from repro.serving.api import make_strategy
         from serving_goldens import fingerprint, reset_batch_ids
 
@@ -387,7 +383,7 @@ class TestLinkFaultEquivalence:
         )
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=8, pipeline_depth=2,
-            config=ServingConfig(fault_plan=plan, record_trace=True),
+            fault_plan=plan, record_trace=True,
         )
         jobs = generation_workload(
             120, 3770.0, context_len=16, gen_tokens=(1, 1), seed=0

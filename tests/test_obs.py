@@ -445,11 +445,7 @@ class TestPerfGauges:
     @staticmethod
     def _serve_continuous(strategy: str, **workload):
         from repro.models import MODELS
-        from repro.serving import (
-            ContinuousBatchingServer,
-            ServingConfig,
-            generation_workload,
-        )
+        from repro.serving import ContinuousBatchingServer, generation_workload
         from repro.serving.api import make_strategy
         from serving_goldens import reset_batch_ids
 
@@ -461,7 +457,7 @@ class TestPerfGauges:
         srv = ContinuousBatchingServer(
             model, node, strat, max_batch=4, pipeline_depth=2,
             check_memory=False,
-            config=ServingConfig(observability=obs, record_trace=False),
+            observability=obs, record_trace=False,
         )
         srv.run(generation_workload(seed=0, **workload))
         return strat, obs.to_prometheus()
@@ -612,3 +608,43 @@ class TestObservabilityConfig:
 
         with pytest.raises(ConfigError):
             fault_window_chrome_events([("w", 5.0, 5.0)])
+
+
+# ----------------------------------------------------------------------
+# Queue waits under continuous batching: one observation per request
+# ----------------------------------------------------------------------
+class TestContinuousQueueWaits:
+    def test_every_dispatched_request_observed_once(self):
+        """A request that joins an in-flight iteration still reaches the
+        queue-wait histogram and the telemetry store, exactly once, with
+        the wait its span shows."""
+        from repro.serving import ContinuousBatchingServer, generation_workload
+        from repro.serving.api import make_strategy
+        from serving_goldens import reset_batch_ids
+
+        reset_batch_ids()
+        model = OPT_30B.scaled_layers(4)
+        strat = make_strategy("liger", model, NODE)
+        obs = Observability(ObservabilityConfig(telemetry=True))
+        srv = ContinuousBatchingServer(
+            model, NODE, strat, max_batch=8, pipeline_depth=2,
+            observability=obs,
+        )
+        jobs = generation_workload(24, 400.0, seed=0)
+        srv.run(jobs)
+
+        dispatched = {
+            rid for e in obs.bus.of_kind("dispatched") for rid in e.rids
+        }
+        waits = [
+            s.queue_wait_us
+            for s in obs.spans_builder.spans()
+            if s.queue_wait_us is not None
+        ]
+        hist = obs.registry.histogram("repro_request_queue_wait_ms", "")
+        assert len(dispatched) == len(jobs)
+        assert hist.count == len(dispatched) == len(waits)
+        assert hist.sum == pytest.approx(sum(waits) / 1e3)
+        assert obs.telemetry.observation_count(
+            "repro_request_queue_wait_ms"
+        ) == len(dispatched)

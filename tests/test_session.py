@@ -3,11 +3,10 @@
 Two halves:
 
 * **Equivalence** — every (server, strategy) golden scenario must reproduce
-  the pre-chassis fingerprint bit-for-bit with an empty
-  :class:`~repro.serving.session.ServingConfig` (the zero-cost convention
-  survives the rebase), and again with the assembly cache and the
-  simulator memos disabled (every remaining hot-path cache is
-  bit-identical on/off).
+  the pre-chassis fingerprint bit-for-bit with every subsystem keyword left
+  at its default (the zero-cost convention survives the rebase), and again
+  with the assembly cache and the simulator memos disabled (every remaining
+  hot-path cache is bit-identical on/off).
 * **Capabilities** — the generation servers now ride the chassis, so fault
   injection, admission control, deadlines, and observability must work on
   :class:`~repro.serving.generation.ContinuousBatchingServer` — none of
@@ -20,7 +19,6 @@ import json
 
 import pytest
 
-from repro.core import LigerConfig
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan, LaunchFailure
 from repro.faults.resilience import ResilienceConfig
@@ -30,12 +28,12 @@ from repro.obs import Observability
 from repro.serving import (
     ContinuousBatchingServer,
     LifecycleServer,
-    ServingConfig,
+    Server,
     StaticBatchingServer,
     chat_workload,
     generation_workload,
 )
-from repro.serving.api import make_strategy, serve
+from repro.serving.api import make_strategy
 from repro.serving.request import Batch, Request, RequestState
 from repro.serving.session import ServingSession
 from serving_goldens import (
@@ -69,26 +67,14 @@ class TestGoldenEquivalence:
         )
 
     def test_explicit_empty_config_matches_golden(self):
-        """Passing config= explicitly takes the same zero-cost path."""
+        """Passing every subsystem keyword at its empty value explicitly
+        takes the same zero-cost path."""
         goldens = _load_goldens()
         _, trace = run_scenario(
-            "continuous", "liger", config=ServingConfig(record_trace=True)
+            "continuous", "liger", contention=None, fault_plan=None,
+            resilience=None, overload=None, observability=None,
         )
         assert fingerprint(trace) == goldens["continuous/liger"]
-
-    def test_config_rejects_a_strategy_config(self):
-        with pytest.raises(ConfigError, match="make_strategy"):
-            serve(MODEL, NODE, num_requests=2, config=LigerConfig())
-
-    def test_config_and_legacy_kwargs_clash(self):
-        strat = make_strategy("intra", MODEL, NODE)
-        with pytest.raises(ConfigError, match="not both"):
-            ContinuousBatchingServer(
-                MODEL, NODE, strat,
-                config=ServingConfig(),
-                observability=Observability(),
-                check_memory=False,
-            )
 
 
 class TestCacheOffEquivalence:
@@ -108,47 +94,124 @@ class TestCacheOffEquivalence:
 # The chassis itself
 # ----------------------------------------------------------------------
 class TestServingSession:
-    def test_pipeline_stage_order_plain(self):
-        strat = make_strategy("intra", MODEL, NODE)
-        session = ServingSession(
-            MODEL, NODE, strat,
-            config=ServingConfig(),
-            check_memory=False,
-            complete_callback=lambda b, t: None,
-        )
-        assert session.pipeline.describe() == "dispatch → strategy"
+    """The submit path, observed: admission → announce → dispatch stamp →
+    publish → submit."""
 
     @staticmethod
-    def _fully_armed(**kw):
-        from repro.serving.overload import OverloadConfig
-
+    def _session(**kw):
         strat = make_strategy("intra", MODEL, NODE)
         return ServingSession(
             MODEL, NODE, strat,
-            config=ServingConfig(
-                fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1.0)]),
-                overload=OverloadConfig(),
-                observability=Observability(),
-            ),
             check_memory=False,
             complete_callback=lambda b, t: None,
             **kw,
         )
 
-    def test_pipeline_stage_order_fully_armed(self):
-        """Batch mode: the session owns admission and recovery sheds."""
-        session = self._fully_armed()
-        assert session.pipeline.describe() == "admission → dispatch → recovery"
+    @staticmethod
+    def _armed(**kw):
+        from repro.serving.overload import OverloadConfig
+
+        return dict(
+            fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1.0)]),
+            overload=OverloadConfig(),
+            observability=Observability(),
+            **kw,
+        )
+
+    @staticmethod
+    def _record_handoffs(monkeypatch, target, name, bus=None, forward=False):
+        """Wrap ``target.name`` to record (batch, dispatch stamps, last bus
+        event) at each hand-off; the batch goes on only with ``forward``."""
+        real = getattr(target, name)
+        seen = []
+
+        def _handoff(batch):
+            last = bus.events[-1] if bus is not None else None
+            seen.append((batch, [r.dispatched_at for r in batch.requests], last))
+            if forward:
+                real(batch)
+
+        monkeypatch.setattr(target, name, _handoff)
+        return seen
+
+    def test_pipeline_stage_order_plain(self, monkeypatch):
+        """No controller, no recovery, no bus: the batch reaches the
+        strategy at once with its dispatch time stamped."""
+        session = self._session()
+        assert session.overload_ctl is None
+        assert session.recovery is None
+        assert session.bus is None
+        seen = self._record_handoffs(
+            monkeypatch, session.strategy, "submit_batch"
+        )
+        batch = Batch([Request(rid=0, arrival=0.0, seq_len=8)])
+        session.engine.schedule_at(5.0, lambda: session.submit(batch))
+        session.engine.run()
+        assert [(b, stamps) for b, stamps, _ in seen] == [(batch, [5.0])]
+
+    def _assert_admitted_then_dispatched(self, server, seen):
+        """Per batch: RequestsAdmitted, then BatchDispatched, then the
+        hand-off with the dispatch stamped and published just before."""
+        events = server.bus.events
+        assert seen
+        for batch, stamps, last in seen:
+            bid = batch.batch_id
+            kinds = [
+                e.kind for e in events
+                if getattr(e, "batch_id", None) == bid
+                and e.kind in ("admitted", "dispatched")
+            ]
+            assert kinds == ["admitted", "dispatched"], (bid, kinds)
+            assert last.kind == "dispatched" and last.batch_id == bid
+            assert stamps == [last.time_us] * batch.size
+
+    def _serve_batches(self, **kw):
+        from repro.serving.workload import general_trace
+
+        reset_batch_ids()
+        srv = Server(
+            MODEL, NODE, make_strategy("intra", MODEL, NODE),
+            check_memory=False, **kw,
+        )
+        return srv, general_trace(8, 200.0, 2, seed=0)
+
+    def test_pipeline_stage_order_fully_armed(self, monkeypatch):
+        """Batch mode, fully armed: the session owns admission and recovery
+        sheds, and every admitted batch reaches the recovery manager."""
+        srv, batches = self._serve_batches(**self._armed())
+        session = srv.session
         assert session.recovery is not None
         assert session.overload_ctl is not None
         assert session.recovery.metrics is session.metrics
         assert session.strategy.track_memory
+        seen = self._record_handoffs(
+            monkeypatch, session.recovery, "submit", bus=srv.bus, forward=True
+        )
+        result = srv.run(batches)
+        assert result.metrics.num_completed == sum(b.size for b in batches)
+        assert sorted(b.batch_id for b, _, _ in seen) == sorted(
+            b.batch_id for b in batches
+        )
+        self._assert_admitted_then_dispatched(srv, seen)
 
-    def test_per_job_mode_leaves_accounting_to_the_server(self):
-        """Job mode: no admission stage, memory and recovery sheds are the
-        server's, and dispatch events flag first hand-offs."""
-        session = self._fully_armed(per_job=True)
-        assert session.pipeline.describe() == "dispatch → recovery"
+    def test_announce_path_orders_admitted_before_dispatched(self, monkeypatch):
+        """Bus on, overload off: the session announces each batch, then
+        stamps, publishes and submits it to the strategy."""
+        srv, batches = self._serve_batches(observability=Observability())
+        session = srv.session
+        assert session.overload_ctl is None and session.recovery is None
+        seen = self._record_handoffs(
+            monkeypatch, session.strategy, "submit_batch", bus=srv.bus,
+            forward=True,
+        )
+        srv.run(batches)
+        assert len(seen) == len(batches)
+        self._assert_admitted_then_dispatched(srv, seen)
+
+    def test_per_job_mode_leaves_accounting_to_the_server(self, monkeypatch):
+        """Job mode: no admission controller, memory and recovery sheds are
+        the server's, and the session announces nothing itself."""
+        session = self._session(**self._armed(per_job=True))
         assert session.overload_ctl is None
         # Retries count in the one tally; a shed batch is left to the server.
         assert session.recovery.metrics is session.metrics
@@ -157,8 +220,12 @@ class TestServingSession:
         assert session.metrics.shed_requests == 0
         assert batch.requests[0].state is RequestState.PENDING
         assert not session.strategy.track_memory
-        dispatch = session.pipeline.stages[0]
-        assert dispatch._dispatched_rids is not None
+        seen = self._record_handoffs(
+            monkeypatch, session.recovery, "submit", bus=session.bus
+        )
+        session.submit(batch)
+        assert [e.kind for e in session.bus.events] == ["dispatched"]
+        assert seen == [(batch, [0.0], session.bus.events[0])]
 
     def test_strategy_mismatch_rejected(self):
         other = MODELS["OPT-13B"].scaled_layers(4)
@@ -166,7 +233,6 @@ class TestServingSession:
         with pytest.raises(ConfigError, match="different model/node"):
             ServingSession(
                 MODEL, NODE, strat,
-                config=ServingConfig(),
                 check_memory=False,
                 complete_callback=lambda b, t: None,
             )
@@ -181,7 +247,7 @@ class TestContinuousBatchingCapabilities:
         strat = make_strategy("liger", MODEL, NODE)
         srv = ContinuousBatchingServer(
             MODEL, NODE, strat, max_batch=8, pipeline_depth=2,
-            check_memory=False, config=ServingConfig(**cfg_kwargs),
+            check_memory=False, **cfg_kwargs,
         )
         return srv.run(jobs)
 
@@ -280,9 +346,7 @@ class TestStaticBatchingCapabilities:
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
             MODEL, NODE, strat, batch_size=4, check_memory=False,
-            config=ServingConfig(
-                overload=OverloadConfig(max_pending_requests=4, policy="reject")
-            ),
+            overload=OverloadConfig(max_pending_requests=4, policy="reject"),
         )
         result = srv.run(jobs)
         assert result.overload is not None
@@ -297,11 +361,9 @@ class TestStaticBatchingCapabilities:
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
             MODEL, NODE, strat, batch_size=4, check_memory=False,
-            config=ServingConfig(
-                fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1e12)]),
-                resilience=ResilienceConfig(
-                    max_retries=1, enable_fallback=False, enable_watchdog=False
-                ),
+            fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1e12)]),
+            resilience=ResilienceConfig(
+                max_retries=1, enable_fallback=False, enable_watchdog=False
             ),
         )
         result = srv.run(jobs)
@@ -322,10 +384,8 @@ class TestLifecycleZeroCompletion:
         strat = make_strategy("intra", MODEL, NODE)
         srv = LifecycleServer(
             MODEL, NODE, strat, prefill_batch=2, check_memory=False,
-            config=ServingConfig(
-                overload=OverloadConfig(
-                    max_pending_requests=64, default_deadline_us=1.0
-                )
+            overload=OverloadConfig(
+                max_pending_requests=64, default_deadline_us=1.0
             ),
         )
         result = srv.run(chats)
