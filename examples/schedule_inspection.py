@@ -4,22 +4,24 @@
 Serves a short saturating trace with full tracing enabled and reports the
 runtime's internals — how many Algorithm-1 rounds ran, how full the overlap
 windows were, how often runtime kernel decomposition fired, how much
-communication wall time was hidden under computation — and writes a Chrome
-trace (`chrome://tracing` / https://ui.perfetto.dev) of the whole schedule.
+communication wall time was hidden under computation — and writes the
+merged timeline (`chrome://tracing` / https://ui.perfetto.dev) of the whole
+schedule: kernel slices, request spans and control instants.
 
 Run:
     python examples/schedule_inspection.py [trace.json]
 """
 
+import json
 import sys
 
 from repro import OPT_30B, v100_nvlink_node
 from repro.core import LigerConfig
 from repro.experiments.figures import PINNED_FACTORS
+from repro.obs import Observability, analyze_critical_path, validate_merged_trace
 from repro.parallel import InterleavedStrategy
 from repro.serving import Server
 from repro.serving.workload import general_trace
-from repro.sim.kernel import KernelKind
 
 
 def main() -> None:
@@ -29,7 +31,8 @@ def main() -> None:
         node,
         config=LigerConfig(contention_factors=PINNED_FACTORS["v100"]),
     )
-    server = Server(OPT_30B, node, strat, record_trace=True)
+    obs = Observability()
+    server = Server(OPT_30B, node, strat, record_trace=True, observability=obs)
     batches = general_trace(num_requests=32, rate=55.0, batch_size=2, seed=1)
     result = server.run(batches)
     print(result.summary(), "\n")
@@ -42,23 +45,28 @@ def main() -> None:
     print(f"  decomposed pieces      : {stats.decomposed_pieces}")
 
     trace = server.trace
+    report = analyze_critical_path(trace, spans=obs.spans())
     print("\nPer-GPU overlap (from the timeline):")
-    for g in range(node.num_gpus):
-        comm = trace.busy_time(g, KernelKind.COMM) / 1e3
-        hidden = trace.overlap_time(g) / 1e3
-        eff = trace.overlap_efficiency(g)
+    for lane in report.per_gpu:
         print(
-            f"  gpu{g}: comm wall {comm:8.1f} ms, "
-            f"hidden under compute {hidden:8.1f} ms ({eff:.0%})"
+            f"  {lane.lane}: comm wall {lane.comm_wall_us / 1e3:8.1f} ms, "
+            f"hidden under compute {lane.overlap_us / 1e3:8.1f} ms "
+            f"({lane.comm_hidden_fraction:.0%})"
         )
+    assert all(lane.overlap_us > 0 for lane in report.per_gpu)
 
-    from repro.experiments import serving_report
-
-    print("\n" + serving_report(result, node.num_gpus))
+    print("\n" + report.describe())
 
     out = sys.argv[1] if len(sys.argv) > 1 else "liger_trace.json"
-    trace.save_chrome_trace(out)
-    print(f"\nChrome trace written to {out} (open in chrome://tracing)")
+    timeline = obs.merged_chrome_trace(trace=trace)
+    with open(out, "w", encoding="utf-8") as fh:
+        json.dump(timeline, fh)
+    counts = validate_merged_trace(timeline)
+    print(
+        f"Merged timeline written to {out}: {counts['kernel']} kernel "
+        f"slice(s), {counts['span']} request span segment(s) "
+        "(open in https://ui.perfetto.dev)"
+    )
 
 
 if __name__ == "__main__":

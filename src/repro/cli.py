@@ -264,11 +264,7 @@ def _run_serve(args) -> int:
         observability = Observability()
     result = _serve(
         args,
-        record_trace=(
-            args.gantt
-            or args.chrome_trace is not None
-            or args.trace_out is not None
-        ),
+        record_trace=args.gantt or args.trace_out is not None,
         observability=observability,
     )
     _print_served(result)
@@ -277,9 +273,6 @@ def _run_serve(args) -> int:
 
         print()
         print(render_gantt(result.trace, gpus=[0], width=100))
-    if args.chrome_trace:
-        result.trace.save_chrome_trace(args.chrome_trace)
-        print(f"chrome trace written to {args.chrome_trace}")
     if observability is not None:
         _write_outputs(
             observability,
@@ -413,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--gantt", action="store_true",
                        help="print an ASCII timeline of GPU 0")
-    serve.add_argument("--chrome-trace", metavar="PATH",
-                       help="write a Chrome trace JSON of the run")
     group = serve.add_argument_group("observability")
     group.add_argument(
         "--trace-out", metavar="PATH",

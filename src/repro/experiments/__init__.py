@@ -5,12 +5,6 @@ per-experiment index in DESIGN.md); ``python -m repro.experiments`` runs them
 from the command line.
 """
 
-from repro.experiments.analysis import (
-    comm_lag_events,
-    latency_breakdown,
-    serving_report,
-    utilization_report,
-)
 from repro.experiments.figures import (
     ALL_FIGURES,
     FigureResult,
@@ -51,8 +45,4 @@ __all__ = [
     "lifecycle",
     "format_table",
     "format_kv",
-    "serving_report",
-    "utilization_report",
-    "latency_breakdown",
-    "comm_lag_events",
 ]

@@ -40,6 +40,7 @@ from repro.models.specs import (
     ModelSpec,
 )
 from repro.models.transformer import prefill_ops
+from repro.obs.analysis import gpu_attribution
 from repro.profiling.contention_profiler import ContentionFactors
 from repro.profiling.profiler import OpProfiler
 from repro.serving.api import make_strategy
@@ -208,7 +209,8 @@ def fig3(scale: str = "quick") -> FigureResult:
             b = _fixed_seq_batch(batch, seq)
             record, result = _single_batch_point(runner, b)
             comm_frac = (
-                result.trace.comm_fraction(0) if p > 1 and result.trace else 0.0
+                gpu_attribution(result.trace)[0].comm_fraction
+                if p > 1 and result.trace else 0.0
             )
             latency = record.avg_latency_ms
             if p == 1:

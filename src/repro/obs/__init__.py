@@ -34,6 +34,7 @@ from repro.obs.analysis import (
     GpuAttribution,
     PathSegment,
     analyze_critical_path,
+    gpu_attribution,
 )
 from repro.obs.events import (
     BatchCompleted,
@@ -96,6 +97,7 @@ __all__ = [
     "GpuAttribution",
     "PathSegment",
     "analyze_critical_path",
+    "gpu_attribution",
     "Observability",
     "ObservabilityConfig",
 ]

@@ -4,12 +4,17 @@ Answers the question end-of-run aggregates cannot: *where did the makespan
 go*.  Two views, both derived from the kernel traces (plus request spans
 for queue context):
 
-**Per-GPU attribution** — an interval sweep over each GPU lane classifies every instant of the run makespan as ``compute`` (a
-compute-like kernel resident, regardless of overlap), ``comm`` (only
-communication resident), or ``idle`` (nothing resident); the three
-partition the makespan exactly.  Contention — the time kernels spent
-inflated past their no-load durations by the §2.3 interference model — is
-then carved proportionally out of the busy classes, so::
+**Per-GPU attribution** — an interval sweep over each GPU lane classifies
+every instant of the run makespan as ``compute`` (a compute-like kernel
+resident, regardless of overlap), ``comm`` (only communication resident),
+or ``idle`` (nothing resident); the three partition the makespan exactly.
+The same pass measures ``overlap``, the part of ``compute`` during which a
+comm kernel was resident too, so a lane's comm wall time, its
+communication share of busy time (Fig. 3) and the share of communication
+hidden under computation (§3.3) all come from one sweep.  Contention — the
+time kernels spent inflated past their no-load durations by the §2.3
+interference model — is then carved proportionally out of the busy
+classes, so::
 
     compute + comm + contention + idle == makespan   (per lane, exactly)
 
@@ -23,14 +28,18 @@ started the moment it was ready was waiting on its *inputs* (follow the
 latest-finishing kernel anywhere that released it — on another GPU this is
 a comm edge).  Gaps between hops become ``wait`` segments, so the path
 partitions the tail-to-start interval and its segments sum to what they
-cover of the makespan.  The ranked "top segments" report aggregates path
-time by (kind, op) — the segments to attack first, MPK-style.
+cover of the makespan.  Each hop bisects an index of its pool sorted by
+end time, so the walk costs O(n log n) for n kernel rows.  The ranked "top
+segments" report aggregates path time by (kind, op) — the segments to
+attack first, MPK-style.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.kernel import KernelKind
 
@@ -39,6 +48,7 @@ __all__ = [
     "PathSegment",
     "CriticalPathReport",
     "analyze_critical_path",
+    "gpu_attribution",
 ]
 
 _EPS = 1e-6  # float-comparison slack, µs
@@ -53,10 +63,28 @@ class GpuAttribution:
     comm_us: float = 0.0
     contention_us: float = 0.0
     idle_us: float = 0.0
+    #: Wall time with a compute and a comm kernel both resident: the part
+    #: of compute that hid communication (before the contention carve).
+    overlap_us: float = 0.0
+    #: Wall time with any comm kernel resident (before the contention carve).
+    comm_wall_us: float = 0.0
 
     @property
     def total_us(self) -> float:
         return self.compute_us + self.comm_us + self.contention_us + self.idle_us
+
+    @property
+    def comm_fraction(self) -> float:
+        """Communication share of busy wall time (the Fig. 3 metric)."""
+        busy = self.compute_us + self.comm_us + self.contention_us
+        return self.comm_wall_us / busy if busy > 0 else 0.0
+
+    @property
+    def comm_hidden_fraction(self) -> float:
+        """Share of communication wall time hidden under computation."""
+        if self.comm_wall_us <= 0:
+            return 0.0
+        return self.overlap_us / self.comm_wall_us
 
     @property
     def lane(self) -> str:
@@ -126,7 +154,7 @@ class CriticalPathReport:
         )
         lines.append(header)
         lines.append("-" * len(header))
-        for a in sorted(self.per_gpu, key=lambda a: a.lane):
+        for a in self.per_gpu:
             busy = a.compute_us + a.comm_us + a.contention_us
             frac = 100.0 * busy / a.total_us if a.total_us > 0 else 0.0
             lines.append(
@@ -151,14 +179,17 @@ class CriticalPathReport:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, float]:
-    """(compute, comm, idle) partition of [t0, t1] for one lane's rows.
+def _sweep_lane(
+    rows: Sequence, t0: float, t1: float
+) -> Tuple[float, float, float, float]:
+    """(compute, overlap, comm, idle) over [t0, t1] for one lane's rows.
 
     Priority at each instant: any compute-like kernel resident -> compute;
     else any comm kernel resident -> comm; else idle.  Because the three
     classes are decided per elementary interval of one boundary-sorted
     sweep, they partition [t0, t1] exactly (no double counting under
-    overlap).
+    overlap).  ``overlap`` is the part of ``compute`` during which a comm
+    kernel was resident too.
     """
     events: List[Tuple[float, int, int]] = []  # (time, delta, 0=compute 1=comm)
     for r in rows:
@@ -170,13 +201,15 @@ def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, flo
         events.append((lo, +1, chan))
         events.append((hi, -1, chan))
     events.sort()
-    compute = comm = idle = 0.0
+    compute = overlap = comm = idle = 0.0
     active = [0, 0]
     prev = t0
     for time, delta, chan in events:
         if time > prev:
             if active[0] > 0:
                 compute += time - prev
+                if active[1] > 0:
+                    overlap += time - prev
             elif active[1] > 0:
                 comm += time - prev
             else:
@@ -185,7 +218,27 @@ def _sweep_lane(rows: Sequence, t0: float, t1: float) -> Tuple[float, float, flo
         active[chan] += delta
     if t1 > prev:
         idle += t1 - prev
-    return compute, comm, idle
+    return compute, overlap, comm, idle
+
+
+def _by_end(rows: Sequence) -> Tuple[List[float], List]:
+    """``rows`` sorted by end time (ties keep row order) and their ends."""
+    ranked = sorted(rows, key=attrgetter("end"))
+    return [r.end for r in ranked], ranked
+
+
+def _latest_finisher(index, limit: float, row) -> Optional[object]:
+    """The row of ``index`` other than ``row`` that finished last at or
+    before ``limit``; among equal ends, the first in row order."""
+    ends, ranked = index
+    hi = bisect_right(ends, limit)
+    while hi > 0:
+        lo = bisect_left(ends, ends[hi - 1], 0, hi)
+        for i in range(lo, hi):
+            if ranked[i] is not row:
+                return ranked[i]
+        hi = lo
+    return None
 
 
 def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
@@ -195,6 +248,8 @@ def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
     by_lane: Dict[int, List] = {}
     for r in rows:
         by_lane.setdefault(r.gpu, []).append(r)
+    lanes = {gpu: _by_end(lane_rows) for gpu, lane_rows in by_lane.items()}
+    everywhere = _by_end(rows)
 
     def kind_of(row) -> str:
         return "comm" if row.kind is KernelKind.COMM else "compute"
@@ -219,20 +274,12 @@ def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
             break
         if row.start > row.ready + _EPS:
             # Device-gated: the lane was busy until our start.
-            pool = by_lane.get(row.gpu, [])
-            gate = row.start
+            index, gate, wait = lanes[row.gpu], row.start, "device"
         else:
             # Input-gated: follow whatever finished last before we were
             # ready — on another GPU this is the comm/readiness edge.
-            pool = rows
-            gate = row.ready
-        limit = min(gate + _EPS, frontier)
-        pred = None
-        for cand in pool:
-            if cand is row or cand.end > limit:
-                continue
-            if pred is None or cand.end > pred.end:
-                pred = cand
+            index, gate, wait = everywhere, row.ready, "dependency"
+        pred = _latest_finisher(index, min(gate + _EPS, frontier), row)
         if pred is None:
             if frontier > t0:
                 segments.append(
@@ -249,7 +296,7 @@ def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
             segments.append(
                 PathSegment(
                     kind="wait",
-                    name="dependency" if pool is rows else "device",
+                    name=wait,
                     gpu=row.gpu,
                     start_us=pred.end,
                     end_us=frontier,
@@ -259,6 +306,47 @@ def _walk_path(rows: Sequence, t0: float) -> List[PathSegment]:
         row = pred
     segments.reverse()
     return segments
+
+
+def gpu_attribution(trace) -> List[GpuAttribution]:
+    """Per-GPU attribution of ``trace``'s makespan, in GPU order.
+
+    One :func:`_sweep_lane` pass per lane, without the critical-path walk;
+    lanes with no kernel rows are absent.
+    """
+    rows = trace.rows if trace is not None else []
+    if not rows:
+        return []
+    t0 = min(r.start for r in rows)
+    t1 = max(r.end for r in rows)
+    by_lane: Dict[int, List] = {}
+    for r in rows:
+        by_lane.setdefault(r.gpu, []).append(r)
+    per_gpu: List[GpuAttribution] = []
+    for gpu, lane_rows in sorted(by_lane.items()):
+        compute, overlap, comm, idle = _sweep_lane(lane_rows, t0, t1)
+        comm_wall = overlap + comm  # before the carve below scales comm
+        inflation = sum(
+            max(0.0, r.duration - r.noload_duration) for r in lane_rows
+        )
+        busy = compute + comm
+        contention = min(inflation, busy)
+        if busy > 0 and contention > 0:
+            scale = (busy - contention) / busy
+            compute *= scale
+            comm *= scale
+        per_gpu.append(
+            GpuAttribution(
+                gpu=gpu,
+                compute_us=compute,
+                comm_us=comm,
+                contention_us=contention,
+                idle_us=idle,
+                overlap_us=overlap,
+                comm_wall_us=comm_wall,
+            )
+        )
+    return per_gpu
 
 
 def analyze_critical_path(
@@ -282,35 +370,10 @@ def analyze_critical_path(
 
     t0 = min(r.start for r in rows)
     t1 = max(r.end for r in rows)
-    per_gpu: List[GpuAttribution] = []
-    by_lane: Dict[int, List] = {}
-    for r in rows:
-        by_lane.setdefault(r.gpu, []).append(r)
-    for gpu, lane_rows in sorted(by_lane.items()):
-        compute, comm, idle = _sweep_lane(lane_rows, t0, t1)
-        inflation = sum(
-            max(0.0, r.duration - r.noload_duration) for r in lane_rows
-        )
-        busy = compute + comm
-        contention = min(inflation, busy)
-        if busy > 0 and contention > 0:
-            scale = (busy - contention) / busy
-            compute *= scale
-            comm *= scale
-        per_gpu.append(
-            GpuAttribution(
-                gpu=gpu,
-                compute_us=compute,
-                comm_us=comm,
-                contention_us=contention,
-                idle_us=idle,
-            )
-        )
-
     return CriticalPathReport(
         t0_us=t0,
         makespan_us=t1 - t0,
-        per_gpu=per_gpu,
+        per_gpu=gpu_attribution(trace),
         path=_walk_path(rows, t0),
         span_queue_wait_us=queue_wait,
         span_count=len(spans),

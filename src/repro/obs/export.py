@@ -8,8 +8,8 @@ three event classes into one ``traceEvents`` array that Perfetto /
 ``chrome://tracing`` loads directly:
 
 * **kernel slices** — ``ph: "X"`` rows from the simulator's
-  :class:`~repro.sim.tracing.Trace`, one process per GPU (unchanged from
-  ``Trace.to_chrome_trace``);
+  :class:`~repro.sim.tracing.Trace`, one process per GPU (its
+  ``chrome_events``);
 * **request spans** — ``ph: "X"`` rows from the span builder, process
   ``requests``, one thread per request, segments named
   ``queued``/``prefill``/``decode``;

@@ -85,12 +85,13 @@ class TestServingCli:
         trace_path = tmp_path / "t.json"
         rc = main([
             "--strategy", "liger", "--rate", "40", "--requests", "8",
-            "--gantt", "--chrome-trace", str(trace_path),
+            "--gantt", "--trace-out", str(trace_path),
         ])
         out = capsys.readouterr().out
         assert rc == 0
         assert "compute" in out
-        assert json.loads(trace_path.read_text())["traceEvents"]
+        events = json.loads(trace_path.read_text())["traceEvents"]
+        assert any(str(e["pid"]).startswith("gpu") for e in events)
 
     def test_generative_workload(self, capsys):
         from repro.__main__ import main
@@ -157,7 +158,7 @@ _OVERLOAD = {"--max-pending": None, "--admission": "reject", "--deadline-ms": No
 OPTIONS = {
     "serve": {
         **_WORKLOAD, **_OVERLOAD, "--kv-frac": 0.9, "--gantt": False,
-        "--chrome-trace": None, "--trace-out": None, "--metrics-out": None,
+        "--trace-out": None, "--metrics-out": None,
         "--log-level": None,
     },
     "faults": {

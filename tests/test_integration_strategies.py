@@ -13,6 +13,7 @@ import pytest
 from repro.core import LigerConfig, SyncMode
 from repro.hw import v100_nvlink_node
 from repro.models import OPT_30B
+from repro.obs import gpu_attribution
 from repro.parallel import (
     InterleavedStrategy,
     InterOpStrategy,
@@ -108,7 +109,7 @@ class TestLigerInternals:
         assert strat.stats.rounds_launched > 0
         assert strat.stats.mean_fill_fraction > 0.1
         # trace-level evidence: comm overlapped with compute on GPU 0
-        assert server.trace.overlap_time(0) > 0
+        assert gpu_attribution(server.trace)[0].overlap_us > 0
 
     def test_lone_batch_has_no_secondary_fill(self):
         strat = InterleavedStrategy(

@@ -22,6 +22,8 @@ from repro.obs import (
     ObservabilityConfig,
     RequestsAdmitted,
     RequestsShed,
+    analyze_critical_path,
+    gpu_attribution,
     merged_chrome_trace,
     validate_merged_trace,
 )
@@ -488,7 +490,7 @@ class TestPerfGauges:
 
 
 # ----------------------------------------------------------------------
-# Trace edge cases (empty / single kernel) and its Chrome export
+# Trace edge cases (empty / single kernel): attribution and Chrome export
 # ----------------------------------------------------------------------
 class TestTraceEdgeCases:
     def _row(self, *, kind=KernelKind.COMPUTE, ready=0.0, start=10.0, end=25.0):
@@ -500,36 +502,36 @@ class TestTraceEdgeCases:
 
     def test_empty_trace_aggregates_are_zero(self):
         t = Trace()
-        assert t.makespan() == 0.0
-        assert t.busy_time(0) == 0.0
-        assert t.comm_fraction(0) == 0.0
-        assert t.overlap_time(0) == 0.0
-        assert t.overlap_efficiency(0) == 0.0
-        assert t.mean_queueing_delay() == 0.0
-        assert t.kernel_durations() == {}
+        assert gpu_attribution(t) == []
+        report = analyze_critical_path(t)
+        assert report.makespan_us == 0.0
+        assert report.per_gpu == [] and report.path == []
 
     def test_empty_trace_chrome_export(self):
         t = Trace()
         assert t.chrome_events() == []
-        assert json.loads(t.to_chrome_trace()) == {"traceEvents": []}
+        assert validate_merged_trace(merged_chrome_trace(trace=t)) == {
+            "kernel": 0, "span": 0, "instant": 0, "fault": 0,
+        }
 
     def test_single_kernel_aggregates(self):
         t = Trace()
         t.rows.append(self._row(ready=0.0, start=10.0, end=25.0))
-        assert t.makespan() == 15.0
-        assert t.busy_time(0) == 15.0
-        assert t.summed_time(0) == 15.0
-        assert t.comm_fraction(0) == 0.0  # compute only
-        assert t.overlap_time(0) == 0.0  # nothing to overlap with
-        assert t.overlap_efficiency(0) == 0.0
-        assert t.mean_queueing_delay() == 10.0
+        assert analyze_critical_path(t).makespan_us == 15.0
+        (lane,) = gpu_attribution(t)
+        assert lane.compute_us == 15.0 and lane.idle_us == 0.0
+        assert lane.comm_fraction == 0.0  # compute only
+        assert lane.overlap_us == 0.0  # nothing to overlap with
+        assert lane.comm_hidden_fraction == 0.0
+        assert t.rows[0].queueing_delay == 10.0
 
     def test_single_comm_kernel_comm_fraction_is_one(self):
         t = Trace()
         t.rows.append(self._row(kind=KernelKind.COMM))
-        assert t.comm_fraction(0) == 1.0
-        # All-comm trace: nothing hides it, efficiency stays zero.
-        assert t.overlap_efficiency(0) == 0.0
+        (lane,) = gpu_attribution(t)
+        assert lane.comm_fraction == 1.0
+        # All-comm trace: nothing hides it, the hidden share stays zero.
+        assert lane.comm_hidden_fraction == 0.0
 
     def test_single_kernel_chrome_event_shape(self):
         t = Trace()
@@ -540,7 +542,7 @@ class TestTraceEdgeCases:
         assert event["pid"] == "gpu0" and event["tid"] == "s0"
         assert event["args"]["queueing_delay_us"] == 10.0
         assert event["args"]["slowdown"] == 1.0
-        assert json.loads(t.to_chrome_trace())["traceEvents"] == [event]
+        assert merged_chrome_trace(trace=t)["traceEvents"] == [event]
         # And the merged exporter accepts a kernels-only trace.
         assert validate_merged_trace(merged_chrome_trace(trace=t)) == {
             "kernel": 1, "span": 0, "instant": 0, "fault": 0,

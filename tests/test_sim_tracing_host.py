@@ -1,4 +1,4 @@
-"""Tests for trace aggregation and the Host (CPU) launch model."""
+"""Tests for the per-GPU timeline attribution and the Host (CPU) launch model."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.hw import v100_nvlink_node
+from repro.obs import analyze_critical_path, gpu_attribution, merged_chrome_trace
 from repro.sim import (
     CudaEvent,
     Engine,
@@ -17,7 +18,7 @@ from repro.sim import (
     NullContention,
     Trace,
 )
-from repro.sim.tracing import _intersection_length, _union_length
+from repro.sim.tracing import TraceRow
 
 
 def k(name, dur, kind=KernelKind.COMPUTE, occ=0.4):
@@ -30,23 +31,37 @@ def make_machine(num_gpus=1):
     )
 
 
+def lane_of(compute=(), comm=()):
+    """GPU 0's attribution of hand-placed compute and comm intervals."""
+    t = Trace()
+    for kind, intervals in ((KernelKind.COMPUTE, compute), (KernelKind.COMM, comm)):
+        for s, e in intervals:
+            t.rows.append(TraceRow(
+                gpu=0, stream="s0", name="k", kind=kind, batch_id=0, layer=0,
+                op="k", ready=s, start=s, end=e, noload_duration=e - s,
+            ))
+    (lane,) = gpu_attribution(t)
+    return lane
+
+
 class TestIntervalMath:
     def test_union_merges_overlaps(self):
-        assert _union_length([(0, 10), (5, 15), (20, 25)]) == 20.0
+        assert lane_of(compute=[(0, 10), (5, 15), (20, 25)]).compute_us == 20.0
 
     def test_union_ignores_empty(self):
-        assert _union_length([(5, 5), (7, 6)]) == 0.0
+        lane = lane_of(compute=[(5, 5)], comm=[(7, 6)])
+        assert lane.compute_us == 0.0 and lane.comm_wall_us == 0.0
 
     def test_intersection_basic(self):
-        assert _intersection_length([(0, 10)], [(5, 20)]) == 5.0
+        assert lane_of(compute=[(0, 10)], comm=[(5, 20)]).overlap_us == 5.0
 
     def test_intersection_disjoint(self):
-        assert _intersection_length([(0, 1)], [(2, 3)]) == 0.0
+        assert lane_of(compute=[(0, 1)], comm=[(2, 3)]).overlap_us == 0.0
 
     def test_intersection_multiple_segments(self):
-        a = [(0, 10), (20, 30)]
-        b = [(5, 25)]
-        assert _intersection_length(a, b) == 10.0
+        lane = lane_of(compute=[(0, 10), (20, 30)], comm=[(5, 25)])
+        assert lane.overlap_us == 10.0
+        assert lane.comm_wall_us == 20.0
 
 
 class TestTraceAggregates:
@@ -59,55 +74,38 @@ class TestTraceAggregates:
         m.run()
         return m
 
-    def test_busy_and_overlap_times(self):
+    def test_busy_and_overlap_attribution(self):
         m = self._machine_with_overlap()
-        t = m.trace
-        assert t.busy_time(0) == pytest.approx(100.0)
-        assert t.busy_time(0, KernelKind.COMM) == pytest.approx(60.0)
-        assert t.overlap_time(0) == pytest.approx(60.0)
-        assert t.overlap_efficiency(0) == pytest.approx(1.0)
+        (lane,) = gpu_attribution(m.trace)
+        assert lane.total_us - lane.idle_us == pytest.approx(100.0)
+        assert lane.comm_wall_us == pytest.approx(60.0)
+        assert lane.overlap_us == pytest.approx(60.0)
+        assert lane.comm_hidden_fraction == pytest.approx(1.0)
 
     def test_comm_fraction(self):
         m = self._machine_with_overlap()
-        assert m.trace.comm_fraction(0) == pytest.approx(0.6)
+        assert gpu_attribution(m.trace)[0].comm_fraction == pytest.approx(0.6)
 
     def test_makespan(self):
         m = self._machine_with_overlap()
-        assert m.trace.makespan() == pytest.approx(100.0)
+        assert analyze_critical_path(m.trace).makespan_us == pytest.approx(100.0)
 
     def test_chrome_trace_round_trips(self):
         m = self._machine_with_overlap()
-        data = json.loads(m.trace.to_chrome_trace())
+        data = json.loads(json.dumps(merged_chrome_trace(trace=m.trace)))
         assert len(data["traceEvents"]) == 2
         names = {e["name"] for e in data["traceEvents"]}
         assert names == {"compute", "comm"}
 
-    def test_save_chrome_trace(self, tmp_path):
-        m = self._machine_with_overlap()
-        path = tmp_path / "trace.json"
-        m.trace.save_chrome_trace(str(path))
-        assert json.loads(path.read_text())["traceEvents"]
-
-    def test_kernel_durations_grouped_by_op(self):
-        m = make_machine()
-        s = m.gpu(0).stream("s0")
-        for i in range(3):
-            m.launch(
-                s,
-                Kernel(name=f"g{i}", kind=KernelKind.COMPUTE, duration=5.0, op="gemm"),
-                available_at=0.0,
-            )
-        m.run()
-        assert m.trace.kernel_durations() == {"gemm": [5.0, 5.0, 5.0]}
-
-    def test_mean_queueing_delay(self):
+    def test_comm_queueing_delay(self):
         m = make_machine()
         s0 = m.gpu(0).stream("s0")
         s1 = m.gpu(0).stream("s1")
         m.launch(s0, k("hog", 50.0, occ=0.9), available_at=0.0)
         m.launch(s1, k("lagged", 10.0, kind=KernelKind.COMM, occ=0.5), available_at=0.0)
         m.run()
-        assert m.trace.mean_queueing_delay(KernelKind.COMM) == pytest.approx(50.0)
+        (lagged,) = [r for r in m.trace.rows if r.kind is KernelKind.COMM]
+        assert lagged.queueing_delay == pytest.approx(50.0)
 
 
 class TestHost:

@@ -7,6 +7,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hw import v100_nvlink_node
@@ -20,12 +22,13 @@ from repro.obs import (
     analyze_critical_path,
     validate_merged_trace,
 )
+from repro.obs.analysis import _EPS, PathSegment, _walk_path
 from repro.obs.metrics import Histogram
 from repro.obs.slo import BurnRule, SloEngine, SloPolicy
 from repro.obs.telemetry import TimeSeriesStore
 from repro.sim.kernel import KernelKind
 from repro.sim.tracing import Trace, TraceRow
-from serving_goldens import normalized_rows
+from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
 
 MODEL = OPT_30B.scaled_layers(2)
 NODE = v100_nvlink_node(2)
@@ -374,6 +377,101 @@ class TestAnalyzerSynthetic:
         (top,) = report.top_segments()
         assert top == ("compute", "gemm", pytest.approx(30.0), 2)
         assert "critical path" in report.describe()
+
+
+    def test_report_lists_lanes_in_gpu_order(self):
+        t = Trace()
+        for gpu in range(12):
+            t.rows.append(_row(gpu, 0.0, 0.0, 10.0 + gpu))
+        report = analyze_critical_path(t)
+        lanes = [
+            line.split()[0] for line in report.describe().splitlines()
+            if line.startswith("gpu")
+        ]
+        assert lanes == [f"gpu{g}" for g in range(12)]
+
+
+# ----------------------------------------------------------------------
+# The indexed critical-path walk matches the quadratic scan it replaced
+# ----------------------------------------------------------------------
+def _reference_walk(rows, t0):
+    """The walk as first written: every hop scans its whole pool."""
+    if not rows:
+        return []
+    by_lane = {}
+    for r in rows:
+        by_lane.setdefault(r.gpu, []).append(r)
+
+    def kind_of(row):
+        return "comm" if row.kind is KernelKind.COMM else "compute"
+
+    row = max(rows, key=lambda r: (r.end, r.start))
+    frontier = row.end
+    segments = []
+    for _ in range(len(rows) + 1):
+        seg_start = min(row.start, frontier)
+        if frontier > seg_start:
+            segments.append(PathSegment(kind_of(row), row.op or row.name,
+                                        row.gpu, seg_start, frontier))
+        frontier = seg_start
+        if frontier <= t0 + _EPS:
+            break
+        if row.start > row.ready + _EPS:
+            pool, gate = by_lane.get(row.gpu, []), row.start
+        else:
+            pool, gate = rows, row.ready
+        limit = min(gate + _EPS, frontier)
+        pred = None
+        for cand in pool:
+            if cand is row or cand.end > limit:
+                continue
+            if pred is None or cand.end > pred.end:
+                pred = cand
+        if pred is None:
+            if frontier > t0:
+                segments.append(PathSegment("wait", "start", row.gpu, t0, frontier))
+            break
+        if pred.end < frontier - _EPS:
+            name = "dependency" if pool is rows else "device"
+            segments.append(PathSegment("wait", name, row.gpu, pred.end, frontier))
+            frontier = pred.end
+        row = pred
+    segments.reverse()
+    return segments
+
+
+def _assert_same_walk(rows):
+    t0 = min((r.start for r in rows), default=0.0)
+    assert _walk_path(rows, t0) == _reference_walk(rows, t0)
+
+
+class TestIndexedWalk:
+    @pytest.mark.parametrize(
+        "server,strategy", SCENARIOS, ids=[f"{a}/{b}" for a, b in SCENARIOS]
+    )
+    def test_matches_reference_on_golden_traces(self, server, strategy):
+        reset_batch_ids()
+        _, trace = run_scenario(server, strategy)
+        assert trace.rows
+        _assert_same_walk(trace.rows)
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 2), st.integers(0, 8), st.integers(0, 4),
+            st.integers(0, 4), st.booleans(),
+        ),
+        min_size=1, max_size=24,
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_on_tied_ends(self, specs):
+        # A coarse integer grid makes equal ends, zero-length kernels and
+        # ready == start common, so every tie rule is exercised.
+        rows = [
+            _row(gpu, ready, ready + lag, ready + lag + dur,
+                 kind=KernelKind.COMM if comm else KernelKind.COMPUTE)
+            for gpu, ready, lag, dur, comm in specs
+        ]
+        _assert_same_walk(rows)
 
 
 # ----------------------------------------------------------------------
