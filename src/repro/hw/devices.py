@@ -9,7 +9,7 @@ hardware fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict
 
 from repro.errors import ConfigError
@@ -96,40 +96,6 @@ class NodeSpec:
     def total_memory(self) -> float:
         """Aggregate HBM capacity across the node (bytes)."""
         return self.gpu.memory_capacity * self.num_gpus
-
-    def with_gpus(self, num_gpus: int) -> "NodeSpec":
-        """A copy of this node restricted/extended to ``num_gpus`` GPUs.
-
-        Used by the strong-scaling experiments (Fig. 3, Fig. 12) which vary
-        the device count while keeping the device and interconnect flavour.
-        """
-        if num_gpus < 1:
-            raise ConfigError(f"num_gpus must be >= 1, got {num_gpus}")
-        topo = _rebuild_topology(self.topology, num_gpus)
-        return replace(self, name=f"{self.name}-x{num_gpus}", topology=topo)
-
-
-def _rebuild_topology(topology: Topology, num_gpus: int) -> Topology:
-    """Rebuild a known topology shape with a different GPU count."""
-    from repro.hw.topology import InterconnectKind
-
-    if topology.kind is InterconnectKind.NVLINK:
-        sample = topology.graph.edges[0, 1] if topology.num_gpus > 1 else None
-        return nvlink_mesh(
-            num_gpus,
-            link_bandwidth=sample["bandwidth"] if sample else GBps(25.0),
-            link_latency=sample["latency"] if sample else us(1.5),
-            allreduce_bus_bandwidth=topology.allreduce_bus_bandwidth,
-        )
-    if topology.kind is InterconnectKind.PCIE_SWITCH:
-        sample = topology.graph.edges[0, "switch"]
-        return pcie_switch(
-            num_gpus,
-            lane_bandwidth=sample["bandwidth"],
-            lane_latency=sample["latency"],
-            allreduce_bus_bandwidth=topology.allreduce_bus_bandwidth,
-        )
-    raise ConfigError("cannot rescale a CUSTOM topology; build it explicitly")
 
 
 # ----------------------------------------------------------------------

@@ -1,23 +1,21 @@
 """Multi-GPU interconnect topologies.
 
-The paper's Fig. 1 distinguishes two node architectures: GPUs attached to a
-PCIe switch with no direct link (all GPU↔GPU traffic crosses the switch at
-PCIe bandwidth) and GPUs with direct links (NVLink / Infinity Fabric).  We
-represent a node's interconnect as a small :mod:`networkx` graph so the
-collective engine can query per-pair bandwidth and so alternative topologies
-(partial meshes, rings) can be modelled without touching the simulator.
+The paper's Fig. 1 distinguishes two node architectures, and these are the
+only two shapes modelled: GPUs with direct links (NVLink), where every pair
+shares one link, and GPUs attached to one PCIe switch with no direct link,
+where every GPU↔GPU transfer crosses the switch over two PCIe lanes.  Either
+way all links are alike, so a topology is one per-direction link bandwidth
+(bytes/s), one link latency (µs) and a hop count that follows from the kind.
 
-Edges carry ``bandwidth`` (bytes/s, per direction) and ``latency`` (µs).  The
-host↔GPU control path (kernel launches) always crosses PCIe and is modelled
-separately in :class:`repro.sim.host.Host`.
+The host↔GPU control path (kernel launches) always crosses PCIe and is
+modelled separately in :class:`repro.sim.host.Host`.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-
-import networkx as nx
+import math
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.units import GBps, us
@@ -30,23 +28,26 @@ class InterconnectKind(enum.Enum):
 
     NVLINK = "nvlink"
     PCIE_SWITCH = "pcie_switch"
-    CUSTOM = "custom"
 
 
-@dataclass
+#: Links a GPU↔GPU transfer crosses: one direct link, or up to the switch and down.
+_HOPS = {InterconnectKind.NVLINK: 1, InterconnectKind.PCIE_SWITCH: 2}
+
+
+@dataclass(frozen=True)
 class Topology:
-    """A node-local GPU interconnect.
+    """A node-local GPU interconnect of uniform links.
 
     Parameters
     ----------
     num_gpus:
-        Number of GPU endpoints (vertices ``0..num_gpus-1``).
+        Number of GPU endpoints (ids ``0..num_gpus-1``).
     kind:
-        Interconnect flavour, used for reporting only.
-    graph:
-        Undirected graph over GPU ids; each edge must define ``bandwidth``
-        (bytes/s per direction) and ``latency`` (µs).  A missing edge means
-        traffic is routed through the switch vertex ``"switch"`` when present.
+        Interconnect flavour; fixes how many links a transfer crosses.
+    link_bandwidth:
+        Bandwidth (bytes/s) of every link, per direction.
+    link_latency:
+        Latency (µs) of every link.
     allreduce_bus_bandwidth:
         Measured peak all-reduce *bus* bandwidth (bytes/s) in the NCCL-tests
         sense.  The paper reports 32.75 GB/s (V100 NVLink) and 14.88 GB/s
@@ -57,52 +58,40 @@ class Topology:
 
     num_gpus: int
     kind: InterconnectKind
-    graph: nx.Graph = field(repr=False)
+    link_bandwidth: float
+    link_latency: float
     allreduce_bus_bandwidth: float = GBps(25.0)
 
     def __post_init__(self) -> None:
         if self.num_gpus < 1:
             raise ConfigError(f"num_gpus must be >= 1, got {self.num_gpus}")
-        if self.allreduce_bus_bandwidth <= 0:
-            raise ConfigError("allreduce_bus_bandwidth must be positive")
-        for gpu in range(self.num_gpus):
-            if gpu not in self.graph:
-                raise ConfigError(f"topology graph is missing GPU vertex {gpu}")
+        for name in ("link_bandwidth", "allreduce_bus_bandwidth"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.link_latency) and self.link_latency >= 0):
+            raise ConfigError(
+                f"link_latency must be finite and >= 0, got {self.link_latency}"
+            )
 
     # ------------------------------------------------------------------
     # Pair queries
     # ------------------------------------------------------------------
-    def p2p_path(self, src: int, dst: int) -> list:
-        """Vertices traversed by a point-to-point transfer (inclusive)."""
-        self._check_gpu(src)
-        self._check_gpu(dst)
-        return nx.shortest_path(self.graph, src, dst)
-
     def p2p_bandwidth(self, src: int, dst: int) -> float:
         """Bottleneck bandwidth (bytes/s) between two GPUs."""
-        if src == dst:
-            raise ConfigError("p2p bandwidth is undefined for src == dst")
-        path = self.p2p_path(src, dst)
-        return min(
-            self.graph.edges[a, b]["bandwidth"] for a, b in zip(path, path[1:])
-        )
-
-    def p2p_latency(self, src: int, dst: int) -> float:
-        """Accumulated hop latency (µs) between two GPUs."""
-        if src == dst:
-            return 0.0
-        path = self.p2p_path(src, dst)
-        return sum(self.graph.edges[a, b]["latency"] for a, b in zip(path, path[1:]))
-
-    def has_direct_link(self, src: int, dst: int) -> bool:
-        """True when the two GPUs share an edge (no switch hop)."""
         self._check_gpu(src)
         self._check_gpu(dst)
-        return self.graph.has_edge(src, dst)
+        if src == dst:
+            raise ConfigError("p2p bandwidth is undefined for src == dst")
+        return self.link_bandwidth
 
-    def gpu_ids(self) -> range:
-        """The GPU vertex ids, ``range(num_gpus)``."""
-        return range(self.num_gpus)
+    def p2p_latency(self, src: int, dst: int) -> float:
+        """Accumulated hop latency (µs) between two GPUs; 0 for ``src == dst``."""
+        self._check_gpu(src)
+        self._check_gpu(dst)
+        if src == dst:
+            return 0.0
+        return _HOPS[self.kind] * self.link_latency
 
     def _check_gpu(self, gpu: int) -> None:
         if not 0 <= gpu < self.num_gpus:
@@ -120,18 +109,14 @@ def nvlink_mesh(
 ) -> Topology:
     """Fully-connected NVLink mesh, the paper's V100 testbed shape.
 
-    Each GPU pair gets a direct edge with ``link_bandwidth`` per direction
+    Each GPU pair shares a direct link with ``link_bandwidth`` per direction
     (first-generation NVLink sustains ~25 GB/s per direction on a V100 pair).
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(num_gpus))
-    for a in range(num_gpus):
-        for b in range(a + 1, num_gpus):
-            g.add_edge(a, b, bandwidth=link_bandwidth, latency=link_latency)
     return Topology(
         num_gpus=num_gpus,
         kind=InterconnectKind.NVLINK,
-        graph=g,
+        link_bandwidth=link_bandwidth,
+        link_latency=link_latency,
         allreduce_bus_bandwidth=allreduce_bus_bandwidth,
     )
 
@@ -145,17 +130,13 @@ def pcie_switch(
 ) -> Topology:
     """GPUs hanging off one PCIe switch, the paper's A100 testbed shape.
 
-    No direct GPU↔GPU edges exist; every transfer crosses the ``"switch"``
-    vertex, bounded by a single PCIe lane bandwidth in each hop.
+    No direct GPU↔GPU link exists; every transfer crosses the switch, one
+    PCIe lane up and one down, bounded by the lane bandwidth.
     """
-    g = nx.Graph()
-    g.add_nodes_from(range(num_gpus))
-    g.add_node("switch")
-    for gpu in range(num_gpus):
-        g.add_edge(gpu, "switch", bandwidth=lane_bandwidth, latency=lane_latency)
     return Topology(
         num_gpus=num_gpus,
         kind=InterconnectKind.PCIE_SWITCH,
-        graph=g,
+        link_bandwidth=lane_bandwidth,
+        link_latency=lane_latency,
         allreduce_bus_bandwidth=allreduce_bus_bandwidth,
     )

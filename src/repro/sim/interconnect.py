@@ -9,7 +9,7 @@ communication kernels.  Costs follow the standard alpha-beta treatment:
   32.75 GB/s on the V100/NVLink node, 14.88 GB/s on the A100/PCIe node) the
   transfer term is ``2(p−1)/p · S / B``; each of the ``2(p−1)`` ring steps
   additionally pays the hop latency.
-* **Point-to-point** pays path latency plus ``S / bottleneck-bandwidth``.
+* **Point-to-point** pays path latency plus ``S / link-bandwidth``.
 
 The *footprint* side models the §3.5 mitigation: NCCL by default allocates
 generously many channels (CUDA blocks); Liger shrinks them with
@@ -103,10 +103,9 @@ class CollectiveCostModel:
         #: reduced bandwidth.  ``None`` (the default) means healthy links and
         #: is bit-exact with the unhooked cost model.
         self.bandwidth_scale: Optional[Callable[[], float]] = None
-        #: Ring-hop latency per participant tuple.  The topology graph never
-        #: changes after construction (link faults go through
-        #: ``bandwidth_scale``), and every instantiated collective would
-        #: otherwise run ``p`` shortest-path searches.
+        #: Ring-hop latency per participant tuple.  The topology is frozen
+        #: (link faults go through ``bandwidth_scale``), and every
+        #: instantiated collective would otherwise make ``p`` pair queries.
         self._hop_latency: Dict[Tuple[int, ...], float] = {}
 
     def _link_health(self) -> float:
@@ -167,6 +166,7 @@ class CollectiveCostModel:
         """Point-to-point transfer duration (µs)."""
         if size_bytes < 0:
             raise ConfigError("p2p size must be >= 0")
+        latency = self.topology.p2p_latency(src, dst)  # range-checks both ids
         if src == dst:
             return 0.0
         bw = (
@@ -174,7 +174,6 @@ class CollectiveCostModel:
             * self.nccl.bandwidth_fraction
             * self._link_health()
         )
-        latency = self.topology.p2p_latency(src, dst)
         return self.nccl.min_latency + latency + size_bytes / bw * 1e6
 
     def _ring_hop_latency(self, participants: Sequence[int]) -> float:

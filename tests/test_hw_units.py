@@ -1,4 +1,4 @@
-"""Tests for hardware specs, node scaling, and unit helpers."""
+"""Tests for hardware specs, testbed nodes, and unit helpers."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.hw import (
     TESTBEDS,
     V100_16GB,
     GpuSpec,
+    InterconnectKind,
     a100_pcie_node,
     v100_nvlink_node,
 )
@@ -75,22 +76,16 @@ class TestNodes:
         assert v.total_memory == GB(64)
         assert a.total_memory == GB(320)
 
+    def test_paper_testbed_links(self):
+        v = v100_nvlink_node(4).topology
+        a = a100_pcie_node(4).topology
+        assert v.kind is InterconnectKind.NVLINK
+        assert a.kind is InterconnectKind.PCIE_SWITCH
+        assert v.p2p_bandwidth(0, 3) == GBps(25.0)
+        assert v.p2p_latency(0, 3) == 1.5
+        assert a.p2p_bandwidth(0, 3) == GBps(16.0)
+        assert a.p2p_latency(0, 3) == 6.0
+
     def test_testbed_registry(self):
         assert set(TESTBEDS) == {"v100", "a100"}
         assert TESTBEDS["v100"]().gpu is V100_16GB
-
-    def test_with_gpus_rescales_topology(self):
-        node = v100_nvlink_node(4).with_gpus(2)
-        assert node.num_gpus == 2
-        assert node.topology.has_direct_link(0, 1)
-        pcie = a100_pcie_node(4).with_gpus(8)
-        assert pcie.num_gpus == 8
-        assert not pcie.topology.has_direct_link(0, 7)
-
-    def test_with_gpus_preserves_bandwidths(self):
-        node = a100_pcie_node(4).with_gpus(2)
-        assert node.topology.allreduce_bus_bandwidth == GBps(14.88)
-
-    def test_with_gpus_invalid(self):
-        with pytest.raises(ConfigError):
-            v100_nvlink_node(4).with_gpus(0)

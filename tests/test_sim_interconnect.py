@@ -25,12 +25,17 @@ class TestTopology:
         for a in range(4):
             for b in range(4):
                 if a != b:
-                    assert t.has_direct_link(a, b)
+                    assert t.p2p_bandwidth(a, b) == GBps(25.0)
+                    assert t.p2p_latency(a, b) == 1.5
 
     def test_pcie_switch_routes_through_switch(self):
         t = pcie_switch(4)
-        assert not t.has_direct_link(0, 1)
-        assert t.p2p_path(0, 1) == [0, "switch", 1]
+        assert t.kind is InterconnectKind.PCIE_SWITCH
+        for a in range(4):
+            for b in range(4):
+                if a != b:
+                    assert t.p2p_bandwidth(a, b) == GBps(16.0)
+                    assert t.p2p_latency(a, b) == 6.0
 
     def test_pcie_bottleneck_bandwidth(self):
         t = pcie_switch(4, lane_bandwidth=GBps(16.0))
@@ -51,10 +56,56 @@ class TestTopology:
         with pytest.raises(ConfigError):
             t.p2p_latency(0, 5)
 
+    def test_same_out_of_range_gpu_rejected(self):
+        t = nvlink_mesh(4)
+        with pytest.raises(ConfigError):
+            t.p2p_latency(9, 9)
+        with pytest.raises(ConfigError):
+            t.p2p_bandwidth(9, 9)
+
     def test_p2p_bandwidth_same_gpu_rejected(self):
         t = nvlink_mesh(2)
         with pytest.raises(ConfigError):
             t.p2p_bandwidth(0, 0)
+
+    def test_zero_link_bandwidth_rejected(self):
+        with pytest.raises(ConfigError):
+            nvlink_mesh(4, link_bandwidth=0.0)
+        with pytest.raises(ConfigError):
+            pcie_switch(4, lane_bandwidth=float("inf"))
+
+    def test_negative_link_latency_rejected(self):
+        with pytest.raises(ConfigError):
+            nvlink_mesh(4, link_latency=-50.0)
+        with pytest.raises(ConfigError):
+            pcie_switch(4, lane_latency=float("nan"))
+
+    def test_nan_allreduce_bandwidth_rejected(self):
+        with pytest.raises(ConfigError):
+            nvlink_mesh(4, allreduce_bus_bandwidth=float("nan"))
+        with pytest.raises(ConfigError):
+            pcie_switch(4, allreduce_bus_bandwidth=-1.0)
+
+
+_LINK_FLOATS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    latency=_LINK_FLOATS,
+    bandwidth=_LINK_FLOATS.filter(lambda x: x > 0),
+    n=st.integers(min_value=2, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_uniform_links_match_path_min_and_sum_bit_for_bit(latency, bandwidth, n):
+    """``hops * link_latency`` and the link bandwidth are exactly the ``sum``
+    and ``min`` over the path's links: one direct link on NVLink, one lane up
+    to the switch and one down on PCIe."""
+    nv = nvlink_mesh(n, link_bandwidth=bandwidth, link_latency=latency)
+    pcie = pcie_switch(n, lane_bandwidth=bandwidth, lane_latency=latency)
+    assert nv.p2p_latency(0, n - 1).hex() == float(sum([latency])).hex()
+    assert pcie.p2p_latency(0, n - 1).hex() == float(sum([latency, latency])).hex()
+    assert nv.p2p_bandwidth(n - 1, 0).hex() == min([bandwidth]).hex()
+    assert pcie.p2p_bandwidth(n - 1, 0).hex() == min([bandwidth, bandwidth]).hex()
 
 
 class TestNcclConfig:
@@ -122,6 +173,11 @@ class TestCollectiveCosts:
         coll = self.ccm.make_p2p(1e6, 0, 2)
         assert set(coll.members) == {0, 2}
         assert all(m.occupancy <= 0.05 for m in coll.members.values())
+
+    def test_p2p_duration_same_out_of_range_gpu_rejected(self):
+        with pytest.raises(ConfigError):
+            self.ccm.p2p_duration(1e6, 7, 7)
+        assert self.ccm.p2p_duration(1e6, 3, 3) == 0.0
 
     def test_make_p2p_same_gpu_rejected(self):
         with pytest.raises(ConfigError):
