@@ -16,16 +16,9 @@ Quickstart::
     print(result.summary())
 """
 
+import importlib as _importlib
 import logging as _logging
-
-from repro.hw import (
-    A100_80GB_PCIE,
-    V100_16GB,
-    GpuSpec,
-    NodeSpec,
-    a100_pcie_node,
-    v100_nvlink_node,
-)
+import sys as _sys
 
 # Library convention: the ``repro.*`` logger hierarchy is silent unless the
 # application installs a handler (or runs the CLI with ``--log-level``).
@@ -44,62 +37,78 @@ __all__ = [
 ]
 
 
-def __getattr__(name):
-    """Lazy re-exports of the higher layers (keeps import cost low)."""
-    if name in {"OPT_30B", "OPT_66B", "GLM_130B", "ModelSpec", "MODELS"}:
-        from repro.models import specs
+def _lazy_exports(package: str, table: dict[str, str]):
+    """A module ``__getattr__`` for ``package`` that resolves ``table``.
 
-        return getattr(specs, name)
-    if name in {"serve", "ServingResult", "Server"}:
-        from repro.serving import api
+    This is the one export idiom of the package ``__init__``s.  ``table``
+    maps each exported name to the submodule (relative to ``package``) that
+    defines it, and the package sets ``__getattr__ = _lazy_exports(__name__,
+    table)``.  Importing the package then runs no submodule: the first
+    access to a name imports its submodule and caches the name on the
+    package, so a process compiles only the modules its run uses.  A run
+    that arms no event bus, for one, never loads :mod:`repro.obs`.
+    """
 
-        return getattr(api, name)
-    if name in {
-        "AdmissionPolicy",
-        "OverloadConfig",
-        "OverloadController",
-        "OverloadReport",
-        "KVCacheAccountant",
-        "RequestState",
-        "RunResult",
-        "ServingSession",
-    }:
-        from repro import serving
+    def __getattr__(name: str):
+        try:
+            submodule = table[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        module = _importlib.import_module(f"{package}.{submodule}")
+        value = getattr(module, name)
+        setattr(_sys.modules[package], name, value)
+        return value
 
-        return getattr(serving, name)
-    if name in {"LigerConfig", "LigerRuntime"}:
-        from repro import core
+    return __getattr__
 
-        return getattr(core, name)
-    if name in {
-        "FaultPlan",
-        "GpuStraggler",
-        "LinkDegradation",
-        "LaunchFailure",
-        "HostJitter",
-        "FaultInjector",
-        "Watchdog",
-        "ResilienceConfig",
-        "ResilienceReport",
-        "RecoveryManager",
-    }:
-        from repro import faults
 
-        return getattr(faults, name)
-    if name in {"FaultError", "RetryExhaustedError"}:
-        from repro import errors
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "GpuSpec": "hw.devices",
+    "NodeSpec": "hw.devices",
+    "V100_16GB": "hw.devices",
+    "A100_80GB_PCIE": "hw.devices",
+    "v100_nvlink_node": "hw.devices",
+    "a100_pcie_node": "hw.devices",
+    "OPT_30B": "models.specs",
+    "OPT_66B": "models.specs",
+    "GLM_130B": "models.specs",
+    "ModelSpec": "models.specs",
+    "MODELS": "models.specs",
+    "serve": "serving.api",
+    "Server": "serving.server",
+    "ServingResult": "serving.server",
+    "AdmissionPolicy": "serving.overload",
+    "OverloadConfig": "serving.overload",
+    "OverloadController": "serving.overload",
+    "OverloadReport": "serving.overload",
+    "KVCacheAccountant": "serving.overload",
+    "RequestState": "serving.request",
+    "RunResult": "serving.session",
+    "ServingSession": "serving.session",
+    "LigerConfig": "core.config",
+    "LigerRuntime": "core.runtime",
+    "FaultPlan": "faults.plan",
+    "GpuStraggler": "faults.plan",
+    "LinkDegradation": "faults.plan",
+    "LaunchFailure": "faults.plan",
+    "HostJitter": "faults.plan",
+    "FaultInjector": "faults.injector",
+    "Watchdog": "faults.watchdog",
+    "ResilienceConfig": "faults.resilience",
+    "ResilienceReport": "faults.resilience",
+    "RecoveryManager": "faults.resilience",
+    "FaultError": "errors",
+    "RetryExhaustedError": "errors",
+    "Observability": "obs.observability",
+    "EventBus": "obs.events",
+    "MetricsRegistry": "obs.metrics",
+    "SpanBuilder": "obs.spans",
+    "RequestSpan": "obs.spans",
+    "merged_chrome_trace": "obs.export",
+    "validate_merged_trace": "obs.export",
+}
 
-        return getattr(errors, name)
-    if name in {
-        "Observability",
-        "EventBus",
-        "MetricsRegistry",
-        "SpanBuilder",
-        "RequestSpan",
-        "merged_chrome_trace",
-        "validate_merged_trace",
-    }:
-        from repro import obs
-
-        return getattr(obs, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

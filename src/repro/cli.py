@@ -25,22 +25,27 @@ import argparse
 import contextlib
 import json
 import logging
-import multiprocessing
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.policy import policy_names
 from repro.errors import ConfigError, PartitionError
-from repro.experiments.figures import ALL_FIGURES, _timed_figure
-from repro.faults.plan import build_plan
-from repro.faults.resilience import ResilienceConfig
 from repro.hw.devices import TESTBEDS
 from repro.models.specs import MODELS
-from repro.obs.export import summarize_trace
-from repro.obs.observability import Observability, ObservabilityConfig
-from repro.obs.slo import SloPolicy
 from repro.serving import api
+
+# Each subcommand imports what only it uses (the figures, faults and obs
+# subsystems) in its handler, so a plain serve run loads none of them.
+if TYPE_CHECKING:
+    from repro.obs.observability import Observability
+
+#: The figure names ``experiments --help`` lists: the keys of
+#: :data:`repro.experiments.figures.ALL_FIGURES`, kept here so building the
+#: parser does not import the figures (a test pins the two equal).
+_FIGURE_NAMES = (
+    "table1", "fig3", "fig4", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "headline", "ablations", "fluctuating", "continuous", "lifecycle",
+)
 
 __all__ = [
     "main",
@@ -152,6 +157,8 @@ def build_policies(args: argparse.Namespace) -> tuple:
     With no flags given, a default availability policy is armed so the
     alert table always has an objective to judge.
     """
+    from repro.obs.slo import SloPolicy
+
     policies = []
     if args.slo_availability is not None:
         policies.append(SloPolicy("availability", target=args.slo_availability))
@@ -238,7 +245,7 @@ _TELEMETRY_WROTE = {
 }
 
 
-def _write_outputs(obs: Observability, outputs, *, trace=None, wording=_WROTE):
+def _write_outputs(obs: "Observability", outputs, *, trace=None, wording=_WROTE):
     """Write each requested ``(kind, path)`` of ``outputs`` in order and
     print its ``wording`` line; an unset path is skipped."""
     save = {
@@ -261,6 +268,8 @@ def _run_serve(args) -> int:
     install_log_handler(args.log_level)
     observability = None
     if args.trace_out is not None or args.metrics_out is not None:
+        from repro.obs.observability import Observability
+
         observability = Observability()
     result = _serve(
         args,
@@ -283,6 +292,9 @@ def _run_serve(args) -> int:
 
 
 def _run_faults(args) -> int:
+    from repro.faults.plan import build_plan
+    from repro.faults.resilience import ResilienceConfig
+
     result = _serve(
         args,
         fault_plan=build_plan(
@@ -304,11 +316,15 @@ def _run_faults(args) -> int:
 
 def _run_trace(args) -> int:
     if args.summarize is not None:
+        from repro.obs.export import summarize_trace
+
         try:
             print(summarize_trace(args.summarize))
         except (OSError, json.JSONDecodeError, ConfigError) as exc:
             raise ConfigError(f"cannot summarize {args.summarize}: {exc}") from exc
         return 0
+    from repro.obs.observability import Observability
+
     obs = Observability()
     result = _serve(args, record_trace=True, observability=obs)
     print(result.summary())
@@ -322,6 +338,8 @@ def _run_trace(args) -> int:
 
 
 def _run_telemetry(args) -> int:
+    from repro.obs.observability import Observability, ObservabilityConfig
+
     install_log_handler(args.log_level)
     obs = Observability(
         ObservabilityConfig(
@@ -350,6 +368,11 @@ def _run_telemetry(args) -> int:
 
 
 def _run_experiments(args) -> int:
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.experiments.figures import ALL_FIGURES, _timed_figure
+
     names = args.figures or list(ALL_FIGURES)
     unknown = [n for n in names if n not in ALL_FIGURES]
     if unknown:
@@ -504,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiments.add_argument(
         "figures", nargs="*", default=[],
-        help=f"figures to run (default: all). Choices: {', '.join(ALL_FIGURES)}")
+        help=f"figures to run (default: all). Choices: {', '.join(_FIGURE_NAMES)}")
     experiments.add_argument(
         "--scale", choices=("smoke", "quick", "full"), default="quick",
         help="experiment size (smoke: seconds; quick: default; full: paper grid)")

@@ -6,55 +6,35 @@ lives in :mod:`repro.sim` and the strategy adapter the serving layer uses is
 :class:`repro.parallel.interleaved.InterleavedStrategy`.
 """
 
-from repro.core.assembly import FuncVec, FunctionAssembler, KernelFunc
-from repro.core.config import LigerConfig, SyncMode
-from repro.core.contention import (
-    NO_ANTICIPATION,
-    AdaptiveAnticipator,
-    ContentionAnticipator,
-)
-from repro.core.decomposition import (
-    DecompositionPlanner,
-    split_all_to_all,
-    split_allreduce,
-    split_gemm_horizontal,
-    split_gemm_vertical,
-)
-from repro.core.policy import (
-    POLICIES,
-    ExpertOverlapPolicy,
-    LigerDichotomyPolicy,
-    SchedulingPolicy,
-    default_resource_class,
-    make_policy,
-    policy_names,
-)
-from repro.core.runtime import LigerRuntime, RuntimeStats
-from repro.core.scheduler import LigerScheduler, Round
+from repro import _lazy_exports
 
-__all__ = [
-    "KernelFunc",
-    "FuncVec",
-    "FunctionAssembler",
-    "LigerConfig",
-    "SyncMode",
-    "ContentionAnticipator",
-    "AdaptiveAnticipator",
-    "NO_ANTICIPATION",
-    "DecompositionPlanner",
-    "split_gemm_vertical",
-    "split_gemm_horizontal",
-    "split_allreduce",
-    "split_all_to_all",
-    "SchedulingPolicy",
-    "LigerDichotomyPolicy",
-    "ExpertOverlapPolicy",
-    "POLICIES",
-    "make_policy",
-    "policy_names",
-    "default_resource_class",
-    "LigerScheduler",
-    "Round",
-    "LigerRuntime",
-    "RuntimeStats",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "KernelFunc": "assembly",
+    "FuncVec": "assembly",
+    "FunctionAssembler": "assembly",
+    "LigerConfig": "config",
+    "SyncMode": "config",
+    "ContentionAnticipator": "contention",
+    "AdaptiveAnticipator": "contention",
+    "NO_ANTICIPATION": "contention",
+    "DecompositionPlanner": "decomposition",
+    "split_gemm_vertical": "decomposition",
+    "split_gemm_horizontal": "decomposition",
+    "split_allreduce": "decomposition",
+    "split_all_to_all": "decomposition",
+    "SchedulingPolicy": "policy",
+    "LigerDichotomyPolicy": "policy",
+    "ExpertOverlapPolicy": "policy",
+    "POLICIES": "policy",
+    "make_policy": "policy",
+    "policy_names": "policy",
+    "default_resource_class": "policy",
+    "LigerScheduler": "scheduler",
+    "Round": "scheduler",
+    "LigerRuntime": "runtime",
+    "RuntimeStats": "runtime",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

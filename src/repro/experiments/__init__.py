@@ -5,44 +5,30 @@ per-experiment index in DESIGN.md); ``python -m repro.experiments`` runs them
 from the command line.
 """
 
-from repro.experiments.figures import (
-    ALL_FIGURES,
-    FigureResult,
-    ablations,
-    continuous_batching,
-    fig3,
-    fig4,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    fig14,
-    fluctuating,
-    headline,
-    lifecycle,
-    table1,
-)
-from repro.experiments.harness import ExperimentRecord, ExperimentRunner
-from repro.experiments.reporting import format_kv, format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "ExperimentRecord",
-    "ExperimentRunner",
-    "FigureResult",
-    "ALL_FIGURES",
-    "table1",
-    "fig3",
-    "fig4",
-    "fig10",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "headline",
-    "ablations",
-    "fluctuating",
-    "continuous_batching",
-    "lifecycle",
-    "format_table",
-    "format_kv",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "ExperimentRecord": "harness",
+    "ExperimentRunner": "harness",
+    "FigureResult": "figures",
+    "ALL_FIGURES": "figures",
+    "table1": "figures",
+    "fig3": "figures",
+    "fig4": "figures",
+    "fig10": "figures",
+    "fig11": "figures",
+    "fig12": "figures",
+    "fig13": "figures",
+    "fig14": "figures",
+    "headline": "figures",
+    "ablations": "figures",
+    "fluctuating": "figures",
+    "continuous_batching": "figures",
+    "lifecycle": "figures",
+    "format_table": "reporting",
+    "format_kv": "reporting",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -27,38 +27,25 @@ Typical use goes through the serving layer::
     print(result.resilience.describe())
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.monitor import PrincipleMonitor
-from repro.faults.plan import (
-    Fault,
-    FaultPlan,
-    GpuStraggler,
-    HostJitter,
-    LaunchFailure,
-    LinkDegradation,
-    plan_from_specs,
-)
-from repro.faults.resilience import (
-    RecoveryManager,
-    ResilienceConfig,
-    ResilienceReport,
-    StrategyChange,
-)
-from repro.faults.watchdog import Watchdog
+from repro import _lazy_exports
 
-__all__ = [
-    "Fault",
-    "FaultPlan",
-    "GpuStraggler",
-    "LinkDegradation",
-    "LaunchFailure",
-    "HostJitter",
-    "plan_from_specs",
-    "FaultInjector",
-    "PrincipleMonitor",
-    "Watchdog",
-    "RecoveryManager",
-    "ResilienceConfig",
-    "ResilienceReport",
-    "StrategyChange",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "Fault": "plan",
+    "FaultPlan": "plan",
+    "GpuStraggler": "plan",
+    "LinkDegradation": "plan",
+    "LaunchFailure": "plan",
+    "HostJitter": "plan",
+    "plan_from_specs": "plan",
+    "FaultInjector": "injector",
+    "PrincipleMonitor": "monitor",
+    "Watchdog": "watchdog",
+    "RecoveryManager": "resilience",
+    "ResilienceConfig": "resilience",
+    "ResilienceReport": "resilience",
+    "StrategyChange": "resilience",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -10,32 +10,22 @@ only describe *what* the hardware is, mirroring the paper's two testbeds:
   all-reduce bus bandwidth 14.88 GB/s).
 """
 
-from repro.hw.devices import (
-    GpuSpec,
-    NodeSpec,
-    V100_16GB,
-    A100_80GB_PCIE,
-    v100_nvlink_node,
-    a100_pcie_node,
-    TESTBEDS,
-)
-from repro.hw.topology import (
-    InterconnectKind,
-    Topology,
-    nvlink_mesh,
-    pcie_switch,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "GpuSpec",
-    "NodeSpec",
-    "V100_16GB",
-    "A100_80GB_PCIE",
-    "v100_nvlink_node",
-    "a100_pcie_node",
-    "TESTBEDS",
-    "InterconnectKind",
-    "Topology",
-    "nvlink_mesh",
-    "pcie_switch",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "GpuSpec": "devices",
+    "NodeSpec": "devices",
+    "V100_16GB": "devices",
+    "A100_80GB_PCIE": "devices",
+    "v100_nvlink_node": "devices",
+    "a100_pcie_node": "devices",
+    "TESTBEDS": "devices",
+    "InterconnectKind": "topology",
+    "Topology": "topology",
+    "nvlink_mesh": "topology",
+    "pcie_switch": "topology",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

@@ -6,67 +6,42 @@ model per GPU, and the Megatron-partitioned per-device operator sequences
 for both prefill ("general tasks") and KV-cache decode ("generative tasks").
 """
 
-from repro.models.costs import CostBreakdown, KernelCostModel
-from repro.models.kvcache import decode_layer_ops, decode_step_ops
-from repro.models.moe import expert_capacity, moe_ffn_ops, moe_layer_ops
-from repro.models.ops import (
-    OpDesc,
-    all_to_all_op,
-    allreduce_op,
-    attention_op,
-    elementwise_op,
-    gemm_op,
-    p2p_op,
-)
-from repro.models.partition import (
-    PipelineStage,
-    boundary_bytes,
-    check_placement,
-    pipeline_stages,
-)
-from repro.models.specs import (
-    GLM_130B,
-    MODELS,
-    MOE_16E,
-    OPT_8B,
-    OPT_13B,
-    OPT_30B,
-    OPT_66B,
-    OPT_175B,
-    ModelSpec,
-)
-from repro.models.transformer import embed_ops, layer_ops, lm_head_ops, prefill_ops
+from repro import _lazy_exports
 
-__all__ = [
-    "ModelSpec",
-    "MODELS",
-    "OPT_8B",
-    "OPT_13B",
-    "OPT_30B",
-    "OPT_66B",
-    "OPT_175B",
-    "GLM_130B",
-    "MOE_16E",
-    "KernelCostModel",
-    "CostBreakdown",
-    "OpDesc",
-    "gemm_op",
-    "attention_op",
-    "elementwise_op",
-    "allreduce_op",
-    "all_to_all_op",
-    "p2p_op",
-    "layer_ops",
-    "moe_layer_ops",
-    "moe_ffn_ops",
-    "expert_capacity",
-    "prefill_ops",
-    "embed_ops",
-    "lm_head_ops",
-    "decode_layer_ops",
-    "decode_step_ops",
-    "PipelineStage",
-    "pipeline_stages",
-    "boundary_bytes",
-    "check_placement",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "ModelSpec": "specs",
+    "MODELS": "specs",
+    "OPT_8B": "specs",
+    "OPT_13B": "specs",
+    "OPT_30B": "specs",
+    "OPT_66B": "specs",
+    "OPT_175B": "specs",
+    "GLM_130B": "specs",
+    "MOE_16E": "specs",
+    "KernelCostModel": "costs",
+    "CostBreakdown": "costs",
+    "OpDesc": "ops",
+    "gemm_op": "ops",
+    "attention_op": "ops",
+    "elementwise_op": "ops",
+    "allreduce_op": "ops",
+    "all_to_all_op": "ops",
+    "p2p_op": "ops",
+    "layer_ops": "transformer",
+    "moe_layer_ops": "moe",
+    "moe_ffn_ops": "moe",
+    "expert_capacity": "moe",
+    "prefill_ops": "transformer",
+    "embed_ops": "transformer",
+    "lm_head_ops": "transformer",
+    "decode_layer_ops": "kvcache",
+    "decode_step_ops": "kvcache",
+    "PipelineStage": "partition",
+    "pipeline_stages": "partition",
+    "boundary_bytes": "partition",
+    "check_placement": "partition",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

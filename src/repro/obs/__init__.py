@@ -29,75 +29,48 @@ build without this subsystem; a server with one behaves identically too,
 because no serving decision reads the bus, the store or the SLO engine.
 """
 
-from repro.obs.analysis import (
-    CriticalPathReport,
-    GpuAttribution,
-    PathSegment,
-    analyze_critical_path,
-    gpu_attribution,
-)
-from repro.obs.events import (
-    BatchCompleted,
-    BatchDispatched,
-    BatchPreempted,
-    BatchStaged,
-    BreakerClosed,
-    BreakerOpened,
-    Event,
-    EventBus,
-    Principle1Violation,
-    RequestsAdmitted,
-    RequestsShed,
-    RequestsTimedOut,
-    RetryScheduled,
-    SloAlertResolved,
-    SloBurnRateAlert,
-    StrategyDowngraded,
-    StrategyUpgraded,
-)
-from repro.obs.export import merged_chrome_trace, validate_merged_trace
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.observability import Observability, ObservabilityConfig
-from repro.obs.slo import BurnRule, SloEngine, SloPolicy
-from repro.obs.spans import RequestSpan, SpanBuilder, SpanSegment
-from repro.obs.telemetry import TimeSeriesStore
+from repro import _lazy_exports
 
-__all__ = [
-    "Event",
-    "EventBus",
-    "RequestsAdmitted",
-    "RequestsShed",
-    "RequestsTimedOut",
-    "BatchStaged",
-    "BatchDispatched",
-    "BatchPreempted",
-    "BatchCompleted",
-    "RetryScheduled",
-    "BreakerOpened",
-    "BreakerClosed",
-    "StrategyDowngraded",
-    "StrategyUpgraded",
-    "Principle1Violation",
-    "SloBurnRateAlert",
-    "SloAlertResolved",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "TimeSeriesStore",
-    "BurnRule",
-    "SloPolicy",
-    "SloEngine",
-    "SpanSegment",
-    "RequestSpan",
-    "SpanBuilder",
-    "merged_chrome_trace",
-    "validate_merged_trace",
-    "CriticalPathReport",
-    "GpuAttribution",
-    "PathSegment",
-    "analyze_critical_path",
-    "gpu_attribution",
-    "Observability",
-    "ObservabilityConfig",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "Event": "events",
+    "EventBus": "events",
+    "RequestsAdmitted": "events",
+    "RequestsShed": "events",
+    "RequestsTimedOut": "events",
+    "BatchStaged": "events",
+    "BatchDispatched": "events",
+    "BatchPreempted": "events",
+    "BatchCompleted": "events",
+    "RetryScheduled": "events",
+    "BreakerOpened": "events",
+    "BreakerClosed": "events",
+    "StrategyDowngraded": "events",
+    "StrategyUpgraded": "events",
+    "Principle1Violation": "events",
+    "SloBurnRateAlert": "events",
+    "SloAlertResolved": "events",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "TimeSeriesStore": "telemetry",
+    "BurnRule": "slo",
+    "SloPolicy": "slo",
+    "SloEngine": "slo",
+    "SpanSegment": "spans",
+    "RequestSpan": "spans",
+    "SpanBuilder": "spans",
+    "merged_chrome_trace": "export",
+    "validate_merged_trace": "export",
+    "CriticalPathReport": "analysis",
+    "GpuAttribution": "analysis",
+    "PathSegment": "analysis",
+    "analyze_critical_path": "analysis",
+    "gpu_attribution": "analysis",
+    "Observability": "observability",
+    "ObservabilityConfig": "observability",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

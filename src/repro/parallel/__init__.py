@@ -12,30 +12,19 @@ interchangeable from the serving layer:
 * :class:`InterleavedStrategy` — Liger's interleaved parallelism.
 """
 
-from repro.parallel.base import ParallelStrategy, instantiate_op
-from repro.parallel.hybrid import HybridStrategy
-from repro.parallel.inter_op import InterOpStrategy
-from repro.parallel.inter_theoretical import (
-    InterTheoreticalStrategy,
-    partition_op_for_theoretical,
-)
-from repro.parallel.intra_op import IntraOpStrategy
+from repro import _lazy_exports
 
-__all__ = [
-    "ParallelStrategy",
-    "instantiate_op",
-    "IntraOpStrategy",
-    "InterOpStrategy",
-    "HybridStrategy",
-    "InterTheoreticalStrategy",
-    "partition_op_for_theoretical",
-    "InterleavedStrategy",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "ParallelStrategy": "base",
+    "instantiate_op": "base",
+    "IntraOpStrategy": "intra_op",
+    "InterOpStrategy": "inter_op",
+    "HybridStrategy": "hybrid",
+    "InterTheoreticalStrategy": "inter_theoretical",
+    "partition_op_for_theoretical": "inter_theoretical",
+    "InterleavedStrategy": "interleaved",
+}
 
-
-def __getattr__(name):
-    if name == "InterleavedStrategy":
-        from repro.parallel.interleaved import InterleavedStrategy
-
-        return InterleavedStrategy
-    raise AttributeError(f"module 'repro.parallel' has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

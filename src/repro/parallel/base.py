@@ -70,7 +70,7 @@ def instantiate_op(
     for gpu in gpus:
         kernels[gpu] = kernel_from_profile(
             f"{name}@g{gpu}", kind, duration, occupancy, mem, 0.0, batch_id,
-            layer, flavour, None, decomposable, {"desc": op},
+            layer, flavour, None, decomposable, {},
         )
     return kernels
 

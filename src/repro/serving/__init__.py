@@ -7,74 +7,43 @@ the paper's two metrics — per-request latency (pending + execution) and
 throughput.
 """
 
-from repro.serving.arrival import (
-    ArrivalProcess,
-    BurstyProcess,
-    ConstantRate,
-    PoissonProcess,
-    TraceReplay,
-)
-from repro.serving.generation import (
-    ContinuousBatchingServer,
-    GenRequest,
-    StaticBatchingServer,
-    generation_workload,
-)
-from repro.serving.lifecycle import (
-    ChatRequest,
-    LifecycleResult,
-    LifecycleServer,
-    chat_workload,
-)
-from repro.serving.metrics import LatencyStats, ServingMetrics
-from repro.serving.overload import (
-    AdmissionPolicy,
-    KVCacheAccountant,
-    OverloadConfig,
-    OverloadController,
-    OverloadReport,
-)
-from repro.serving.request import Batch, Phase, Request, RequestState
-from repro.serving.server import Server, ServingResult
-from repro.serving.session import RunResult, ServingSession
-from repro.serving.workload import (
-    general_trace,
-    generative_trace,
-    pack_batches,
-    pack_batches_bucketed,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Request",
-    "Batch",
-    "Phase",
-    "RequestState",
-    "AdmissionPolicy",
-    "OverloadConfig",
-    "OverloadController",
-    "OverloadReport",
-    "KVCacheAccountant",
-    "ArrivalProcess",
-    "ConstantRate",
-    "PoissonProcess",
-    "BurstyProcess",
-    "TraceReplay",
-    "general_trace",
-    "generative_trace",
-    "pack_batches",
-    "pack_batches_bucketed",
-    "ServingMetrics",
-    "LatencyStats",
-    "Server",
-    "ServingResult",
-    "RunResult",
-    "ServingSession",
-    "GenRequest",
-    "generation_workload",
-    "StaticBatchingServer",
-    "ContinuousBatchingServer",
-    "ChatRequest",
-    "chat_workload",
-    "LifecycleServer",
-    "LifecycleResult",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "Request": "request",
+    "Batch": "request",
+    "Phase": "request",
+    "RequestState": "request",
+    "AdmissionPolicy": "overload",
+    "OverloadConfig": "overload",
+    "OverloadController": "overload",
+    "OverloadReport": "overload",
+    "KVCacheAccountant": "overload",
+    "ArrivalProcess": "arrival",
+    "ConstantRate": "arrival",
+    "PoissonProcess": "arrival",
+    "BurstyProcess": "arrival",
+    "TraceReplay": "arrival",
+    "general_trace": "workload",
+    "generative_trace": "workload",
+    "pack_batches": "workload",
+    "pack_batches_bucketed": "workload",
+    "ServingMetrics": "metrics",
+    "LatencyStats": "metrics",
+    "Server": "server",
+    "ServingResult": "server",
+    "RunResult": "session",
+    "ServingSession": "session",
+    "GenRequest": "generation",
+    "generation_workload": "generation",
+    "StaticBatchingServer": "generation",
+    "ContinuousBatchingServer": "generation",
+    "ChatRequest": "lifecycle",
+    "chat_workload": "lifecycle",
+    "LifecycleServer": "lifecycle",
+    "LifecycleResult": "lifecycle",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

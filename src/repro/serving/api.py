@@ -18,16 +18,13 @@ This is the library's front door::
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple
 
+import repro.parallel
 from repro.errors import ConfigError
 from repro.hw.devices import NodeSpec
 from repro.models.specs import ModelSpec
 from repro.parallel.base import ParallelStrategy
-from repro.parallel.hybrid import HybridStrategy
-from repro.parallel.inter_op import InterOpStrategy
-from repro.parallel.inter_theoretical import InterTheoreticalStrategy
-from repro.parallel.intra_op import IntraOpStrategy
 from repro.profiling.profiler import OpProfiler
 from repro.serving.server import Server, ServingResult
 from repro.serving.workload import general_trace, generative_trace
@@ -36,21 +33,18 @@ from repro.sim.interconnect import NcclConfig
 __all__ = ["serve", "make_strategy", "STRATEGIES"]
 
 
-def _strategy_registry() -> Dict[str, Type[ParallelStrategy]]:
-    # Liger imports the serving layer, so resolve it lazily.
-    from repro.parallel.interleaved import InterleavedStrategy
-
-    return {
-        "intra": IntraOpStrategy,
-        "inter": InterOpStrategy,
-        "inter_th": InterTheoreticalStrategy,
-        "hybrid": HybridStrategy,
-        "liger": InterleavedStrategy,
-    }
-
+#: Each strategy name → its class in :mod:`repro.parallel`, which imports
+#: only the module of the strategy a run names.
+_STRATEGY_CLASSES: Dict[str, str] = {
+    "intra": "IntraOpStrategy",
+    "inter": "InterOpStrategy",
+    "inter_th": "InterTheoreticalStrategy",
+    "hybrid": "HybridStrategy",
+    "liger": "InterleavedStrategy",
+}
 
 #: Public names of the available strategies.
-STRATEGIES: Tuple[str, ...] = ("intra", "inter", "inter_th", "hybrid", "liger")
+STRATEGIES: Tuple[str, ...] = tuple(_STRATEGY_CLASSES)
 
 
 def make_strategy(
@@ -69,8 +63,7 @@ def make_strategy(
     into the strategy's :class:`~repro.core.config.LigerConfig` (so it can
     be combined with an explicit ``config=`` keyword).
     """
-    registry = _strategy_registry()
-    if name not in registry:
+    if name not in _STRATEGY_CLASSES:
         raise ConfigError(f"unknown strategy {name!r}; choose from {STRATEGIES}")
     if policy is not None:
         if name != "liger":
@@ -91,7 +84,8 @@ def make_strategy(
         # (§3.5 mitigation) and the profiler-memo toggle — pre-building one
         # here would silently override both flags.
         profiler = OpProfiler(node, nccl=NcclConfig())
-    return registry[name](model, node, profiler=profiler, **kwargs)
+    cls = getattr(repro.parallel, _STRATEGY_CLASSES[name])
+    return cls(model, node, profiler=profiler, **kwargs)
 
 
 def serve(

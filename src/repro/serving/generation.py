@@ -29,25 +29,21 @@ admission with deadlines, and the event bus/metrics/span exports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.obs.events import (
-    BatchCompleted,
-    RequestsAdmitted,
-    RequestsShed,
-    RequestsTimedOut,
-)
-from repro.obs.observability import Observability
 from repro.serving.arrival import ArrivalProcess, ConstantRate
-from repro.serving.overload import OverloadConfig, OverloadReport, shed_victim
 from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.serving.server import ServingResult
 from repro.serving.session import RunResult, ServingSession
 from repro.sim.contention import ContentionModel
 from repro.sim.memory import NodeMemoryModel, activation_bytes
+
+if TYPE_CHECKING:  # imported where a bus or an overload config is armed
+    from repro.obs.observability import Observability
+    from repro.serving.overload import OverloadConfig, OverloadReport
 
 __all__ = [
     "GenRequest",
@@ -262,6 +258,8 @@ class JobServer:
             self._peak_pending, len(self._waiting()) + len(jobs)
         )
         if self.bus is not None:
+            from repro.obs.events import RequestsAdmitted
+
             for job in jobs:
                 self.bus.publish(
                     RequestsAdmitted(
@@ -275,6 +273,8 @@ class JobServer:
 
     def _evict_victim(self) -> bool:
         """Shed one waiting job per the admission policy; False if none."""
+        from repro.serving.overload import shed_victim
+
         waiting = self._waiting()
         i = shed_victim(self.overload.policy, waiting)
         if i is None:
@@ -288,6 +288,8 @@ class JobServer:
         """Summarise this server's job-granularity admission layer."""
         if self.overload is None:
             return None
+        from repro.serving.overload import OverloadReport
+
         m = self.metrics
         return OverloadReport(
             policy=self.overload.policy.value,
@@ -304,6 +306,8 @@ class JobServer:
     def _retire(self, batch: Batch, time: float, finished: Sequence) -> None:
         """Publish ``batch``'s retirement; complete its ``finished`` jobs."""
         if self.bus is not None:
+            from repro.obs.events import BatchCompleted
+
             self.bus.publish(BatchCompleted.from_batch(batch, time, finished))
         for job in finished:
             job.completion = time
@@ -319,6 +323,8 @@ class JobServer:
         job.state = RequestState.SHED
         self.metrics.note_shed([job])
         if self.bus is not None:
+            from repro.obs.events import RequestsShed
+
             self.bus.publish(
                 RequestsShed.from_requests(
                     [job], self.engine.now, batch_id=-1, where=where
@@ -329,6 +335,8 @@ class JobServer:
         job.state = RequestState.TIMED_OUT
         self.metrics.note_timed_out([job])
         if self.bus is not None:
+            from repro.obs.events import RequestsTimedOut
+
             self.bus.publish(
                 RequestsTimedOut.from_requests(
                     [job], self.engine.now, batch_id=-1, where=where
@@ -431,6 +439,8 @@ class StaticBatchingServer(JobServer):
 
     def _evict_victim(self) -> bool:
         """Shed one whole queued group per the admission policy."""
+        from repro.serving.overload import shed_victim
+
         i = shed_victim(
             self.overload.policy,
             self._pending_groups,

@@ -29,11 +29,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, IncompleteRequestError
-from repro.obs.events import BatchPreempted
 from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.generation import JobServer
 from repro.serving.metrics import LatencyStats
-from repro.serving.overload import AdmissionPolicy
 from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.serving.session import RunResult
 from repro.sim.memory import activation_bytes
@@ -334,6 +332,8 @@ class LifecycleServer(JobServer):
             self._queue.append(victim)
             self.metrics.preemptions += 1
             if self.bus is not None:
+                from repro.obs.events import BatchPreempted
+
                 self.bus.publish(
                     BatchPreempted(
                         time_us=self.engine.now, batch_id=-1, size=1
@@ -351,10 +351,11 @@ class LifecycleServer(JobServer):
         which is also what makes recompute preemption reachable: the passed
         chat may later find younger chats holding its KV budget.
         """
-        if (
-            self.overload is not None
-            and self.overload.policy is AdmissionPolicy.SHED_BY_DEADLINE
-        ):
+        if self.overload is None:
+            return self._queue
+        from repro.serving.overload import AdmissionPolicy
+
+        if self.overload.policy is AdmissionPolicy.SHED_BY_DEADLINE:
             return sorted(
                 self._queue,
                 key=lambda c: (

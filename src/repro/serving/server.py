@@ -21,19 +21,18 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from repro.errors import ConfigError
 from repro.hw.devices import NodeSpec
 from repro.models.specs import ModelSpec
-from repro.obs.events import BatchCompleted
-from repro.obs.observability import Observability
 from repro.serving.metrics import LatencyStats, ServingMetrics
-from repro.serving.overload import OverloadConfig
 from repro.serving.request import Batch
 from repro.serving.session import RunResult, ServingSession
 from repro.sim.contention import ContentionModel
 from repro.sim.tracing import Trace
 
-if TYPE_CHECKING:  # avoid a circular import; the server only type-hints it
+if TYPE_CHECKING:  # the session imports each subsystem only when armed
     from repro.faults.plan import FaultPlan
     from repro.faults.resilience import ResilienceConfig
+    from repro.obs.observability import Observability
     from repro.parallel.base import ParallelStrategy
+    from repro.serving.overload import OverloadConfig
 
 __all__ = ["Server", "ServingResult"]
 
@@ -81,8 +80,8 @@ class Server:
         check_memory: bool = True,
         fault_plan: Optional["FaultPlan"] = None,
         resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional[OverloadConfig] = None,
-        observability: Optional[Observability] = None,
+        overload: Optional["OverloadConfig"] = None,
+        observability: Optional["Observability"] = None,
     ) -> None:
         self.session = ServingSession(
             model,
@@ -116,6 +115,8 @@ class Server:
         batch.complete(time)
         self.metrics.record(batch.requests)
         if self.bus is not None:
+            from repro.obs.events import BatchCompleted
+
             self.bus.publish(BatchCompleted.from_batch(batch, time))
         self.session.notify_complete(batch, time)
 

@@ -35,10 +35,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.errors import ConfigError, DeadlockError
 from repro.models.partition import check_placement
-from repro.obs.events import BatchDispatched, RequestsAdmitted, RequestsShed
-from repro.obs.observability import Observability
 from repro.serving.metrics import ServingMetrics
-from repro.serving.overload import OverloadConfig, OverloadController, OverloadReport
 from repro.serving.request import Batch
 from repro.sim.contention import ContentionModel, default_contention_for
 from repro.sim.engine import Engine
@@ -46,7 +43,9 @@ from repro.sim.gpu import Machine
 from repro.sim.host import Host
 from repro.sim.tracing import Trace
 
-if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
+# The subsystems are imported on the branch that arms them, so a run that
+# arms none never loads repro.obs, repro.faults or repro.serving.overload.
+if TYPE_CHECKING:
     from repro.faults.plan import FaultPlan
     from repro.faults.resilience import (
         RecoveryManager,
@@ -55,7 +54,13 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid a cycle
     )
     from repro.hw.devices import NodeSpec
     from repro.models.specs import ModelSpec
+    from repro.obs.observability import Observability
     from repro.parallel.base import ParallelStrategy
+    from repro.serving.overload import (
+        OverloadConfig,
+        OverloadController,
+        OverloadReport,
+    )
 
 __all__ = ["RunResult", "ServingSession"]
 
@@ -77,10 +82,10 @@ class RunResult:
     #: Recovery-layer summary; ``None`` unless faults/resilience were enabled.
     resilience: Optional["ResilienceReport"] = field(default=None, kw_only=True)
     #: Overload-layer summary; ``None`` unless admission control was enabled.
-    overload: Optional[OverloadReport] = field(default=None, kw_only=True)
+    overload: Optional["OverloadReport"] = field(default=None, kw_only=True)
     #: The observability object the run was served with (bus + registry +
     #: spans); ``None`` unless one was passed in.
-    observability: Optional[Observability] = field(default=None, kw_only=True)
+    observability: Optional["Observability"] = field(default=None, kw_only=True)
 
 
 # ----------------------------------------------------------------------
@@ -136,8 +141,8 @@ class ServingSession:
         record_trace: bool = False,
         fault_plan: Optional["FaultPlan"] = None,
         resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional[OverloadConfig] = None,
-        observability: Optional[Observability] = None,
+        overload: Optional["OverloadConfig"] = None,
+        observability: Optional["Observability"] = None,
         check_memory: bool = True,
         shed_callback: Optional[Callable[[Batch], None]] = None,
         per_job: bool = False,
@@ -179,8 +184,6 @@ class ServingSession:
 
         self.recovery: Optional["RecoveryManager"] = None
         if fault_plan is not None or resilience is not None:
-            # Imported lazily: repro.faults pulls in the parallel
-            # strategies, which import the serving layer for type context.
             from repro.faults.resilience import attach_recovery
 
             self.recovery = attach_recovery(
@@ -196,8 +199,10 @@ class ServingSession:
                 bus=self.bus,
             )
 
-        self.overload_ctl: Optional[OverloadController] = None
+        self.overload_ctl: Optional["OverloadController"] = None
         if not per_job and overload is not None:
+            from repro.serving.overload import OverloadController
+
             self.overload_ctl = OverloadController(
                 overload,
                 model,
@@ -229,6 +234,8 @@ class ServingSession:
             batch.shed()  # terminal state: nothing is dropped silently
             self.metrics.note_shed(batch.requests)
             if self.bus is not None:
+                from repro.obs.events import RequestsShed
+
                 self.bus.publish(
                     RequestsShed.from_requests(
                         batch.requests,
@@ -250,7 +257,7 @@ class ServingSession:
         if self.obs is not None:
             self.obs.register_gauge(name, help, fn)
 
-    def _register_overload_gauges(self, obs: Observability) -> None:
+    def _register_overload_gauges(self, obs: "Observability") -> None:
         """Expose the overload controller's live readings to the heartbeat."""
         ctl = self.overload_ctl
         if ctl is None:
@@ -283,7 +290,7 @@ class ServingSession:
         "assembly_build_seconds": "Host seconds spent assembling on misses.",
     }
 
-    def _register_perf_gauges(self, obs: Observability) -> None:
+    def _register_perf_gauges(self, obs: "Observability") -> None:
         """Expose assembly-cache counters as ``repro_perf_*`` gauges."""
         counters = getattr(self.strategy, "perf_counters", None)
         if counters is None:
@@ -311,6 +318,8 @@ class ServingSession:
             self.overload_ctl.on_arrival(batch)
             return
         if self.bus is not None and not self._per_job:
+            from repro.obs.events import RequestsAdmitted
+
             self.bus.publish(RequestsAdmitted.from_batch(batch, self.engine.now))
         self._dispatch(batch)
 
@@ -324,6 +333,8 @@ class ServingSession:
         now = self.engine.now
         batch.mark_dispatched(now)
         if self.bus is not None:
+            from repro.obs.events import BatchDispatched
+
             seen = self._dispatched_rids
             rids = [r.rid for r in batch.requests]
             again = tuple(rid for rid in rids if rid in seen)
@@ -391,6 +402,6 @@ class ServingSession:
         """The recovery layer's end-of-run report, or ``None`` if unarmed."""
         return self.recovery.finalize() if self.recovery is not None else None
 
-    def overload_report(self) -> Optional[OverloadReport]:
+    def overload_report(self) -> Optional["OverloadReport"]:
         """The overload controller's report, or ``None`` if unarmed."""
         return self.overload_ctl.report if self.overload_ctl is not None else None

@@ -8,41 +8,32 @@ left-over kernel admission policy, emergent compute/communication contention,
 and rendezvous collectives.  See DESIGN.md §5 for the semantics contract.
 """
 
-from repro.sim.contention import (
-    ContentionModel,
-    DefaultContention,
-    NullContention,
-    default_contention_for,
-)
-from repro.sim.engine import Engine, EventHandle
-from repro.sim.events import CudaEvent
-from repro.sim.gpu import Gpu, Machine
-from repro.sim.host import Host
-from repro.sim.interconnect import CollectiveCostModel, NcclConfig
-from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel, KernelKind
-from repro.sim.stream import Command, CommandKind, Stream
-from repro.sim.tracing import Trace, TraceRow
+from repro import _lazy_exports
 
-__all__ = [
-    "Engine",
-    "EventHandle",
-    "CudaEvent",
-    "Gpu",
-    "Machine",
-    "Host",
-    "CollectiveCostModel",
-    "NcclConfig",
-    "CollectiveKind",
-    "CollectiveOp",
-    "Kernel",
-    "KernelKind",
-    "Command",
-    "CommandKind",
-    "Stream",
-    "Trace",
-    "TraceRow",
-    "ContentionModel",
-    "DefaultContention",
-    "NullContention",
-    "default_contention_for",
-]
+#: Every public name of the package, by the submodule that defines it.
+_EXPORTS = {
+    "Engine": "engine",
+    "EventHandle": "engine",
+    "CudaEvent": "events",
+    "Gpu": "gpu",
+    "Machine": "gpu",
+    "Host": "host",
+    "CollectiveCostModel": "interconnect",
+    "NcclConfig": "interconnect",
+    "CollectiveKind": "kernel",
+    "CollectiveOp": "kernel",
+    "Kernel": "kernel",
+    "KernelKind": "kernel",
+    "Command": "stream",
+    "CommandKind": "stream",
+    "Stream": "stream",
+    "Trace": "tracing",
+    "TraceRow": "tracing",
+    "ContentionModel": "contention",
+    "DefaultContention": "contention",
+    "NullContention": "contention",
+    "default_contention_for": "contention",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = _lazy_exports(__name__, _EXPORTS)

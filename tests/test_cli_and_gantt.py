@@ -227,6 +227,16 @@ class TestCliTree:
         for command in OPTIONS:
             assert re.search(rf"^\s+{command}\b", out, re.MULTILINE), command
 
+    def test_experiments_help_lists_every_figure(self, capsys):
+        from repro.cli import _FIGURE_NAMES, main
+        from repro.experiments.figures import ALL_FIGURES
+
+        assert _FIGURE_NAMES == tuple(ALL_FIGURES)
+        with pytest.raises(SystemExit):
+            main(["experiments", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"Choices: {', '.join(ALL_FIGURES)}" in out
+
     def test_serve_spelling_matches_bare_flags(self, capsys):
         from repro.cli import main
 

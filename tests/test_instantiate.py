@@ -56,7 +56,7 @@ def reference(op, gpus, batch_id, profiler):
                 layer=op.layer,
                 op=op.op,
                 decomposable=op.decomposable,
-                meta={"desc": op},
+                meta={},
             )
             for gpu in gpus
         }

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError, IncompleteRequestError
+from repro.serving.metrics import _percentile
 from repro.serving import (
     Batch,
     BurstyProcess,
@@ -273,3 +275,22 @@ def test_latency_stats_ordering_invariants(lat):
     assert stats.p50 <= stats.p95 <= stats.p99 <= stats.max
     eps = 1e-12  # float summation slack in the mean
     assert min(lat) / 1e3 - eps <= stats.mean <= stats.max + eps
+
+
+@given(
+    lat=st.integers(min_value=1, max_value=400).flatmap(
+        lambda n: st.lists(
+            st.floats(min_value=0.0, max_value=1e9), min_size=n, max_size=n
+        )
+    ),
+    q=st.floats(min_value=0.0, max_value=100.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_latency_percentiles_match_numpy_bit_for_bit(lat, q):
+    ms = np.asarray(lat, dtype=float) / 1e3
+    stats = LatencyStats.from_latencies_us(lat)
+    assert stats.p50 == float(np.percentile(ms, 50))
+    assert stats.p95 == float(np.percentile(ms, 95))
+    assert stats.p99 == float(np.percentile(ms, 99))
+    assert stats.max == float(ms.max())
+    assert _percentile(sorted(ms.tolist()), q) == float(np.percentile(ms, q))
