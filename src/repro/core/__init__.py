@@ -16,7 +16,6 @@ _EXPORTS = {
     "LigerConfig": "config",
     "SyncMode": "config",
     "ContentionAnticipator": "contention",
-    "AdaptiveAnticipator": "contention",
     "NO_ANTICIPATION": "contention",
     "DecompositionPlanner": "decomposition",
     "split_gemm_vertical": "decomposition",

@@ -64,11 +64,6 @@ class LigerConfig:
     reduce_nccl_channels:
         Apply the §3.5 mitigation (shrink NCCL's SM footprint).  Without it
         collectives rarely fit beside a GEMM under the left-over policy.
-    adaptive_anticipation:
-        Extension: learn contention factors online from executed kernels
-        (a decayed running maximum) instead of the offline profiling pass.
-        When set, ``contention_factors`` is ignored and no offline
-        contention profiling runs at bind time.
     packing:
         Secondary-subset packing policy: ``"first_fit"`` walks subsequent
         batches in arrival order (the paper's Algorithm 1); ``"best_fit"``
@@ -103,7 +98,6 @@ class LigerConfig:
     enable_decomposition: bool = True
     contention_factors: Optional[ContentionFactors] = None
     reduce_nccl_channels: bool = True
-    adaptive_anticipation: bool = False
     packing: str = "first_fit"
     policy: str = "dichotomy"
     comm_lag_penalty: float = us(12.0)

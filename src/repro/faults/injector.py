@@ -53,7 +53,10 @@ class FaultInjector:
 
         Schedules one rate-refresh event per fault-window boundary so
         in-flight kernels re-integrate at the new factors the instant a
-        fault activates or clears.  Faults skew ranks, so an armed machine
+        fault activates or clears.  A refresh is a background event: it
+        only re-integrates in-flight kernels, each of which has its own
+        completion event, so it never keeps a heartbeat (the watchdog) alive
+        after the work is done.  Faults skew ranks, so an armed machine
         simulates every rank on its own
         (:meth:`~repro.sim.gpu.Machine.arm_fault_injector`).
         """
@@ -72,7 +75,9 @@ class FaultInjector:
         now = machine.engine.now
         for t in self.plan.boundaries():
             if t > now:
-                machine.engine.schedule_at(t, machine.refresh_rates, priority=3)
+                machine.engine.schedule_background_at(
+                    t, machine.refresh_rates, priority=3
+                )
 
     def _require_armed(self) -> Machine:
         if self.machine is None:

@@ -20,7 +20,6 @@ _EXPORTS = {
     "instantiate_op": "base",
     "IntraOpStrategy": "intra_op",
     "InterOpStrategy": "inter_op",
-    "HybridStrategy": "hybrid",
     "InterTheoreticalStrategy": "inter_theoretical",
     "partition_op_for_theoretical": "inter_theoretical",
     "InterleavedStrategy": "interleaved",

@@ -17,7 +17,7 @@ from typing import List, Optional
 
 from repro.core.assembly import FunctionAssembler
 from repro.core.config import LigerConfig
-from repro.core.contention import AdaptiveAnticipator, ContentionAnticipator
+from repro.core.contention import ContentionAnticipator
 from repro.core.runtime import LigerRuntime
 from repro.models.ops import OpDesc
 from repro.parallel.base import ParallelStrategy
@@ -64,28 +64,14 @@ class InterleavedStrategy(ParallelStrategy):
         super().bind(machine, host, track_memory=track_memory)
         if not self.config.enable_sim_memos:
             machine.slowdown_memo = False
-        if self.config.adaptive_anticipation:
-            # Extension: no offline pass — learn factors while serving.
-            anticipator = AdaptiveAnticipator()
-
-            def _feed(kernel, end_time):
-                started = kernel.meta.get("_started_at")
-                if started is not None and kernel.batch_id >= 0:
-                    anticipator.observe(
-                        kernel.kind, kernel.duration, end_time - started
-                    )
-
-            machine.on_kernel_complete(_feed)
-        else:
-            factors = self.config.contention_factors
-            if factors is None:
-                # The offline procedure (Fig. 5): profile contention factors
-                # on the deployment hardware before serving.
-                factors = ContentionProfiler(
-                    self.node, self.profiler, contention=machine.contention
-                ).profile(self.model)
-            anticipator = ContentionAnticipator(factors)
-        self.anticipator = anticipator
+        factors = self.config.contention_factors
+        if factors is None:
+            # The offline procedure (Fig. 5): profile contention factors
+            # on the deployment hardware before serving.
+            factors = ContentionProfiler(
+                self.node, self.profiler, contention=machine.contention
+            ).profile(self.model)
+        self.anticipator = ContentionAnticipator(factors)
         assembler = FunctionAssembler(
             self._batch_ops,
             self.profiler,
@@ -99,7 +85,7 @@ class InterleavedStrategy(ParallelStrategy):
             host,
             self.profiler,
             assembler,
-            anticipator,
+            self.anticipator,
             self.config,
             on_batch_launched=self.add_pending,
             on_batch_drained=self._on_drained,

@@ -4,13 +4,12 @@ Liger profiles every kernel's no-load duration before deployment and feeds
 those durations to the scheduler (Fig. 5; §3.2's function wrappers carry
 "the kernel duration").  In this reproduction the analytical cost model
 *plays the role of the hardware* (DESIGN.md §2), so a "measurement" of a
-solo kernel equals the cost-model value by construction; the profiler's jobs
-are therefore (a) to be the single component that owns the
+solo kernel equals the cost-model value by construction; the profiler's job
+is therefore to be the single component that owns the
 op → (duration, occupancy, memory-intensity) mapping, with caching keyed on
-op identity, and (b) to provide :meth:`OpProfiler.measure_solo`, which
-*actually executes* the kernel on a scratch machine and reads the trace —
-used by tests to prove the executor honours profiled durations, and by the
-contention profiler as the no-load reference.
+op identity.  Kernels are built from these profiles by
+:func:`~repro.parallel.base.instantiate_op`, so a lone kernel on the machine
+runs for exactly its profiled duration.
 """
 
 from __future__ import annotations
@@ -21,12 +20,8 @@ from repro.errors import ConfigError
 from repro.hw.devices import NodeSpec
 from repro.models.costs import KernelCostModel
 from repro.models.ops import OpDesc
-from repro.sim.contention import NullContention
-from repro.sim.engine import Engine
-from repro.sim.gpu import Machine
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
-from repro.sim.kernel import Kernel, check_kernel_profile
-from repro.sim.tracing import Trace
+from repro.sim.kernel import check_kernel_profile
 
 __all__ = ["OpProfiler", "op_key"]
 
@@ -163,45 +158,3 @@ class OpProfiler:
     @property
     def cache_size(self) -> int:
         return len(self._cache)
-
-    # ------------------------------------------------------------------
-    # Actual measurement on a scratch machine
-    # ------------------------------------------------------------------
-    def measure_solo(self, op: OpDesc) -> float:
-        """Execute the op alone on a scratch machine; return measured µs.
-
-        For compute ops this runs one kernel on GPU 0; for collectives it
-        runs the member group across ``participants``.  With nothing else
-        resident the measurement must equal :meth:`duration` — the test
-        suite asserts this (executor honours profiles).
-        """
-        machine = Machine(
-            self.node, Engine(), contention=NullContention(), trace=Trace()
-        )
-        if op.op == "all_reduce":
-            coll = self.collectives.make_allreduce(op.comm_bytes, self.participants)
-            for gpu in self.participants:
-                stream = machine.gpu(gpu).stream("profile")
-                machine.launch(stream, coll.members[gpu], available_at=0.0)
-        elif op.op == "all_to_all":
-            coll = self.collectives.make_all_to_all(op.comm_bytes, self.participants)
-            for gpu in self.participants:
-                stream = machine.gpu(gpu).stream("profile")
-                machine.launch(stream, coll.members[gpu], available_at=0.0)
-        elif op.op == "p2p":
-            coll = self.collectives.make_p2p(op.comm_bytes, op.p2p_src, op.p2p_dst)
-            for gpu in (op.p2p_src, op.p2p_dst):
-                stream = machine.gpu(gpu).stream("profile")
-                machine.launch(stream, coll.members[gpu], available_at=0.0)
-        else:
-            kernel = Kernel(
-                name=f"profile:{op.name}",
-                kind=op.kind,
-                duration=self.cost_model.duration(op),
-                occupancy=self.occupancy(op),
-                memory_intensity=self.memory_intensity(op),
-            )
-            machine.launch(machine.gpu(0).stream("profile"), kernel, available_at=0.0)
-        machine.run()
-        assert machine.trace is not None
-        return max(r.duration for r in machine.trace.rows)

@@ -22,13 +22,10 @@ _EXPORTS = {
     "KVCacheAccountant": "overload",
     "ArrivalProcess": "arrival",
     "ConstantRate": "arrival",
-    "PoissonProcess": "arrival",
     "BurstyProcess": "arrival",
-    "TraceReplay": "arrival",
     "general_trace": "workload",
     "generative_trace": "workload",
     "pack_batches": "workload",
-    "pack_batches_bucketed": "workload",
     "ServingMetrics": "metrics",
     "LatencyStats": "metrics",
     "Server": "server",

@@ -39,7 +39,6 @@ _STRATEGY_CLASSES: Dict[str, str] = {
     "intra": "IntraOpStrategy",
     "inter": "InterOpStrategy",
     "inter_th": "InterTheoreticalStrategy",
-    "hybrid": "HybridStrategy",
     "liger": "InterleavedStrategy",
 }
 

@@ -2,27 +2,20 @@
 
 The paper sweeps a *constant* request rate ("we use a constant request rate
 instead of a fluctuated request rate", §4.2); :class:`ConstantRate` is the
-default everywhere.  :class:`PoissonProcess` and :class:`TraceReplay` are
-provided for the open-world experiments a downstream user will want (and for
-the fluctuating-rate extension the paper leaves implicit).
+default everywhere.  :class:`BurstyProcess` is the fluctuating-rate
+extension the paper mentions but does not evaluate.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.units import seconds
 
-__all__ = [
-    "ArrivalProcess",
-    "ConstantRate",
-    "PoissonProcess",
-    "BurstyProcess",
-    "TraceReplay",
-]
+__all__ = ["ArrivalProcess", "ConstantRate", "BurstyProcess"]
 
 
 class ArrivalProcess:
@@ -51,24 +44,6 @@ class ConstantRate(ArrivalProcess):
             raise ConfigError("n must be >= 0")
         gap = seconds(1.0) / self.rate
         return [gap * (i + 1) for i in range(n)]
-
-
-class PoissonProcess(ArrivalProcess):
-    """Memoryless arrivals at mean ``rate`` requests/second (seeded)."""
-
-    def __init__(self, rate: float, *, seed: int = 0) -> None:
-        if rate <= 0:
-            raise ConfigError(f"rate must be positive, got {rate}")
-        self.rate = rate
-        self.seed = seed
-
-    def arrivals(self, n: int) -> List[float]:
-        """Exponential inter-arrival gaps from the seeded RNG."""
-        if n < 0:
-            raise ConfigError("n must be >= 0")
-        rng = np.random.default_rng(self.seed)
-        gaps = rng.exponential(scale=seconds(1.0) / self.rate, size=n)
-        return list(np.cumsum(gaps))
 
 
 class BurstyProcess(ArrivalProcess):
@@ -148,23 +123,3 @@ class BurstyProcess(ArrivalProcess):
                 in_burst = not in_burst
                 since_switch = 0
         return out
-
-
-class TraceReplay(ArrivalProcess):
-    """Replay explicit timestamps (µs); must be non-negative and sorted."""
-
-    def __init__(self, timestamps: Sequence[float]) -> None:
-        ts = list(timestamps)
-        if any(t < 0 for t in ts):
-            raise ConfigError("trace timestamps must be non-negative")
-        if ts != sorted(ts):
-            raise ConfigError("trace timestamps must be sorted")
-        self.timestamps = ts
-
-    def arrivals(self, n: int) -> List[float]:
-        """The first ``n`` timestamps of the recorded trace."""
-        if n > len(self.timestamps):
-            raise ConfigError(
-                f"trace has {len(self.timestamps)} arrivals, {n} requested"
-            )
-        return self.timestamps[:n]

@@ -19,7 +19,7 @@ from repro.errors import ConfigError
 from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.request import Batch, Phase, Request
 
-__all__ = ["general_trace", "generative_trace", "pack_batches", "pack_batches_bucketed"]
+__all__ = ["general_trace", "generative_trace", "pack_batches"]
 
 
 def pack_batches(requests: Sequence[Request], batch_size: int) -> List[Batch]:
@@ -34,55 +34,6 @@ def pack_batches(requests: Sequence[Request], batch_size: int) -> List[Batch]:
         Batch(requests=list(ordered[i : i + batch_size]))
         for i in range(0, len(ordered), batch_size)
     ]
-
-
-def pack_batches_bucketed(
-    requests: Sequence[Request],
-    batch_size: int,
-    *,
-    bucket_width: int = 32,
-    max_wait_requests: int = 32,
-) -> List[Batch]:
-    """Length-bucketed batching: group near-equal sequence lengths together.
-
-    Every kernel of a batch runs at the batch's *padded* (maximum) sequence
-    length, so mixing a 16-token and a 128-token request wastes most of the
-    short request's compute.  This packer holds per-bucket queues
-    (``ceil(seq/bucket_width)``) and emits a batch when a bucket fills —
-    flushing any bucket whose head has waited more than ``max_wait_requests``
-    subsequent arrivals, so tail requests are not starved.
-
-    An extension beyond the paper (its traces are packed strictly in arrival
-    order); useful to quantify how much of the baseline gap is padding.
-    """
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    if bucket_width < 1:
-        raise ConfigError(f"bucket_width must be >= 1, got {bucket_width}")
-    if max_wait_requests < 1:
-        raise ConfigError("max_wait_requests must be >= 1")
-    ordered = sorted(requests, key=lambda r: r.arrival)
-    buckets: dict = {}
-    age: dict = {}
-    batches: List[Batch] = []
-
-    def flush(key) -> None:
-        group = buckets.pop(key)
-        age.pop(key, None)
-        batches.append(Batch(requests=group))
-
-    for i, req in enumerate(ordered):
-        key = (req.seq_len - 1) // bucket_width
-        buckets.setdefault(key, []).append(req)
-        age.setdefault(key, i)
-        if len(buckets[key]) >= batch_size:
-            flush(key)
-        # Starvation guard: flush buckets whose oldest member is stale.
-        for stale in [k for k, first in age.items() if i - first >= max_wait_requests]:
-            flush(stale)
-    for key in sorted(buckets):
-        flush(key)
-    return batches
 
 
 def general_trace(

@@ -69,7 +69,9 @@ class Engine:
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
-        self._live_beats = 0
+        # Live heap entries that are not liveness: heartbeat beats and
+        # background events (see schedule_background_at).
+        self._background = 0
         # O(1) liveness bookkeeping: live entries still on the heap, and
         # cancelled entries (tombstones) not yet swallowed by a pop.
         self._live = 0
@@ -132,6 +134,28 @@ class Engine:
         self._live += 1
         return handle
 
+    def schedule_background_at(
+        self,
+        time: float,
+        callback: Callable[[], None],
+        *,
+        priority: int = 0,
+    ) -> None:
+        """Schedule ``callback`` at ``time`` as a background event.
+
+        It fires like any other event, but, like a heartbeat beat, it never
+        counts as liveness for :meth:`heartbeat`: a background event pending
+        far in the future cannot keep the beats of a finished run going.
+        Background events cannot be cancelled.
+        """
+
+        def _fire() -> None:
+            self._background -= 1
+            callback()
+
+        self._background += 1
+        self.schedule_at(time, _fire, priority=priority)
+
     def heartbeat(
         self,
         interval: float,
@@ -145,23 +169,24 @@ class Engine:
         recovery probes).  ``fn`` returning ``False`` stops the beat; any
         other return value continues it.  A beat never keeps an otherwise
         idle engine alive: when the queue holds no live event besides
-        heartbeats, no beat is rescheduled and the run quiesces — beats do
-        not count *each other* as liveness, so any number of concurrent
-        heartbeats (watchdog, recovery probe, backpressure breaker) can
-        never turn a finite simulation into an infinite one.
+        heartbeats and background events (:meth:`schedule_background_at`),
+        no beat is rescheduled and the run quiesces — beats do not count
+        *each other* as liveness, so any number of concurrent heartbeats
+        (watchdog, recovery probe, backpressure breaker) can never turn a
+        finite simulation into an infinite one.
         """
         if not math.isfinite(interval) or interval <= 0:
             raise SimulationError(f"heartbeat interval must be positive, got {interval}")
 
         def _beat() -> None:
-            self._live_beats -= 1
+            self._background -= 1
             if fn() is False:
                 return
-            if self.pending > self._live_beats:
-                self._live_beats += 1
+            if self.pending > self._background:
+                self._background += 1
                 self.schedule(interval, _beat, priority=priority)
 
-        self._live_beats += 1
+        self._background += 1
         self.schedule(interval, _beat, priority=priority)
 
     # ------------------------------------------------------------------
@@ -178,16 +203,6 @@ class Engine:
             self._heap = [e for e in self._heap if not e[3].cancelled]
             heapq.heapify(self._heap)
             self._tombstones = 0
-
-    def _consume(self, handle: EventHandle) -> Optional[Callable[[], None]]:
-        """Take a popped live entry's callback; late cancels become no-ops."""
-        self._live -= 1
-        callback = handle.callback
-        # Mark consumed directly — the entry is already off the heap, so this
-        # must not count as a tombstone.
-        handle.cancelled = True
-        handle.callback = None
-        return callback
 
     # ------------------------------------------------------------------
     # Execution
@@ -220,7 +235,9 @@ class Engine:
                     break
                 heapq.heappop(heap)
                 self.now = entry[0]
-                # Inlined _consume — one call per event adds up.
+                # Consume the entry: it is already off the heap, so marking
+                # it cancelled must not count as a tombstone, and a late
+                # cancel becomes a no-op.
                 self._live -= 1
                 callback = handle.callback
                 handle.cancelled = True
@@ -241,37 +258,6 @@ class Engine:
         finally:
             self._running = False
 
-    def step(self) -> bool:
-        """Execute exactly one pending event.  Returns False when idle.
-
-        Shares :meth:`run`'s inlined consume/tombstone discipline: tombstones
-        are swallowed by peeking at the root (so a cancel arriving between
-        peek and pop can never decrement the tombstone count twice), the
-        consume is inlined rather than routed through :meth:`_consume`, and
-        the heap reference is re-read after each drain iteration in case a
-        cancellation-triggered compaction swapped the list.
-        """
-        heap = self._heap
-        while heap:
-            handle = heap[0][3]
-            if handle.cancelled:
-                heapq.heappop(heap)
-                self._tombstones -= 1
-                heap = self._heap  # compaction may have replaced the list
-                continue
-            entry = heapq.heappop(heap)
-            self.now = entry[0]
-            # Inlined _consume — identical to run()'s hot loop.
-            self._live -= 1
-            callback = handle.callback
-            handle.cancelled = True
-            handle.callback = None
-            if callback is not None:
-                callback()
-            self._events_processed += 1
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -284,12 +270,3 @@ class Engine:
     def events_processed(self) -> int:
         """Total events executed since construction."""
         return self._events_processed
-
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next live event, or None when idle."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-            self._tombstones -= 1
-            heap = self._heap  # compaction may have replaced the list
-        return heap[0][0] if heap else None

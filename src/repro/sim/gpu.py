@@ -764,11 +764,6 @@ class Machine:
         now = self.engine.now
         rs.start_at = now
         kernel = rs.kernel
-        # Stamped for completion observers that want measured durations
-        # (e.g. online contention estimation) without a full trace.
-        kernel.meta["_started_at"] = now
-        for mirror in rs.mirrors:
-            mirror.meta["_started_at"] = now
         rs.remaining = kernel.duration
         gpu.resident[kernel.uid] = rs
         gpu.used_occupancy += kernel.occupancy

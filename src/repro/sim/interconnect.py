@@ -203,56 +203,13 @@ class CollectiveCostModel:
         op: str = "all_reduce",
     ) -> CollectiveOp:
         """Build an all-reduce :class:`CollectiveOp` with one member per rank."""
-        return self._make(
-            CollectiveKind.ALL_REDUCE, size_bytes, participants,
-            self.nccl.occupancy, batch_id, layer,
-            name or f"allreduce_L{layer}_b{batch_id}", op,
-        )
-
-    def make_all_to_all(
-        self,
-        size_bytes: float,
-        participants: Sequence[int],
-        *,
-        batch_id: int = -1,
-        layer: int = -1,
-        name: str = "",
-        op: str = "all_to_all",
-    ) -> CollectiveOp:
-        """Build an all-to-all :class:`CollectiveOp` with one member per rank."""
-        return self._make(
-            CollectiveKind.ALL_TO_ALL, size_bytes, participants,
-            self.nccl.occupancy, batch_id, layer,
-            name or f"alltoall_L{layer}_b{batch_id}", op,
-        )
-
-    def make_p2p(
-        self,
-        size_bytes: float,
-        src: int,
-        dst: int,
-        *,
-        batch_id: int = -1,
-        layer: int = -1,
-        name: str = "",
-    ) -> CollectiveOp:
-        """Build a p2p send/recv pair as a two-member collective."""
-        return self._make(
-            # p2p copies are driven by copy engines + a light proxy kernel;
-            # much smaller SM footprint than a ring collective.
-            CollectiveKind.P2P, size_bytes, [src, dst],
-            min(self.nccl.occupancy, 0.04), batch_id, layer,
-            name or f"p2p_{src}to{dst}_b{batch_id}", "p2p",
-        )
-
-    def _make(
-        self, kind, size_bytes, participants, occupancy, batch_id, layer, name, op
-    ) -> CollectiveOp:
+        name = name or f"allreduce_L{layer}_b{batch_id}"
+        occupancy = self.nccl.occupancy
         mem = self._comm_memory_intensity(size_bytes)
         check_kernel_profile(name, 0.0, occupancy, mem)
         return self.instantiate(
-            kind, size_bytes, participants, occupancy, mem, batch_id, layer,
-            name, op,
+            CollectiveKind.ALL_REDUCE, size_bytes, participants, occupancy,
+            mem, batch_id, layer, name, op,
         )
 
     def instantiate(

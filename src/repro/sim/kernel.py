@@ -123,26 +123,6 @@ class Kernel:
     def is_comm(self) -> bool:
         return self.kind.is_comm
 
-    def clone(self, **overrides: Any) -> "Kernel":
-        """A copy with a fresh uid; ``overrides`` replace fields."""
-        fields = dict(
-            name=self.name,
-            kind=self.kind,
-            duration=self.duration,
-            occupancy=self.occupancy,
-            memory_intensity=self.memory_intensity,
-            flops=self.flops,
-            bytes=self.bytes,
-            batch_id=self.batch_id,
-            layer=self.layer,
-            op=self.op,
-            collective=self.collective,
-            decomposable=self.decomposable,
-            meta=dict(self.meta),
-        )
-        fields.update(overrides)
-        return Kernel(**fields)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Kernel(#{self.uid} {self.name} {self.kind.value} "

@@ -5,7 +5,7 @@ fire) and ``_tombstones`` (cancelled entries not yet swallowed by a pop)
 incrementally, because ``pending`` is consulted on hot paths — heartbeat
 liveness above all — where an O(heap) recount would be felt.  Incremental counters are exactly the kind of
 state that drifts under adversarial interleavings of schedule / cancel /
-step / compaction, so these tests drive randomized interleavings and
+bounded run / compaction, so these tests drive randomized interleavings and
 compare against a brute-force recount of the real heap after every
 operation.
 
@@ -16,8 +16,6 @@ surviving events fire.
 
 from __future__ import annotations
 
-import heapq
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +25,7 @@ from repro.sim.engine import Engine
 # An op is one of:
 #   ("schedule", delay, priority)      — schedule a new event
 #   ("cancel", index)                  — cancel the index-th handle (mod len)
-#   ("step",)                          — pop-and-run one event
+#   ("run", dt)                        — run until dt µs past now
 _OPS = st.lists(
     st.one_of(
         st.tuples(
@@ -36,7 +34,7 @@ _OPS = st.lists(
             st.integers(min_value=0, max_value=9),
         ),
         st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=200)),
-        st.tuples(st.just("step")),
+        st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=50.0)),
     ),
     min_size=1,
     max_size=120,
@@ -60,8 +58,8 @@ def test_live_and_tombstone_counters_never_desync(ops):
             handles.append(eng.schedule(op[1], lambda: None, priority=op[2]))
         elif op[0] == "cancel" and handles:
             handles[op[1] % len(handles)].cancel()
-        elif op[0] == "step":
-            eng.step()
+        elif op[0] == "run":
+            eng.run(until=eng.now + op[1])
         live, dead = _recount(eng)
         assert eng._live == live, (op, eng._live, live)
         assert eng._tombstones == dead, (op, eng._tombstones, dead)

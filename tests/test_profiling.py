@@ -8,7 +8,9 @@ from repro.errors import ConfigError
 from repro.hw import a100_pcie_node, v100_nvlink_node
 from repro.models import GLM_130B, OPT_30B
 from repro.models.ops import allreduce_op, elementwise_op, gemm_op, p2p_op
+from repro.parallel.base import instantiate_op
 from repro.profiling import ContentionFactors, ContentionProfiler, OpProfiler, op_key
+from repro.sim import Engine, Machine, Trace
 from repro.sim.contention import NullContention
 from repro.sim.interconnect import NcclConfig
 
@@ -46,14 +48,23 @@ class TestOpProfiler:
         assert reduced.duration(ar) == pytest.approx(default.duration(ar))
 
     def test_measure_solo_matches_profile(self):
-        """The executor must honour profiled durations exactly at no load."""
-        for op in [
-            gemm_op("g", 0, 144, 7168, 5376),
-            elementwise_op("ln", 0, 144 * 7168),
-            allreduce_op("ar", 0, 2e6),
-            p2p_op("x", 0, 2e6, 0, 1),
+        """The executor must honour profiled durations exactly at no load:
+        the kernels a run launches, alone on a scratch machine."""
+        for op, gpus in [
+            (gemm_op("g", 0, 144, 7168, 5376), [0]),
+            (elementwise_op("ln", 0, 144 * 7168), [0]),
+            (allreduce_op("ar", 0, 2e6), [0, 1, 2, 3]),
+            (p2p_op("x", 0, 2e6, 0, 1), [0, 1]),
         ]:
-            assert self.prof.measure_solo(op) == pytest.approx(
+            machine = Machine(
+                self.node, Engine(), contention=NullContention(), trace=Trace()
+            )
+            for gpu, kernel in instantiate_op(op, gpus, 0, self.prof).items():
+                stream = machine.gpu(gpu).stream("profile")
+                machine.launch(stream, kernel, available_at=0.0)
+            machine.run()
+            assert len(machine.trace.rows) == len(gpus)
+            assert max(r.duration for r in machine.trace.rows) == pytest.approx(
                 self.prof.duration(op), rel=1e-9
             )
 

@@ -78,15 +78,6 @@ def test_liger_sync_modes_match_per_rank_run(mode):
     assert rows == ref_rows and done == ref_done and done
 
 
-def test_adaptive_anticipation_matches_per_rank_run():
-    """The adaptive anticipator's moving maximum sees collective members in
-    per-rank order, and every member carries its own start stamp."""
-    (rows, done), (ref_rows, ref_done) = _serve_pair(
-        _OPT, v100_nvlink_node(4), LigerConfig(adaptive_anticipation=True), 16
-    )
-    assert rows == ref_rows and done == ref_done and done
-
-
 def test_moe_expert_overlap_matches_per_rank_run():
     (rows, done), (ref_rows, ref_done) = _serve_pair(
         MOE_16E.scaled_layers(2), a100_pcie_node(4),

@@ -15,15 +15,12 @@ from repro.serving import (
     ConstantRate,
     LatencyStats,
     Phase,
-    PoissonProcess,
     Request,
     ServingMetrics,
-    TraceReplay,
     general_trace,
     generative_trace,
     pack_batches,
 )
-from repro.units import seconds
 
 
 class TestRequestBatch:
@@ -68,31 +65,9 @@ class TestArrivals:
         times = ConstantRate(10.0).arrivals(3)
         assert times == pytest.approx([1e5, 2e5, 3e5])
 
-    def test_poisson_mean_rate(self):
-        times = PoissonProcess(100.0, seed=1).arrivals(2000)
-        mean_gap = times[-1] / 2000
-        assert mean_gap == pytest.approx(seconds(1.0) / 100.0, rel=0.1)
-
-    def test_poisson_deterministic_by_seed(self):
-        a = PoissonProcess(10.0, seed=7).arrivals(50)
-        b = PoissonProcess(10.0, seed=7).arrivals(50)
-        assert a == b
-
-    def test_trace_replay_validation(self):
-        with pytest.raises(ConfigError):
-            TraceReplay([3.0, 1.0])
-        with pytest.raises(ConfigError):
-            TraceReplay([-1.0])
-        tr = TraceReplay([1.0, 2.0])
-        assert tr.arrivals(2) == [1.0, 2.0]
-        with pytest.raises(ConfigError):
-            tr.arrivals(3)
-
     def test_nonpositive_rate_rejected(self):
         with pytest.raises(ConfigError):
             ConstantRate(0.0)
-        with pytest.raises(ConfigError):
-            PoissonProcess(-1.0)
 
     def test_bursty_mean_rate_preserved(self):
         proc = BurstyProcess(50.0, burstiness=4.0, phase_requests=10)
@@ -148,46 +123,6 @@ class TestWorkloads:
             assert b.phase is Phase.DECODE
             assert b.context_len == 16
             assert b.seq_len == 1
-
-    def test_bucketed_packing_groups_similar_lengths(self):
-        from repro.serving.workload import pack_batches_bucketed
-
-        reqs = [
-            Request(rid=i, arrival=float(i), seq_len=seq)
-            for i, seq in enumerate([16, 20, 120, 18, 124, 17])
-        ]
-        batches = pack_batches_bucketed(reqs, 3, bucket_width=32)
-        # Every request is served exactly once.
-        served = sorted(r.rid for b in batches for r in b.requests)
-        assert served == list(range(6))
-        # Padded work is lower than arrival-order packing.
-        plain = pack_batches(reqs, 3)
-        padded = lambda bs: sum(b.size * b.seq_len for b in bs)
-        assert padded(batches) < padded(plain)
-
-    def test_bucketed_packing_starvation_guard(self):
-        from repro.serving.workload import pack_batches_bucketed
-
-        # One lone long request followed by many short ones: the guard must
-        # flush it before the end.
-        reqs = [Request(rid=0, arrival=0.0, seq_len=128)] + [
-            Request(rid=i, arrival=float(i), seq_len=16) for i in range(1, 12)
-        ]
-        batches = pack_batches_bucketed(
-            reqs, 4, bucket_width=32, max_wait_requests=4
-        )
-        long_batch_index = next(
-            i for i, b in enumerate(batches) if any(r.rid == 0 for r in b.requests)
-        )
-        assert long_batch_index < len(batches) - 1
-
-    def test_bucketed_packing_validation(self):
-        from repro.serving.workload import pack_batches_bucketed
-
-        with pytest.raises(ConfigError):
-            pack_batches_bucketed([], 0)
-        with pytest.raises(ConfigError):
-            pack_batches_bucketed([], 2, bucket_width=0)
 
     def test_pack_batches_orders_by_arrival(self):
         reqs = [

@@ -10,12 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.serving import (
-    BurstyProcess,
-    ConstantRate,
-    PoissonProcess,
-    TraceReplay,
-)
+from repro.serving import BurstyProcess, ConstantRate
 from repro.units import seconds
 
 
@@ -82,34 +77,9 @@ class TestBurstyProcess:
             BurstyProcess(10.0).arrivals(-1)
 
 
-class TestTraceReplay:
-    def test_replays_prefix(self):
-        ts = [0.0, 10.0, 10.0, 35.5]
-        proc = TraceReplay(ts)
-        assert proc.arrivals(4) == ts
-        assert proc.arrivals(2) == ts[:2]
-        _check_arrival_invariants(proc.arrivals(4), 4)
-
-    def test_rejects_bad_traces(self):
-        with pytest.raises(ConfigError):
-            TraceReplay([10.0, 5.0])  # unsorted
-        with pytest.raises(ConfigError):
-            TraceReplay([-1.0, 5.0])  # negative
-        with pytest.raises(ConfigError):
-            TraceReplay([1.0]).arrivals(2)  # over-read
-
-
 class TestOtherProcesses:
     def test_constant_rate_spacing(self):
         times = ConstantRate(100.0).arrivals(10)
         _check_arrival_invariants(times, 10)
         gaps = {round(b - a, 6) for a, b in zip(times, times[1:])}
         assert gaps == {round(seconds(1.0) / 100.0, 6)}
-
-    def test_poisson_seed_determinism(self):
-        a = PoissonProcess(50.0, seed=1).arrivals(64)
-        b = PoissonProcess(50.0, seed=1).arrivals(64)
-        c = PoissonProcess(50.0, seed=2).arrivals(64)
-        assert a == b
-        assert a != c
-        _check_arrival_invariants(a, 64)

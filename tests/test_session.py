@@ -36,6 +36,7 @@ from repro.serving import (
 from repro.serving.api import make_strategy
 from repro.serving.request import Batch, Request, RequestState
 from repro.serving.session import ServingSession
+from repro.sim.memory import NodeMemoryModel
 from serving_goldens import (
     GOLDEN_PATH,
     SCENARIOS,
@@ -370,6 +371,77 @@ class TestStaticBatchingCapabilities:
         assert result.metrics.shed_requests == 4
         assert result.metrics.num_completed == 0
         assert result.metrics.num_terminal == 4
+
+
+class TestRetryExhaustedJobs:
+    @pytest.mark.parametrize("kind", ["static", "lifecycle"])
+    def test_permanent_window_returns_under_watchdog(self, kind):
+        """A fault boundary refresh is not liveness: with the default
+        watchdog, a window that outlasts the work neither keeps the run
+        alive until it closes nor adds watchdog checks."""
+
+        def serve(end):
+            reset_batch_ids()
+            strat = make_strategy("intra", MODEL, NODE)
+            kw = dict(
+                check_memory=False,
+                fault_plan=FaultPlan([LaunchFailure(start=0.0, end=end)]),
+                resilience=ResilienceConfig(),
+            )
+            if kind == "static":
+                jobs = generation_workload(4, 400.0, seed=6)
+                srv = StaticBatchingServer(MODEL, NODE, strat, batch_size=4, **kw)
+            else:
+                jobs = chat_workload(4, 400.0, seed=6)
+                srv = LifecycleServer(MODEL, NODE, strat, **kw)
+            report = srv.run(jobs).resilience
+            assert srv.metrics.shed_requests == srv.metrics.num_terminal == 4
+            return report
+
+        short, permanent = serve(200_000.0), serve(1e12)
+        assert permanent.watchdog_checks == short.watchdog_checks
+        assert not permanent.watchdog_tripped
+
+    @pytest.mark.parametrize("start_us", [0.0, 3_000.0, 8_000.0])
+    @pytest.mark.parametrize("kind", ["continuous", "lifecycle"])
+    def test_shed_iterations_leave_one_terminal_state_and_no_kv(self, kind, start_us):
+        """A 2 ms launch-fail window with no retries sheds iterations; the
+        job servers requeue (or, for a lifecycle prefill, shed) their jobs,
+        and the run still ends clean."""
+        reset_batch_ids()
+        strat = make_strategy("liger", MODEL, NODE)
+        kw = dict(
+            check_memory=False,
+            fault_plan=FaultPlan([LaunchFailure(start=start_us, end=start_us + 2_000.0)]),
+            resilience=ResilienceConfig(max_retries=0, enable_fallback=False),
+        )
+        if kind == "continuous":
+            jobs = generation_workload(8, 1000.0, seed=0)
+            srv = ContinuousBatchingServer(MODEL, NODE, strat, max_batch=8, **kw)
+        else:
+            jobs = chat_workload(8, 1000.0, seed=0)
+            srv = LifecycleServer(MODEL, NODE, strat, prefill_batch=2, **kw)
+        shed = []
+        to_session = srv.recovery.on_shed
+        srv.recovery.on_shed = lambda batch: (shed.append(batch.batch_id), to_session(batch))
+        result = srv.run(jobs)
+        m = srv.metrics
+        # Every job reaches exactly one terminal state.
+        states = [job.state for job in jobs]
+        assert all(state.terminal for state in states)
+        assert m.num_terminal == len(jobs)
+        completed = [r.rid for r in m.completed]
+        assert len(set(completed)) == len(completed)
+        assert sorted(completed) == sorted(
+            job.rid for job in jobs if job.state is RequestState.COMPLETED
+        )
+        assert m.shed_requests == states.count(RequestState.SHED)
+        # The resilience report counts every shed batch, once.
+        assert shed and result.resilience.shed_batches == shed
+        assert len(set(shed)) == len(shed)
+        # No KV reservation outlives the run: only the weights remain.
+        clean = NodeMemoryModel(MODEL, NODE)
+        assert [d.used for d in srv.memory.devices] == [d.used for d in clean.devices]
 
 
 # ----------------------------------------------------------------------

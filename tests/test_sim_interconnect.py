@@ -14,8 +14,18 @@ from repro.hw import (
     pcie_switch,
     v100_nvlink_node,
 )
+from repro.models.ops import p2p_op
+from repro.parallel.base import instantiate_op
+from repro.profiling import OpProfiler
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 from repro.units import GB, GBps, us
+
+
+def _p2p_members(size, src, dst):
+    """A p2p pair as runs build it: the profiler's footprint, costed and
+    built by :meth:`CollectiveCostModel.instantiate`."""
+    op = p2p_op("x", 0, size, src, dst)
+    return instantiate_op(op, [src, dst], 0, OpProfiler(v100_nvlink_node(4)))
 
 
 class TestTopology:
@@ -170,9 +180,11 @@ class TestCollectiveCosts:
             assert member.duration == coll.duration
 
     def test_make_p2p_two_members_low_occupancy(self):
-        coll = self.ccm.make_p2p(1e6, 0, 2)
-        assert set(coll.members) == {0, 2}
-        assert all(m.occupancy <= 0.05 for m in coll.members.values())
+        members = _p2p_members(1e6, 0, 2)
+        assert set(members) == {0, 2}
+        assert all(m.occupancy <= 0.05 for m in members.values())
+        assert all(m.collective.duration == self.ccm.p2p_duration(1e6, 0, 2)
+                   for m in members.values())
 
     def test_p2p_duration_same_out_of_range_gpu_rejected(self):
         with pytest.raises(ConfigError):
@@ -181,7 +193,7 @@ class TestCollectiveCosts:
 
     def test_make_p2p_same_gpu_rejected(self):
         with pytest.raises(ConfigError):
-            self.ccm.make_p2p(1e6, 1, 1)
+            _p2p_members(1e6, 1, 1)
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigError):

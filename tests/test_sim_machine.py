@@ -12,6 +12,9 @@ import pytest
 
 from repro.errors import DeadlockError, StreamProtocolError
 from repro.hw import v100_nvlink_node
+from repro.models.ops import p2p_op
+from repro.parallel.base import instantiate_op
+from repro.profiling import OpProfiler
 from repro.sim import (
     ContentionModel,
     CudaEvent,
@@ -271,10 +274,9 @@ class TestCollectives:
 
     def test_p2p_pair_completes_together(self):
         m = make_machine(2)
-        ccm = CollectiveCostModel(m.node.topology)
-        coll = ccm.make_p2p(2e6, 0, 1, batch_id=3)
-        m.launch(m.gpu(0).stream("c"), coll.members[0], available_at=0.0)
-        m.launch(m.gpu(1).stream("c"), coll.members[1], available_at=0.0)
+        members = instantiate_op(p2p_op("x", 0, 2e6, 0, 1), [0, 1], 3, OpProfiler(m.node))
+        m.launch(m.gpu(0).stream("c"), members[0], available_at=0.0)
+        m.launch(m.gpu(1).stream("c"), members[1], available_at=0.0)
         m.run()
         ends = {r.end for r in m.trace.rows}
         assert len(ends) == 1

@@ -55,14 +55,6 @@ class TestKernel:
                 memory_intensity=2.0,
             )
 
-    def test_clone_gets_fresh_uid_and_overrides(self):
-        k = Kernel(name="a", kind=KernelKind.COMPUTE, duration=5.0, batch_id=3)
-        c = k.clone(duration=7.0)
-        assert c.uid != k.uid
-        assert c.duration == 7.0
-        assert c.batch_id == 3
-        assert c.meta is not k.meta  # deep-enough copy
-
     def test_uids_unique(self):
         ks = [Kernel(name=f"k{i}", kind=KernelKind.AUX, duration=1.0) for i in range(10)]
         assert len({k.uid for k in ks}) == 10
