@@ -19,6 +19,11 @@ consecutive rounds are chained by the configured synchronization approach:
   the empirically-motivated launch-queue lag (§3.4's observed failure mode).
 
 Per the paper, the communication subset is launched first within a round.
+
+Every rank runs the same commands, except that under HYBRID GPU 0 alone
+records the pre-kick event, so the runtime declares those ranks one group
+(:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issues each round once
+per group, on the group lead's streams.
 """
 
 from __future__ import annotations
@@ -103,7 +108,7 @@ class LigerRuntime:
         machine.mirror_ranks(
             self._gpus[1:] if config.sync_mode is SyncMode.HYBRID else self._gpus
         )
-        # End-of-round events per GPU for cross-stream gating.
+        # End-of-round events per group lead for cross-stream gating.
         self._prev_end0: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._prev_end1: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._chain_active = False
@@ -191,8 +196,9 @@ class LigerRuntime:
         )
 
     def _instantiate(self, funcs: List[KernelFunc]):
+        groups = self.machine.groups
         return [
-            instantiate_op(f.op, self._gpus, f.batch_id, self.profiler)
+            instantiate_op(f.op, groups, f.batch_id, self.profiler)
             for f in funcs
         ]
 
@@ -204,9 +210,10 @@ class LigerRuntime:
         *,
         pre_kick: bool,
     ) -> Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]]:
-        """Issue one round's commands on every GPU; returns end events.
+        """Issue one round's commands on every rank group; returns the
+        end events by group lead.
 
-        The kernel maps come from :meth:`_next_round`.
+        The kernel maps, keyed by group lead, come from :meth:`_next_round`.
         """
         cfg = self.config
         inter_stream_gating = cfg.sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
@@ -232,16 +239,18 @@ class LigerRuntime:
                         kern.meta["_policy"] = pol.name
                         kern.meta["_rclass"] = rclass
 
+        ranks = len(self._gpus)
         if self.on_round_launched is not None:
             for which, kernel_maps in ((0, subset0_kernels), (1, subset1_kernels)):
                 for kernels in kernel_maps:
                     for kern in kernels.values():
                         kern.meta["_round"] = round_.index
                         kern.meta["_subset"] = which
+            # Expected per-rank completions: every op runs on every rank.
             self.on_round_launched(
                 round_.index,
-                sum(len(k) for k in subset0_kernels),
-                sum(len(k) for k in subset1_kernels),
+                len(subset0_kernels) * ranks,
+                len(subset1_kernels) * ranks,
                 round_.window,
             )
 
@@ -256,7 +265,8 @@ class LigerRuntime:
         end_events: Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]] = {}
         pre_kick_event: Optional[CudaEvent] = None
 
-        for g in self._gpus:
+        for group in self.machine.groups:
+            g = group[0]
             s0, s1 = self._s0[g], self._s1[g]
             # Cross-stream gating: round k+1 starts only after BOTH streams
             # finished round k (each stream's own FIFO covers itself).
@@ -303,7 +313,7 @@ class LigerRuntime:
         self.stats.rounds_launched += 1
         self.stats.kernels_launched += (
             len(round_.subset0) + len(round_.subset1)
-        ) * len(self._gpus)
+        ) * ranks
         self.stats.decomposed_pieces += sum(
             1 for f in round_.subset1 if ".v" in f.op.name or ".c" in f.op.name
         )

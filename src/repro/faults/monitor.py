@@ -98,7 +98,7 @@ class PrincipleMonitor:
         )
 
     # ------------------------------------------------------------------
-    def _on_kernel_complete(self, kernel: Kernel, time: float) -> None:
+    def _on_kernel_complete(self, kernel: Kernel, time: float, ranks: int) -> None:
         rindex = kernel.meta.get("_round")
         if rindex is None:
             return
@@ -106,10 +106,10 @@ class PrincipleMonitor:
         if obs is None:
             return
         if kernel.meta.get("_subset") == 0:
-            obs.seen0 += 1
+            obs.seen0 += ranks
             obs.end0 = max(obs.end0, time)
         else:
-            obs.seen1 += 1
+            obs.seen1 += ranks
             obs.end1 = max(obs.end1, time)
         if obs.complete:
             del self._rounds[rindex]

@@ -6,16 +6,20 @@ objects into simulator kernels on the machine's streams.  The serving server
 :meth:`ParallelStrategy.submit_batch` at each batch's arrival time, and the
 strategy reports completions through registered callbacks.
 
-Completion detection is uniform: every simulator kernel carries its
-``batch_id``; the strategy counts instantiated kernels per batch and an
-:meth:`~repro.sim.gpu.Machine.on_kernel_complete` observer decrements the
-count — when it hits zero the batch is done.
+Work is issued per rank group (:attr:`~repro.sim.gpu.Machine.groups`):
+ranks that run the same command sequence share one kernel, issued to the
+group lead's streams, and :func:`instantiate_op` builds one kernel per
+group.  Completion detection is uniform and per rank: every simulator
+kernel carries its ``batch_id``; the strategy counts each batch's kernels
+once per rank that runs them, and an
+:meth:`~repro.sim.gpu.Machine.on_kernel_complete` observer subtracts the
+ranks each completion retires — when the count hits zero the batch is done.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -39,35 +43,43 @@ _COLLECTIVE_KINDS = {kind.value: kind for kind in CollectiveKind}
 
 def instantiate_op(
     op: OpDesc,
-    gpus: List[int],
+    groups: Sequence[Sequence[int]],
     batch_id: int,
     profiler: OpProfiler,
 ) -> Dict[int, Kernel]:
-    """Materialise one op as simulator kernels, one per participating GPU.
+    """Materialise one op as simulator kernels, one per rank group.
 
-    Compute-like ops become independent per-GPU kernel clones (each device
-    executes its shard) of the op's memoized
+    ``groups`` are rank groups as :attr:`~repro.sim.gpu.Machine.groups`
+    lists them, each led by its first rank; the result maps each lead to
+    the kernel issued for its group, named for the lead.  Compute-like ops
+    become independent per-group kernel clones (each device executes its
+    shard) of the op's memoized
     :meth:`~repro.profiling.profiler.OpProfiler.kernel_profile`;
     ``all_reduce`` / ``all_to_all`` become rendezvous collectives over
-    ``gpus``; ``p2p`` becomes a two-member collective over its endpoints.
-    Collectives are costed here, so a link fault active now applies.
+    every rank of ``groups``, with one member per lead; ``p2p`` becomes a
+    two-member collective over its endpoints.  Collectives are costed
+    here, so a link fault active now applies.
     """
-    if not gpus:
+    if not groups:
         raise ConfigError(f"op {op.name}: no target GPUs")
     duration, occupancy, mem = profiler.kernel_profile(op)
     flavour = op.op
     name = f"{op.name}_b{batch_id}"
     if duration is None:
+        if flavour == "p2p":
+            participants = leads = (op.p2p_src, op.p2p_dst)
+        else:
+            participants = [rank for group in groups for rank in group]
+            leads = [group[0] for group in groups]
         coll = profiler.collectives.instantiate(
-            _COLLECTIVE_KINDS[flavour],
-            op.comm_bytes,
-            (op.p2p_src, op.p2p_dst) if flavour == "p2p" else gpus,
+            _COLLECTIVE_KINDS[flavour], op.comm_bytes, participants, leads,
             occupancy, mem, batch_id, op.layer, name, flavour,
         )
         return dict(coll.members)
     kind, layer, decomposable = op.kind, op.layer, op.decomposable
     kernels = {}
-    for gpu in gpus:
+    for group in groups:
+        gpu = group[0]
         kernels[gpu] = kernel_from_profile(
             f"{name}@g{gpu}", kind, duration, occupancy, mem, 0.0, batch_id,
             layer, flavour, None, decomposable, {},
@@ -199,7 +211,8 @@ class ParallelStrategy(abc.ABC):
         self._memory_reserved.add(batch.batch_id)
 
     def add_pending(self, batch_id: int, num_kernels: int) -> None:
-        """Account ``num_kernels`` newly-launched kernels for an open batch."""
+        """Account ``num_kernels`` newly-launched per-rank kernels for an
+        open batch."""
         if batch_id not in self._open_batches:
             raise ConfigError(f"batch {batch_id} is not open")
         if num_kernels < 0:
@@ -214,23 +227,24 @@ class ParallelStrategy(abc.ABC):
         self._maybe_finish(batch_id, time)
 
     def track_batch(self, batch: Batch, num_kernels: int) -> None:
-        """Static style: all ``num_kernels`` known at submit time."""
+        """Static style: all ``num_kernels`` per-rank kernels known at
+        submit time."""
         if num_kernels < 1:
             raise ConfigError(f"batch {batch.batch_id}: no kernels to track")
         self.register_batch(batch)
         self.add_pending(batch.batch_id, num_kernels)
         self._closed_batches.add(batch.batch_id)
 
-    def _on_kernel_complete(self, kernel: Kernel, time: float) -> None:
+    def _on_kernel_complete(self, kernel: Kernel, time: float, ranks: int) -> None:
         bid = kernel.batch_id
         remaining = self._pending_kernels.get(bid)
         if remaining is None:
             return  # infrastructure kernel or foreign batch
-        if remaining <= 0:
+        if remaining < ranks:
             raise SimulationError(f"batch {bid}: completion underflow")
         # First retired kernel ⇒ the batch is executing: claim its workspace.
         self._reserve_batch_memory(self._open_batches[bid])
-        self._pending_kernels[bid] = remaining - 1
+        self._pending_kernels[bid] = remaining - ranks
         self._maybe_finish(bid, time)
 
     def _maybe_finish(self, bid: int, time: float) -> None:

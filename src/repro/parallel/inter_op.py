@@ -80,7 +80,7 @@ class InterOpStrategy(ParallelStrategy):
             dev = stage.device
             entries = []
             for op in self.stage_ops(batch, stage):
-                kernels = instantiate_op(op, [dev], bid, self.profiler)
+                kernels = instantiate_op(op, [(dev,)], bid, self.profiler)
                 entries.append((self._streams[dev], kernels[dev]))
                 total += 1
             kernel_plan.append(entries)
@@ -110,7 +110,7 @@ class InterOpStrategy(ParallelStrategy):
                         prev.device,
                         dev,
                     ),
-                    [prev.device, dev],
+                    [(prev.device,), (dev,)],
                     bid,
                     self.profiler,
                 )

@@ -12,7 +12,7 @@ compute pipeline idles.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.parallel.base import ParallelStrategy, instantiate_op
 from repro.serving.request import Batch
@@ -43,16 +43,16 @@ class IntraOpStrategy(ParallelStrategy):
         # issued anything before the batch arrived.
         host.catch_up()
 
-        gpus = list(range(self.node.num_gpus))
+        groups = machine.groups
         ops = self.ops_for_batch(batch, tp=self.node.num_gpus)
-        total = 0
-        per_op_kernels: List[Dict[int, object]] = []
-        for op in ops:
-            kernels = instantiate_op(op, gpus, batch.batch_id, self.profiler)
-            per_op_kernels.append(kernels)
-            total += len(kernels)
-        self.track_batch(batch, total)
-        # Launch in op order, per rank; all ranks mirror the same sequence.
+        per_op_kernels = [
+            instantiate_op(op, groups, batch.batch_id, self.profiler) for op in ops
+        ]
+        # Every op runs on every rank.
+        self.track_batch(batch, len(ops) * self.node.num_gpus)
+        # Launch in op order, once per rank group (one group unless an
+        # armed fault injector keeps the ranks apart).
+        streams = self._streams
         for kernels in per_op_kernels:
-            for gpu_id, kernel in kernels.items():
-                host.launch_kernel(self._streams[gpu_id], kernel)
+            for lead, kernel in kernels.items():
+                host.launch_kernel(streams[lead], kernel)

@@ -197,6 +197,9 @@ class JobServer:
         #: Iteration tokens put through the strategy.
         self.total_tokens = 0
         self._busy: set = set()  # rids in an in-flight decode iteration
+        #: rid → decode iterations of the job shed in a row (see
+        #: :meth:`_requeue_after_backoff`).
+        self._shed_streak: Dict[int, int] = {}
         self._admitted = 0
         self._peak_pending = 0
 
@@ -343,18 +346,42 @@ class JobServer:
                 )
             )
 
-    def _requeue_after_backoff(self, members: Sequence, relaunch) -> None:
+    def _iteration_done(self, job) -> None:
+        """``job``'s decode iteration retired: it is free to run again."""
+        self._busy.discard(job.rid)
+        self._shed_streak.pop(job.rid, None)
+
+    def _requeue_after_backoff(self, members: Sequence, relaunch, drop) -> None:
         """Return a retry-exhausted decode iteration's members to scheduling.
 
         The members keep their KV reservations (the retry re-decodes the
         same context) but stay busy for one recovery backoff, so the launch
         loop cannot instantly rebuild and re-shed the same batch without
         simulated time advancing.
+
+        A job whose decode iterations were shed ``max_retries + 1`` times in
+        a row is shed itself: ``drop(job)`` takes it out of the server's
+        queue and frees its KV reservation.  Otherwise a launch-failure
+        window that never closes would requeue it forever while the machine
+        idles between attempts.
         """
         assert self.recovery is not None
+        limit = self.recovery.config.max_retries
+        streak = self._shed_streak
+        retried = []
+        for job in members:
+            shed = streak.get(job.rid, 0) + 1
+            if shed > limit:
+                streak.pop(job.rid, None)
+                self._busy.discard(job.rid)
+                drop(job)
+                self._shed_job(job, where="retry-exhausted")
+            else:
+                streak[job.rid] = shed
+                retried.append(job)
 
         def _requeue() -> None:
-            for job in members:
+            for job in retried:
                 self._busy.discard(job.rid)
             relaunch()
 
@@ -578,7 +605,8 @@ class ContinuousBatchingServer(JobServer):
     admission bounds the *waiting* jobs (queued, not yet holding KV),
     deadlines expire idle jobs cheaply between iterations, and a
     retry-exhausted iteration returns its members to the queue after the
-    recovery backoff instead of abandoning them.
+    recovery backoff instead of abandoning them, until a job's iterations
+    were shed ``max_retries + 1`` times in a row.
     """
 
     discipline = "continuous"
@@ -684,14 +712,23 @@ class ContinuousBatchingServer(JobServer):
         """Return a retry-exhausted iteration's members to the queue."""
         members = self._inflight.pop(batch.batch_id, [])
         self.total_tokens -= len(members)
-        self._requeue_after_backoff(members, self._maybe_launch_iteration)
+        self._requeue_after_backoff(
+            members, self._maybe_launch_iteration, self._drop
+        )
+
+    def _drop(self, req: GenRequest) -> None:
+        """Take a shed job out of the queue and free its KV reservation."""
+        self._queue.remove(req)
+        if req.rid in self._reserved:
+            self.memory.release(f"seq{req.rid}")
+            self._reserved.discard(req.rid)
 
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
         members = self._inflight.pop(batch.batch_id)
         finished = []
         for gen in members:
             gen.tokens_done += 1
-            self._busy.discard(gen.rid)
+            self._iteration_done(gen)
             if gen.finished:
                 self._queue.remove(gen)
                 self.memory.release(f"seq{gen.rid}")

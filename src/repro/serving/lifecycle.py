@@ -220,7 +220,9 @@ class LifecycleServer(JobServer):
         A shed *prefill* abandons its chats (their KV reservations are
         released and they count as shed requests); a shed *decode* iteration
         returns its chats to the pool — continuous batching retries them on
-        the next round, by which time the fault window may have passed.
+        the next round, by which time the fault window may have passed.  A
+        chat whose decode iterations were shed ``max_retries + 1`` times in
+        a row is shed itself.
         """
         group = self._prefill_inflight.pop(batch.batch_id, None)
         if group is not None:
@@ -230,7 +232,12 @@ class LifecycleServer(JobServer):
             self._maybe_submit_prefill()
             return
         members = self._decode_inflight.pop(batch.batch_id, [])
-        self._requeue_after_backoff(members, self._maybe_submit_decode)
+        self._requeue_after_backoff(members, self._maybe_submit_decode, self._drop)
+
+    def _drop(self, req: ChatRequest) -> None:
+        """Take a shed chat out of the decode pool and free its KV."""
+        self._decode_pool.remove(req)
+        self.memory.release(f"chat{req.rid}")
 
     # ------------------------------------------------------------------
     def _result(self, ordered: Sequence[ChatRequest]) -> LifecycleResult:
@@ -451,7 +458,7 @@ class LifecycleServer(JobServer):
         for req in self._decode_inflight.pop(batch.batch_id):
             req.tokens_done += 1
             self.total_tokens += 1
-            self._busy.discard(req.rid)
+            self._iteration_done(req)
             if req.finished:
                 # Mid-execution expiry still completes; it is recorded as a
                 # deadline miss rather than wasted work.

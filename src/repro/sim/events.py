@@ -40,17 +40,13 @@ class CudaEvent:
     """
 
     __slots__ = (
-        "name", "uid", "recorded_at", "mirrors", "_stream_waiters", "_host_waiters",
+        "name", "uid", "recorded_at", "_stream_waiters", "_host_waiters",
     )
 
     def __init__(self, name: str = "") -> None:
         self.uid = next(_event_ids)
         self.name = name or f"event#{self.uid}"
         self.recorded_at: Optional[float] = None
-        #: Under rank mirroring, this event's counterpart on each follower
-        #: lane of the group that records or waits on it (set and checked by
-        #: the machine); ``None`` for an event no mirrored command touched.
-        self.mirrors: Optional[List[Optional["CudaEvent"]]] = None
         # Streams blocked on this event; resumed via their machine pump.
         self._stream_waiters: List[Callable[[], None]] = []
         # (delay_us, callback) host-side observers.

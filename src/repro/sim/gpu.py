@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -48,7 +48,7 @@ try:  # pragma: no cover - the container bakes numpy into the toolchain
 except ImportError:  # pragma: no cover
     _np = None
 
-__all__ = ["Machine", "Gpu"]
+__all__ = ["Machine", "Gpu", "rank_name"]
 
 _EPS = 1e-6
 
@@ -70,8 +70,8 @@ _WAIT_EVENT = CommandKind.WAIT_EVENT
 class _RunState:
     """A kernel that is ready or resident on a device.
 
-    On a mirrored device the state runs the lead rank's ``kernel`` for every
-    rank of the group; ``mirrors`` holds the other ranks' own kernels.
+    On a mirrored device the state runs the group's one ``kernel`` for every
+    rank of the group.
     """
 
     kernel: Kernel
@@ -85,12 +85,6 @@ class _RunState:
     #: Clamped contention slowdown from the device's resident set, without
     #: fault inflation; refreshed only after the resident set changes.
     contention: float = 1.0
-    #: The follower lanes' kernels, in lane order (empty on a one-rank device).
-    mirrors: Sequence[Kernel] = ()
-
-    def lane_kernel(self, lane: int) -> Kernel:
-        """The kernel this state runs on mirror lane ``lane`` (0 = lead)."""
-        return self.mirrors[lane - 1] if lane else self.kernel
 
 
 @dataclass(slots=True)
@@ -114,11 +108,13 @@ class Gpu:
     """One rank's streams, and the device state of its rank group.
 
     The machine simulates each group of rank-symmetric GPUs once (see
-    :meth:`Machine.mirror_ranks`).  The group's lowest rank is its *device*:
+    :meth:`Machine.mirror_ranks`).  The group's lowest rank is its *device*
+    and its *lead*: work for the group is issued to the lead's streams, and
     its ready set, resident set and occupancy stand for every rank in
-    ``ranks``.  A follower rank keeps its own streams, but its ``device``
-    is the lead and its ``lane`` is its index in the lead's ``ranks``.  An
-    undeclared rank is a one-rank group: its own device, lane 0.
+    ``ranks``.  A follower rank keeps its own streams, which are never
+    issued to; its ``device`` is the lead, its ``lane`` is its index in the
+    lead's ``ranks`` and its own ``ranks`` is empty.  An undeclared rank is
+    a one-rank group: its own device, lane 0.
     """
 
     def __init__(self, gpu_id: int, machine: "Machine") -> None:
@@ -189,35 +185,22 @@ def _layout(stream: Stream) -> Tuple[str, int]:
 def _link(lead: Stream, follower: Stream, lane: int) -> None:
     follower.lead = lead
     follower.lane = lane
-    lead.followers.append(follower)
 
 
-def _bind_counterpart(
-    event: CudaEvent, lane: int, counterpart: CudaEvent, lanes: int
-) -> bool:
-    """Bind ``counterpart`` as ``event``'s copy on follower ``lane``.
+def rank_name(name: str, rank: int, lead: int) -> str:
+    """``name`` as rank ``rank`` of the group led by ``lead`` knows it.
 
-    The first binding wins (a record or a wait, whichever attaches first);
-    a later one must name the same event.
+    A group's kernels and events are named for its lead (``qkv_b3@g1``);
+    each rank's trace rows and diagnostics name its own copy, so the
+    trailing ``@g<lead>`` becomes ``@g<rank>``.  Any other name is shared
+    by every rank of the group.
     """
-    bound = event.mirrors
-    if bound is None:
-        bound = event.mirrors = [None] * lanes
-    elif len(bound) != lanes:
-        return False
-    prior = bound[lane - 1]
-    if prior is None:
-        bound[lane - 1] = counterpart
-        return True
-    return prior is counterpart
-
-
-def _label(kind: CommandKind, payload, issued_at: float) -> str:
-    return f"{kind.value} {payload.name} @ {issued_at!r}"
-
-
-def _command_label(cmd: Command) -> str:
-    return _label(cmd.kind, cmd.kernel if cmd.kind is _LAUNCH else cmd.event, cmd.issued_at)
+    if rank == lead:
+        return name
+    head, sep, tail = name.rpartition("@g")
+    if not sep or not tail.isdigit():
+        return name
+    return f"{head}@g{rank}"
 
 
 class Machine:
@@ -273,8 +256,11 @@ class Machine:
         #: The device states the machine pumps, admits on and integrates:
         #: one per rank group, in lead-rank order (see :meth:`mirror_ranks`).
         self._devices: List[Gpu] = []
-        #: ``(device id, rank, lane)`` for every rank, in rank order.
-        self._lanes: List[Tuple[int, int, int]] = []
+        #: The rank groups, in lead-rank order: the unit work is issued in.
+        #: Each group's first rank is its lead.  One-rank groups unless
+        #: :meth:`mirror_ranks` declared otherwise and no fault injector is
+        #: armed, e.g. ``((0,), (1, 2, 3))``.
+        self.groups: Tuple[Tuple[int, ...], ...] = ()
         self._regroup()
         #: Set once a command reaches a multi-rank group; faults can no
         #: longer be armed after that.
@@ -306,9 +292,10 @@ class Machine:
         self._kick_pump_fns: List[Callable[[], None]] = [
             (lambda gid=g.gpu_id: self._schedule_pump(gid)) for g in self.gpus
         ]
+        #: Per-rank count: a group kernel counts once for each of its ranks.
         self.kernels_completed = 0
         # Observers notified with each completed kernel (serving layer hooks).
-        self._completion_observers: List[Callable[[Kernel, float], None]] = []
+        self._completion_observers: List[Callable[[Kernel, float, int], None]] = []
 
     # ------------------------------------------------------------------
     # Topology / construction helpers
@@ -319,31 +306,40 @@ class Machine:
             raise ConfigError(f"no GPU {gpu_id} on node {self.node.name}")
         return self.gpus[gpu_id]
 
-    def on_kernel_complete(self, fn: Callable[[Kernel, float], None]) -> None:
-        """Register an observer called as ``fn(kernel, end_time)``."""
+    def on_kernel_complete(self, fn: Callable[[Kernel, float, int], None]) -> None:
+        """Register an observer called as ``fn(kernel, end_time, ranks)``.
+
+        ``ranks`` is how many ranks' copies of ``kernel`` the call retires:
+        a group kernel is observed once for its lead rank and once more for
+        the rest of its group.  Per-rank accounting adds ``ranks``; the calls
+        come in the order the per-rank calls would (see :meth:`mirror_ranks`).
+        """
         self._completion_observers.append(fn)
 
     # ------------------------------------------------------------------
     # Rank mirroring
     # ------------------------------------------------------------------
     def mirror_ranks(self, ranks: Iterable[int]) -> None:
-        """Declare that ``ranks`` are issued identical command streams.
+        """Declare that ``ranks`` run identical command streams.
 
-        The caller promises that every rank in ``ranks`` receives the same
-        commands, in the same order, on its same-position stream: kernels
-        with the same profile and collective, issued at the same host
-        instant, and events that correspond rank for rank.  The machine then
-        simulates the group once.  The lowest rank's device state pumps,
-        admits, prices contention and banks progress for all of them, and
-        each follower command only attaches its kernel or event to the lead
-        command at the same queue position.  Per-rank effects are kept, in
-        per-rank order: every rank's kernel completes, is traced and is
-        observed, and every rank's event records.
+        The ranks become one group in :attr:`groups`, led by the lowest
+        rank.  Work for the group is issued once, to the lead's streams:
+        one kernel (named for the lead, e.g. ``qkv_b3@g1``), one event per
+        record or wait, one command.  Issuing to a follower's stream raises
+        :class:`~repro.errors.SimulationError`.  The lead's device state
+        pumps, admits, prices contention and banks progress for the group.
 
-        Attachment verifies the promise.  A follower command that differs
-        from its lead command, or a lead command that reaches its device
-        before every follower attached, raises
-        :class:`~repro.errors.SimulationError`.
+        Per-rank results are kept.  :attr:`kernels_completed` counts every
+        rank.  The trace gets one row per rank, in rank order, each named
+        for its rank by :func:`rank_name`; deadlock messages name every
+        rank's own stream, kernel and event the same way.  Completion
+        observers see each due group kernel twice: first with ``ranks=1``
+        in the lead-lane pass, which also releases it, then once with the
+        count of the other ranks.  A batch can only finish on its device's
+        last lane, so this is the per-rank call order with the follower
+        lanes' calls folded together, exact for groups of consecutive ranks.
+        A collective is observed once per distinct run state, in member
+        order, with that state's rank count.
 
         Ignored while a fault injector is armed: faults skew the ranks, so
         each rank is then simulated on its own.  Declare before submitting
@@ -397,14 +393,12 @@ class Machine:
             for s in g.streams:
                 s.lead = None
                 s.lane = 0
-                s.followers = []
-                s.expect.clear()
         self._regroup()
         self.fault_injector = injector
 
     def _regroup(self) -> None:
         self._devices = [g for g in self.gpus if g.device is g]
-        self._lanes = [(g.device.gpu_id, g.gpu_id, g.lane) for g in self.gpus]
+        self.groups = tuple(g.ranks for g in self._devices)
 
     # ------------------------------------------------------------------
     # Command submission (host side)
@@ -425,16 +419,16 @@ class Machine:
         ``Command.pump_at``, which makes the skipped eager pumps pure
         no-ops removed from the event stream.
 
-        A follower rank's command is not queued: it attaches to its lead
-        command (see :meth:`mirror_ranks`).
+        A command on a mirrored group's lead stream runs for every rank of
+        the group; a follower rank's stream takes no commands (see
+        :meth:`mirror_ranks`).
         """
-        if stream.lead is not None:
-            kind = command.kind
-            self._attach(
-                stream, kind, command.available_at,
-                command.kernel if kind is _LAUNCH else command.event,
+        lead = stream.lead
+        if lead is not None:
+            raise SimulationError(
+                f"stream {stream.name!r} on GPU {stream.gpu_id} is "
+                f"rank-mirrored: issue to its group lead GPU {lead.gpu_id}"
             )
-            return
         gpu = self.gpus[stream.gpu_id]
         # Position of this stream among the device's busy streams (the old
         # busy-list was built only to take this index); the idle test is
@@ -451,9 +445,8 @@ class Machine:
             command.available_at += stream.visibility_penalty
         if self.fault_injector is not None:
             command.available_at += self.fault_injector.submit_delay(stream)
-        lanes = len(gpu.ranks) - 1
-        if lanes:
-            self._expect(stream, command, lanes)
+        elif len(gpu.ranks) > 1:
+            self._mirrored = True
         was_idle = not (
             stream.queue
             or stream.running_kernel is not None
@@ -471,81 +464,17 @@ class Machine:
             if was_idle:
                 self._schedule_avail_pump(stream, command)
 
-    def _expect(self, stream: Stream, command: Command, lanes: int) -> None:
-        """Open ``lanes`` follower slots on a lead command."""
-        followers = stream.followers
-        if len(followers) != lanes:
-            raise SimulationError(
-                f"stream {stream.name!r} on GPU {stream.gpu_id} is mirrored "
-                f"on only {len(followers)} of {lanes} follower ranks"
-            )
-        command.mirrors = [None] * lanes
-        command.missing = lanes
-        for follower in followers:
-            follower.expect.append(command)
-        self._mirrored = True
-
-    def _attach(
-        self, stream: Stream, kind: CommandKind, available_at: float, payload
-    ) -> None:
-        """Attach a follower rank's command to its lead command.
-
-        The follower must issue what the lead issued at the same queue
-        position: the same kind at the same host instant, a kernel of the
-        same profile and collective, and an event that is the lead event's
-        counterpart on this rank.
-        """
-        expect = stream.expect
-        lead = expect.popleft() if expect else None
-        if lead is not None and kind is lead.kind and available_at == lead.issued_at:
-            if kind is _LAUNCH:
-                lk = lead.kernel
-                same = (
-                    payload.kind is lk.kind
-                    and payload.duration == lk.duration
-                    and payload.occupancy == lk.occupancy
-                    and payload.memory_intensity == lk.memory_intensity
-                    and payload.collective is lk.collective
-                )
-            elif kind is _RECORD_EVENT and payload is lead.event:
-                same = False
-            else:
-                same = _bind_counterpart(
-                    lead.event, stream.lane, payload, len(lead.mirrors)
-                )
-            if same:
-                lead.mirrors[stream.lane - 1] = payload
-                lead.missing -= 1
-                return
-        raise SimulationError(
-            f"rank {stream.gpu_id} diverged from its mirror lead GPU "
-            f"{stream.lead.gpu_id} on stream {stream.name!r}: it issued "
-            f"{_label(kind, payload, available_at)} where the lead issued "
-            f"{_command_label(lead) if lead is not None else 'nothing'}"
-        )
-
-    # The convenience wrappers attach a follower's payload directly: its
-    # command object would be dropped at once.
     def launch(self, stream: Stream, kernel: Kernel, available_at: float) -> None:
         """Convenience: submit a LAUNCH command."""
-        if stream.lead is not None:
-            self._attach(stream, _LAUNCH, available_at, kernel)
-        else:
-            self.submit(stream, _fast_command(_LAUNCH, available_at, kernel=kernel))
+        self.submit(stream, _fast_command(_LAUNCH, available_at, kernel=kernel))
 
     def record_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a RECORD_EVENT command."""
-        if stream.lead is not None:
-            self._attach(stream, _RECORD_EVENT, available_at, event)
-        else:
-            self.submit(stream, _fast_command(_RECORD_EVENT, available_at, event=event))
+        self.submit(stream, _fast_command(_RECORD_EVENT, available_at, event=event))
 
     def wait_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a WAIT_EVENT command."""
-        if stream.lead is not None:
-            self._attach(stream, _WAIT_EVENT, available_at, event)
-        else:
-            self.submit(stream, _fast_command(_WAIT_EVENT, available_at, event=event))
+        self.submit(stream, _fast_command(_WAIT_EVENT, available_at, event=event))
 
     # ------------------------------------------------------------------
     # Running
@@ -575,7 +504,7 @@ class Machine:
             if not s.idle
         ]
         stuck += [
-            f"ready:{rs.lane_kernel(g.lane).name}"
+            f"ready:{rank_name(rs.kernel.name, g.gpu_id, rs.gpu_id)}"
             for g in self.gpus
             for rs in g.device.ready
         ]
@@ -588,21 +517,14 @@ class Machine:
         return stuck
 
     def _describe_stream(self, stream: Stream) -> str:
-        lead = stream.lead
-        if lead is None:
-            return repr(stream)
-        lane = stream.lane
-        running = lead.running_kernel
-        if running is not None:
-            device = self.gpus[lead.gpu_id]
-            rs = device.resident.get(running.uid) or next(
-                r for r in device.ready if r.kernel is running
-            )
-            running = rs.lane_kernel(lane)
-        blocked = lead.blocked_on_event
-        if blocked is not None:
-            blocked = blocked.mirrors[lane - 1]
-        return stream.describe(running, blocked, len(lead.queue))
+        lead = stream.lead or stream
+        rank, lead_id = stream.gpu_id, lead.gpu_id
+        running, blocked = lead.running_kernel, lead.blocked_on_event
+        return stream.describe(
+            None if running is None else rank_name(running.name, rank, lead_id),
+            None if blocked is None else rank_name(blocked.name, rank, lead_id),
+            len(lead.queue),
+        )
 
     # ------------------------------------------------------------------
     # Pumping: advance stream heads into the ready set
@@ -638,8 +560,7 @@ class Machine:
         with it same-instant admission order) follows pop order.  Returns
         whether a kernel was admitted; rescheduling is the caller's job
         (see :meth:`_reschedule`).  On a mirrored device each retired
-        command stands for every rank: a record records every rank's event,
-        in rank order.
+        command stands for every rank of the group.
         """
         now = self.engine.now
         threshold = now + _EPS
@@ -666,8 +587,6 @@ class Machine:
                     # (the eager submit-time pump is elided for busy streams).
                     self._schedule_avail_pump(stream, cmd)
                     continue
-                if cmd.missing:
-                    self._raise_unattached(stream, cmd)
                 queue.popleft()
                 kind = cmd.kind
                 if kind is _LAUNCH:
@@ -680,19 +599,13 @@ class Machine:
                             stream=stream,
                             ready_seq=next(self._ready_seq),
                             ready_at=now,
-                            mirrors=cmd.mirrors,
                         )
                     )
                     progressed = True
                 elif kind is _RECORD_EVENT:
                     # This device's own waiters are unblocked by the next
                     # pass of this sweep, so only other devices get a kick.
-                    event = cmd.event
-                    if event.mirrors is not None and not cmd.mirrors:
-                        self._check_shared(event)
-                    event.record(now, self._deferred, kick)
-                    for mirror in cmd.mirrors:
-                        mirror.record(now, self._deferred, kick)
+                    cmd.event.record(now, self._deferred, kick)
                     progressed = True
                 else:  # WAIT_EVENT
                     event = cmd.event
@@ -702,25 +615,6 @@ class Machine:
                         stream.blocked_on_event = event
                         event.add_stream_waiter(kick)
         return self._try_admit(gpu)
-
-    def _raise_unattached(self, stream: Stream, cmd: Command) -> None:
-        absent = [f.gpu_id for f in stream.followers if any(c is cmd for c in f.expect)]
-        raise SimulationError(
-            f"rank(s) {absent} never issued their copy of "
-            f"{_command_label(cmd)} on stream {stream.name!r} before it ran "
-            f"on mirror lead GPU {stream.gpu_id}"
-        )
-
-    @staticmethod
-    def _check_shared(event: CudaEvent) -> None:
-        """A one-rank record of an event mirrored ranks wait on: they must
-        all wait on this very event, which then unblocks them together."""
-        for other in event.mirrors:
-            if other is not None and other is not event:
-                raise SimulationError(
-                    f"mirrored ranks wait on {other.name} as the copy of "
-                    f"{event.name}, which an unmirrored stream records"
-                )
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
         """Deferred-call hook handed to CudaEvent.record."""
@@ -937,25 +831,35 @@ class Machine:
         ]
         touched = set(due_locals)
         if due_locals:
-            # Per-rank order: GPU id, then admission order within the GPU.
-            # A device state is released once, by its lead lane.
             trace = self.trace
+            if trace is not None:
+                # One row per rank, in per-rank order: GPU id, then
+                # admission order within the GPU.
+                for g in self.gpus:
+                    lead = g.device.gpu_id
+                    due = due_locals.get(lead)
+                    if due is not None:
+                        rank = g.gpu_id
+                        for rs in due:
+                            trace.record_kernel(
+                                rs, now, rank, rank_name(rs.kernel.name, rank, lead)
+                            )
+            # Devices in lead order.  The lead lane releases and observes
+            # each due kernel; the other lanes' calls follow as one call
+            # per kernel (see mirror_ranks for why the order is exact).
             observers = self._completion_observers
-            for device_id, rank, lane in self._lanes:
-                due = due_locals.get(device_id)
-                if due is None:
-                    continue
-                self.kernels_completed += len(due)
+            for device_id, due in due_locals.items():
+                ranks = len(self.gpus[device_id].ranks)
+                self.kernels_completed += len(due) * ranks
                 for rs in due:
-                    if lane:
-                        kernel = rs.mirrors[lane - 1]
-                    else:
-                        self._release(rs)
-                        kernel = rs.kernel
-                    if trace is not None:
-                        trace.record_kernel(rs, now, kernel, rank)
+                    self._release(rs)
                     for fn in observers:
-                        fn(kernel, now)
+                        fn(rs.kernel, now, 1)
+                if ranks > 1:
+                    ranks -= 1
+                    for rs in due:
+                        for fn in observers:
+                            fn(rs.kernel, now, ranks)
         for crun in due_colls:
             self._complete_collective(crun, now)
             touched.update(rs.gpu_id for rs in crun.members.values())
@@ -981,21 +885,23 @@ class Machine:
 
     def _complete_collective(self, crun: _CollectiveRun, now: float) -> None:
         del self._collectives[crun.op.uid]
-        gpus = self.gpus
-        members = [
-            (rs, rank, rs.lane_kernel(gpus[rank].lane))
-            for rank, rs in crun.members.items()
-        ]
-        for rs, rank, kernel in members:
-            if rank == rs.gpu_id:
+        trace = self.trace
+        states: List[_RunState] = []
+        for rank, rs in crun.members.items():
+            lead = rs.gpu_id
+            if rank == lead:
                 self._release(rs)
-            self.kernels_completed += 1
-            if self.trace is not None:
-                self.trace.record_kernel(rs, now, kernel, rank)
+                states.append(rs)
+            if trace is not None:
+                trace.record_kernel(
+                    rs, now, rank, rank_name(rs.kernel.name, rank, lead)
+                )
+        self.kernels_completed += len(crun.members)
+        gpus = self.gpus
         for fn in self._completion_observers:
-            # Observers see one representative member per rank.
-            for _, _, kernel in members:
-                fn(kernel, now)
+            # Each run state stands for its group's ranks.
+            for rs in states:
+                fn(rs.kernel, now, len(gpus[rs.gpu_id].ranks))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,6 +13,11 @@ GPU**.  A launch advances only its GPU's cursor and stamps the resulting time
 as the command's ``available_at``; the GPU sees the command only from then
 on.  If the GPU is still busy past that time the overhead is hidden — the
 asynchronous-launch semantics the hybrid approach exploits.
+
+Ranks that run the same command sequence form one group of the machine
+(:meth:`~repro.sim.gpu.Machine.mirror_ranks`).  A group's commands are
+issued once, to its lead rank's streams, and each one advances the cursor
+of every rank in the group by its cost, as that rank's own issue would.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ class Host:
         )
         #: One CPU time cursor per GPU rank: a rank issues commands serially.
         self.cursors: List[float] = [0.0] * machine.node.num_gpus
+        #: Per-rank count: a group launch counts once for each of its ranks.
         self.launches_issued = 0
 
     # ------------------------------------------------------------------
@@ -93,8 +99,19 @@ class Host:
         self.advance_to(self.machine.engine.now, gpu_id)
 
     # ------------------------------------------------------------------
-    # Command issue (each advances its rank's CPU cursor)
+    # Command issue (each advances its rank group's CPU cursors)
     # ------------------------------------------------------------------
+    def _issue(self, stream: Stream, cost: float) -> float:
+        """Advance the cursors of ``stream``'s rank group by ``cost``.
+
+        Returns the lead rank's cursor.  A follower's stream has no group
+        of its own, so nothing advances and the machine rejects the command.
+        """
+        cursors = self.cursors
+        for rank in self.machine.gpus[stream.gpu_id].ranks:
+            cursors[rank] += cost
+        return cursors[stream.gpu_id]
+
     def launch_kernel(
         self, stream: Stream, kernel: Kernel, *, extra_delay: float = 0.0
     ) -> float:
@@ -107,25 +124,22 @@ class Host:
         """
         if extra_delay < 0:
             raise ConfigError("extra_delay must be >= 0")
-        g = stream.gpu_id
-        self.cursors[g] += self.launch_overhead
-        self.launches_issued += 1
-        self.machine.launch(stream, kernel, available_at=self.cursors[g] + extra_delay)
-        return self.cursors[g]
+        now = self._issue(stream, self.launch_overhead)
+        self.launches_issued += len(self.machine.gpus[stream.gpu_id].ranks)
+        self.machine.launch(stream, kernel, available_at=now + extra_delay)
+        return now
 
     def record_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue an event-record command."""
-        g = stream.gpu_id
-        self.cursors[g] += EVENT_CMD_OVERHEAD
-        self.machine.record_event(stream, event, available_at=self.cursors[g])
-        return self.cursors[g]
+        now = self._issue(stream, EVENT_CMD_OVERHEAD)
+        self.machine.record_event(stream, event, available_at=now)
+        return now
 
     def wait_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue a stream-wait command (inter-stream sync, no CPU blocking)."""
-        g = stream.gpu_id
-        self.cursors[g] += EVENT_CMD_OVERHEAD
-        self.machine.wait_event(stream, event, available_at=self.cursors[g])
-        return self.cursors[g]
+        now = self._issue(stream, EVENT_CMD_OVERHEAD)
+        self.machine.wait_event(stream, event, available_at=now)
+        return now
 
     # ------------------------------------------------------------------
     # CPU-GPU synchronization

@@ -208,20 +208,21 @@ class CollectiveCostModel:
         mem = self._comm_memory_intensity(size_bytes)
         check_kernel_profile(name, 0.0, occupancy, mem)
         return self.instantiate(
-            CollectiveKind.ALL_REDUCE, size_bytes, participants, occupancy,
-            mem, batch_id, layer, name, op,
+            CollectiveKind.ALL_REDUCE, size_bytes, participants, participants,
+            occupancy, mem, batch_id, layer, name, op,
         )
 
     def instantiate(
-        self, kind, size_bytes, participants, occupancy, memory_intensity,
-        batch_id, layer, name, op,
+        self, kind, size_bytes, participants, leads, occupancy,
+        memory_intensity, batch_id, layer, name, op,
     ) -> CollectiveOp:
         """Cost a collective at the current link health and build it.
 
         The footprint (``occupancy``, ``memory_intensity``) must already
         have passed :func:`~repro.sim.kernel.check_kernel_profile`; the
         ranks and duration are checked here, once per collective, and the
-        op and its members are built by the slot-copy constructor.
+        op and its members — one per rank in ``leads`` — are built by the
+        slot-copy constructor.
         """
         participants = list(participants)
         if kind is CollectiveKind.P2P:
@@ -234,7 +235,7 @@ class CollectiveCostModel:
             raise ConfigError(f"no cost model for {kind.value} collectives")
         check_collective(participants, duration)
         return collective_from_profile(
-            kind, size_bytes, participants, duration, occupancy,
+            kind, size_bytes, participants, leads, duration, occupancy,
             memory_intensity, batch_id, layer, name, op,
         )
 

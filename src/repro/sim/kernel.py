@@ -247,13 +247,15 @@ def check_collective(participants: List[int], duration: float) -> None:
 
 
 def collective_from_profile(
-    kind, nbytes, participants, duration, occupancy, memory_intensity,
+    kind, nbytes, participants, leads, duration, occupancy, memory_intensity,
     batch_id, layer, name, op,
 ) -> CollectiveOp:
     """Slot-copy constructor: a :class:`CollectiveOp` with one member kernel
-    per participant, in participant order, skipping every ``__post_init__``.
+    per rank in ``leads``, in that order, skipping every ``__post_init__``.
 
-    Only for values that passed :func:`check_collective` and
+    ``leads`` are the participants that are issued a member: all of them,
+    or under rank mirroring each group's lead, whose member stands for its
+    whole group.  Only for values that passed :func:`check_collective` and
     :func:`check_kernel_profile`, and a non-empty ``name``.
     """
     coll = _new_collective(CollectiveOp)
@@ -266,7 +268,7 @@ def collective_from_profile(
     coll.uid = next(_collective_ids)
     coll.members = members = {}
     comm = KernelKind.COMM
-    for gpu in participants:
+    for gpu in leads:
         members[gpu] = kernel_from_profile(
             f"{name}@g{gpu}", comm, duration, occupancy, memory_intensity,
             nbytes, batch_id, layer, op, coll, False, {},

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Deque, Optional
 
 from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
@@ -47,15 +47,6 @@ class Command:
     #: scheduled lazily (when the command is first seen waiting at its
     #: stream's head) fires at the bit-identical time.
     pump_at: float = 0.0
-    #: ``available_at`` as the host issued it, before the machine's
-    #: submit-time delays; mirrored ranks must issue the same value.
-    issued_at: float = field(default=0.0, init=False)
-    #: The follower ranks' payloads (kernel or event), one per mirror lane,
-    #: when this command heads a rank-mirrored stream (see
-    #: :meth:`repro.sim.gpu.Machine.mirror_ranks`); empty otherwise.
-    mirrors: Sequence[Any] = field(default=(), init=False)
-    #: Follower lanes that have not attached their copy yet.
-    missing: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.kind is CommandKind.LAUNCH and self.kernel is None:
@@ -63,7 +54,6 @@ class Command:
         if self.kind in (CommandKind.RECORD_EVENT, CommandKind.WAIT_EVENT):
             if self.event is None:
                 raise ConfigError(f"{self.kind.value} command requires an event")
-        self.issued_at = self.available_at
 
 
 def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
@@ -78,9 +68,6 @@ def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
     cmd.kernel = kernel
     cmd.event = event
     cmd.pump_at = 0.0
-    cmd.issued_at = available_at
-    cmd.mirrors = ()
-    cmd.missing = 0
     return cmd
 
 
@@ -118,15 +105,11 @@ class Stream:
         #: availability pump for (dedup marker owned by the machine).
         self.avail_pump_at: float = -1.0
         # Rank mirroring, owned by the machine (see Machine.mirror_ranks).
-        # A *follower* stream keeps no queue of its own: ``lead`` is the
-        # same-position stream of its group's lowest rank, ``lane`` its
-        # index among the group's ranks, and ``expect`` the lead commands
-        # it has yet to attach a copy to.  A lead stream lists its
-        # followers in lane order.
+        # A *follower* stream is never issued to: ``lead`` is the
+        # same-position stream of its group's lowest rank, which runs the
+        # group's commands, and ``lane`` its index among the group's ranks.
         self.lead: Optional["Stream"] = None
         self.lane = 0
-        self.expect: Deque[Command] = deque()
-        self.followers: List["Stream"] = []
 
     # ------------------------------------------------------------------
     @property
@@ -144,21 +127,25 @@ class Stream:
 
     def describe(
         self,
-        running: Optional[Kernel],
-        blocked: Optional[CudaEvent],
+        running: Optional[str],
+        blocked: Optional[str],
         queued: int,
     ) -> str:
-        """This stream's diagnostic line for the given head state."""
+        """This stream's diagnostic line for the given head state: the
+        names of its running kernel and of the event it is blocked on."""
         state = "idle"
         if running is not None:
-            state = f"running {running.name}"
+            state = f"running {running}"
         elif blocked is not None:
-            state = f"blocked on {blocked.name}"
+            state = f"blocked on {blocked}"
         elif queued:
             state = f"{queued} queued"
         return f"Stream(g{self.gpu_id}/{self.name} prio={self.priority}: {state})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        running, blocked = self.running_kernel, self.blocked_on_event
         return self.describe(
-            self.running_kernel, self.blocked_on_event, len(self.queue)
+            running.name if running is not None else None,
+            blocked.name if blocked is not None else None,
+            len(self.queue),
         )

@@ -64,18 +64,19 @@ class Trace:
         self.rows: List[TraceRow] = []
 
     # Called by Machine with a _RunState; duck-typed to avoid a cycle.
-    def record_kernel(self, rs, end: float, kernel, gpu: int) -> None:
+    def record_kernel(self, rs, end: float, gpu: int, name: str) -> None:
         """Append one executed kernel's row (called by the machine).
 
-        ``kernel`` ran on ``gpu`` under run state ``rs``: a rank-mirrored
-        run state carries every rank of its group, so the machine names
-        the rank and its kernel.
+        Run state ``rs`` ran its kernel on ``gpu``: a rank-mirrored run
+        state carries every rank of its group, so the machine names the
+        rank and the rank's own name for the kernel.
         """
+        kernel = rs.kernel
         self.rows.append(
             TraceRow(
                 gpu=gpu,
                 stream=rs.stream.name,
-                name=kernel.name,
+                name=name,
                 kind=kernel.kind,
                 batch_id=kernel.batch_id,
                 layer=kernel.layer,

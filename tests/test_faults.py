@@ -171,7 +171,7 @@ class TestInjectorHooks:
         )
         inj.arm(m)
         done = []
-        m.on_kernel_complete(lambda kern, t: done.append(t))
+        m.on_kernel_complete(lambda kern, t, ranks: done.append(t))
         m.launch(m.gpu(1).stream("s"), k("x", 100.0), available_at=0.0)
         m.run()
         # 50 µs at rate 1/4 banks 12.5 µs of work; the remaining 87.5 µs run
@@ -185,7 +185,7 @@ class TestInjectorHooks:
         )
         inj.arm(m)
         done = []
-        m.on_kernel_complete(lambda kern, t: done.append((kern.name, t)))
+        m.on_kernel_complete(lambda kern, t, ranks: done.append((kern.name, t)))
         m.launch(m.gpu(0).stream("s"), k("clean", 100.0), available_at=0.0)
         m.run()
         assert ("clean", pytest.approx(100.0)) in [

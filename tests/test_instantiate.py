@@ -1,10 +1,10 @@
 """instantiate_op against kernels built with the validated constructors.
 
-``instantiate_op`` builds every kernel with the slot-copy constructors of
-:mod:`repro.sim.kernel` from a profile checked once per entry.  The
-reference here is the constructor path — ``Kernel(...)`` per GPU clone,
-``CollectiveOp(...)`` plus ``make_member`` per rank — and every field must
-agree.
+``instantiate_op`` builds one kernel per rank group with the slot-copy
+constructors of :mod:`repro.sim.kernel` from a profile checked once per
+entry.  The reference here is the constructor path — ``Kernel(...)`` per
+group lead, ``CollectiveOp(...)`` over every rank plus ``make_member`` per
+group lead — and every field must agree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ from repro.parallel.base import instantiate_op
 from repro.profiling import OpProfiler
 from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel
 
-GPUS = [2, 0, 3, 1]  # not sorted: member order must follow the argument
+# Not sorted, and one two-rank group: member order must follow the argument,
+# a collective spans every rank, and each group gets one kernel, its lead's.
+GROUPS = [(2,), (0, 3), (1,)]
 FIELDS = (
     "name", "kind", "duration", "occupancy", "memory_intensity", "flops",
     "bytes", "batch_id", "layer", "op", "decomposable", "meta",
@@ -40,8 +42,10 @@ OPS = [
 ]
 
 
-def reference(op, gpus, batch_id, profiler):
+def reference(op, groups, batch_id, profiler):
     """Kernels built through the validated constructors."""
+    leads = [group[0] for group in groups]
+    ranks = [rank for group in groups for rank in group]
     occupancy = profiler.occupancy(op)
     mem = profiler.memory_intensity(op)
     if op.op not in ("all_reduce", "all_to_all", "p2p"):
@@ -58,17 +62,17 @@ def reference(op, gpus, batch_id, profiler):
                 decomposable=op.decomposable,
                 meta={},
             )
-            for gpu in gpus
+            for gpu in leads
         }
     ccm = profiler.collectives
     if op.op == "p2p":
-        participants = [op.p2p_src, op.p2p_dst]
+        participants = leads = [op.p2p_src, op.p2p_dst]
         duration = ccm.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
     elif op.op == "all_reduce":
-        participants = list(gpus)
+        participants = ranks
         duration = ccm.allreduce_duration(op.comm_bytes, participants)
     else:
-        participants = list(gpus)
+        participants = ranks
         duration = ccm.alltoall_duration(op.comm_bytes, participants)
     coll = CollectiveOp(
         kind=CollectiveKind(op.op),
@@ -78,7 +82,7 @@ def reference(op, gpus, batch_id, profiler):
         batch_id=batch_id,
         name=f"{op.name}_b{batch_id}",
     )
-    for gpu in participants:
+    for gpu in leads:
         coll.make_member(
             gpu, occupancy=occupancy, memory_intensity=mem, layer=op.layer,
             op=op.op,
@@ -93,9 +97,9 @@ def profiler():
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.op)
 def test_fields_match_validated_constructors(op, profiler):
-    want = reference(op, GPUS, 7, profiler)
+    want = reference(op, GROUPS, 7, profiler)
     for _ in range(2):  # the profile-entry miss, then the hit
-        got = instantiate_op(op, GPUS, 7, profiler)
+        got = instantiate_op(op, GROUPS, 7, profiler)
         assert list(got) == list(want)
         for gpu, kern in got.items():
             for field in FIELDS:
@@ -115,7 +119,11 @@ def test_fields_match_validated_constructors(op, profiler):
             assert getattr(coll, field) == getattr(ref, field), field
         assert coll.members == got
         assert all(coll.members[g] is kern for g, kern in got.items())
-        assert coll.complete_membership
+        if op.op == "p2p":  # its endpoints, whatever the groups
+            assert coll.complete_membership
+        else:  # every rank, through the member of its group's lead
+            lead_of = {r: group[0] for group in GROUPS for r in group}
+            assert {lead_of[r] for r in coll.participants} == set(coll.members)
 
 
 class _Counting(KernelCostModel):
@@ -140,7 +148,7 @@ def test_invalid_profile_raises_every_time():
     profiler = OpProfiler(node, cost_model=_Counting(node.gpu, occupancy=0.0))
     for _ in range(2):
         with pytest.raises(ConfigError, match="occupancy"):
-            instantiate_op(gemm_op("g", 0, 64, 512, 512), GPUS, 1, profiler)
+            instantiate_op(gemm_op("g", 0, 64, 512, 512), GROUPS, 1, profiler)
 
 
 @pytest.mark.parametrize("memoize,expected", [(True, 1), (False, 3)])
@@ -149,7 +157,7 @@ def test_memoize_false_bypasses_the_profile_memo(memoize, expected):
     cost_model = _Counting(node.gpu)
     profiler = OpProfiler(node, cost_model=cost_model, memoize=memoize)
     op = gemm_op("g", 0, 64, 512, 512)
-    kernels = [instantiate_op(op, GPUS, b, profiler)[0] for b in range(3)]
+    kernels = [instantiate_op(op, GROUPS, b, profiler)[0] for b in range(3)]
     assert cost_model.calls == {"occupancy": expected, "memory_intensity": expected}
     assert len({(k.duration, k.occupancy, k.memory_intensity) for k in kernels}) == 1
 

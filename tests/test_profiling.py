@@ -59,7 +59,7 @@ class TestOpProfiler:
             machine = Machine(
                 self.node, Engine(), contention=NullContention(), trace=Trace()
             )
-            for gpu, kernel in instantiate_op(op, gpus, 0, self.prof).items():
+            for gpu, kernel in instantiate_op(op, [(g,) for g in gpus], 0, self.prof).items():
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, kernel, available_at=0.0)
             machine.run()

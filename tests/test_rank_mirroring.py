@@ -1,26 +1,33 @@
-"""Rank mirroring: each set of rank-symmetric GPUs is simulated once.
+"""Rank mirroring: each set of rank-symmetric GPUs is issued and simulated once.
 
 The Intra-Op strategy and the Liger runtime declare their symmetric ranks
-(:meth:`~repro.sim.gpu.Machine.mirror_ranks`).  An armed fault injector
-turns the declaration off, so an armed *empty* :class:`FaultPlan` is the
-per-rank reference arm: every test here compares the mirrored run with it
-row for row, and completion for completion.
+(:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issue one kernel, event
+and command per rank group.  An armed fault injector turns the declaration
+off, so an armed *empty* :class:`FaultPlan` is the per-rank reference arm:
+every test here compares the mirrored run with it row for row, and
+completion for completion.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import LigerConfig, SyncMode
+from repro.core.policy import policy_names
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw import a100_pcie_node, v100_nvlink_node
 from repro.models import MOE_16E, OPT_30B
+from repro.parallel.base import ParallelStrategy
 from repro.serving.api import make_strategy
+from repro.serving.request import Batch, Phase, Request
 from repro.serving.server import Server
 from repro.serving.workload import general_trace
-from repro.sim import CudaEvent, Engine, Kernel, KernelKind, Machine, Trace
+from repro.sim import CudaEvent, Engine, Host, Kernel, KernelKind, Machine, Trace
+from repro.sim.contention import NullContention
 from repro.sim.kernel import CollectiveKind, CollectiveOp
 from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
 
@@ -30,7 +37,18 @@ def _completions(metrics):
 
 
 def _mirrored(machine) -> bool:
-    return any(len(g.ranks) > 1 for g in machine.gpus)
+    return any(len(group) > 1 for group in machine.groups)
+
+
+def _host_counts(srv):
+    """Every rank's host cursor, the host's launch count and the machine's
+    completion count."""
+    host = srv.session.host
+    return (
+        [host.cursor(r) for r in range(len(host.cursors))],
+        host.launches_issued,
+        srv.session.machine.kernels_completed,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +62,16 @@ def test_golden_scenarios_match_per_rank_run(server, strategy):
         extra = {} if plan is None else {"fault_plan": plan}
         _, trace = run_scenario(server, strategy, keep=keep, **extra)
         srv = keep[0]
-        runs.append((normalized_rows(trace), _completions(srv.metrics)))
+        runs.append(
+            (normalized_rows(trace), _completions(srv.metrics), _host_counts(srv))
+        )
         assert _mirrored(srv.session.machine) is (plan is None)
-    (rows, done), (ref_rows, ref_done) = runs
+    (rows, done, counts), (ref_rows, ref_done, ref_counts) = runs
     assert rows == ref_rows
     assert done == ref_done
     assert done
+    # Group issue advances every rank's cursor and counts every rank.
+    assert counts == ref_counts
 
 
 def _serve_pair(model, node, liger_config, num_requests, *, rate=60.0):
@@ -87,6 +109,157 @@ def test_moe_expert_overlap_matches_per_rank_run():
 
 
 # ----------------------------------------------------------------------
+# Mirrored arm == per-rank arm, over drawn configurations
+# ----------------------------------------------------------------------
+def _serve(server, strategy, num_gpus, mode, policy, seed, plan):
+    """One small run; returns its normalized rows and completions."""
+    from repro.serving.generation import (
+        ContinuousBatchingServer,
+        StaticBatchingServer,
+        generation_workload,
+    )
+    from repro.serving.lifecycle import LifecycleServer, chat_workload
+
+    reset_batch_ids()
+    moe = policy == "expert_overlap"
+    model = (MOE_16E if moe else OPT_30B).scaled_layers(2)
+    node = (a100_pcie_node if moe else v100_nvlink_node)(num_gpus)
+    config = LigerConfig(sync_mode=mode, policy=policy)
+    strat = make_strategy(
+        strategy, model, node, **({"config": config} if strategy == "liger" else {})
+    )
+    kw = dict(record_trace=True, check_memory=False, fault_plan=plan)
+    if server == "server":
+        srv = Server(model, node, strat, **kw)
+        result = srv.run(general_trace(10, 120.0, 2, seed=seed))
+    elif server == "lifecycle":
+        srv = LifecycleServer(
+            model, node, strat, prefill_batch=2, max_decode_batch=4, **kw
+        )
+        result = srv.run(chat_workload(4, 120.0, seed=seed))
+    elif server == "static":
+        srv = StaticBatchingServer(model, node, strat, batch_size=2, **kw)
+        result = srv.run(generation_workload(6, 200.0, seed=seed))
+    else:
+        srv = ContinuousBatchingServer(
+            model, node, strat, max_batch=4, pipeline_depth=2, **kw
+        )
+        result = srv.run(generation_workload(6, 200.0, seed=seed))
+    if plan is not None:
+        assert not _mirrored(srv.session.machine)
+    return (
+        normalized_rows(srv.trace if server == "lifecycle" else result.trace),
+        _completions(srv.metrics),
+        _host_counts(srv),
+    )
+
+
+@given(
+    server=st.sampled_from(["server", "lifecycle", "static", "continuous"]),
+    strategy=st.sampled_from(["intra", "liger"]),
+    mode=st.sampled_from(list(SyncMode)),
+    policy=st.sampled_from(policy_names()),
+    num_gpus=st.sampled_from([2, 4, 8]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_drawn_runs_match_per_rank_run(server, strategy, mode, policy, num_gpus, seed):
+    mirrored = _serve(server, strategy, num_gpus, mode, policy, seed, None)
+    per_rank = _serve(server, strategy, num_gpus, mode, policy, seed, FaultPlan())
+    assert mirrored == per_rank
+    assert mirrored[1]
+
+
+# ----------------------------------------------------------------------
+# Grouped completion keeps the per-rank order
+# ----------------------------------------------------------------------
+class _Scripted(ParallelStrategy):
+    """Issues each batch's scripted ``(stream, duration)`` kernels once per
+    rank group; every batch finish is logged with the free HBM then, and
+    the first finish submits one more batch."""
+
+    name = "scripted"
+
+    def __init__(self, model, node, scripts):
+        super().__init__(model, node)
+        self.scripts = scripts
+        self.log = []
+        self.on_batch_complete(self._log)
+
+    def bind(self, machine, host, *, track_memory=None) -> None:
+        super().bind(machine, host, track_memory=track_memory)
+        for g in machine.gpus:
+            for name in ("a", "b"):
+                g.stream(name)
+        machine.mirror_ranks(range(len(machine.gpus)))
+
+    def submit_batch(self, batch: Batch) -> None:
+        machine = self._require_bound()
+        self.host.catch_up()
+        script = self.scripts[len(self._open_batches) + self.batches_completed]
+        self.track_batch(batch, len(script) * len(machine.gpus))
+        for i, (stream, duration) in enumerate(script):
+            for group in machine.groups:
+                lead = group[0]
+                self.host.launch_kernel(
+                    machine.gpu(lead).stream(stream),
+                    Kernel(
+                        name=f"k{i}_b{batch.batch_id}@g{lead}",
+                        kind=KernelKind.COMPUTE, duration=duration,
+                        occupancy=0.3, batch_id=batch.batch_id,
+                    ),
+                )
+
+    def _log(self, batch, time) -> None:
+        self.log.append((batch.batch_id, time, self.memory.min_available()))
+        if len(self.log) == 1:
+            self.submit_batch(_batch(2))
+
+
+def _batch(rid):
+    return Batch([Request(rid=rid, arrival=0.0, seq_len=64, phase=Phase.PREFILL)])
+
+
+def _scripted_run(plan):
+    """Batch 0's last kernel and batch 1's first retire together at t=10:
+    batch 0 runs a(5) then a(5); batch 1 arrives at t=6 with b(4) and then
+    a(5) queued behind batch 0.  The finish of batch 0 logs the free HBM,
+    which is lower once batch 1 reserved its workspace, and issues batch 2
+    on stream b."""
+    reset_batch_ids()
+    model, node = OPT_30B.scaled_layers(4), v100_nvlink_node(4)
+    machine = Machine(node, Engine(), contention=NullContention(), trace=Trace())
+    host = Host(machine, launch_overhead=0.0)
+    strategy = _Scripted(
+        model, node, [[("a", 5.0), ("a", 5.0)], [("b", 4.0), ("a", 5.0)], [("b", 5.0)]]
+    )
+    strategy.bind(machine, host)
+    if plan is not None:
+        FaultInjector(plan).arm(machine)
+    batches = [_batch(0), _batch(1)]
+    strategy.submit_batch(batches[0])
+    machine.engine.schedule(6.0, lambda: strategy.submit_batch(batches[1]))
+    machine.run()
+    assert _mirrored(machine) is (plan is None)
+    rows = [(r.gpu, r.stream, r.name, r.start, r.end) for r in machine.trace.rows]
+    return rows, strategy.log, machine.kernels_completed
+
+
+def test_co_due_kernels_of_two_batches_keep_per_rank_order():
+    mirrored = _scripted_run(None)
+    assert mirrored == _scripted_run(FaultPlan())
+    rows, log, completed = mirrored
+    (first, t_first, free_first), (second, _, _), (third, _, _) = log
+    assert (first, t_first) == (0, 10.0) and {second, third} == {1, 2}
+    # Batch 1 had reserved its workspace when batch 0 finished.
+    assert free_first < log[-1][2]
+    assert [r for r in rows if "_b2@" in r[2]] == [
+        (g, "b", f"k0_b2@g{g}", 10.0, 15.0) for g in range(4)
+    ]
+    assert completed == 5 * 4
+
+
+# ----------------------------------------------------------------------
 # Machine-level contract
 # ----------------------------------------------------------------------
 def _machine(num_gpus=3):
@@ -106,18 +279,46 @@ def _streams(m):
 def test_mirrored_ranks_trace_every_rank():
     m = _machine()
     seen = []
-    m.on_kernel_complete(lambda k, t: seen.append(k.name))
-    for i, s in enumerate(_streams(m)):
-        m.launch(s, _k(f"a@g{i}"), available_at=1.0)
-        m.launch(s, _k(f"b@g{i}"), available_at=1.0)
+    m.on_kernel_complete(lambda k, t, ranks: seen.append((k.name, ranks)))
+    lead = _streams(m)[0]
+    m.launch(lead, _k("a@g0"), available_at=1.0)
+    m.launch(lead, _k("b@g0"), available_at=1.0)
     m.run()
+    assert m.groups == ((0, 1, 2),)
     assert [g.ranks for g in m.gpus] == [(0, 1, 2), (), ()]
     assert [(r.gpu, r.name, r.start, r.end) for r in m.trace.rows] == [
         (0, "a@g0", 1.0, 11.0), (1, "a@g1", 1.0, 11.0), (2, "a@g2", 1.0, 11.0),
         (0, "b@g0", 11.0, 21.0), (1, "b@g1", 11.0, 21.0), (2, "b@g2", 11.0, 21.0),
     ]
-    assert seen == ["a@g0", "a@g1", "a@g2", "b@g0", "b@g1", "b@g2"]
+    # The lead lane first, then the other two ranks in one call.
+    assert seen == [("a@g0", 1), ("a@g0", 2), ("b@g0", 1), ("b@g0", 2)]
     assert m.kernels_completed == 6 and m.all_idle()
+
+
+def test_groups_list_leads_in_rank_order():
+    m = _machine(4)
+    assert m.groups == ((0,), (1,), (2,), (3,))
+    m.mirror_ranks([1, 2, 3])
+    assert m.groups == ((0,), (1, 2, 3))
+
+
+def test_issuing_on_a_follower_stream_raises():
+    m = _machine()
+    host = Host(m)
+    s0, s1, _ = _streams(m)
+    issues = [
+        lambda: host.launch_kernel(s1, _k("a@g1")),
+        lambda: host.record_event(s1, CudaEvent("e@g1")),
+        lambda: host.wait_event(s1, CudaEvent("w@g1")),
+        lambda: m.launch(s1, _k("a@g1"), available_at=0.0),
+    ]
+    for issue in issues:
+        with pytest.raises(SimulationError, match="issue to its group lead GPU 0"):
+            issue()
+    assert host.cursors == [0.0, 0.0, 0.0] and host.launches_issued == 0
+    assert s0.idle and s1.idle
+    host.launch_kernel(s0, _k("a@g0"))
+    assert host.cursors == [host.launch_overhead] * 3 and host.launches_issued == 3
 
 
 def test_streams_created_after_declaration_are_mirrored():
@@ -130,43 +331,6 @@ def test_streams_created_after_declaration_are_mirrored():
         m.gpu(2).stream("other")
 
 
-def test_divergent_follower_kernel_raises():
-    m = _machine()
-    s0, s1, s2 = _streams(m)
-    m.launch(s0, _k("a@g0"), available_at=0.0)
-    m.launch(s1, _k("a@g1"), available_at=0.0)
-    with pytest.raises(SimulationError, match=r"rank 2 .*a@g2"):
-        m.launch(s2, _k("a@g2", dur=11.0), available_at=0.0)
-
-
-def test_follower_issued_at_another_instant_raises():
-    m = _machine(2)
-    s0, s1 = _streams(m)
-    m.launch(s0, _k("a@g0"), available_at=0.0)
-    with pytest.raises(SimulationError, match="rank 1"):
-        m.launch(s1, _k("a@g1"), available_at=0.5)
-
-
-def test_wait_on_a_foreign_event_raises():
-    m = _machine(2)
-    s0, s1 = _streams(m)
-    e0, e1 = CudaEvent("e0"), CudaEvent("e1")
-    m.record_event(s0, e0, available_at=0.0)
-    m.record_event(s1, e1, available_at=0.0)
-    m.wait_event(s0, e0, available_at=0.0)
-    with pytest.raises(SimulationError, match="rank 1"):
-        m.wait_event(s1, CudaEvent("other"), available_at=0.0)
-
-
-def test_lead_command_without_its_followers_raises():
-    m = _machine()
-    s0, s1, _ = _streams(m)
-    m.launch(s0, _k("a@g0"), available_at=0.0)
-    m.launch(s1, _k("a@g1"), available_at=0.0)
-    with pytest.raises(SimulationError, match=r"rank\(s\) \[2\] .*a@g0"):
-        m.run()
-
-
 def test_armed_injector_leaves_no_rank_mirrored():
     m = _machine()
     streams = _streams(m)
@@ -174,7 +338,7 @@ def test_armed_injector_leaves_no_rank_mirrored():
     assert not _mirrored(m)
     assert all(g.device is g for g in m.gpus)
     m.mirror_ranks([0, 1, 2])  # ignored while armed
-    assert not _mirrored(m)
+    assert not _mirrored(m) and m.groups == ((0,), (1,), (2,))
     for i, s in enumerate(streams):
         m.launch(s, _k(f"a@g{i}", dur=float(i + 1)), available_at=0.0)
     m.run()
@@ -205,8 +369,8 @@ def test_stranded_follower_stream_is_named():
         kind=CollectiveKind.ALL_REDUCE, bytes=1.0, participants=[0, 1, 2, 3],
         duration=5.0, name="ar",
     )
-    for g in (0, 1, 2):
-        m.launch(streams[g], op.make_member(g, occupancy=0.2), available_at=0.0)
+    # One member for the group, issued to its lead.
+    m.launch(streams[0], op.make_member(0, occupancy=0.2), available_at=0.0)
     with pytest.raises(DeadlockError) as err:
         m.run()
     message = str(err.value)
@@ -217,9 +381,7 @@ def test_stranded_follower_stream_is_named():
 
 def test_blocked_follower_names_its_own_event():
     m = _machine()
-    streams = _streams(m)
-    for i, s in enumerate(streams):
-        m.wait_event(s, CudaEvent(f"never@g{i}"), available_at=0.0)
+    m.wait_event(_streams(m)[0], CudaEvent("never@g0"), available_at=0.0)
     with pytest.raises(DeadlockError) as err:
         m.run()
     for i in range(3):

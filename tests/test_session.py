@@ -402,6 +402,53 @@ class TestRetryExhaustedJobs:
         assert permanent.watchdog_checks == short.watchdog_checks
         assert not permanent.watchdog_tripped
 
+    @pytest.mark.parametrize(
+        "kind,start_us", [("continuous", 0.0), ("lifecycle", 10_000.0)]
+    )
+    def test_permanent_window_after_decode_started_returns(self, kind, start_us):
+        """A window that never closes once decode runs: a job whose decode
+        iterations were shed ``max_retries + 1`` times in a row is shed, so
+        the run returns.  Every job ends in one terminal state, no KV
+        reservation is left, and the watchdog does no more checks than
+        under a window that closes."""
+
+        def serve(end):
+            reset_batch_ids()
+            strat = make_strategy("intra", MODEL, NODE)
+            kw = dict(
+                check_memory=False,
+                fault_plan=FaultPlan([LaunchFailure(start=start_us, end=end)]),
+                resilience=ResilienceConfig(),
+            )
+            if kind == "continuous":
+                jobs = generation_workload(4, 400.0, seed=6)
+                srv = ContinuousBatchingServer(MODEL, NODE, strat, **kw)
+            else:
+                jobs = chat_workload(4, 400.0, seed=6)
+                srv = LifecycleServer(MODEL, NODE, strat, **kw)
+            report = srv.run(jobs).resilience
+            m = srv.metrics
+            assert all(job.state.terminal for job in jobs)
+            assert m.num_terminal == 4
+            assert m.num_completed + m.shed_requests + m.timed_out_requests == 4
+            clean = NodeMemoryModel(MODEL, NODE)
+            assert [d.used for d in srv.memory.devices] == [
+                d.used for d in clean.devices
+            ]
+            return m, report
+
+        (closed, closed_report), (permanent, permanent_report) = (
+            serve(start_us + 200_000.0), serve(1e12),
+        )
+        assert permanent.shed_requests > 0
+        assert permanent_report.watchdog_checks == closed_report.watchdog_checks
+        assert not permanent_report.watchdog_tripped
+        if kind == "continuous":
+            # A 20 ms window is survived: the streak limit only sheds a job
+            # whose iterations keep failing.
+            short, _ = serve(20_000.0)
+            assert short.num_completed == 4
+
     @pytest.mark.parametrize("start_us", [0.0, 3_000.0, 8_000.0])
     @pytest.mark.parametrize("kind", ["continuous", "lifecycle"])
     def test_shed_iterations_leave_one_terminal_state_and_no_kv(self, kind, start_us):

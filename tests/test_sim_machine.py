@@ -471,7 +471,7 @@ class TestAccounting:
     def test_completion_observer_called_per_kernel(self):
         m = make_machine(1)
         seen = []
-        m.on_kernel_complete(lambda kern, t: seen.append((kern.name, t)))
+        m.on_kernel_complete(lambda kern, t, ranks: seen.append((kern.name, t)))
         s = m.gpu(0).stream("s0")
         m.launch(s, k("a", 5.0), available_at=0.0)
         m.launch(s, k("b", 5.0), available_at=0.0)

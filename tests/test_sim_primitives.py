@@ -116,7 +116,7 @@ class TestStreamAndCommands:
         assert not s.idle
         first = s.queue.popleft()
         assert first.kind is CommandKind.RECORD_EVENT
-        assert first.issued_at == first.available_at == 0.0
+        assert first.available_at == 0.0
         s.queue.popleft()
         assert s.idle
 
