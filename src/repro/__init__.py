@@ -101,7 +101,6 @@ _EXPORTS = {
     "ResilienceReport": "faults.resilience",
     "RecoveryManager": "faults.resilience",
     "FaultError": "errors",
-    "RetryExhaustedError": "errors",
     "Observability": "obs.observability",
     "EventBus": "obs.events",
     "MetricsRegistry": "obs.metrics",

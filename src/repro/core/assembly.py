@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc
@@ -31,6 +31,9 @@ from repro.serving.request import Batch
 from repro.sim.kernel import KernelKind
 
 __all__ = ["KernelFunc", "FuncVec", "FunctionAssembler", "rebind"]
+
+#: Batch shapes the assembly cache keeps before evicting the least recent.
+CACHE_SIZE = 128
 
 
 @dataclass(slots=True)
@@ -144,26 +147,20 @@ class FunctionAssembler:
     degree, attaching profiled durations from the offline procedure's
     :class:`~repro.profiling.profiler.OpProfiler`.
 
-    ``cache_size`` > 0 enables the assembly cache: function lists are
-    memoized by batch shape ``(phase, size, seq_len, context_len)`` with LRU
-    eviction, and a hit rebinds the cached wrappers to the new batch without
-    calling ``strategy_ops_fn`` or the profiler.  **Contract:** the cache is
-    only sound when ``strategy_ops_fn`` is a pure function of those four
-    batch attributes (true for the built-in strategies, whose op enumerators
-    close over a fixed model and TP degree); leave it disabled for ops
-    functions that read anything else off the batch.
+    Function lists are memoized by batch shape ``(phase, size, seq_len,
+    context_len)`` with LRU eviction past :data:`CACHE_SIZE` shapes, and a
+    hit rebinds the cached wrappers to the new batch without calling
+    ``strategy_ops_fn`` or the profiler.  **Contract:** ``strategy_ops_fn``
+    must be a pure function of those four batch attributes (true for the
+    built-in strategies, whose op enumerators close over a fixed model and
+    TP degree).
     """
 
-    def __init__(
-        self, strategy_ops_fn, profiler: OpProfiler, *, cache_size: int = 0
-    ) -> None:
+    def __init__(self, strategy_ops_fn, profiler: OpProfiler) -> None:
         """``strategy_ops_fn(batch) -> List[OpDesc]`` supplies the ops."""
         self._ops_fn = strategy_ops_fn
         self.profiler = profiler
         self.batches_assembled = 0
-        if cache_size < 0:
-            raise ConfigError("cache_size must be >= 0")
-        self._cache_size = cache_size
         self._cache: "OrderedDict[Tuple, Tuple[KernelFunc, ...]]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -174,39 +171,34 @@ class FunctionAssembler:
 
     def assemble(self, batch: Batch) -> FuncVec:
         """Build the batch's FuncVec with profiled durations (§3.2)."""
-        key: Optional[Tuple] = None
-        if self._cache_size:
-            key = (batch.phase, batch.size, batch.seq_len, batch.context_len)
-            templates = self._cache.get(key)
-            if templates is not None:
-                self._cache.move_to_end(key)
-                self.cache_hits += 1
-                bid, size, seq = batch.batch_id, batch.size, batch.seq_len
-                funcs = [
-                    rebind(t, batch_id=bid, batch_size=size, seq_len=seq)
-                    for t in templates
-                ]
-                self.batches_assembled += 1
-                return FuncVec(batch, funcs)
+        key = (batch.phase, batch.size, batch.seq_len, batch.context_len)
+        templates = self._cache.get(key)
+        if templates is not None:
+            self._cache.move_to_end(key)
+            self.cache_hits += 1
+            bid, size, seq = batch.batch_id, batch.size, batch.seq_len
+            funcs = [
+                rebind(t, batch_id=bid, batch_size=size, seq_len=seq)
+                for t in templates
+            ]
+        else:
             self.cache_misses += 1
-        start = time.perf_counter()
-        ops = self._ops_fn(batch)
-        funcs = [
-            KernelFunc(
-                op=op,
-                duration=self.profiler.duration(op),
-                kind=op.kind,
-                batch_id=batch.batch_id,
-                batch_size=batch.size,
-                seq_len=batch.seq_len,
-                decomposable=op.decomposable,
-            )
-            for op in ops
-        ]
-        if key is not None:
+            start = time.perf_counter()
+            funcs = [
+                KernelFunc(
+                    op=op,
+                    duration=self.profiler.duration(op),
+                    kind=op.kind,
+                    batch_id=batch.batch_id,
+                    batch_size=batch.size,
+                    seq_len=batch.seq_len,
+                    decomposable=op.decomposable,
+                )
+                for op in self._ops_fn(batch)
+            ]
             self.build_seconds += time.perf_counter() - start
             self._cache[key] = tuple(funcs)
-            if len(self._cache) > self._cache_size:
+            if len(self._cache) > CACHE_SIZE:
                 self._cache.popitem(last=False)
                 self.cache_evictions += 1
         self.batches_assembled += 1

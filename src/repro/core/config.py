@@ -3,7 +3,9 @@
 Gathers every tunable the paper exposes: the synchronization approach
 (§3.4), the kernel decomposition division factor (§3.6 / Fig. 14, default 8
 as in §4.2), contention factors (§3.5, profiled offline unless pinned), the
-processing-list size (§3.3), and the NCCL footprint mitigation.
+processing-list size (§3.3), and the NCCL footprint mitigation.  What the
+paper measures rather than tunes, such as the launch-queue lag of pure
+inter-stream sync, is a constant of the module that models it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from typing import Optional
 
 from repro.errors import ConfigError
 from repro.profiling.contention_profiler import ContentionFactors
-from repro.units import us
 
 __all__ = ["SyncMode", "LigerConfig"]
 
@@ -75,21 +76,6 @@ class LigerConfig:
         bit-identical to the goldens); ``"expert_overlap"`` generalizes
         Principle 1 to resource classes so MoE expert GEMMs interleave
         against all-to-all dispatch/combine.
-    comm_lag_penalty:
-        Extra communication-kernel startup latency (µs) charged in pure
-        ``INTER_STREAM`` mode — the empirically-observed launch-queue lag
-        that motivated the hybrid approach.
-    enable_assembly_cache:
-        Memoize function assembly by batch shape
-        (:class:`~repro.core.assembly.FunctionAssembler`).  Bit-identical
-        on/off; ``python -m bench --config enable_assembly_cache=false``
-        measures what it saves.
-    enable_sim_memos:
-        The remaining hot-path memos this subsystem layers onto its
-        execution substrate: the machine's shape-keyed contention-slowdown
-        memo and the profiler's occupancy/memory-footprint memos.  All of
-        them are bit-identical on/off; ``python -m bench --config
-        enable_sim_memos=false`` measures what they save.
     """
 
     max_inflight: int = 4
@@ -100,9 +86,6 @@ class LigerConfig:
     reduce_nccl_channels: bool = True
     packing: str = "first_fit"
     policy: str = "dichotomy"
-    comm_lag_penalty: float = us(12.0)
-    enable_assembly_cache: bool = True
-    enable_sim_memos: bool = True
 
     def __post_init__(self) -> None:
         if self.max_inflight < 1:
@@ -122,5 +105,3 @@ class LigerConfig:
                 f"unknown scheduling policy {self.policy!r}; "
                 f"available: {', '.join(policy_names())}"
             )
-        if self.comm_lag_penalty < 0:
-            raise ConfigError("comm_lag_penalty must be >= 0")

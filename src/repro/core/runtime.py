@@ -45,8 +45,14 @@ from repro.sim.gpu import Machine
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel, KernelKind
 from repro.sim.stream import Stream
+from repro.units import us
 
 __all__ = ["LigerRuntime", "RuntimeStats"]
+
+#: Extra startup latency of a communication kernel in pure ``INTER_STREAM``
+#: mode: the launch-queue lag §3.4 observed when everything is pre-launched,
+#: which motivated the hybrid approach.
+COMM_LAG_PENALTY = us(12.0)
 
 
 @dataclass
@@ -215,11 +221,9 @@ class LigerRuntime:
 
         The kernel maps, keyed by group lead, come from :meth:`_next_round`.
         """
-        cfg = self.config
-        inter_stream_gating = cfg.sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
-        comm_lag = (
-            cfg.comm_lag_penalty if cfg.sync_mode is SyncMode.INTER_STREAM else 0.0
-        )
+        sync_mode = self.config.sync_mode
+        inter_stream_gating = sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
+        comm_lag = COMM_LAG_PENALTY if sync_mode is SyncMode.INTER_STREAM else 0.0
 
         self._account_launches(round_.subset0)
         self._account_launches(round_.subset1)

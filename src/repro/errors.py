@@ -19,7 +19,6 @@ __all__ = [
     "PartitionError",
     "ProfileMissingError",
     "FaultError",
-    "RetryExhaustedError",
     "IncompleteRequestError",
 ]
 
@@ -81,15 +80,6 @@ class FaultError(SimulationError):
     Raised by :meth:`repro.faults.injector.FaultInjector.check_launch` when a
     transient launch-failure window is active — the simulated analogue of a
     ``cudaErrorLaunchFailure`` that the retry layer is expected to absorb.
-    """
-
-
-class RetryExhaustedError(FaultError):
-    """A batch exhausted its retry budget against a persistent fault.
-
-    Raised by the recovery layer (:mod:`repro.faults.resilience`) when a batch
-    submission keeps hitting :class:`FaultError` past ``max_retries`` and the
-    configuration forbids shedding it.
     """
 
 

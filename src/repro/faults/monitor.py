@@ -14,8 +14,8 @@ each launched kernel with its round index and subset
 (``LigerRuntime.on_round_launched``); a completion observer folds kernel end
 times per round, and when a round's kernels have all retired it compares the
 subsets: a secondary end beyond the primary end by more than
-``margin_frac × window`` is one violation.  The recovery layer counts them
-and downgrades the strategy when they persist.
+``max(MIN_MARGIN_US, MARGIN_FRAC × window)`` is one violation.  The recovery
+layer counts them and downgrades the strategy when they persist.
 
 Purely passive: the monitor registers observers and reads timestamps; it
 never schedules events, so an attached monitor does not change the timeline.
@@ -30,6 +30,13 @@ from repro.sim.gpu import Machine
 from repro.sim.kernel import Kernel
 
 __all__ = ["PrincipleMonitor", "RoundObservation"]
+
+#: Tolerated secondary overshoot as a fraction of the round window
+#: (anticipation margins make small overshoots benign).
+MARGIN_FRAC = 0.10
+#: Absolute overshoot floor (µs) below which no violation is counted,
+#: whatever the window size.
+MIN_MARGIN_US = 10.0
 
 
 @dataclass
@@ -57,12 +64,6 @@ class PrincipleMonitor:
     ----------
     machine:
         Machine whose kernel completions are observed.
-    margin_frac:
-        Tolerated secondary overshoot as a fraction of the round window
-        (anticipation margins make small overshoots benign).
-    min_margin:
-        Absolute overshoot floor (µs) below which no violation is counted,
-        whatever the window size.
     on_violation:
         Optional callback ``fn(round_index, overshoot_us, time_us)`` fired
         per detected violation.
@@ -72,13 +73,9 @@ class PrincipleMonitor:
         self,
         machine: Machine,
         *,
-        margin_frac: float = 0.10,
-        min_margin: float = 10.0,
         on_violation: Optional[Callable[[int, float, float], None]] = None,
     ) -> None:
         self.machine = machine
-        self.margin_frac = margin_frac
-        self.min_margin = min_margin
         self.on_violation = on_violation
         self.rounds_observed = 0
         self.violations = 0
@@ -119,7 +116,7 @@ class PrincipleMonitor:
         self.rounds_observed += 1
         if obs.expected1 == 0:
             return  # nothing was interleaved: Principle 1 is vacuous
-        margin = max(self.min_margin, self.margin_frac * obs.window)
+        margin = max(MIN_MARGIN_US, MARGIN_FRAC * obs.window)
         overshoot = obs.end1 - obs.end0
         if overshoot > margin:
             self.violations += 1

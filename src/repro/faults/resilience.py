@@ -7,10 +7,8 @@ loop and the bound strategy and applies three policies:
 
 1. **Retry with exponential backoff** — a batch submission that hits an
    injected :class:`~repro.errors.FaultError` (transient launch failure) is
-   re-attempted after ``retry_backoff_us · backoff_multiplier^attempt`` µs.
-   A batch that exhausts ``max_retries`` is *shed* (counted, dropped) or, if
-   shedding is disabled, surfaces as
-   :class:`~repro.errors.RetryExhaustedError`.
+   re-attempted after ``RETRY_BACKOFF_US · BACKOFF_MULTIPLIER^attempt`` µs.
+   A batch that exhausts ``max_retries`` is *shed* (counted, dropped).
 2. **Graceful strategy degradation** — when the Principle-1 monitor counts
    ``violation_threshold`` executed-round violations, interleaving is no
    longer paying for itself: the manager *downgrades*, routing subsequent
@@ -29,10 +27,11 @@ and watchdog statistics, and the faults that were active.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.errors import ConfigError, FaultError, RetryExhaustedError
+from repro.errors import ConfigError, FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.monitor import PrincipleMonitor
 from repro.faults.watchdog import Watchdog
@@ -56,31 +55,30 @@ __all__ = [
     "attach_recovery",
 ]
 
+#: First launch-retry delay (µs); grows by :data:`BACKOFF_MULTIPLIER` per
+#: attempt.
+RETRY_BACKOFF_US = 200.0
+BACKOFF_MULTIPLIER = 2.0
+
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Tunable knobs of the recovery policy (times in µs)."""
+    """Tunable knobs of the recovery policy (times in µs).
+
+    One field per ``repro faults`` flag.  The retry backoff is this
+    module's :data:`RETRY_BACKOFF_US` and :data:`BACKOFF_MULTIPLIER`; the
+    violation margins and the watchdog's timings are constants of
+    :mod:`repro.faults.monitor` and :mod:`repro.faults.watchdog`.
+    """
 
     #: Executed-round Principle-1 violations tolerated before downgrading.
     violation_threshold: int = 3
-    #: Secondary overshoot tolerated as a fraction of the round window.
-    margin_frac: float = 0.10
-    #: Absolute overshoot floor below which no violation is counted.
-    min_margin_us: float = 10.0
     #: Probe period while degraded: how often to check whether faults cleared.
     recovery_probe_us: float = 20_000.0
-    #: Launch retries per batch before shedding/raising.
+    #: Launch retries per batch before shedding.
     max_retries: int = 5
-    #: First retry delay; grows by ``backoff_multiplier`` per attempt.
-    retry_backoff_us: float = 200.0
-    backoff_multiplier: float = 2.0
-    #: Shed a retry-exhausted batch (True) or raise RetryExhaustedError.
-    shed_on_exhaustion: bool = True
     #: Arm the livelock watchdog for the run.
     enable_watchdog: bool = True
-    watchdog_stall_us: float = 400_000.0
-    #: Heartbeat period; None → a quarter of the stall timeout.
-    watchdog_interval_us: Optional[float] = None
     #: Allow downgrading to the fallback strategy at all.
     enable_fallback: bool = True
 
@@ -91,11 +89,10 @@ class ResilienceConfig:
             )
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.retry_backoff_us <= 0 or self.backoff_multiplier < 1.0:
-            raise ConfigError("retry backoff must be > 0 with multiplier >= 1")
-        if self.recovery_probe_us <= 0:
+        if not (math.isfinite(self.recovery_probe_us) and self.recovery_probe_us > 0):
             raise ConfigError(
-                f"recovery_probe_us must be > 0, got {self.recovery_probe_us}"
+                f"recovery_probe_us must be finite and > 0, "
+                f"got {self.recovery_probe_us}"
             )
 
 
@@ -234,20 +231,12 @@ class RecoveryManager:
         self.monitor: Optional[PrincipleMonitor] = None
         if runtime is not None:
             self.monitor = PrincipleMonitor(
-                self.machine,
-                margin_frac=self.config.margin_frac,
-                min_margin=self.config.min_margin_us,
-                on_violation=self._on_violation,
+                self.machine, on_violation=self._on_violation
             )
             self.monitor.attach(runtime)
         self.watchdog: Optional[Watchdog] = None
         if self.config.enable_watchdog:
-            self.watchdog = Watchdog(
-                self.machine,
-                stall_timeout=self.config.watchdog_stall_us,
-                interval=self.config.watchdog_interval_us,
-                context=self._watchdog_context,
-            )
+            self.watchdog = Watchdog(self.machine, context=self._watchdog_context)
 
     # ------------------------------------------------------------------
     # Server integration
@@ -289,27 +278,19 @@ class RecoveryManager:
     def _attempt(self, batch: Batch, attempt: int) -> None:
         try:
             self.injector.check_launch(batch.batch_id)
-        except FaultError as exc:
-            self._on_launch_failure(batch, attempt, exc)
+        except FaultError:
+            self._on_launch_failure(batch, attempt)
             return
         strategy = self.active_strategy
         if strategy is not self.primary:
             self.report.batches_on_fallback += 1
         strategy.submit_batch(batch)
 
-    def _on_launch_failure(
-        self, batch: Batch, attempt: int, exc: FaultError
-    ) -> None:
-        cfg = self.config
-        if attempt >= cfg.max_retries:
-            if cfg.shed_on_exhaustion:
-                self._shed(batch)
-                return
-            raise RetryExhaustedError(
-                f"batch {batch.batch_id} failed to launch after "
-                f"{attempt + 1} attempt(s): {exc}"
-            ) from exc
-        delay = cfg.retry_backoff_us * (cfg.backoff_multiplier ** attempt)
+    def _on_launch_failure(self, batch: Batch, attempt: int) -> None:
+        if attempt >= self.config.max_retries:
+            self._shed(batch)
+            return
+        delay = RETRY_BACKOFF_US * (BACKOFF_MULTIPLIER ** attempt)
         self.metrics.retries += 1
         now = self.machine.engine.now
         logger.info(

@@ -8,10 +8,10 @@ fault, retry loops, a pathological contention model) but no kernel ever
 retires.  On real serving infrastructure that is the worst failure mode —
 the process looks alive while every request ages out.
 
-The watchdog rides the engine's heartbeat: every ``interval`` µs it compares
+The watchdog rides the engine's heartbeat: every ``INTERVAL_US`` it compares
 ``machine.kernels_completed`` against the last observation.  An *idle*
 machine is healthy (there is simply nothing to run); a *busy* machine that
-completes nothing for longer than ``stall_timeout`` µs trips the watchdog,
+completes nothing for longer than ``STALL_TIMEOUT_US`` trips the watchdog,
 which raises a :class:`~repro.errors.DeadlockError` naming the stuck
 streams, ready kernels, and half-assembled collectives — plus any context
 the caller registered (e.g. open batch ids from the serving layer).
@@ -24,10 +24,15 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.errors import ConfigError, DeadlockError
+from repro.errors import DeadlockError
 from repro.sim.gpu import Machine
 
 __all__ = ["Watchdog"]
+
+#: Longest tolerated span (µs) in which a busy machine completes no kernel.
+STALL_TIMEOUT_US = 400_000.0
+#: Heartbeat period (µs): a quarter of the stall timeout.
+INTERVAL_US = STALL_TIMEOUT_US / 4.0
 
 
 class Watchdog:
@@ -37,11 +42,6 @@ class Watchdog:
     ----------
     machine:
         The machine to observe.
-    stall_timeout:
-        Longest tolerated span (µs) in which a busy machine completes no
-        kernel before the watchdog trips.
-    interval:
-        Heartbeat period (µs); defaults to a quarter of the stall timeout.
     context:
         Optional callable returning extra diagnostic lines (the serving
         layer passes open batch ids).
@@ -51,17 +51,9 @@ class Watchdog:
         self,
         machine: Machine,
         *,
-        stall_timeout: float = 400_000.0,
-        interval: Optional[float] = None,
         context: Optional[Callable[[], List[str]]] = None,
     ) -> None:
-        if stall_timeout <= 0:
-            raise ConfigError(f"stall_timeout must be > 0, got {stall_timeout}")
         self.machine = machine
-        self.stall_timeout = stall_timeout
-        self.interval = interval if interval is not None else stall_timeout / 4.0
-        if self.interval <= 0:
-            raise ConfigError(f"watchdog interval must be > 0, got {self.interval}")
         self.context = context
         self.tripped = False
         self.checks = 0
@@ -77,7 +69,7 @@ class Watchdog:
         self._armed = True
         self._last_completed = self.machine.kernels_completed
         self._last_progress_at = self.machine.engine.now
-        self.machine.engine.heartbeat(self.interval, self._check)
+        self.machine.engine.heartbeat(INTERVAL_US, self._check)
 
     # ------------------------------------------------------------------
     def _check(self) -> bool:
@@ -88,7 +80,7 @@ class Watchdog:
             self._last_completed = m.kernels_completed
             self._last_progress_at = now
             return True
-        if now - self._last_progress_at >= self.stall_timeout - 1e-9:
+        if now - self._last_progress_at >= STALL_TIMEOUT_US - 1e-9:
             self.tripped = True
             stuck = m.stuck_summary()
             if self.context is not None:
@@ -96,7 +88,7 @@ class Watchdog:
             raise DeadlockError(
                 f"watchdog: no kernel completed for "
                 f"{now - self._last_progress_at:.0f}us (limit "
-                f"{self.stall_timeout:.0f}us) while work is pending: "
+                f"{STALL_TIMEOUT_US:.0f}us) while work is pending: "
                 + "; ".join(stuck[:8])
             )
         return True

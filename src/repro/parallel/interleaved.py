@@ -49,9 +49,7 @@ class InterleavedStrategy(ParallelStrategy):
                 if self.config.reduce_nccl_channels
                 else NcclConfig()
             )
-            profiler = OpProfiler(
-                node, nccl=nccl, memoize=self.config.enable_sim_memos
-            )
+            profiler = OpProfiler(node, nccl=nccl)
         super().__init__(model, node, profiler=profiler)
         self.runtime: Optional[LigerRuntime] = None
 
@@ -62,8 +60,6 @@ class InterleavedStrategy(ParallelStrategy):
 
     def bind(self, machine, host, *, track_memory=None) -> None:
         super().bind(machine, host, track_memory=track_memory)
-        if not self.config.enable_sim_memos:
-            machine.slowdown_memo = False
         factors = self.config.contention_factors
         if factors is None:
             # The offline procedure (Fig. 5): profile contention factors
@@ -72,14 +68,10 @@ class InterleavedStrategy(ParallelStrategy):
                 self.node, self.profiler, contention=machine.contention
             ).profile(self.model)
         self.anticipator = ContentionAnticipator(factors)
-        assembler = FunctionAssembler(
-            self._batch_ops,
-            self.profiler,
-            # _batch_ops is pure in (phase, size, seq_len, context_len) —
-            # the assembly-cache contract — because model and TP degree are
-            # fixed for the strategy's lifetime.
-            cache_size=128 if self.config.enable_assembly_cache else 0,
-        )
+        # _batch_ops is pure in (phase, size, seq_len, context_len) — the
+        # assembly-cache contract — because model and TP degree are fixed
+        # for the strategy's lifetime.
+        assembler = FunctionAssembler(self._batch_ops, self.profiler)
         self.runtime = LigerRuntime(
             machine,
             host,

@@ -71,11 +71,6 @@ class OpProfiler:
         config (§3.5); baselines profile with NCCL defaults.
     participants:
         Ranks collectives run over (defaults to all GPUs of the node).
-    memoize:
-        Cache per-op kernel profiles (:meth:`kernel_profile`; the duration
-        profile database itself is always cached — it *is* the profile).
-        ``LigerConfig(enable_sim_memos=False)`` disables this to measure
-        the pre-memo hot path; results are bit-identical either way.
     """
 
     def __init__(
@@ -85,7 +80,6 @@ class OpProfiler:
         cost_model: Optional[KernelCostModel] = None,
         nccl: Optional[NcclConfig] = None,
         participants: Optional[Sequence[int]] = None,
-        memoize: bool = True,
     ) -> None:
         self.node = node
         self.cost_model = cost_model or KernelCostModel(node.gpu)
@@ -94,7 +88,6 @@ class OpProfiler:
         self.participants = (
             list(participants) if participants is not None else list(range(node.num_gpus))
         )
-        self.memoize = memoize
         self._cache: Dict[Tuple, float] = {}
         self._profiles: Dict[Tuple, Tuple[Optional[float], float, float]] = {}
 
@@ -138,21 +131,19 @@ class OpProfiler:
         """``(duration, occupancy, memory_intensity)`` of the op's kernels.
 
         Checked against the :class:`Kernel` invariants when the entry is
-        made (memoized when enabled), so kernels built from it use the
-        slot-copy constructors of :mod:`repro.sim.kernel`.  A collective's
+        made and memoized by :func:`op_key`, so kernels built from it use
+        the slot-copy constructors of :mod:`repro.sim.kernel`.  A collective's
         duration is None: it depends on the ranks and on the current link
         health, so the collective cost model prices it at instantiation.
         """
-        if self.memoize:
-            key = op_key(op)
-            hit = self._profiles.get(key)
-            if hit is not None:
-                return hit
+        key = op_key(op)
+        hit = self._profiles.get(key)
+        if hit is not None:
+            return hit
         duration = None if op.op in _COLLECTIVE_FLAVOURS else self.duration(op)
         profile = (duration, self.occupancy(op), self.memory_intensity(op))
         check_kernel_profile(op.name, duration or 0.0, *profile[1:])
-        if self.memoize:
-            self._profiles[key] = profile
+        self._profiles[key] = profile
         return profile
 
     @property

@@ -8,6 +8,7 @@ extension the paper mentions but does not evaluate.
 
 from __future__ import annotations
 
+import math
 from typing import List
 
 import numpy as np
@@ -34,8 +35,8 @@ class ConstantRate(ArrivalProcess):
     """
 
     def __init__(self, rate: float) -> None:
-        if rate <= 0:
-            raise ConfigError(f"rate must be positive, got {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigError(f"rate must be finite and positive, got {rate}")
         self.rate = rate
 
     def arrivals(self, n: int) -> List[float]:
@@ -84,8 +85,10 @@ class BurstyProcess(ArrivalProcess):
         jitter_frac: float = 0.0,
         seed: int = 0,
     ) -> None:
-        if mean_rate <= 0:
-            raise ConfigError(f"mean_rate must be positive, got {mean_rate}")
+        if not (math.isfinite(mean_rate) and mean_rate > 0):
+            raise ConfigError(
+                f"mean_rate must be finite and positive, got {mean_rate}"
+            )
         if burstiness <= 1.0:
             raise ConfigError("burstiness must be > 1")
         if phase_requests < 1:

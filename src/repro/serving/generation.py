@@ -385,9 +385,9 @@ class JobServer:
                 self._busy.discard(job.rid)
             relaunch()
 
-        self.engine.schedule(
-            self.recovery.config.retry_backoff_us, _requeue, priority=10
-        )
+        from repro.faults.resilience import RETRY_BACKOFF_US
+
+        self.engine.schedule(RETRY_BACKOFF_US, _requeue, priority=10)
 
     # ------------------------------------------------------------------
     def _result_fields(self) -> dict:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
@@ -146,8 +147,11 @@ class OverloadConfig:
                     f"choose from {valid}"
                 ) from None
             object.__setattr__(self, "policy", coerced)
-        if self.default_deadline_us is not None and self.default_deadline_us <= 0:
-            raise ConfigError("default_deadline_us must be positive")
+        deadline = self.default_deadline_us
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+            raise ConfigError(
+                f"default_deadline_us must be finite and positive, got {deadline}"
+            )
         if not 0.0 < self.kv_capacity_frac <= 1.0:
             raise ConfigError("kv_capacity_frac must be in (0, 1]")
         if self.breaker_check_period_us <= 0:

@@ -8,8 +8,8 @@ communication kernels overlap on one GPU:
 * **Memory bandwidth:** both kernel classes stream through HBM; when the
   summed demand exceeds the device bandwidth, everybody stretches.
 
-We model this with a pluggable :class:`ContentionModel`: given the set of
-kernels resident on one device, it returns a *slowdown* ≥ 1 per kernel.  The
+We model this with a pluggable :class:`ContentionModel`: given the kernels
+resident on one device, it returns a *slowdown* ≥ 1 per kernel, in order.  The
 machine integrates kernel progress piecewise — whenever the resident set
 changes, elapsed progress is banked at the old rates and new slowdowns are
 computed — so contention is *emergent*: Liger's offline contention-factor
@@ -25,26 +25,12 @@ overlap — the failure mode Liger's Principle 1 exists to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import List, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.kernel import Kernel
 
-try:  # pragma: no cover - the container bakes numpy into the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 __all__ = ["ContentionModel", "NullContention", "DefaultContention", "default_contention_for"]
-
-#: Resident-set size past which the final elementwise combine runs on numpy
-#: arrays.  Gathering attributes into arrays has fixed cost, so the common
-#: small sets stay scalar; both branches are bit-identical because only
-#: elementwise IEEE ops are vectorized — every *reduction* keeps Python's
-#: sequential left-to-right association (numpy's pairwise summation would
-#: associate differently and drift in the last ULPs, which the golden
-#: traces pin).
-_VECTOR_MIN_RESIDENT = 8
 
 
 class ContentionModel:
@@ -52,14 +38,14 @@ class ContentionModel:
 
     #: True when :meth:`slowdowns` reads nothing but each kernel's
     #: ``(kind, occupancy, memory_intensity)`` shape.  Lets the machine
-    #: memoize slowdown vectors by resident *shape* (identical shapes recur
+    #: cache slowdown vectors by resident *shape* (identical shapes recur
     #: endlessly under steady-state decode) instead of recomputing on every
     #: resident-set change.  Leave False in a subclass that reads any other
     #: kernel attribute — the machine then asks the model on every change.
     pure_in_shape = False
 
-    def slowdowns(self, resident: Iterable[Kernel]) -> Dict[int, float]:
-        """Return ``{kernel.uid: slowdown}`` for every resident kernel.
+    def slowdowns(self, resident: Sequence[Kernel]) -> List[float]:
+        """Return one slowdown per resident kernel, in ``resident`` order.
 
         Slowdowns must be ≥ 1.  A kernel running alone must get exactly 1.0
         (profiled no-load durations are definitions, not approximations);
@@ -77,8 +63,8 @@ class NullContention(ContentionModel):
 
     pure_in_shape = True
 
-    def slowdowns(self, resident: Iterable[Kernel]) -> Dict[int, float]:
-        return {k.uid: 1.0 for k in resident}
+    def slowdowns(self, resident: Sequence[Kernel]) -> List[float]:
+        return [1.0] * len(resident)
 
 
 @dataclass
@@ -113,8 +99,8 @@ class DefaultContention(ContentionModel):
     same_kind_comm: float = 0.60
     memory_pressure: float = 0.35
 
-    # Reads only kind/occupancy/memory_intensity below (uid is just the
-    # output key) — eligible for the machine's shape-keyed memo.
+    # Reads only kind/occupancy/memory_intensity below — eligible for the
+    # machine's shape-keyed memo.
     pure_in_shape = True
 
     def __post_init__(self) -> None:
@@ -128,11 +114,9 @@ class DefaultContention(ContentionModel):
             if getattr(self, name) < 0:
                 raise ConfigError(f"contention coefficient {name} must be >= 0")
 
-    def slowdowns(self, resident: Iterable[Kernel]) -> Dict[int, float]:
-        kernels = list(resident)
-        n = len(kernels)
-        if n <= 1:
-            return {k.uid: 1.0 for k in kernels}
+    def slowdowns(self, resident: Sequence[Kernel]) -> List[float]:
+        if len(resident) <= 1:
+            return [1.0] * len(resident)
 
         # Shared reductions, hoisted out of the per-kernel loop.  Each is
         # the sequential left-to-right sum over the resident order — the
@@ -140,14 +124,14 @@ class DefaultContention(ContentionModel):
         # must not change (reduction order is observable in the last ULP).
         # ``is_compute_like`` is the exact complement of ``is_comm``, so a
         # kernel never contributes to (or is excluded from) both classes.
-        total_mem = sum(k.memory_intensity for k in kernels)
+        total_mem = sum(k.memory_intensity for k in resident)
         mem_overcommit = max(0.0, total_mem - 1.0)
         mem_scale = self.memory_pressure * mem_overcommit
 
         comp_occ: List[float] = []
         n_comm = 0
         comm_sum = 0.0
-        for k in kernels:
+        for k in resident:
             if k.kind.is_comm:
                 comm_sum += k.occupancy
                 n_comm += 1
@@ -182,7 +166,7 @@ class DefaultContention(ContentionModel):
         # Per-kernel slowdown before the shared-HBM term, in resident order.
         pre: List[float] = []
         ci = 0
-        for k in kernels:
+        for k in resident:
             if k.kind.is_comm:
                 pre.append(base_comm)
             else:
@@ -190,19 +174,8 @@ class DefaultContention(ContentionModel):
                 ci += 1
 
         # Shared HBM pressure applies to everyone, scaled by how much of
-        # the bandwidth the kernel itself needs.  Elementwise combine only
-        # — per-element IEEE ops are identical scalar or vectorized, so the
-        # numpy branch is bit-equal to the scalar one.
-        if _np is not None and n >= _VECTOR_MIN_RESIDENT:
-            mems = _np.fromiter(
-                (k.memory_intensity for k in kernels), _np.float64, count=n
-            )
-            vals = _np.asarray(pre) + mem_scale * mems
-            return dict(zip((k.uid for k in kernels), vals.tolist()))
-        return {
-            k.uid: p + mem_scale * k.memory_intensity
-            for k, p in zip(kernels, pre)
-        }
+        # the bandwidth the kernel itself needs.
+        return [p + mem_scale * k.memory_intensity for k, p in zip(resident, pre)]
 
 
 def default_contention_for(node_name: str) -> DefaultContention:

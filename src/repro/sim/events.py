@@ -20,14 +20,11 @@ re-record; single-shot keeps schedules auditable and Liger never re-records).
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, List, Optional, Tuple
 
 from repro.errors import StreamProtocolError
 
 __all__ = ["CudaEvent"]
-
-_event_ids = itertools.count()
 
 
 class CudaEvent:
@@ -40,12 +37,11 @@ class CudaEvent:
     """
 
     __slots__ = (
-        "name", "uid", "recorded_at", "_stream_waiters", "_host_waiters",
+        "name", "recorded_at", "_stream_waiters", "_host_waiters",
     )
 
-    def __init__(self, name: str = "") -> None:
-        self.uid = next(_event_ids)
-        self.name = name or f"event#{self.uid}"
+    def __init__(self, name: str = "event") -> None:
+        self.name = name
         self.recorded_at: Optional[float] = None
         # Streams blocked on this event; resumed via their machine pump.
         self._stream_waiters: List[Callable[[], None]] = []

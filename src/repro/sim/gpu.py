@@ -42,21 +42,25 @@ from repro.sim.events import CudaEvent
 from repro.sim.kernel import CollectiveOp, Kernel
 from repro.sim.stream import Command, CommandKind, Stream, _fast_command
 from repro.sim.tracing import Trace
-
-try:  # pragma: no cover - the container bakes numpy into the toolchain
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+from repro.units import us
 
 __all__ = ["Machine", "Gpu", "rank_name"]
 
 _EPS = 1e-6
 
-#: Active-set size past which progress banking runs on numpy arrays.  The
-#: gather/scatter has fixed cost, so typical decode sets stay scalar; the
-#: branches are bit-identical because banking is purely elementwise
-#: (``remaining - dt / slowdown`` per kernel — no cross-kernel reduction).
-_VECTOR_MIN_ACTIVE = 32
+#: CUDA_DEVICE_MAX_CONNECTIONS (the paper's artifact sets 2): the host↔GPU
+#: command channels are limited, so when more than this many streams on one
+#: device hold pending work, the extra streams' commands reach the device
+#: late.  Hard blocking would risk artificial deadlocks our event model
+#: cannot resolve, so the limit is soft: each over-subscribed stream pays
+#: :data:`CONNECTION_CONTENTION_DELAY` per command.
+MAX_CONNECTIONS = 2
+CONNECTION_CONTENTION_DELAY = us(3.0)
+
+#: Bound on the shape-keyed slowdown memo; unbounded shape diversity (e.g.
+#: a bursty prefill mix) must not leak, and recurring shapes repopulate it
+#: quickly after a clear.
+_SHAPE_CACHE_LIMIT = 8192
 
 # Hoisted enum members: the pump compares command kinds ~100k times per
 # simulated second of decode, and a module-global load beats two attribute
@@ -122,11 +126,13 @@ class Gpu:
         self.machine = machine
         self.streams: List[Stream] = []
         self.ready: List[_RunState] = []
-        self.resident: Dict[int, _RunState] = {}
+        #: Residents by kernel, in admission order.
+        self.resident: Dict[Kernel, _RunState] = {}
         self.used_occupancy = 0.0
-        #: Non-collective residents in admission order — the progress
-        #: integrator iterates this instead of re-filtering ``resident``.
-        self.active_local: Dict[int, _RunState] = {}
+        #: Non-collective residents by kernel, in admission order — the
+        #: progress integrator iterates this instead of re-filtering
+        #: ``resident``.
+        self.active_local: Dict[Kernel, _RunState] = {}
         #: Set on every admit/release: the residents' stored contention
         #: slowdowns are stale until the next reschedule refreshes them.
         self.dirty = False
@@ -218,6 +224,9 @@ class Machine:
         :class:`~repro.sim.contention.DefaultContention`.
     trace:
         Optional timeline recorder.
+
+    The command-channel limit is the module constant
+    :data:`MAX_CONNECTIONS`.
     """
 
     def __init__(
@@ -227,26 +236,11 @@ class Machine:
         *,
         contention: Optional[ContentionModel] = None,
         trace: Optional[Trace] = None,
-        max_connections: int = 2,
-        connection_contention_delay: float = 3.0,
     ) -> None:
-        if max_connections < 1:
-            raise ConfigError("max_connections must be >= 1")
-        if connection_contention_delay < 0:
-            raise ConfigError("connection_contention_delay must be >= 0")
         self.node = node
         self.engine = engine or Engine()
         self.contention = contention or DefaultContention()
         self.trace = trace
-        #: Models CUDA_DEVICE_MAX_CONNECTIONS (the paper's artifact sets 2):
-        #: the host↔GPU command channels are limited, so when more than this
-        #: many streams on one device hold pending work, the extra streams'
-        #: commands reach the device late.  Hard blocking would risk
-        #: artificial deadlocks our event model cannot resolve, so the limit
-        #: is soft: each over-subscribed stream pays a per-command
-        #: visibility delay (µs).
-        self.max_connections = max_connections
-        self.connection_contention_delay = connection_contention_delay
         #: Optional fault-injection hook (see :mod:`repro.faults.injector`),
         #: set by :meth:`arm_fault_injector`.  When None — the default —
         #: every fault code path is skipped and the machine behaves
@@ -267,19 +261,15 @@ class Machine:
         self._mirrored = False
         #: Admission tie-break within one device's ready list (pop order).
         self._ready_seq = itertools.count()
-        self._collectives: Dict[int, _CollectiveRun] = {}
+        #: In-flight collectives by op, in first-admission order.
+        self._collectives: Dict[CollectiveOp, _CollectiveRun] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
-        #: kernel uids.
+        #: kernels.
         self._shape_cache: Dict[tuple, tuple] = {}
         self._contention_pure_in_shape = bool(
             getattr(self.contention, "pure_in_shape", False)
         )
-        #: Public toggle for the shape memo (the model must also declare
-        #: ``pure_in_shape``).  ``LigerConfig(enable_sim_memos=False)``
-        #: clears it to measure the pre-memo hot path; output is
-        #: bit-identical.
-        self.slowdown_memo = True
         self._last_bank_time = 0.0
         self._completion_timer: Optional[EventHandle] = None
         self._pump_scheduled: Dict[int, bool] = {}
@@ -406,7 +396,7 @@ class Machine:
     def submit(self, stream: Stream, command: Command) -> None:
         """Enqueue a command; a pump is scheduled only when one is needed.
 
-        When the device already has ``max_connections`` busier streams, the
+        When the device already has :data:`MAX_CONNECTIONS` busier streams, the
         command additionally pays the connection-contention delay before the
         device sees it (soft CUDA_DEVICE_MAX_CONNECTIONS model).
 
@@ -439,8 +429,8 @@ class Machine:
                 break
             if s.queue or s.running_kernel is not None or s.blocked_on_event is not None:
                 earlier_busy += 1
-        if earlier_busy >= self.max_connections:
-            command.available_at += self.connection_contention_delay
+        if earlier_busy >= MAX_CONNECTIONS:
+            command.available_at += CONNECTION_CONTENTION_DELAY
         if stream.visibility_penalty:
             command.available_at += stream.visibility_penalty
         if self.fault_injector is not None:
@@ -659,17 +649,17 @@ class Machine:
         rs.start_at = now
         kernel = rs.kernel
         rs.remaining = kernel.duration
-        gpu.resident[kernel.uid] = rs
+        gpu.resident[kernel] = rs
         gpu.used_occupancy += kernel.occupancy
         gpu.dirty = True
         coll = kernel.collective
         if coll is None:
-            gpu.active_local[kernel.uid] = rs
+            gpu.active_local[kernel] = rs
             return
-        crun = self._collectives.get(coll.uid)
+        crun = self._collectives.get(coll)
         if crun is None:
             crun = _CollectiveRun(op=coll, remaining=coll.duration)
-            self._collectives[coll.uid] = crun
+            self._collectives[coll] = crun
         members = crun.members
         for rank in gpu.ranks:
             if rank in members:
@@ -692,23 +682,9 @@ class Machine:
             self._last_bank_time = now
             return
         for gpu in self._devices:
-            active = gpu.active_local
-            if _np is not None and len(active) >= _VECTOR_MIN_ACTIVE:
-                rss = list(active.values())
-                cnt = len(rss)
-                rem = _np.fromiter(
-                    (rs.remaining for rs in rss), _np.float64, cnt
-                ) - dt / _np.fromiter(
-                    (rs.slowdown for rs in rss), _np.float64, cnt
-                )
-                # where() mirrors the scalar branch exactly (including its
-                # NaN-to-zero behaviour); a masked assignment would not.
-                for rs, r in zip(rss, _np.where(rem > 0.0, rem, 0.0).tolist()):
-                    rs.remaining = r
-            else:
-                for rs in active.values():
-                    rem = rs.remaining - dt / rs.slowdown
-                    rs.remaining = rem if rem > 0.0 else 0.0
+            for rs in gpu.active_local.values():
+                rem = rs.remaining - dt / rs.slowdown
+                rs.remaining = rem if rem > 0.0 else 0.0
         for crun in self._collectives.values():
             if crun.started_at >= 0.0:
                 rem = crun.remaining - dt / crun.slowdown
@@ -722,7 +698,7 @@ class Machine:
         :meth:`ContentionModel.slowdowns` contract.  The ≥ 1.0 clamp defends
         against custom models that would accelerate kernels.  When the model
         declares shape purity, the slowdown vector is memoized by the
-        resident kernels' shapes — new uids with recurring shapes (the
+        resident kernels' shapes — new kernels with recurring shapes (the
         steady-decode pattern) skip the model entirely.
         """
         gpu.dirty = False
@@ -730,23 +706,19 @@ class Machine:
         if len(rss) == 1:
             rss[0].contention = 1.0
             return
-        kernels = [rs.kernel for rs in rss]
-        if self._contention_pure_in_shape and self.slowdown_memo:
+        kernels = list(gpu.resident)
+        if self._contention_pure_in_shape:
             shape = tuple(
                 (k.kind, k.occupancy, k.memory_intensity) for k in kernels
             )
             values = self._shape_cache.get(shape)
             if values is None:
-                per_kernel = self.contention.slowdowns(kernels)
-                values = tuple(per_kernel[k.uid] for k in kernels)
+                values = tuple(self.contention.slowdowns(kernels))
                 self._shape_cache[shape] = values
-                if len(self._shape_cache) > 8192:
-                    # Unbounded shape diversity (e.g. a bursty prefill mix)
-                    # must not leak; recurring shapes repopulate quickly.
+                if len(self._shape_cache) > _SHAPE_CACHE_LIMIT:
                     self._shape_cache.clear()
         else:
-            per_kernel = self.contention.slowdowns(kernels)
-            values = [per_kernel.get(k.uid, 1.0) for k in kernels]
+            values = self.contention.slowdowns(kernels)
         for rs, slow in zip(rss, values):
             rs.contention = 1.0 if slow < 1.0 else slow
 
@@ -876,15 +848,16 @@ class Machine:
     # ------------------------------------------------------------------
     def _release(self, rs: _RunState) -> None:
         gpu = self.gpus[rs.gpu_id]
-        del gpu.resident[rs.kernel.uid]
-        gpu.active_local.pop(rs.kernel.uid, None)
-        gpu.used_occupancy = max(0.0, gpu.used_occupancy - rs.kernel.occupancy)
+        kernel = rs.kernel
+        del gpu.resident[kernel]
+        gpu.active_local.pop(kernel, None)
+        gpu.used_occupancy = max(0.0, gpu.used_occupancy - kernel.occupancy)
         gpu.dirty = True
-        if rs.stream.running_kernel is rs.kernel:
+        if rs.stream.running_kernel is kernel:
             rs.stream.running_kernel = None
 
     def _complete_collective(self, crun: _CollectiveRun, now: float) -> None:
-        del self._collectives[crun.op.uid]
+        del self._collectives[crun.op]
         trace = self.trace
         states: List[_RunState] = []
         for rank, rs in crun.members.items():

@@ -35,48 +35,27 @@ __all__ = ["Host"]
 
 #: CPU cost of enqueueing an event record/wait — much cheaper than a launch.
 EVENT_CMD_OVERHEAD = us(0.3)
+#: Delay between an event recording on the GPU and the CPU observing it
+#: (PCIe round-trip + driver polling).
+SYNC_VISIBILITY_LATENCY = us(2.0)
 
 
 class Host:
     """CPU-side command issue for one node (one launcher rank per GPU).
 
-    Parameters
-    ----------
-    machine:
-        The device side.
-    launch_overhead:
-        Per-kernel CPU launch cost (µs); defaults to the GPU spec value.
-    sync_visibility_latency:
-        Delay (µs) between an event recording on the GPU and the CPU
-        observing it (PCIe round-trip + driver polling).
-    multi_gpu_launch_penalty:
-        Extra CPU-GPU sync cost when the host must confirm completion on
-        *all* GPUs before proceeding (§4.5's 5 µs → >20 µs effect); defaults
-        to the node spec value.
+    The costs come from the machine's node: ``launch_overhead`` is the GPU
+    spec's per-kernel launch cost and ``multi_gpu_launch_penalty`` the extra
+    CPU-GPU sync cost when the host must confirm completion on *all* GPUs
+    before proceeding (§4.5's 5 µs → >20 µs effect).
+    ``sync_visibility_latency`` is :data:`SYNC_VISIBILITY_LATENCY`.
     """
 
-    def __init__(
-        self,
-        machine: Machine,
-        *,
-        launch_overhead: Optional[float] = None,
-        sync_visibility_latency: float = us(2.0),
-        multi_gpu_launch_penalty: Optional[float] = None,
-    ) -> None:
+    def __init__(self, machine: Machine) -> None:
         self.machine = machine
-        self.launch_overhead = (
-            machine.node.gpu.kernel_launch_overhead
-            if launch_overhead is None
-            else launch_overhead
-        )
-        if self.launch_overhead < 0:
-            raise ConfigError("launch_overhead must be >= 0")
-        self.sync_visibility_latency = sync_visibility_latency
-        self.multi_gpu_launch_penalty = (
-            machine.node.multi_gpu_launch_penalty
-            if multi_gpu_launch_penalty is None
-            else multi_gpu_launch_penalty
-        )
+        node = machine.node
+        self.launch_overhead = node.gpu.kernel_launch_overhead
+        self.sync_visibility_latency = SYNC_VISIBILITY_LATENCY
+        self.multi_gpu_launch_penalty = node.multi_gpu_launch_penalty
         #: One CPU time cursor per GPU rank: a rank issues commands serially.
         self.cursors: List[float] = [0.0] * machine.node.num_gpus
         #: Per-rank count: a group launch counts once for each of its ranks.
@@ -178,11 +157,11 @@ class Host:
         A repeated event is waited on once, so ``callback`` runs exactly once.
         """
         pending = list(dict.fromkeys(events))
-        remaining = {e.uid for e in pending}
+        remaining = set(pending)
 
-        def _one_done(uid: int) -> Callable[[], None]:
+        def _one_done(event: CudaEvent) -> Callable[[], None]:
             def _fn() -> None:
-                remaining.discard(uid)
+                remaining.discard(event)
                 if not remaining:
                     self.advance_to(self.machine.engine.now)
                     callback()
@@ -194,4 +173,4 @@ class Host:
             self.machine.engine.schedule(0.0, callback)
             return
         for e in pending:
-            self.when_event(e, _one_done(e.uid), multi_gpu=multi_gpu)
+            self.when_event(e, _one_done(e), multi_gpu=multi_gpu)

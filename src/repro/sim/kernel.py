@@ -19,16 +19,12 @@ kernels sensitive to per-rank launch skew (§4.5).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigError
 
 __all__ = ["KernelKind", "Kernel", "CollectiveOp", "CollectiveKind"]
-
-_kernel_ids = itertools.count()
-_collective_ids = itertools.count()
 
 
 class KernelKind(enum.Enum):
@@ -64,9 +60,9 @@ class CollectiveKind(enum.Enum):
     ALL_TO_ALL = "all_to_all"
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Kernel:
-    """One GPU kernel instance.
+    """One GPU kernel instance, equal and hashed by identity.
 
     Parameters
     ----------
@@ -112,7 +108,6 @@ class Kernel:
     collective: Optional["CollectiveOp"] = None
     decomposable: bool = False
     meta: Dict[str, Any] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_kernel_ids))
 
     def __post_init__(self) -> None:
         check_kernel_profile(
@@ -125,7 +120,7 @@ class Kernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Kernel(#{self.uid} {self.name} {self.kind.value} "
+            f"Kernel({self.name} {self.kind.value} "
             f"{self.duration:.1f}us occ={self.occupancy:.2f} b={self.batch_id})"
         )
 
@@ -152,7 +147,7 @@ def kernel_from_profile(
 
     Only for values that already passed :func:`check_kernel_profile` — once
     per profile entry, not once per kernel.  This is how every simulator
-    kernel of an instantiated op is built (fresh uid, ``flops`` = 0).
+    kernel of an instantiated op is built (``flops`` = 0).
     """
     kern = _new_kernel(Kernel)
     kern.name = name
@@ -168,16 +163,16 @@ def kernel_from_profile(
     kern.collective = collective
     kern.decomposable = decomposable
     kern.meta = meta
-    kern.uid = next(_kernel_ids)
     return kern
 
 
 _new_kernel = Kernel.__new__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class CollectiveOp:
-    """A group of COMM kernels executing one collective across GPUs.
+    """A group of COMM kernels executing one collective across GPUs, equal
+    and hashed by identity.
 
     Rendezvous semantics are enforced by the machine: the op *starts* when
     the last member kernel is admitted on its GPU, progresses at the rate of
@@ -192,12 +187,11 @@ class CollectiveOp:
     batch_id: int = -1
     name: str = ""
     members: Dict[int, Kernel] = field(default_factory=dict)
-    uid: int = field(default_factory=lambda: next(_collective_ids))
 
     def __post_init__(self) -> None:
         check_collective(self.participants, self.duration)
         if not self.name:
-            self.name = f"{self.kind.value}#{self.uid}"
+            self.name = self.kind.value
 
     def make_member(
         self,
@@ -265,7 +259,6 @@ def collective_from_profile(
     coll.duration = duration
     coll.batch_id = batch_id
     coll.name = name
-    coll.uid = next(_collective_ids)
     coll.members = members = {}
     comm = KernelKind.COMM
     for gpu in leads:

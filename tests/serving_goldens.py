@@ -44,65 +44,20 @@ def _model_node():
     return OPT_30B.scaled_layers(4), v100_nvlink_node(4)
 
 
-def _make_scenario_strategy(strategy: str, model, node, cache_off: bool, liger_config=None):
-    """Build the scenario strategy, optionally with every hot-path cache off.
+def run_scenario(server: str, strategy: str, keep=None, **extra):
+    """Serve one golden workload; returns (result, trace).
 
-    The off arm disables the assembly cache and profiler memos (liger
-    config flags) — and, for strategies without a config, the
-    profiler memos directly; the machine's slowdown memo is flipped by
-    :func:`run_scenario` after the server builds it.  An explicit
-    ``liger_config`` takes over entirely — the caller encodes its own
-    cache/policy/replay combination there.
+    ``**extra`` goes to the server (its subsystem keywords).  A ``keep``
+    list receives the server object, for tests that read its metrics or
+    machine.
     """
     from repro.serving.api import make_strategy
 
-    if liger_config is not None and strategy == "liger":
-        return make_strategy(strategy, model, node, config=liger_config)
-    if not cache_off:
-        return make_strategy(strategy, model, node)
-    if strategy == "liger":
-        from repro.core import LigerConfig
-
-        return make_strategy(
-            strategy, model, node,
-            config=LigerConfig(
-                enable_assembly_cache=False,
-                enable_sim_memos=False,
-            ),
-        )
-    from repro.profiling.profiler import OpProfiler
-
-    return make_strategy(
-        strategy, model, node, profiler=OpProfiler(node, memoize=False)
-    )
-
-
-def run_scenario(
-    server: str,
-    strategy: str,
-    cache_off: bool = False,
-    liger_config=None,
-    keep=None,
-    **extra,
-):
-    """Serve one golden workload; returns (result, trace).
-
-    ``cache_off=True`` runs the same scenario with every hot-path cache
-    disabled — the equivalence tests assert both arms fingerprint
-    identically to the committed golden.  ``liger_config`` pins an
-    explicit :class:`~repro.core.LigerConfig` instead of the cache_off
-    presets (the timeline-replay equivalence matrix builds its own);
-    ``**extra`` goes to the server (its subsystem keywords).  A
-    ``keep`` list receives the server object, for tests that read its
-    metrics or machine.
-    """
     reset_batch_ids()
     model, node = _model_node()
-    strat = _make_scenario_strategy(strategy, model, node, cache_off, liger_config)
+    strat = make_strategy(strategy, model, node)
 
     def _run(srv, payload):
-        if cache_off:
-            srv.session.machine.slowdown_memo = False
         if keep is not None:
             keep.append(srv)
         return srv.run(payload)

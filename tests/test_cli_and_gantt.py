@@ -187,9 +187,9 @@ _BAD_VALUES = [
     # OPT-30B's weights do not fit two V100s.
     (["--gpus", "2", "--requests", "4"], "OPT-30B needs"),
     (["--requests", "0"], "num_requests must be >= 1"),
-    (["--rate", "-1"], "rate must be positive"),
+    (["--rate", "-1"], "rate must be finite and positive"),
     (["--batch", "0"], "batch_size must be >= 1"),
-    (["--deadline-ms", "-5"], "default_deadline_us must be positive"),
+    (["--deadline-ms", "-5"], "default_deadline_us must be finite and positive"),
     (["--max-pending", "4", "--kv-frac", "2"], "kv_capacity_frac"),
     (["--strategy", "intra", "--policy", "expert_overlap"],
      "does not schedule with policies"),
@@ -201,6 +201,15 @@ _BAD_VALUES = [
     (["faults", "--straggler", "1.7:4.0:0:400"], "GPU must be an integer"),
     # `=` keeps argparse from reading the leading minus as an option.
     (["faults", "--straggler=-0.5:4.0:0:400"], "GPU must be an integer"),
+    # Non-finite floats are rejected where each value is validated.
+    (["serve", "--rate", "nan"], "rate must be finite and positive, got nan"),
+    (["serve", "--rate", "inf"], "rate must be finite and positive, got inf"),
+    (["serve", "--rate", "nan", "--workload", "generative"],
+     "rate must be finite and positive, got nan"),
+    (["serve", "--max-pending", "8", "--deadline-ms", "nan"],
+     "default_deadline_us must be finite and positive, got nan"),
+    (["faults", "--straggler", "1:4.0:0:400", "--probe-ms", "nan"],
+     "recovery_probe_us must be finite and > 0, got nan"),
 ]
 
 

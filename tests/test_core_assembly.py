@@ -140,3 +140,47 @@ class TestFunctionAssembler:
                 comp += 1
         assert comm == 2 * OPT_30B.num_layers + 1
         assert comp > comm
+
+
+class TestAssemblyCache:
+    """A cache hit must equal a cold build, rebound to the new batch."""
+
+    SLOTS = ("op", "duration", "kind", "batch_id", "batch_size", "seq_len", "decomposable")
+
+    @staticmethod
+    def _assembler(model=OPT_30B):
+        return FunctionAssembler(
+            lambda b: prefill_ops(model, b.size, b.seq_len, 4),
+            OpProfiler(v100_nvlink_node(4)),
+        )
+
+    def test_hit_equals_cold_build(self):
+        warm = self._assembler()
+        first = warm.assemble(make_batch(size=2, seq=64))
+        batch = make_batch(size=2, seq=64)
+        hit = warm.assemble(batch)
+        cold = self._assembler().assemble(batch)
+        assert (warm.cache_hits, warm.cache_misses) == (1, 1)
+        assert hit.batch is batch
+        assert len(hit) == len(cold) == len(first)
+        while not cold.empty:
+            got, want = hit.pop(), cold.pop()
+            assert got is not want
+            for slot in self.SLOTS:
+                assert getattr(got, slot) == getattr(want, slot), slot
+            assert got.batch_id == batch.batch_id
+            assert got.batch_size == batch.size
+            assert got.seq_len == batch.seq_len
+
+    def test_each_shape_misses_once_and_the_oldest_is_evicted(self):
+        from repro.core.assembly import CACHE_SIZE
+
+        warm = self._assembler(OPT_30B.scaled_layers(1))
+        for seq in range(1, CACHE_SIZE + 2):
+            warm.assemble(make_batch(size=1, seq=seq))
+        assert warm.cache_misses == CACHE_SIZE + 1
+        assert warm.cache_evictions == 1
+        warm.assemble(make_batch(size=1, seq=CACHE_SIZE + 1))
+        assert warm.cache_hits == 1
+        warm.assemble(make_batch(size=1, seq=1))  # evicted: a miss again
+        assert warm.cache_misses == CACHE_SIZE + 2

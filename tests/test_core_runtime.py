@@ -255,8 +255,6 @@ class TestConfigSurface:
             LigerConfig(division_factor=0)
         with pytest.raises(ConfigError):
             LigerConfig(sync_mode="hybrid")  # must be the enum
-        with pytest.raises(ConfigError):
-            LigerConfig(comm_lag_penalty=-1.0)
 
     def test_max_inflight_bounds_processing_list(self):
         strat = make_strategy(max_inflight=2)

@@ -21,7 +21,7 @@ from repro.faults.plan import (
     plan_from_specs,
 )
 from repro.faults.resilience import ResilienceConfig
-from repro.faults.watchdog import Watchdog
+from repro.faults.watchdog import STALL_TIMEOUT_US, Watchdog
 from repro.hw import v100_nvlink_node
 from repro.sim.engine import Engine
 from repro.sim.gpu import Machine
@@ -278,25 +278,27 @@ class TestWatchdog:
         m = _machine(1)
         # One enormous kernel: busy for 10^9 µs with no completions.
         m.launch(m.gpu(0).stream("s"), k("forever", 1e9), available_at=0.0)
-        wd = Watchdog(m, stall_timeout=1_000.0)
+        wd = Watchdog(m)
         wd.arm()
         with pytest.raises(DeadlockError, match="watchdog"):
             m.run()
         assert wd.tripped
+        assert m.engine.now == STALL_TIMEOUT_US
 
     def test_quiet_on_healthy_run(self):
         m = _machine(1)
+        # Each kernel retires well inside the stall timeout; the run spans
+        # several heartbeats.
         for i in range(5):
-            m.launch(m.gpu(0).stream("s"), k(f"k{i}", 400.0), available_at=0.0)
-        wd = Watchdog(m, stall_timeout=1_000.0)
+            m.launch(
+                m.gpu(0).stream("s"), k(f"k{i}", STALL_TIMEOUT_US / 2),
+                available_at=0.0,
+            )
+        wd = Watchdog(m)
         wd.arm()
         m.run()
         assert not wd.tripped
-        assert wd.checks > 0
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigError):
-            Watchdog(_machine(1), stall_timeout=0.0)
+        assert wd.checks >= 5
 
 
 class TestResilienceConfig:
@@ -306,11 +308,10 @@ class TestResilienceConfig:
         with pytest.raises(ConfigError):
             ResilienceConfig(max_retries=-1)
         with pytest.raises(ConfigError):
-            ResilienceConfig(retry_backoff_us=0.0)
-        with pytest.raises(ConfigError):
-            ResilienceConfig(backoff_multiplier=0.5)
-        with pytest.raises(ConfigError):
             ResilienceConfig(recovery_probe_us=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                ResilienceConfig(recovery_probe_us=bad)
 
 
 class TestFaultsCli:
@@ -409,6 +410,5 @@ class TestTopLevelExports:
             "ResilienceConfig",
             "ResilienceReport",
             "FaultError",
-            "RetryExhaustedError",
         ):
             assert getattr(repro, name) is not None

@@ -10,6 +10,8 @@ completion for completion.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,8 +230,9 @@ def _scripted_run(plan):
     on stream b."""
     reset_batch_ids()
     model, node = OPT_30B.scaled_layers(4), v100_nvlink_node(4)
+    node = replace(node, gpu=replace(node.gpu, kernel_launch_overhead=0.0))
     machine = Machine(node, Engine(), contention=NullContention(), trace=Trace())
-    host = Host(machine, launch_overhead=0.0)
+    host = Host(machine)
     strategy = _Scripted(
         model, node, [[("a", 5.0), ("a", 5.0)], [("b", 4.0), ("a", 5.0)], [("b", 5.0)]]
     )

@@ -5,8 +5,8 @@ Two halves:
 * **Equivalence** — every (server, strategy) golden scenario must reproduce
   the pre-chassis fingerprint bit-for-bit with every subsystem keyword left
   at its default (the zero-cost convention survives the rebase), and again
-  with the assembly cache and the simulator memos disabled (every remaining
-  hot-path cache is bit-identical on/off).
+  with every hot-path cache emptied before each use (each cache is
+  bit-identical to its cold computation).
 * **Capabilities** — the generation servers now ride the chassis, so fault
   injection, admission control, deadlines, and observability must work on
   :class:`~repro.serving.generation.ContinuousBatchingServer` — none of
@@ -79,16 +79,39 @@ class TestGoldenEquivalence:
 
 
 class TestCacheOffEquivalence:
+    @pytest.fixture
+    def cold_caches(self, monkeypatch):
+        """Empty every hot-path cache before each use, so every lookup
+        misses and each value comes from its cold computation."""
+        from repro.core import assembly
+        from repro.profiling.profiler import OpProfiler
+        from repro.sim import gpu
+
+        monkeypatch.setattr(assembly, "CACHE_SIZE", 0)
+        monkeypatch.setattr(gpu, "_SHAPE_CACHE_LIMIT", -1)
+        warm_profile = OpProfiler.kernel_profile
+
+        def cold_profile(self, op):
+            self._profiles.clear()
+            return warm_profile(self, op)
+
+        monkeypatch.setattr(OpProfiler, "kernel_profile", cold_profile)
+
     @pytest.mark.parametrize("server,strategy", SCENARIOS)
-    def test_cache_off_matches_golden(self, server, strategy):
-        """Disabling the assembly cache and the simulator memos must not
-        move a single float."""
+    def test_cache_off_matches_golden(self, server, strategy, cold_caches):
+        """Computing every assembly, kernel profile and contention slowdown
+        cold must not move a single float."""
         goldens = _load_goldens()
-        _, trace = run_scenario(server, strategy, cache_off=True)
+        keep = []
+        _, trace = run_scenario(server, strategy, keep=keep)
         assert fingerprint(trace) == goldens[f"{server}/{strategy}"], (
             f"{server}/{strategy}: cache-off timeline diverged from the "
             "golden — a cache is not bit-identical"
         )
+        assert not keep[0].session.machine._shape_cache
+        runtime = getattr(keep[0].strategy, "runtime", None)
+        if runtime is not None:
+            assert runtime.assembler.cache_hits == 0
 
 
 # ----------------------------------------------------------------------

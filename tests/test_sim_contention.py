@@ -28,28 +28,28 @@ class TestModelProperties:
     def test_lone_kernel_has_unit_slowdown(self):
         model = DefaultContention()
         kern = k("gemm", 100.0)
-        assert model.slowdowns([kern]) == {kern.uid: 1.0}
+        assert model.slowdowns([kern]) == [1.0]
 
     def test_null_model_always_unit(self):
         model = NullContention()
         ks = [k("a", 1.0), k("b", 1.0, kind=KernelKind.COMM)]
-        assert all(v == 1.0 for v in model.slowdowns(ks).values())
+        assert model.slowdowns(ks) == [1.0, 1.0]
 
     def test_mixed_pair_slows_both(self):
         model = DefaultContention()
         gemm = k("gemm", 100.0, occ=0.9, mem=0.4)
         comm = k("ar", 100.0, kind=KernelKind.COMM, occ=0.06, mem=0.2)
-        slows = model.slowdowns([gemm, comm])
-        assert slows[gemm.uid] > 1.0
-        assert slows[comm.uid] > 1.0
+        s_gemm, s_comm = model.slowdowns([gemm, comm])
+        assert s_gemm > 1.0
+        assert s_comm > 1.0
 
     def test_comm_suffers_more_from_big_compute_than_small(self):
         model = DefaultContention()
         comm = k("ar", 100.0, kind=KernelKind.COMM, occ=0.06)
         big = k("big", 100.0, occ=0.9)
         small = k("small", 100.0, occ=0.2)
-        s_big = model.slowdowns([comm, big])[comm.uid]
-        s_small = model.slowdowns([comm, small])[comm.uid]
+        s_big = model.slowdowns([comm, big])[0]
+        s_small = model.slowdowns([comm, small])[0]
         assert s_big > s_small
 
     def test_same_kind_compute_contends_harder_than_mixed(self):
@@ -57,8 +57,8 @@ class TestModelProperties:
         a = k("a", 100.0, occ=0.5)
         b = k("b", 100.0, occ=0.5)
         comm = k("ar", 100.0, kind=KernelKind.COMM, occ=0.06)
-        mixed = model.slowdowns([a, comm])[a.uid]
-        same = model.slowdowns([a, b])[a.uid]
+        mixed = model.slowdowns([a, comm])[0]
+        same = model.slowdowns([a, b])[0]
         assert same > mixed
 
     def test_memory_overcommit_penalizes_memory_hungry_kernels(self):
@@ -71,10 +71,10 @@ class TestModelProperties:
         )
         hungry = k("hungry", 100.0, occ=0.4, mem=0.9)
         other = k("other", 100.0, occ=0.4, mem=0.8)
-        slows = model.slowdowns([hungry, other])
+        s_hungry, s_other = model.slowdowns([hungry, other])
         # total mem 1.7 → overcommit 0.7; each slowed by 0.7 * own intensity.
-        assert slows[hungry.uid] == pytest.approx(1.0 + 0.7 * 0.9)
-        assert slows[other.uid] == pytest.approx(1.0 + 0.7 * 0.8)
+        assert s_hungry == pytest.approx(1.0 + 0.7 * 0.9)
+        assert s_other == pytest.approx(1.0 + 0.7 * 0.8)
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ConfigError):
@@ -104,8 +104,8 @@ class TestModelProperties:
             for i, (kind, occ, mem) in enumerate(specs)
         ]
         slows = model.slowdowns(kernels)
-        assert set(slows) == {kern.uid for kern in kernels}
-        assert all(v >= 1.0 for v in slows.values())
+        assert len(slows) == len(kernels)
+        assert all(v >= 1.0 for v in slows)
 
 
 class TestEmergentContention:
@@ -141,12 +141,9 @@ class TestEmergentContention:
         rows, _ = self._run_pair(model)
         gemm = k("g", 100.0, occ=0.9, mem=0.4)
         comm = k("c", 100.0, kind=KernelKind.COMM, occ=0.06, mem=0.2)
-        slows = model.slowdowns([gemm, comm])
+        s_gemm, s_comm = model.slowdowns([gemm, comm])
         first = min(rows.values(), key=lambda r: r.end)
-        expected = {
-            "gemm": slows[gemm.uid],
-            "ar": slows[comm.uid],
-        }[first.name]
+        expected = {"gemm": s_gemm, "ar": s_comm}[first.name]
         assert first.duration == pytest.approx(100.0 * expected, rel=1e-6)
 
     def test_partial_overlap_piecewise_integration(self):

@@ -25,6 +25,7 @@ from repro.sim import (
     NullContention,
     Trace,
 )
+from repro.sim.gpu import CONNECTION_CONTENTION_DELAY, MAX_CONNECTIONS
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 
 
@@ -392,7 +393,7 @@ class CountingContention(ContentionModel):
     def slowdowns(self, resident):
         kernels = list(resident)
         self.sizes.append(len(kernels))
-        return {kern.uid: 1.0 + 0.5 * (len(kernels) - 1) for kern in kernels}
+        return [1.0 + 0.5 * (len(kernels) - 1)] * len(kernels)
 
 
 class TestContentionRefresh:
@@ -417,18 +418,76 @@ class TestContentionRefresh:
         assert model.sizes == [2, 2]
 
 
+class ShapeContention(ContentionModel):
+    """Declares shape purity and logs every resident shape it is asked
+    about: a kernel is slowed by its co-residents' occupancy plus its own
+    memory intensity."""
+
+    pure_in_shape = True
+
+    def __init__(self):
+        self.shapes = []
+
+    def slowdowns(self, resident):
+        self.shapes.append(
+            tuple((kern.kind, kern.occupancy, kern.memory_intensity) for kern in resident)
+        )
+        total = sum(kern.occupancy for kern in resident)
+        return [
+            1.0 + (total - kern.occupancy) + kern.memory_intensity
+            for kern in resident
+        ]
+
+
+class UnmemoizedShapeContention(ShapeContention):
+    """The same answers without the purity declaration: the machine asks on
+    every resident-set change."""
+
+    pure_in_shape = False
+
+
+class TestShapeMemo:
+    @staticmethod
+    def _run(model):
+        m = make_machine(1, contention=model)
+        a, b = m.gpu(0).stream("a"), m.gpu(0).stream("b")
+        for i in range(3):
+            m.launch(a, k(f"a{i}", 10.0, occ=0.4, mem=0.2), available_at=0.0)
+            m.launch(b, k(f"b{i}", 10.0, occ=0.4, mem=0.1), available_at=0.0)
+        m.run()
+        return [(r.name, r.start, r.end) for r in m.trace.rows]
+
+    def test_model_asked_once_per_distinct_shape(self):
+        memo, plain = ShapeContention(), UnmemoizedShapeContention()
+        rows = self._run(memo)
+        assert rows == self._run(plain)
+        assert len(memo.shapes) == len(set(memo.shapes))
+        assert set(memo.shapes) == set(plain.shapes)
+        # The shapes recur, so the memo saved calls.
+        assert len(plain.shapes) > len(memo.shapes)
+
+    def test_memoized_slowdowns_equal_the_model_answer(self):
+        model = ShapeContention()
+        rows = {name: (start, end) for name, start, end in self._run(model)}
+        direct = ShapeContention().slowdowns(
+            [k("a", 10.0, occ=0.4, mem=0.2), k("b", 10.0, occ=0.4, mem=0.1)]
+        )
+        # Every b kernel runs beside an a kernel for its whole life, at the
+        # slowdown the model gives it directly: three kernels served from
+        # two model calls.
+        assert rows["b0"] == (0.0, 10.0 * direct[1])
+        for name in ("b1", "b2"):
+            start, end = rows[name]
+            assert end - start == pytest.approx(10.0 * direct[1], rel=1e-12)
+        assert len(model.shapes) == 2
+
+
 # ----------------------------------------------------------------------
 # CUDA_DEVICE_MAX_CONNECTIONS (soft model)
 # ----------------------------------------------------------------------
 class TestMaxConnections:
     def test_oversubscribed_stream_pays_delay(self):
-        from repro.hw import v100_nvlink_node
-        from repro.sim import NullContention, Trace
-
-        m = Machine(
-            v100_nvlink_node(1), Engine(), contention=NullContention(),
-            trace=Trace(), max_connections=2, connection_contention_delay=10.0,
-        )
+        m = make_machine(1)
         s0 = m.gpu(0).stream("s0")
         s1 = m.gpu(0).stream("s1")
         s2 = m.gpu(0).stream("s2")
@@ -440,28 +499,15 @@ class TestMaxConnections:
         rows = {r.name: r for r in m.trace.rows}
         assert rows["a"].start == 0.0
         assert rows["b"].start == 0.0
-        assert rows["c"].start == pytest.approx(10.0)
+        assert rows["c"].start == CONNECTION_CONTENTION_DELAY
 
     def test_within_limit_no_delay(self):
-        from repro.hw import v100_nvlink_node
-        from repro.sim import NullContention, Trace
-
-        m = Machine(
-            v100_nvlink_node(1), Engine(), contention=NullContention(),
-            trace=Trace(), max_connections=4,
-        )
-        streams = [m.gpu(0).stream(f"s{i}") for i in range(3)]
+        m = make_machine(1)
+        streams = [m.gpu(0).stream(f"s{i}") for i in range(MAX_CONNECTIONS)]
         for i, s in enumerate(streams):
             m.launch(s, k(f"k{i}", 10.0, occ=0.2), available_at=0.0)
         m.run()
         assert all(r.start == 0.0 for r in m.trace.rows)
-
-    def test_invalid_config_rejected(self):
-        from repro.errors import ConfigError
-        from repro.hw import v100_nvlink_node
-
-        with pytest.raises(ConfigError):
-            Machine(v100_nvlink_node(1), Engine(), max_connections=0)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ These pin the simulator's global invariants under randomly generated
 workloads: no deadlock for dependency-free schedules, work conservation
 (wall duration ≥ no-load duration, with equality exactly when never
 overlapped under NullContention), stream FIFO order, collective group
-completion, and occupancy-capacity respect.
+completion, occupancy-capacity respect, and at most one resident kernel
+per stream.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ _EPS = 1e-6
 
 
 @st.composite
-def kernel_spec(draw):
+def kernel_spec(draw, max_occupancy=1.0):
     return {
         "kind": draw(st.sampled_from([KernelKind.COMPUTE, KernelKind.COMM, KernelKind.MEMORY])),
         "duration": draw(st.floats(min_value=0.0, max_value=500.0)),
-        "occupancy": draw(st.floats(min_value=0.05, max_value=1.0)),
+        "occupancy": draw(st.floats(min_value=0.05, max_value=max_occupancy)),
         "mem": draw(st.floats(min_value=0.0, max_value=1.0)),
         "stream": draw(st.integers(min_value=0, max_value=2)),
         "gpu": draw(st.integers(min_value=0, max_value=1)),
@@ -162,3 +163,26 @@ def test_occupancy_capacity_respected(specs):
                 o for r, o in entries if r.start <= t + _EPS and r.end > t + _EPS
             )
             assert resident <= 1.0 + 1e-5
+
+
+@given(specs=st.lists(kernel_spec(max_occupancy=0.3), min_size=2, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_residents_never_outnumber_streams(specs):
+    """Every resident kernel is some stream's running kernel, so at no
+    instant do a GPU's overlapping trace rows outnumber its streams.
+
+    Occupancies are small enough that the left-over policy never binds:
+    the stream count is the only limit.
+    """
+    m = build_machine(specs, DefaultContention())
+    m.run()
+    by_gpu = {}
+    for r in m.trace.rows:
+        by_gpu.setdefault(r.gpu, []).append(r)
+    for gpu, rows in by_gpu.items():
+        streams = len(m.gpu(gpu).streams)
+        for t in {r.start for r in rows}:
+            resident = sum(
+                1 for r in rows if r.start <= t + _EPS and r.end > t + _EPS
+            )
+            assert resident <= streams

@@ -111,7 +111,8 @@ class TestTraceAggregates:
 class TestHost:
     def test_launch_advances_cursor_by_overhead(self):
         m = make_machine()
-        host = Host(m, launch_overhead=5.0)
+        host = Host(m)
+        assert host.launch_overhead == 5.0  # the V100 spec's launch cost
         s = m.gpu(0).stream("s0")
         t1 = host.launch_kernel(s, k("a", 10.0))
         t2 = host.launch_kernel(s, k("b", 10.0))
@@ -126,7 +127,7 @@ class TestHost:
 
     def test_when_event_blocks_cpu_until_visibility(self):
         m = make_machine()
-        host = Host(m, launch_overhead=5.0, sync_visibility_latency=2.0)
+        host = Host(m)
         s = m.gpu(0).stream("s0")
         ev = CudaEvent()
         host.launch_kernel(s, k("a", 100.0))
@@ -148,12 +149,8 @@ class TestHost:
 
     def test_when_event_multi_gpu_penalty(self):
         m = make_machine(2)
-        host = Host(
-            m,
-            launch_overhead=5.0,
-            sync_visibility_latency=2.0,
-            multi_gpu_launch_penalty=15.0,
-        )
+        host = Host(m)
+        assert host.multi_gpu_launch_penalty == 15.0  # the V100 node's
         s = m.gpu(0).stream("s0")
         ev = CudaEvent()
         host.launch_kernel(s, k("a", 50.0))
@@ -166,7 +163,7 @@ class TestHost:
 
     def test_when_all_events(self):
         m = make_machine(2)
-        host = Host(m, launch_overhead=1.0)
+        host = Host(m)
         evs = []
         for g in (0, 1):
             s = m.gpu(g).stream("s0")
@@ -183,7 +180,7 @@ class TestHost:
 
     def test_when_all_events_repeated_event_fires_once(self):
         m = make_machine()
-        host = Host(m, launch_overhead=0.0)
+        host = Host(m)
         s = m.gpu(0).stream("s0")
         ev = CudaEvent()
         host.record_event(s, ev)
@@ -204,7 +201,7 @@ class TestHost:
         """Each GPU has its own MPI launcher rank: launches don't serialize
         across GPUs."""
         m = make_machine(2)
-        host = Host(m, launch_overhead=5.0)
+        host = Host(m)
         t0 = host.launch_kernel(m.gpu(0).stream("s0"), k("a", 1.0))
         t1 = host.launch_kernel(m.gpu(1).stream("s0"), k("b", 1.0))
         assert t0 == pytest.approx(5.0)
