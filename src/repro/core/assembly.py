@@ -14,7 +14,8 @@ every batch re-enumerates the same op sequence and re-attaches the same
 profiled durations.  :class:`FunctionAssembler` therefore memoizes assembled
 function lists by batch *shape* ``(phase, size, seq_len, context_len)``: a
 hit rebinds the cached wrappers to the new batch identity without touching
-the op enumerator or the profiler.
+the op enumerator or the profiler.  Its LRU bound is the strategies' op-memo
+bound, :data:`repro.parallel.base.CACHE_SIZE`.
 """
 
 from __future__ import annotations
@@ -26,14 +27,12 @@ from typing import Deque, List, Tuple
 
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc
+from repro.parallel import base
 from repro.profiling.profiler import OpProfiler
 from repro.serving.request import Batch
 from repro.sim.kernel import KernelKind
 
 __all__ = ["KernelFunc", "FuncVec", "FunctionAssembler", "rebind"]
-
-#: Batch shapes the assembly cache keeps before evicting the least recent.
-CACHE_SIZE = 128
 
 
 @dataclass(slots=True)
@@ -148,16 +147,17 @@ class FunctionAssembler:
     :class:`~repro.profiling.profiler.OpProfiler`.
 
     Function lists are memoized by batch shape ``(phase, size, seq_len,
-    context_len)`` with LRU eviction past :data:`CACHE_SIZE` shapes, and a
-    hit rebinds the cached wrappers to the new batch without calling
-    ``strategy_ops_fn`` or the profiler.  **Contract:** ``strategy_ops_fn``
-    must be a pure function of those four batch attributes (true for the
-    built-in strategies, whose op enumerators close over a fixed model and
-    TP degree).
+    context_len)`` with LRU eviction past
+    :data:`repro.parallel.base.CACHE_SIZE` shapes, and a hit rebinds the
+    cached wrappers to the new batch without calling ``strategy_ops_fn``
+    or the profiler.  **Contract:** ``strategy_ops_fn`` must be a pure
+    function of those four batch attributes (true for the built-in
+    strategies, whose op enumerators close over a fixed model and TP
+    degree).
     """
 
     def __init__(self, strategy_ops_fn, profiler: OpProfiler) -> None:
-        """``strategy_ops_fn(batch) -> List[OpDesc]`` supplies the ops."""
+        """``strategy_ops_fn(batch) -> Sequence[OpDesc]`` supplies the ops."""
         self._ops_fn = strategy_ops_fn
         self.profiler = profiler
         self.batches_assembled = 0
@@ -198,7 +198,7 @@ class FunctionAssembler:
             ]
             self.build_seconds += time.perf_counter() - start
             self._cache[key] = tuple(funcs)
-            if len(self._cache) > CACHE_SIZE:
+            if len(self._cache) > base.CACHE_SIZE:
                 self._cache.popitem(last=False)
                 self.cache_evictions += 1
         self.batches_assembled += 1

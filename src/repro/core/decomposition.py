@@ -33,7 +33,7 @@ decomposition *penalty* (sum of pieces > whole) is emergent, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import KernelFunc
@@ -50,6 +50,22 @@ __all__ = [
 ]
 
 
+def _derive(op: OpDesc, name: str, field: str, value) -> OpDesc:
+    """``replace(op, name=name, **{field: value})`` without re-running the
+    dataclass ``__init__``: the copy takes ``op``'s field values, then is
+    validated by ``OpDesc.__post_init__`` as ``replace`` would."""
+    derived = _new_op(OpDesc)
+    attrs = derived.__dict__
+    attrs.update(op.__dict__)
+    attrs["name"] = name
+    attrs[field] = value
+    derived.__post_init__()
+    return derived
+
+
+_new_op = OpDesc.__new__
+
+
 def split_gemm_vertical(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc]:
     """Split a GEMM along ``n`` into (numer/denom, rest).  Fig. 9 'vertical'."""
     _check_fraction(numer, denom)
@@ -59,8 +75,8 @@ def split_gemm_vertical(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpD
     if n_rest < 1:
         raise ConfigError(f"{op.name}: vertical split leaves empty remainder")
     return (
-        replace(op, name=f"{op.name}.v{numer}/{denom}", gemm_shape=(m, k, n_piece)),
-        replace(op, name=f"{op.name}.rest", gemm_shape=(m, k, n_rest)),
+        _derive(op, f"{op.name}.v{numer}/{denom}", "gemm_shape", (m, k, n_piece)),
+        _derive(op, f"{op.name}.rest", "gemm_shape", (m, k, n_rest)),
     )
 
 
@@ -73,8 +89,8 @@ def split_gemm_horizontal(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, O
     if m_rest < 1:
         raise ConfigError(f"{op.name}: horizontal split leaves empty remainder")
     return (
-        replace(op, name=f"{op.name}.h{numer}/{denom}", gemm_shape=(m_piece, k, n)),
-        replace(op, name=f"{op.name}.rest", gemm_shape=(m_rest, k, n)),
+        _derive(op, f"{op.name}.h{numer}/{denom}", "gemm_shape", (m_piece, k, n)),
+        _derive(op, f"{op.name}.rest", "gemm_shape", (m_rest, k, n)),
     )
 
 
@@ -86,8 +102,8 @@ def split_allreduce(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc]
     if piece <= 0 or rest <= 0:
         raise ConfigError(f"{op.name}: degenerate all-reduce split")
     return (
-        replace(op, name=f"{op.name}.c{numer}/{denom}", comm_bytes=piece),
-        replace(op, name=f"{op.name}.rest", comm_bytes=rest),
+        _derive(op, f"{op.name}.c{numer}/{denom}", "comm_bytes", piece),
+        _derive(op, f"{op.name}.rest", "comm_bytes", rest),
     )
 
 
@@ -103,8 +119,8 @@ def split_all_to_all(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc
     if piece <= 0 or rest <= 0:
         raise ConfigError(f"{op.name}: degenerate all-to-all split")
     return (
-        replace(op, name=f"{op.name}.c{numer}/{denom}", comm_bytes=piece),
-        replace(op, name=f"{op.name}.rest", comm_bytes=rest),
+        _derive(op, f"{op.name}.c{numer}/{denom}", "comm_bytes", piece),
+        _derive(op, f"{op.name}.rest", "comm_bytes", rest),
     )
 
 

@@ -170,6 +170,7 @@ class SchedulingPolicy:
         fv.pop()
         fv.push_front(rest)
         subset1.append(piece)
+        scheduler.decomposed_pieces += 1
         return scheduler.anticipator.anticipated(piece.duration, piece.kind)
 
     def _pack_first_fit(self, scheduler, primary_class, kind, window):

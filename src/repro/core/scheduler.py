@@ -102,6 +102,8 @@ class LigerScheduler:
         self.waiting: Deque[FuncVec] = deque()
         self.processing: List[FuncVec] = []
         self.rounds_planned = 0
+        #: §3.6 pieces split off so far, counted where the policy splits.
+        self.decomposed_pieces = 0
         #: FuncVecs fully consumed in the last planning call (batch drained
         #: from the scheduler's perspective; kernels may still be running).
         self.drained: List[FuncVec] = []

@@ -14,12 +14,18 @@ kernel carries its ``batch_id``; the strategy counts each batch's kernels
 once per rank that runs them, and an
 :meth:`~repro.sim.gpu.Machine.on_kernel_complete` observer subtracts the
 ranks each completion retires — when the count hits zero the batch is done.
+
+Every strategy enumerates a batch's ops through :meth:`ParallelStrategy.ops_for_batch`,
+which memoizes the op tuple by batch shape, LRU-bounded at
+:data:`CACHE_SIZE` shapes: a recurring shape reuses its frozen
+:class:`~repro.models.ops.OpDesc` tuple instead of re-walking the model.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, Optional, Sequence
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -34,7 +40,11 @@ from repro.sim.host import Host
 from repro.sim.kernel import CollectiveKind, Kernel, kernel_from_profile
 from repro.sim.memory import NodeMemoryModel
 
-__all__ = ["ParallelStrategy", "instantiate_op"]
+__all__ = ["ParallelStrategy", "instantiate_op", "CACHE_SIZE"]
+
+#: Batch shapes a shape-keyed memo keeps before evicting the least recently
+#: used: each strategy's op memo and the Liger assembly cache.
+CACHE_SIZE = 128
 
 BatchCallback = Callable[[Batch, float], None]
 
@@ -124,6 +134,8 @@ class ParallelStrategy(abc.ABC):
         self._closed_batches: set = set()
         self._memory_reserved: set = set()
         self.batches_completed = 0
+        #: Op tuples by batch shape, least recently used first.
+        self._ops_memo: "OrderedDict[Tuple, Tuple[OpDesc, ...]]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -166,13 +178,37 @@ class ParallelStrategy(abc.ABC):
     # ------------------------------------------------------------------
     # Op construction
     # ------------------------------------------------------------------
-    def ops_for_batch(self, batch: Batch, tp: int, layers=None) -> List[OpDesc]:
-        """The per-device op sequence this batch requires."""
+    def ops_for_batch(self, batch: Batch, tp: int, layers=None) -> Tuple[OpDesc, ...]:
+        """The per-device op sequence this batch requires.
+
+        Memoized by ``(phase, size, seq_len, context_len, tp, layers)``,
+        least recently used evicted past :data:`CACHE_SIZE` shapes.  The
+        model is fixed for the strategy's lifetime, so the tuple equals a
+        fresh enumeration; it is shared between batches, and its ops are
+        frozen.
+        """
+        if layers is not None:
+            layers = tuple(layers)
+        key = (batch.phase, batch.size, batch.seq_len, batch.context_len, tp, layers)
+        memo = self._ops_memo
+        ops = memo.get(key)
+        if ops is not None:
+            memo.move_to_end(key)
+            return ops
         if batch.phase is Phase.PREFILL:
-            return prefill_ops(self.model, batch.size, batch.seq_len, tp, layers=layers)
-        return decode_step_ops(
-            self.model, batch.size, batch.context_len, tp, layers=layers
-        )
+            ops = tuple(
+                prefill_ops(self.model, batch.size, batch.seq_len, tp, layers=layers)
+            )
+        else:
+            ops = tuple(
+                decode_step_ops(
+                    self.model, batch.size, batch.context_len, tp, layers=layers
+                )
+            )
+        memo[key] = ops
+        if len(memo) > CACHE_SIZE:
+            memo.popitem(last=False)
+        return ops
 
     # ------------------------------------------------------------------
     # Completion tracking
@@ -224,7 +260,8 @@ class ParallelStrategy(abc.ABC):
         if batch_id not in self._open_batches:
             raise ConfigError(f"batch {batch_id} is not open")
         self._closed_batches.add(batch_id)
-        self._maybe_finish(batch_id, time)
+        if self._pending_kernels[batch_id] == 0:
+            self._retire_batch(batch_id, time)
 
     def track_batch(self, batch: Batch, num_kernels: int) -> None:
         """Static style: all ``num_kernels`` per-rank kernels known at
@@ -243,15 +280,14 @@ class ParallelStrategy(abc.ABC):
         if remaining < ranks:
             raise SimulationError(f"batch {bid}: completion underflow")
         # First retired kernel ⇒ the batch is executing: claim its workspace.
-        self._reserve_batch_memory(self._open_batches[bid])
-        self._pending_kernels[bid] = remaining - ranks
-        self._maybe_finish(bid, time)
+        if self.memory is not None and bid not in self._memory_reserved:
+            self._reserve_batch_memory(self._open_batches[bid])
+        remaining -= ranks
+        self._pending_kernels[bid] = remaining
+        if remaining == 0 and bid in self._closed_batches:
+            self._retire_batch(bid, time)
 
-    def _maybe_finish(self, bid: int, time: float) -> None:
-        if bid not in self._closed_batches:
-            return
-        if self._pending_kernels.get(bid, 1) != 0:
-            return
+    def _retire_batch(self, bid: int, time: float) -> None:
         batch = self._open_batches.pop(bid)
         del self._pending_kernels[bid]
         self._closed_batches.discard(bid)

@@ -12,7 +12,7 @@ single-device traversal — the §2.2.2 trade-off.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.models.ops import OpDesc, p2p_op
 from repro.models.partition import PipelineStage, boundary_bytes, pipeline_stages
@@ -56,7 +56,7 @@ class InterOpStrategy(ParallelStrategy):
         }
 
     # ------------------------------------------------------------------
-    def stage_ops(self, batch: Batch, stage: PipelineStage) -> List[OpDesc]:
+    def stage_ops(self, batch: Batch, stage: PipelineStage) -> Sequence[OpDesc]:
         """The (whole, unpartitioned) op sequence of one stage."""
         return self.ops_for_batch(batch, tp=1, layers=stage.layers)
 

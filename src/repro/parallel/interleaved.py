@@ -13,7 +13,7 @@ ceiling — the paper's central claim.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.core.assembly import FunctionAssembler
 from repro.core.config import LigerConfig
@@ -54,7 +54,7 @@ class InterleavedStrategy(ParallelStrategy):
         self.runtime: Optional[LigerRuntime] = None
 
     # ------------------------------------------------------------------
-    def _batch_ops(self, batch: Batch) -> List[OpDesc]:
+    def _batch_ops(self, batch: Batch) -> Sequence[OpDesc]:
         # Interleaved parallelism partitions exactly like intra-op (§3.1).
         return self.ops_for_batch(batch, tp=self.node.num_gpus)
 

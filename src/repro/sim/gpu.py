@@ -91,6 +91,28 @@ class _RunState:
     contention: float = 1.0
 
 
+def _ready_state(
+    kernel: Kernel, gpu_id: int, stream: Stream, ready_seq: int, ready_at: float
+) -> _RunState:
+    """Slot-copy constructor: the :class:`_RunState` of a kernel that just
+    became ready, every other slot at its default, without the dataclass
+    ``__init__`` — the pump builds one per launched kernel."""
+    rs = _new_run_state(_RunState)
+    rs.kernel = kernel
+    rs.gpu_id = gpu_id
+    rs.stream = stream
+    rs.ready_seq = ready_seq
+    rs.ready_at = ready_at
+    rs.start_at = -1.0
+    rs.remaining = 0.0
+    rs.slowdown = 1.0
+    rs.contention = 1.0
+    return rs
+
+
+_new_run_state = _RunState.__new__
+
+
 @dataclass(slots=True)
 class _CollectiveRun:
     """Shared progress state of an in-flight collective."""
@@ -583,12 +605,8 @@ class Machine:
                     kernel = cmd.kernel
                     stream.running_kernel = kernel
                     gpu.ready.append(
-                        _RunState(
-                            kernel=kernel,
-                            gpu_id=gpu.gpu_id,
-                            stream=stream,
-                            ready_seq=next(self._ready_seq),
-                            ready_at=now,
+                        _ready_state(
+                            kernel, gpu.gpu_id, stream, next(self._ready_seq), now
                         )
                     )
                     progressed = True
@@ -702,14 +720,16 @@ class Machine:
         steady-decode pattern) skip the model entirely.
         """
         gpu.dirty = False
-        rss = list(gpu.resident.values())
-        if len(rss) == 1:
-            rss[0].contention = 1.0
+        resident = gpu.resident
+        if len(resident) == 1:
+            for rs in resident.values():
+                rs.contention = 1.0
             return
-        kernels = list(gpu.resident)
+        rss = list(resident.values())
+        kernels = list(resident)
         if self._contention_pure_in_shape:
             shape = tuple(
-                (k.kind, k.occupancy, k.memory_intensity) for k in kernels
+                [(k.kind, k.occupancy, k.memory_intensity) for k in kernels]
             )
             values = self._shape_cache.get(shape)
             if values is None:
@@ -793,14 +813,19 @@ class Machine:
 
         due_locals: Dict[int, List[_RunState]] = {}
         for gpu in self._devices:
-            due = [rs for rs in gpu.active_local.values() if rs.remaining <= _EPS]
-            if due:
-                due_locals[gpu.gpu_id] = due
-        due_colls = [
-            crun
-            for crun in self._collectives.values()
-            if crun.started_at >= 0.0 and crun.remaining <= _EPS
-        ]
+            due = None
+            for rs in gpu.active_local.values():
+                if rs.remaining <= _EPS:
+                    if due is None:
+                        due = due_locals[gpu.gpu_id] = []
+                    due.append(rs)
+        due_colls: List[_CollectiveRun] = []
+        if self._collectives:
+            due_colls = [
+                crun
+                for crun in self._collectives.values()
+                if crun.started_at >= 0.0 and crun.remaining <= _EPS
+            ]
         touched = set(due_locals)
         if due_locals:
             trace = self.trace

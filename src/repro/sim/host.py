@@ -28,7 +28,7 @@ from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
 from repro.sim.gpu import Machine
 from repro.sim.kernel import Kernel
-from repro.sim.stream import Stream
+from repro.sim.stream import CommandKind, Stream, _fast_command
 from repro.units import us
 
 __all__ = ["Host"]
@@ -69,7 +69,10 @@ class Host:
     def advance_to(self, time: float, gpu_id: Optional[int] = None) -> None:
         """Move cursor(s) forward (never backward) to ``time``."""
         if gpu_id is None:
-            self.cursors = [max(c, time) for c in self.cursors]
+            cursors = self.cursors
+            for rank, cursor in enumerate(cursors):
+                if cursor < time:
+                    cursors[rank] = time
         else:
             self.cursors[gpu_id] = max(self.cursors[gpu_id], time)
 
@@ -104,20 +107,27 @@ class Host:
         if extra_delay < 0:
             raise ConfigError("extra_delay must be >= 0")
         now = self._issue(stream, self.launch_overhead)
-        self.launches_issued += len(self.machine.gpus[stream.gpu_id].ranks)
-        self.machine.launch(stream, kernel, available_at=now + extra_delay)
+        machine = self.machine
+        self.launches_issued += len(machine.gpus[stream.gpu_id].ranks)
+        machine.submit(
+            stream, _fast_command(CommandKind.LAUNCH, now + extra_delay, kernel)
+        )
         return now
 
     def record_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue an event-record command."""
         now = self._issue(stream, EVENT_CMD_OVERHEAD)
-        self.machine.record_event(stream, event, available_at=now)
+        self.machine.submit(
+            stream, _fast_command(CommandKind.RECORD_EVENT, now, event=event)
+        )
         return now
 
     def wait_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue a stream-wait command (inter-stream sync, no CPU blocking)."""
         now = self._issue(stream, EVENT_CMD_OVERHEAD)
-        self.machine.wait_event(stream, event, available_at=now)
+        self.machine.submit(
+            stream, _fast_command(CommandKind.WAIT_EVENT, now, event=event)
+        )
         return now
 
     # ------------------------------------------------------------------
@@ -159,18 +169,22 @@ class Host:
         pending = list(dict.fromkeys(events))
         remaining = set(pending)
 
+        def _fire() -> None:
+            self.advance_to(self.machine.engine.now)
+            callback()
+
         def _one_done(event: CudaEvent) -> Callable[[], None]:
             def _fn() -> None:
                 remaining.discard(event)
                 if not remaining:
-                    self.advance_to(self.machine.engine.now)
-                    callback()
+                    _fire()
 
             return _fn
 
         if not pending:
-            # Degenerate case: fire on the next engine tick.
-            self.machine.engine.schedule(0.0, callback)
+            # Degenerate case: fire on the next engine tick, with the
+            # cursors caught up as for any observed event.
+            self.machine.engine.schedule(0.0, _fire)
             return
         for e in pending:
             self.when_event(e, _one_done(e), multi_gpu=multi_gpu)

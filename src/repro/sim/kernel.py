@@ -41,6 +41,11 @@ class KernelKind(enum.Enum):
     MEMORY = "memory"
     AUX = "aux"
 
+    # Members compare by identity, so they may hash by it too: C-level
+    # ``object.__hash__`` instead of Enum's Python-level hash of the name.
+    # The machine's shape memo hashes a kind per resident on every lookup.
+    __hash__ = object.__hash__
+
     @property
     def is_comm(self) -> bool:
         return self is KernelKind.COMM

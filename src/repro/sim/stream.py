@@ -59,8 +59,9 @@ class Command:
 def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
     """Hot-path Command constructor bypassing dataclass machinery.
 
-    Only the machine's typed convenience wrappers call this; they guarantee
-    the kind/payload pairing ``__post_init__`` enforces for ad-hoc callers.
+    Only the machine's typed convenience wrappers and the host's issue
+    methods call this; they guarantee the kind/payload pairing
+    ``__post_init__`` enforces for ad-hoc callers.
     """
     cmd = Command.__new__(Command)
     cmd.kind = kind

@@ -173,7 +173,7 @@ class TestAssemblyCache:
             assert got.seq_len == batch.seq_len
 
     def test_each_shape_misses_once_and_the_oldest_is_evicted(self):
-        from repro.core.assembly import CACHE_SIZE
+        from repro.parallel.base import CACHE_SIZE
 
         warm = self._assembler(OPT_30B.scaled_layers(1))
         for seq in range(1, CACHE_SIZE + 2):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.assembly import KernelFunc
 from repro.core.decomposition import (
     DecompositionPlanner,
+    _derive,
     split_all_to_all,
     split_allreduce,
     split_gemm_horizontal,
@@ -55,6 +58,40 @@ class TestSplits:
         op = allreduce_op("ar", 0, 8e6)
         piece, rest = split_allreduce(op, 5, 8)
         assert piece.comm_bytes + rest.comm_bytes == pytest.approx(8e6)
+
+    def test_pieces_equal_their_dataclasses_replace(self):
+        """The splitters copy the op's fields instead of calling
+        ``dataclasses.replace``; every field must come out the same."""
+        g = gemm_op("g", 2, 16, 64, 64, split_dim="n")
+        ar = allreduce_op("ar", 2, 800.0)
+        a2a = all_to_all_op("a2a", 2, 800.0)
+        cases = [
+            (split_gemm_vertical(g, 3, 8), [
+                replace(g, name="g.v3/8", gemm_shape=(16, 64, 24)),
+                replace(g, name="g.rest", gemm_shape=(16, 64, 40)),
+            ]),
+            (split_gemm_horizontal(g, 3, 8), [
+                replace(g, name="g.h3/8", gemm_shape=(6, 64, 64)),
+                replace(g, name="g.rest", gemm_shape=(10, 64, 64)),
+            ]),
+            (split_allreduce(ar, 3, 8), [
+                replace(ar, name="ar.c3/8", comm_bytes=300.0),
+                replace(ar, name="ar.rest", comm_bytes=500.0),
+            ]),
+            (split_all_to_all(a2a, 3, 8), [
+                replace(a2a, name="a2a.c3/8", comm_bytes=300.0),
+                replace(a2a, name="a2a.rest", comm_bytes=500.0),
+            ]),
+        ]
+        for got, want in cases:
+            assert [vars(op) for op in got] == [vars(op) for op in want]
+
+    def test_derived_pieces_are_validated(self):
+        """A degenerate piece still fails ``OpDesc`` validation."""
+        with pytest.raises(ConfigError, match=r"g\.v1/8: gemm needs a positive"):
+            _derive(gemm_op("g", 0, 4, 4, 4), "g.v1/8", "gemm_shape", (4, 4, 0))
+        with pytest.raises(ConfigError, match=r"ar\.c1/8: negative comm_bytes"):
+            _derive(allreduce_op("ar", 0, 8.0), "ar.c1/8", "comm_bytes", -1.0)
 
     def test_invalid_fraction_rejected(self):
         op = gemm_op("g", 0, 144, 512, 512)

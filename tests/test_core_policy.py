@@ -161,6 +161,7 @@ class TestSharedHelpers:
         subset1 = []
         taken = policy._take_split(s, fv, (piece, rest), subset1)
         assert taken == 3.0
+        assert s.decomposed_pieces == 1  # counted where the split happens
         assert subset1 == [piece]
         assert fv.peek() is rest  # remainder at the head, whole gone
         assert whole not in (fv.peek(),)

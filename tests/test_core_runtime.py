@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
+
 import pytest
 
 from repro.core import LigerConfig, SyncMode
@@ -233,6 +236,37 @@ class TestMemoryAwareAdmission:
             [fixed_batch(1.0, size=8, seq=128) for _ in range(6)],
         )
         assert result.metrics.num_completed == 6 * 8
+
+
+class TestDecomposedPieces:
+    """``RuntimeStats.decomposed_pieces`` counts the splits themselves,
+    not op names that look like pieces."""
+
+    @staticmethod
+    def _rename(strat):
+        """Rename every op with a ``.cproj`` suffix, as a model whose op
+        names contain the collective-piece marker ``.c`` would."""
+        ops_for = strat._batch_ops
+        strat._batch_ops = lambda b: tuple(
+            replace(op, name=f"{op.name}.cproj") for op in ops_for(b)
+        )
+
+    def test_whole_kernels_named_like_pieces_are_not_counted(self):
+        strat = make_strategy(enable_decomposition=False)
+        self._rename(strat)
+        run(strat, general_trace(12, 400.0, 2, seed=1))
+        assert strat.stats.total_fill > 0.0  # whole kernels filled windows
+        assert strat.stats.decomposed_pieces == 0
+
+    def test_every_split_piece_is_counted_once(self):
+        strat = make_strategy()
+        self._rename(strat)
+        _, server = run(strat, general_trace(48, 400.0, 2, seed=4))
+        pieces = [
+            row for row in server.trace.rows
+            if row.gpu == 0 and re.search(r"\.[vc]\d+/\d+_b", row.name)
+        ]
+        assert strat.stats.decomposed_pieces == len(pieces) > 0
 
 
 class TestConfigSurface:

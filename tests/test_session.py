@@ -83,11 +83,12 @@ class TestCacheOffEquivalence:
     def cold_caches(self, monkeypatch):
         """Empty every hot-path cache before each use, so every lookup
         misses and each value comes from its cold computation."""
-        from repro.core import assembly
+        from repro.parallel import base
         from repro.profiling.profiler import OpProfiler
         from repro.sim import gpu
 
-        monkeypatch.setattr(assembly, "CACHE_SIZE", 0)
+        # One bound serves the op memo and the assembly cache.
+        monkeypatch.setattr(base, "CACHE_SIZE", 0)
         monkeypatch.setattr(gpu, "_SHAPE_CACHE_LIMIT", -1)
         warm_profile = OpProfiler.kernel_profile
 
@@ -99,8 +100,8 @@ class TestCacheOffEquivalence:
 
     @pytest.mark.parametrize("server,strategy", SCENARIOS)
     def test_cache_off_matches_golden(self, server, strategy, cold_caches):
-        """Computing every assembly, kernel profile and contention slowdown
-        cold must not move a single float."""
+        """Computing every op list, assembly, kernel profile and contention
+        slowdown cold must not move a single float."""
         goldens = _load_goldens()
         keep = []
         _, trace = run_scenario(server, strategy, keep=keep)
@@ -109,6 +110,7 @@ class TestCacheOffEquivalence:
             "golden — a cache is not bit-identical"
         )
         assert not keep[0].session.machine._shape_cache
+        assert not keep[0].strategy._ops_memo
         runtime = getattr(keep[0].strategy, "runtime", None)
         if runtime is not None:
             assert runtime.assembler.cache_hits == 0

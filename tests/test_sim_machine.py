@@ -8,6 +8,8 @@ collective rendezvous.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import DeadlockError, StreamProtocolError
@@ -25,7 +27,7 @@ from repro.sim import (
     NullContention,
     Trace,
 )
-from repro.sim.gpu import CONNECTION_CONTENTION_DELAY, MAX_CONNECTIONS
+from repro.sim.gpu import CONNECTION_CONTENTION_DELAY, MAX_CONNECTIONS, _RunState
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 
 
@@ -151,6 +153,24 @@ class TestAdmission:
         rows = {r.name: r for r in m.trace.rows}
         assert rows["comm"].start == pytest.approx(10.0)
         assert rows["late_compute"].start == pytest.approx(15.0)
+
+
+    def test_pumped_run_state_equals_its_dataclass_construction(self):
+        """The pump builds run states with a slot-copy constructor: every
+        slot is set, to what the dataclass constructor would give."""
+        m = make_machine(1)
+        s0 = m.gpu(0).stream("s0")
+        s1 = m.gpu(0).stream("s1")
+        late = k("late", 5.0, occ=0.9)
+        m.launch(s0, k("hog", 10.0, occ=0.9), available_at=0.0)
+        m.launch(s1, late, available_at=2.0)
+        m.run(until=5.0)
+        (rs,) = m.gpu(0).ready  # pumped at t=2, waiting beside the hog
+        want = _RunState(
+            kernel=late, gpu_id=0, stream=s1, ready_seq=1, ready_at=2.0
+        )
+        for field in fields(_RunState):
+            assert getattr(rs, field.name) == getattr(want, field.name), field.name
 
 
 # ----------------------------------------------------------------------

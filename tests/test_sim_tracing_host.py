@@ -196,6 +196,16 @@ class TestHost:
         host.when_all_events([], lambda: seen.append(m.engine.now))
         m.run()
         assert seen == [0.0]
+        # As on the one-event path, the callback sees every launcher cursor
+        # caught up to the observation time.
+        m = make_machine(4)
+        host = Host(m)
+        seen = []
+        m.engine.schedule(50.0, lambda: host.when_all_events(
+            [], lambda: seen.append((m.engine.now, list(host.cursors)))
+        ))
+        m.run()
+        assert seen == [(50.0, [50.0] * 4)]
 
     def test_per_rank_cursors_are_independent(self):
         """Each GPU has its own MPI launcher rank: launches don't serialize
