@@ -9,7 +9,7 @@ observability layer saw:
 * ``observability-trace.json`` — the merged Chrome/Perfetto timeline:
   kernel slices (one process per GPU), per-request spans
   (queued/prefill/decode, one thread per request), and control instants
-  (sheds, breaker trips) on a single time axis.  Load it at
+  (sheds, timeouts) on a single time axis.  Load it at
   https://ui.perfetto.dev or chrome://tracing.
 * ``observability-metrics.prom`` — Prometheus text exposition; its
   request-outcome counters read the run's ``ServingMetrics``.

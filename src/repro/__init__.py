@@ -82,9 +82,7 @@ _EXPORTS = {
     "ServingResult": "serving.server",
     "AdmissionPolicy": "serving.overload",
     "OverloadConfig": "serving.overload",
-    "OverloadController": "serving.overload",
     "OverloadReport": "serving.overload",
-    "KVCacheAccountant": "serving.overload",
     "RequestState": "serving.request",
     "RunResult": "serving.session",
     "ServingSession": "serving.session",

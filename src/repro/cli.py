@@ -14,9 +14,10 @@ With no subcommand, or when the first argument is an option, ``serve``
 runs.  The serving subcommands share the model/node/workload flags
 (:func:`workload_parent`) and differ in their defaults (``set_defaults``
 on each subparser) and their own flags.  An invalid value, i.e. a
-:class:`~repro.errors.ConfigError` from anywhere in the run, and a model
-that does not fit the node (:class:`~repro.errors.PartitionError`) become
-an argparse error: a one-line message on stderr and exit status 2.
+:class:`~repro.errors.ConfigError` from anywhere in the run, a model that
+does not fit the node (:class:`~repro.errors.PartitionError`) and a KV
+budget that cannot hold one batch (:class:`~repro.errors.OutOfMemoryError`)
+become an argparse error: a one-line message on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import sys
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.policy import policy_names
-from repro.errors import ConfigError, PartitionError
+from repro.errors import ConfigError, OutOfMemoryError, PartitionError
 from repro.hw.devices import TESTBEDS
 from repro.models.specs import MODELS
 from repro.serving import api
@@ -88,6 +89,17 @@ def workload_parent() -> argparse.ArgumentParser:
     return parent
 
 
+class _NeedsAdmission(argparse.Action):
+    """Store a flag that takes effect only with admission control armed,
+    and note that it was given (its default cannot tell)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.needs_admission = (
+            getattr(namespace, "needs_admission", ()) + (option_string,)
+        )
+
+
 def overload_parent(*, kv_frac: bool = False) -> argparse.ArgumentParser:
     """The admission-control flags (``--max-pending``/``--admission``/
     ``--deadline-ms``, plus ``--kv-frac`` where KV accounting applies)."""
@@ -97,7 +109,7 @@ def overload_parent(*, kv_frac: bool = False) -> argparse.ArgumentParser:
         "--max-pending", type=int, default=None, metavar="N",
         help="enable admission control with a pending queue of N requests")
     group.add_argument(
-        "--admission", default="reject",
+        "--admission", default="reject", action=_NeedsAdmission,
         choices=("reject", "shed-oldest", "shed-by-deadline"),
         help="policy when the pending queue is full (with --max-pending)")
     group.add_argument(
@@ -106,6 +118,7 @@ def overload_parent(*, kv_frac: bool = False) -> argparse.ArgumentParser:
     if kv_frac:
         group.add_argument(
             "--kv-frac", type=float, default=0.9, metavar="F",
+            action=_NeedsAdmission,
             help="fraction of free HBM the KV accountant may use (default 0.9)")
     return parent
 
@@ -131,10 +144,17 @@ def resolve_model_node(args: argparse.Namespace):
 
 def overload_config_from_args(args: argparse.Namespace):
     """Build the :class:`~repro.serving.overload.OverloadConfig` the parsed
-    overload flags describe, or ``None`` when none were given."""
+    overload flags describe, or ``None`` when none were given.
+
+    ``--admission`` and ``--kv-frac`` only shape admission control, which
+    ``--max-pending`` or ``--deadline-ms`` arms; either one alone is an
+    error rather than silently ignored."""
     max_pending = getattr(args, "max_pending", None)
     deadline_ms = getattr(args, "deadline_ms", None)
     if max_pending is None and deadline_ms is None:
+        given = getattr(args, "needs_admission", ())
+        if given:
+            raise ConfigError(f"{given[0]} needs --max-pending or --deadline-ms")
         return None
     from repro.serving.overload import OverloadConfig
 
@@ -545,5 +565,5 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, PartitionError) as exc:
+    except (ConfigError, OutOfMemoryError, PartitionError) as exc:
         args.parser.error(str(exc))

@@ -117,9 +117,6 @@ class ResilienceReport:
     faults: List[str] = field(default_factory=list)
     changes: List[StrategyChange] = field(default_factory=list)
     downgrades: int = 0
-    #: Subset of ``downgrades`` triggered by overload backpressure rather
-    #: than Principle-1 violations.
-    overload_downgrades: int = 0
     upgrades: int = 0
     recovery_times_us: List[float] = field(default_factory=list)
     #: Launch retries, read from the session's ServingMetrics at finalize().
@@ -218,14 +215,9 @@ class RecoveryManager:
         self._degraded_since = 0.0
         self._violations_since_ok = 0
         self._finalized = False
-        #: Called with each shed batch; the serving session sets it to its
-        #: fan-out, which owns the batch's terminal bookkeeping.
+        #: Called with each shed batch; the serving session sets it to the
+        #: server's shed callback, which owns the batch's terminal bookkeeping.
         self.on_shed: Optional[Callable[[Batch], None]] = None
-        #: Optional predicate holding the upgrade probe back even when no
-        #: fault window is active — the overload layer parks the run on the
-        #: fallback until its queue has drained (upgrading into a still-full
-        #: queue would immediately re-trip the breaker).
-        self.hold_upgrade: Optional[Callable[[], bool]] = None
         # Principle-1 monitoring needs the Liger runtime's round hook.
         runtime = getattr(primary, "runtime", None)
         self.monitor: Optional[PrincipleMonitor] = None
@@ -344,21 +336,7 @@ class RecoveryManager:
                 f"{overshoot:.0f}us ({self._violations_since_ok} violations)",
             )
 
-    def overload_downgrade(self, reason: str) -> bool:
-        """Downgrade on a backpressure signal (queue depth / SLO misses).
-
-        Called by the overload layer's circuit breaker; interleaving buys
-        latency, not saturation throughput, so a saturated server is better
-        off on the plain fallback.  Returns ``False`` when no fallback is
-        configured or the run is already degraded.
-        """
-        if self.degraded or self.fallback is None:
-            return False
-        self.report.overload_downgrades += 1
-        self._downgrade(self.machine.engine.now, reason, overload=True)
-        return True
-
-    def _downgrade(self, time: float, reason: str, *, overload: bool = False) -> None:
+    def _downgrade(self, time: float, reason: str) -> None:
         assert self.fallback is not None
         self.degraded = True
         self._degraded_since = time
@@ -379,7 +357,6 @@ class RecoveryManager:
                     time_us=time,
                     strategy=self.fallback.name,
                     reason=reason,
-                    overload=overload,
                 )
             )
         self.machine.engine.heartbeat(
@@ -391,8 +368,6 @@ class RecoveryManager:
             return False
         if self.injector.any_active():
             return True
-        if self.hold_upgrade is not None and self.hold_upgrade():
-            return True  # overload layer: queue not drained yet
         now = self.machine.engine.now
         self.degraded = False
         self.report.upgrades += 1

@@ -38,8 +38,8 @@ def batch_kv_bytes(model: ModelSpec, batch, tp: int) -> float:
     per-sequence allocations, so a decode batch's footprint is the sum of
     each member's true context (cached tokens plus the one being generated),
     and a prefill batch's is the KV it writes for each member's own prompt.
-    This is what the serving-level :class:`~repro.serving.overload.
-    KVCacheAccountant` charges against per-GPU capacity.
+    This is what an overload-armed :class:`~repro.serving.server.Server`
+    reserves against its per-GPU KV budget.
     """
     from repro.serving.request import Phase  # local: avoid a package cycle
 

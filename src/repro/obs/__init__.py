@@ -5,7 +5,7 @@ Five pieces, derived from one structured event stream plus the run's
 
 * :mod:`repro.obs.events` — typed events with sim-timestamps for every
   serving-layer decision (admission, dispatch, shed, preemption, retry,
-  breaker, strategy change, Principle-1 violation, SLO alerts) on a synchronous :class:`~repro.obs.events.EventBus`;
+  strategy change, Principle-1 violation, SLO alerts) on a synchronous :class:`~repro.obs.events.EventBus`;
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
   that counts what only the bus knows, reads request outcomes from the
   ``ServingMetrics`` through callbacks, and exports Prometheus text plus
@@ -38,13 +38,10 @@ _EXPORTS = {
     "RequestsAdmitted": "events",
     "RequestsShed": "events",
     "RequestsTimedOut": "events",
-    "BatchStaged": "events",
     "BatchDispatched": "events",
     "BatchPreempted": "events",
     "BatchCompleted": "events",
     "RetryScheduled": "events",
-    "BreakerOpened": "events",
-    "BreakerClosed": "events",
     "StrategyDowngraded": "events",
     "StrategyUpgraded": "events",
     "Principle1Violation": "events",

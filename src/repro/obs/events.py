@@ -1,8 +1,8 @@
 """Typed serving events and the bus that carries them.
 
 Every layer that makes a decision the final counters used to swallow —
-admission, staging, dispatch, preemption, shedding, deadline expiry, retry,
-strategy downgrade/upgrade, breaker transitions, Principle-1 violations —
+admission, dispatch, preemption, shedding, deadline expiry, retry,
+strategy downgrade/upgrade, Principle-1 violations —
 publishes a typed event here.  The subscribers are the span builder
 (:mod:`repro.obs.spans`), which reconstructs per-request timelines, the
 SLO engine and telemetry store, which window outcomes in sim time, and the
@@ -29,13 +29,10 @@ __all__ = [
     "RequestsAdmitted",
     "RequestsShed",
     "RequestsTimedOut",
-    "BatchStaged",
     "BatchDispatched",
     "BatchPreempted",
     "BatchCompleted",
     "RetryScheduled",
-    "BreakerOpened",
-    "BreakerClosed",
     "StrategyDowngraded",
     "StrategyUpgraded",
     "Principle1Violation",
@@ -118,8 +115,8 @@ class RequestsShed(_RequestsDropped):
 
     kind: ClassVar[str] = "shed"
     #: Which mechanism dropped them: ``"admission"`` (bounded queue),
-    #: ``"breaker"`` (fail-fast while open), ``"collateral"`` (batchmates of
-    #: an expired request), or ``"retry-exhausted"`` (recovery layer).
+    #: ``"collateral"`` (batchmates of an expired request), or
+    #: ``"retry-exhausted"`` (recovery layer).
     where: str = "admission"
 
 
@@ -128,22 +125,13 @@ class RequestsTimedOut(_RequestsDropped):
     """Requests whose deadline expired before service (terminal ``TIMED_OUT``)."""
 
     kind: ClassVar[str] = "timed-out"
-    #: Where the expiry was observed (``"pending"``, ``"staged"``, ...).
+    #: Where the expiry was observed (``"pending"``, ``"queue"``, ...).
     where: str = "pending"
 
 
 # ----------------------------------------------------------------------
 # Batch pipeline
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BatchStaged(Event):
-    """A batch KV-charged and parked on the staged runway."""
-
-    kind: ClassVar[str] = "staged"
-    batch_id: int = -1
-    size: int = 0
-
-
 @dataclass(frozen=True)
 class BatchDispatched(Event):
     """A batch handed to the (recovery-wrapped) strategy."""
@@ -185,7 +173,7 @@ class BatchDispatched(Event):
 
 @dataclass(frozen=True)
 class BatchPreempted(Event):
-    """A staged batch evicted (KV released, requeued) under pressure."""
+    """Work evicted (KV released, requeued for recompute) under pressure."""
 
     kind: ClassVar[str] = "preempted"
     batch_id: int = -1
@@ -231,7 +219,7 @@ class BatchCompleted(Event):
 
 
 # ----------------------------------------------------------------------
-# Faults, recovery, and backpressure
+# Faults and recovery
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryScheduled(Event):
@@ -244,30 +232,12 @@ class RetryScheduled(Event):
 
 
 @dataclass(frozen=True)
-class BreakerOpened(Event):
-    """The backpressure circuit breaker tripped open."""
-
-    kind: ClassVar[str] = "breaker-open"
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class BreakerClosed(Event):
-    """The backpressure circuit breaker closed (queue drained)."""
-
-    kind: ClassVar[str] = "breaker-closed"
-    reason: str = ""
-
-
-@dataclass(frozen=True)
 class StrategyDowngraded(Event):
     """The recovery layer routed the run onto its fallback strategy."""
 
     kind: ClassVar[str] = "downgrade"
     strategy: str = ""
     reason: str = ""
-    #: True when the trigger was overload backpressure, not Principle-1.
-    overload: bool = False
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The paper's claims are timeline claims — overlap of comm and compute
 kernels (Fig. 10), comm-time fraction (Fig. 3), Principle-1 windows (§3.5)
 — and the serving story on top of them (queueing, shedding, preemption,
-breaker trips) only makes sense on the *same* axis.  This module interleaves
+strategy changes) only makes sense on the *same* axis.  This module interleaves
 three event classes into one ``traceEvents`` array that Perfetto /
 ``chrome://tracing`` loads directly:
 
@@ -14,8 +14,8 @@ three event classes into one ``traceEvents`` array that Perfetto /
   ``requests``, one thread per request, segments named
   ``queued``/``prefill``/``decode``;
 * **control instants** — ``ph: "i"`` markers on process ``serving`` for
-  every shed, timeout, preemption, retry, breaker transition, strategy
-  change, and Principle-1 violation, plus ``X`` rows for the armed fault
+  every shed, timeout, preemption, retry, strategy change, and
+  Principle-1 violation, plus ``X`` rows for the armed fault
   windows.
 
 Timestamps are simulation microseconds throughout, which is exactly the
@@ -47,8 +47,6 @@ INSTANT_KINDS = frozenset(
         "timed-out",
         "preempted",
         "retry",
-        "breaker-open",
-        "breaker-closed",
         "downgrade",
         "upgrade",
         "principle1-violation",

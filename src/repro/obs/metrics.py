@@ -1,9 +1,8 @@
 """Metrics registry: counters, gauges, histograms, and their exporters.
 
 The registry counts only what the typed events of :mod:`repro.obs.events`
-alone know — admissions, sheds by mechanism, dispatches by phase, staging,
-queue waits, breaker and strategy transitions, Principle-1 violations and
-SLO alerts.  Request outcomes are not counted here: a counter or histogram
+alone know — admissions, sheds by mechanism, dispatches by phase, queue
+waits, strategy transitions, Principle-1 violations and SLO alerts.  Request outcomes are not counted here: a counter or histogram
 built with ``fn=`` reads its series from a callback when it is sampled or
 exported, the way a callback-backed :class:`Gauge` does, and
 :class:`~repro.obs.observability.Observability` points those callbacks at
@@ -25,9 +24,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import ConfigError
 from repro.obs.events import (
     BatchDispatched,
-    BatchStaged,
-    BreakerClosed,
-    BreakerOpened,
     Event,
     EventBus,
     Principle1Violation,
@@ -352,14 +348,6 @@ class MetricsRegistry:
             "Batches handed to the strategy, by phase.",
         )
         self.counter(
-            "repro_batches_staged_total",
-            "Batches KV-charged onto the staged runway.",
-        )
-        self.counter(
-            "repro_breaker_transitions_total",
-            "Circuit-breaker transitions, by resulting state.",
-        )
-        self.counter(
             "repro_strategy_changes_total",
             "Recovery-layer strategy transitions, by kind.",
         )
@@ -388,16 +376,8 @@ class MetricsRegistry:
             hist = self._histograms["repro_request_queue_wait_ms"]
             for wait in event.first_queue_waits_us():
                 hist.observe(wait / 1e3)
-        elif isinstance(event, BatchStaged):
-            c["repro_batches_staged_total"].inc(1)
-        elif isinstance(event, BreakerOpened):
-            c["repro_breaker_transitions_total"].inc(1, state="open")
-        elif isinstance(event, BreakerClosed):
-            c["repro_breaker_transitions_total"].inc(1, state="closed")
         elif isinstance(event, StrategyDowngraded):
-            c["repro_strategy_changes_total"].inc(
-                1, kind="overload-downgrade" if event.overload else "downgrade"
-            )
+            c["repro_strategy_changes_total"].inc(1, kind="downgrade")
         elif isinstance(event, StrategyUpgraded):
             c["repro_strategy_changes_total"].inc(1, kind="upgrade")
         elif isinstance(event, Principle1Violation):

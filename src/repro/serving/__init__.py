@@ -17,9 +17,7 @@ _EXPORTS = {
     "RequestState": "request",
     "AdmissionPolicy": "overload",
     "OverloadConfig": "overload",
-    "OverloadController": "overload",
     "OverloadReport": "overload",
-    "KVCacheAccountant": "overload",
     "ArrivalProcess": "arrival",
     "ConstantRate": "arrival",
     "BurstyProcess": "arrival",

@@ -29,21 +29,15 @@ admission with deadlines, and the event bus/metrics/span exports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.serving.arrival import ArrivalProcess, ConstantRate
 from repro.serving.request import Batch, Phase, Request, RequestState
-from repro.serving.server import ServingResult
-from repro.serving.session import RunResult, ServingSession
-from repro.sim.contention import ContentionModel
-from repro.sim.memory import NodeMemoryModel, activation_bytes
-
-if TYPE_CHECKING:  # imported where a bus or an overload config is armed
-    from repro.obs.observability import Observability
-    from repro.serving.overload import OverloadConfig, OverloadReport
+from repro.serving.session import JobServer
+from repro.sim.memory import activation_bytes
 
 __all__ = [
     "GenRequest",
@@ -134,283 +128,6 @@ def generation_workload(
     ]
 
 
-class JobServer:
-    """The core the three job servers share.
-
-    Static, continuous and lifecycle serving all run long-lived jobs as a
-    sequence of iteration (and prefill) batches, so admission, memory and
-    terminal bookkeeping live here at job granularity instead of in the
-    session's batch-level overload controller.  Every terminal outcome
-    lands in the session's :class:`~repro.serving.metrics.ServingMetrics`,
-    the one serving-side tally, with the matching bus event when observed.
-
-    Subclasses keep their queue of waiting jobs in ``_queue`` and implement
-    ``_waiting`` (the jobs the admission bound counts, oldest first),
-    ``_on_batch_complete`` and ``_on_shed``.
-    """
-
-    discipline = "generation"
-
-    def __init__(
-        self,
-        model,
-        node,
-        strategy,
-        *,
-        contention: Optional[ContentionModel] = None,
-        record_trace: bool = False,
-        check_memory: bool = True,
-        fault_plan=None,
-        resilience=None,
-        overload: Optional[OverloadConfig] = None,
-        observability: Optional[Observability] = None,
-    ) -> None:
-        self.session = ServingSession(
-            model,
-            node,
-            strategy,
-            complete_callback=self._on_batch_complete,
-            contention=contention,
-            record_trace=record_trace,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            overload=overload,
-            observability=observability,
-            check_memory=check_memory,
-            shed_callback=self._on_shed,
-            per_job=True,
-        )
-        s = self.session
-        self.model = model
-        self.node = node
-        self.strategy = strategy
-        self.engine = s.engine
-        self.trace = s.trace
-        self.machine = s.machine
-        self.host = s.host
-        self.metrics = s.metrics
-        self.obs = s.obs
-        self.bus = s.bus
-        self.recovery = s.recovery
-        self.memory = NodeMemoryModel(model, node)
-        self.overload = overload
-        #: Iteration tokens put through the strategy.
-        self.total_tokens = 0
-        self._busy: set = set()  # rids in an in-flight decode iteration
-        #: rid → decode iterations of the job shed in a row (see
-        #: :meth:`_requeue_after_backoff`).
-        self._shed_streak: Dict[int, int] = {}
-        self._admitted = 0
-        self._peak_pending = 0
-
-    def _on_batch_complete(self, batch: Batch, time: float) -> None:
-        raise NotImplementedError
-
-    def _on_shed(self, batch: Batch) -> None:
-        """The recovery layer dropped ``batch`` (faults/resilience armed)."""
-        raise NotImplementedError
-
-    def _waiting(self) -> list:
-        raise NotImplementedError
-
-    def run(self, requests: Sequence) -> RunResult:
-        """Serve the jobs to completion and return the run's result."""
-        ordered = sorted(requests, key=lambda r: r.arrival)
-        if not ordered:
-            raise ConfigError("no requests to serve")
-        self._schedule_arrivals(ordered)
-        self.session.run_machine()
-        m = self.metrics
-        self.session.check_drained(
-            expected=len(ordered),
-            completed=m.num_completed,
-            shed=m.shed_requests,
-            timed_out=m.timed_out_requests,
-        )
-        return self._result(ordered)
-
-    def _schedule_arrivals(self, ordered: Sequence) -> None:
-        """One ``_on_arrival(job)`` callback per job at its arrival time."""
-        for job in ordered:
-            self.engine.schedule_at(
-                job.arrival, lambda j=job: self._on_arrival(j), priority=10
-            )
-
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-    def _admit(self, jobs: Sequence) -> bool:
-        """Admit an arrival of ``jobs``; False = the arrival was shed.
-
-        Stamps the default deadline, enforces the pending bound, counts the
-        admission and publishes ``RequestsAdmitted``; the caller enqueues.
-        """
-        cfg = self.overload
-        if cfg is not None:
-            if cfg.default_deadline_us is not None:
-                for job in jobs:
-                    if job.deadline is None:
-                        job.deadline = job.arrival + cfg.default_deadline_us
-            while len(self._waiting()) + len(jobs) > cfg.max_pending_requests:
-                if not self._evict_victim():
-                    for job in jobs:
-                        self._shed_job(job)
-                    return False
-        self._admitted += len(jobs)
-        self._peak_pending = max(
-            self._peak_pending, len(self._waiting()) + len(jobs)
-        )
-        if self.bus is not None:
-            from repro.obs.events import RequestsAdmitted
-
-            for job in jobs:
-                self.bus.publish(
-                    RequestsAdmitted(
-                        time_us=self.engine.now,
-                        batch_id=-1,
-                        rids=(job.rid,),
-                        arrivals_us=(job.arrival,),
-                    )
-                )
-        return True
-
-    def _evict_victim(self) -> bool:
-        """Shed one waiting job per the admission policy; False if none."""
-        from repro.serving.overload import shed_victim
-
-        waiting = self._waiting()
-        i = shed_victim(self.overload.policy, waiting)
-        if i is None:
-            return False
-        victim = waiting[i]
-        self._queue.remove(victim)
-        self._shed_job(victim)
-        return True
-
-    def _overload_report(self) -> Optional[OverloadReport]:
-        """Summarise this server's job-granularity admission layer."""
-        if self.overload is None:
-            return None
-        from repro.serving.overload import OverloadReport
-
-        m = self.metrics
-        return OverloadReport(
-            policy=self.overload.policy.value,
-            admitted_requests=self._admitted,
-            shed_requests=m.shed_requests,
-            timed_out_requests=m.timed_out_requests,
-            preempted_batches=m.preemptions,
-            peak_pending_requests=self._peak_pending,
-        )
-
-    # ------------------------------------------------------------------
-    # Terminal bookkeeping (every job ends in exactly one terminal state)
-    # ------------------------------------------------------------------
-    def _retire(self, batch: Batch, time: float, finished: Sequence) -> None:
-        """Publish ``batch``'s retirement; complete its ``finished`` jobs."""
-        if self.bus is not None:
-            from repro.obs.events import BatchCompleted
-
-            self.bus.publish(BatchCompleted.from_batch(batch, time, finished))
-        for job in finished:
-            job.completion = time
-            job.state = RequestState.COMPLETED
-            record = Request(
-                rid=job.rid, arrival=job.arrival, seq_len=job.gen_tokens,
-                phase=Phase.DECODE, deadline=job.deadline,
-            )
-            record.mark_completed(time)
-            self.metrics.record([record])
-
-    def _shed_job(self, job, *, where: str = "admission") -> None:
-        job.state = RequestState.SHED
-        self.metrics.note_shed([job])
-        if self.bus is not None:
-            from repro.obs.events import RequestsShed
-
-            self.bus.publish(
-                RequestsShed.from_requests(
-                    [job], self.engine.now, batch_id=-1, where=where
-                )
-            )
-
-    def _time_out_job(self, job, *, where: str = "pending") -> None:
-        job.state = RequestState.TIMED_OUT
-        self.metrics.note_timed_out([job])
-        if self.bus is not None:
-            from repro.obs.events import RequestsTimedOut
-
-            self.bus.publish(
-                RequestsTimedOut.from_requests(
-                    [job], self.engine.now, batch_id=-1, where=where
-                )
-            )
-
-    def _iteration_done(self, job) -> None:
-        """``job``'s decode iteration retired: it is free to run again."""
-        self._busy.discard(job.rid)
-        self._shed_streak.pop(job.rid, None)
-
-    def _requeue_after_backoff(self, members: Sequence, relaunch, drop) -> None:
-        """Return a retry-exhausted decode iteration's members to scheduling.
-
-        The members keep their KV reservations (the retry re-decodes the
-        same context) but stay busy for one recovery backoff, so the launch
-        loop cannot instantly rebuild and re-shed the same batch without
-        simulated time advancing.
-
-        A job whose decode iterations were shed ``max_retries + 1`` times in
-        a row is shed itself: ``drop(job)`` takes it out of the server's
-        queue and frees its KV reservation.  Otherwise a launch-failure
-        window that never closes would requeue it forever while the machine
-        idles between attempts.
-        """
-        assert self.recovery is not None
-        limit = self.recovery.config.max_retries
-        streak = self._shed_streak
-        retried = []
-        for job in members:
-            shed = streak.get(job.rid, 0) + 1
-            if shed > limit:
-                streak.pop(job.rid, None)
-                self._busy.discard(job.rid)
-                drop(job)
-                self._shed_job(job, where="retry-exhausted")
-            else:
-                streak[job.rid] = shed
-                retried.append(job)
-
-        def _requeue() -> None:
-            for job in retried:
-                self._busy.discard(job.rid)
-            relaunch()
-
-        from repro.faults.resilience import RETRY_BACKOFF_US
-
-        self.engine.schedule(RETRY_BACKOFF_US, _requeue, priority=10)
-
-    # ------------------------------------------------------------------
-    def _result_fields(self) -> dict:
-        """The result fields every job server reports the same way."""
-        return dict(
-            strategy=f"{self.strategy.name}+{self.discipline}",
-            model=self.model.name,
-            node=self.node.name,
-            wall_events=self.engine.events_processed,
-            resilience=self.session.finalize_resilience(),
-            overload=self._overload_report(),
-            observability=self.obs,
-        )
-
-    def _result(self, ordered: Sequence) -> ServingResult:
-        return ServingResult(
-            num_requests=len(ordered),
-            metrics=self.metrics,
-            trace=self.trace,
-            **self._result_fields(),
-        )
-
-
 class StaticBatchingServer(JobServer):
     """FasterTransformer-style static batches of generation jobs.
 
@@ -434,7 +151,8 @@ class StaticBatchingServer(JobServer):
             raise ConfigError("batch_size must be >= 1")
         self.batch_size = batch_size
         self._groups: Dict[int, dict] = {}
-        self._pending_groups: List[List[GenRequest]] = []
+        #: Admitted groups waiting for their device reservation.
+        self._queue: List[List[GenRequest]] = []
         #: Every iteration batch id → the group key (its last batch id is
         #: assigned at submit; until then iterations map to the group's gid).
         self._batch_group: Dict[int, int] = {}
@@ -442,7 +160,7 @@ class StaticBatchingServer(JobServer):
         self.session.add_gauge(
             "repro_pending_queue_requests",
             "Generation jobs waiting in queued static groups.",
-            lambda: float(len(self._waiting())),
+            lambda: float(self._num_requests(self._queue)),
         )
         self.session.add_gauge(
             "repro_inflight_batches",
@@ -461,26 +179,11 @@ class StaticBatchingServer(JobServer):
     # ------------------------------------------------------------------
     # Admission (group-granular)
     # ------------------------------------------------------------------
-    def _waiting(self) -> List[GenRequest]:
-        return [gen for group in self._pending_groups for gen in group]
+    def _waiting(self) -> List[List[GenRequest]]:
+        return self._queue
 
-    def _evict_victim(self) -> bool:
-        """Shed one whole queued group per the admission policy."""
-        from repro.serving.overload import shed_victim
-
-        i = shed_victim(
-            self.overload.policy,
-            self._pending_groups,
-            lambda group: min(
-                (g.deadline for g in group if g.deadline is not None),
-                default=None,
-            ),
-        )
-        if i is None:
-            return False
-        for gen in self._pending_groups.pop(i):
-            self._shed_job(gen)
-        return True
+    def _requests_of(self, group: List[GenRequest]) -> List[GenRequest]:
+        return group
 
     def _expire_pending(self) -> None:
         """Time out queued jobs whose deadline passed — cheaply, pre-launch.
@@ -490,7 +193,7 @@ class StaticBatchingServer(JobServer):
         """
         now = self.engine.now
         kept: List[List[GenRequest]] = []
-        for group in self._pending_groups:
+        for group in self._queue:
             alive = []
             for gen in group:
                 if gen.deadline_passed(now):
@@ -499,11 +202,11 @@ class StaticBatchingServer(JobServer):
                     alive.append(gen)
             if alive:
                 kept.append(alive)
-        self._pending_groups = kept
+        self._queue = kept
 
     def _enqueue_group(self, group: List[GenRequest]) -> None:
         if self._admit(group):
-            self._pending_groups.append(group)
+            self._queue.append(group)
             self._drain_pending_groups()
 
     def _drain_pending_groups(self) -> None:
@@ -517,15 +220,15 @@ class StaticBatchingServer(JobServer):
 
         if self.overload is not None:
             self._expire_pending()
-        while self._pending_groups:
-            group = self._pending_groups[0]
+        while self._queue:
+            group = self._queue[0]
             try:
                 self._reserve_group(group)
             except OutOfMemoryError:
                 if self._groups:  # something running will free memory
                     return
                 raise  # nothing can ever free: genuinely does not fit
-            self._pending_groups.pop(0)
+            self._queue.pop(0)
             self._submit_group(group)
 
     def _reserve_group(self, group: List[GenRequest]) -> None:
@@ -660,7 +363,7 @@ class ContinuousBatchingServer(JobServer):
             self._time_out_job(req, where="queue")
 
     def _on_arrival(self, req: GenRequest) -> None:
-        if self._admit([req]):
+        if self._admit(req):
             self._queue.append(req)
             self._maybe_launch_iteration()
 

@@ -30,10 +30,9 @@ import numpy as np
 
 from repro.errors import ConfigError, IncompleteRequestError
 from repro.serving.arrival import ArrivalProcess, ConstantRate
-from repro.serving.generation import JobServer
 from repro.serving.metrics import LatencyStats
 from repro.serving.request import Batch, Phase, Request, RequestState
-from repro.serving.session import RunResult
+from repro.serving.session import JobServer, RunResult
 from repro.sim.memory import activation_bytes
 from repro.units import us_to_s
 
@@ -274,7 +273,7 @@ class LifecycleServer(JobServer):
         return self._queue
 
     def _on_arrival(self, req: ChatRequest) -> None:
-        if self._admit([req]):
+        if self._admit(req):
             self._queue.append(req)
             self._maybe_submit_prefill()
 
@@ -322,7 +321,7 @@ class LifecycleServer(JobServer):
         """
         if self._try_reserve_chat(req):
             return True
-        if self.overload is None or not self.overload.enable_preemption:
+        if self.overload is None:
             return False
         candidates = [
             c

@@ -88,7 +88,7 @@ class ServingMetrics:
     This is the run's one tally of request outcomes, retries and
     preemptions: the recovery layer (:mod:`repro.faults.resilience`) counts
     ``retries`` here, the session and servers record every terminal state,
-    and the overload layers count ``preemptions``.  The reports and the
+    and the lifecycle server counts ``preemptions``.  The reports and the
     obs metrics registry read these fields instead of keeping their own
     counts.  Everything but ``completed`` stays 0 on a healthy run.
     """
@@ -99,7 +99,7 @@ class ServingMetrics:
     shed_requests: int = 0
     #: Requests whose deadline expired before they could complete.
     timed_out_requests: int = 0
-    #: Decode batches preempted-and-requeued under KV-cache pressure.
+    #: Decode chats preempted and requeued for recompute under KV pressure.
     preemptions: int = 0
     #: Completed requests whose completion came after their deadline.
     deadline_misses: int = 0

@@ -7,67 +7,56 @@ strategy turn it into kernels, and records request completions as batches
 drain.  The result bundles the paper's two metrics plus the execution trace
 for overlap analysis.
 
-Construction, subsystem wiring, and the submit path live in the
-:class:`~repro.serving.session.ServingSession` chassis; this module is the
-batch-granularity policy on top: one arrival per pre-packed batch, metrics
-recorded as batches retire.
+The server is a :class:`~repro.serving.session.JobServer` whose job is one
+pre-packed batch: construction, subsystem wiring, admission and the submit
+path live on that chassis, and this module is the batch-granularity policy
+on top — dispatch on arrival, or, with an
+:class:`~repro.serving.overload.OverloadConfig`, dispatch from a bounded
+queue while fewer than :data:`MAX_INFLIGHT_BATCHES` batches are open and
+their KV fits the budget.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set
 
-from repro.errors import ConfigError
+from repro.errors import OutOfMemoryError
 from repro.hw.devices import NodeSpec
+from repro.models.kvcache import batch_kv_bytes
 from repro.models.specs import ModelSpec
-from repro.serving.metrics import LatencyStats, ServingMetrics
-from repro.serving.request import Batch
-from repro.serving.session import RunResult, ServingSession
+from repro.serving.request import Batch, Request
+from repro.serving.session import JobServer, ServingResult
 from repro.sim.contention import ContentionModel
-from repro.sim.tracing import Trace
+from repro.sim.memory import NodeMemoryModel
 
 if TYPE_CHECKING:  # the session imports each subsystem only when armed
     from repro.faults.plan import FaultPlan
     from repro.faults.resilience import ResilienceConfig
     from repro.obs.observability import Observability
     from repro.parallel.base import ParallelStrategy
-    from repro.serving.overload import OverloadConfig
+    from repro.serving.overload import OverloadConfig, OverloadReport
 
-__all__ = ["Server", "ServingResult"]
+__all__ = ["Server", "ServingResult", "MAX_INFLIGHT_BATCHES"]
 
-
-@dataclass
-class ServingResult(RunResult):
-    """Outcome of one serving run."""
-
-    metrics: ServingMetrics = field(default=None)  # type: ignore[assignment]
-    trace: Optional[Trace] = None
-
-    @property
-    def avg_latency_ms(self) -> float:
-        return self.metrics.avg_latency_ms
-
-    @property
-    def throughput(self) -> float:
-        return self.metrics.throughput()
-
-    def latency_stats(self) -> LatencyStats:
-        """Latency percentile summary (milliseconds)."""
-        return self.metrics.latency_stats()
-
-    def summary(self) -> str:
-        """One-line human summary."""
-        stats = self.latency_stats()
-        return (
-            f"{self.strategy:>8s} | {self.model} on {self.node}: "
-            f"{self.num_requests} reqs, avg latency {stats.mean:.1f} ms "
-            f"(p99 {stats.p99:.1f} ms), throughput {self.throughput:.2f} req/s"
-        )
+#: Batches an overload-armed server keeps open at once: the dispatch window
+#: in front of the strategy's own processing list.
+MAX_INFLIGHT_BATCHES = 4
 
 
-class Server:
-    """Drives one strategy over one workload on a simulated node."""
+class Server(JobServer):
+    """Drives one strategy over one workload on a simulated node.
+
+    Without an ``overload`` config every batch is dispatched on arrival.
+    With one, arrivals pass the chassis admission rule into a queue, queued
+    batches whose deadline passed are dropped before launch, and the head is
+    dispatched while fewer than :data:`MAX_INFLIGHT_BATCHES` batches are
+    open and — with ``enable_kv_accounting`` — its KV fits
+    ``kv_capacity_frac`` of the memory left after weights.
+    """
+
+    discipline = ""
+    #: The strategy keeps its own per-batch workspace reservations.
+    _bind_track_memory = None
 
     def __init__(
         self,
@@ -83,33 +72,127 @@ class Server:
         overload: Optional["OverloadConfig"] = None,
         observability: Optional["Observability"] = None,
     ) -> None:
-        self.session = ServingSession(
+        super().__init__(
             model,
             node,
             strategy,
-            complete_callback=self._on_batch_complete,
             contention=contention,
             record_trace=record_trace,
+            check_memory=check_memory,
             fault_plan=fault_plan,
             resilience=resilience,
             overload=overload,
             observability=observability,
-            check_memory=check_memory,
         )
+        #: Admitted batches waiting for a dispatch slot (overload armed).
+        self._queue: List[Batch] = []
+        #: Ids of the batches dispatched and not yet retired (overload armed).
+        self._open: Set[int] = set()
+        if overload is None:
+            return
         s = self.session
-        self.model = model
-        self.node = node
-        self.strategy = strategy
-        self.engine = s.engine
-        self.trace = s.trace
-        self.machine = s.machine
-        self.host = s.host
-        self.metrics = s.metrics
-        self.obs = s.obs
-        self.bus = s.bus
-        self.recovery = s.recovery
-        self.overload_ctl = s.overload_ctl
+        s.add_gauge(
+            "repro_pending_queue_requests",
+            "Requests waiting in the bounded pending queue.",
+            lambda: float(self._num_requests(self._queue)),
+        )
+        s.add_gauge(
+            "repro_inflight_batches",
+            "Batches dispatched and not yet retired.",
+            lambda: float(len(self._open)),
+        )
+        if self.memory is not None:
+            s.add_gauge(
+                "repro_kv_used_bytes",
+                "Per-GPU KV bytes reserved by in-flight batches.",
+                lambda: float(self.memory.devices[0].used - self._kv_floor),
+            )
 
+    def _memory_model(self) -> Optional[NodeMemoryModel]:
+        """A KV ledger capped at ``kv_capacity_frac`` of the memory left
+        after weights, or ``None`` without KV accounting."""
+        cfg = self.overload
+        if cfg is None or not cfg.enable_kv_accounting:
+            return None
+        memory = NodeMemoryModel(self.model, self.node)
+        free = memory.min_available()
+        memory.reserve("headroom", free * (1.0 - cfg.kv_capacity_frac))
+        #: What the ledger holds with no batch in flight, and the KV budget.
+        self._kv_floor = memory.devices[0].used
+        self._kv_budget = memory.min_available()
+        return memory
+
+    def _requests_of(self, batch: Batch) -> List[Request]:
+        return batch.requests
+
+    def _waiting(self) -> List[Batch]:
+        return self._queue
+
+    def _requests_in(self, batches: Sequence[Batch]) -> int:
+        return self._num_requests(batches)
+
+    # ------------------------------------------------------------------
+    # Arrival and dispatch
+    # ------------------------------------------------------------------
+    def _on_arrival(self, batch: Batch) -> None:
+        if not self._admit(batch):
+            return
+        if self.overload is None:
+            self.session.submit(batch)
+            return
+        self._queue.append(batch)
+        self._pump()
+
+    def _announce(self, batch: Batch) -> None:
+        from repro.obs.events import RequestsAdmitted
+
+        self.bus.publish(RequestsAdmitted.from_batch(batch, self.engine.now))
+
+    def _pump(self) -> None:
+        """Drop expired queued batches, then dispatch from the head while
+        the window has a slot and the head's KV fits."""
+        now = self.engine.now
+        for batch in list(self._queue):
+            deadline = batch.deadline
+            if deadline is not None and now > deadline:
+                self._queue.remove(batch)
+                self._expire(batch, now)
+        while self._queue and len(self._open) < MAX_INFLIGHT_BATCHES:
+            head = self._queue[0]
+            if not self._reserve_kv(head):
+                return  # a retiring batch frees KV and pumps again
+            self._queue.pop(0)
+            self._open.add(head.batch_id)
+            self.session.submit(head)
+
+    def _reserve_kv(self, batch: Batch) -> bool:
+        """Reserve ``batch``'s KV; False while in-flight batches hold it."""
+        if self.memory is None:
+            return True
+        nbytes = batch_kv_bytes(self.model, batch, self.node.num_gpus)
+        try:
+            self.memory.reserve(f"kv{batch.batch_id}", nbytes)
+        except OutOfMemoryError:
+            if self._open:
+                return False
+            # Nothing in flight will ever free this much KV.
+            raise OutOfMemoryError(
+                f"batch {batch.batch_id} needs {nbytes / 1e9:.3f} GB of KV "
+                f"but the budget is {self._kv_budget / 1e9:.3f} GB"
+            ) from None
+        return True
+
+    def _close(self, batch: Batch) -> None:
+        """Free a retired or shed batch's slot and KV, then refill."""
+        if self.overload is None:
+            return
+        self._open.discard(batch.batch_id)
+        if self.memory is not None:
+            self.memory.release(f"kv{batch.batch_id}")
+        self._pump()
+
+    # ------------------------------------------------------------------
+    # Terminal bookkeeping
     # ------------------------------------------------------------------
     def _on_batch_complete(self, batch: Batch, time: float) -> None:
         batch.complete(time)
@@ -118,36 +201,62 @@ class Server:
             from repro.obs.events import BatchCompleted
 
             self.bus.publish(BatchCompleted.from_batch(batch, time))
-        self.session.notify_complete(batch, time)
+        self._close(batch)
 
-    def run(self, batches: Sequence[Batch]) -> ServingResult:
-        """Serve ``batches`` to completion and return metrics."""
-        if not batches:
-            raise ConfigError("no batches to serve")
-        ordered: List[Batch] = sorted(batches, key=lambda b: b.arrival)
-        for batch in ordered:
-            self.engine.schedule_at(
-                batch.arrival,
-                lambda b=batch: self.session.submit(b),
-                priority=10,  # arrivals fire after same-time device events
+    def _on_shed(self, batch: Batch) -> None:
+        """The recovery layer dropped ``batch`` after exhausting retries."""
+        self._shed(batch, where="retry-exhausted")
+        self._close(batch)
+
+    def _shed(self, batch: Batch, *, where: str = "admission") -> None:
+        batch.shed()
+        self.metrics.note_shed(batch.requests)
+        if self.bus is not None:
+            from repro.obs.events import RequestsShed
+
+            self.bus.publish(
+                RequestsShed.from_requests(
+                    batch.requests,
+                    self.engine.now,
+                    batch_id=batch.batch_id,
+                    where=where,
+                )
             )
-        self.session.run_machine()
-        expected = sum(b.size for b in ordered)
-        self.session.check_drained(
-            expected=expected,
-            completed=self.metrics.num_completed,
-            shed=self.metrics.shed_requests,
-            timed_out=self.metrics.timed_out_requests,
-        )
-        return ServingResult(
-            strategy=self.strategy.name,
-            model=self.model.name,
-            node=self.node.name,
-            num_requests=expected,
-            metrics=self.metrics,
-            trace=self.trace,
-            wall_events=self.engine.events_processed,
-            resilience=self.session.finalize_resilience(),
-            overload=self.session.overload_report(),
-            observability=self.obs,
-        )
+
+    def _expire(self, batch: Batch, now: float) -> None:
+        """Drop a queued batch past its deadline before launch: expired
+        members time out, the rest are shed as collateral."""
+        expired: List[Request] = []
+        collateral: List[Request] = []
+        for r in batch.requests:
+            if r.deadline_passed(now):
+                r.mark_timed_out()
+                expired.append(r)
+            else:
+                r.mark_shed()
+                collateral.append(r)
+        self.metrics.note_timed_out(expired)
+        if collateral:
+            self.metrics.note_shed(collateral)
+        if self.bus is not None:
+            from repro.obs.events import RequestsShed, RequestsTimedOut
+
+            self.bus.publish(
+                RequestsTimedOut.from_requests(
+                    expired, now, batch_id=batch.batch_id, where="pending"
+                )
+            )
+            if collateral:
+                self.bus.publish(
+                    RequestsShed.from_requests(
+                        collateral, now, batch_id=batch.batch_id,
+                        where="collateral",
+                    )
+                )
+
+    def _overload_report(self) -> Optional["OverloadReport"]:
+        report = super()._overload_report()
+        if report is not None and self.memory is not None:
+            report.kv_capacity_bytes = self._kv_budget
+            report.peak_kv_bytes = self.memory.peak_used - self._kv_floor
+        return report

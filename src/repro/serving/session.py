@@ -1,25 +1,23 @@
-"""The serving-session chassis shared by all four servers.
+"""The serving chassis every server stands on.
 
-Three subsystems grew around the serving loop — faults/recovery, overload
-protection, and observability — and each server used to wire them by hand:
-engine/machine/host construction, strategy binding, recovery attachment,
-gauge registration, the arm sequence, and the drain-or-deadlock check were
-duplicated across :class:`~repro.serving.server.Server` and
-:class:`~repro.serving.lifecycle.LifecycleServer`, while the generation
-servers had none of it.  A :class:`ServingSession` owns all of that once:
+Two layers, shared by all four servers:
 
-* **construction** — ``Engine``/``Trace``/``Machine``/``Host``, strategy
-  binding (including the bind-time memory-tracking mode), and a
-  :class:`~repro.serving.metrics.ServingMetrics`, configured by the same
-  six keywords every server takes (``contention``/``record_trace``/
-  ``fault_plan``/``resilience``/``overload``/``observability``);
-* **the submit path** — :meth:`ServingSession.submit` runs admission (the
-  :class:`~repro.serving.overload.OverloadController`, when armed) or the
-  ``RequestsAdmitted`` announcement, then stamps and publishes the
-  dispatch and hands the batch to the recovery manager or the strategy;
-* **the arm sequence** (recovery → overload → observability) and the
-  drain-or-:class:`~repro.errors.DeadlockError` check with open-batch
-  attribution.
+* :class:`ServingSession` owns the simulation plumbing — ``Engine``/
+  ``Trace``/``Machine``/``Host`` construction, strategy binding (with the
+  bind-time memory-tracking mode), a
+  :class:`~repro.serving.metrics.ServingMetrics`, the optional recovery
+  layer and observability, the submit path (dispatch stamp, publish, hand
+  to the recovery manager or the strategy), the arm sequence (recovery →
+  observability) and the drain-or-:class:`~repro.errors.DeadlockError`
+  check with open-batch attribution.
+* :class:`JobServer` is the serving loop on top: one arrival callback per
+  job, the one admission rule (default-deadline stamp, a pending bound
+  counted in requests, the victim :func:`~repro.serving.overload.shed_victim`
+  picks), terminal bookkeeping in the session's tally, and the run's
+  result.  A *job* is whatever a server queues: one pre-packed batch for
+  :class:`~repro.serving.server.Server`, one generation or chat job for
+  the continuous and lifecycle servers, one static group for the static
+  server.
 
 The zero-cost convention survives the chassis: with every subsystem
 keyword left at its default, a batch goes straight from the dispatch stamp
@@ -31,16 +29,17 @@ fingerprints in ``tests/golden/serving_traces.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError, DeadlockError
 from repro.models.partition import check_placement
-from repro.serving.metrics import ServingMetrics
-from repro.serving.request import Batch
+from repro.serving.metrics import LatencyStats, ServingMetrics
+from repro.serving.request import Batch, Phase, Request, RequestState
 from repro.sim.contention import ContentionModel, default_contention_for
 from repro.sim.engine import Engine
 from repro.sim.gpu import Machine
 from repro.sim.host import Host
+from repro.sim.memory import NodeMemoryModel
 from repro.sim.tracing import Trace
 
 # The subsystems are imported on the branch that arms them, so a run that
@@ -56,13 +55,9 @@ if TYPE_CHECKING:
     from repro.models.specs import ModelSpec
     from repro.obs.observability import Observability
     from repro.parallel.base import ParallelStrategy
-    from repro.serving.overload import (
-        OverloadConfig,
-        OverloadController,
-        OverloadReport,
-    )
+    from repro.serving.overload import OverloadConfig, OverloadReport
 
-__all__ = ["RunResult", "ServingSession"]
+__all__ = ["RunResult", "ServingResult", "ServingSession", "JobServer"]
 
 
 @dataclass
@@ -88,11 +83,40 @@ class RunResult:
     observability: Optional["Observability"] = field(default=None, kw_only=True)
 
 
+@dataclass
+class ServingResult(RunResult):
+    """Outcome of one serving run."""
+
+    metrics: ServingMetrics = field(default=None)  # type: ignore[assignment]
+    trace: Optional[Trace] = None
+
+    @property
+    def avg_latency_ms(self) -> float:
+        return self.metrics.avg_latency_ms
+
+    @property
+    def throughput(self) -> float:
+        return self.metrics.throughput()
+
+    def latency_stats(self) -> LatencyStats:
+        """Latency percentile summary (milliseconds)."""
+        return self.metrics.latency_stats()
+
+    def summary(self) -> str:
+        """One-line human summary."""
+        stats = self.latency_stats()
+        return (
+            f"{self.strategy:>8s} | {self.model} on {self.node}: "
+            f"{self.num_requests} reqs, avg latency {stats.mean:.1f} ms "
+            f"(p99 {stats.p99:.1f} ms), throughput {self.throughput:.2f} req/s"
+        )
+
+
 # ----------------------------------------------------------------------
-# The chassis
+# The session
 # ----------------------------------------------------------------------
 class ServingSession:
-    """Owns what every server used to duplicate.
+    """Owns the simulation plumbing every server used to duplicate.
 
     Parameters
     ----------
@@ -107,27 +131,17 @@ class ServingSession:
         Inject these faults and arm the recovery layer.
     resilience:
         Recovery-policy knobs; implies the recovery layer even without faults.
-    overload:
-        Admission control / deadlines / KV accounting / backpressure.
     observability:
         Event bus + metrics registry + span builder for the run.
     check_memory:
         Validate model placement against the node before serving.
     shed_callback:
-        Invoked — after the overload controller — when the recovery layer
-        drops a batch, so servers with per-batch state can clean it up.
-    per_job:
-        The one mode switch.  ``False`` (the batch server, whose requests
-        live and die with one pre-packed batch): the session owns
-        admission — an :class:`~repro.serving.overload.OverloadController`
-        built from ``overload``, else a ``RequestsAdmitted`` announcement
-        when observed — and a batch the recovery layer sheds is stamped
-        into the session's :class:`~repro.serving.metrics.ServingMetrics`.
-        ``True`` (the job servers, whose requests outlive individual
-        batches): the server does admission, memory and terminal
-        bookkeeping itself at job granularity, so the strategy binds with
-        ``track_memory=False`` and recovery sheds reach only
-        ``shed_callback``.
+        Invoked when the recovery layer drops a batch; the server owns the
+        batch's terminal bookkeeping.
+    track_memory:
+        The strategy's bind-time memory-tracking mode: ``None`` keeps the
+        strategy's own per-batch reservations, ``False`` leaves memory to a
+        server that reserves it at job granularity.
     """
 
     def __init__(
@@ -141,11 +155,10 @@ class ServingSession:
         record_trace: bool = False,
         fault_plan: Optional["FaultPlan"] = None,
         resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional["OverloadConfig"] = None,
         observability: Optional["Observability"] = None,
         check_memory: bool = True,
         shed_callback: Optional[Callable[[Batch], None]] = None,
-        per_job: bool = False,
+        track_memory: Optional[bool] = None,
     ) -> None:
         if strategy.model is not model or strategy.node is not node:
             raise ConfigError("strategy was built for a different model/node")
@@ -171,13 +184,8 @@ class ServingSession:
         #: ``if bus is not None`` so an unobserved session allocates nothing
         #: (the zero-cost convention).
         self.bus = self.obs.bus if self.obs is not None else None
-        # Job servers account memory at sequence granularity themselves.
-        strategy.bind(
-            self.machine, self.host, track_memory=False if per_job else None
-        )
+        strategy.bind(self.machine, self.host, track_memory=track_memory)
         strategy.on_batch_complete(complete_callback)
-        self._per_job = per_job
-        self._shed_callback = shed_callback
         #: Rids handed off at least once; a job server re-dispatches a
         #: request every decode iteration.  Only filled when a bus listens.
         self._dispatched_rids: set = set()
@@ -198,56 +206,12 @@ class ServingSession:
                 complete_callback=complete_callback,
                 bus=self.bus,
             )
-
-        self.overload_ctl: Optional["OverloadController"] = None
-        if not per_job and overload is not None:
-            from repro.serving.overload import OverloadController
-
-            self.overload_ctl = OverloadController(
-                overload,
-                model,
-                node,
-                self.engine,
-                self.metrics,
-                self._dispatch,
-                bus=self.bus,
-            )
-        if self.recovery is not None:
-            if self.overload_ctl is not None:
-                self.overload_ctl.attach_recovery(self.recovery)
-            self.recovery.on_shed = self._on_recovery_shed
+            self.recovery.on_shed = shed_callback
 
         if self.obs is not None:
             if fault_plan is not None:
                 self.obs.note_fault_plan(fault_plan)
-            self._register_overload_gauges(self.obs)
             self._register_perf_gauges(self.obs)
-
-    def _on_recovery_shed(self, batch: Batch) -> None:
-        """Recovery-shed fan-out: the batch server's terminal bookkeeping,
-        then the overload controller, then the server's ``shed_callback``.
-
-        Job servers requeue at job granularity, so their sheds skip the
-        tally here and reach only ``shed_callback``.
-        """
-        if not self._per_job:
-            batch.shed()  # terminal state: nothing is dropped silently
-            self.metrics.note_shed(batch.requests)
-            if self.bus is not None:
-                from repro.obs.events import RequestsShed
-
-                self.bus.publish(
-                    RequestsShed.from_requests(
-                        batch.requests,
-                        self.engine.now,
-                        batch_id=batch.batch_id,
-                        where="retry-exhausted",
-                    )
-                )
-        if self.overload_ctl is not None:
-            self.overload_ctl.on_downstream_shed(batch)
-        if self._shed_callback is not None:
-            self._shed_callback(batch)
 
     # ------------------------------------------------------------------
     # Observability wiring
@@ -256,29 +220,6 @@ class ServingSession:
         """Register a live gauge; no-op when observability is off."""
         if self.obs is not None:
             self.obs.register_gauge(name, help, fn)
-
-    def _register_overload_gauges(self, obs: "Observability") -> None:
-        """Expose the overload controller's live readings to the heartbeat."""
-        ctl = self.overload_ctl
-        if ctl is None:
-            return
-        obs.register_gauge(
-            "repro_pending_queue_requests",
-            "Requests waiting in the bounded pending queue.",
-            lambda: float(ctl.queue_depth),
-        )
-        obs.register_gauge(
-            "repro_inflight_batches",
-            "Batches staged or dispatched downstream.",
-            lambda: float(ctl.inflight_batches),
-        )
-        if ctl.accountant is not None:
-            acct = ctl.accountant
-            obs.register_gauge(
-                "repro_kv_used_bytes",
-                "Per-GPU KV bytes charged by in-flight batches.",
-                lambda: float(acct.used),
-            )
 
     #: The ``perf`` section of the Prometheus export: hot-path cache
     #: statistics, published only by strategies that expose
@@ -306,24 +247,6 @@ class ServingSession:
     # Run control
     # ------------------------------------------------------------------
     def submit(self, batch: Batch) -> None:
-        """Hand one arriving batch to admission, or announce and dispatch it.
-
-        With an overload controller armed, the controller admits, queues or
-        sheds the batch and dispatches it when its bounds allow.  Otherwise
-        the batch server announces the arrival (``RequestsAdmitted``, when a
-        bus listens; job servers announce their own jobs) and dispatches at
-        once.
-        """
-        if self.overload_ctl is not None:
-            self.overload_ctl.on_arrival(batch)
-            return
-        if self.bus is not None and not self._per_job:
-            from repro.obs.events import RequestsAdmitted
-
-            self.bus.publish(RequestsAdmitted.from_batch(batch, self.engine.now))
-        self._dispatch(batch)
-
-    def _dispatch(self, batch: Batch) -> None:
         """Stamp the hand-off, publish it, and submit to recovery or strategy.
 
         Stamping :attr:`~repro.serving.request.Request.dispatched_at` is what
@@ -347,18 +270,11 @@ class ServingSession:
         else:
             self.strategy.submit_batch(batch)
 
-    def notify_complete(self, batch: Batch, time: float) -> None:
-        """Release what the overload controller holds for a retired batch."""
-        if self.overload_ctl is not None:
-            self.overload_ctl.on_complete(batch, time)
-
     def run_machine(self) -> None:
-        """Arm every subsystem (recovery → overload → observability) and
-        drive the simulation to quiescence."""
+        """Arm every subsystem (recovery → observability) and drive the
+        simulation to quiescence."""
         if self.recovery is not None:
             self.recovery.arm()
-        if self.overload_ctl is not None:
-            self.overload_ctl.arm()
         if self.obs is not None:
             self.obs.arm(self.engine)
         self.machine.run()
@@ -395,13 +311,333 @@ class ServingSession:
             f"{open_ids if open_ids else 'none open (lost)'}"
         )
 
-    # ------------------------------------------------------------------
-    # Result plumbing
-    # ------------------------------------------------------------------
     def finalize_resilience(self) -> Optional["ResilienceReport"]:
         """The recovery layer's end-of-run report, or ``None`` if unarmed."""
         return self.recovery.finalize() if self.recovery is not None else None
 
-    def overload_report(self) -> Optional["OverloadReport"]:
-        """The overload controller's report, or ``None`` if unarmed."""
-        return self.overload_ctl.report if self.overload_ctl is not None else None
+
+# ----------------------------------------------------------------------
+# The serving loop
+# ----------------------------------------------------------------------
+class JobServer:
+    """The serving loop all four servers share.
+
+    Each job arrives through one engine callback, passes the one admission
+    rule (:meth:`_admit`), and ends in exactly one terminal state in the
+    session's :class:`~repro.serving.metrics.ServingMetrics`, with the
+    matching bus event when observed.  Memory is reserved at job
+    granularity in :attr:`memory`, a
+    :class:`~repro.sim.memory.NodeMemoryModel`.
+
+    Subclasses keep their waiting jobs in ``_queue`` and implement
+    ``_on_arrival``, ``_waiting`` (the queued jobs the admission bound
+    counts, oldest first), ``_on_batch_complete`` and ``_on_shed``; one
+    whose job holds several requests overrides ``_requests_of``.
+    """
+
+    discipline = "generation"
+    #: The strategy's bind-time memory-tracking mode
+    #: (:class:`ServingSession`'s ``track_memory``): job servers reserve
+    #: memory themselves, so the strategy tracks none.
+    _bind_track_memory: Optional[bool] = False
+
+    def __init__(
+        self,
+        model,
+        node,
+        strategy,
+        *,
+        contention: Optional[ContentionModel] = None,
+        record_trace: bool = False,
+        check_memory: bool = True,
+        fault_plan=None,
+        resilience=None,
+        overload: Optional[OverloadConfig] = None,
+        observability: Optional[Observability] = None,
+    ) -> None:
+        self.session = ServingSession(
+            model,
+            node,
+            strategy,
+            complete_callback=self._on_batch_complete,
+            contention=contention,
+            record_trace=record_trace,
+            fault_plan=fault_plan,
+            resilience=resilience,
+            observability=observability,
+            check_memory=check_memory,
+            shed_callback=self._on_shed,
+            track_memory=self._bind_track_memory,
+        )
+        s = self.session
+        self.model = model
+        self.node = node
+        self.strategy = strategy
+        self.engine = s.engine
+        self.trace = s.trace
+        self.machine = s.machine
+        self.host = s.host
+        self.metrics = s.metrics
+        self.obs = s.obs
+        self.bus = s.bus
+        self.recovery = s.recovery
+        self.overload = overload
+        self.memory: Optional[NodeMemoryModel] = self._memory_model()
+        #: Iteration tokens put through the strategy.
+        self.total_tokens = 0
+        self._busy: set = set()  # rids in an in-flight decode iteration
+        #: rid → decode iterations of the job shed in a row (see
+        #: :meth:`_requeue_after_backoff`).
+        self._shed_streak: Dict[int, int] = {}
+        self._admitted = 0
+        self._peak_pending = 0
+
+    def _memory_model(self) -> Optional[NodeMemoryModel]:
+        """The ledger job reservations go to (one per server)."""
+        return NodeMemoryModel(self.model, self.node)
+
+    def _on_arrival(self, job) -> None:
+        raise NotImplementedError
+
+    def _on_batch_complete(self, batch: Batch, time: float) -> None:
+        raise NotImplementedError
+
+    def _on_shed(self, batch: Batch) -> None:
+        """The recovery layer dropped ``batch`` (faults/resilience armed)."""
+        raise NotImplementedError
+
+    def _waiting(self) -> list:
+        raise NotImplementedError
+
+    def _requests_of(self, job) -> Sequence:
+        """The requests ``job`` carries (a job is one request by default)."""
+        return (job,)
+
+    def _num_requests(self, jobs: Sequence) -> int:
+        """Requests carried by the queued ``jobs``."""
+        return sum(len(self._requests_of(job)) for job in jobs)
+
+    def _requests_in(self, inputs: Sequence) -> int:
+        """Requests carried by :meth:`run`'s inputs (one per job)."""
+        return len(inputs)
+
+    def run(self, jobs: Sequence) -> RunResult:
+        """Serve the jobs to completion and return the run's result."""
+        ordered = sorted(jobs, key=lambda j: j.arrival)
+        if not ordered:
+            raise ConfigError("no requests to serve")
+        self._schedule_arrivals(ordered)
+        self.session.run_machine()
+        m = self.metrics
+        self.session.check_drained(
+            expected=self._requests_in(ordered),
+            completed=m.num_completed,
+            shed=m.shed_requests,
+            timed_out=m.timed_out_requests,
+        )
+        return self._result(ordered)
+
+    def _schedule_arrivals(self, ordered: Sequence) -> None:
+        """One ``_on_arrival(job)`` callback per job at its arrival time."""
+        for job in ordered:
+            self.engine.schedule_at(
+                job.arrival,
+                lambda j=job: self._on_arrival(j),
+                priority=10,  # arrivals fire after same-time device events
+            )
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+    def _admit(self, job) -> bool:
+        """Admit an arriving ``job``; False = the arrival was shed.
+
+        Stamps the default deadline, enforces the pending bound (counted in
+        requests), counts the admission and announces it; the caller
+        enqueues.
+        """
+        requests = self._requests_of(job)
+        cfg = self.overload
+        if cfg is not None:
+            if cfg.default_deadline_us is not None:
+                for r in requests:
+                    if r.deadline is None:
+                        r.deadline = r.arrival + cfg.default_deadline_us
+            while (
+                self._num_requests(self._waiting()) + len(requests)
+                > cfg.max_pending_requests
+            ):
+                if not self._evict_victim():
+                    self._shed(job)
+                    return False
+        self._admitted += len(requests)
+        self._peak_pending = max(
+            self._peak_pending,
+            self._num_requests(self._waiting()) + len(requests),
+        )
+        if self.bus is not None:
+            self._announce(job)
+        return True
+
+    def _announce(self, job) -> None:
+        """Publish ``RequestsAdmitted`` for each of ``job``'s requests."""
+        from repro.obs.events import RequestsAdmitted
+
+        for r in self._requests_of(job):
+            self.bus.publish(
+                RequestsAdmitted(
+                    time_us=self.engine.now,
+                    batch_id=-1,
+                    rids=(r.rid,),
+                    arrivals_us=(r.arrival,),
+                )
+            )
+
+    def _evict_victim(self) -> bool:
+        """Shed the waiting job the admission policy picks; False if none."""
+        from repro.serving.overload import shed_victim
+
+        waiting = self._waiting()
+        i = shed_victim(self.overload.policy, waiting, self._deadline_of)
+        if i is None:
+            return False
+        victim = waiting[i]
+        self._queue.remove(victim)
+        self._shed(victim)
+        return True
+
+    def _deadline_of(self, job) -> Optional[float]:
+        """The tightest deadline among ``job``'s requests, if any has one."""
+        return min(
+            (r.deadline for r in self._requests_of(job) if r.deadline is not None),
+            default=None,
+        )
+
+    def _overload_report(self) -> Optional[OverloadReport]:
+        """Summarise this server's admission layer."""
+        if self.overload is None:
+            return None
+        from repro.serving.overload import OverloadReport
+
+        m = self.metrics
+        return OverloadReport(
+            policy=self.overload.policy.value,
+            admitted_requests=self._admitted,
+            shed_requests=m.shed_requests,
+            timed_out_requests=m.timed_out_requests,
+            preempted_batches=m.preemptions,
+            peak_pending_requests=self._peak_pending,
+        )
+
+    # ------------------------------------------------------------------
+    # Terminal bookkeeping (every job ends in exactly one terminal state)
+    # ------------------------------------------------------------------
+    def _retire(self, batch: Batch, time: float, finished: Sequence) -> None:
+        """Publish ``batch``'s retirement; complete its ``finished`` jobs."""
+        if self.bus is not None:
+            from repro.obs.events import BatchCompleted
+
+            self.bus.publish(BatchCompleted.from_batch(batch, time, finished))
+        for job in finished:
+            job.completion = time
+            job.state = RequestState.COMPLETED
+            record = Request(
+                rid=job.rid, arrival=job.arrival, seq_len=job.gen_tokens,
+                phase=Phase.DECODE, deadline=job.deadline,
+            )
+            record.mark_completed(time)
+            self.metrics.record([record])
+
+    def _shed(self, job, *, where: str = "admission") -> None:
+        """Shed every request of ``job``."""
+        for r in self._requests_of(job):
+            self._shed_job(r, where=where)
+
+    def _shed_job(self, job, *, where: str = "admission") -> None:
+        job.state = RequestState.SHED
+        self.metrics.note_shed([job])
+        if self.bus is not None:
+            from repro.obs.events import RequestsShed
+
+            self.bus.publish(
+                RequestsShed.from_requests(
+                    [job], self.engine.now, batch_id=-1, where=where
+                )
+            )
+
+    def _time_out_job(self, job, *, where: str = "pending") -> None:
+        job.state = RequestState.TIMED_OUT
+        self.metrics.note_timed_out([job])
+        if self.bus is not None:
+            from repro.obs.events import RequestsTimedOut
+
+            self.bus.publish(
+                RequestsTimedOut.from_requests(
+                    [job], self.engine.now, batch_id=-1, where=where
+                )
+            )
+
+    def _iteration_done(self, job) -> None:
+        """``job``'s decode iteration retired: it is free to run again."""
+        self._busy.discard(job.rid)
+        self._shed_streak.pop(job.rid, None)
+
+    def _requeue_after_backoff(self, members: Sequence, relaunch, drop) -> None:
+        """Return a retry-exhausted decode iteration's members to scheduling.
+
+        The members keep their KV reservations (the retry re-decodes the
+        same context) but stay busy for one recovery backoff, so the launch
+        loop cannot instantly rebuild and re-shed the same batch without
+        simulated time advancing.
+
+        A job whose decode iterations were shed ``max_retries + 1`` times in
+        a row is shed itself: ``drop(job)`` takes it out of the server's
+        queue and frees its KV reservation.  Otherwise a launch-failure
+        window that never closes would requeue it forever while the machine
+        idles between attempts.
+        """
+        assert self.recovery is not None
+        limit = self.recovery.config.max_retries
+        streak = self._shed_streak
+        retried = []
+        for job in members:
+            shed = streak.get(job.rid, 0) + 1
+            if shed > limit:
+                streak.pop(job.rid, None)
+                self._busy.discard(job.rid)
+                drop(job)
+                self._shed_job(job, where="retry-exhausted")
+            else:
+                streak[job.rid] = shed
+                retried.append(job)
+
+        def _requeue() -> None:
+            for job in retried:
+                self._busy.discard(job.rid)
+            relaunch()
+
+        from repro.faults.resilience import RETRY_BACKOFF_US
+
+        self.engine.schedule(RETRY_BACKOFF_US, _requeue, priority=10)
+
+    # ------------------------------------------------------------------
+    def _result_fields(self) -> dict:
+        """The result fields every server reports the same way."""
+        name = self.strategy.name
+        return dict(
+            strategy=f"{name}+{self.discipline}" if self.discipline else name,
+            model=self.model.name,
+            node=self.node.name,
+            wall_events=self.engine.events_processed,
+            resilience=self.session.finalize_resilience(),
+            overload=self._overload_report(),
+            observability=self.obs,
+        )
+
+    def _result(self, ordered: Sequence) -> ServingResult:
+        return ServingResult(
+            num_requests=self._requests_in(ordered),
+            metrics=self.metrics,
+            trace=self.trace,
+            **self._result_fields(),
+        )

@@ -172,7 +172,7 @@ class Engine:
         heartbeats and background events (:meth:`schedule_background_at`),
         no beat is rescheduled and the run quiesces — beats do not count
         *each other* as liveness, so any number of concurrent heartbeats
-        (watchdog, recovery probe, backpressure breaker) can never turn a
+        (watchdog, recovery probe, observability sampling) can never turn a
         finite simulation into an infinite one.
         """
         if not math.isfinite(interval) or interval <= 0:

@@ -208,6 +208,14 @@ _BAD_VALUES = [
      "rate must be finite and positive, got nan"),
     (["serve", "--max-pending", "8", "--deadline-ms", "nan"],
      "default_deadline_us must be finite and positive, got nan"),
+    # Admission-only flags need admission control armed.
+    (["serve", "--requests", "8", "--kv-frac", "0.01"],
+     "--kv-frac needs --max-pending or --deadline-ms"),
+    (["serve", "--requests", "8", "--admission", "shed-oldest"],
+     "--admission needs --max-pending or --deadline-ms"),
+    # A KV budget that cannot hold one batch.
+    (["serve", "--requests", "8", "--max-pending", "8", "--kv-frac", "0.01"],
+     "needs 0.068 GB of KV but the budget is 0.010 GB"),
     (["faults", "--straggler", "1:4.0:0:400", "--probe-ms", "nan"],
      "recovery_probe_us must be finite and > 0, got nan"),
 ]

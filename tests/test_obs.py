@@ -15,13 +15,13 @@ from repro.models.specs import OPT_30B
 from repro.obs import (
     BatchCompleted,
     BatchDispatched,
-    BreakerClosed,
-    BreakerOpened,
     EventBus,
     Observability,
     ObservabilityConfig,
     RequestsAdmitted,
     RequestsShed,
+    StrategyDowngraded,
+    StrategyUpgraded,
     analyze_critical_path,
     gpu_attribution,
     merged_chrome_trace,
@@ -48,23 +48,23 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 class TestEventBus:
     def test_publish_retains_in_order(self):
         bus = EventBus()
-        bus.publish(BreakerOpened(time_us=1.0, reason="a"))
-        bus.publish(BreakerClosed(time_us=2.0, reason="b"))
-        assert [e.kind for e in bus.events] == ["breaker-open", "breaker-closed"]
+        bus.publish(StrategyDowngraded(time_us=1.0, reason="a"))
+        bus.publish(StrategyUpgraded(time_us=2.0, reason="b"))
+        assert [e.kind for e in bus.events] == ["downgrade", "upgrade"]
         assert len(bus) == 2
-        assert [e.time_us for e in bus.of_kind("breaker-open")] == [1.0]
+        assert [e.time_us for e in bus.of_kind("downgrade")] == [1.0]
 
     def test_typed_subscription_filters(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, types=[BreakerOpened])
-        bus.publish(BreakerClosed(time_us=0.0, reason=""))
-        bus.publish(BreakerOpened(time_us=1.0, reason=""))
-        assert [e.kind for e in seen] == ["breaker-open"]
+        bus.subscribe(seen.append, types=[StrategyDowngraded])
+        bus.publish(StrategyUpgraded(time_us=0.0, reason=""))
+        bus.publish(StrategyDowngraded(time_us=1.0, reason=""))
+        assert [e.kind for e in seen] == ["downgrade"]
 
     def test_to_dict_is_flat_json(self):
         ev = RequestsShed(
-            time_us=5.0, batch_id=3, rids=(1, 2), where="breaker", slo_tracked=1
+            time_us=5.0, batch_id=3, rids=(1, 2), where="admission", slo_tracked=1
         )
         d = ev.to_dict()
         assert d["kind"] == "shed" and d["rids"] == [1, 2]
@@ -172,7 +172,6 @@ def _golden_scenario() -> Observability:
             time_us=300.0, batch_id=1, rids=(2,), where="admission", slo_tracked=1
         )
     )
-    bus.publish(BreakerOpened(time_us=400.0, reason="queue depth 9 > 6"))
     done = [Request(rid=0, arrival=0.0, seq_len=8, deadline=6000.0),
             Request(rid=1, arrival=10.0, seq_len=8)]
     for r in done:
@@ -189,7 +188,6 @@ def _golden_scenario() -> Observability:
             deadline_misses=0,
         )
     )
-    bus.publish(BreakerClosed(time_us=5200.0, reason="queue drained to 1 <= 2"))
     obs.registry.sample_gauges(5200.0)
     return obs
 
@@ -232,8 +230,8 @@ class TestGoldenExports:
         obj = _golden_scenario().merged_chrome_trace()
         counts = validate_merged_trace(obj)
         # queued+prefill for rids 0/1, queued for shed rid 2 -> 5 segments;
-        # shed + two breaker transitions -> 3 instants; one fault window.
-        assert counts == {"kernel": 0, "span": 5, "instant": 3, "fault": 1}
+        # one shed instant; one fault window.
+        assert counts == {"kernel": 0, "span": 5, "instant": 1, "fault": 1}
         # Accepts the serialized form too.
         assert validate_merged_trace(json.dumps(obj)) == counts
 
@@ -273,8 +271,6 @@ class TestSpans:
         assert c["repro_requests_terminal_total"].value(state="completed") == 2
         assert c["repro_requests_terminal_total"].value(state="shed") == 1
         assert c["repro_requests_shed_total"].value(where="admission") == 1
-        assert c["repro_breaker_transitions_total"].value(state="open") == 1
-        assert c["repro_breaker_transitions_total"].value(state="closed") == 1
         hist = reg._histograms["repro_request_latency_ms"]
         assert hist.count == 2 and hist.sum == pytest.approx(10.19)
 

@@ -1,9 +1,12 @@
-"""Overload layer: admission control, deadlines, KV pressure, backpressure.
+"""Overload layer: admission control, deadlines, KV pressure.
 
-Covers the :mod:`repro.serving.overload` pipeline directly (controller-level
-tests drive an :class:`~repro.sim.engine.Engine` by hand) and end-to-end
-through :class:`~repro.serving.server.Server` and
-:class:`~repro.serving.lifecycle.LifecycleServer`.
+Every server admits through the one chassis rule
+(:meth:`repro.serving.session.JobServer._admit`): the default-deadline
+stamp, a pending bound counted in requests, and the victim
+:func:`~repro.serving.overload.shed_victim` picks.  One parametrized test
+checks that rule on all four servers under all three policies; the rest pin
+the batch :class:`~repro.serving.server.Server`'s queue, deadlines and KV
+budget, and the lifecycle server's recompute preemption, end to end.
 """
 
 from __future__ import annotations
@@ -11,30 +14,34 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError, OutOfMemoryError
-from repro.faults.resilience import ResilienceConfig
 from repro.hw import v100_nvlink_node
 from repro.models import OPT_30B
+from repro.models.kvcache import batch_kv_bytes
 from repro.serving import (
     AdmissionPolicy,
     Batch,
     BurstyProcess,
-    KVCacheAccountant,
+    ChatRequest,
+    ContinuousBatchingServer,
+    LifecycleServer,
     OverloadConfig,
-    OverloadController,
     Phase,
     Request,
     RequestState,
     Server,
-    ServingMetrics,
+    StaticBatchingServer,
     chat_workload,
-    LifecycleServer,
+    generation_workload,
 )
 from repro.serving.api import make_strategy
+from repro.serving.overload import shed_victim
+from repro.serving.server import MAX_INFLIGHT_BATCHES
 from repro.serving.workload import general_trace, generative_trace
-from repro.sim.engine import Engine
+from repro.sim.memory import NodeMemoryModel, activation_bytes
 
 MODEL = OPT_30B.scaled_layers(6)
 NODE = v100_nvlink_node(4)
+PER_TOKEN = MODEL.kv_cache_bytes(1, 1, tp=4)
 
 
 def _batch(rid0, arrival, *, size=1, seq=8, phase=Phase.PREFILL,
@@ -47,15 +54,16 @@ def _batch(rid0, arrival, *, size=1, seq=8, phase=Phase.PREFILL,
     return Batch(reqs)
 
 
-def _controller(config, downstream=None, metrics=None):
-    engine = Engine()
-    metrics = metrics if metrics is not None else ServingMetrics()
-    sunk = []
-    ctl = OverloadController(
-        config, MODEL, NODE, engine, metrics,
-        downstream if downstream is not None else sunk.append,
+def _server(strategy="intra", **overload):
+    return Server(
+        MODEL, NODE, make_strategy(strategy, MODEL, NODE),
+        check_memory=False, record_trace=False,
+        overload=OverloadConfig(**overload) if overload else None,
     )
-    return ctl, sunk, engine, metrics
+
+
+def _states(batch):
+    return [r.state for r in batch.requests]
 
 
 class TestConfig:
@@ -71,229 +79,349 @@ class TestConfig:
         with pytest.raises(ConfigError):
             OverloadConfig(kv_capacity_frac=1.5)
         with pytest.raises(ConfigError):
-            OverloadConfig(breaker_high_frac=0.2, breaker_low_frac=0.5)
+            OverloadConfig(kv_capacity_frac=0.0)
         with pytest.raises(ConfigError):
             OverloadConfig(policy="drop-table")
 
 
-class TestAdmissionPolicies:
-    CFG = dict(
-        max_pending_requests=2,
-        max_inflight_batches=1,
-        max_staged_batches=0,
-        enable_kv_accounting=False,
-        breaker_enabled=False,
+# ----------------------------------------------------------------------
+# The one admission rule, on every server
+# ----------------------------------------------------------------------
+def _loose_deadlines(requests):
+    """Mixed deadlines, loose enough that shedding comes from admission."""
+    for r in requests:
+        r.deadline = r.arrival + (400_000.0 if r.rid % 3 else 100_000.0)
+
+
+def _admission_case(kind, policy):
+    """(server, run inputs, requests, bound) for one cross-server case."""
+    strat = make_strategy("intra", MODEL, NODE)
+    kw = dict(check_memory=False, record_trace=False)
+    if kind == "server":
+        batches = generative_trace(
+            48, 8000.0, batch_size=4, context_len=64, seed=1,
+            arrival=BurstyProcess(8000.0, burstiness=6.0, phase_requests=16),
+        )
+        requests = [r for b in batches for r in b.requests]
+        bound = 8
+        srv = Server(MODEL, NODE, strat, overload=OverloadConfig(
+            max_pending_requests=bound, policy=policy), **kw)
+        _loose_deadlines(requests)
+        return srv, batches, requests, bound
+    bound = 3
+    cfg = OverloadConfig(max_pending_requests=bound, policy=policy)
+    if kind == "lifecycle":
+        jobs = chat_workload(16, 4000.0, seed=1)
+        srv = LifecycleServer(MODEL, NODE, strat, overload=cfg, **kw)
+        # Room for ~300 KV tokens, so prompts queue behind resident chats.
+        srv.memory.reserve(
+            "squeeze", srv.memory.min_available() - 300 * PER_TOKEN
+        )
+    elif kind == "continuous":
+        jobs = generation_workload(20, 8000.0, seed=1)
+        srv = ContinuousBatchingServer(
+            MODEL, NODE, strat, max_batch=4, overload=cfg, **kw
+        )
+    else:
+        jobs = generation_workload(24, 16000.0, seed=1)
+        bound = 4
+        srv = StaticBatchingServer(
+            MODEL, NODE, strat, batch_size=2,
+            overload=OverloadConfig(max_pending_requests=bound, policy=policy),
+            **kw,
+        )
+        # Room for one static group at a time, so groups queue.
+        srv.memory.reserve("squeeze", srv.memory.min_available() - (
+            MODEL.kv_cache_bytes(1, 80, tp=4) + activation_bytes(MODEL, 2, 1, 4)
+        ))
+    _loose_deadlines(jobs)
+    return srv, jobs, jobs, bound
+
+
+@pytest.mark.parametrize("policy", [p.value for p in AdmissionPolicy])
+@pytest.mark.parametrize("kind", ["server", "static", "continuous", "lifecycle"])
+def test_admission_rule_on_every_server(kind, policy):
+    """Pending stays within the bound, every request reaches exactly one
+    terminal state, and each shed victim is ``shed_victim``'s pick."""
+    srv, inputs, requests, bound = _admission_case(kind, policy)
+    cfg = srv.overload
+    admit = srv._admit
+    evictions = []
+    peaks = []
+
+    def watched(job):
+        waiting = list(srv._waiting())
+        admitted = admit(job)
+        need = len(srv._requests_of(job))
+        # Replay the rule on the snapshot: the entries it evicts, in order,
+        # and whether the arrival itself is shed.
+        expect, queue = [], list(waiting)
+        arrival_shed = False
+        while srv._num_requests(queue) + need > bound:
+            i = shed_victim(cfg.policy, queue, srv._deadline_of)
+            if i is None:
+                arrival_shed = True
+                break
+            expect.append(queue.pop(i))
+        assert admitted is not arrival_shed
+        gone = [e for e in waiting if not any(e is w for w in srv._waiting())]
+        assert [id(e) for e in gone] == [id(e) for e in expect]
+        evictions.extend(expect)
+        peaks.append(
+            srv._num_requests(srv._waiting()) + (need if admitted else 0)
+        )
+        return admitted
+
+    srv._admit = watched
+    result = srv.run(inputs)
+    m = srv.metrics
+
+    assert max(peaks) <= bound
+    assert result.overload.peak_pending_requests <= bound
+    assert all(r.state.terminal for r in requests)
+    assert m.num_completed + m.shed_requests + m.timed_out_requests == len(requests)
+    completed = [r.rid for r in m.completed]
+    assert len(set(completed)) == len(completed)
+    assert sorted(completed) == sorted(
+        r.rid for r in requests if r.state is RequestState.COMPLETED
     )
+    for victim in evictions:
+        assert all(r.state is RequestState.SHED for r in srv._requests_of(victim))
+    assert m.shed_requests > 0, "the case must exercise admission"
+    if policy == "reject":
+        assert not evictions
+    else:
+        assert evictions
+
+
+# ----------------------------------------------------------------------
+# The batch server's queue
+# ----------------------------------------------------------------------
+class TestAdmissionPolicies:
+    """Same-instant arrivals: the first ``MAX_INFLIGHT_BATCHES`` dispatch,
+    the next two queue (bound 2), and the rest meet the policy."""
+
+    N = MAX_INFLIGHT_BATCHES + 4
+
+    def _serve(self, policy, batches):
+        srv = _server(max_pending_requests=2, policy=policy,
+                      enable_kv_accounting=False)
+        result = srv.run(batches)
+        assert result.metrics.num_terminal == sum(b.size for b in batches)
+        return result
 
     def test_reject_sheds_the_arrival(self):
-        cfg = OverloadConfig(policy="reject", **self.CFG)
-        ctl, sunk, _, metrics = _controller(cfg)
-        batches = [_batch(i, float(i)) for i in range(5)]
-        for b in batches:
-            ctl.on_arrival(b)
-        # One dispatched, two queued, the last two rejected.
-        assert len(sunk) == 1
-        assert ctl.queue_depth == 2
-        assert metrics.shed_requests == 2
-        assert [r.state for r in batches[3].requests] == [RequestState.SHED]
-        assert [r.state for r in batches[4].requests] == [RequestState.SHED]
+        batches = [_batch(i, 0.0) for i in range(self.N)]
+        result = self._serve("reject", batches)
+        assert result.metrics.shed_requests == 2
+        assert [_states(b) for b in batches[-2:]] == [[RequestState.SHED]] * 2
+        assert all(_states(b) == [RequestState.COMPLETED] for b in batches[:-2])
 
     def test_shed_oldest_keeps_the_newest(self):
-        cfg = OverloadConfig(policy="shed-oldest", **self.CFG)
-        ctl, sunk, _, metrics = _controller(cfg)
-        batches = [_batch(i, float(i)) for i in range(5)]
-        for b in batches:
-            ctl.on_arrival(b)
-        assert len(sunk) == 1
-        # Queue holds the two *newest* arrivals; the oldest queued were shed.
-        queued = [b.batch_id for b in ctl._pending]
-        assert queued == [batches[3].batch_id, batches[4].batch_id]
-        assert metrics.shed_requests == 2
-        assert batches[1].requests[0].state is RequestState.SHED
-        assert batches[2].requests[0].state is RequestState.SHED
+        batches = [_batch(i, 0.0) for i in range(self.N)]
+        result = self._serve("shed-oldest", batches)
+        assert result.metrics.shed_requests == 2
+        queued_first = batches[MAX_INFLIGHT_BATCHES:MAX_INFLIGHT_BATCHES + 2]
+        assert [_states(b) for b in queued_first] == [[RequestState.SHED]] * 2
+        assert all(_states(b) == [RequestState.COMPLETED] for b in batches[-2:])
 
     def test_shed_by_deadline_drops_tightest_slo(self):
-        cfg = OverloadConfig(policy="shed-by-deadline", **self.CFG)
-        ctl, sunk, _, metrics = _controller(cfg)
-        ctl.on_arrival(_batch(0, 0.0))  # dispatched
-        tight = _batch(1, 0.0, deadline=50.0)
-        loose = _batch(2, 0.0, deadline=5000.0)
-        ctl.on_arrival(tight)
-        ctl.on_arrival(loose)
-        newcomer = _batch(3, 0.0, deadline=1000.0)
-        ctl.on_arrival(newcomer)
+        blockers = [_batch(i, 0.0) for i in range(MAX_INFLIGHT_BATCHES)]
+        tight = _batch(10, 0.0, deadline=1e6)
+        loose = _batch(11, 0.0, deadline=1e8)
+        newcomer = _batch(12, 0.0, deadline=1e7)
+        result = self._serve(
+            "shed-by-deadline", blockers + [tight, loose, newcomer]
+        )
         # The tightest-deadline queued batch was sacrificed for the newcomer.
-        assert tight.requests[0].state is RequestState.SHED
-        queued = [b.batch_id for b in ctl._pending]
-        assert queued == [loose.batch_id, newcomer.batch_id]
-        assert metrics.shed_requests == 1
+        assert _states(tight) == [RequestState.SHED]
+        assert _states(loose) == _states(newcomer) == [RequestState.COMPLETED]
+        assert result.metrics.shed_requests == 1
 
     def test_shed_by_deadline_falls_back_to_reject(self):
-        cfg = OverloadConfig(policy="shed-by-deadline", **self.CFG)
-        ctl, sunk, _, _ = _controller(cfg)
-        for i in range(3):  # no deadlines anywhere: nothing to sacrifice
-            ctl.on_arrival(_batch(i, float(i)))
-        extra = _batch(9, 9.0)
-        ctl.on_arrival(extra)
-        assert extra.requests[0].state is RequestState.SHED
-        assert ctl.queue_depth == 2
+        batches = [_batch(i, 0.0) for i in range(MAX_INFLIGHT_BATCHES + 2)]
+        extra = _batch(99, 0.0)  # no deadlines anywhere: nothing to sacrifice
+        self._serve("shed-by-deadline", batches + [extra])
+        assert _states(extra) == [RequestState.SHED]
+        assert all(_states(b) == [RequestState.COMPLETED] for b in batches)
 
     def test_queue_is_always_bounded(self):
         for policy in AdmissionPolicy:
-            cfg = OverloadConfig(policy=policy, **self.CFG)
-            ctl, _, _, _ = _controller(cfg)
+            srv = _server(max_pending_requests=2, policy=policy,
+                          enable_kv_accounting=False)
             for i in range(20):
-                ctl.on_arrival(_batch(i, float(i), deadline=1e9))
-                assert ctl.queue_depth <= cfg.max_pending_requests
+                srv._on_arrival(_batch(i, 0.0, deadline=1e9))
+                assert srv._num_requests(srv._queue) <= 2
+                assert len(srv._open) <= MAX_INFLIGHT_BATCHES
 
 
 class TestDeadlines:
     def test_default_deadline_stamped_at_arrival(self):
-        cfg = OverloadConfig(default_deadline_us=500.0, breaker_enabled=False)
-        ctl, _, _, _ = _controller(cfg)
+        srv = _server(default_deadline_us=500.0)
         b = _batch(0, 10.0)
-        ctl.on_arrival(b)
+        srv._on_arrival(b)
         assert b.requests[0].deadline == 510.0
 
     def test_expired_pending_batch_is_timed_out_cheaply(self):
-        cfg = OverloadConfig(
-            max_inflight_batches=1, max_staged_batches=0,
-            enable_kv_accounting=False, breaker_enabled=False,
-        )
-        ctl, sunk, engine, metrics = _controller(cfg)
-        blocker = _batch(0, 0.0)
-        late = _batch(1, 0.0, deadline=100.0)
-        engine.schedule_at(0.0, lambda: ctl.on_arrival(blocker))
-        engine.schedule_at(0.0, lambda: ctl.on_arrival(late))
-        # The blocker completes long after `late`'s deadline.
-        engine.schedule_at(
-            500.0, lambda: ctl.on_complete(blocker, 500.0)
-        )
-        engine.run()
-        # `late` was never dispatched — shed from the queue at zero cost.
-        assert len(sunk) == 1
+        # Four blockers fill the window; `late` expires while queued.
+        blockers = [_batch(i, 0.0, seq=512) for i in range(MAX_INFLIGHT_BATCHES)]
+        late = _batch(9, 0.0, deadline=100.0)
+        srv = _server(enable_kv_accounting=False)
+        result = srv.run(blockers + [late])
+        # `late` was never dispatched — dropped from the queue at zero cost.
+        assert late.requests[0].dispatched_at is None
         assert late.requests[0].state is RequestState.TIMED_OUT
-        assert metrics.timed_out_requests == 1
+        assert result.metrics.timed_out_requests == 1
+        assert result.metrics.num_completed == MAX_INFLIGHT_BATCHES
 
     def test_mixed_batch_expiry_splits_terminal_states(self):
-        cfg = OverloadConfig(breaker_enabled=False)
-        ctl, _, engine, metrics = _controller(cfg)
+        blockers = [_batch(i, 0.0, seq=512) for i in range(MAX_INFLIGHT_BATCHES)]
         reqs = [
-            Request(rid=0, arrival=0.0, seq_len=8, deadline=100.0),
-            Request(rid=1, arrival=0.0, seq_len=8, deadline=1e6),
+            Request(rid=10, arrival=0.0, seq_len=8, deadline=100.0),
+            Request(rid=11, arrival=0.0, seq_len=8, deadline=1e9),
         ]
-        batch = Batch(reqs)
-        engine.schedule_at(200.0, lambda: ctl._expire_batch(batch, 200.0))
-        engine.run()
+        srv = _server(enable_kv_accounting=False)
+        result = srv.run(blockers + [Batch(reqs)])
         assert reqs[0].state is RequestState.TIMED_OUT
         assert reqs[1].state is RequestState.SHED  # collateral of its batch
-        assert metrics.timed_out_requests == 1
-        assert metrics.shed_requests == 1
+        assert result.metrics.timed_out_requests == 1
+        assert result.metrics.shed_requests == 1
 
 
 class TestKVAccountant:
+    """The batch server's KV budget: a ledger capped at
+    ``kv_capacity_frac`` of the memory left after weights."""
+
     def test_capacity_is_free_memory_after_weights(self):
-        acct = KVCacheAccountant(MODEL, NODE, capacity_frac=0.5)
+        srv = _server(kv_capacity_frac=0.5)
         free = NODE.gpu.memory_capacity - MODEL.weight_bytes_per_device(4)
-        assert acct.capacity == pytest.approx(0.5 * free)
+        report = srv.run([_batch(0, 0.0)]).overload
+        assert report.kv_capacity_bytes == pytest.approx(0.5 * free)
+        assert _server(enable_kv_accounting=False).memory is None
+        assert _server().memory is None  # overload off: no ledger at all
 
     def test_weights_too_big_rejected(self):
-        with pytest.raises(ConfigError):
-            KVCacheAccountant(OPT_30B.scaled_layers(96), NODE)
+        big = OPT_30B.scaled_layers(96)
+        with pytest.raises(OutOfMemoryError):
+            Server(
+                big, NODE, make_strategy("intra", big, NODE),
+                check_memory=False, overload=OverloadConfig(),
+            )
 
     def test_charge_release_cycle(self):
-        acct = KVCacheAccountant(MODEL, NODE)
-        b = _batch(0, 0.0, size=4, phase=Phase.DECODE, seq=1, context=64)
-        nbytes = acct.charge(b)
-        assert nbytes > 0
-        assert acct.used == nbytes
-        assert acct.inflight == 1
-        with pytest.raises(ConfigError):
-            acct.charge(b)  # double-charge is a bug, not a no-op
-        assert acct.release(b.batch_id) == nbytes
-        assert acct.used == 0.0
-        assert acct.release(b.batch_id) == 0.0  # idempotent
-        assert acct.peak == nbytes
+        srv = _server(max_pending_requests=64)
+        batches = [
+            _batch(4 * i, 10.0 * i, size=4, phase=Phase.DECODE, seq=1, context=64)
+            for i in range(6)
+        ]
+        result = srv.run(batches)
+        assert result.metrics.num_completed == 24
+        per_batch = batch_kv_bytes(MODEL, batches[0], 4)
+        assert result.overload.peak_kv_bytes >= per_batch
+        # Every reservation was released: only weights and headroom remain.
+        assert srv.memory.devices[0].used == srv._kv_floor
 
     def test_charge_refuses_to_oversubscribe(self):
-        acct = KVCacheAccountant(MODEL, NODE)
-        per_token = MODEL.kv_cache_bytes(1, 1, tp=4)
-        budget_tokens = int(acct.capacity / per_token)
-        big = _batch(0, 0.0, phase=Phase.DECODE, seq=1,
-                     context=budget_tokens + 8)
-        with pytest.raises(OutOfMemoryError):
-            acct.charge(big)
-        assert acct.used == 0.0  # failed charge leaves no residue
+        # Room for one 300-token batch at a time: the rest wait their turn.
+        srv = _server(max_pending_requests=64)
+        srv.memory.reserve(
+            "squeeze", srv.memory.min_available() - 400 * PER_TOKEN
+        )
+        batches = [_batch(i, 0.0, seq=300) for i in range(3)]
+        result = srv.run(batches)
+        assert result.metrics.num_completed == 3
+        assert srv.memory.peak_used <= NODE.gpu.memory_capacity
+        starts = sorted(b.requests[0].dispatched_at for b in batches)
+        assert starts[0] < starts[1] < starts[2]
 
     def test_unpadded_accounting_sums_members(self):
-        acct = KVCacheAccountant(MODEL, NODE)
         reqs = [
             Request(rid=0, arrival=0.0, seq_len=1, phase=Phase.DECODE,
                     context_len=16),
             Request(rid=1, arrival=0.0, seq_len=1, phase=Phase.DECODE,
                     context_len=64),
         ]
-        mixed = Batch(reqs)
-        per_token = MODEL.kv_cache_bytes(1, 1, tp=4)
         # Per-request (context+1) tokens, NOT padded to the max context.
-        assert acct.bytes_for(mixed) == pytest.approx(per_token * (17 + 65))
+        assert batch_kv_bytes(MODEL, Batch(reqs), 4) == pytest.approx(
+            PER_TOKEN * (17 + 65)
+        )
+
+
+# ----------------------------------------------------------------------
+# Preemption: the lifecycle server's recompute preemption
+# ----------------------------------------------------------------------
+def _squeezed_lifecycle(chats, budget_tokens, workspaces=2):
+    strat = make_strategy("intra", MODEL, NODE)
+    srv = LifecycleServer(
+        MODEL, NODE, strat, check_memory=False, prefill_batch=1,
+        overload=OverloadConfig(
+            max_pending_requests=64, policy="shed-by-deadline"
+        ),
+    )
+    budget = budget_tokens * PER_TOKEN + workspaces * activation_bytes(
+        MODEL, 1, 1, 4
+    )
+    srv.memory.reserve("test-squeeze", srv.memory.min_available() - budget)
+    return srv
+
+
+def _passing_chats():
+    """Z admits at once; O (loose deadline) blocks; A (tight) passes O via
+    EDF, so O later finds the younger A holding its KV."""
+    z = ChatRequest(rid=0, arrival=0.0, prompt_len=92, gen_tokens=8,
+                    deadline=500_000.0)
+    o = ChatRequest(rid=1, arrival=10.0, prompt_len=180, gen_tokens=20,
+                    deadline=5_000_000.0)
+    a = ChatRequest(rid=2, arrival=20.0, prompt_len=72, gen_tokens=40,
+                    deadline=400_000.0)
+    return z, o, a
 
 
 class TestPreemption:
-    def _pressured(self, budget_tokens):
-        cfg = OverloadConfig(
-            max_inflight_batches=1, max_staged_batches=2,
-            breaker_enabled=False,
-        )
-        ctl, sunk, engine, metrics = _controller(cfg)
-        per_token = MODEL.kv_cache_bytes(1, 1, tp=4)
-        ctl.accountant.capacity = per_token * budget_tokens
-        return ctl, sunk, engine, metrics
-
     def test_young_staged_decode_is_preempted_for_older_work(self):
-        ctl, sunk, _, _ = self._pressured(600)
-        old = _batch(0, 0.0, phase=Phase.DECODE, seq=1, context=100)
-        young = _batch(1, 10.0, phase=Phase.DECODE, seq=1, context=400)
-        head = _batch(2, 5.0, phase=Phase.PREFILL, seq=300)
-        ctl.on_arrival(old)     # dispatched (101 tokens charged)
-        ctl.on_arrival(young)   # staged (401 more tokens charged)
-        ctl.on_arrival(head)    # needs 300: only fits if `young` is evicted
-        assert ctl.report.preempted_batches == 1
-        assert young.batch_id in [b.batch_id for b in ctl._pending]
-        assert young.requests[0].state is RequestState.PENDING  # requeued
-        assert head.batch_id in ctl._staged
-        assert ctl.accountant.used <= ctl.accountant.capacity
+        z, o, a = _passing_chats()
+        evicted = []
+        srv = _squeezed_lifecycle([z, o, a], 245)
+        queue = srv._queue
+
+        class Watched(list):
+            def append(self, chat):  # preemption requeues its victim
+                if chat.prefill_done is not None:
+                    evicted.append(chat.rid)
+                super().append(chat)
+
+        srv._queue = Watched(queue)
+        res = srv.run([z, o, a])
+        assert res.preemptions == len(evicted) >= 1
+        # Only the younger chat was evicted, and the older one completed.
+        assert set(evicted) == {a.rid}
+        assert o.state is RequestState.COMPLETED
 
     def test_never_preempts_older_batches(self):
-        ctl, _, _, _ = self._pressured(600)
-        old = _batch(0, 0.0, phase=Phase.DECODE, seq=1, context=100)
-        staged = _batch(1, 1.0, phase=Phase.DECODE, seq=1, context=400)
-        newcomer = _batch(2, 50.0, phase=Phase.PREFILL, seq=300)
-        ctl.on_arrival(old)
-        ctl.on_arrival(staged)
-        ctl.on_arrival(newcomer)  # younger than `staged`: must wait
-        assert ctl.report.preempted_batches == 0
-        assert newcomer.batch_id in [b.batch_id for b in ctl._pending]
+        # The older chat holds the KV; the younger one must wait, not evict.
+        old = ChatRequest(rid=0, arrival=0.0, prompt_len=200, gen_tokens=20,
+                          deadline=5_000_000.0)
+        young = ChatRequest(rid=1, arrival=10.0, prompt_len=100, gen_tokens=8,
+                            deadline=400_000.0)
+        srv = _squeezed_lifecycle([old, young], 245)
+        res = srv.run([old, young])
+        assert res.preemptions == 0
+        assert young.prefill_done > old.completion
 
     def test_impossible_batch_raises_instead_of_wedging(self):
-        ctl, _, _, _ = self._pressured(100)
-        giant = _batch(0, 0.0, phase=Phase.PREFILL, seq=500)
-        with pytest.raises(OutOfMemoryError):
-            ctl.on_arrival(giant)  # nothing in flight could ever free room
+        srv = _server(max_pending_requests=4)
+        budget_tokens = srv._kv_budget / PER_TOKEN
+        giant = _batch(0, 0.0, phase=Phase.PREFILL, seq=int(budget_tokens) + 8)
+        with pytest.raises(OutOfMemoryError, match="needs .* GB of KV but the budget"):
+            srv.run([giant])  # nothing in flight could ever free room
 
     def test_preempted_batch_eventually_dispatches(self):
-        ctl, sunk, _, _ = self._pressured(600)
-        old = _batch(0, 0.0, phase=Phase.DECODE, seq=1, context=100)
-        young = _batch(1, 10.0, phase=Phase.DECODE, seq=1, context=400)
-        head = _batch(2, 5.0, phase=Phase.PREFILL, seq=300)
-        ctl.on_arrival(old)
-        ctl.on_arrival(young)
-        ctl.on_arrival(head)  # preempts young
-        ctl.on_complete(old, 100.0)   # frees 101 tokens, dispatches head
-        ctl.on_complete(head, 200.0)  # frees 300: young readmits
-        assert young.batch_id in ctl._staged or any(
-            b.batch_id == young.batch_id for b in sunk
-        )
+        z, o, a = _passing_chats()
+        res = _squeezed_lifecycle([z, o, a], 245).run([z, o, a])
+        assert res.preemptions >= 1
+        assert res.num_requests == 3  # everyone completed despite eviction
+        for r in (z, o, a):
+            assert r.state is RequestState.COMPLETED
 
 
 class TestServerOverload:
@@ -367,72 +495,6 @@ class TestServerOverload:
         )
 
 
-class TestBreakerAndDowngrade:
-    def test_breaker_opens_under_sustained_backlog_and_downgrades(self):
-        strat = make_strategy("liger", MODEL, NODE)
-        cfg = OverloadConfig(
-            max_pending_requests=16, policy="reject",
-            breaker_check_period_us=2_000.0, breaker_trip_checks=2,
-            breaker_high_frac=0.5, breaker_low_frac=0.125,
-        )
-        server = Server(
-            MODEL, NODE, strat, check_memory=False,
-            resilience=ResilienceConfig(),
-            overload=cfg,
-        )
-        trace = generative_trace(
-            192, 6000.0, batch_size=4, context_len=256, seed=0,
-            arrival=BurstyProcess(6000.0, burstiness=8.0, phase_requests=96),
-        )
-        result = server.run(trace)
-        rpt = result.overload
-        assert rpt.breaker_trips >= 1
-        assert any(ev.state == "open" for ev in rpt.events)
-        # The trip downgraded liger to its intra-op fallback.
-        assert result.resilience is not None
-        assert result.resilience.overload_downgrades >= 1
-
-    def test_breaker_closes_once_queue_drains(self):
-        cfg = OverloadConfig(
-            max_pending_requests=4,
-            breaker_check_period_us=100.0, breaker_trip_checks=1,
-            breaker_high_frac=0.5, breaker_low_frac=0.25,
-            enable_kv_accounting=False, max_inflight_batches=1,
-            max_staged_batches=0,
-        )
-        ctl, sunk, engine, _ = _controller(cfg)
-        first = _batch(0, 0.0)
-        engine.schedule_at(0.0, lambda: ctl.on_arrival(first))
-        for i in range(1, 5):
-            engine.schedule_at(
-                1.0, lambda i=i: ctl.on_arrival(_batch(i, 1.0))
-            )
-        ctl.arm()
-        # Drain the queue late: the breaker must open first, then close.
-        def drain():
-            if not ctl._dispatched:
-                return
-            bid, batch = next(iter(ctl._dispatched.items()))
-            ctl.on_complete(batch, engine.now)
-
-        for t in (1_000.0, 1_100.0, 1_200.0, 1_300.0, 1_400.0):
-            engine.schedule_at(t, drain)
-        engine.run()
-        states = [ev.state for ev in ctl.report.events]
-        assert "open" in states
-        assert states[-1] == "closed"
-        assert not ctl.breaker_open
-
-    def test_open_breaker_fails_fast(self):
-        cfg = OverloadConfig(breaker_enabled=False)
-        ctl, sunk, _, metrics = _controller(cfg)
-        ctl.breaker_open = True  # as if tripped
-        b = _batch(0, 0.0)
-        ctl.on_arrival(b)
-        assert b.requests[0].state is RequestState.SHED
-        assert not sunk
-
-
 class TestLifecycleOverload:
     def test_deadline_misses_and_timeouts_under_pressure(self):
         reqs = chat_workload(
@@ -464,9 +526,8 @@ class TestLifecycleOverload:
             overload=OverloadConfig(max_pending_requests=8, policy="reject"),
         )
         # Memory for ~600 KV tokens: prompts back up behind resident chats.
-        per_token = MODEL.kv_cache_bytes(1, 1, tp=4)
         srv.memory.reserve(
-            "test-squeeze", srv.memory.min_available() - 600 * per_token
+            "test-squeeze", srv.memory.min_available() - 600 * PER_TOKEN
         )
         res = srv.run(reqs)
         assert res.shed_requests > 0
@@ -476,34 +537,24 @@ class TestLifecycleOverload:
             assert r.state.terminal
 
     def test_kv_pressure_triggers_recompute_preemption(self):
-        from repro.serving import ChatRequest
-        from repro.sim.memory import activation_bytes
-
         # Three chats and room for ~245 KV tokens: Z (100 tokens) admits
         # immediately; O (200 tokens, loose deadline) blocks; A (80 tokens,
         # tight deadline) passes O via EDF.  When Z finishes, O still does
         # not fit — until it preempts the younger A, which re-prefills its
         # accumulated context and completes afterwards.
-        z = ChatRequest(rid=0, arrival=0.0, prompt_len=92, gen_tokens=8,
-                        deadline=500_000.0)
-        o = ChatRequest(rid=1, arrival=10.0, prompt_len=180, gen_tokens=20,
-                        deadline=5_000_000.0)
-        a = ChatRequest(rid=2, arrival=20.0, prompt_len=72, gen_tokens=40,
-                        deadline=400_000.0)
-        strat = make_strategy("intra", MODEL, NODE)
-        srv = LifecycleServer(
-            MODEL, NODE, strat, check_memory=False, prefill_batch=1,
-            overload=OverloadConfig(
-                max_pending_requests=64, policy="shed-by-deadline"
-            ),
-        )
-        per_token = MODEL.kv_cache_bytes(1, 1, tp=4)
-        budget = 245 * per_token + 2 * activation_bytes(MODEL, 1, 1, 4)
-        srv.memory.reserve(
-            "test-squeeze", srv.memory.min_available() - budget
-        )
+        z, o, a = _passing_chats()
+        srv = _squeezed_lifecycle([z, o, a], 245)
         res = srv.run([z, o, a])
         assert res.preemptions >= 1
         assert res.num_requests == 3  # everyone completed despite eviction
         for r in (z, o, a):
             assert r.state is RequestState.COMPLETED
+        # Every chat's reservation was released: only weights and the
+        # squeeze remain.
+        clean = NodeMemoryModel(MODEL, NODE)
+        clean.reserve("test-squeeze", srv.memory.devices[0]._reservations[
+            "test-squeeze"
+        ])
+        assert [d.used for d in srv.memory.devices] == [
+            d.used for d in clean.devices
+        ]
