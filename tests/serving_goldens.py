@@ -13,6 +13,10 @@ lifecycle server, are preempted.
 Their fingerprints also pin what the run's
 :class:`~repro.serving.overload.OverloadReport` counted.
 
+The ``server-moe`` scenario serves MoE-16E on a PCIe node under the
+``expert_overlap`` policy, so expert GEMMs and all-to-all kernels are
+packed by resource class rather than by the compute/comm dichotomy.
+
 Regenerate with ``PYTHONPATH=src python tests/serving_goldens.py`` — but
 only from a revision whose timelines are known-good; the whole point of
 the file is to pin behaviour across refactors.
@@ -31,6 +35,9 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "serving_traces.
 #: Suffix of the scenarios that arm admission control.
 ARMED = "-overload"
 
+#: Suffix of the scenario that serves an MoE model under expert_overlap.
+MOE = "-moe"
+
 #: (server, strategy) pairs the goldens cover.
 SCENARIOS = [
     (server, strategy)
@@ -39,7 +46,7 @@ SCENARIOS = [
 ] + [
     (server + ARMED, "liger")
     for server in ("lifecycle", "continuous", "static", "server")
-]
+] + [("server" + MOE, "liger")]
 
 #: The :class:`~repro.serving.overload.OverloadReport` fields an armed
 #: scenario's fingerprint pins.
@@ -76,6 +83,8 @@ def run_scenario(server: str, strategy: str, keep=None, **extra):
     from repro.serving.api import make_strategy
 
     reset_batch_ids()
+    if server.endswith(MOE):
+        return _run_moe(strategy, keep, **extra)
     model, node = _model_node()
     strat = make_strategy(strategy, model, node)
     armed = server.endswith(ARMED)
@@ -173,6 +182,28 @@ def run_scenario(server: str, strategy: str, keep=None, **extra):
     else:
         raise ValueError(f"unknown scenario server {server!r}")
     result = _run(srv, jobs)
+    return result, result.trace
+
+
+def _run_moe(strategy: str, keep, **extra):
+    """MoE-16E on four PCIe A100s, packed by the expert_overlap policy."""
+    from repro.core import LigerConfig
+    from repro.hw import a100_pcie_node
+    from repro.models import MOE_16E
+    from repro.serving.api import make_strategy
+    from repro.serving.server import Server
+    from repro.serving.workload import general_trace
+
+    model, node = MOE_16E.scaled_layers(4), a100_pcie_node(4)
+    strat = make_strategy(
+        strategy, model, node, config=LigerConfig(policy="expert_overlap")
+    )
+    srv = Server(
+        model, node, strat, record_trace=True, check_memory=False, **extra
+    )
+    if keep is not None:
+        keep.append(srv)
+    result = srv.run(general_trace(16, 2000.0, 2, seed=0))
     return result, result.trace
 
 
