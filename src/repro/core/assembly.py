@@ -5,9 +5,10 @@ In the C++ prototype a wrapper holds the kernel launch function pointer plus
 "the kernel duration, the kernel type, the batch size, and the sequence
 length"; here a :class:`KernelFunc` holds the :class:`~repro.models.ops.OpDesc`
 (the launchable), the profiled no-load duration, and the same metadata.  The
-assembled :class:`FuncVec` is what Algorithm 1 consumes: it exposes the
-type-switch test (``FuncVec[0].switch()`` in the paper's pseudocode) and
-in-order pop, and accepts push-front for decomposition remainders.
+assembled :class:`FuncVec` is what Algorithm 1 consumes: it exposes
+in-order peek and pop, and accepts push-front for decomposition remainders.
+The paper's type-switch test (``FuncVec[0].switch()``) is the policy's key
+compared on consecutive heads (:mod:`repro.core.policy`).
 
 Assembly is a hot path under continuous batching — every decode iteration of
 every batch re-enumerates the same op sequence and re-attaches the same
@@ -54,10 +55,6 @@ class KernelFunc:
     @property
     def is_comm(self) -> bool:
         return self.kind is KernelKind.COMM
-
-    def same_type_as(self, kind: KernelKind) -> bool:
-        """Type comparison at the scheduler's granularity: comm vs not."""
-        return self.is_comm == (kind is KernelKind.COMM)
 
 
 def rebind(
@@ -113,29 +110,6 @@ class FuncVec:
     def push_front(self, func: KernelFunc) -> None:
         """Return a decomposition remainder to the head of the list."""
         self._funcs.appendleft(func)
-
-    def next_switches(self) -> bool:
-        """The paper's ``FuncVec[0].switch()``: does the kernel *after* the
-        head have a different type (or is the head the last kernel)?"""
-        if not self._funcs:
-            raise ConfigError("switch test on empty FuncVec")
-        if len(self._funcs) == 1:
-            return True
-        return self._funcs[0].is_comm != self._funcs[1].is_comm
-
-    def next_switches_class(self, classify) -> bool:
-        """Generalized switch test for policy-defined resource classes:
-        does the kernel *after* the head land in a different class under
-        ``classify`` (or is the head the last kernel)?"""
-        if not self._funcs:
-            raise ConfigError("switch test on empty FuncVec")
-        if len(self._funcs) == 1:
-            return True
-        return classify(self._funcs[0]) != classify(self._funcs[1])
-
-    def head_kind(self) -> KernelKind:
-        """Kernel kind of the head function."""
-        return self.peek().kind
 
 
 class FunctionAssembler:

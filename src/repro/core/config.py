@@ -65,11 +65,6 @@ class LigerConfig:
     reduce_nccl_channels:
         Apply the §3.5 mitigation (shrink NCCL's SM footprint).  Without it
         collectives rarely fit beside a GEMM under the left-over policy.
-    packing:
-        Secondary-subset packing policy: ``"first_fit"`` walks subsequent
-        batches in arrival order (the paper's Algorithm 1); ``"best_fit"``
-        (extension) greedily picks the largest eligible batch head that
-        fits the residual window, trading fairness for fill.
     policy:
         Scheduling policy (:mod:`repro.core.policy`): ``"dichotomy"`` is
         the paper's Algorithm 1 (compute vs communication, the default,
@@ -84,7 +79,6 @@ class LigerConfig:
     enable_decomposition: bool = True
     contention_factors: Optional[ContentionFactors] = None
     reduce_nccl_channels: bool = True
-    packing: str = "first_fit"
     policy: str = "dichotomy"
 
     def __post_init__(self) -> None:
@@ -94,8 +88,6 @@ class LigerConfig:
             raise ConfigError("division_factor must be >= 1")
         if not isinstance(self.sync_mode, SyncMode):
             raise ConfigError(f"sync_mode must be a SyncMode, got {self.sync_mode!r}")
-        if self.packing not in ("first_fit", "best_fit"):
-            raise ConfigError(f"unknown packing policy {self.packing!r}")
         # Imported lazily: repro.core.policy depends on assembly/kernel,
         # not on config, so the late import breaks no cycles.
         from repro.core.policy import POLICIES, policy_names

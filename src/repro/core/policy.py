@@ -1,28 +1,23 @@
 """Pluggable scheduling policies — programmable Algorithm 1.
 
-Historically :class:`~repro.core.scheduler.LigerScheduler` hard-coded the
-paper's compute/communication dichotomy: the primary subset was a maximal
-same-:class:`~repro.sim.kernel.KernelKind` run and the secondary subset was
-packed from the *opposite* kind.  That bakes one workload family into the
-core — any new kernel mix (all-to-all expert dispatch, draft/verify decode)
-would have to fork the scheduler.
+The paper's Algorithm 1 judges Principle 1 by compute vs communication.
+A new kernel mix (all-to-all expert dispatch, draft/verify decode) needs a
+finer judgement, and should not have to fork the scheduler to get it.
 
-This module extracts the three decisions Algorithm 1 makes into a
-:class:`SchedulingPolicy`:
+A :class:`SchedulingPolicy` reduces Algorithm 1's one programmable
+decision to a **key**: the class of a kernel that Principle 1 is judged by.
+One packer on the base class does the rest for every policy:
 
-(a) **resource classification** — map each :class:`KernelFunc` onto a
-    *resource class* (compute / NVLink collective / all-to-all / p2p),
-    generalizing the binary ``is_comm`` check;
-(b) **primary delimitation** — where the primary run ends and how large the
-    overlap window is;
-(c) **secondary selection + packing** — which kernels are eligible for the
-    window and how they are packed (first-fit / best-fit live here now).
+* the primary subset is the maximal run of the oldest batch's head kernels
+  that share a key, and its summed no-load duration is the overlap window;
+* the secondary subset is packed first-fit, walking subsequent batches in
+  arrival order and blocking any head whose key is the primary run's.
 
-The stock behavior is rebased verbatim as :class:`LigerDichotomyPolicy` and
-is pinned bit-identical against the golden traces.  The first new policy is
-:class:`ExpertOverlapPolicy`, which interleaves MoE expert GEMMs against
-all-to-all dispatch/combine by blocking only the *same resource class* as
-the primary run (Principle 1 per resource class instead of per kind).
+:class:`LigerDichotomyPolicy` keys on ``is_comm`` (the paper's compute vs
+communication) and is pinned bit-identical against the golden traces.
+:class:`ExpertOverlapPolicy` keys on the resource class
+(:func:`default_resource_class`), so MoE expert GEMMs interleave against
+all-to-all dispatch/combine and Principle 1 holds per resource class.
 """
 
 from __future__ import annotations
@@ -31,7 +26,6 @@ from typing import List, Tuple
 
 from repro.core.assembly import FuncVec, KernelFunc
 from repro.errors import ConfigError
-from repro.sim.kernel import KernelKind
 
 __all__ = [
     "RC_COMPUTE",
@@ -79,88 +73,80 @@ def default_resource_class(func: KernelFunc) -> str:
 # The policy protocol
 # ----------------------------------------------------------------------
 class SchedulingPolicy:
-    """Owns the three programmable decisions of Algorithm 1.
+    """Algorithm 1 with its Principle-1 judgement behind one function.
 
-    Subclasses override :meth:`collect_primary` (decision b) and
-    :meth:`blocks` (the eligibility half of decision c); resource
-    classification (decision a) defaults to :func:`default_resource_class`.
-    The packing machinery itself — first-fit in arrival order or greedy
-    best-fit over batch heads, with §3.6 decomposition fallback — is shared
-    on the base class so every policy gets both packers for free.
+    A subclass overrides :meth:`key`, the class of a kernel that Principle 1
+    is judged by; expert_overlap also overrides :meth:`configure_decomposer`.
+    The primary run and the first-fit secondary packer are shared.
     """
 
     #: Registry identity.  Subclasses must override.
     name = "abstract"
 
-    def __init__(self, *, packing: str = "first_fit") -> None:
-        if packing not in ("first_fit", "best_fit"):
-            raise ConfigError(
-                f"packing must be 'first_fit' or 'best_fit', got {packing!r}"
-            )
-        self.packing = packing
+    def key(self, func: KernelFunc):
+        """The class of ``func``: a primary run is a maximal same-key run,
+        and a secondary head with the run's key must not share its window."""
+        raise NotImplementedError
 
-    # -- decision (a): resource classification --------------------------
-    def resource_class(self, func: KernelFunc) -> str:
-        """Name the contended resource ``func`` occupies (RESOURCE_CLASSES)."""
-        return default_resource_class(func)
+    def collect_primary(self, primary: FuncVec) -> Tuple[List[KernelFunc], float]:
+        """Pop the primary run off ``primary``; return ``(subset0, window)``.
 
-    # -- decision (b): primary run + window ------------------------------
-    def collect_primary(
-        self, primary: FuncVec
-    ) -> Tuple[List[KernelFunc], float, KernelKind]:
-        """Pop the primary run off ``primary``; return (subset0, window, kind).
-
-        The window is the run's summed no-load duration — the overlap
-        budget ``pack_secondary`` may fill.
+        Algorithm 1 lines 3–9: pop while the next head has the popped
+        kernel's key.  The window is the run's summed no-load duration, the
+        overlap budget :meth:`pack_secondary` may fill.
         """
-        raise NotImplementedError
-
-    # -- decision (c): secondary eligibility + packing -------------------
-    def blocks(
-        self, func: KernelFunc, primary_class: str, kind: KernelKind
-    ) -> bool:
-        """True when ``func`` must NOT share the window (Principle 1)."""
-        raise NotImplementedError
+        key = self.key
+        subset0 = [primary.pop()]
+        run_key = key(subset0[0])
+        while not primary.empty and key(primary.peek()) == run_key:
+            subset0.append(primary.pop())
+        return subset0, sum(func.duration for func in subset0)
 
     def pack_secondary(
-        self,
-        scheduler,
-        primary_class: str,
-        kind: KernelKind,
-        window: float,
+        self, scheduler, primary_key, window: float
     ) -> Tuple[List[KernelFunc], float]:
-        """Select and pack secondary kernels into the window.
+        """Pack the window first-fit (Algorithm 1 lines 10–20).
 
-        Walks subsequent batches for heads ``blocks`` does not veto,
-        packing by the configured discipline (first-fit pops greedily in
-        arrival order; best-fit takes the largest fitting head each
-        pass).  Returns ``(subset1, fill)`` with ``fill`` in anticipated
-        (contention-scaled) time.
+        Walks subsequent batches in arrival order, popping heads whose
+        anticipated duration fits the residual window; a head too long for
+        it is split by §3.6 decomposition.  Returns ``(subset1, fill)`` with
+        ``fill`` in anticipated (contention-scaled) time.
         """
-        if self.packing == "best_fit":
-            return self._pack_best_fit(scheduler, primary_class, kind, window)
-        return self._pack_first_fit(scheduler, primary_class, kind, window)
-
-    # -- validation ------------------------------------------------------
-    def validate_round(self, round_) -> None:
-        """Per-round invariant check; default is Principle 1."""
-        round_.validate_principle1()
-
-    # -- decomposition hooks ---------------------------------------------
-    def configure_decomposer(self, planner) -> None:
-        """Register policy-specific split rules on a DecompositionPlanner."""
-
-    # ------------------------------------------------------------------
-    # Shared packing machinery (moved verbatim from LigerScheduler; the
-    # only change is that eligibility goes through :meth:`blocks`).
-    # ------------------------------------------------------------------
-    def _take_whole(self, scheduler, fv, subset1) -> float:
-        """Pop an eligible head whole into ``subset1``; returns its
-        anticipated duration (the shared half of both packers' accept path).
-        """
-        func = fv.pop()
-        subset1.append(func)
-        return scheduler.anticipator.anticipated(func.duration, func.kind)
+        key = self.key
+        anticipated = scheduler.anticipator.anticipated
+        decomposer = scheduler.decomposer
+        subset1: List[KernelFunc] = []
+        fill = 0.0
+        remaining = window
+        for fv in scheduler.processing[1:]:
+            while remaining > 0 and not fv.empty:
+                nxt = fv.peek()
+                if key(nxt) == primary_key:
+                    # Principle 1: kernels contending for the primary run's
+                    # resource must not interfere with it; this batch is
+                    # stuck until a later round of a different class.
+                    break
+                taken = anticipated(nxt.duration, nxt.kind)
+                if taken <= remaining:
+                    subset1.append(fv.pop())
+                    fill += taken
+                    remaining -= taken
+                    continue
+                # Too long: try runtime decomposition (§3.6).
+                split = None
+                if decomposer is not None:
+                    split = decomposer.split_to_fit(
+                        nxt, remaining,
+                        scale=scheduler.anticipator.scale(nxt.kind),
+                    )
+                if split is None:
+                    remaining = 0.0  # window effectively unusable (line 15)
+                    break
+                taken = self._take_split(scheduler, fv, split, subset1)
+                fill += taken
+                remaining -= taken
+                break  # residual window is below the smallest division
+        return subset1, fill
 
     def _take_split(self, scheduler, fv, split, subset1) -> float:
         """Apply a §3.6 decomposition: pop, push the remainder back, collect
@@ -173,112 +159,8 @@ class SchedulingPolicy:
         scheduler.decomposed_pieces += 1
         return scheduler.anticipator.anticipated(piece.duration, piece.kind)
 
-    def _pack_first_fit(self, scheduler, primary_class, kind, window):
-        """The paper's policy: walk subsequent batches in arrival order."""
-        subset1: List[KernelFunc] = []
-        fill = 0.0
-        remaining = window
-        for fv in scheduler.processing[1:]:
-            while remaining > 0 and not fv.empty:
-                nxt = fv.peek()
-                if self.blocks(nxt, primary_class, kind):
-                    # Principle 1: kernels contending for the primary run's
-                    # resource must not interfere with it; this batch is
-                    # stuck until a later round of a different class.
-                    break
-                anticipated = scheduler.anticipator.anticipated(
-                    nxt.duration, nxt.kind
-                )
-                if anticipated <= remaining:
-                    taken = self._take_whole(scheduler, fv, subset1)
-                    fill += taken
-                    remaining -= taken
-                    continue
-                # Too long: try runtime decomposition (§3.6).
-                split = None
-                if scheduler.decomposer is not None:
-                    split = scheduler.decomposer.split_to_fit(
-                        nxt,
-                        remaining,
-                        scale=scheduler.anticipator.scale(nxt.kind),
-                    )
-                if split is None:
-                    remaining = 0.0  # window effectively unusable (line 15)
-                    break
-                taken = self._take_split(scheduler, fv, split, subset1)
-                fill += taken
-                remaining -= taken
-                break  # residual window is below the smallest division
-        return subset1, fill
-
-    def _pack_best_fit(self, scheduler, primary_class, kind, window):
-        """Extension: greedy best-fit over eligible batch heads.
-
-        Only the *head* kernel of each subsequent batch is eligible (batch
-        order is a data dependency), so this is an online greedy: at each
-        step take the largest eligible head whose anticipated duration fits
-        the residual window; fall back to decomposing the largest head when
-        nothing fits whole.  Trades the paper's arrival-order fairness for
-        higher window fill.
-        """
-        subset1: List[KernelFunc] = []
-        fill = 0.0
-        remaining = window
-        while remaining > 0:
-            eligible = [
-                fv
-                for fv in scheduler.processing[1:]
-                if not fv.empty
-                and not self.blocks(fv.peek(), primary_class, kind)
-            ]
-            if not eligible:
-                break
-            fitting = [
-                fv
-                for fv in eligible
-                if scheduler.anticipator.anticipated(
-                    fv.peek().duration, fv.peek().kind
-                )
-                <= remaining
-            ]
-            if fitting:
-                fv = max(
-                    fitting,
-                    key=lambda v: scheduler.anticipator.anticipated(
-                        v.peek().duration, v.peek().kind
-                    ),
-                )
-                taken = self._take_whole(scheduler, fv, subset1)
-                fill += taken
-                remaining -= taken
-                continue
-            # Nothing fits whole: decompose the largest eligible head.
-            if scheduler.decomposer is None:
-                break
-            best_split = None
-            best_fv = None
-            for fv in eligible:
-                split = scheduler.decomposer.split_to_fit(
-                    fv.peek(),
-                    remaining,
-                    scale=scheduler.anticipator.scale(fv.peek().kind),
-                )
-                if split is None:
-                    continue
-                if (
-                    best_split is None
-                    or split[0].duration > best_split[0].duration
-                ):
-                    best_split = split
-                    best_fv = fv
-            if best_split is None:
-                break
-            assert best_fv is not None
-            taken = self._take_split(scheduler, best_fv, best_split, subset1)
-            fill += taken
-            remaining -= taken
-            break  # residual window is below the smallest division
-        return subset1, fill
+    def configure_decomposer(self, planner) -> None:
+        """Register policy-specific split rules on a DecompositionPlanner."""
 
 
 # ----------------------------------------------------------------------
@@ -287,43 +169,27 @@ class SchedulingPolicy:
 class LigerDichotomyPolicy(SchedulingPolicy):
     """The paper's Algorithm 1, verbatim: compute vs communication.
 
-    Primary run = maximal same-``KernelKind`` prefix of the oldest batch;
-    the window is its summed no-load duration; secondary candidates are
-    blocked exactly when they are the *same* kind as the run.  This policy
-    is the default and is pinned bit-identical to the golden traces.
+    The key is ``is_comm``, so a primary run is a maximal same-type prefix
+    and a secondary head is blocked exactly when it is the run's type.
+    This policy is the default and is pinned bit-identical to the goldens.
     """
 
     name = "dichotomy"
 
-    def collect_primary(self, primary):
-        # Algorithm 1 lines 3–9: pop until the kernel type switches.
-        subset0: List[KernelFunc] = []
-        window = 0.0
-        kind = primary.head_kind()
-        while not primary.empty:
-            switches = primary.next_switches()
-            func = primary.pop()
-            window += func.duration
-            subset0.append(func)
-            if switches:
-                kind = func.kind
-                break
-        return subset0, window, kind
-
-    def blocks(self, func, primary_class, kind):
-        return func.same_type_as(kind)
+    def key(self, func):
+        return func.is_comm
 
 
 class ExpertOverlapPolicy(SchedulingPolicy):
     """MoE expert parallelism: overlap expert GEMMs with all-to-all.
 
-    Generalizes the dichotomy to resource classes: the primary run is a
-    maximal same-*resource-class* prefix, and a secondary candidate is
-    blocked only when it contends for the **same resource class** as the
-    run.  Under an all-to-all dispatch/combine window this admits both
-    expert GEMMs *and* NVLink collectives; under a compute window it
-    admits either collective flavour — the interleaving the MoE
-    communication-characterization literature calls for.
+    The key is the kernel's resource class, so a primary run is a maximal
+    same-class prefix and a secondary head is blocked only when it contends
+    for the **same resource class** as the run.  Under an all-to-all
+    dispatch/combine window this admits both expert GEMMs *and* NVLink
+    collectives; under a compute window it admits either collective
+    flavour, the interleaving the MoE communication-characterization
+    literature calls for.
 
     Also registers the all-to-all byte splitter on the decomposition
     planner so oversized dispatch/combine kernels can be window-fitted.
@@ -331,22 +197,8 @@ class ExpertOverlapPolicy(SchedulingPolicy):
 
     name = "expert_overlap"
 
-    def collect_primary(self, primary):
-        subset0: List[KernelFunc] = []
-        window = 0.0
-        kind = primary.head_kind()
-        while not primary.empty:
-            switches = primary.next_switches_class(self.resource_class)
-            func = primary.pop()
-            window += func.duration
-            subset0.append(func)
-            if switches:
-                kind = func.kind
-                break
-        return subset0, window, kind
-
-    def blocks(self, func, primary_class, kind):
-        return self.resource_class(func) == primary_class
+    def key(self, func):
+        return default_resource_class(func)
 
     def configure_decomposer(self, planner) -> None:
         from repro.core.decomposition import split_all_to_all
@@ -368,7 +220,7 @@ def policy_names() -> Tuple[str, ...]:
     return tuple(sorted(POLICIES))
 
 
-def make_policy(name: str, *, packing: str = "first_fit") -> SchedulingPolicy:
+def make_policy(name: str) -> SchedulingPolicy:
     """Construct a registered policy by name."""
     try:
         cls = POLICIES[name]
@@ -377,4 +229,4 @@ def make_policy(name: str, *, packing: str = "first_fit") -> SchedulingPolicy:
             f"unknown scheduling policy {name!r}; "
             f"available: {', '.join(policy_names())}"
         ) from None
-    return cls(packing=packing)
+    return cls()

@@ -35,7 +35,7 @@ from repro.core.assembly import FunctionAssembler, KernelFunc
 from repro.core.config import LigerConfig, SyncMode
 from repro.core.contention import ContentionAnticipator
 from repro.core.decomposition import DecompositionPlanner
-from repro.core.policy import make_policy
+from repro.core.policy import default_resource_class, make_policy
 from repro.core.scheduler import LigerScheduler, Round
 from repro.parallel.base import instantiate_op
 from repro.profiling.profiler import OpProfiler
@@ -99,7 +99,7 @@ class LigerRuntime:
             anticipator=anticipator,
             decomposer=decomposer,
             max_inflight=config.max_inflight,
-            policy=make_policy(config.policy, packing=config.packing),
+            policy=make_policy(config.policy),
         )
         self.stats = RuntimeStats()
         self._gpus = list(range(machine.node.num_gpus))
@@ -238,7 +238,7 @@ class LigerRuntime:
                 (subset1_kernels, round_.subset1),
             ):
                 for kernels, func in zip(kernel_maps, funcs):
-                    rclass = pol.resource_class(func)
+                    rclass = default_resource_class(func)
                     for kern in kernels.values():
                         kern.meta["_policy"] = pol.name
                         kern.meta["_rclass"] = rclass

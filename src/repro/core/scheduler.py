@@ -14,6 +14,10 @@ planning step produces one :class:`Round`:
    kernel too long for the residual window is split by runtime kernel
    decomposition (§3.6) and its remainder pushed back.
 
+"Type" is the scheduling policy's key (:mod:`repro.core.policy`): compute
+vs communication for the paper's dichotomy, the resource class for
+expert_overlap.
+
 The two subsets are launched onto two streams per GPU and run concurrently;
 design Principles 1–3 (§3.3) map to: the primary batch's kernels are never
 delayed by same-type interlopers (1), any mix of input sizes schedules
@@ -30,7 +34,11 @@ from typing import Deque, List, Optional
 from repro.core.assembly import FuncVec, KernelFunc
 from repro.core.contention import ContentionAnticipator
 from repro.core.decomposition import DecompositionPlanner
-from repro.core.policy import LigerDichotomyPolicy, SchedulingPolicy
+from repro.core.policy import (
+    LigerDichotomyPolicy,
+    SchedulingPolicy,
+    default_resource_class,
+)
 from repro.errors import ConfigError, SchedulingError
 from repro.sim.kernel import KernelKind
 
@@ -47,7 +55,7 @@ class Round:
     subset1: List[KernelFunc]
     window: float              # accumulated no-load duration of subset0
     secondary_fill: float      # anticipated duration packed into subset1
-    primary_class: str = ""    # policy resource class of the primary run
+    primary_class: str = ""    # resource class of the primary run's head
 
     def __post_init__(self) -> None:
         if not self.subset0:
@@ -78,21 +86,19 @@ class LigerScheduler:
         anticipator: ContentionAnticipator,
         decomposer: Optional[DecompositionPlanner] = None,
         max_inflight: int = 4,
-        packing: str = "first_fit",
         policy: Optional[SchedulingPolicy] = None,
     ) -> None:
         if max_inflight < 1:
             raise ConfigError("max_inflight must be >= 1")
-        #: The programmable half of Algorithm 1 (repro.core.policy): owns
-        #: resource classification, primary delimitation, and secondary
-        #: packing.  Defaults to the paper's dichotomy.
-        self.policy = policy or LigerDichotomyPolicy(packing=packing)
+        #: The programmable half of Algorithm 1 (repro.core.policy): its key
+        #: delimits the primary run and gates the secondary subset.  Defaults
+        #: to the paper's dichotomy.
+        self.policy = policy or LigerDichotomyPolicy()
         self.anticipator = anticipator
         self.decomposer = decomposer
         if decomposer is not None:
             self.policy.configure_decomposer(decomposer)
         self.max_inflight = max_inflight
-        self.packing = self.policy.packing
         #: Optional memory-aware admission gate: called with a FuncVec before
         #: it moves from the waiting queue to the processing list; returning
         #: False keeps it (and everything behind it) waiting.  Lets the
@@ -158,27 +164,25 @@ class LigerScheduler:
         primary = self.processing[0]
 
         # --- collect kernels from the primary batch (lines 3–9) ---------
-        # Decision (b): the policy delimits the run and sizes the window.
-        subset0, window, kind = self.policy.collect_primary(primary)
-        primary_class = self.policy.resource_class(subset0[0])
+        policy = self.policy
+        subset0, window = policy.collect_primary(primary)
 
         # --- collect eligible kernels from subsequent batches -----------
-        # (lines 10–20, plus §3.5 anticipation and §3.6 decomposition;
-        # decision (c): eligibility and packing belong to the policy)
-        subset1, fill = self.policy.pack_secondary(
-            self, primary_class, kind, window
+        # (lines 10–20, plus §3.5 anticipation and §3.6 decomposition)
+        subset1, fill = policy.pack_secondary(
+            self, policy.key(subset0[0]), window
         )
 
         round_ = Round(
             index=self.rounds_planned,
-            primary_kind=kind,
+            primary_kind=subset0[-1].kind,
             subset0=subset0,
             subset1=subset1,
             window=window,
             secondary_fill=fill,
-            primary_class=primary_class,
+            primary_class=default_resource_class(subset0[0]),
         )
-        self.policy.validate_round(round_)
+        round_.validate_principle1()
         self.rounds_planned += 1
         self._sweep_drained()
         return round_

@@ -648,9 +648,6 @@ def ablations(scale: str = "quick") -> FigureResult:
         "cpu-gpu-sync": LigerConfig(
             contention_factors=factors, sync_mode=SyncMode.CPU_GPU
         ),
-        "best-fit-packing": LigerConfig(
-            contention_factors=factors, packing="best_fit"
-        ),
     }
     records: List[ExperimentRecord] = []
     for name, cfg in variants.items():

@@ -159,7 +159,8 @@ class Observability:
              "Deadline-carrying requests that completed on time."),
             ("repro_retries_total", "retries", "retries", "Launch retries scheduled."),
             ("repro_batches_preempted_total", "preemptions", "preemptions",
-             "Staged batches preempted-and-requeued under KV pressure."),
+             "Lifecycle chats evicted under KV pressure and requeued to "
+             "recompute their context."),
         ):
             reg.counter(name, help_text, fn=once(attr, since))
         reg.histogram(

@@ -442,6 +442,7 @@ class LifecycleServer(JobServer):
             # Intermediate completion: the batch retired but no chat is
             # terminal yet.
             self._retire(batch, time, ())
+            freed = False
             for req in group:
                 if req.prefill_done is None:  # a re-prefill keeps its TTFT
                     req.prefill_done = time
@@ -449,9 +450,14 @@ class LifecycleServer(JobServer):
                     # Expired while prefilling: record the miss, free the KV.
                     self.memory.release(f"chat{req.rid}")
                     self._time_out_job(req, where="prefill")
+                    freed = True
                     continue
                 self._decode_pool.append(req)
             self._maybe_submit_decode()
+            if freed:
+                # The freed KV may unblock a queued prompt, and nothing else
+                # would retry or expire it if no chat is left running.
+                self._maybe_submit_prefill()
             return
         finished = []
         for req in self._decode_inflight.pop(batch.batch_id):

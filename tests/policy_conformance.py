@@ -8,9 +8,9 @@ matter what workload it schedules:
 2. **Window accounting exact** — the round's window is exactly the summed
    no-load duration of the primary subset, and the secondary fill is
    exactly the summed *anticipated* duration of the secondary subset.
-3. **Principle 1 per resource class** — no secondary kernel is one the
-   policy itself declares blocking for the round's primary class, and the
-   fill never exceeds the window (beyond float tolerance).
+3. **Principle 1 per policy key** — the primary subset shares one
+   ``policy.key``, no secondary kernel has that key, and the fill never
+   exceeds the window (beyond float tolerance).
 4. **Drain termination** — repeatedly planning rounds consumes every
    enqueued kernel exactly once and terminates within ``total kernels``
    rounds (each round pops at least one).
@@ -27,6 +27,7 @@ from typing import List, Sequence
 
 from repro.core.assembly import FuncVec, KernelFunc
 from repro.core.contention import NO_ANTICIPATION
+from repro.core.policy import default_resource_class
 from repro.core.scheduler import LigerScheduler, Round
 from repro.models.ops import all_to_all_op, allreduce_op, gemm_op, p2p_op
 from repro.serving.request import Batch, Phase, Request
@@ -113,15 +114,17 @@ def check_round_invariants(
         f"secondary_fill {round_.secondary_fill} != anticipated sum {fill}"
     )
 
-    # 3. Principle 1 per resource class: the policy's own blocking rule
-    #    holds for every packed kernel, and the fill fits the window.
-    assert round_.primary_class == policy.resource_class(round_.subset0[0])
+    # 3. Principle 1 per policy key: the primary run shares one key, no
+    #    packed kernel has it, and the fill fits the window.
+    assert round_.primary_class == default_resource_class(round_.subset0[0])
+    primary_key = policy.key(round_.subset0[-1])
+    assert all(policy.key(f) == primary_key for f in round_.subset0), (
+        "primary subset mixes policy keys"
+    )
     for func in round_.subset1:
-        assert not policy.blocks(
-            func, round_.primary_class, round_.primary_kind
-        ), (
+        assert policy.key(func) != primary_key, (
             f"{func.op.name} packed into a {round_.primary_class} window "
-            f"the policy says it blocks"
+            f"it contends with"
         )
     assert round_.secondary_fill <= round_.window * (1 + _REL_TOL), (
         f"fill {round_.secondary_fill} exceeds window {round_.window}"

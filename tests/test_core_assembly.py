@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.assembly import FuncVec, FunctionAssembler, KernelFunc
+from repro.core.policy import LigerDichotomyPolicy
 from repro.errors import ConfigError
 from repro.hw import v100_nvlink_node
 from repro.models import OPT_30B
@@ -45,13 +46,16 @@ class TestKernelFunc:
         assert f.batch_size == 2 and f.seq_len == 64
 
     def test_same_type_granularity(self):
-        comm = kf(allreduce_op("ar", 0, 1e6), 10.0)
-        comp = kf(gemm_op("g", 0, 8, 8, 8), 10.0)
-        assert comm.same_type_as(KernelKind.COMM)
-        assert not comm.same_type_as(KernelKind.COMPUTE)
-        assert comp.same_type_as(KernelKind.COMPUTE)
-        # MEMORY schedules like computation
-        assert comp.same_type_as(KernelKind.MEMORY)
+        """The scheduler's type is comm vs not: MEMORY schedules like
+        computation."""
+        op = gemm_op("g", 0, 8, 8, 8)
+        assert kf(allreduce_op("ar", 0, 1e6), 10.0).is_comm
+        assert not kf(op, 10.0).is_comm
+        memory = KernelFunc(
+            op=op, duration=10.0, kind=KernelKind.MEMORY, batch_id=0,
+            batch_size=2, seq_len=64, decomposable=False,
+        )
+        assert not memory.is_comm
 
     def test_negative_duration_rejected(self):
         with pytest.raises(ConfigError):
@@ -74,15 +78,16 @@ class TestFuncVec:
         assert names == ["g1", "g2", "ar", "g3"]
         assert v.empty
 
-    def test_next_switches_detects_type_boundary(self):
+    def test_collect_primary_stops_at_type_boundary(self):
         v = self._vec()
-        assert not v.next_switches()  # g1 → g2: same type
-        v.pop()
-        assert v.next_switches()  # g2 → ar: switch
-        v.pop()
-        assert v.next_switches()  # ar → g3: switch
-        v.pop()
-        assert v.next_switches()  # g3 is last
+        policy = LigerDichotomyPolicy()
+        runs = []
+        while not v.empty:
+            subset0, window = policy.collect_primary(v)
+            runs.append(([f.op.name for f in subset0], window))
+        # g1 → g2 is the same type; ar and g3 each end at a switch or the
+        # end of the list.
+        assert runs == [(["g1", "g2"], 20.0), (["ar"], 5.0), (["g3"], 10.0)]
 
     def test_push_front(self):
         v = self._vec()
@@ -103,8 +108,6 @@ class TestFuncVec:
             v.pop()
         with pytest.raises(ConfigError):
             v.peek()
-        with pytest.raises(ConfigError):
-            v.next_switches()
 
 
 class TestFunctionAssembler:

@@ -1,12 +1,14 @@
-"""Tests for repro.core.policy: registry, classes, helpers, packing parity."""
+"""Tests for repro.core.policy: registry, resource classes, keys, helpers."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from policy_conformance import make_func, make_workload_vecs
+from policy_conformance import (
+    check_policy_conformance,
+    make_func,
+    make_workload_vecs,
+)
 from repro.core.contention import NO_ANTICIPATION
 from repro.core.policy import (
     POLICIES,
@@ -17,6 +19,7 @@ from repro.core.policy import (
     RESOURCE_CLASSES,
     ExpertOverlapPolicy,
     LigerDichotomyPolicy,
+    SchedulingPolicy,
     default_resource_class,
     make_policy,
     policy_names,
@@ -57,9 +60,16 @@ class TestResourceClasses:
         assert default_resource_class(make_func(flavour, 10.0)) == expected
 
     def test_policy_resource_class_uses_default(self):
-        func = make_func("all_to_all", 5.0)
+        # Every policy's round names its primary run by the default class.
         for name in POLICIES:
-            assert make_policy(name).resource_class(func) == RC_ALL_TO_ALL
+            s = _scheduler(make_policy(name), [[make_func("all_to_all", 5.0)]])
+            assert s.plan_round().primary_class == RC_ALL_TO_ALL
+
+    @pytest.mark.parametrize("flavour", ["gemm", "all_reduce", "all_to_all", "p2p"])
+    def test_policy_keys(self, flavour):
+        func = make_func(flavour, 10.0)
+        assert LigerDichotomyPolicy().key(func) is func.is_comm
+        assert ExpertOverlapPolicy().key(func) == default_resource_class(func)
 
 
 # ----------------------------------------------------------------------
@@ -75,14 +85,9 @@ class TestRegistry:
         with pytest.raises(ConfigError, match="unknown scheduling policy"):
             make_policy("nope")
 
-    def test_bad_packing_rejected(self):
-        with pytest.raises(ConfigError, match="packing must be"):
-            make_policy("dichotomy", packing="worst_fit")
-
     def test_default_is_dichotomy_first_fit(self):
         s = LigerScheduler(anticipator=NO_ANTICIPATION)
         assert isinstance(s.policy, LigerDichotomyPolicy)
-        assert s.policy.packing == "first_fit"
 
 
 # ----------------------------------------------------------------------
@@ -133,20 +138,6 @@ class TestPrimaryDelimitation:
 # Shared pop/split helpers
 # ----------------------------------------------------------------------
 class TestSharedHelpers:
-    def test_take_whole_pops_and_collects(self):
-        policy = LigerDichotomyPolicy()
-        s = _scheduler(
-            policy,
-            [[make_func("gemm", 10.0)],
-             [make_func("all_reduce", 4.0), make_func("gemm", 1.0)]],
-        )
-        fv = s.processing[1]
-        subset1 = []
-        taken = policy._take_whole(s, fv, subset1)
-        assert taken == 4.0
-        assert [f.op.op for f in subset1] == ["all_reduce"]
-        assert fv.peek().op.op == "gemm"  # head consumed
-
     def test_take_split_pushes_remainder_back(self):
         policy = LigerDichotomyPolicy()
         s = _scheduler(
@@ -168,89 +159,6 @@ class TestSharedHelpers:
 
 
 # ----------------------------------------------------------------------
-# First-fit / best-fit parity (satellite: packing property test)
-# ----------------------------------------------------------------------
-def _packed_fill(packing: str, window: float, heads) -> float:
-    """Plan one round: primary [gemm window], then one batch per head."""
-    batches = [[make_func("gemm", window), make_func("all_reduce", 1.0)]]
-    for i, dur in enumerate(heads):
-        batches.append(
-            [make_func("all_reduce", dur, batch_id=i + 1),
-             make_func("gemm", 1.0, batch_id=i + 1)]
-        )
-    s = _scheduler(make_policy("dichotomy", packing=packing), batches)
-    round_ = s.plan_round()
-    round_.validate_principle1()  # Principle-1 clean for both packers
-    return round_.secondary_fill
-
-
-class TestPackingParity:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n_heads=st.integers(min_value=1, max_value=6),
-        head=st.floats(min_value=1.0, max_value=50.0),
-        slots=st.integers(min_value=0, max_value=8),
-        # slack stays off 0: an exact-fit window is 1-ulp fragile under
-        # the packer's sequential remaining -= head accounting.
-        slack=st.floats(min_value=0.01, max_value=0.99),
-    )
-    def test_equal_heads_fill_parity(self, n_heads, head, slots, slack):
-        """With identical-duration candidate heads the two packers fill the
-        window identically: both take min(n_heads, floor(window/head))
-        heads, so best-fit fill >= first-fit fill holds with equality.
-        (With *unequal* heads first-fit can beat best-fit — greedy
-        largest-first is not optimal online — so >= is asserted only on
-        this provably-equal family.)
-        """
-        window = head * slots + head * slack  # room for exactly `slots`
-        ff = _packed_fill("first_fit", window, [head] * n_heads)
-        bf = _packed_fill("best_fit", window, [head] * n_heads)
-        expected = head * min(n_heads, slots)
-        assert ff == pytest.approx(expected)
-        assert bf >= ff  # equality on this family; >= is the contract
-        assert bf == pytest.approx(expected)
-
-    def test_best_fit_beats_first_fit_when_order_hurts(self):
-        # Window 10; arrival order offers 7 then 10.  First-fit takes 7 and
-        # dead-ends (10 no longer fits, no decomposer); best-fit takes the
-        # exact-fit 10.
-        ff = _packed_fill("first_fit", 10.0, [7.0, 10.0])
-        bf = _packed_fill("best_fit", 10.0, [7.0, 10.0])
-        assert ff == 7.0
-        assert bf == 10.0
-
-    def test_both_packers_principle1_clean_under_anticipation(self):
-        from repro.core.contention import ContentionAnticipator
-        from repro.profiling.contention_profiler import ContentionFactors
-
-        anticipator = ContentionAnticipator(
-            ContentionFactors(compute=1.10, comm=1.15)
-        )
-        for packing in ("first_fit", "best_fit"):
-            batches = [
-                [make_func("gemm", 30.0), make_func("all_reduce", 1.0)],
-                [make_func("all_reduce", 20.0), make_func("gemm", 1.0)],
-                [make_func("all_reduce", 8.0), make_func("gemm", 1.0)],
-            ]
-            s = LigerScheduler(
-                anticipator=anticipator,
-                policy=make_policy("dichotomy", packing=packing),
-                max_inflight=8,
-            )
-            for vec in make_workload_vecs(batches):
-                s.enqueue(vec)
-            r = s.plan_round()
-            r.validate_principle1()
-            # fill is anticipated (scaled), not no-load
-            assert r.secondary_fill == pytest.approx(
-                sum(
-                    anticipator.anticipated(f.duration, f.kind)
-                    for f in r.subset1
-                )
-            )
-
-
-# ----------------------------------------------------------------------
 # Round metadata
 # ----------------------------------------------------------------------
 class TestRoundMetadata:
@@ -261,3 +169,39 @@ class TestRoundMetadata:
         r = s.plan_round()
         assert r.primary_class == RC_ALL_TO_ALL
         assert r.primary_kind is KernelKind.COMM
+
+
+# ----------------------------------------------------------------------
+# A policy is its key
+# ----------------------------------------------------------------------
+class FlavourPolicy(SchedulingPolicy):
+    """Keys on the op flavour alone: every distinct op type is a class."""
+
+    name = "flavour"
+
+    def key(self, func):
+        return func.op.op
+
+
+class TestKeyOnlyPolicy:
+    def test_runs_and_gates_on_its_key(self):
+        s = _scheduler(
+            FlavourPolicy(),
+            [[make_func("gemm", 20.0), make_func("all_reduce", 1.0)],
+             [make_func("p2p", 5.0), make_func("gemm", 5.0)],
+             [make_func("all_reduce", 5.0), make_func("all_to_all", 5.0)]],
+        )
+        r = s.plan_round()
+        assert [f.op.op for f in r.subset0] == ["gemm"]
+        # Batch 1 stops at its gemm (the run's key); batch 2 packs fully.
+        assert [f.op.op for f in r.subset1] == ["p2p", "all_reduce", "all_to_all"]
+
+    def test_conforms(self):
+        check_policy_conformance(
+            FlavourPolicy(),
+            [[make_func(f, d) for f, d in batch] for batch in (
+                [("gemm", 30.0), ("all_reduce", 5.0), ("gemm", 8.0)],
+                [("all_to_all", 9.0), ("p2p", 4.0), ("gemm", 6.0)],
+                [("all_reduce", 7.0), ("gemm", 3.0)],
+            )],
+        )

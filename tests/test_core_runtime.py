@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import LigerConfig, SyncMode
 from repro.core.contention import ContentionAnticipator
+from repro.core.scheduler import Round
 from repro.hw import v100_nvlink_node
 from repro.models import OPT_30B
 from repro.parallel import InterleavedStrategy
@@ -132,9 +133,9 @@ class TestPrinciple1Runtime:
         run(strat, [fixed_batch(1.0), fixed_batch(2.0), fixed_batch(3.0)])
         assert strat.stats.total_fill <= strat.stats.total_window + 1e-6
 
-    def test_every_launched_round_is_validated(self):
+    def test_every_launched_round_is_validated(self, monkeypatch):
         """Steady decode repeats the same round shapes; each one must still
-        pass the policy's Principle-1 check before it launches."""
+        pass the Principle-1 check before it launches."""
         from repro.models import MODELS
         from repro.serving import ContinuousBatchingServer, generation_workload
         from repro.serving.api import make_strategy as make_serving_strategy
@@ -146,15 +147,14 @@ class TestPrinciple1Runtime:
             model, node, strat, max_batch=4, pipeline_depth=2,
             record_trace=False, check_memory=False,
         )
-        policy = strat.runtime.scheduler.policy
-        validate = policy.validate_round
+        validate = Round.validate_principle1
         validated = []
 
         def counting(round_):
             validated.append(round_.index)
             validate(round_)
 
-        policy.validate_round = counting
+        monkeypatch.setattr(Round, "validate_principle1", counting)
         srv.run(
             generation_workload(
                 24, 1200.0, context_len=16, gen_tokens=(1, 1), seed=0

@@ -118,6 +118,15 @@ class TestSecondarySubset:
         r = s.plan_round()
         assert [f.op.name for f in r.subset1] == ["b1", "b2"]
 
+    def test_first_fit_takes_arrival_order(self):
+        s = scheduler()
+        s.enqueue(FuncVec(make_batch(0), [comp("p", 25), comm("pc", 5)]))
+        s.enqueue(FuncVec(make_batch(1), [comm("small", 10), comp("x", 1)]))
+        s.enqueue(FuncVec(make_batch(2), [comm("big", 20), comp("y", 1)]))
+        r = s.plan_round()
+        # first-fit takes small (batch 1 first), then big no longer fits
+        assert [f.op.name for f in r.subset1] == ["small"]
+
     def test_oversize_kernel_not_packed_without_decomposition(self):
         s = scheduler()
         s.enqueue(FuncVec(make_batch(0), [comp("p", 10), comm("pc", 5)]))
@@ -231,65 +240,6 @@ class TestDecompositionIntegration:
             r.validate_principle1()
 
 
-class TestBestFitPacking:
-    def _sched(self, packing):
-        return LigerScheduler(
-            anticipator=NO_ANTICIPATION, decomposer=None, packing=packing
-        )
-
-    def test_best_fit_prefers_largest_head(self):
-        s = self._sched("best_fit")
-        s.enqueue(FuncVec(make_batch(0), [comp("p", 25), comm("pc", 5)]))
-        s.enqueue(FuncVec(make_batch(1), [comm("small", 10), comp("x", 1)]))
-        s.enqueue(FuncVec(make_batch(2), [comm("big", 20), comp("y", 1)]))
-        r = s.plan_round()
-        # best-fit takes big (20) then small (10 doesn't fit in 5 left)
-        assert [f.op.name for f in r.subset1] == ["big"]
-        assert r.secondary_fill == 20
-
-    def test_first_fit_takes_arrival_order(self):
-        s = self._sched("first_fit")
-        s.enqueue(FuncVec(make_batch(0), [comp("p", 25), comm("pc", 5)]))
-        s.enqueue(FuncVec(make_batch(1), [comm("small", 10), comp("x", 1)]))
-        s.enqueue(FuncVec(make_batch(2), [comm("big", 20), comp("y", 1)]))
-        r = s.plan_round()
-        # first-fit takes small (batch 1 first), then big no longer fits
-        assert [f.op.name for f in r.subset1] == ["small"]
-
-    def test_best_fit_never_violates_principle1(self):
-        s = self._sched("best_fit")
-        s.enqueue(FuncVec(make_batch(0), [comp("p", 50), comm("pc", 5)]))
-        for i in range(1, 4):
-            s.enqueue(
-                FuncVec(make_batch(i), [comm(f"c{i}", 10 * i), comp(f"x{i}", 1)])
-            )
-        while (r := s.plan_round()) is not None:
-            r.validate_principle1()
-
-    def test_best_fit_fill_at_least_first_fit(self):
-        def run(packing):
-            s = self._sched(packing)
-            s.enqueue(FuncVec(make_batch(0), [comp("p", 30), comm("pc", 5)]))
-            s.enqueue(FuncVec(make_batch(1), [comm("a", 12), comp("x", 1)]))
-            s.enqueue(FuncVec(make_batch(2), [comm("b", 29), comp("y", 1)]))
-            return s.plan_round().secondary_fill
-
-        assert run("best_fit") >= run("first_fit")
-
-    def test_invalid_packing_rejected(self):
-        with pytest.raises(ConfigError):
-            self._sched("worst_fit")
-
-    def test_liger_config_packing_plumbed(self):
-        from repro.core import LigerConfig
-        from repro.errors import ConfigError as CE
-
-        cfg = LigerConfig(packing="best_fit")
-        assert cfg.packing == "best_fit"
-        with pytest.raises(CE):
-            LigerConfig(packing="magic")
-
-
 # ----------------------------------------------------------------------
 # Property tests: Algorithm 1 invariants over random workloads
 # ----------------------------------------------------------------------
@@ -307,13 +257,11 @@ def random_funcvec(draw, batch_seed):
 @given(
     data=st.data(),
     num_batches=st.integers(min_value=1, max_value=4),
-    packing=st.sampled_from(["first_fit", "best_fit"]),
 )
 @settings(max_examples=60, deadline=None)
-def test_algorithm1_invariants(data, num_batches, packing):
+def test_algorithm1_invariants(data, num_batches):
     s = LigerScheduler(
         anticipator=ContentionAnticipator(ContentionFactors(compute=1.1, comm=1.2)),
-        packing=packing,
     )
     vecs = [data.draw(random_funcvec(i)) for i in range(num_batches)]
     totals = {i: len(v) for i, v in enumerate(vecs)}

@@ -536,6 +536,32 @@ class TestLifecycleOverload:
         for r in reqs:
             assert r.state.terminal
 
+    def test_prefill_timeout_retries_blocked_prompts(self):
+        # Chats time out as their prefill retires and free their KV, while
+        # a memory-blocked prompt waits with nothing else running.  The
+        # freed memory must retry (or expire) it, not strand it.
+        model = OPT_30B.scaled_layers(4)
+        chats = chat_workload(10, 2000.0, seed=0)
+        srv = LifecycleServer(
+            model, NODE, make_strategy("intra", model, NODE),
+            prefill_batch=2, max_decode_batch=8, check_memory=False,
+            record_trace=False,
+            overload=OverloadConfig(
+                max_pending_requests=3, policy="shed-by-deadline",
+                default_deadline_us=30_000.0,
+            ),
+        )
+        srv.memory.reserve(
+            "test-squeeze",
+            srv.memory.min_available()
+            - 300 * model.kv_cache_bytes(1, 1, tp=4),
+        )
+        res = srv.run(chats)
+        total = res.num_requests + res.shed_requests + res.timed_out_requests
+        assert total == 10
+        for chat in chats:
+            assert chat.state.terminal
+
     def test_kv_pressure_triggers_recompute_preemption(self):
         # Three chats and room for ~245 KV tokens: Z (100 tokens) admits
         # immediately; O (200 tokens, loose deadline) blocks; A (80 tokens,

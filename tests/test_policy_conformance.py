@@ -55,17 +55,6 @@ class TestCraftedWorkloads:
         ]
         check_policy_conformance(make_policy(policy_name), _batches(spec))
 
-    def test_best_fit_packing_conforms(self, policy_name):
-        spec = [
-            [("gemm", 40.0), ("all_reduce", 5.0)],
-            [("all_reduce", 25.0), ("gemm", 1.0)],
-            [("all_to_all", 30.0), ("gemm", 1.0)],
-            [("all_reduce", 10.0), ("gemm", 1.0)],
-        ]
-        check_policy_conformance(
-            make_policy(policy_name, packing="best_fit"), _batches(spec)
-        )
-
     def test_anticipated_durations_fill_accounting(self, policy_name):
         anticipator = ContentionAnticipator(
             ContentionFactors(compute=1.10, comm=1.15)
@@ -98,23 +87,3 @@ class TestRandomWorkloads:
     )
     def test_random_streams_conform(self, policy_name, spec):
         check_policy_conformance(make_policy(policy_name), _batches(spec))
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        spec=st.lists(
-            st.lists(
-                st.tuples(
-                    st.sampled_from(FLAVOURS),
-                    st.floats(min_value=0.5, max_value=100.0),
-                ),
-                min_size=1,
-                max_size=6,
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_random_streams_conform_best_fit(self, policy_name, spec):
-        check_policy_conformance(
-            make_policy(policy_name, packing="best_fit"), _batches(spec)
-        )
