@@ -85,7 +85,6 @@ _EXPORTS = {
     "OverloadReport": "serving.overload",
     "RequestState": "serving.request",
     "RunResult": "serving.session",
-    "ServingSession": "serving.session",
     "LigerConfig": "core.config",
     "LigerRuntime": "core.runtime",
     "FaultPlan": "faults.plan",

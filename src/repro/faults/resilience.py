@@ -185,7 +185,7 @@ class RecoveryManager:
     config:
         Policy knobs; defaults are sized for the bundled scenarios.
     metrics:
-        The serving session's :class:`~repro.serving.metrics.ServingMetrics`;
+        The server's :class:`~repro.serving.metrics.ServingMetrics`;
         every scheduled retry is counted there, and :meth:`finalize` copies
         the count into the report.  Shed batches go to :attr:`on_shed`,
         which owns their terminal bookkeeping.
@@ -215,8 +215,8 @@ class RecoveryManager:
         self._degraded_since = 0.0
         self._violations_since_ok = 0
         self._finalized = False
-        #: Called with each shed batch; the serving session sets it to the
-        #: server's shed callback, which owns the batch's terminal bookkeeping.
+        #: Called with each shed batch; the server sets it to its shed
+        #: callback, which owns the batch's terminal bookkeeping.
         self.on_shed: Optional[Callable[[Batch], None]] = None
         # Principle-1 monitoring needs the Liger runtime's round hook.
         runtime = getattr(primary, "runtime", None)

@@ -131,7 +131,7 @@ class InterleavedStrategy(ParallelStrategy):
     def perf_counters(self) -> dict:
         """Hot-path cache statistics (the assembly cache).
 
-        The serving session exports these as ``repro_perf_*`` gauges when
+        The server exports these as ``repro_perf_*`` gauges when
         observability is attached; the benchmark's ``bench/child.py`` reads
         them directly.
         """

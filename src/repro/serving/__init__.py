@@ -29,7 +29,6 @@ _EXPORTS = {
     "Server": "server",
     "ServingResult": "server",
     "RunResult": "session",
-    "ServingSession": "session",
     "GenRequest": "generation",
     "generation_workload": "generation",
     "StaticBatchingServer": "generation",

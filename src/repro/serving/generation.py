@@ -19,8 +19,8 @@ iteration, so interleaved parallelism composes with either discipline: with
 several iteration batches in flight Liger overlaps one iteration's
 all-reduces with another's GEMMs.
 
-Both ride the :class:`~repro.serving.session.ServingSession` chassis, so
-the cross-cutting subsystems compose here exactly as on the other servers:
+Both are :class:`~repro.serving.session.JobServer` subclasses, so the
+cross-cutting subsystems compose here exactly as on the other servers:
 pass ``fault_plan``/``resilience``/``overload``/``observability`` and a
 generation run gains fault injection with retry/degradation, bounded
 admission with deadlines, and the event bus/metrics/span exports.
@@ -114,6 +114,8 @@ def generation_workload(
         raise ConfigError(f"invalid gen_tokens range {gen_tokens}")
     if deadline_us is not None and deadline_us <= 0:
         raise ConfigError("deadline_us must be positive")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
     rng = np.random.default_rng(seed)
@@ -157,12 +159,12 @@ class StaticBatchingServer(JobServer):
         #: assigned at submit; until then iterations map to the group's gid).
         self._batch_group: Dict[int, int] = {}
         self._group_by_gid: Dict[int, dict] = {}
-        self.session.add_gauge(
+        self.add_gauge(
             "repro_pending_queue_requests",
             "Generation jobs waiting in queued static groups.",
             lambda: float(self._num_requests(self._queue)),
         )
-        self.session.add_gauge(
+        self.add_gauge(
             "repro_inflight_batches",
             "Static groups currently executing.",
             lambda: float(len(self._groups)),
@@ -260,7 +262,7 @@ class StaticBatchingServer(JobServer):
             )
             last_bid = batch.batch_id
             self._batch_group[batch.batch_id] = gid
-            self.session.submit(batch)
+            self.submit(batch)
             self.total_tokens += len(group)
         info["last_bid"] = last_bid
         self._groups[last_bid] = info
@@ -329,12 +331,12 @@ class ContinuousBatchingServer(JobServer):
         self._reserved: set = set()
         self._inflight: Dict[int, List[GenRequest]] = {}
         self.iterations_run = 0
-        self.session.add_gauge(
+        self.add_gauge(
             "repro_pending_queue_requests",
             "Generation jobs waiting for their first KV reservation.",
             lambda: float(len(self._waiting())),
         )
-        self.session.add_gauge(
+        self.add_gauge(
             "repro_inflight_batches",
             "Iteration batches currently at the strategy.",
             lambda: float(len(self._inflight)),
@@ -408,7 +410,7 @@ class ContinuousBatchingServer(JobServer):
             self._busy.update(r.rid for r in members)
             self.iterations_run += 1
             self.total_tokens += len(members)
-            self.session.submit(batch)
+            self.submit(batch)
 
     # ------------------------------------------------------------------
     def _on_shed(self, batch: Batch) -> None:

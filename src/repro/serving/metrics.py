@@ -87,7 +87,7 @@ class ServingMetrics:
 
     This is the run's one tally of request outcomes, retries and
     preemptions: the recovery layer (:mod:`repro.faults.resilience`) counts
-    ``retries`` here, the session and servers record every terminal state,
+    ``retries`` here, the servers record every terminal state,
     and the lifecycle server counts ``preemptions``.  The reports and the
     obs metrics registry read these fields instead of keeping their own
     counts.  Everything but ``completed`` stays 0 on a healthy run.

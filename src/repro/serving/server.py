@@ -8,9 +8,9 @@ drain.  The result bundles the paper's two metrics plus the execution trace
 for overlap analysis.
 
 The server is a :class:`~repro.serving.session.JobServer` whose job is one
-pre-packed batch: construction, subsystem wiring, admission and the submit
-path live on that chassis, and this module is the batch-granularity policy
-on top — dispatch on arrival, or, with an
+pre-packed batch.  The chassis builds the simulation and its subsystems,
+admits, submits and checks the drain; this module adds only the
+batch-granularity policy: dispatch on arrival, or, with an
 :class:`~repro.serving.overload.OverloadConfig`, dispatch from a bounded
 queue while fewer than :data:`MAX_INFLIGHT_BATCHES` batches are open and
 their KV fits the budget.
@@ -26,15 +26,11 @@ from repro.models.kvcache import batch_kv_bytes
 from repro.models.specs import ModelSpec
 from repro.serving.request import Batch, Request
 from repro.serving.session import JobServer, ServingResult
-from repro.sim.contention import ContentionModel
 from repro.sim.memory import NodeMemoryModel
 
-if TYPE_CHECKING:  # the session imports each subsystem only when armed
-    from repro.faults.plan import FaultPlan
-    from repro.faults.resilience import ResilienceConfig
-    from repro.obs.observability import Observability
+if TYPE_CHECKING:  # the chassis imports each subsystem only when armed
     from repro.parallel.base import ParallelStrategy
-    from repro.serving.overload import OverloadConfig, OverloadReport
+    from repro.serving.overload import OverloadReport
 
 __all__ = ["Server", "ServingResult", "MAX_INFLIGHT_BATCHES"]
 
@@ -59,50 +55,28 @@ class Server(JobServer):
     _bind_track_memory = None
 
     def __init__(
-        self,
-        model: ModelSpec,
-        node: NodeSpec,
-        strategy: ParallelStrategy,
-        *,
-        contention: Optional[ContentionModel] = None,
-        record_trace: bool = True,
-        check_memory: bool = True,
-        fault_plan: Optional["FaultPlan"] = None,
-        resilience: Optional["ResilienceConfig"] = None,
-        overload: Optional["OverloadConfig"] = None,
-        observability: Optional["Observability"] = None,
+        self, model: ModelSpec, node: NodeSpec, strategy: ParallelStrategy,
+        *, record_trace: bool = True, **kw,
     ) -> None:
-        super().__init__(
-            model,
-            node,
-            strategy,
-            contention=contention,
-            record_trace=record_trace,
-            check_memory=check_memory,
-            fault_plan=fault_plan,
-            resilience=resilience,
-            overload=overload,
-            observability=observability,
-        )
+        super().__init__(model, node, strategy, record_trace=record_trace, **kw)
         #: Admitted batches waiting for a dispatch slot (overload armed).
         self._queue: List[Batch] = []
         #: Ids of the batches dispatched and not yet retired (overload armed).
         self._open: Set[int] = set()
-        if overload is None:
+        if self.overload is None:
             return
-        s = self.session
-        s.add_gauge(
+        self.add_gauge(
             "repro_pending_queue_requests",
             "Requests waiting in the bounded pending queue.",
             lambda: float(self._num_requests(self._queue)),
         )
-        s.add_gauge(
+        self.add_gauge(
             "repro_inflight_batches",
             "Batches dispatched and not yet retired.",
             lambda: float(len(self._open)),
         )
         if self.memory is not None:
-            s.add_gauge(
+            self.add_gauge(
                 "repro_kv_used_bytes",
                 "Per-GPU KV bytes reserved by in-flight batches.",
                 lambda: float(self.memory.devices[0].used - self._kv_floor),
@@ -128,8 +102,8 @@ class Server(JobServer):
     def _waiting(self) -> List[Batch]:
         return self._queue
 
-    def _requests_in(self, batches: Sequence[Batch]) -> int:
-        return self._num_requests(batches)
+    def _requests_in(self, batches: Sequence[Batch]) -> List[Request]:
+        return [r for batch in batches for r in batch.requests]
 
     # ------------------------------------------------------------------
     # Arrival and dispatch
@@ -138,7 +112,7 @@ class Server(JobServer):
         if not self._admit(batch):
             return
         if self.overload is None:
-            self.session.submit(batch)
+            self.submit(batch)
             return
         self._queue.append(batch)
         self._pump()
@@ -163,7 +137,7 @@ class Server(JobServer):
                 return  # a retiring batch frees KV and pumps again
             self._queue.pop(0)
             self._open.add(head.batch_id)
-            self.session.submit(head)
+            self.submit(head)
 
     def _reserve_kv(self, batch: Batch) -> bool:
         """Reserve ``batch``'s KV; False while in-flight batches hold it."""

@@ -69,6 +69,8 @@ def general_trace(
     lo, hi = seq_range
     if not 1 <= lo <= hi:
         raise ConfigError(f"invalid seq_range {seq_range}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
     rng = np.random.default_rng(seed)
@@ -99,6 +101,8 @@ def generative_trace(
         raise ConfigError("num_requests must be >= 1")
     if context_len < 1:
         raise ConfigError("context_len must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     proc = arrival or ConstantRate(rate)
     times = proc.arrivals(num_requests)
     requests = [

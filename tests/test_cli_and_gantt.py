@@ -189,6 +189,8 @@ _BAD_VALUES = [
     (["--requests", "0"], "num_requests must be >= 1"),
     (["--rate", "-1"], "rate must be finite and positive"),
     (["--batch", "0"], "batch_size must be >= 1"),
+    (["--seed", "-1", "--requests", "4"], "seed must be >= 0, got -1"),
+    (["--seed", "-1", "--workload", "generative"], "seed must be >= 0, got -1"),
     (["--deadline-ms", "-5"], "default_deadline_us must be finite and positive"),
     (["--max-pending", "4", "--kv-frac", "2"], "kv_capacity_frac"),
     (["--strategy", "intra", "--policy", "expert_overlap"],

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -34,11 +35,18 @@ def run(strategy, batches):
     return server.run(batches), server
 
 
+#: Request ids unique across batches: a server rejects a repeated rid.
+_rids = itertools.count()
+
+
 def fixed_batch(arrival, size=2, seq=64):
     return Batch(
         requests=[
-            Request(rid=i, arrival=arrival, seq_len=seq, phase=Phase.PREFILL)
-            for i in range(size)
+            Request(
+                rid=next(_rids), arrival=arrival, seq_len=seq,
+                phase=Phase.PREFILL,
+            )
+            for _ in range(size)
         ]
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.hw import v100_nvlink_node
@@ -18,11 +20,18 @@ MODEL = OPT_30B.scaled_layers(8)
 NODE = v100_nvlink_node(4)
 
 
+#: Request ids unique across batches: a server rejects a repeated rid.
+_rids = itertools.count()
+
+
 def fixed_batch(arrival, size=2, seq=64):
     return Batch(
         requests=[
-            Request(rid=i, arrival=arrival, seq_len=seq, phase=Phase.PREFILL)
-            for i in range(size)
+            Request(
+                rid=next(_rids), arrival=arrival, seq_len=seq,
+                phase=Phase.PREFILL,
+            )
+            for _ in range(size)
         ]
     )
 

@@ -143,6 +143,22 @@ class TestWorkloads:
         with pytest.raises(ConfigError):
             generative_trace(4, 1.0, context_len=0)
 
+    @pytest.mark.parametrize(
+        "make", ["general", "generative", "generation", "chat"]
+    )
+    def test_negative_seed_rejected(self, make):
+        from repro.serving import chat_workload, generation_workload
+
+        build = {
+            "general": lambda seed: general_trace(4, 1.0, 2, seed=seed),
+            "generative": lambda seed: generative_trace(4, 1.0, seed=seed),
+            "generation": lambda seed: generation_workload(4, 1.0, seed=seed),
+            "chat": lambda seed: chat_workload(4, 1.0, seed=seed),
+        }[make]
+        assert build(0)
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            build(-1)
+
 
 class TestMetrics:
     def _completed(self, latencies_us, start=0.0, gap=1e4):
