@@ -24,6 +24,21 @@ mechanism off its default: the CPU-GPU and inter-stream sync modes
 non-default runtime knobs, and the Inter-Op and Inter-Th baselines
 (Fig. 10).  :func:`liger_config` names the configuration each one serves.
 
+The recovery scenarios (:data:`RECOVERY_SCENARIOS`, suffix ``-faults``) arm
+the recovery layer.  The continuous and lifecycle ones inject a short
+launch-failure window, so decode iterations and a lifecycle prefill are
+shed and their jobs requeued or shed.  ``server-full-nccl-faults`` serves
+the full-NCCL ablation under the default recovery stack with an empty
+:class:`~repro.faults.plan.FaultPlan`: its secondaries outlive their
+windows, so the stack downgrades to Intra-Op and later upgrades back.
+Their fingerprints also pin what the run's
+:class:`~repro.faults.resilience.ResilienceReport` counted.  They stay out
+of :data:`SCENARIOS`, whose per-rank reference arm arms an empty fault plan
+of its own (``tests/test_rank_mirroring.py``).
+
+:data:`METRICS_SCENARIOS` name the observed runs whose Prometheus text is
+pinned in ``tests/golden/<scenario>.prom``.
+
 Regenerate with ``PYTHONPATH=src python tests/serving_goldens.py`` — but
 only from a revision whose timelines are known-good; the whole point of
 the file is to pin behaviour across refactors.
@@ -67,6 +82,25 @@ MECHANISM_SCENARIOS = [
 ]
 SCENARIOS += MECHANISM_SCENARIOS
 
+#: Suffix of the scenarios that arm the recovery layer.
+FAULTS = "-faults"
+
+#: Scenarios served under a fault plan and the recovery layer.
+RECOVERY_SCENARIOS = [
+    ("continuous" + FAULTS, "liger"),
+    ("lifecycle" + FAULTS, "liger"),
+    ("server-full-nccl" + FAULTS, "liger"),
+]
+
+#: Every scenario with a fingerprint in :data:`GOLDEN_PATH`.
+GOLDEN_SCENARIOS = SCENARIOS + RECOVERY_SCENARIOS
+
+#: Observed runs whose Prometheus text is pinned, gauges included.
+METRICS_SCENARIOS = [
+    ("lifecycle" + ARMED, "liger"),
+    ("continuous", "liger"),
+]
+
 #: The :class:`~repro.serving.overload.OverloadReport` fields an armed
 #: scenario's fingerprint pins.
 REPORT_FIELDS = (
@@ -75,6 +109,18 @@ REPORT_FIELDS = (
     "timed_out_requests",
     "preempted_batches",
     "peak_pending_requests",
+)
+
+#: The :class:`~repro.faults.resilience.ResilienceReport` counts a
+#: recovery scenario's fingerprint pins.
+RESILIENCE_FIELDS = (
+    "retries",
+    "shed_batches",
+    "downgrades",
+    "upgrades",
+    "batches_on_fallback",
+    "violations",
+    "rounds_observed",
 )
 
 
@@ -102,6 +148,9 @@ def run_scenario(server: str, strategy: str, keep=None, **extra):
     from repro.serving.api import make_strategy
 
     reset_batch_ids()
+    if server.endswith(FAULTS):
+        server = server[: -len(FAULTS)]
+        _arm_faults(server, extra)
     if server.endswith(MOE) or (server, strategy) in MECHANISM_SCENARIOS:
         return _run_dense(server, strategy, keep, **extra)
     model, node = _model_node()
@@ -204,6 +253,31 @@ def run_scenario(server: str, strategy: str, keep=None, **extra):
     return result, result.trace
 
 
+def _arm_faults(server: str, extra: dict) -> None:
+    """Arm the recovery layer the way ``server``'s ``-faults`` scenario does.
+
+    The job servers see a 2 ms launch-failure window.  Under the lifecycle
+    server's ``max_retries=0`` each shed batch's chats are shed at once:
+    one prefill and one decode iteration.  The continuous server keeps one
+    retry, so a shed iteration's jobs are first requeued and shed only when
+    their next iteration is shed too (``max_retries + 1`` in a row).
+    """
+    from repro.faults.plan import FaultPlan, LaunchFailure
+    from repro.faults.resilience import ResilienceConfig
+
+    if server == "server-full-nccl":
+        extra.setdefault("fault_plan", FaultPlan())
+        return
+    start, retries = {
+        "continuous": (10_000.0, 1),
+        "lifecycle": (16_000.0, 0),
+    }[server]
+    extra.setdefault(
+        "fault_plan", FaultPlan([LaunchFailure(start=start, end=start + 2_000.0)])
+    )
+    extra.setdefault("resilience", ResilienceConfig(max_retries=retries))
+
+
 def liger_config(server: str):
     """The :class:`~repro.core.config.LigerConfig` a scenario's Liger
     strategy serves with; ``None`` keeps the default."""
@@ -276,9 +350,10 @@ def normalized_rows(trace):
     ]
 
 
-def fingerprint(trace, overload=None) -> dict:
+def fingerprint(trace, overload=None, resilience=None) -> dict:
     """Bit-exact digest of a timeline plus human-debuggable aggregates;
-    with an ``overload`` report, also the counts it holds."""
+    with an ``overload`` or ``resilience`` report, also the counts it
+    holds."""
     rows = normalized_rows(trace)
     blob = json.dumps(rows, separators=(",", ":")).encode()
     out = {
@@ -288,14 +363,42 @@ def fingerprint(trace, overload=None) -> dict:
     }
     if overload is not None:
         out["overload"] = {name: getattr(overload, name) for name in REPORT_FIELDS}
+    if resilience is not None:
+        counts = {name: getattr(resilience, name) for name in RESILIENCE_FIELDS}
+        counts["shed_batches"] = len(counts["shed_batches"])
+        out["resilience"] = counts
     return out
+
+
+def metrics_path(server: str, strategy: str) -> str:
+    """Where the pinned Prometheus text of a metrics scenario lives."""
+    return os.path.join(
+        os.path.dirname(GOLDEN_PATH), f"{server}-{strategy}_metrics.prom"
+    )
+
+
+def observed_prometheus(server: str, strategy: str) -> str:
+    """The Prometheus text of one observed scenario run, without the
+    ``repro_perf_*_seconds`` family, which samples host wall time."""
+    from repro.obs import Observability
+
+    obs = Observability()
+    run_scenario(server, strategy, observability=obs)
+    text = obs.to_prometheus()
+    return "".join(
+        line
+        for line in text.splitlines(keepends=True)
+        if not re.search(r"repro_perf_\w*_seconds", line)
+    )
 
 
 def generate() -> dict:
     goldens = {}
-    for server, strategy in SCENARIOS:
+    for server, strategy in GOLDEN_SCENARIOS:
         result, trace = run_scenario(server, strategy)
-        goldens[f"{server}/{strategy}"] = fingerprint(trace, result.overload)
+        goldens[f"{server}/{strategy}"] = fingerprint(
+            trace, result.overload, result.resilience
+        )
     return goldens
 
 
@@ -305,3 +408,8 @@ if __name__ == "__main__":
         json.dump(goldens, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {len(goldens)} fingerprint(s) to {GOLDEN_PATH}")
+    for server, strategy in METRICS_SCENARIOS:
+        path = metrics_path(server, strategy)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(observed_prometheus(server, strategy))
+        print(f"wrote {path}")

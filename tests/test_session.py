@@ -38,9 +38,13 @@ from repro.serving.request import Batch, Request, RequestState
 from repro.sim.memory import NodeMemoryModel
 from serving_goldens import (
     GOLDEN_PATH,
+    GOLDEN_SCENARIOS,
+    METRICS_SCENARIOS,
     SCENARIOS,
     fingerprint,
     liger_config,
+    metrics_path,
+    observed_prometheus,
     reset_batch_ids,
     run_scenario,
 )
@@ -58,16 +62,23 @@ def _load_goldens():
 # Golden equivalence (zero-cost convention)
 # ----------------------------------------------------------------------
 class TestGoldenEquivalence:
-    @pytest.mark.parametrize("server,strategy", SCENARIOS)
+    @pytest.mark.parametrize("server,strategy", GOLDEN_SCENARIOS)
     def test_trace_bit_identical_to_pre_chassis_golden(self, server, strategy):
         goldens = _load_goldens()
         result, trace = run_scenario(server, strategy)
-        assert fingerprint(trace, result.overload) == goldens[
+        assert fingerprint(trace, result.overload, result.resilience) == goldens[
             f"{server}/{strategy}"
         ], (
             f"{server}/{strategy}: timeline diverged from the pre-chassis "
             "golden — the zero-cost convention is broken"
         )
+
+    @pytest.mark.parametrize("server,strategy", METRICS_SCENARIOS)
+    def test_observed_prometheus_matches_golden(self, server, strategy):
+        """An observed run exports the same counters, gauges (names, help
+        texts and readings) and histograms."""
+        with open(metrics_path(server, strategy), encoding="utf-8") as fh:
+            assert observed_prometheus(server, strategy) == fh.read()
 
     def test_explicit_empty_config_matches_golden(self):
         """Passing every subsystem keyword at its empty value explicitly
@@ -123,14 +134,14 @@ class TestCacheOffEquivalence:
 
         monkeypatch.setattr(OpProfiler, "kernel_profile", cold_profile)
 
-    @pytest.mark.parametrize("server,strategy", SCENARIOS)
+    @pytest.mark.parametrize("server,strategy", GOLDEN_SCENARIOS)
     def test_cache_off_matches_golden(self, server, strategy, cold_caches):
         """Computing every op list, assembly, kernel profile and contention
         slowdown cold must not move a single float."""
         goldens = _load_goldens()
         keep = []
         result, trace = run_scenario(server, strategy, keep=keep)
-        assert fingerprint(trace, result.overload) == goldens[
+        assert fingerprint(trace, result.overload, result.resilience) == goldens[
             f"{server}/{strategy}"
         ], (
             f"{server}/{strategy}: cache-off timeline diverged from the "
