@@ -15,8 +15,7 @@ _EXPORTS = {
     "FunctionAssembler": "assembly",
     "LigerConfig": "config",
     "SyncMode": "config",
-    "ContentionAnticipator": "contention",
-    "NO_ANTICIPATION": "contention",
+    "NO_ANTICIPATION": "config",
     "DecompositionPlanner": "decomposition",
     "split_gemm_vertical": "decomposition",
     "split_gemm_horizontal": "decomposition",

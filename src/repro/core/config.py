@@ -17,7 +17,11 @@ from typing import Optional
 from repro.errors import ConfigError
 from repro.profiling.contention_profiler import ContentionFactors
 
-__all__ = ["SyncMode", "LigerConfig"]
+__all__ = ["SyncMode", "LigerConfig", "NO_ANTICIPATION"]
+
+#: The §3.5 ablation: schedule with raw no-load durations (risking
+#: scheduling failures — the secondary subset outliving the primary one).
+NO_ANTICIPATION = ContentionFactors(compute=1.0, comm=1.0)
 
 
 class SyncMode(enum.Enum):
@@ -61,7 +65,7 @@ class LigerConfig:
         Offline-profiled factors (§3.5).  ``None`` means the runtime profiles
         them itself at bind time (the preprocessing phase's offline
         procedure); pass explicit factors to skip that or to ablate
-        (``ContentionFactors(compute=1.0, comm=1.0)`` disables anticipation).
+        (:data:`NO_ANTICIPATION` disables anticipation).
     reduce_nccl_channels:
         Apply the §3.5 mitigation (shrink NCCL's SM footprint).  Without it
         collectives rarely fit beside a GEMM under the left-over policy.

@@ -113,7 +113,7 @@ class SchedulingPolicy:
         ``fill`` in anticipated (contention-scaled) time.
         """
         key = self.key
-        anticipated = scheduler.anticipator.anticipated
+        factors = scheduler.factors
         decomposer = scheduler.decomposer
         subset1: List[KernelFunc] = []
         fill = 0.0
@@ -126,7 +126,8 @@ class SchedulingPolicy:
                     # resource must not interfere with it; this batch is
                     # stuck until a later round of a different class.
                     break
-                taken = anticipated(nxt.duration, nxt.kind)
+                scale = factors.for_kind(nxt.kind)
+                taken = nxt.duration * scale
                 if taken <= remaining:
                     subset1.append(fv.pop())
                     fill += taken
@@ -135,10 +136,7 @@ class SchedulingPolicy:
                 # Too long: try runtime decomposition (§3.6).
                 split = None
                 if decomposer is not None:
-                    split = decomposer.split_to_fit(
-                        nxt, remaining,
-                        scale=scheduler.anticipator.scale(nxt.kind),
-                    )
+                    split = decomposer.split_to_fit(nxt, remaining, scale=scale)
                 if split is None:
                     remaining = 0.0  # window effectively unusable (line 15)
                     break
@@ -157,7 +155,7 @@ class SchedulingPolicy:
         fv.push_front(rest)
         subset1.append(piece)
         scheduler.decomposed_pieces += 1
-        return scheduler.anticipator.anticipated(piece.duration, piece.kind)
+        return piece.duration * scheduler.factors.for_kind(piece.kind)
 
     def configure_decomposer(self, planner) -> None:
         """Register policy-specific split rules on a DecompositionPlanner."""

@@ -33,11 +33,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.assembly import FunctionAssembler, KernelFunc
 from repro.core.config import LigerConfig, SyncMode
-from repro.core.contention import ContentionAnticipator
 from repro.core.decomposition import DecompositionPlanner
 from repro.core.policy import default_resource_class, make_policy
 from repro.core.scheduler import LigerScheduler, Round
 from repro.parallel.base import instantiate_op
+from repro.profiling.contention_profiler import ContentionFactors
 from repro.profiling.profiler import OpProfiler
 from repro.serving.request import Batch
 from repro.sim.events import CudaEvent
@@ -79,7 +79,7 @@ class LigerRuntime:
         host: Host,
         profiler: OpProfiler,
         assembler: FunctionAssembler,
-        anticipator: ContentionAnticipator,
+        factors: ContentionFactors,
         config: LigerConfig,
         *,
         on_batch_launched=None,
@@ -96,7 +96,7 @@ class LigerRuntime:
             else None
         )
         self.scheduler = LigerScheduler(
-            anticipator=anticipator,
+            factors=factors,
             decomposer=decomposer,
             max_inflight=config.max_inflight,
             policy=make_policy(config.policy),

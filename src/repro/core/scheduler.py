@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.core.assembly import FuncVec, KernelFunc
-from repro.core.contention import ContentionAnticipator
 from repro.core.decomposition import DecompositionPlanner
 from repro.core.policy import (
     LigerDichotomyPolicy,
@@ -40,6 +39,7 @@ from repro.core.policy import (
     default_resource_class,
 )
 from repro.errors import ConfigError, SchedulingError
+from repro.profiling.contention_profiler import ContentionFactors
 from repro.sim.kernel import KernelKind
 
 __all__ = ["Round", "LigerScheduler"]
@@ -83,7 +83,7 @@ class LigerScheduler:
     def __init__(
         self,
         *,
-        anticipator: ContentionAnticipator,
+        factors: ContentionFactors,
         decomposer: Optional[DecompositionPlanner] = None,
         max_inflight: int = 4,
         policy: Optional[SchedulingPolicy] = None,
@@ -94,7 +94,9 @@ class LigerScheduler:
         #: delimits the primary run and gates the secondary subset.  Defaults
         #: to the paper's dichotomy.
         self.policy = policy or LigerDichotomyPolicy()
-        self.anticipator = anticipator
+        #: §3.5 contention factors: a secondary kernel's anticipated
+        #: duration is its no-load duration times ``factors.for_kind``.
+        self.factors = factors
         self.decomposer = decomposer
         if decomposer is not None:
             self.policy.configure_decomposer(decomposer)

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 
 from repro.core.assembly import FunctionAssembler
 from repro.core.config import LigerConfig
-from repro.core.contention import ContentionAnticipator
 from repro.core.runtime import LigerRuntime
 from repro.models.ops import OpDesc
 from repro.parallel.base import ParallelStrategy
@@ -58,7 +57,7 @@ class InterleavedStrategy(ParallelStrategy):
         # Interleaved parallelism partitions exactly like intra-op (§3.1).
         return self.ops_for_batch(batch, tp=self.node.num_gpus)
 
-    def bind(self, machine, host, *, track_memory=None) -> None:
+    def bind(self, machine, host, *, track_memory=True) -> None:
         super().bind(machine, host, track_memory=track_memory)
         factors = self.config.contention_factors
         if factors is None:
@@ -67,7 +66,6 @@ class InterleavedStrategy(ParallelStrategy):
             factors = ContentionProfiler(
                 self.node, self.profiler, contention=machine.contention
             ).profile(self.model)
-        self.anticipator = ContentionAnticipator(factors)
         # _batch_ops is pure in (phase, size, seq_len, context_len) — the
         # assembly-cache contract — because model and TP degree are fixed
         # for the strategy's lifetime.
@@ -77,7 +75,7 @@ class InterleavedStrategy(ParallelStrategy):
             host,
             self.profiler,
             assembler,
-            self.anticipator,
+            factors,
             self.config,
             on_batch_launched=self.add_pending,
             on_batch_drained=self._on_drained,

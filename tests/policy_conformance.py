@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.core.assembly import FuncVec, KernelFunc
-from repro.core.contention import NO_ANTICIPATION
+from repro.core.config import NO_ANTICIPATION
 from repro.core.policy import default_resource_class
 from repro.core.scheduler import LigerScheduler, Round
 from repro.models.ops import all_to_all_op, allreduce_op, gemm_op, p2p_op
@@ -107,7 +107,7 @@ def check_round_invariants(
         f"window {round_.window} != primary no-load sum {window}"
     )
     fill = sum(
-        scheduler.anticipator.anticipated(f.duration, f.kind)
+        f.duration * scheduler.factors.for_kind(f.kind)
         for f in round_.subset1
     )
     assert abs(round_.secondary_fill - fill) <= _REL_TOL * max(1.0, fill), (
@@ -135,7 +135,7 @@ def check_policy_conformance(
     policy,
     batches: Sequence[Sequence[KernelFunc]],
     *,
-    anticipator=NO_ANTICIPATION,
+    factors=NO_ANTICIPATION,
     max_inflight: int = 8,
 ) -> List[Round]:
     """Drive ``policy`` to drain over ``batches``; assert invariants 1–4.
@@ -143,7 +143,7 @@ def check_policy_conformance(
     Returns the planned rounds for any additional policy-specific checks.
     """
     scheduler = LigerScheduler(
-        anticipator=anticipator, policy=policy, max_inflight=max_inflight
+        factors=factors, policy=policy, max_inflight=max_inflight
     )
     total = sum(len(funcs) for funcs in batches)
     for vec in make_workload_vecs(batches):

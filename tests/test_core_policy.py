@@ -9,7 +9,7 @@ from policy_conformance import (
     make_func,
     make_workload_vecs,
 )
-from repro.core.contention import NO_ANTICIPATION
+from repro.core.config import NO_ANTICIPATION
 from repro.core.policy import (
     POLICIES,
     RC_ALL_TO_ALL,
@@ -31,7 +31,7 @@ from repro.sim.kernel import KernelKind
 
 def _scheduler(policy, batches):
     s = LigerScheduler(
-        anticipator=NO_ANTICIPATION, policy=policy, max_inflight=8
+        factors=NO_ANTICIPATION, policy=policy, max_inflight=8
     )
     for vec in make_workload_vecs(batches):
         s.enqueue(vec)
@@ -86,7 +86,7 @@ class TestRegistry:
             make_policy("nope")
 
     def test_default_is_dichotomy_first_fit(self):
-        s = LigerScheduler(anticipator=NO_ANTICIPATION)
+        s = LigerScheduler(factors=NO_ANTICIPATION)
         assert isinstance(s.policy, LigerDichotomyPolicy)
 
 

@@ -9,7 +9,6 @@ from dataclasses import replace
 import pytest
 
 from repro.core import LigerConfig, SyncMode
-from repro.core.contention import ContentionAnticipator
 from repro.core.scheduler import Round
 from repro.hw import v100_nvlink_node
 from repro.models import OPT_30B
@@ -306,6 +305,11 @@ class TestConfigSurface:
         assert strat.runtime.scheduler.max_inflight == 2
 
     def test_anticipator_scaling(self):
-        ant = ContentionAnticipator(ContentionFactors(compute=1.2, comm=1.5))
-        assert ant.anticipated(10.0, KernelKind.COMM) == pytest.approx(15.0)
-        assert ant.anticipated(10.0, KernelKind.COMPUTE) == pytest.approx(12.0)
+        """The configured factors reach the scheduler, which scales each
+        secondary kernel by its class's factor."""
+        factors = ContentionFactors(compute=1.2, comm=1.5)
+        assert 10.0 * factors.for_kind(KernelKind.COMM) == pytest.approx(15.0)
+        assert 10.0 * factors.for_kind(KernelKind.COMPUTE) == pytest.approx(12.0)
+        strat = make_strategy(contention_factors=factors)
+        run(strat, [fixed_batch(0.0)])
+        assert strat.runtime.scheduler.factors is factors

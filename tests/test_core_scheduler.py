@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assembly import FuncVec, KernelFunc
-from repro.core.contention import NO_ANTICIPATION, ContentionAnticipator
+from repro.core.config import NO_ANTICIPATION
 from repro.core.decomposition import DecompositionPlanner
 from repro.core.scheduler import LigerScheduler, Round
 from repro.errors import ConfigError, SchedulingError
@@ -49,9 +49,9 @@ def comm(name, dur, decomposable=False):
     )
 
 
-def scheduler(anticipator=NO_ANTICIPATION, decomposer=None, max_inflight=4):
+def scheduler(factors=NO_ANTICIPATION, decomposer=None, max_inflight=4):
     return LigerScheduler(
-        anticipator=anticipator, decomposer=decomposer, max_inflight=max_inflight
+        factors=factors, decomposer=decomposer, max_inflight=max_inflight
     )
 
 
@@ -136,14 +136,14 @@ class TestSecondarySubset:
 
     def test_anticipation_scales_fit_test(self):
         # comm factor 2.0: a 6us comm kernel needs 12us of window.
-        anticipator = ContentionAnticipator(ContentionFactors(compute=1.0, comm=2.0))
-        s = scheduler(anticipator=anticipator)
+        factors = ContentionFactors(compute=1.0, comm=2.0)
+        s = scheduler(factors=factors)
         s.enqueue(FuncVec(make_batch(0), [comp("p", 10), comm("pc", 5)]))
         s.enqueue(FuncVec(make_batch(1), [comm("c6", 6), comp("x", 1)]))
         r = s.plan_round()
         assert r.subset1 == []  # 6 * 2.0 > 10
 
-        s2 = scheduler(anticipator=anticipator)
+        s2 = scheduler(factors=factors)
         s2.enqueue(FuncVec(make_batch(0), [comp("p", 13), comm("pc", 5)]))
         s2.enqueue(FuncVec(make_batch(1), [comm("c6", 6), comp("x", 1)]))
         r2 = s2.plan_round()
@@ -261,7 +261,7 @@ def random_funcvec(draw, batch_seed):
 @settings(max_examples=60, deadline=None)
 def test_algorithm1_invariants(data, num_batches):
     s = LigerScheduler(
-        anticipator=ContentionAnticipator(ContentionFactors(compute=1.1, comm=1.2)),
+        factors=ContentionFactors(compute=1.1, comm=1.2),
     )
     vecs = [data.draw(random_funcvec(i)) for i in range(num_batches)]
     totals = {i: len(v) for i, v in enumerate(vecs)}

@@ -11,7 +11,6 @@ from policy_conformance import (
     check_policy_conformance,
     make_func,
 )
-from repro.core.contention import ContentionAnticipator
 from repro.core.policy import POLICIES, make_policy
 from repro.profiling.contention_profiler import ContentionFactors
 
@@ -56,16 +55,14 @@ class TestCraftedWorkloads:
         check_policy_conformance(make_policy(policy_name), _batches(spec))
 
     def test_anticipated_durations_fill_accounting(self, policy_name):
-        anticipator = ContentionAnticipator(
-            ContentionFactors(compute=1.10, comm=1.15)
-        )
+        factors = ContentionFactors(compute=1.10, comm=1.15)
         spec = [
             [("gemm", 50.0), ("all_reduce", 5.0)],
             [("all_reduce", 10.0), ("gemm", 10.0), ("all_to_all", 10.0)],
             [("all_to_all", 20.0), ("gemm", 2.0)],
         ]
         check_policy_conformance(
-            make_policy(policy_name), _batches(spec), anticipator=anticipator
+            make_policy(policy_name), _batches(spec), factors=factors
         )
 
 
