@@ -440,10 +440,8 @@ def attach_recovery(
     injector.arm(machine, cost_models=[strategy.profiler.collectives])
     fallback: Optional[ParallelStrategy] = None
     if cfg.enable_fallback and getattr(strategy, "runtime", None) is not None:
-        fallback = IntraOpStrategy(
-            model, node, profiler=strategy.profiler, track_memory=False
-        )
-        fallback.bind(machine, host)
+        fallback = IntraOpStrategy(model, node, profiler=strategy.profiler)
+        fallback.bind(machine, host, track_memory=False)
         if complete_callback is not None:
             fallback.on_batch_complete(complete_callback)
     return RecoveryManager(

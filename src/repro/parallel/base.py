@@ -119,12 +119,10 @@ class ParallelStrategy(abc.ABC):
         node: NodeSpec,
         *,
         profiler: Optional[OpProfiler] = None,
-        track_memory: bool = True,
     ) -> None:
         self.model = model
         self.node = node
         self.profiler = profiler or OpProfiler(node)
-        self.track_memory = track_memory
         self.memory: Optional[NodeMemoryModel] = None
         self.machine: Optional[Machine] = None
         self.host: Optional[Host] = None
@@ -145,22 +143,21 @@ class ParallelStrategy(abc.ABC):
         machine: Machine,
         host: Host,
         *,
-        track_memory: Optional[bool] = None,
+        track_memory: bool = True,
     ) -> None:
         """Attach to a machine/host pair; called once by the server.
 
-        ``track_memory`` fixes the memory-tracking mode at bind time:
-        ``True``/``False`` override the constructor's setting, ``None``
-        keeps it.  Servers that account memory at sequence granularity
-        (lifecycle, generation) bind with ``track_memory=False`` instead
-        of mutating the strategy after construction.
+        ``track_memory`` is the one place the memory-tracking mode is set:
+        with it the strategy reserves each batch's workspace in its own
+        :attr:`memory` ledger.  Servers that account memory at job
+        granularity (the generation and lifecycle servers) and the
+        recovery layer's fallback bind with ``track_memory=False``.
         """
         if self.machine is not None:
             raise ConfigError(f"strategy {self.name} is already bound")
         if machine.node is not self.node:
             raise ConfigError("strategy node and machine node differ")
-        if track_memory is not None:
-            self.track_memory = track_memory
+        self.track_memory = track_memory
         self.machine = machine
         self.host = host
         if self.track_memory:

@@ -39,7 +39,7 @@ class InterOpStrategy(ParallelStrategy):
         # per-device memory footprint is 1/num_stages of the shard.
         self.memory_share = 1.0 / len(self.stages)
 
-    def bind(self, machine, host, *, track_memory=None) -> None:
+    def bind(self, machine, host, *, track_memory=True) -> None:
         super().bind(machine, host, track_memory=track_memory)
         # Compute stream plus dedicated ingress/egress transfer streams per
         # stage device: boundary transfers must not block the compute stream,

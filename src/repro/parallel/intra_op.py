@@ -26,7 +26,7 @@ class IntraOpStrategy(ParallelStrategy):
 
     name = "intra"
 
-    def bind(self, machine, host, *, track_memory=None) -> None:
+    def bind(self, machine, host, *, track_memory=True) -> None:
         super().bind(machine, host, track_memory=track_memory)
         # One in-order stream per device; TP executes lock-step across them.
         self._streams: Dict[int, Stream] = {

@@ -52,7 +52,7 @@ class Server(JobServer):
 
     discipline = ""
     #: The strategy keeps its own per-batch workspace reservations.
-    _bind_track_memory = None
+    _bind_track_memory = True
 
     def __init__(
         self, model: ModelSpec, node: NodeSpec, strategy: ParallelStrategy,

@@ -198,7 +198,7 @@ class _Scripted(ParallelStrategy):
         self.log = []
         self.on_batch_complete(self._log)
 
-    def bind(self, machine, host, *, track_memory=None) -> None:
+    def bind(self, machine, host, *, track_memory=True) -> None:
         super().bind(machine, host, track_memory=track_memory)
         for g in machine.gpus:
             for name in ("a", "b"):

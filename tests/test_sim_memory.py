@@ -11,6 +11,7 @@ from repro.models import GLM_130B, OPT_30B
 from repro.parallel import IntraOpStrategy
 from repro.serving import Server
 from repro.serving.workload import general_trace
+from repro.sim import Engine, Host, Machine
 from repro.sim.memory import DeviceMemory, NodeMemoryModel, activation_bytes
 from repro.units import GB, GBps, TFLOPS
 
@@ -157,7 +158,12 @@ class TestStrategyIntegration:
     def test_memory_tracking_optional(self):
         model = OPT_30B.scaled_layers(6)
         node = v100_nvlink_node(4)
-        strat = IntraOpStrategy(model, node, track_memory=False)
-        server = Server(model, node, strat, check_memory=False)
-        server.run(general_trace(4, 20.0, 2, seed=0))
+        strat = IntraOpStrategy(model, node)
+        machine = Machine(node, Engine())
+        strat.bind(machine, Host(machine), track_memory=False)
+        batches = general_trace(4, 20.0, 2, seed=0)
+        for batch in batches:
+            strat.submit_batch(batch)
+        machine.run()
+        assert strat.batches_completed == len(batches)
         assert strat.memory is None
