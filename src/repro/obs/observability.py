@@ -36,6 +36,7 @@ nothing beside it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -74,10 +75,10 @@ class ObservabilityConfig:
     slo_policies: Tuple[SloPolicy, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.sample_period_us <= 0:
-            raise ConfigError("sample_period_us must be positive")
-        if self.window_us <= 0:
-            raise ConfigError("window_us must be positive")
+        for name in ("sample_period_us", "window_us"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         object.__setattr__(self, "slo_policies", tuple(self.slo_policies))
 
     @property

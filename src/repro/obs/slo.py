@@ -26,6 +26,7 @@ consults them, so arming SLO policies never changes a run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -90,8 +91,13 @@ class SloPolicy:
             )
         if not 0.0 < self.target < 1.0:
             raise ConfigError("target must be in (0, 1)")
-        if self.objective == "latency" and self.latency_threshold_ms is None:
+        cut = self.latency_threshold_ms
+        if self.objective == "latency" and cut is None:
             raise ConfigError("latency objective requires latency_threshold_ms")
+        if cut is not None and not (math.isfinite(cut) and cut > 0):
+            raise ConfigError(
+                f"latency_threshold_ms must be finite and positive, got {cut}"
+            )
 
     @property
     def rules(self) -> Tuple[BurnRule, ...]:

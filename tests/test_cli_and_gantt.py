@@ -220,6 +220,12 @@ _BAD_VALUES = [
      "needs 0.068 GB of KV but the budget is 0.010 GB"),
     (["faults", "--straggler", "1:4.0:0:400", "--probe-ms", "nan"],
      "recovery_probe_us must be finite and > 0, got nan"),
+    (["telemetry", "--window-ms", "nan"],
+     "window_us must be finite and positive, got nan"),
+    (["telemetry", "--window-ms", "inf"],
+     "window_us must be finite and positive, got inf"),
+    (["telemetry", "--slo-p99-ms", "nan"],
+     "latency_threshold_ms must be finite and positive, got nan"),
 ]
 
 

@@ -592,6 +592,12 @@ class TestObservabilityConfig:
         with pytest.raises(ConfigError):
             ObservabilityConfig(sample_period_us=0.0)
 
+    @pytest.mark.parametrize("field", ["sample_period_us", "window_us"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_periods(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ObservabilityConfig(**{field: value})
+
     def test_arm_is_idempotent(self):
         from repro.sim.engine import Engine
 

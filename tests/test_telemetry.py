@@ -315,6 +315,9 @@ class TestSloEngine:
             SloPolicy("x", target=1.0)
         with pytest.raises(ConfigError):
             SloPolicy("x", objective="latency")  # missing threshold
+        for cut in (float("nan"), float("inf"), 0.0, -1.0):
+            with pytest.raises(ConfigError, match="latency_threshold_ms"):
+                SloPolicy("x", objective="latency", latency_threshold_ms=cut)
         with pytest.raises(ConfigError):
             BurnRule("fast", long_windows=1, short_windows=2)
 
