@@ -72,6 +72,36 @@ class TestLifecycleServer:
         server, result = run(prefill_batch=1)
         assert result.num_requests == 24
 
+    def test_prompt_waits_for_its_prefill_groupmate(self):
+        """KV for one chat only: a prompt that would fit once the chat
+        before it in its prefill group finishes waits instead of failing,
+        and a chat that can never fit still raises."""
+        from repro.errors import OutOfMemoryError
+
+        def serve(prompt_len):
+            strat = make_strategy("intra", MODEL, NODE)
+            server = LifecycleServer(
+                MODEL, NODE, strat, prefill_batch=2, check_memory=False
+            )
+            one = server._seq_bytes(
+                ChatRequest(rid=-1, arrival=0.0, prompt_len=64, gen_tokens=8)
+            )
+            server.memory.reserve("squeeze", server.memory.min_available() - one)
+            # Chats 1 and 2 queue behind chat 0's prefill, then form one
+            # prefill group once chat 0 has left.
+            chats = [
+                ChatRequest(rid=i, arrival=float(min(i, 1)),
+                            prompt_len=prompt_len, gen_tokens=8)
+                for i in range(3)
+            ]
+            return server, server.run(chats)
+
+        server, result = serve(64)
+        assert result.num_requests == 3
+        assert not server._reserved
+        with pytest.raises(OutOfMemoryError):
+            serve(65)
+
     def test_invalid_params(self):
         strat = make_strategy("intra", MODEL, NODE)
         with pytest.raises(ConfigError):
