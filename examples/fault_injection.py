@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
-"""Fault injection: a straggling GPU breaks Principle 1; Liger degrades and recovers.
+"""Fault injection: a straggling GPU breaks Principle 1; Liger rides it out.
 
 Serves OPT-13B on a simulated 4×V100 node while GPU 1 runs its compute
 kernels 4× slower for the first 400 ms (an SM-clock throttle: collectives,
 being link-bound, are untouched).  That asymmetry is precisely what breaks
 Liger's Principle 1 — compute secondary subsets outlive their
-communication-primary windows — so the recovery layer:
+communication-primary windows — so the recovery layer detects the
+executed-round violations (the plan still validated!) and counts them in a
+ResilienceReport.  The schedule is never switched: like the paper, the run
+keeps interleaving and relies on contention anticipation (§3.5).
 
-1. detects the executed-round violations (the plan still validated!),
-2. downgrades to plain intra-op after the violation threshold,
-3. probes while degraded, and upgrades back once the fault window clears,
-4. reports the whole arc in a ResilienceReport.
-
-Every request completes despite the fault; the same run with no fault plan
-reproduces the clean timeline bit-for-bit.
+Every request completes despite the fault; the same run with an empty fault
+plan reproduces the clean timeline bit-for-bit.
 
 Run:
     python examples/fault_injection.py
@@ -52,12 +50,11 @@ def main() -> None:
     print(report.describe())
 
     assert faulted.metrics.num_completed == 32, "no request may be lost"
-    assert report.downgrades == 1 and report.recovered
+    assert report.violations >= 1, "the straggler must break Principle 1"
     print(
-        "\nThe run rode out the straggler: interleaving was suspended while "
-        "it made Principle 1 unsatisfiable, served on the intra-op fallback, "
-        f"and resumed {report.recovery_times_us[0] / 1e3:.0f} ms later — "
-        "with every request accounted for."
+        f"\nThe run rode out the straggler: {report.violations} of "
+        f"{report.rounds_observed} executed rounds overran their window, "
+        "and every request was served."
     )
 
 

@@ -321,10 +321,7 @@ def _run_faults(args) -> int:
             args.straggler, args.link, args.launch_fail, args.jitter
         ),
         resilience=ResilienceConfig(
-            violation_threshold=args.violation_threshold,
-            recovery_probe_us=args.probe_ms * 1e3,
             max_retries=args.max_retries,
-            enable_fallback=not args.no_fallback,
             enable_watchdog=not args.no_watchdog,
         ),
     )
@@ -480,13 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--jitter", action="append", default=[],
                         metavar="AMPLITUDE_US:START:END",
                         help="host launch jitter (amplitude in µs, window in ms)")
-    faults.add_argument("--violation-threshold", type=int, default=3,
-                        help="Principle-1 violations tolerated before downgrade")
-    faults.add_argument("--probe-ms", type=float, default=20.0,
-                        help="recovery probe period while degraded (ms)")
     faults.add_argument("--max-retries", type=int, default=5)
-    faults.add_argument("--no-fallback", action="store_true",
-                        help="never downgrade the strategy")
     faults.add_argument("--no-watchdog", action="store_true",
                         help="disable the livelock watchdog")
 

@@ -3,9 +3,7 @@
 Gathers every tunable the paper exposes: the synchronization approach
 (§3.4), the kernel decomposition division factor (§3.6 / Fig. 14, default 8
 as in §4.2), contention factors (§3.5, profiled offline unless pinned), the
-processing-list size (§3.3), and the NCCL footprint mitigation.  What the
-paper measures rather than tunes, such as the launch-queue lag of pure
-inter-stream sync, is a constant of the module that models it.
+processing-list size (§3.3), and the NCCL footprint mitigation.
 """
 
 from __future__ import annotations
@@ -31,8 +29,8 @@ class SyncMode(enum.Enum):
       launches the next round; precise but exposes launch overhead (the
       >20 µs multi-GPU gap of §4.5).
     * ``INTER_STREAM`` — everything is pre-launched and ordered purely with
-      stream-wait events; no CPU involvement, but communication kernels
-      suffer startup lag in deep launch queues (§3.4's observed problem).
+      stream-wait events; no CPU involvement.  The startup lag §3.4 reports
+      for communication kernels in deep launch queues is not modelled.
     * ``HYBRID`` — Liger's approach: a first event (before the last kernel
       of the round) wakes the CPU to *pre-launch* the next round while that
       kernel still runs, hiding launch overhead; a second event gates

@@ -15,8 +15,7 @@ consecutive rounds are chained by the configured synchronization approach:
   visibility latency plus the multi-GPU coordination penalty §4.5 measures
   at >20 µs), then launches the next round — the overhead is exposed.
 * **INTER_STREAM**: every plannable round is launched immediately with the
-  same event gating but no CPU feedback; communication kernels are charged
-  the empirically-motivated launch-queue lag (§3.4's observed failure mode).
+  same event gating but no CPU feedback.
 
 Per the paper, the communication subset is launched first within a round.
 
@@ -45,15 +44,8 @@ from repro.sim.gpu import Machine
 from repro.sim.host import Host
 from repro.sim.kernel import Kernel, KernelKind
 from repro.sim.stream import Stream
-from repro.units import us
 
 __all__ = ["LigerRuntime", "RuntimeStats"]
-
-#: Extra startup latency of a communication kernel in pure ``INTER_STREAM``
-#: mode: the launch-queue lag §3.4 observed when everything is pre-launched,
-#: which motivated the hybrid approach.
-COMM_LAG_PENALTY = us(12.0)
-
 
 @dataclass
 class RuntimeStats:
@@ -223,7 +215,6 @@ class LigerRuntime:
         """
         sync_mode = self.config.sync_mode
         inter_stream_gating = sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
-        comm_lag = COMM_LAG_PENALTY if sync_mode is SyncMode.INTER_STREAM else 0.0
 
         self._account_launches(round_.subset0)
         self._account_launches(round_.subset1)
@@ -286,7 +277,6 @@ class LigerRuntime:
                 stream = s0 if which == 0 else s1
                 for idx, kernels in enumerate(kernel_maps):
                     kern = kernels[g]
-                    is_comm = kern.kind is KernelKind.COMM
                     # HYBRID pre-kick: before the last primary kernel.
                     if (
                         pre_kick
@@ -296,9 +286,7 @@ class LigerRuntime:
                     ):
                         pre_kick_event = CudaEvent(f"prekick_r{round_.index}")
                         self.host.record_event(stream, pre_kick_event)
-                    self.host.launch_kernel(
-                        stream, kern, extra_delay=comm_lag if is_comm else 0.0
-                    )
+                    self.host.launch_kernel(stream, kern)
 
             e0 = CudaEvent(f"r{round_.index}_end0@g{g}")
             self.host.record_event(s0, e0)

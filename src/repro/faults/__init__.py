@@ -15,8 +15,8 @@ and survivable:
 * :mod:`repro.faults.monitor` — :class:`PrincipleMonitor` detects executed
   rounds whose secondary subset outlived the primary (Principle 1, §3.5).
 * :mod:`repro.faults.resilience` — :class:`RecoveryManager` applies retry
-  with backoff, strategy degradation, and recovery probing, summarised in a
-  :class:`ResilienceReport`.
+  with backoff and shedding, counts Principle-1 violations, and arms the
+  watchdog, summarised in a :class:`ResilienceReport`.
 
 Typical use goes through the serving layer::
 
@@ -44,7 +44,6 @@ _EXPORTS = {
     "RecoveryManager": "resilience",
     "ResilienceConfig": "resilience",
     "ResilienceReport": "resilience",
-    "StrategyChange": "resilience",
 }
 
 __all__ = list(_EXPORTS)

@@ -89,10 +89,6 @@ class FaultInjector:
         """The armed machine's current simulation time."""
         return self._require_armed().engine.now
 
-    def any_active(self, now: Optional[float] = None) -> bool:
-        """True when at least one fault window covers ``now`` (default: now)."""
-        return bool(self.plan.active(self.now if now is None else now))
-
     def describe_active(self) -> List[str]:
         """Descriptions of the currently active faults."""
         return [f.describe() for f in self.plan.active(self.now)]

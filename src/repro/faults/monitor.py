@@ -15,7 +15,8 @@ each launched kernel with its round index and subset
 times per round, and when a round's kernels have all retired it compares the
 subsets: a secondary end beyond the primary end by more than
 ``max(MIN_MARGIN_US, MARGIN_FRAC × window)`` is one violation.  The recovery
-layer counts them and downgrades the strategy when they persist.
+layer reports the count and publishes each violation; it never switches
+the strategy.
 
 Purely passive: the monitor registers observers and reads timestamps; it
 never schedules events, so an attached monitor does not change the timeline.

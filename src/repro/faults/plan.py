@@ -6,8 +6,8 @@ hybrid synchronization schedule assumes launch overheads near the profiled
 ~5 µs.  A production node violates those assumptions routinely — a thermally
 throttled GPU, a degraded NVLink/PCIe link, a driver hiccup failing a launch,
 a jittery host.  A :class:`FaultPlan` describes such conditions as windows in
-*simulated* time so the recovery layer (watchdog, retry/backoff, strategy
-degradation) can be exercised deterministically:
+*simulated* time so the recovery layer (watchdog, retry/backoff, violation
+accounting) can be exercised deterministically:
 
 * :class:`GpuStraggler` — SM-clock throttling on one device: compute-like
   kernels on that GPU run ``factor``× slower.  Bandwidth-bound collectives

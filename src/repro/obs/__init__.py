@@ -42,8 +42,6 @@ _EXPORTS = {
     "BatchPreempted": "events",
     "BatchCompleted": "events",
     "RetryScheduled": "events",
-    "StrategyDowngraded": "events",
-    "StrategyUpgraded": "events",
     "Principle1Violation": "events",
     "SloBurnRateAlert": "events",
     "SloAlertResolved": "events",

@@ -2,12 +2,12 @@
 
 Every layer that makes a decision the final counters used to swallow —
 admission, dispatch, preemption, shedding, deadline expiry, retry,
-strategy downgrade/upgrade, Principle-1 violations —
-publishes a typed event here.  The subscribers are the span builder
-(:mod:`repro.obs.spans`), which reconstructs per-request timelines, the
+Principle-1 violations — publishes a typed event here.  The subscribers
+are the span builder (:mod:`repro.obs.spans`), which reconstructs
+per-request timelines, the
 SLO engine and telemetry store, which window outcomes in sim time, and the
 metrics registry (:mod:`repro.obs.metrics`), which counts what only events
-know (sheds by mechanism, dispatches by phase, transitions).  Totals of
+know (sheds by mechanism, dispatches by phase, violations).  Totals of
 request outcomes are not re-derived here: they are read from the run's
 :class:`~repro.serving.metrics.ServingMetrics`.
 
@@ -33,8 +33,6 @@ __all__ = [
     "BatchPreempted",
     "BatchCompleted",
     "RetryScheduled",
-    "StrategyDowngraded",
-    "StrategyUpgraded",
     "Principle1Violation",
     "SloBurnRateAlert",
     "SloAlertResolved",
@@ -229,24 +227,6 @@ class RetryScheduled(Event):
     batch_id: int = -1
     attempt: int = 0
     delay_us: float = 0.0
-
-
-@dataclass(frozen=True)
-class StrategyDowngraded(Event):
-    """The recovery layer routed the run onto its fallback strategy."""
-
-    kind: ClassVar[str] = "downgrade"
-    strategy: str = ""
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class StrategyUpgraded(Event):
-    """The recovery probe restored the primary strategy."""
-
-    kind: ClassVar[str] = "upgrade"
-    strategy: str = ""
-    reason: str = ""
 
 
 @dataclass(frozen=True)

@@ -47,8 +47,6 @@ INSTANT_KINDS = frozenset(
         "timed-out",
         "preempted",
         "retry",
-        "downgrade",
-        "upgrade",
         "principle1-violation",
         "slo-burn-alert",
         "slo-alert-resolved",

@@ -2,9 +2,10 @@
 
 The registry counts only what the typed events of :mod:`repro.obs.events`
 alone know — admissions, sheds by mechanism, dispatches by phase, queue
-waits, strategy transitions, Principle-1 violations and SLO alerts.  Request outcomes are not counted here: a counter or histogram
-built with ``fn=`` reads its series from a callback when it is sampled or
-exported, the way a callback-backed :class:`Gauge` does, and
+waits, Principle-1 violations and SLO alerts.  Request outcomes are not
+counted here: a counter or histogram built with ``fn=`` reads its series
+from a callback when it is sampled or exported, the way a callback-backed
+:class:`Gauge` does, and
 :class:`~repro.obs.observability.Observability` points those callbacks at
 the run's :class:`~repro.serving.metrics.ServingMetrics`, the one tally.
 
@@ -30,8 +31,6 @@ from repro.obs.events import (
     RequestsAdmitted,
     RequestsShed,
     SloBurnRateAlert,
-    StrategyDowngraded,
-    StrategyUpgraded,
 )
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
@@ -348,10 +347,6 @@ class MetricsRegistry:
             "Batches handed to the strategy, by phase.",
         )
         self.counter(
-            "repro_strategy_changes_total",
-            "Recovery-layer strategy transitions, by kind.",
-        )
-        self.counter(
             "repro_principle1_violations_total",
             "Executed rounds whose secondary subset outlived its window.",
         )
@@ -376,10 +371,6 @@ class MetricsRegistry:
             hist = self._histograms["repro_request_queue_wait_ms"]
             for wait in event.first_queue_waits_us():
                 hist.observe(wait / 1e3)
-        elif isinstance(event, StrategyDowngraded):
-            c["repro_strategy_changes_total"].inc(1, kind="downgrade")
-        elif isinstance(event, StrategyUpgraded):
-            c["repro_strategy_changes_total"].inc(1, kind="upgrade")
         elif isinstance(event, Principle1Violation):
             c["repro_principle1_violations_total"].inc(1)
         elif isinstance(event, SloBurnRateAlert):

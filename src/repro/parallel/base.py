@@ -150,8 +150,8 @@ class ParallelStrategy(abc.ABC):
         ``track_memory`` is the one place the memory-tracking mode is set:
         with it the strategy reserves each batch's workspace in its own
         :attr:`memory` ledger.  Servers that account memory at job
-        granularity (the generation and lifecycle servers) and the
-        recovery layer's fallback bind with ``track_memory=False``.
+        granularity (the generation and lifecycle servers) bind with
+        ``track_memory=False``.
         """
         if self.machine is not None:
             raise ConfigError(f"strategy {self.name} is already bound")

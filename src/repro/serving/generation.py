@@ -22,7 +22,7 @@ all-reduces with another's GEMMs.
 Both are :class:`~repro.serving.session.JobServer` subclasses, so the
 cross-cutting subsystems compose here exactly as on the other servers:
 pass ``fault_plan``/``resilience``/``overload``/``observability`` and a
-generation run gains fault injection with retry/degradation, bounded
+generation run gains fault injection with retry and shedding, bounded
 admission with deadlines, and the event bus/metrics/span exports.
 
 :class:`~repro.serving.lifecycle.LifecycleServer` decodes on the same

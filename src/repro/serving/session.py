@@ -26,7 +26,7 @@ fingerprints in ``tests/golden/serving_traces.json``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.errors import ConfigError, DeadlockError
 from repro.models.partition import check_placement
@@ -194,18 +194,14 @@ class JobServer:
 
         self.recovery: Optional["RecoveryManager"] = None
         if fault_plan is not None or resilience is not None:
-            from repro.faults.resilience import attach_recovery
+            from repro.faults.resilience import RecoveryManager
 
-            self.recovery = attach_recovery(
-                model,
-                node,
+            self.recovery = RecoveryManager(
                 strategy,
                 self.machine,
-                self.host,
                 fault_plan=fault_plan,
                 config=resilience,
                 metrics=self.metrics,
-                complete_callback=self._on_batch_complete,
                 bus=self.bus,
             )
             self.recovery.on_shed = self._on_shed
@@ -317,7 +313,7 @@ class JobServer:
         m = self.metrics
         completed, shed, timed_out = m.num_completed, m.shed_requests, m.timed_out_requests
         if completed + shed + timed_out != len(requests):
-            open_ids = self.open_batch_ids()
+            open_ids = self.strategy.open_batch_ids()
             raise DeadlockError(
                 f"served {completed} of {len(requests)} requests"
                 f"{f' ({shed} shed)' if shed else ''}"
@@ -326,12 +322,6 @@ class JobServer:
                 f"{open_ids if open_ids else 'none open (lost)'}"
             )
         return self._result(requests)
-
-    def open_batch_ids(self) -> List[int]:
-        """Ids of batches submitted but never completed (diagnostics)."""
-        if self.recovery is not None:
-            return self.recovery.open_batch_ids()
-        return self.strategy.open_batch_ids()
 
     def _schedule_arrivals(self, ordered: Sequence) -> None:
         """One ``_on_arrival(job)`` callback per job at its arrival time."""

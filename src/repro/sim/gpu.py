@@ -42,20 +42,10 @@ from repro.sim.events import CudaEvent
 from repro.sim.kernel import CollectiveOp, Kernel
 from repro.sim.stream import Command, CommandKind, Stream, _fast_command
 from repro.sim.tracing import Trace
-from repro.units import us
 
 __all__ = ["Machine", "Gpu", "rank_name"]
 
 _EPS = 1e-6
-
-#: CUDA_DEVICE_MAX_CONNECTIONS (the paper's artifact sets 2): the host↔GPU
-#: command channels are limited, so when more than this many streams on one
-#: device hold pending work, the extra streams' commands reach the device
-#: late.  Hard blocking would risk artificial deadlocks our event model
-#: cannot resolve, so the limit is soft: each over-subscribed stream pays
-#: :data:`CONNECTION_CONTENTION_DELAY` per command.
-MAX_CONNECTIONS = 2
-CONNECTION_CONTENTION_DELAY = us(3.0)
 
 #: Bound on the shape-keyed slowdown memo; unbounded shape diversity (e.g.
 #: a bursty prefill mix) must not leak, and recurring shapes repopulate it
@@ -246,9 +236,6 @@ class Machine:
         :class:`~repro.sim.contention.DefaultContention`.
     trace:
         Optional timeline recorder.
-
-    The command-channel limit is the module constant
-    :data:`MAX_CONNECTIONS`.
     """
 
     def __init__(
@@ -418,10 +405,6 @@ class Machine:
     def submit(self, stream: Stream, command: Command) -> None:
         """Enqueue a command; a pump is scheduled only when one is needed.
 
-        When the device already has :data:`MAX_CONNECTIONS` busier streams, the
-        command additionally pays the connection-contention delay before the
-        device sees it (soft CUDA_DEVICE_MAX_CONNECTIONS model).
-
         A pump at the command's availability instant is scheduled *eagerly*
         only when the stream was idle — otherwise something ahead of this
         command (a running kernel, a blocked event, an earlier queued
@@ -441,23 +424,11 @@ class Machine:
                 f"stream {stream.name!r} on GPU {stream.gpu_id} is "
                 f"rank-mirrored: issue to its group lead GPU {lead.gpu_id}"
             )
-        gpu = self.gpus[stream.gpu_id]
-        # Position of this stream among the device's busy streams (the old
-        # busy-list was built only to take this index); the idle test is
-        # inlined — this is the hottest property access in the simulator.
-        earlier_busy = 0
-        for s in gpu.streams:
-            if s is stream:
-                break
-            if s.queue or s.running_kernel is not None or s.blocked_on_event is not None:
-                earlier_busy += 1
-        if earlier_busy >= MAX_CONNECTIONS:
-            command.available_at += CONNECTION_CONTENTION_DELAY
         if stream.visibility_penalty:
             command.available_at += stream.visibility_penalty
         if self.fault_injector is not None:
             command.available_at += self.fault_injector.submit_delay(stream)
-        elif len(gpu.ranks) > 1:
+        elif len(self.gpus[stream.gpu_id].ranks) > 1:
             self._mirrored = True
         was_idle = not (
             stream.queue

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional
 
-from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
 from repro.sim.gpu import Machine
 from repro.sim.kernel import Kernel
@@ -94,24 +93,12 @@ class Host:
             cursors[rank] += cost
         return cursors[stream.gpu_id]
 
-    def launch_kernel(
-        self, stream: Stream, kernel: Kernel, *, extra_delay: float = 0.0
-    ) -> float:
-        """Issue one kernel launch; returns its availability time.
-
-        ``extra_delay`` adds device-side availability latency beyond the CPU
-        launch cost without consuming CPU time — used to model the
-        launch-queue lag communication kernels suffer when everything is
-        pre-launched and ordered purely by inter-stream events (§3.4).
-        """
-        if extra_delay < 0:
-            raise ConfigError("extra_delay must be >= 0")
+    def launch_kernel(self, stream: Stream, kernel: Kernel) -> float:
+        """Issue one kernel launch; returns its availability time."""
         now = self._issue(stream, self.launch_overhead)
         machine = self.machine
         self.launches_issued += len(machine.gpus[stream.gpu_id].ranks)
-        machine.submit(
-            stream, _fast_command(CommandKind.LAUNCH, now + extra_delay, kernel)
-        )
+        machine.submit(stream, _fast_command(CommandKind.LAUNCH, now, kernel))
         return now
 
     def record_event(self, stream: Stream, event: CudaEvent) -> float:

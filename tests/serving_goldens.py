@@ -30,8 +30,8 @@ launch-failure window, so decode iterations and a lifecycle prefill are
 shed and their jobs requeued or shed.  ``server-full-nccl-faults`` serves
 the full-NCCL ablation under the default recovery stack with an empty
 :class:`~repro.faults.plan.FaultPlan`: its secondaries outlive their
-windows, so the stack downgrades to Intra-Op and later upgrades back.
-Their fingerprints also pin what the run's
+windows, so the monitor counts violations, but the schedule is the same as
+``server-full-nccl``'s.  Their fingerprints also pin what the run's
 :class:`~repro.faults.resilience.ResilienceReport` counted.  They stay out
 of :data:`SCENARIOS`, whose per-rank reference arm arms an empty fault plan
 of its own (``tests/test_rank_mirroring.py``).
@@ -116,9 +116,6 @@ REPORT_FIELDS = (
 RESILIENCE_FIELDS = (
     "retries",
     "shed_batches",
-    "downgrades",
-    "upgrades",
-    "batches_on_fallback",
     "violations",
     "rounds_observed",
 )

@@ -164,8 +164,7 @@ OPTIONS = {
     "faults": {
         **_WORKLOAD, "--model": "OPT-13B", "--rate": 40.0, "--requests": 32,
         "--seed": 1, "--straggler": [], "--link": [], "--launch-fail": [],
-        "--jitter": [], "--violation-threshold": 3, "--probe-ms": 20.0,
-        "--max-retries": 5, "--no-fallback": False, "--no-watchdog": False,
+        "--jitter": [], "--max-retries": 5, "--no-watchdog": False,
     },
     "trace": {
         **_WORKLOAD, **_OVERLOAD, "--summarize": None, "--out": "trace.json",
@@ -218,8 +217,6 @@ _BAD_VALUES = [
     # A KV budget that cannot hold one batch.
     (["serve", "--requests", "8", "--max-pending", "8", "--kv-frac", "0.01"],
      "needs 0.068 GB of KV but the budget is 0.010 GB"),
-    (["faults", "--straggler", "1:4.0:0:400", "--probe-ms", "nan"],
-     "recovery_probe_us must be finite and > 0, got nan"),
     (["telemetry", "--window-ms", "nan"],
      "window_us must be finite and positive, got nan"),
     (["telemetry", "--window-ms", "inf"],

@@ -7,8 +7,8 @@ contained (clamped / rolled back) or raised as the specific typed error.
 
 The second half exercises the declarative fault-injection subsystem
 (:mod:`repro.faults`): randomized fault plans must always terminate, and a
-straggler that breaks Principle 1 must trigger exactly one recorded strategy
-downgrade followed by recovery.
+straggler that breaks Principle 1 must have its violations counted and
+published while every request is still served.
 """
 
 from __future__ import annotations
@@ -140,7 +140,9 @@ class TestServingFaults:
 # Declarative fault injection (repro.faults)
 # ----------------------------------------------------------------------
 
-def _serve_under_faults(plan, *, strategy="liger", resilience=None, seed=1):
+def _serve_under_faults(
+    plan, *, strategy="liger", resilience=None, seed=1, **kwargs
+):
     from repro.models.specs import OPT_13B
     from repro.serving.api import serve
 
@@ -154,6 +156,7 @@ def _serve_under_faults(plan, *, strategy="liger", resilience=None, seed=1):
         seed=seed,
         fault_plan=plan,
         resilience=resilience,
+        **kwargs,
     )
 
 
@@ -220,9 +223,6 @@ class TestRandomizedFaultPlans:
         # Every request is either served or explicitly shed — none lost.
         assert result.metrics.num_completed + result.metrics.shed_requests == 32
         assert not report.watchdog_tripped
-        # Downgrades and upgrades come in pairs or end degraded — never more
-        # upgrades than downgrades.
-        assert report.upgrades <= report.downgrades
 
     def test_random_plans_are_deterministic(self):
         rng = np.random.default_rng(7)
@@ -235,71 +235,64 @@ class TestRandomizedFaultPlans:
 
 
 class TestGracefulDegradation:
-    """A straggler breaks Principle 1 → one downgrade, then recovery."""
+    """A straggler breaks Principle 1: violations are counted, work completes."""
 
     STRAGGLER = dict(start=0.0, end=400_000.0, gpu=1, factor=4.0)
 
-    def test_straggler_triggers_exactly_one_downgrade_and_recovery(self):
+    def test_straggler_counts_and_publishes_violations(self):
         from repro.faults.plan import FaultPlan, GpuStraggler
+        from repro.obs import Observability
 
+        obs = Observability()
         plan = FaultPlan([GpuStraggler(**self.STRAGGLER)])
-        result = _serve_under_faults(plan)
+        result = _serve_under_faults(plan, observability=obs)
         report = result.resilience
         # All requests served despite the fault — no wedge, no crash.
         assert result.metrics.num_completed == 32
         assert report.violations >= 1
-        assert report.downgrades == 1
-        assert report.upgrades == 1
-        assert report.recovered
-        assert len(report.recovery_times_us) == 1
-        assert report.recovery_times_us[0] > 0
-        # The downgrade actually routed work to the fallback strategy.
-        assert report.batches_on_fallback >= 1
-        kinds = [c.kind for c in report.changes]
-        assert kinds == ["downgrade", "upgrade"]
+        published = obs.bus.of_kind("principle1-violation")
+        assert len(published) == report.violations
+        assert all(e.overshoot_us > 0 for e in published)
 
     def test_clean_run_never_downgrades(self):
+        """A fault-free run counts rounds but no violation."""
         from repro.faults.plan import FaultPlan
 
         result = _serve_under_faults(FaultPlan())
         report = result.resilience
         assert report.violations == 0
-        assert report.downgrades == 0
         assert report.rounds_observed > 0
-
-    def test_no_fallback_counts_violations_without_downgrading(self):
-        from repro.faults.plan import FaultPlan, GpuStraggler
-        from repro.faults.resilience import ResilienceConfig
-
-        plan = FaultPlan([GpuStraggler(**self.STRAGGLER)])
-        result = _serve_under_faults(
-            plan, resilience=ResilienceConfig(enable_fallback=False)
-        )
-        report = result.resilience
-        assert report.violations >= 1
-        assert report.downgrades == 0
-        assert result.metrics.num_completed == 32
 
 
 class TestEmptyPlanIsFree:
     """The armed recovery stack with no faults must not perturb the timeline."""
 
     def test_empty_plan_reproduces_plain_run_bit_for_bit(self):
+        from repro.core.config import LigerConfig
         from repro.faults.plan import FaultPlan
         from repro.models.specs import OPT_13B
         from repro.serving.api import serve
 
-        kw = dict(
-            model=OPT_13B, node=v100_nvlink_node(4), strategy="liger",
-            arrival_rate=40.0, num_requests=32, batch_size=2, seed=1,
-        )
-        plain = serve(**kw)
-        armed = serve(**kw, fault_plan=FaultPlan())
-        assert [
-            (r.rid, r.arrival, r.completion) for r in plain.metrics.completed
-        ] == [(r.rid, r.arrival, r.completion) for r in armed.metrics.completed]
-        assert plain.resilience is None
-        assert armed.resilience is not None
+        # At 100 req/s the full-NCCL ablation breaks Principle 1 without any
+        # fault; its violations are counted but must not change the schedule.
+        for config, rate in (
+            (LigerConfig(), 40.0),
+            (LigerConfig(reduce_nccl_channels=False), 100.0),
+        ):
+            kw = dict(
+                model=OPT_13B, node=v100_nvlink_node(4), strategy="liger",
+                arrival_rate=rate, num_requests=32, batch_size=2, seed=1,
+                config=config,
+            )
+            plain = serve(**kw)
+            armed = serve(**kw, fault_plan=FaultPlan())
+            assert [
+                (r.rid, r.arrival, r.completion) for r in plain.metrics.completed
+            ] == [
+                (r.rid, r.arrival, r.completion) for r in armed.metrics.completed
+            ]
+            assert plain.resilience is None
+            assert armed.resilience is not None
 
 
 class TestRetryAndShed:

@@ -18,10 +18,10 @@ from repro.obs import (
     EventBus,
     Observability,
     ObservabilityConfig,
+    Principle1Violation,
     RequestsAdmitted,
     RequestsShed,
-    StrategyDowngraded,
-    StrategyUpgraded,
+    RetryScheduled,
     analyze_critical_path,
     gpu_attribution,
     merged_chrome_trace,
@@ -48,19 +48,19 @@ GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 class TestEventBus:
     def test_publish_retains_in_order(self):
         bus = EventBus()
-        bus.publish(StrategyDowngraded(time_us=1.0, reason="a"))
-        bus.publish(StrategyUpgraded(time_us=2.0, reason="b"))
-        assert [e.kind for e in bus.events] == ["downgrade", "upgrade"]
+        bus.publish(RetryScheduled(time_us=1.0, batch_id=3, attempt=1))
+        bus.publish(Principle1Violation(time_us=2.0, round_index=7))
+        assert [e.kind for e in bus.events] == ["retry", "principle1-violation"]
         assert len(bus) == 2
-        assert [e.time_us for e in bus.of_kind("downgrade")] == [1.0]
+        assert [e.time_us for e in bus.of_kind("retry")] == [1.0]
 
     def test_typed_subscription_filters(self):
         bus = EventBus()
         seen = []
-        bus.subscribe(seen.append, types=[StrategyDowngraded])
-        bus.publish(StrategyUpgraded(time_us=0.0, reason=""))
-        bus.publish(StrategyDowngraded(time_us=1.0, reason=""))
-        assert [e.kind for e in seen] == ["downgrade"]
+        bus.subscribe(seen.append, types=[RetryScheduled])
+        bus.publish(Principle1Violation(time_us=0.0))
+        bus.publish(RetryScheduled(time_us=1.0))
+        assert [e.kind for e in seen] == ["retry"]
 
     def test_to_dict_is_flat_json(self):
         ev = RequestsShed(
@@ -554,34 +554,6 @@ class TestLogging:
 
         handlers = logging.getLogger("repro").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
-
-    def test_downgrade_logs_warning_with_sim_time(self, caplog):
-        from repro.faults.plan import FaultPlan, GpuStraggler
-
-        plan = FaultPlan(
-            [GpuStraggler(gpu=1, factor=6.0, start=0.0, end=150_000.0)]
-        )
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            result = serve(
-                MODEL,
-                NODE,
-                strategy="liger",
-                arrival_rate=150.0,
-                num_requests=16,
-                batch_size=2,
-                seed=0,
-                fault_plan=plan,
-            )
-        assert result.resilience.downgrades >= 1
-        records = [
-            r for r in caplog.records if r.name == "repro.faults.resilience"
-        ]
-        assert any(
-            r.levelno == logging.WARNING
-            and "downgraded" in r.getMessage()
-            and "t=" in r.getMessage()
-            for r in records
-        )
 
 
 # ----------------------------------------------------------------------

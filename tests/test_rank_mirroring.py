@@ -21,7 +21,6 @@ from repro.core.policy import policy_names
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.resilience import ResilienceConfig
 from repro.hw import a100_pcie_node, v100_nvlink_node
 from repro.models import MOE_16E, OPT_30B
 from repro.parallel.base import ParallelStrategy
@@ -60,16 +59,11 @@ def _host_counts(srv):
 @pytest.mark.parametrize("server,strategy", SCENARIOS)
 def test_golden_scenarios_match_per_rank_run(server, strategy):
     """The pipeline baselines declare no symmetric ranks, so both their
-    arms run per rank.  The reference arm keeps the default recovery
-    layer, except under full NCCL channels: there Liger's rounds violate
-    Principle 1 and the fallback would downgrade it to Intra-Op, which is
-    not the run being compared."""
+    arms run per rank.  The reference arm arms the default recovery layer."""
     runs = []
     for plan in (None, FaultPlan()):
         keep = []
         extra = {} if plan is None else {"fault_plan": plan}
-        if plan is not None and server == "server-full-nccl":
-            extra["resilience"] = ResilienceConfig(enable_fallback=False)
         _, trace = run_scenario(server, strategy, keep=keep, **extra)
         srv = keep[0]
         runs.append(

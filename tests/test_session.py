@@ -366,7 +366,7 @@ class TestContinuousBatchingCapabilities:
         result = self._serve(
             jobs,
             fault_plan=plan,
-            resilience=ResilienceConfig(max_retries=8, enable_fallback=False),
+            resilience=ResilienceConfig(max_retries=8),
             observability=obs,
         )
         assert result.resilience is not None
@@ -433,7 +433,7 @@ class TestContinuousBatchingCapabilities:
         result = self._serve(
             jobs,
             fault_plan=plan,
-            resilience=ResilienceConfig(max_retries=8, enable_fallback=False),
+            resilience=ResilienceConfig(max_retries=8),
             overload=OverloadConfig(max_pending_requests=4, policy="shed-oldest"),
             observability=obs,
         )
@@ -468,9 +468,7 @@ class TestStaticBatchingCapabilities:
         srv = StaticBatchingServer(
             MODEL, NODE, strat, batch_size=4, check_memory=False,
             fault_plan=FaultPlan([LaunchFailure(start=0.0, end=1e12)]),
-            resilience=ResilienceConfig(
-                max_retries=1, enable_fallback=False, enable_watchdog=False
-            ),
+            resilience=ResilienceConfig(max_retries=1, enable_watchdog=False),
         )
         result = srv.run(jobs)
         assert result.metrics.shed_requests == 4
@@ -565,7 +563,7 @@ class TestRetryExhaustedJobs:
         kw = dict(
             check_memory=False,
             fault_plan=FaultPlan([LaunchFailure(start=start_us, end=start_us + 2_000.0)]),
-            resilience=ResilienceConfig(max_retries=0, enable_fallback=False),
+            resilience=ResilienceConfig(max_retries=0),
         )
         if kind == "continuous":
             jobs = generation_workload(8, 1000.0, seed=0)

@@ -27,7 +27,7 @@ from repro.sim import (
     NullContention,
     Trace,
 )
-from repro.sim.gpu import CONNECTION_CONTENTION_DELAY, MAX_CONNECTIONS, _RunState
+from repro.sim.gpu import _RunState
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 
 
@@ -500,34 +500,6 @@ class TestShapeMemo:
             start, end = rows[name]
             assert end - start == pytest.approx(10.0 * direct[1], rel=1e-12)
         assert len(model.shapes) == 2
-
-
-# ----------------------------------------------------------------------
-# CUDA_DEVICE_MAX_CONNECTIONS (soft model)
-# ----------------------------------------------------------------------
-class TestMaxConnections:
-    def test_oversubscribed_stream_pays_delay(self):
-        m = make_machine(1)
-        s0 = m.gpu(0).stream("s0")
-        s1 = m.gpu(0).stream("s1")
-        s2 = m.gpu(0).stream("s2")
-        m.launch(s0, k("a", 50.0, occ=0.2), available_at=0.0)
-        m.launch(s1, k("b", 50.0, occ=0.2), available_at=0.0)
-        # Third concurrent stream: over the connection limit.
-        m.launch(s2, k("c", 50.0, occ=0.2), available_at=0.0)
-        m.run()
-        rows = {r.name: r for r in m.trace.rows}
-        assert rows["a"].start == 0.0
-        assert rows["b"].start == 0.0
-        assert rows["c"].start == CONNECTION_CONTENTION_DELAY
-
-    def test_within_limit_no_delay(self):
-        m = make_machine(1)
-        streams = [m.gpu(0).stream(f"s{i}") for i in range(MAX_CONNECTIONS)]
-        for i, s in enumerate(streams):
-            m.launch(s, k(f"k{i}", 10.0, occ=0.2), available_at=0.0)
-        m.run()
-        assert all(r.start == 0.0 for r in m.trace.rows)
 
 
 # ----------------------------------------------------------------------
