@@ -19,10 +19,14 @@ consecutive rounds are chained by the configured synchronization approach:
 
 Per the paper, the communication subset is launched first within a round.
 
-Every rank runs the same commands, except that under HYBRID GPU 0 alone
-records the pre-kick event, so the runtime declares those ranks one group
-(:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issues each round once
-per group, on the group lead's streams.
+Every rank runs the same commands, so the runtime declares all of them one
+group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issues each round
+once per group, on the group lead's streams.  Under HYBRID, GPU 0 alone
+records the pre-kick event: a command for rank 0 only, whose cost puts rank
+0's launcher cursor ahead of the others'.  The machine splits rank 0 off
+only at an instant where that lag changes its timeline, and the runtime
+merges the groups back at a round start once they are quiescent with equal
+cursors.
 """
 
 from __future__ import annotations
@@ -101,14 +105,13 @@ class LigerRuntime:
         self._s1: Dict[int, Stream] = {
             g: machine.gpu(g).stream("liger_s1", priority=1) for g in self._gpus
         }
-        # Every rank issues the same commands, except that under HYBRID
-        # GPU 0 alone records the pre-kick event: simulate the rest once.
-        machine.mirror_ranks(
-            self._gpus[1:] if config.sync_mode is SyncMode.HYBRID else self._gpus
-        )
-        # End-of-round events per group lead for cross-stream gating.
+        machine.mirror_ranks(self._gpus)
+        # End-of-round events per rank for cross-stream gating: a group's
+        # ranks share its lead's, and a split gives the ranks it moves
+        # their own copies.
         self._prev_end0: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
         self._prev_end1: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
+        machine.on_split(self._follow_split)
         self._chain_active = False
         # Serving-side accounting hooks: (batch_id, n_kernels) / (batch_id, t).
         self._on_batch_launched = on_batch_launched or (lambda bid, n: None)
@@ -140,8 +143,20 @@ class LigerRuntime:
         """
         if not self._chain_active and self.scheduler.has_work:
             self.host.catch_up()
+            self.machine.merge_groups(self.host.cursors)
             self._chain_active = True
             self._advance()
+
+    def _follow_split(
+        self, ranks: Tuple[int, ...], events: Dict[CudaEvent, CudaEvent]
+    ) -> None:
+        """The ranks a split moved wait on their own copies of the end
+        events still pending."""
+        for prev in (self._prev_end0, self._prev_end1):
+            for r in ranks:
+                event = prev[r]
+                if event is not None:
+                    prev[r] = events.get(event, event)
 
     # ------------------------------------------------------------------
     # The round chain
@@ -277,7 +292,7 @@ class LigerRuntime:
                 stream = s0 if which == 0 else s1
                 for idx, kernels in enumerate(kernel_maps):
                     kern = kernels[g]
-                    # HYBRID pre-kick: before the last primary kernel.
+                    # HYBRID pre-kick: GPU 0's, before the last primary kernel.
                     if (
                         pre_kick
                         and which == 0
@@ -285,7 +300,7 @@ class LigerRuntime:
                         and g == 0
                     ):
                         pre_kick_event = CudaEvent(f"prekick_r{round_.index}")
-                        self.host.record_event(stream, pre_kick_event)
+                        self.host.record_event(stream, pre_kick_event, ranks=(0,))
                     self.host.launch_kernel(stream, kern)
 
             e0 = CudaEvent(f"r{round_.index}_end0@g{g}")
@@ -294,8 +309,10 @@ class LigerRuntime:
             if round_.subset1:
                 e1 = CudaEvent(f"r{round_.index}_end1@g{g}")
                 self.host.record_event(s1, e1)
-            self._prev_end0[g] = e0
-            self._prev_end1[g] = e1 if e1 is not None else self._prev_end1[g]
+            for r in group:
+                self._prev_end0[r] = e0
+                if e1 is not None:
+                    self._prev_end1[r] = e1
             end_events[g] = (e0, e1)
 
         if pre_kick:

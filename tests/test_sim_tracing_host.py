@@ -207,6 +207,44 @@ class TestHost:
         m.run()
         assert seen == [(50.0, [50.0] * 4)]
 
+    def test_group_ranks_keep_equal_cursors(self):
+        """Launches, waits, records and host callbacks move every cursor of
+        a rank group together: the regrouping rules compare them."""
+        m = make_machine(4)
+        for g in m.gpus:
+            g.stream("s0")
+            g.stream("s1")
+        m.mirror_ranks(range(4))
+        host = Host(m)
+        s0, s1 = m.gpu(0).streams
+        seen = []
+
+        def check(label):
+            seen.append((label, list(host.cursors)))
+
+        done = CudaEvent("done@g0")
+        host.launch_kernel(s0, k("a@g0", 30.0))
+        host.record_event(s0, done)
+        host.wait_event(s1, done)
+        host.launch_kernel(s1, k("b@g0", 10.0))
+        check("issue")
+
+        def later():
+            check("callback")
+            host.launch_kernel(s0, k("c@g0", 5.0))
+            check("relaunch")
+
+        host.when_event(done, later)
+        m.engine.schedule(100.0, lambda: (host.catch_up(), check("catch-up")))
+        m.run()
+        assert [label for label, _ in seen] == [
+            "issue", "callback", "relaunch", "catch-up",
+        ]
+        for _, cursors in seen:
+            assert len(set(cursors)) == 1
+        assert seen[-1][1] == [100.0] * 4
+        assert m.groups == ((0, 1, 2, 3),) and m.group_splits == 0
+
     def test_per_rank_cursors_are_independent(self):
         """Each GPU has its own MPI launcher rank: launches don't serialize
         across GPUs."""
