@@ -85,7 +85,7 @@ def instantiate_op(
             _COLLECTIVE_KINDS[flavour], op.comm_bytes, participants, leads,
             occupancy, mem, batch_id, op.layer, name, flavour,
         )
-        return dict(coll.members)
+        return coll.members
     kind, layer, decomposable = op.kind, op.layer, op.decomposable
     kernels = {}
     for group in groups:

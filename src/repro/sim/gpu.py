@@ -22,7 +22,10 @@ depends on:
   the moment they are admitted (NCCL kernels spin while waiting for peers),
   but the operation makes progress only once *every* rank has admitted its
   member, at the rate of the most-contended member, and all members finish at
-  the same instant.
+  the same instant.  A member admitted on a rank group that holds every
+  participant completes the rendezvous by itself: it starts at admission and
+  progresses like a local kernel, and becomes a rendezvous only if a split
+  parts its group.
 
 One :class:`Machine` owns all GPUs of a node so that cross-device state
 (collectives, the single completion timer) has a single coordinator.
@@ -34,6 +37,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
@@ -81,6 +85,9 @@ class _RunState:
     #: Clamped contention slowdown from the device's resident set, without
     #: fault inflation; refreshed only after the resident set changes.
     contention: float = 1.0
+    #: A whole-group collective's place in first-admission order among
+    #: collectives (see :attr:`_CollectiveRun.admit_seq`); -1 otherwise.
+    admit_seq: int = -1
 
 
 def _ready_state(
@@ -99,6 +106,7 @@ def _ready_state(
     rs.remaining = 0.0
     rs.slowdown = 1.0
     rs.contention = 1.0
+    rs.admit_seq = -1
     return rs
 
 
@@ -107,7 +115,8 @@ _new_run_state = _RunState.__new__
 
 @dataclass(slots=True)
 class _CollectiveRun:
-    """Shared progress state of an in-flight collective."""
+    """Shared progress state of an in-flight rendezvous collective: one
+    whose participants span more than one rank group."""
 
     op: CollectiveOp
     #: Rank → the run state holding its member, in per-rank admission order
@@ -116,6 +125,8 @@ class _CollectiveRun:
     started_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
+    #: First-admission order among all collectives, whole-group ones too.
+    admit_seq: int = -1
 
     @property
     def started(self) -> bool:
@@ -144,9 +155,9 @@ class Gpu:
         #: Residents by kernel, in admission order.
         self.resident: Dict[Kernel, _RunState] = {}
         self.used_occupancy = 0.0
-        #: Non-collective residents by kernel, in admission order — the
-        #: progress integrator iterates this instead of re-filtering
-        #: ``resident``.
+        #: Residents that progress on their own, by kernel, in admission
+        #: order: local kernels and whole-group collectives — the progress
+        #: integrator iterates this instead of re-filtering ``resident``.
         self.active_local: Dict[Kernel, _RunState] = {}
         #: Set on every admit/release: the residents' stored contention
         #: slowdowns are stale until the next reschedule refreshes them.
@@ -340,7 +351,10 @@ class Machine:
         self._mirrored = False
         #: Admission tie-break within one device's ready list (pop order).
         self._ready_seq = itertools.count()
-        #: In-flight collectives by op, in first-admission order.
+        #: First-admission numbers of collectives, whole-group or rendezvous.
+        self._admit_seq = itertools.count()
+        #: In-flight rendezvous collectives by op.  A split may add one out
+        #: of first-admission order; completion goes by ``admit_seq``.
         self._collectives: Dict[CollectiveOp, _CollectiveRun] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
@@ -520,8 +534,6 @@ class Machine:
                 f"stream {stream.name!r} on GPU {stream.gpu_id} is "
                 f"rank-mirrored: issue to its group lead GPU {lead.gpu_id}"
             )
-        if stream.visibility_penalty:
-            command.available_at += stream.visibility_penalty
         if self.fault_injector is not None:
             command.available_at += self.fault_injector.submit_delay(stream)
         elif len(self.gpus[stream.gpu_id].ranks) > 1:
@@ -804,11 +816,12 @@ class Machine:
         one of its ranks, with those ranks' stamps; the ready and resident
         run states with their progress, in the same order and with the same
         ``ready_seq``; the running kernel and blocked event of every
-        stream; its ranks' places in in-flight collectives; and the device
-        occupancy.  A kernel or pending event both groups need is copied
-        and renamed for the new lead by :func:`rank_name`; split observers
-        learn the event copies.  A command or event for ``part``'s ranks
-        alone moves as it is.
+        stream; its ranks' places in in-flight collectives, where a resident
+        collective of the whole group becomes a rendezvous of the two
+        groups; and the device occupancy.  A kernel or pending event both
+        groups need is copied and renamed for the new lead by
+        :func:`rank_name`; split observers learn the event copies.  A
+        command or event for ``part``'s ranks alone moves as it is.
         """
         lead, new_lead = gpu.gpu_id, part[0]
         device = self.gpus[new_lead]
@@ -827,8 +840,6 @@ class Machine:
                     name=rank_name(kernel.name, new_lead, lead),
                     meta=dict(kernel.meta),
                 )
-                if kernel.collective is not None:
-                    kernel.collective.members[new_lead] = copy
             return copy
 
         def event_for(event: CudaEvent) -> CudaEvent:
@@ -915,6 +926,24 @@ class Machine:
                 rs = by_rank.get(rank)
                 if rs is not None:
                     by_rank[rank] = state_for(rs)
+        # A resident whole-group collective becomes a rendezvous over the
+        # two parts' states, with its progress and first-admission place.
+        for rs in list(gpu.active_local.values()):
+            kernel = rs.kernel
+            coll = kernel.collective
+            if coll is None:
+                continue
+            copy = state_for(rs)
+            del gpu.active_local[kernel]
+            del device.active_local[copy.kernel]
+            self._collectives[coll] = _CollectiveRun(
+                op=coll,
+                members={r: copy if r in members else rs for r in gpu.ranks},
+                started_at=rs.start_at,
+                remaining=rs.remaining,
+                slowdown=rs.slowdown,
+                admit_seq=rs.admit_seq,
+            )
 
         gpu.ranks = keep
         device.ranks = part
@@ -1008,12 +1037,23 @@ class Machine:
         if coll is None:
             gpu.active_local[kernel] = rs
             return
+        ranks = gpu.ranks
+        participants = coll.participants
+        if len(ranks) == len(participants) and set(ranks) == set(participants):
+            # The group holds every participant: the rendezvous is complete
+            # at once, and the collective progresses like a local kernel.
+            rs.remaining = coll.duration
+            rs.admit_seq = next(self._admit_seq)
+            gpu.active_local[kernel] = rs
+            return
         crun = self._collectives.get(coll)
         if crun is None:
-            crun = _CollectiveRun(op=coll, remaining=coll.duration)
+            crun = _CollectiveRun(
+                op=coll, remaining=coll.duration, admit_seq=next(self._admit_seq)
+            )
             self._collectives[coll] = crun
         members = crun.members
-        for rank in gpu.ranks:
+        for rank in ranks:
             if rank in members:
                 raise SimulationError(
                     f"collective {coll.name}: duplicate member on GPU {rank}"
@@ -1146,20 +1186,26 @@ class Machine:
         now = self.engine.now
 
         due_locals: Dict[int, List[_RunState]] = {}
+        # Due collectives as (first-admission number, rank → run state).
+        due_colls: List[Tuple[int, Dict[int, _RunState]]] = []
         for gpu in self._devices:
             due = None
             for rs in gpu.active_local.values():
                 if rs.remaining <= _EPS:
+                    if rs.kernel.collective is not None:
+                        due_colls.append((rs.admit_seq, dict.fromkeys(gpu.ranks, rs)))
+                        continue
                     if due is None:
                         due = due_locals[gpu.gpu_id] = []
                     due.append(rs)
-        due_colls: List[_CollectiveRun] = []
         if self._collectives:
-            due_colls = [
+            for crun in [
                 crun
                 for crun in self._collectives.values()
                 if crun.started_at >= 0.0 and crun.remaining <= _EPS
-            ]
+            ]:
+                del self._collectives[crun.op]
+                due_colls.append((crun.admit_seq, crun.members))
         touched = set(due_locals)
         if due_locals:
             trace = self.trace
@@ -1191,9 +1237,13 @@ class Machine:
                     for rs in due:
                         for fn in observers:
                             fn(rs.kernel, now, ranks)
-        for crun in due_colls:
-            self._complete_collective(crun, now)
-            touched.update(rs.gpu_id for rs in crun.members.values())
+        if due_colls:
+            # After every local kernel, in first-admission order.
+            if len(due_colls) > 1:
+                due_colls.sort(key=itemgetter(0))
+            for _, members in due_colls:
+                states = self._complete_collective(members, now)
+                touched.update(rs.gpu_id for rs in states)
 
         # Every pump below runs at the same instant, so progress banking
         # between them is a no-op and one reschedule after the last covers
@@ -1215,11 +1265,15 @@ class Machine:
         if rs.stream.running_kernel is kernel:
             rs.stream.running_kernel = None
 
-    def _complete_collective(self, crun: _CollectiveRun, now: float) -> None:
-        del self._collectives[crun.op]
+    def _complete_collective(
+        self, members: Dict[int, _RunState], now: float
+    ) -> List[_RunState]:
+        """Retire a due collective, rendezvous or whole-group, given each
+        of its ranks' run state in member order; returns the distinct
+        states, one per group."""
         trace = self.trace
         states: List[_RunState] = []
-        for rank, rs in crun.members.items():
+        for rank, rs in members.items():
             lead = rs.gpu_id
             if rank == lead:
                 self._release(rs)
@@ -1228,12 +1282,13 @@ class Machine:
                 trace.record_kernel(
                     rs, now, rank, rank_name(rs.kernel.name, rank, lead)
                 )
-        self.kernels_completed += len(crun.members)
+        self.kernels_completed += len(members)
         gpus = self.gpus
         for fn in self._completion_observers:
             # Each run state stands for its group's ranks.
             for rs in states:
                 fn(rs.kernel, now, len(gpus[rs.gpu_id].ranks))
+        return states
 
     # ------------------------------------------------------------------
     # Introspection

@@ -107,6 +107,9 @@ class CollectiveCostModel:
         #: (link faults go through ``bandwidth_scale``), and every
         #: instantiated collective would otherwise make ``p`` pair queries.
         self._hop_latency: Dict[Tuple[int, ...], float] = {}
+        #: Checked durations by ``(kind, bytes, ranks)``, at healthy links
+        #: only: a collective is priced once per shape, not per instance.
+        self._durations: Dict[Tuple, float] = {}
 
     def _link_health(self) -> float:
         """Current bandwidth fraction from the fault hook (1.0 when healthy)."""
@@ -220,20 +223,28 @@ class CollectiveCostModel:
 
         The footprint (``occupancy``, ``memory_intensity``) must already
         have passed :func:`~repro.sim.kernel.check_kernel_profile`; the
-        ranks and duration are checked here, once per collective, and the
-        op and its members — one per rank in ``leads`` — are built by the
-        slot-copy constructor.
+        ranks and duration are checked here, once per collective shape
+        while no ``bandwidth_scale`` hook is set (the duration is then
+        memoized by kind, bytes and ranks) and once per collective under
+        one, and the op and its members — one per rank in ``leads`` — are
+        built by the slot-copy constructor.
         """
         participants = list(participants)
-        if kind is CollectiveKind.P2P:
-            duration = self.p2p_duration(size_bytes, *participants)
-        elif kind is CollectiveKind.ALL_REDUCE:
-            duration = self.allreduce_duration(size_bytes, participants)
-        elif kind is CollectiveKind.ALL_TO_ALL:
-            duration = self.alltoall_duration(size_bytes, participants)
-        else:
-            raise ConfigError(f"no cost model for {kind.value} collectives")
-        check_collective(participants, duration)
+        healthy = self.bandwidth_scale is None
+        key = (kind, size_bytes, tuple(participants))
+        duration = self._durations.get(key) if healthy else None
+        if duration is None:
+            if kind is CollectiveKind.P2P:
+                duration = self.p2p_duration(size_bytes, *participants)
+            elif kind is CollectiveKind.ALL_REDUCE:
+                duration = self.allreduce_duration(size_bytes, participants)
+            elif kind is CollectiveKind.ALL_TO_ALL:
+                duration = self.alltoall_duration(size_bytes, participants)
+            else:
+                raise ConfigError(f"no cost model for {kind.value} collectives")
+            check_collective(participants, duration)
+            if healthy:
+                self._durations[key] = duration
         return collective_from_profile(
             kind, size_bytes, participants, leads, duration, occupancy,
             memory_intensity, batch_id, layer, name, op,

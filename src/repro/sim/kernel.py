@@ -64,6 +64,10 @@ class CollectiveKind(enum.Enum):
     REDUCE_SCATTER = "reduce_scatter"
     ALL_TO_ALL = "all_to_all"
 
+    # Identity hash, as for KernelKind: the collective cost model's duration
+    # memo hashes a kind on every instantiation.
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True, eq=False)
 class Kernel:

@@ -121,11 +121,6 @@ class Stream:
         # Head-state flags owned by the machine pump:
         self.blocked_on_event: Optional[CudaEvent] = None
         self.running_kernel: Optional[Kernel] = None
-        #: Extra per-command visibility delay (µs) added by the machine when
-        #: commands are submitted to this stream.  Fault injection raises it
-        #: for the window of a degraded-host fault; 0.0 (the default) is
-        #: bit-exact with no delay at all.
-        self.visibility_penalty: float = 0.0
         #: Latest ``pump_at`` the machine has already scheduled a lazy
         #: availability pump for (dedup marker owned by the machine).
         self.avail_pump_at: float = -1.0

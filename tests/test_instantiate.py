@@ -150,7 +150,7 @@ def test_invalid_profile_raises_every_time():
 
 
 @pytest.mark.parametrize("shared,expected", [(True, 1), (False, 3)])
-def test_memoize_false_bypasses_the_profile_memo(shared, expected):
+def test_only_a_shared_profiler_reuses_its_profile_memo(shared, expected):
     """The memo lives in its profiler: three instantiations through one
     profiler ask the cost model once, while a fresh profiler per
     instantiation (the cold path, now that the memo has no switch) asks it
@@ -187,3 +187,53 @@ def test_repeated_instantiation_consults_the_cost_model_once():
                     want = b
                 assert getattr(kern, field) == want, field
     assert cost_model.calls == {"occupancy": 1, "memory_intensity": 1}
+
+
+def _count_allreduce_calls(ccm):
+    """Wrap ``ccm.allreduce_duration``; returns the list of its arguments."""
+    calls = []
+    price = ccm.allreduce_duration
+
+    def counted(size_bytes, participants):
+        calls.append((size_bytes, tuple(participants)))
+        return price(size_bytes, participants)
+
+    ccm.allreduce_duration = counted
+    return calls
+
+
+def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
+    """With healthy links a collective's duration is memoized by kind, bytes
+    and ranks: each (op, ranks) is priced once, however often it is built."""
+    calls = _count_allreduce_calls(profiler.collectives)
+    ops = [allreduce_op("ar", 3, 2e6), allreduce_op("ar_big", 3, 8e6)]
+    whole = [(0, 1, 2, 3)]
+    for b in range(3):
+        for op in ops:
+            for groups in (GROUPS, whole):
+                got = instantiate_op(op, groups, b, profiler)
+                coll = next(iter(got.values())).collective
+                want = reference(op, groups, b, OpProfiler(v100_nvlink_node(4)))
+                assert coll.duration == next(iter(want.values())).duration
+    assert sorted(calls) == sorted(
+        (op.comm_bytes, ranks) for op in ops for ranks in ((2, 0, 3, 1), (0, 1, 2, 3))
+    )
+
+
+def test_collective_is_priced_at_the_hooks_current_value(profiler):
+    """A ``bandwidth_scale`` hook bypasses the memo: every instantiation is
+    priced at the link health the hook reports then, even for a shape the
+    memo already holds."""
+    op = allreduce_op("ar", 3, 2e6)
+    ccm = profiler.collectives
+    healthy = instantiate_op(op, GROUPS, 0, profiler)[2].duration
+    calls = _count_allreduce_calls(ccm)
+    scales = [0.5, 0.25, 1.0, 0.5]
+    for b, scale in enumerate(scales):
+        ccm.bandwidth_scale = lambda: scale
+        got = instantiate_op(op, GROUPS, b, profiler)[2].duration
+        degraded = OpProfiler(v100_nvlink_node(4)).collectives
+        degraded.bandwidth_scale = lambda: scale
+        assert got == degraded.allreduce_duration(op.comm_bytes, [2, 0, 3, 1])
+        assert (got == healthy) is (scale == 1.0)
+    assert len(calls) == len(scales)

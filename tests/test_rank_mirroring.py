@@ -31,7 +31,7 @@ from repro.serving.request import Batch, Phase, Request
 from repro.serving.server import Server
 from repro.serving.workload import general_trace
 from repro.sim import CudaEvent, Engine, Host, Kernel, KernelKind, Machine, Trace
-from repro.sim.contention import NullContention
+from repro.sim.contention import DefaultContention, NullContention
 from repro.sim.kernel import CollectiveKind, CollectiveOp
 from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
 
@@ -536,6 +536,189 @@ def test_deadlock_after_a_split_names_every_rank():
         assert f"Stream(g{g}/s prio=0: blocked on never@g{g})" in message
     assert "awaiting ranks [3]" in message
     assert message == _stranded_after_split(FaultPlan())[0]
+
+
+# ----------------------------------------------------------------------
+# A collective over exactly one group's ranks needs no rendezvous
+# ----------------------------------------------------------------------
+def _whole_group_run(plan, num_gpus, build, *, mirror=None, contention=None):
+    """Run ``build(machine, host, op)`` on a machine whose ranks are one
+    group (or the ranks in ``mirror``), armed with ``plan``.
+    ``op(name, duration[, participants])`` makes a fresh all-reduce, over
+    every rank unless told otherwise.  Returns the trace rows, the
+    completion observer calls folded to one row per rank, the completion
+    count, and the machine."""
+    m = Machine(
+        v100_nvlink_node(num_gpus), Engine(),
+        contention=contention or NullContention(), trace=Trace(),
+    )
+    host = Host(m)
+    for g in m.gpus:
+        for name in ("s", "c", "h"):
+            g.stream(name)
+    m.mirror_ranks(range(num_gpus) if mirror is None else mirror)
+    if plan is not None:
+        FaultInjector(plan).arm(m)
+    seen = []
+    m.on_kernel_complete(
+        lambda k, t, ranks: seen.extend([(k.name.rpartition("@g")[0], t)] * ranks)
+    )
+
+    def op(name, duration, participants=range(num_gpus)):
+        return CollectiveOp(
+            kind=CollectiveKind.ALL_REDUCE, bytes=1.0,
+            participants=list(participants), duration=duration, name=name,
+        )
+
+    build(m, host, op)
+    m.run()
+    # Set once a command reached a multi-rank group.
+    assert m._mirrored is (plan is None)
+    rows = [(r.gpu, r.stream, r.name, r.ready, r.start, r.end) for r in m.trace.rows]
+    return rows, seen, m.kernels_completed, m
+
+
+def _whole_group_pair(num_gpus, build, **kw):
+    mirrored = _whole_group_run(None, num_gpus, build, **kw)
+    per_rank = _whole_group_run(FaultPlan(), num_gpus, build, **kw)
+    assert mirrored[:3] == per_rank[:3] and mirrored[1]
+    return mirrored
+
+
+def test_whole_group_collective_completes_after_a_co_due_local_kernel():
+    """Two all-reduces are admitted before a local kernel and all three
+    retire at t=10 on one device: the local kernel is released and observed
+    first, then the collectives in admission order, each once for its
+    group.  None of them waits on a rendezvous."""
+    admitted = []
+
+    def build(m, host, op):
+        first, second = op("ar1", 10.0), op("ar2", 9.0)
+        for group in m.groups:
+            lead = group[0]
+            gpu = m.gpu(lead)
+            for stream, kernel, at in (
+                ("c", first.make_member(lead, occupancy=0.2), 0.0),
+                ("h", second.make_member(lead, occupancy=0.2), 1.0),
+                ("s", _k(f"a@g{lead}", 8.0), 2.0),
+            ):
+                m.launch(gpu.stream(stream), kernel, available_at=at)
+        m.engine.schedule(3.0, lambda: admitted.append(dict(m._collectives)))
+
+    rows, seen, completed, m = _whole_group_pair(4, build)
+    assert admitted[0] == {}
+    assert rows == [
+        (g, "s", f"a@g{g}", 2.0, 2.0, 10.0) for g in range(4)
+    ] + [
+        (g, "c", f"ar1@g{g}", 0.0, 0.0, 10.0) for g in range(4)
+    ] + [
+        (g, "h", f"ar2@g{g}", 1.0, 1.0, 10.0) for g in range(4)
+    ]
+    assert seen == [("a", 10.0)] * 4 + [("ar1", 10.0)] * 4 + [("ar2", 10.0)] * 4
+    assert completed == 12 and m.all_idle()
+
+
+def _split_issue(m, host, op, *, hog):
+    """GPU 0 alone records before each group's last kernel, so the group
+    splits at t=15 while the all-reduce over both ranks runs beside a
+    background kernel, or, when that kernel is a ``hog`` that leaves no
+    room, waits ready behind it."""
+    ar = op("ar", 30.0)
+    for group in m.groups:
+        lead = group[0]
+        gpu = m.gpu(lead)
+        host.launch_kernel(
+            gpu.stream("h"),
+            Kernel(
+                name=f"{'hog' if hog else 'bg'}@g{lead}", kind=KernelKind.COMPUTE,
+                duration=40.0, occupancy=0.9 if hog else 0.5,
+            ),
+        )
+        host.launch_kernel(gpu.stream("c"), ar.make_member(lead, occupancy=0.2))
+        if lead == 0:
+            host.record_event(gpu.stream("s"), CudaEvent("pre"), ranks=(0,))
+        # Small enough to join the all-reduce and the background kernel.
+        host.launch_kernel(
+            gpu.stream("s"),
+            Kernel(
+                name=f"k@g{lead}", kind=KernelKind.COMPUTE, duration=1.0,
+                occupancy=0.25,
+            ),
+        )
+
+
+def test_split_converts_a_resident_whole_group_collective():
+    """The group splits while its all-reduce runs: the collective becomes a
+    rendezvous of the two groups, keeping its start, progress and
+    slowdown, and retires as the per-rank run retires it."""
+    rows, seen, completed, m = _whole_group_pair(
+        2, lambda m, host, op: _split_issue(m, host, op, hog=False),
+        contention=DefaultContention(),
+    )
+    assert m.group_splits == 1 and m.groups == ((0,), (1,))
+    ar = [r for r in rows if r[2].startswith("ar@")]
+    split_at = next(r[3] for r in rows if r[2] == "k@g1")
+    assert [r[0] for r in ar] == [0, 1] and ar[0][4] == ar[1][4] == 10.0
+    # Resident across the split, and slowed by the kernel beside it.
+    assert all(r[4] < split_at < r[5] for r in ar)
+    assert ar[0][5] == ar[1][5] > 10.0 + 30.0
+    assert completed == 2 * 3 and m.all_idle()
+
+
+def test_split_leaves_a_ready_whole_group_collective_to_rendezvous():
+    """The group splits while its all-reduce waits behind a hog: each group
+    then admits its own member and the two rendezvous."""
+    rows, seen, completed, m = _whole_group_pair(
+        2, lambda m, host, op: _split_issue(m, host, op, hog=True)
+    )
+    assert m.group_splits == 1
+    hog_end = next(r[5] for r in rows if r[2] == "hog@g0")
+    split_at = next(r[3] for r in rows if r[2] == "k@g1")
+    ar = [r for r in rows if r[2].startswith("ar@")]
+    assert all(r[3] < split_at < hog_end == r[4] for r in ar)
+    assert [r[5] for r in ar] == [hog_end + 30.0] * 2
+    assert completed == 2 * 3 and m.all_idle()
+
+
+def test_partial_group_collective_still_rendezvouses():
+    """Ranks 0-2 are one group and rank 3 its own: the group's member waits
+    in a rendezvous until rank 3 admits its member at t=20.  An all-reduce
+    over ranks 0-2 alone, admitted at t=1, is the group's whole collective;
+    it retires at the same instant, after the rendezvous admitted first."""
+    waiting = []
+
+    def build(m, host, op):
+        ar, own = op("ar", 5.0), op("own", 24.0, participants=(0, 1, 2))
+        for group in m.groups:
+            lead = group[0]
+            gpu = m.gpu(lead)
+            at = 20.0 if lead == 3 else 0.0
+            m.launch(gpu.stream("c"), ar.make_member(lead, occupancy=0.2), at)
+            if lead != 3:
+                m.launch(gpu.stream("h"), own.make_member(lead, occupancy=0.2), 1.0)
+
+        def look():
+            waiting.append([
+                (crun.op.name, sorted(crun.members), crun.started)
+                for crun in m._collectives.values()
+            ])
+
+        m.engine.schedule(10.0, look)
+
+    rows, seen, completed, m = _whole_group_pair(4, build, mirror=[0, 1, 2])
+    assert m.groups == ((0, 1, 2), (3,))
+    # The mirrored arm, then the per-rank arm, at t=10.
+    assert waiting == [
+        [("ar", [0, 1, 2], False)],
+        [("ar", [0, 1, 2], False), ("own", [0, 1, 2], True)],
+    ]
+    assert [(r[0], r[2], r[4], r[5]) for r in rows] == [
+        (0, "ar@g0", 0.0, 25.0), (1, "ar@g1", 0.0, 25.0),
+        (2, "ar@g2", 0.0, 25.0), (3, "ar@g3", 20.0, 25.0),
+        (0, "own@g0", 1.0, 25.0), (1, "own@g1", 1.0, 25.0),
+        (2, "own@g2", 1.0, 25.0),
+    ]
+    assert seen == [("ar", 25.0)] * 4 + [("own", 25.0)] * 3 and completed == 7
 
 
 def test_blocked_follower_names_its_own_event():
