@@ -21,12 +21,9 @@ Per the paper, the communication subset is launched first within a round.
 
 Every rank runs the same commands, so the runtime declares all of them one
 group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issues each round
-once per group, on the group lead's streams.  Under HYBRID, GPU 0 alone
-records the pre-kick event: a command for rank 0 only, whose cost puts rank
-0's launcher cursor ahead of the others'.  The machine splits rank 0 off
-only at an instant where that lag changes its timeline, and the runtime
-merges the groups back at a round start once they are quiescent with equal
-cursors.
+once per group, on the group lead's streams.  Under HYBRID every rank
+records its own pre-kick event, as each of the prototype's per-GPU
+launchers does; the chain advances on the first group's (GPU 0's).
 """
 
 from __future__ import annotations
@@ -106,12 +103,9 @@ class LigerRuntime:
             g: machine.gpu(g).stream("liger_s1", priority=1) for g in self._gpus
         }
         machine.mirror_ranks(self._gpus)
-        # End-of-round events per rank for cross-stream gating: a group's
-        # ranks share its lead's, and a split gives the ranks it moves
-        # their own copies.
-        self._prev_end0: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
-        self._prev_end1: Dict[int, Optional[CudaEvent]] = {g: None for g in self._gpus}
-        machine.on_split(self._follow_split)
+        # End-of-round events per group lead for cross-stream gating.
+        self._prev_end0: Dict[int, CudaEvent] = {}
+        self._prev_end1: Dict[int, CudaEvent] = {}
         self._chain_active = False
         # Serving-side accounting hooks: (batch_id, n_kernels) / (batch_id, t).
         self._on_batch_launched = on_batch_launched or (lambda bid, n: None)
@@ -143,20 +137,8 @@ class LigerRuntime:
         """
         if not self._chain_active and self.scheduler.has_work:
             self.host.catch_up()
-            self.machine.merge_groups(self.host.cursors)
             self._chain_active = True
             self._advance()
-
-    def _follow_split(
-        self, ranks: Tuple[int, ...], events: Dict[CudaEvent, CudaEvent]
-    ) -> None:
-        """The ranks a split moved wait on their own copies of the end
-        events still pending."""
-        for prev in (self._prev_end0, self._prev_end1):
-            for r in ranks:
-                event = prev[r]
-                if event is not None:
-                    prev[r] = events.get(event, event)
 
     # ------------------------------------------------------------------
     # The round chain
@@ -281,10 +263,10 @@ class LigerRuntime:
             # Cross-stream gating: round k+1 starts only after BOTH streams
             # finished round k (each stream's own FIFO covers itself).
             if inter_stream_gating:
-                prev1 = self._prev_end1[g]
+                prev1 = self._prev_end1.get(g)
                 if prev1 is not None:
                     self.host.wait_event(s0, prev1)
-                prev0 = self._prev_end0[g]
+                prev0 = self._prev_end0.get(g)
                 if prev0 is not None and round_.subset1:
                     self.host.wait_event(s1, prev0)
 
@@ -292,15 +274,13 @@ class LigerRuntime:
                 stream = s0 if which == 0 else s1
                 for idx, kernels in enumerate(kernel_maps):
                     kern = kernels[g]
-                    # HYBRID pre-kick: GPU 0's, before the last primary kernel.
-                    if (
-                        pre_kick
-                        and which == 0
-                        and idx == len(kernel_maps) - 1
-                        and g == 0
-                    ):
-                        pre_kick_event = CudaEvent(f"prekick_r{round_.index}")
-                        self.host.record_event(stream, pre_kick_event, ranks=(0,))
+                    # HYBRID pre-kick: every rank's, before the last primary
+                    # kernel; GPU 0's drives the chain.
+                    if pre_kick and which == 0 and idx == len(kernel_maps) - 1:
+                        event = CudaEvent(f"prekick_r{round_.index}@g{g}")
+                        self.host.record_event(stream, event)
+                        if pre_kick_event is None:
+                            pre_kick_event = event
                     self.host.launch_kernel(stream, kern)
 
             e0 = CudaEvent(f"r{round_.index}_end0@g{g}")
@@ -309,10 +289,9 @@ class LigerRuntime:
             if round_.subset1:
                 e1 = CudaEvent(f"r{round_.index}_end1@g{g}")
                 self.host.record_event(s1, e1)
-            for r in group:
-                self._prev_end0[r] = e0
-                if e1 is not None:
-                    self._prev_end1[r] = e1
+            self._prev_end0[g] = e0
+            if e1 is not None:
+                self._prev_end1[g] = e1
             end_events[g] = (e0, e1)
 
         if pre_kick:

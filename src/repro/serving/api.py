@@ -127,7 +127,7 @@ def serve(
 
     ``overload`` (a :class:`~repro.serving.overload.OverloadConfig`) arms
     admission control, deadline enforcement, and KV-cache accounting in
-    front of the strategy; ``deadline_us`` stamps every request with an
+    front of the strategy; ``deadline_us`` gives every request an
     arrival-relative deadline (it implies a default ``OverloadConfig``
     when ``overload`` is not given).
 

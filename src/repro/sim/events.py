@@ -84,26 +84,6 @@ class CudaEvent:
             )
         self._host_waiters.append((delay, callback))
 
-    def copy_for(
-        self, name: str, resume: Callable[[], None], copy_resume: Callable[[], None]
-    ) -> "CudaEvent":
-        """An unrecorded copy named ``name`` whose stream waiters are this
-        event's ``resume`` waiters, each registered as ``copy_resume``.
-
-        The machine makes one when it splits a rank group: the ranks that
-        leave get their own copy of each of the group's pending events.  An
-        event some other device or the host waits on stands for ranks the
-        copy cannot tell apart, so copying it is a protocol error.
-        """
-        if self._host_waiters or any(w is not resume for w in self._stream_waiters):
-            raise StreamProtocolError(
-                f"{self.name}: cannot copy an event with outside waiters to a "
-                "split rank group"
-            )
-        copy = CudaEvent(name)
-        copy._stream_waiters = [copy_resume] * len(self._stream_waiters)
-        return copy
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------

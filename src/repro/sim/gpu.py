@@ -24,8 +24,7 @@ depends on:
   member, at the rate of the most-contended member, and all members finish at
   the same instant.  A member admitted on a rank group that holds every
   participant completes the rendezvous by itself: it starts at admission and
-  progresses like a local kernel, and becomes a rendezvous only if a split
-  parts its group.
+  progresses like a local kernel.
 
 One :class:`Machine` owns all GPUs of a node so that cross-device state
 (collectives, the single completion timer) has a single coordinator.
@@ -34,11 +33,9 @@ One :class:`Machine` owns all GPUs of a node so that cross-device state
 from __future__ import annotations
 
 import itertools
-import math
-from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -46,7 +43,7 @@ from repro.sim.contention import ContentionModel, DefaultContention
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import CollectiveOp, Kernel
-from repro.sim.stream import _NEVER, Command, CommandKind, Stream, _fast_command
+from repro.sim.stream import Command, CommandKind, Stream, _fast_command
 from repro.sim.tracing import Trace
 
 __all__ = ["Machine", "Gpu", "rank_name"]
@@ -141,10 +138,8 @@ class Gpu:
     and its *lead*: work for the group is issued to the lead's streams, and
     its ready set, resident set and occupancy stand for every rank in
     ``ranks``.  A follower rank keeps its own streams, which are never
-    issued to; its ``device`` is the lead, its ``lane`` is its index in the
-    lead's ``ranks`` and its own ``ranks`` is empty.  An undeclared rank is
-    a one-rank group: its own device, lane 0.  A split makes a follower the
-    lead of its own group, and a merge makes a lead a follower again.
+    issued to; its ``device`` is the lead and its own ``ranks`` is empty.
+    An undeclared rank is a one-rank group, its own device.
     """
 
     def __init__(self, gpu_id: int, machine: "Machine") -> None:
@@ -164,7 +159,6 @@ class Gpu:
         self.dirty = False
         self.device: Gpu = self
         self.ranks: Tuple[int, ...] = (gpu_id,)
-        self.lane = 0
 
     def stream(self, name: str, priority: int = 0) -> Stream:
         """Get-or-create the stream named ``name`` on this device.
@@ -196,7 +190,7 @@ class Gpu:
                     f"at position {position} on its mirror lead GPU "
                     f"{lead.gpu_id}"
                 )
-            _link(lead.streams[position], s, self.lane)
+            s.lead = lead.streams[position]
         self.streams.append(s)
         return s
 
@@ -212,66 +206,6 @@ class Gpu:
 
 def _layout(stream: Stream) -> Tuple[str, int]:
     return stream.name, stream.priority
-
-
-def _quiescent(device: Gpu, now: float) -> bool:
-    return not device.ready and not device.resident and all(
-        not s.queue
-        and s.running_kernel is None
-        and s.blocked_on_event is None
-        and s.avail_pump_at <= now
-        for s in device.streams
-    )
-
-
-def _others_head(queue) -> Optional[Command]:
-    """The head the ranks outside a head command's ``ranks`` see: the
-    first later command that is not for those ranks alone."""
-    ranks = set(queue[0].ranks)
-    return next(
-        (
-            c
-            for c in itertools.islice(queue, 1, None)
-            if c.ranks is None or not set(c.ranks) <= ranks
-        ),
-        None,
-    )
-
-
-def _view_pump_at(queue) -> float:
-    """When a pump must next look at a head no rank can pop yet."""
-    head = queue[0]
-    if head.ranks is not None:
-        others = _others_head(queue)
-        if others is not None and others.pump_at < head.pump_at:
-            return others.pump_at
-    return head.pump_at
-
-
-def _restamp(cmd: Command, ranks: Tuple[int, ...], group: Tuple[int, ...]) -> None:
-    """Narrow ``cmd`` to ``ranks``, the ones it runs on in ``group``: its
-    stamp becomes the earliest of theirs, ``stamps`` keeps those later."""
-    stamps = cmd.stamps
-    if stamps is not None:
-        own = {r: stamps[r] for r in ranks if r in stamps}
-        if len(own) == len(ranks):
-            at = cmd.available_at = min(own.values())
-            # The arithmetic submit stamps ``pump_at`` with.
-            delay = at - cmd.submitted_at
-            cmd.pump_at = cmd.submitted_at + delay if delay > _EPS else cmd.submitted_at
-            own = {r: t for r, t in own.items() if t != at}
-        stamps = cmd.stamps = own or None
-    if len(ranks) < len(group):
-        cmd.ranks = ranks
-        cmd.lag_at = math.inf
-    else:
-        cmd.ranks = None
-        cmd.lag_at = _NEVER if stamps is None else max(stamps.values())
-
-
-def _link(lead: Stream, follower: Stream, lane: int) -> None:
-    follower.lead = lead
-    follower.lane = lane
 
 
 def rank_name(name: str, rank: int, lead: int) -> str:
@@ -331,21 +265,9 @@ class Machine:
         #: The rank groups, in lead-rank order: the unit work is issued in.
         #: Each group's first rank is its lead.  One-rank groups unless
         #: :meth:`mirror_ranks` declared otherwise and no fault injector is
-        #: armed, e.g. ``((0, 1, 2, 3),)``; a split may part a declared
-        #: group into consecutive runs, e.g. ``((0,), (1, 2, 3))``.
+        #: armed, e.g. ``((0, 1, 2, 3),)``.
         self.groups: Tuple[Tuple[int, ...], ...] = ()
         self._regroup()
-        #: The declared rank sets: a split group merges back only within one.
-        self._mirror_sets: List[Tuple[int, ...]] = []
-        #: Groups split off and merged back so far.
-        self.group_splits = 0
-        self.group_merges = 0
-        #: ``(device, stream position, progressed)`` of each group a split
-        #: made during the current pump: its sweep goes on from there.
-        self._split_off: List[Tuple[Gpu, int, bool]] = []
-        self._split_observers: List[
-            Callable[[Tuple[int, ...], Dict[CudaEvent, CudaEvent]], None]
-        ] = []
         #: Set once a command reaches a multi-rank group; faults can no
         #: longer be armed after that.
         self._mirrored = False
@@ -353,8 +275,7 @@ class Machine:
         self._ready_seq = itertools.count()
         #: First-admission numbers of collectives, whole-group or rendezvous.
         self._admit_seq = itertools.count()
-        #: In-flight rendezvous collectives by op.  A split may add one out
-        #: of first-admission order; completion goes by ``admit_seq``.
+        #: In-flight rendezvous collectives by op, in first-admission order.
         self._collectives: Dict[CollectiveOp, _CollectiveRun] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
         #: steady-state decode re-creates the same resident shapes with fresh
@@ -408,19 +329,12 @@ class Machine:
         The ranks become one group in :attr:`groups`, led by the lowest
         rank.  Work for the group is issued once, to the lead's streams:
         one kernel (named for the lead, e.g. ``qkv_b3@g0``), one event per
-        record or wait, one command.  A command carries each rank's own
-        launcher stamp (``Command.stamps``) and may run on some of the
-        ranks only (``Command.ranks``).  Issuing to a follower's stream
+        record or wait, one command, which runs on every rank of the group
+        at the lead's launcher stamp.  Issuing to a follower's stream
         raises :class:`~repro.errors.SimulationError`.  The lead's device
         state pumps, admits, prices contention and banks progress for the
-        group.
-
-        Groups are regrouped, never approximated.  The pump pops a command
-        only when every rank of the group would pop it at that instant;
-        when some rank could and another could not, the group splits there
-        into runs of consecutive ranks, each with an exact copy of the
-        group's state (:attr:`group_splits`).  :meth:`merge_groups` joins
-        quiescent runs back (:attr:`group_merges`).
+        group.  Every rank issues every command, so the ranks' launcher
+        cursors, and with them their timelines, never differ.
 
         Per-rank results are kept.  :attr:`kernels_completed` counts every
         rank.  The trace gets one row per rank, in rank order, each named
@@ -461,16 +375,7 @@ class Machine:
                 )
         lead.ranks = tuple(ranks)
         self._relink(lead)
-        self._mirror_sets.append(lead.ranks)
         self._regroup()
-
-    def on_split(
-        self, fn: Callable[[Tuple[int, ...], Dict[CudaEvent, CudaEvent]], None]
-    ) -> None:
-        """Register ``fn(ranks, events)``, called when a split moves
-        ``ranks`` to a group of their own.  ``events`` maps each pending
-        event of the old group to the copy those ranks use from then on."""
-        self._split_observers.append(fn)
 
     def arm_fault_injector(self, injector) -> None:
         """Attach a fault injector, simulating every rank on its own.
@@ -486,7 +391,6 @@ class Machine:
         for g in self.gpus:
             g.ranks = (g.gpu_id,)
             self._relink(g)
-        self._mirror_sets = []
         self._regroup()
         self.fault_injector = injector
 
@@ -496,18 +400,16 @@ class Machine:
 
     def _relink(self, device: Gpu) -> None:
         """Make ``device`` the lead of the ranks in its ``ranks``."""
-        for lane, rank in enumerate(device.ranks):
+        for rank in device.ranks:
             g = self.gpus[rank]
             g.device = device
-            g.lane = lane
             if g is device:
                 for s in g.streams:
                     s.lead = None
-                    s.lane = 0
             else:
                 g.ranks = ()
                 for lead_stream, stream in zip(device.streams, g.streams):
-                    _link(lead_stream, stream, lane)
+                    stream.lead = lead_stream
 
     # ------------------------------------------------------------------
     # Command submission (host side)
@@ -525,8 +427,8 @@ class Machine:
         no-ops removed from the event stream.
 
         A command on a mirrored group's lead stream runs for every rank of
-        the group, or for its ``ranks``; a follower rank's stream takes no
-        commands (see :meth:`mirror_ranks`).
+        the group; a follower rank's stream takes no commands (see
+        :meth:`mirror_ranks`).
         """
         lead = stream.lead
         if lead is not None:
@@ -544,7 +446,7 @@ class Machine:
             or stream.blocked_on_event is not None
         )
         stream.queue.append(command)
-        now = command.submitted_at = self.engine.now
+        now = self.engine.now
         delay = command.available_at - now
         if delay <= _EPS:
             command.pump_at = now
@@ -642,7 +544,7 @@ class Machine:
         if self._pump(self.gpus[gpu_id]):
             self._reschedule()
 
-    def _pump(self, gpu: Gpu, start: int = 0, progressed: bool = False) -> bool:
+    def _pump(self, gpu: Gpu) -> bool:
         """Advance every stream on ``gpu`` as far as dependencies allow.
 
         The sweep processes at most one command per stream per pass — the
@@ -650,20 +552,16 @@ class Machine:
         with it same-instant admission order) follows pop order.  Returns
         whether a kernel was admitted; rescheduling is the caller's job
         (see :meth:`_reschedule`).  On a mirrored device each retired
-        command stands for every rank it runs on.
-
-        A group split off during the sweep is pumped after ``gpu``, from
-        the stream position ``start`` of the pass that has ``progressed``
-        so far where it split: the per-rank run pumps its ranks in rank
-        order.
+        command stands for every rank of the group.
         """
         now = self.engine.now
         threshold = now + _EPS
         streams = gpu.streams
         kick = self._kick_pump_fns[gpu.gpu_id]
-        sweep = streams[start:] if start else streams
-        while True:
-            for stream in sweep:
+        progressed = True
+        while progressed:
+            progressed = False
+            for stream in streams:
                 if stream.running_kernel is not None:
                     continue
                 blocked = stream.blocked_on_event
@@ -681,13 +579,6 @@ class Machine:
                     # (the eager submit-time pump is elided for busy streams).
                     self._schedule_avail_pump(stream, cmd.pump_at)
                     continue
-                if cmd.lag_at > threshold:
-                    # Some rank of the group sees this head differently.
-                    cmd, progressed = self._settle_head(
-                        gpu, stream, threshold, progressed
-                    )
-                    if cmd is None:
-                        continue
                 queue.popleft()
                 kind = cmd.kind
                 if kind is _LAUNCH:
@@ -711,281 +602,7 @@ class Machine:
                     else:
                         stream.blocked_on_event = event
                         event.add_stream_waiter(kick)
-            if not progressed:
-                break
-            progressed = False
-            sweep = streams
-        admitted = self._try_admit(gpu)
-        pending = self._split_off
-        while pending:
-            entry = min(pending, key=lambda e: e[0].gpu_id)
-            pending.remove(entry)
-            if self._pump(*entry):
-                admitted = True
-        return admitted
-
-    def _settle_head(
-        self, gpu: Gpu, stream: Stream, threshold: float, progressed: bool
-    ) -> Tuple[Optional[Command], bool]:
-        """Resolve a head command that some rank of ``gpu``'s group sees
-        differently: it is stamped later for some ranks, or runs on some
-        ranks only.
-
-        Returns the command the whole group pops now, or None, and the
-        pass's ``progressed``.  A command for some ranks only is a record
-        (the HYBRID pre-kick): when all of them can pop it, it is popped
-        here, for them, and the group goes on to the next head, which the
-        other ranks already see.  That pops the next head one pass earlier
-        than the popping ranks' own sweep would, so it is done only where the
-        pass order cannot show: the stream's priority is its device's alone
-        and the next command is a launch.  Whenever some rank could
-        advance and another could not, the group splits here (see
-        :meth:`_split`) and ``gpu`` goes on with its lead's run.
-        """
-        queue = stream.queue
-        while queue:
-            cmd = queue[0]
-            ranks = cmd.ranks
-            if ranks is None:
-                if cmd.available_at > threshold:
-                    self._schedule_avail_pump(stream, cmd.pump_at)
-                    return None, progressed
-                if cmd.lag_at <= threshold:
-                    return cmd, progressed
-                lagging = {r for r, at in cmd.stamps.items() if at > threshold}
-                self._split(gpu, stream, lagging, progressed)
-                continue
-            stamps = cmd.stamps
-            ready = cmd.available_at <= threshold and (
-                stamps is None or max(stamps.values()) <= threshold
-            )
-            if (
-                ready
-                and cmd.kind is _RECORD_EVENT
-                and (len(queue) == 1 or queue[1].kind is _LAUNCH)
-                and sum(s.priority == stream.priority for s in gpu.streams) == 1
-            ):
-                queue.popleft()
-                cmd.event.record(
-                    self.engine.now, self._deferred, self._kick_pump_fns[gpu.gpu_id]
-                )
-                progressed = True
-                continue
-            others = _others_head(queue)
-            if cmd.available_at <= threshold or (
-                others is not None and others.available_at <= threshold
-            ):
-                self._split(gpu, stream, set(ranks), progressed)
-                continue
-            self._schedule_avail_pump(stream, _view_pump_at(queue))
-            return None, progressed
-        return None, progressed
-
-    # ------------------------------------------------------------------
-    # Regrouping: exact splits and merges of a declared rank group
-    # ------------------------------------------------------------------
-    def _split(
-        self, gpu: Gpu, stream: Stream, marked: Set[int], progressed: bool
-    ) -> None:
-        """Split ``gpu``'s group into runs of consecutive ranks, all in
-        ``marked`` or all not, at ``stream``'s position of the current pass.
-
-        The run holding the lead stays on ``gpu``; each other run becomes
-        a group of its own, which :meth:`_pump` pumps from the same
-        position once ``gpu``'s sweep is done.
-        """
-        runs: List[List[int]] = []
-        last = None
-        for rank in gpu.ranks:
-            flag = rank in marked
-            if flag != last:
-                runs.append([])
-                last = flag
-            runs[-1].append(rank)
-        position = gpu.streams.index(stream)
-        for run in runs[1:]:
-            device = self._split_group(gpu, tuple(run))
-            self._split_off.append((device, position, progressed))
-
-    def _split_group(self, gpu: Gpu, part: Tuple[int, ...]) -> Gpu:
-        """Move the ranks ``part`` of ``gpu``'s group to a group of their
-        own, led by ``part[0]``, and return its device.
-
-        The new group gets exactly the state each of its ranks holds in the
-        per-rank run at this instant: every queued command that runs on
-        one of its ranks, with those ranks' stamps; the ready and resident
-        run states with their progress, in the same order and with the same
-        ``ready_seq``; the running kernel and blocked event of every
-        stream; its ranks' places in in-flight collectives, where a resident
-        collective of the whole group becomes a rendezvous of the two
-        groups; and the device occupancy.  A kernel or pending event both
-        groups need is copied and renamed for the new lead by
-        :func:`rank_name`; split observers learn the event copies.  A
-        command or event for ``part``'s ranks alone moves as it is.
-        """
-        lead, new_lead = gpu.gpu_id, part[0]
-        device = self.gpus[new_lead]
-        members = set(part)
-        keep = tuple(r for r in gpu.ranks if r not in members)
-        kernels: Dict[Kernel, Kernel] = {}
-        events: Dict[CudaEvent, CudaEvent] = {}
-        kick, new_kick = self._kick_pump_fns[lead], self._kick_pump_fns[new_lead]
-        threshold = self.engine.now + _EPS
-
-        def kernel_for(kernel: Kernel) -> Kernel:
-            copy = kernels.get(kernel)
-            if copy is None:
-                copy = kernels[kernel] = replace(
-                    kernel,
-                    name=rank_name(kernel.name, new_lead, lead),
-                    meta=dict(kernel.meta),
-                )
-            return copy
-
-        def event_for(event: CudaEvent) -> CudaEvent:
-            if event.is_recorded:
-                return event
-            copy = events.get(event)
-            if copy is None:
-                copy = events[event] = event.copy_for(
-                    rank_name(event.name, new_lead, lead), kick, new_kick
-                )
-            return copy
-
-        stream_map: Dict[Stream, Stream] = {}
-        for old, new in zip(gpu.streams, device.streams):
-            stream_map[old] = new
-            kept: List[Command] = []
-            moved: deque = deque()
-            for cmd in old.queue:
-                ranks = cmd.ranks
-                mine = part if ranks is None else tuple(r for r in ranks if r in members)
-                theirs = keep if ranks is None else tuple(
-                    r for r in ranks if r not in members
-                )
-                if mine:
-                    copy = cmd
-                    if theirs:
-                        copy = _fast_command(
-                            cmd.kind,
-                            cmd.available_at,
-                            None if cmd.kernel is None else kernel_for(cmd.kernel),
-                            None if cmd.event is None else event_for(cmd.event),
-                        )
-                        copy.pump_at = cmd.pump_at
-                        copy.submitted_at = cmd.submitted_at
-                        copy.stamps = cmd.stamps
-                    _restamp(copy, mine, part)
-                    moved.append(copy)
-                if theirs:
-                    _restamp(cmd, theirs, keep)
-                    kept.append(cmd)
-            # In place: the sweep that split holds the old deque.
-            old.queue.clear()
-            old.queue.extend(kept)
-            new.queue = moved
-            running = old.running_kernel
-            new.running_kernel = None if running is None else kernel_for(running)
-            blocked = old.blocked_on_event
-            new.blocked_on_event = None if blocked is None else event_for(blocked)
-            # The group's pending availability pumps pump the old device.
-            new.avail_pump_at = -1.0
-            if moved and new.running_kernel is None and new.blocked_on_event is None:
-                if moved[0].available_at > threshold:
-                    self._schedule_avail_pump(new, _view_pump_at(moved))
-
-        states: Dict[int, _RunState] = {}
-
-        def state_for(rs: _RunState) -> _RunState:
-            copy = states.get(id(rs))
-            if copy is None:
-                copy = states[id(rs)] = _ready_state(
-                    kernel_for(rs.kernel), new_lead, stream_map[rs.stream],
-                    rs.ready_seq, rs.ready_at,
-                )
-                copy.start_at = rs.start_at
-                copy.remaining = rs.remaining
-                copy.slowdown = rs.slowdown
-                copy.contention = rs.contention
-            return copy
-
-        device.ready = [state_for(rs) for rs in gpu.ready]
-        device.resident = {}
-        for rs in gpu.resident.values():
-            copy = state_for(rs)
-            device.resident[copy.kernel] = copy
-        device.active_local = {}
-        for rs in gpu.active_local.values():
-            copy = state_for(rs)
-            device.active_local[copy.kernel] = copy
-        device.used_occupancy = gpu.used_occupancy
-        device.dirty = gpu.dirty
-        for crun in self._collectives.values():
-            by_rank = crun.members
-            for rank in part:
-                rs = by_rank.get(rank)
-                if rs is not None:
-                    by_rank[rank] = state_for(rs)
-        # A resident whole-group collective becomes a rendezvous over the
-        # two parts' states, with its progress and first-admission place.
-        for rs in list(gpu.active_local.values()):
-            kernel = rs.kernel
-            coll = kernel.collective
-            if coll is None:
-                continue
-            copy = state_for(rs)
-            del gpu.active_local[kernel]
-            del device.active_local[copy.kernel]
-            self._collectives[coll] = _CollectiveRun(
-                op=coll,
-                members={r: copy if r in members else rs for r in gpu.ranks},
-                started_at=rs.start_at,
-                remaining=rs.remaining,
-                slowdown=rs.slowdown,
-                admit_seq=rs.admit_seq,
-            )
-
-        gpu.ranks = keep
-        device.ranks = part
-        self._relink(gpu)
-        self._relink(device)
-        self._regroup()
-        self.group_splits += 1
-        for fn in self._split_observers:
-            fn(part, events)
-        return device
-
-    def merge_groups(self, cursors: Sequence[float]) -> None:
-        """Merge back adjacent groups of one declared rank set that are
-        quiescent and whose ranks' launcher ``cursors`` are all equal.
-
-        Quiescent means nothing is queued, running, blocked, ready or
-        resident — and so in no collective — no availability pump is still
-        to fire, and the occupancy left by released kernels is the same on
-        both, so each rank's state is what a fresh group would hold.
-        """
-        if self.group_merges == self.group_splits:
-            return  # every declared group is whole
-        now = self.engine.now
-        for declared in self._mirror_sets:
-            devices = [g for g in self._devices if g.gpu_id in declared]
-            i = 0
-            while i + 1 < len(devices):
-                a, b = devices[i], devices[i + 1]
-                ranks = a.ranks + b.ranks
-                if (
-                    a.used_occupancy == b.used_occupancy
-                    and _quiescent(a, now)
-                    and _quiescent(b, now)
-                    and len({cursors[r] for r in ranks}) == 1
-                ):
-                    a.ranks = ranks
-                    self._relink(a)
-                    self._regroup()
-                    self.group_merges += 1
-                    del devices[i + 1]
-                else:
-                    i += 1
+        return self._try_admit(gpu)
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
         """Deferred-call hook handed to CudaEvent.record."""

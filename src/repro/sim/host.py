@@ -9,7 +9,7 @@ groups while one kernel is still running, hiding this entirely.
 
 The prototype runs under MPI (`mpirun -np 4 ./main`): each GPU has its own
 host *rank* issuing launches, so the :class:`Host` keeps **one CPU cursor per
-GPU**.  A launch advances only its GPU's cursor and stamps the resulting time
+GPU**.  A launch advances only its GPU's cursor and takes the resulting time
 as the command's ``available_at``; the GPU sees the command only from then
 on.  If the GPU is still busy past that time the overhead is hidden — the
 asynchronous-launch semantics the hybrid approach exploits.
@@ -17,16 +17,14 @@ asynchronous-launch semantics the hybrid approach exploits.
 Ranks that run the same command sequence form one group of the machine
 (:meth:`~repro.sim.gpu.Machine.mirror_ranks`).  A group's commands are
 issued once, to its lead rank's streams, and each one advances the cursor
-of every rank it runs on by its cost, as that rank's own issue would.  A
-command stamps each rank with its own cursor; the machine splits the group
-the moment those stamps would make its ranks' timelines differ.  Cursors
-move only together: the host catches every rank up at once, never one.
+of every rank in the group by its cost, as that rank's own issue would.
+Every rank issues every command and the host catches every rank up at
+once, so a group's cursors never differ: a command carries its lead's.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional
 
 from repro.sim.events import CudaEvent
 from repro.sim.gpu import Machine
@@ -94,64 +92,31 @@ class Host:
         kind: CommandKind,
         kernel: Optional[Kernel] = None,
         event: Optional[CudaEvent] = None,
-        ranks: Optional[Tuple[int, ...]] = None,
     ) -> float:
-        """Issue one command for ``ranks`` of ``stream``'s rank group (all of
-        them by default), advancing each rank's cursor by ``cost``.
+        """Issue one command on ``stream``, advancing the cursor of every
+        rank in its rank group by ``cost``.
 
-        The command is stamped with the earliest resulting cursor; a rank
-        further on is stamped in ``Command.stamps``.  Returns the cursor
-        of ``stream``'s rank.  A follower's stream has no group of its own,
-        so nothing advances and the machine rejects the command.
+        The command is stamped with the lead rank's cursor, which is
+        returned.  A follower's stream has no group of its own, so nothing
+        advances and the machine rejects the command.
         """
         cursors = self.cursors
         group = self.machine.gpus[stream.gpu_id].ranks
         if kind is _LAUNCH:
             self.launches_issued += len(group)
-        if not group:
-            # A follower's stream: the machine rejects the command.
-            self.machine.submit(stream, _fast_command(kind, 0.0, kernel, event))
-        issuers = group if ranks is None or ranks == group else ranks
-        low = high = cursors[issuers[0]] + cost
-        for rank in issuers:
-            t = cursors[rank] + cost
-            cursors[rank] = t
-            if t != low:
-                if t < low:
-                    low = t
-                elif t > high:
-                    high = t
-        cmd = _fast_command(kind, low, kernel, event)
-        if high != low:
-            cmd.stamps = {
-                rank: cursors[rank] for rank in issuers if cursors[rank] != low
-            }
-            cmd.lag_at = high
-        if issuers is not group:
-            cmd.ranks = issuers
-            cmd.lag_at = math.inf
-        self.machine.submit(stream, cmd)
-        return cursors[stream.gpu_id]
+        for rank in group:
+            cursors[rank] += cost
+        at = cursors[stream.gpu_id]
+        self.machine.submit(stream, _fast_command(kind, at, kernel, event))
+        return at
 
     def launch_kernel(self, stream: Stream, kernel: Kernel) -> float:
         """Issue one kernel launch; returns its availability time."""
         return self._issue(stream, self.launch_overhead, _LAUNCH, kernel)
 
-    def record_event(
-        self,
-        stream: Stream,
-        event: CudaEvent,
-        *,
-        ranks: Optional[Tuple[int, ...]] = None,
-    ) -> float:
-        """Issue an event-record command.
-
-        ``ranks`` limits it to some ranks of ``stream``'s group (HYBRID's
-        pre-kick is GPU 0's alone); only those ranks' cursors pay for it.
-        """
-        return self._issue(
-            stream, EVENT_CMD_OVERHEAD, _RECORD_EVENT, event=event, ranks=ranks
-        )
+    def record_event(self, stream: Stream, event: CudaEvent) -> float:
+        """Issue an event-record command."""
+        return self._issue(stream, EVENT_CMD_OVERHEAD, _RECORD_EVENT, event=event)
 
     def wait_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue a stream-wait command (inter-stream sync, no CPU blocking)."""

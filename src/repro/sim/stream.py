@@ -13,10 +13,8 @@ exposing launch overhead exactly when the paper says it is exposed (a GPU
 that drained its queue waits for the CPU; §4.5).
 
 A command issued to a rank group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`)
-runs on every rank of the group, each at its own launcher's stamp:
-``available_at`` is the earliest, and ``stamps`` holds the ranks whose
-launcher cursor was further on.  A command for only some of the group's
-ranks names them in ``ranks``.
+runs on every rank of the group at one ``available_at``: the group's ranks
+issue the same commands, so their launcher cursors never differ.
 """
 
 from __future__ import annotations
@@ -24,15 +22,13 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import Kernel
 
 __all__ = ["CommandKind", "Command", "Stream"]
-
-_NEVER = -1.0
 
 
 class CommandKind(enum.Enum):
@@ -55,19 +51,6 @@ class Command:
     #: scheduled lazily (when the command is first seen waiting at its
     #: stream's head) fires at the bit-identical time.
     pump_at: float = 0.0
-    #: Ranks of the group whose stamp is later than ``available_at``: rank
-    #: → that rank's ``available_at``.  None when every rank shares one.
-    stamps: Optional[Dict[int, float]] = None
-    #: The ranks the command runs on when they are not its whole group
-    #: (None: every rank of the group).
-    ranks: Optional[Tuple[int, ...]] = None
-    #: The pump's one-comparison test for a command some rank sees
-    #: differently: the latest rank's stamp when ``stamps`` is set, +inf
-    #: when ``ranks`` is, and -1 otherwise.
-    lag_at: float = _NEVER
-    #: The instant the machine received the command: a rank's own
-    #: ``pump_at`` follows from its stamp with the arithmetic above.
-    submitted_at: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind is CommandKind.LAUNCH and self.kernel is None:
@@ -90,9 +73,6 @@ def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
     cmd.kernel = kernel
     cmd.event = event
     cmd.pump_at = 0.0
-    cmd.stamps = None
-    cmd.ranks = None
-    cmd.lag_at = _NEVER
     return cmd
 
 
@@ -127,9 +107,8 @@ class Stream:
         # Rank mirroring, owned by the machine (see Machine.mirror_ranks).
         # A *follower* stream is never issued to: ``lead`` is the
         # same-position stream of its group's lowest rank, which runs the
-        # group's commands, and ``lane`` its index among the group's ranks.
+        # group's commands.
         self.lead: Optional["Stream"] = None
-        self.lane = 0
 
     # ------------------------------------------------------------------
     @property

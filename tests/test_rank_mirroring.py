@@ -2,12 +2,11 @@
 
 The Intra-Op strategy and the Liger runtime declare their symmetric ranks
 (:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issue one kernel, event
-and command per rank group.  The machine splits a group the moment its
-ranks' timelines would differ (HYBRID's pre-kick puts GPU 0's launcher
-behind) and merges it back once quiescent.  An armed fault injector turns
-the declaration off, so an armed *empty* :class:`FaultPlan` is the per-rank
-reference arm: every test here compares the mirrored run with it row for
-row, and completion for completion.
+and command per rank group.  Every rank issues every command (HYBRID's
+pre-kick included), so a declared group stays whole.  An armed fault
+injector turns the declaration off, so an armed *empty* :class:`FaultPlan`
+is the per-rank reference arm: every test here compares the mirrored run
+with it row for row, and completion for completion.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from repro.serving.request import Batch, Phase, Request
 from repro.serving.server import Server
 from repro.serving.workload import general_trace
 from repro.sim import CudaEvent, Engine, Host, Kernel, KernelKind, Machine, Trace
-from repro.sim.contention import DefaultContention, NullContention
+from repro.sim.contention import NullContention
 from repro.sim.kernel import CollectiveKind, CollectiveOp
 from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
 
@@ -42,6 +41,17 @@ def _completions(metrics):
 
 def _mirrored(machine) -> bool:
     return any(len(group) > 1 for group in machine.groups)
+
+
+def _groups_seen(machine):
+    """The set of ``machine.groups`` values seen at its kernel completions,
+    filled as the run goes."""
+    seen = set()
+    machine.on_kernel_complete(lambda k, t, ranks: seen.add(machine.groups))
+    return seen
+
+
+_WHOLE = {((0, 1, 2, 3),)}
 
 
 def _host_counts(srv):
@@ -84,7 +94,7 @@ def test_golden_scenarios_match_per_rank_run(server, strategy):
 
 def _serve_pair(model, node, liger_config, num_requests, *, rate=60.0):
     """The mirrored and per-rank runs' rows, completions and host counts,
-    and the mirrored run's machine."""
+    and the mirrored run's groups at its kernel completions."""
     runs = []
     for plan in (None, FaultPlan()):
         reset_batch_ids()
@@ -93,24 +103,16 @@ def _serve_pair(model, node, liger_config, num_requests, *, rate=60.0):
             model, node, strategy, record_trace=True, check_memory=False,
             fault_plan=plan,
         )
+        if plan is None:
+            groups = _groups_seen(srv.machine)
         result = srv.run(general_trace(num_requests, rate, 2, seed=0))
         runs.append(
             (normalized_rows(result.trace), _completions(result.metrics),
              _host_counts(srv))
         )
-        # A split leaves GPUs 1-3 one group, so the mirrored arm stays
-        # mirrored to the end.
         assert _mirrored(srv.machine) is (plan is None)
-        if plan is None:
-            machine = srv.machine
-        else:
-            assert srv.machine.group_splits == 0
     mirrored, per_rank = runs
-    return mirrored, per_rank, machine
-
-
-def _regrouped(machine) -> bool:
-    return machine.group_splits > 0 and machine.group_merges > 0
+    return mirrored, per_rank, groups
 
 
 _OPT = OPT_30B.scaled_layers(4)
@@ -118,35 +120,33 @@ _OPT = OPT_30B.scaled_layers(4)
 
 @pytest.mark.parametrize("mode", list(SyncMode), ids=lambda m: m.name)
 def test_liger_sync_modes_match_per_rank_run(mode):
-    mirrored, per_rank, machine = _serve_pair(
+    mirrored, per_rank, groups = _serve_pair(
         _OPT, v100_nvlink_node(4), LigerConfig(sync_mode=mode), 16
     )
     assert mirrored == per_rank and mirrored[1]
-    # Every sync mode declares all ranks one group; only HYBRID's pre-kick
-    # can part them.
-    if mode is not SyncMode.HYBRID:
-        assert machine.groups == ((0, 1, 2, 3),) and machine.group_splits == 0
+    # Every sync mode declares all ranks one group, which stays whole.
+    assert groups == _WHOLE
 
 
 def test_moe_expert_overlap_matches_per_rank_run():
-    mirrored, per_rank, machine = _serve_pair(
+    mirrored, per_rank, groups = _serve_pair(
         MOE_16E.scaled_layers(2), a100_pcie_node(4),
         LigerConfig(policy="expert_overlap", max_inflight=6), 12,
     )
-    assert _regrouped(machine)
+    assert groups == _WHOLE
     assert mirrored == per_rank and mirrored[1]
 
 
 def test_hybrid_decode_with_exposed_launches_matches_per_rank_run():
     """decode_steady's shape: short decode rounds drain the GPU before the
-    host issues the next, so GPU 0's pre-kick lag shows, and the chain
-    idles between arrivals, where the groups merge back."""
+    host issues the next, so the launch overhead (pre-kick records
+    included) shows, and the chain idles between arrivals."""
     from repro.serving.generation import (
         ContinuousBatchingServer,
         generation_workload,
     )
 
-    runs, machines = [], []
+    runs, mirrored = [], []
     for plan in (None, FaultPlan()):
         reset_batch_ids()
         model, node = OPT_30B.scaled_layers(4), v100_nvlink_node(4)
@@ -158,13 +158,15 @@ def test_hybrid_decode_with_exposed_launches_matches_per_rank_run():
             model, node, strategy, max_batch=8, pipeline_depth=2,
             record_trace=True, check_memory=False, fault_plan=plan,
         )
+        if plan is None:
+            groups = _groups_seen(srv.machine)
         result = srv.run(generation_workload(10, 100.0, seed=0))
         runs.append(
             (normalized_rows(result.trace), _completions(srv.metrics),
              _host_counts(srv))
         )
-        machines.append(srv.machine)
-    assert _regrouped(machines[0]) and not _mirrored(machines[1])
+        mirrored.append(_mirrored(srv.machine))
+    assert groups == _WHOLE and mirrored == [True, False]
     assert runs[0] == runs[1] and runs[0][1]
 
 
@@ -387,7 +389,7 @@ def test_streams_created_after_declaration_are_mirrored():
     m.mirror_ranks([0, 1, 2])
     lead = m.gpu(0).stream("s")
     follower = m.gpu(1).stream("s")
-    assert follower.lead is lead and follower.lane == 1
+    assert follower.lead is lead
     with pytest.raises(ConfigError, match="no counterpart"):
         m.gpu(2).stream("other")
 
@@ -420,65 +422,6 @@ def test_arming_after_a_mirrored_command_is_a_config_error():
         FaultInjector(FaultPlan()).arm(m)
 
 
-def _lagging_rank0_run(plan):
-    """Two mirrored ranks; GPU 0 alone pays a record before each batch's
-    last kernel, as HYBRID's pre-kick.  Each batch drains the stream before
-    its last kernel is issued, so rank 1 sees that head 0.3 µs before rank
-    0 does: batch ``a`` splits the group at t=10.  The ranks merge back at
-    t=100, where batch ``b`` is issued to the merged group, which splits
-    again at t=115."""
-    m = Machine(
-        v100_nvlink_node(2), Engine(), contention=NullContention(), trace=Trace()
-    )
-    host = Host(m)
-    for g in m.gpus:
-        g.stream("s")
-    m.mirror_ranks([0, 1])
-    if plan is not None:
-        FaultInjector(plan).arm(m)
-    seen = []
-    m.on_kernel_complete(lambda k, t, ranks: seen.append((t, ranks)))
-
-    def issue(tag, durations):
-        for group in m.groups:
-            lead = group[0]
-            stream = m.gpu(lead).stream("s")
-            for i, duration in enumerate(durations):
-                if lead == 0 and i == len(durations) - 1:
-                    host.record_event(stream, CudaEvent(f"pre_{tag}"), ranks=(0,))
-                host.launch_kernel(stream, _k(f"{tag}{i}@g{lead}", duration))
-
-    def later():
-        host.catch_up()
-        m.merge_groups(host.cursors)
-        groups.append(m.groups)
-        issue("b", [2.0, 2.0, 2.0])
-
-    groups = []
-    issue("a", [1.0, 1.0])
-    m.engine.schedule(100.0, later)
-    m.run()
-    rows = [(r.gpu, r.name, r.ready, r.start, r.end) for r in m.trace.rows]
-    return (rows, list(host.cursors), m.kernels_completed, seen), m, groups
-
-
-def test_lagging_rank_splits_then_merges():
-    mirrored, machine, groups = _lagging_rank0_run(None)
-    per_rank, _, _ = _lagging_rank0_run(FaultPlan())
-    assert (machine.group_splits, machine.group_merges) == (2, 1)
-    assert groups == [((0, 1),)] and machine.groups == ((0,), (1,))
-    rows, cursors, completed, _ = mirrored
-    assert rows[:4] == [
-        (0, "a0@g0", 5.0, 5.0, 6.0), (1, "a0@g1", 5.0, 5.0, 6.0),
-        (1, "a1@g1", 10.0, 10.0, 11.0), (0, "a1@g0", 10.3, 10.3, 11.3),
-    ]
-    assert rows[4:6] == [
-        (0, "b0@g0", 105.0, 105.0, 107.0), (1, "b0@g1", 105.0, 105.0, 107.0),
-    ]
-    assert completed == 10 and cursors == [115.3, 115.0]
-    assert mirrored == per_rank
-
-
 def test_stranded_follower_stream_is_named():
     """A collective the mirrored ranks join but rank 3 never does: the
     deadlock message names every mirrored rank's own stream and kernel."""
@@ -499,60 +442,20 @@ def test_stranded_follower_stream_is_named():
     assert "awaiting ranks [3]" in message
 
 
-def _stranded_after_split(plan):
-    """The group of ranks 0-2 splits when GPU 0's record puts its launcher
-    behind: the collective member and the wait on a never-recorded event
-    reach ranks 1 and 2 first."""
-    m = Machine(v100_nvlink_node(4), Engine(), trace=Trace())
-    host = Host(m)
-    comm = [g.stream("comm") for g in m.gpus]
-    s = [g.stream("s") for g in m.gpus]
-    m.mirror_ranks([0, 1, 2])
-    if plan is not None:
-        FaultInjector(plan).arm(m)
-    op = CollectiveOp(
-        kind=CollectiveKind.ALL_REDUCE, bytes=1.0, participants=[0, 1, 2, 3],
-        duration=5.0, name="ar",
-    )
-    for group in m.groups:
-        if 3 in group:
-            continue
-        lead = group[0]
-        host.launch_kernel(comm[lead], _k(f"warm@g{lead}", 1.0))
-        if lead == 0:
-            host.record_event(comm[0], CudaEvent("pre"), ranks=(0,))
-        host.launch_kernel(comm[lead], op.make_member(lead, occupancy=0.2))
-        host.wait_event(s[lead], CudaEvent(f"never@g{lead}"))
-    with pytest.raises(DeadlockError) as err:
-        m.run()
-    return str(err.value), m
-
-
-def test_deadlock_after_a_split_names_every_rank():
-    message, machine = _stranded_after_split(None)
-    assert machine.group_splits == 1 and machine.groups == ((0,), (1, 2), (3,))
-    for g in (0, 1, 2):
-        assert f"Stream(g{g}/comm prio=0: running ar@g{g})" in message
-        assert f"Stream(g{g}/s prio=0: blocked on never@g{g})" in message
-    assert "awaiting ranks [3]" in message
-    assert message == _stranded_after_split(FaultPlan())[0]
-
-
 # ----------------------------------------------------------------------
 # A collective over exactly one group's ranks needs no rendezvous
 # ----------------------------------------------------------------------
-def _whole_group_run(plan, num_gpus, build, *, mirror=None, contention=None):
-    """Run ``build(machine, host, op)`` on a machine whose ranks are one
+def _whole_group_run(plan, num_gpus, build, *, mirror=None):
+    """Run ``build(machine, op)`` on a machine whose ranks are one
     group (or the ranks in ``mirror``), armed with ``plan``.
     ``op(name, duration[, participants])`` makes a fresh all-reduce, over
     every rank unless told otherwise.  Returns the trace rows, the
     completion observer calls folded to one row per rank, the completion
     count, and the machine."""
     m = Machine(
-        v100_nvlink_node(num_gpus), Engine(),
-        contention=contention or NullContention(), trace=Trace(),
+        v100_nvlink_node(num_gpus), Engine(), contention=NullContention(),
+        trace=Trace(),
     )
-    host = Host(m)
     for g in m.gpus:
         for name in ("s", "c", "h"):
             g.stream(name)
@@ -570,7 +473,7 @@ def _whole_group_run(plan, num_gpus, build, *, mirror=None, contention=None):
             participants=list(participants), duration=duration, name=name,
         )
 
-    build(m, host, op)
+    build(m, op)
     m.run()
     # Set once a command reached a multi-rank group.
     assert m._mirrored is (plan is None)
@@ -592,7 +495,7 @@ def test_whole_group_collective_completes_after_a_co_due_local_kernel():
     group.  None of them waits on a rendezvous."""
     admitted = []
 
-    def build(m, host, op):
+    def build(m, op):
         first, second = op("ar1", 10.0), op("ar2", 9.0)
         for group in m.groups:
             lead = group[0]
@@ -618,68 +521,6 @@ def test_whole_group_collective_completes_after_a_co_due_local_kernel():
     assert completed == 12 and m.all_idle()
 
 
-def _split_issue(m, host, op, *, hog):
-    """GPU 0 alone records before each group's last kernel, so the group
-    splits at t=15 while the all-reduce over both ranks runs beside a
-    background kernel, or, when that kernel is a ``hog`` that leaves no
-    room, waits ready behind it."""
-    ar = op("ar", 30.0)
-    for group in m.groups:
-        lead = group[0]
-        gpu = m.gpu(lead)
-        host.launch_kernel(
-            gpu.stream("h"),
-            Kernel(
-                name=f"{'hog' if hog else 'bg'}@g{lead}", kind=KernelKind.COMPUTE,
-                duration=40.0, occupancy=0.9 if hog else 0.5,
-            ),
-        )
-        host.launch_kernel(gpu.stream("c"), ar.make_member(lead, occupancy=0.2))
-        if lead == 0:
-            host.record_event(gpu.stream("s"), CudaEvent("pre"), ranks=(0,))
-        # Small enough to join the all-reduce and the background kernel.
-        host.launch_kernel(
-            gpu.stream("s"),
-            Kernel(
-                name=f"k@g{lead}", kind=KernelKind.COMPUTE, duration=1.0,
-                occupancy=0.25,
-            ),
-        )
-
-
-def test_split_converts_a_resident_whole_group_collective():
-    """The group splits while its all-reduce runs: the collective becomes a
-    rendezvous of the two groups, keeping its start, progress and
-    slowdown, and retires as the per-rank run retires it."""
-    rows, seen, completed, m = _whole_group_pair(
-        2, lambda m, host, op: _split_issue(m, host, op, hog=False),
-        contention=DefaultContention(),
-    )
-    assert m.group_splits == 1 and m.groups == ((0,), (1,))
-    ar = [r for r in rows if r[2].startswith("ar@")]
-    split_at = next(r[3] for r in rows if r[2] == "k@g1")
-    assert [r[0] for r in ar] == [0, 1] and ar[0][4] == ar[1][4] == 10.0
-    # Resident across the split, and slowed by the kernel beside it.
-    assert all(r[4] < split_at < r[5] for r in ar)
-    assert ar[0][5] == ar[1][5] > 10.0 + 30.0
-    assert completed == 2 * 3 and m.all_idle()
-
-
-def test_split_leaves_a_ready_whole_group_collective_to_rendezvous():
-    """The group splits while its all-reduce waits behind a hog: each group
-    then admits its own member and the two rendezvous."""
-    rows, seen, completed, m = _whole_group_pair(
-        2, lambda m, host, op: _split_issue(m, host, op, hog=True)
-    )
-    assert m.group_splits == 1
-    hog_end = next(r[5] for r in rows if r[2] == "hog@g0")
-    split_at = next(r[3] for r in rows if r[2] == "k@g1")
-    ar = [r for r in rows if r[2].startswith("ar@")]
-    assert all(r[3] < split_at < hog_end == r[4] for r in ar)
-    assert [r[5] for r in ar] == [hog_end + 30.0] * 2
-    assert completed == 2 * 3 and m.all_idle()
-
-
 def test_partial_group_collective_still_rendezvouses():
     """Ranks 0-2 are one group and rank 3 its own: the group's member waits
     in a rendezvous until rank 3 admits its member at t=20.  An all-reduce
@@ -687,7 +528,7 @@ def test_partial_group_collective_still_rendezvouses():
     it retires at the same instant, after the rendezvous admitted first."""
     waiting = []
 
-    def build(m, host, op):
+    def build(m, op):
         ar, own = op("ar", 5.0), op("own", 24.0, participants=(0, 1, 2))
         for group in m.groups:
             lead = group[0]

@@ -209,7 +209,8 @@ class TestHost:
 
     def test_group_ranks_keep_equal_cursors(self):
         """Launches, waits, records and host callbacks move every cursor of
-        a rank group together: the regrouping rules compare them."""
+        a rank group together: a group's commands carry its lead's cursor,
+        which stands for every rank's."""
         m = make_machine(4)
         for g in m.gpus:
             g.stream("s0")
@@ -243,7 +244,7 @@ class TestHost:
         for _, cursors in seen:
             assert len(set(cursors)) == 1
         assert seen[-1][1] == [100.0] * 4
-        assert m.groups == ((0, 1, 2, 3),) and m.group_splits == 0
+        assert m.groups == ((0, 1, 2, 3),)
 
     def test_per_rank_cursors_are_independent(self):
         """Each GPU has its own MPI launcher rank: launches don't serialize
