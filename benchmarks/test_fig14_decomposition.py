@@ -36,10 +36,8 @@ def test_fig14_fine_division_profiles_monotone(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     prof = OpProfiler(v100_nvlink_node(4))
     op = gemm_op("mlp", 0, 144, 7168, 28672)
-    func = KernelFunc(
-        op=op, duration=prof.duration(op), kind=KernelKind.COMPUTE,
-        batch_id=0, batch_size=2, seq_len=72, decomposable=True,
-    )
+    func = KernelFunc.profiled(op, prof)
+    assert func.kind is KernelKind.COMPUTE and func.decomposable
     for d in (2, 4, 8, 16):
         table = DecompositionPlanner(prof, d).profile_divisions(func)
         durs = [t for _, t in table]

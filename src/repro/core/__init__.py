@@ -10,9 +10,8 @@ from repro import _lazy_exports
 
 #: Every public name of the package, by the submodule that defines it.
 _EXPORTS = {
-    "KernelFunc": "assembly",
+    "KernelFunc": "assembly",  # defined in repro.parallel.base
     "FuncVec": "assembly",
-    "FunctionAssembler": "assembly",
     "LigerConfig": "config",
     "SyncMode": "config",
     "NO_ANTICIPATION": "config",

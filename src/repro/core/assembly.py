@@ -3,177 +3,86 @@
 For each newly-arrived batch Liger assembles a list of *function wrappers*.
 In the C++ prototype a wrapper holds the kernel launch function pointer plus
 "the kernel duration, the kernel type, the batch size, and the sequence
-length"; here a :class:`KernelFunc` holds the :class:`~repro.models.ops.OpDesc`
-(the launchable), the profiled no-load duration, and the same metadata.  The
-assembled :class:`FuncVec` is what Algorithm 1 consumes: it exposes
+length"; here a :class:`KernelFunc` (defined in :mod:`repro.parallel.base`)
+holds the :class:`~repro.models.ops.OpDesc` (the launchable), the profiled
+no-load duration, the type and the kernel's profiled footprint.  The batch
+size and sequence length are the batch's own, so they stay on the batch.
+
+The assembled :class:`FuncVec` is what Algorithm 1 consumes: it exposes
 in-order peek and pop, and accepts push-front for decomposition remainders.
 The paper's type-switch test (``FuncVec[0].switch()``) is the policy's key
 compared on consecutive heads (:mod:`repro.core.policy`).
 
 Assembly is a hot path under continuous batching — every decode iteration of
-every batch re-enumerates the same op sequence and re-attaches the same
-profiled durations.  :class:`FunctionAssembler` therefore memoizes assembled
-function lists by batch *shape* ``(phase, size, seq_len, context_len)``: a
-hit rebinds the cached wrappers to the new batch identity without touching
-the op enumerator or the profiler.  Its LRU bound is the strategies' op-memo
-bound, :data:`repro.parallel.base.CACHE_SIZE`.
+every batch needs the same op sequence with the same profiled durations.
+The strategy's launch-list cache
+(:meth:`~repro.parallel.base.ParallelStrategy.launch_list`) builds that
+sequence once per batch shape as an immutable tuple of records, and a
+:class:`FuncVec` is just the batch plus a cursor into the shared tuple, so
+assembling a recurring shape copies nothing.
 """
 
 from __future__ import annotations
 
-import time
-from collections import OrderedDict, deque
-from dataclasses import dataclass
-from typing import Deque, List, Tuple
+from typing import List, Sequence
 
 from repro.errors import ConfigError
-from repro.models.ops import OpDesc
-from repro.parallel import base
-from repro.profiling.profiler import OpProfiler
+from repro.parallel.base import KernelFunc
 from repro.serving.request import Batch
-from repro.sim.kernel import KernelKind
 
-__all__ = ["KernelFunc", "FuncVec", "FunctionAssembler", "rebind"]
-
-
-@dataclass(slots=True)
-class KernelFunc:
-    """One kernel launch wrapper (the paper's function-wrapper record)."""
-
-    op: OpDesc
-    duration: float           # profiled no-load duration (µs)
-    kind: KernelKind
-    batch_id: int
-    batch_size: int
-    seq_len: int
-    decomposable: bool
-
-    def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ConfigError(f"{self.op.name}: negative profiled duration")
-
-    @property
-    def is_comm(self) -> bool:
-        return self.kind is KernelKind.COMM
-
-
-def rebind(
-    template: KernelFunc, *, batch_id: int, batch_size: int, seq_len: int
-) -> KernelFunc:
-    """A copy of ``template`` bound to another batch's identity.
-
-    Bypasses ``__init__`` — the template's duration was validated when it was
-    first built, and the op/kind/decomposable fields are shared verbatim.
-    This is the assembly-cache hit primitive.
-    """
-    func = KernelFunc.__new__(KernelFunc)
-    func.op = template.op
-    func.duration = template.duration
-    func.kind = template.kind
-    func.batch_id = batch_id
-    func.batch_size = batch_size
-    func.seq_len = seq_len
-    func.decomposable = template.decomposable
-    return func
+__all__ = ["KernelFunc", "FuncVec"]
 
 
 class FuncVec:
-    """The assembled kernel-function list of one batch (FIFO with push-front)."""
+    """The assembled kernel-function list of one batch (FIFO with push-front).
 
-    def __init__(self, batch: Batch, funcs: List[KernelFunc]) -> None:
+    ``funcs`` may be shared with every other batch of the same shape: the
+    vector never changes it.  It reads the tuple through a cursor, and a
+    small front stack holds the §3.6 remainders pushed back onto it.
+    """
+
+    __slots__ = ("batch", "batch_id", "_funcs", "_next", "_end", "_front")
+
+    def __init__(self, batch: Batch, funcs: Sequence[KernelFunc]) -> None:
         if not funcs:
             raise ConfigError(f"batch {batch.batch_id}: empty function list")
         self.batch = batch
-        self._funcs: Deque[KernelFunc] = deque(funcs)
-        self.total_assembled = len(funcs)
+        #: The batch every kernel popped from this vector belongs to.
+        self.batch_id = batch.batch_id
+        self._funcs = tuple(funcs)
+        self._next = 0
+        self._end = len(self._funcs)
+        self._front: List[KernelFunc] = []
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._funcs)
+        return self._end - self._next + len(self._front)
 
     @property
     def empty(self) -> bool:
-        return not self._funcs
+        return self._next == self._end and not self._front
 
     def peek(self) -> KernelFunc:
         """The head kernel function without consuming it."""
-        if not self._funcs:
-            raise ConfigError("peek on empty FuncVec")
-        return self._funcs[0]
+        if self._front:
+            return self._front[-1]
+        try:
+            return self._funcs[self._next]
+        except IndexError:
+            raise ConfigError("peek on empty FuncVec") from None
 
     def pop(self) -> KernelFunc:
         """Consume and return the head kernel function."""
-        if not self._funcs:
-            raise ConfigError("pop on empty FuncVec")
-        return self._funcs.popleft()
+        if self._front:
+            return self._front.pop()
+        i = self._next
+        try:
+            func = self._funcs[i]
+        except IndexError:
+            raise ConfigError("pop on empty FuncVec") from None
+        self._next = i + 1
+        return func
 
     def push_front(self, func: KernelFunc) -> None:
         """Return a decomposition remainder to the head of the list."""
-        self._funcs.appendleft(func)
-
-
-class FunctionAssembler:
-    """Builds a :class:`FuncVec` for each arriving batch (online procedure).
-
-    Uses the batch's size / sequence length / phase and the target model to
-    enumerate the per-device op sequence under the node's tensor-parallel
-    degree, attaching profiled durations from the offline procedure's
-    :class:`~repro.profiling.profiler.OpProfiler`.
-
-    Function lists are memoized by batch shape ``(phase, size, seq_len,
-    context_len)`` with LRU eviction past
-    :data:`repro.parallel.base.CACHE_SIZE` shapes, and a hit rebinds the
-    cached wrappers to the new batch without calling ``strategy_ops_fn``
-    or the profiler.  **Contract:** ``strategy_ops_fn`` must be a pure
-    function of those four batch attributes (true for the built-in
-    strategies, whose op enumerators close over a fixed model and TP
-    degree).
-    """
-
-    def __init__(self, strategy_ops_fn, profiler: OpProfiler) -> None:
-        """``strategy_ops_fn(batch) -> Sequence[OpDesc]`` supplies the ops."""
-        self._ops_fn = strategy_ops_fn
-        self.profiler = profiler
-        self.batches_assembled = 0
-        self._cache: "OrderedDict[Tuple, Tuple[KernelFunc, ...]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        #: Wall seconds spent enumerating ops + profiling on cache misses —
-        #: the cost a hit avoids (exported as a perf gauge).
-        self.build_seconds = 0.0
-
-    def assemble(self, batch: Batch) -> FuncVec:
-        """Build the batch's FuncVec with profiled durations (§3.2)."""
-        key = (batch.phase, batch.size, batch.seq_len, batch.context_len)
-        templates = self._cache.get(key)
-        if templates is not None:
-            self._cache.move_to_end(key)
-            self.cache_hits += 1
-            bid, size, seq = batch.batch_id, batch.size, batch.seq_len
-            funcs = [
-                rebind(t, batch_id=bid, batch_size=size, seq_len=seq)
-                for t in templates
-            ]
-        else:
-            self.cache_misses += 1
-            start = time.perf_counter()
-            funcs = [
-                KernelFunc(
-                    op=op,
-                    duration=self.profiler.duration(op),
-                    kind=op.kind,
-                    batch_id=batch.batch_id,
-                    batch_size=batch.size,
-                    seq_len=batch.seq_len,
-                    decomposable=op.decomposable,
-                )
-                for op in self._ops_fn(batch)
-            ]
-            self.build_seconds += time.perf_counter() - start
-            self._cache[key] = tuple(funcs)
-            if len(self._cache) > base.CACHE_SIZE:
-                self._cache.popitem(last=False)
-                self.cache_evictions += 1
-        self.batches_assembled += 1
-        return FuncVec(batch, funcs)
+        self._front.append(func)

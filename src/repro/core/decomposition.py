@@ -26,9 +26,10 @@ Decomposition strategies (Fig. 9):
   :meth:`DecompositionPlanner.register_split_rule`, the hook that lets a
   scheduling policy teach the planner new kernel classes.
 
-A kernel piece is a real :class:`~repro.core.assembly.KernelFunc` whose op
-has the scaled shape — its duration comes from the same profiler, so the
-decomposition *penalty* (sum of pieces > whole) is emergent, not assumed.
+A kernel piece is a real :class:`~repro.parallel.base.KernelFunc` whose op
+has the scaled shape — its duration and footprint come from the same
+profiler, so the decomposition *penalty* (sum of pieces > whole) is
+emergent, not assumed.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.assembly import KernelFunc
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc
+from repro.parallel.base import KernelFunc
 from repro.profiling.profiler import OpProfiler, op_key
 
 __all__ = [
@@ -212,23 +213,15 @@ class DecompositionPlanner:
             piece_duration = self._division(splitter, op, table, numer)
             if piece_duration * scale <= window:
                 piece_op, rest_op = splitter(op, numer, d)
+                profile = self.profiler.kernel_profile
+                # Pieces are final; the remainder may split again later.
                 piece = KernelFunc(
-                    op=piece_op,
-                    duration=piece_duration,
-                    kind=func.kind,
-                    batch_id=func.batch_id,
-                    batch_size=func.batch_size,
-                    seq_len=func.seq_len,
-                    decomposable=False,  # pieces are final
+                    piece_op, piece_duration, func.kind, False,
+                    *profile(piece_op)[1:],
                 )
                 remainder = KernelFunc(
-                    op=rest_op,
-                    duration=self.profiler.duration(rest_op),
-                    kind=func.kind,
-                    batch_id=func.batch_id,
-                    batch_size=func.batch_size,
-                    seq_len=func.seq_len,
-                    decomposable=True,  # the remainder may split again later
+                    rest_op, self.profiler.duration(rest_op), func.kind, True,
+                    *profile(rest_op)[1:],
                 )
                 return piece, remainder
         return None

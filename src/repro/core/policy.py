@@ -104,21 +104,26 @@ class SchedulingPolicy:
 
     def pack_secondary(
         self, scheduler, primary_key, window: float
-    ) -> Tuple[List[KernelFunc], float]:
+    ) -> Tuple[List[KernelFunc], List[int], float]:
         """Pack the window first-fit (Algorithm 1 lines 10–20).
 
         Walks subsequent batches in arrival order, popping heads whose
         anticipated duration fits the residual window; a head too long for
-        it is split by §3.6 decomposition.  Returns ``(subset1, fill)`` with
-        ``fill`` in anticipated (contention-scaled) time.
+        it is split by §3.6 decomposition.  Returns ``(subset1, batch_ids,
+        fill)``: ``batch_ids[i]`` is the batch ``subset1[i]`` came from, and
+        ``fill`` is in anticipated (contention-scaled) time.
         """
         key = self.key
         factors = scheduler.factors
         decomposer = scheduler.decomposer
         subset1: List[KernelFunc] = []
+        batch_ids: List[int] = []
         fill = 0.0
         remaining = window
         for fv in scheduler.processing[1:]:
+            if remaining <= 0:
+                break
+            bid = fv.batch_id
             while remaining > 0 and not fv.empty:
                 nxt = fv.peek()
                 if key(nxt) == primary_key:
@@ -130,6 +135,7 @@ class SchedulingPolicy:
                 taken = nxt.duration * scale
                 if taken <= remaining:
                     subset1.append(fv.pop())
+                    batch_ids.append(bid)
                     fill += taken
                     remaining -= taken
                     continue
@@ -141,10 +147,11 @@ class SchedulingPolicy:
                     remaining = 0.0  # window effectively unusable (line 15)
                     break
                 taken = self._take_split(scheduler, fv, split, subset1)
+                batch_ids.append(bid)
                 fill += taken
                 remaining -= taken
                 break  # residual window is below the smallest division
-        return subset1, fill
+        return subset1, batch_ids, fill
 
     def _take_split(self, scheduler, fv, split, subset1) -> float:
         """Apply a §3.6 decomposition: pop, push the remainder back, collect

@@ -21,17 +21,19 @@ Per the paper, the communication subset is launched first within a round.
 
 Every rank runs the same commands, so the runtime declares all of them one
 group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`) and issues each round
-once per group, on the group lead's streams.  Under HYBRID every rank
-records its own pre-kick event, as each of the prototype's per-GPU
-launchers does; the chain advances on the first group's (GPU 0's).
+once per group, on the group lead's streams: each subset's launches go
+out as one run (:meth:`~repro.sim.host.Host.launch_kernels`).  Under
+HYBRID every rank records its own pre-kick event, as each of the
+prototype's per-GPU launchers does, before the primary run's last
+launch; the chain advances on the first group's (GPU 0's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.assembly import FunctionAssembler, KernelFunc
+from repro.core.assembly import FuncVec, KernelFunc
 from repro.core.config import LigerConfig, SyncMode
 from repro.core.decomposition import DecompositionPlanner
 from repro.core.policy import default_resource_class, make_policy
@@ -71,7 +73,7 @@ class LigerRuntime:
         machine: Machine,
         host: Host,
         profiler: OpProfiler,
-        assembler: FunctionAssembler,
+        launch_list: Callable[[Batch], Sequence[KernelFunc]],
         factors: ContentionFactors,
         config: LigerConfig,
         *,
@@ -81,7 +83,8 @@ class LigerRuntime:
         self.machine = machine
         self.host = host
         self.profiler = profiler
-        self.assembler = assembler
+        #: ``launch_list(batch)``: the batch's shared, profiled launch list.
+        self._launch_list = launch_list
         self.config = config
         decomposer = (
             DecompositionPlanner(profiler, config.division_factor)
@@ -124,8 +127,7 @@ class LigerRuntime:
     # ------------------------------------------------------------------
     def enqueue(self, batch: Batch) -> None:
         """Assemble and enqueue a batch; kicks the round chain if idle."""
-        funcvec = self.assembler.assemble(batch)
-        self.scheduler.enqueue(funcvec)
+        self.scheduler.enqueue(FuncVec(batch, self._launch_list(batch)))
         self.maybe_kick()
 
     def maybe_kick(self) -> None:
@@ -175,7 +177,7 @@ class LigerRuntime:
 
     def _flush_drained(self) -> None:
         for fv in self.scheduler.take_drained():
-            self._on_batch_drained(fv.batch.batch_id)
+            self._on_batch_drained(fv.batch_id)
 
     # ------------------------------------------------------------------
     def _next_round(self):
@@ -186,16 +188,16 @@ class LigerRuntime:
         round_ = self.scheduler.plan_round()
         if round_ is None:
             return None
-        return round_, self._instantiate(round_.subset0), self._instantiate(
-            round_.subset1
-        )
-
-    def _instantiate(self, funcs: List[KernelFunc]):
-        groups = self.machine.groups
-        return [
-            instantiate_op(f.op, groups, f.batch_id, self.profiler)
-            for f in funcs
+        groups, profiler = self.machine.groups, self.profiler
+        primary = round_.primary_batch
+        subset0 = [
+            instantiate_op(f, groups, primary, profiler) for f in round_.subset0
         ]
+        subset1 = [
+            instantiate_op(f, groups, bid, profiler)
+            for f, bid in zip(round_.subset1, round_.secondary_batches)
+        ]
+        return round_, subset0, subset1
 
     def _launch_round(
         self,
@@ -213,8 +215,7 @@ class LigerRuntime:
         sync_mode = self.config.sync_mode
         inter_stream_gating = sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
 
-        self._account_launches(round_.subset0)
-        self._account_launches(round_.subset1)
+        self._account_launches(round_)
 
         if self.machine.trace is not None:
             # Label kernels with their scheduling provenance so trace rows
@@ -247,13 +248,12 @@ class LigerRuntime:
             )
 
         # The paper launches the communication subset first.
-        comm_first = round_.primary_kind is KernelKind.COMM
-        order: List[Tuple[int, List[dict], List[KernelFunc]]] = (
-            [(0, subset0_kernels, round_.subset0), (1, subset1_kernels, round_.subset1)]
-            if comm_first
-            else [(1, subset1_kernels, round_.subset1), (0, subset0_kernels, round_.subset0)]
-        )
+        if round_.primary_kind is KernelKind.COMM:
+            order = ((0, subset0_kernels), (1, subset1_kernels))
+        else:
+            order = ((1, subset1_kernels), (0, subset0_kernels))
 
+        host = self.host
         end_events: Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]] = {}
         pre_kick_event: Optional[CudaEvent] = None
 
@@ -265,30 +265,37 @@ class LigerRuntime:
             if inter_stream_gating:
                 prev1 = self._prev_end1.get(g)
                 if prev1 is not None:
-                    self.host.wait_event(s0, prev1)
+                    host.wait_event(s0, prev1)
                 prev0 = self._prev_end0.get(g)
                 if prev0 is not None and round_.subset1:
-                    self.host.wait_event(s1, prev0)
+                    host.wait_event(s1, prev0)
 
-            for which, kernel_maps, funcs in order:
-                stream = s0 if which == 0 else s1
-                for idx, kernels in enumerate(kernel_maps):
-                    kern = kernels[g]
+            # Each subset's launches on this group go out as one run.
+            for which, kernel_maps in order:
+                if not kernel_maps:
+                    continue
+                kernels = [kernel_map[g] for kernel_map in kernel_maps]
+                if which == 1:
+                    host.launch_kernels(s1, kernels)
+                elif pre_kick:
                     # HYBRID pre-kick: every rank's, before the last primary
                     # kernel; GPU 0's drives the chain.
-                    if pre_kick and which == 0 and idx == len(kernel_maps) - 1:
-                        event = CudaEvent(f"prekick_r{round_.index}@g{g}")
-                        self.host.record_event(stream, event)
-                        if pre_kick_event is None:
-                            pre_kick_event = event
-                    self.host.launch_kernel(stream, kern)
+                    if len(kernels) > 1:
+                        host.launch_kernels(s0, kernels[:-1])
+                    event = CudaEvent(f"prekick_r{round_.index}@g{g}")
+                    host.record_event(s0, event)
+                    if pre_kick_event is None:
+                        pre_kick_event = event
+                    host.launch_kernel(s0, kernels[-1])
+                else:
+                    host.launch_kernels(s0, kernels)
 
             e0 = CudaEvent(f"r{round_.index}_end0@g{g}")
-            self.host.record_event(s0, e0)
+            host.record_event(s0, e0)
             e1: Optional[CudaEvent] = None
             if round_.subset1:
                 e1 = CudaEvent(f"r{round_.index}_end1@g{g}")
-                self.host.record_event(s1, e1)
+                host.record_event(s1, e1)
             self._prev_end0[g] = e0
             if e1 is not None:
                 self._prev_end1[g] = e1
@@ -296,7 +303,7 @@ class LigerRuntime:
 
         if pre_kick:
             assert pre_kick_event is not None
-            self.host.when_event(pre_kick_event, self._advance)
+            host.when_event(pre_kick_event, self._advance)
 
         self.stats.rounds_launched += 1
         self.stats.kernels_launched += (
@@ -309,7 +316,14 @@ class LigerRuntime:
         self.stats.total_fill += round_.secondary_fill
         return end_events
 
-    def _account_launches(self, funcs: List[KernelFunc]) -> None:
-        for f in funcs:
-            n = len(self._gpus) if f.op.op != "p2p" else 2
-            self._on_batch_launched(f.batch_id, n)
+    def _account_launches(self, round_: Round) -> None:
+        """Count each launched op once per rank that runs it (a p2p's two
+        endpoints), against the batch it came from."""
+        ranks = len(self._gpus)
+        launched = self._on_batch_launched
+        n = 0
+        for f in round_.subset0:
+            n += ranks if f.op.op != "p2p" else 2
+        launched(round_.primary_batch, n)
+        for f, bid in zip(round_.subset1, round_.secondary_batches):
+            launched(bid, ranks if f.op.op != "p2p" else 2)

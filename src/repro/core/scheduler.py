@@ -28,7 +28,7 @@ full as anticipation allows (3).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.core.assembly import FuncVec, KernelFunc
@@ -56,6 +56,9 @@ class Round:
     window: float              # accumulated no-load duration of subset0
     secondary_fill: float      # anticipated duration packed into subset1
     primary_class: str = ""    # resource class of the primary run's head
+    primary_batch: int = -1    # the batch every subset0 kernel came from
+    #: The batch each subset1 kernel came from, index for index.
+    secondary_batches: List[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.subset0:
@@ -171,7 +174,7 @@ class LigerScheduler:
 
         # --- collect eligible kernels from subsequent batches -----------
         # (lines 10–20, plus §3.5 anticipation and §3.6 decomposition)
-        subset1, fill = policy.pack_secondary(
+        subset1, secondary_batches, fill = policy.pack_secondary(
             self, policy.key(subset0[0]), window
         )
 
@@ -183,6 +186,8 @@ class LigerScheduler:
             window=window,
             secondary_fill=fill,
             primary_class=default_resource_class(subset0[0]),
+            primary_batch=primary.batch_id,
+            secondary_batches=secondary_batches,
         )
         round_.validate_principle1()
         self.rounds_planned += 1

@@ -303,7 +303,8 @@ class MetricsRegistry:
     def gauge(
         self, name: str, help: str, fn: Optional[Callable[[], float]] = None
     ) -> Gauge:
-        """Get or create the gauge ``name``; a new ``fn`` rebinds it."""
+        """Get or create the gauge ``name``; a new ``fn`` replaces its
+        callback."""
         if name in self._gauges:
             if fn is not None:
                 self._gauges[name]._fn = fn

@@ -17,6 +17,7 @@ from repro import _lazy_exports
 #: Every public name of the package, by the submodule that defines it.
 _EXPORTS = {
     "ParallelStrategy": "base",
+    "KernelFunc": "base",
     "instantiate_op": "base",
     "IntraOpStrategy": "intra_op",
     "InterOpStrategy": "inter_op",

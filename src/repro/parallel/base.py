@@ -15,16 +15,23 @@ once per rank that runs them, and an
 :meth:`~repro.sim.gpu.Machine.on_kernel_complete` observer subtracts the
 ranks each completion retires — when the count hits zero the batch is done.
 
-Every strategy enumerates a batch's ops through :meth:`ParallelStrategy.ops_for_batch`,
-which memoizes the op tuple by batch shape, LRU-bounded at
-:data:`CACHE_SIZE` shapes: a recurring shape reuses its frozen
-:class:`~repro.models.ops.OpDesc` tuple instead of re-walking the model.
+Every strategy reads a batch's work through
+:meth:`ParallelStrategy.launch_list`: one immutable :class:`KernelFunc`
+record per op, holding the op and everything the offline profile knows
+about its kernel (§3.2's function wrapper).  The tuple is cached by batch
+shape, LRU-bounded at :data:`CACHE_SIZE` shapes, and shared by every batch
+of that shape, so a recurring shape neither re-walks the model nor asks the
+profiler again; :func:`instantiate_op` builds kernels straight from a
+record.  The cache lives here, not in :mod:`repro.core`, because an
+Intra-Op run must not import Liger's runtime.
 """
 
 from __future__ import annotations
 
 import abc
+import time
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, SimulationError
@@ -37,13 +44,13 @@ from repro.profiling.profiler import OpProfiler
 from repro.serving.request import Batch, Phase
 from repro.sim.gpu import Machine
 from repro.sim.host import Host
-from repro.sim.kernel import CollectiveKind, Kernel, kernel_from_profile
+from repro.sim.kernel import CollectiveKind, Kernel, KernelKind, kernel_from_profile
 from repro.sim.memory import NodeMemoryModel
 
-__all__ = ["ParallelStrategy", "instantiate_op", "CACHE_SIZE"]
+__all__ = ["ParallelStrategy", "KernelFunc", "instantiate_op", "CACHE_SIZE"]
 
-#: Batch shapes a shape-keyed memo keeps before evicting the least recently
-#: used: each strategy's op memo and the Liger assembly cache.
+#: Batch shapes a strategy's launch-list cache keeps before evicting the
+#: least recently used.
 CACHE_SIZE = 128
 
 BatchCallback = Callable[[Batch, float], None]
@@ -51,48 +58,85 @@ BatchCallback = Callable[[Batch, float], None]
 _COLLECTIVE_KINDS = {kind.value: kind for kind in CollectiveKind}
 
 
+@dataclass(slots=True)
+class KernelFunc:
+    """One kernel launch wrapper (the paper's function-wrapper record).
+
+    The op plus its offline profile: the no-load duration the scheduler
+    plans with, the kernel type, whether §3.6 may split it, and the SM
+    occupancy and memory intensity its kernels run with.  Records carry no
+    batch identity, so one record serves every batch of its shape, and
+    nothing writes to a record once it is built.  (Not ``frozen``: that
+    would triple the cost of building one, on every cache miss and §3.6
+    split.)
+    """
+
+    op: OpDesc
+    duration: float           # profiled no-load duration (µs)
+    kind: KernelKind
+    decomposable: bool
+    occupancy: float
+    memory_intensity: float
+
+    def __post_init__(self) -> None:
+        if self.duration < 0:
+            raise ConfigError(f"{self.op.name}: negative profiled duration")
+
+    @property
+    def is_comm(self) -> bool:
+        return self.kind is KernelKind.COMM
+
+    @classmethod
+    def profiled(cls, op: OpDesc, profiler: OpProfiler) -> "KernelFunc":
+        """The record of ``op`` as ``profiler`` measures it."""
+        duration, occupancy, mem = profiler.kernel_profile(op)
+        if duration is None:  # a collective: priced per instance
+            duration = profiler.duration(op)
+        return cls(op, duration, op.kind, op.decomposable, occupancy, mem)
+
+
 def instantiate_op(
-    op: OpDesc,
+    func: KernelFunc,
     groups: Sequence[Sequence[int]],
     batch_id: int,
     profiler: OpProfiler,
 ) -> Dict[int, Kernel]:
-    """Materialise one op as simulator kernels, one per rank group.
+    """Materialise one op record as simulator kernels, one per rank group.
 
     ``groups`` are rank groups as :attr:`~repro.sim.gpu.Machine.groups`
     lists them, each led by its first rank; the result maps each lead to
     the kernel issued for its group, named for the lead.  Compute-like ops
     become independent per-group kernel clones (each device executes its
-    shard) of the op's memoized
-    :meth:`~repro.profiling.profiler.OpProfiler.kernel_profile`;
-    ``all_reduce`` / ``all_to_all`` become rendezvous collectives over
-    every rank of ``groups``, with one member per lead; ``p2p`` becomes a
-    two-member collective over its endpoints.  Collectives are costed
-    here, so a link fault active now applies.
+    shard) of the record's profile; ``all_reduce`` / ``all_to_all`` become
+    rendezvous collectives over every rank of ``groups``, with one member
+    per lead; ``p2p`` becomes a two-member collective over its endpoints.
+    Collectives are costed here, so a link fault active now applies.
     """
     if not groups:
-        raise ConfigError(f"op {op.name}: no target GPUs")
-    duration, occupancy, mem = profiler.kernel_profile(op)
+        raise ConfigError(f"op {func.op.name}: no target GPUs")
+    op = func.op
     flavour = op.op
-    name = f"{op.name}_b{batch_id}"
-    if duration is None:
-        if flavour == "p2p":
+    occupancy, mem = func.occupancy, func.memory_intensity
+    collective = _COLLECTIVE_KINDS.get(flavour)
+    if collective is not None:
+        if collective is CollectiveKind.P2P:
             participants = leads = (op.p2p_src, op.p2p_dst)
         else:
             participants = [rank for group in groups for rank in group]
             leads = [group[0] for group in groups]
         coll = profiler.collectives.instantiate(
-            _COLLECTIVE_KINDS[flavour], op.comm_bytes, participants, leads,
-            occupancy, mem, batch_id, op.layer, name, flavour,
+            collective, op.comm_bytes, participants, leads,
+            occupancy, mem, batch_id, op.layer, f"{op.name}_b{batch_id}", flavour,
         )
         return coll.members
+    duration = func.duration
     kind, layer, decomposable = op.kind, op.layer, op.decomposable
     kernels = {}
     for group in groups:
         gpu = group[0]
         kernels[gpu] = kernel_from_profile(
-            f"{name}@g{gpu}", kind, duration, occupancy, mem, 0.0, batch_id,
-            layer, flavour, None, decomposable, {},
+            f"{op.name}_b{batch_id}@g{gpu}", kind, duration, occupancy, mem,
+            0.0, batch_id, layer, flavour, None, decomposable, {},
         )
     return kernels
 
@@ -132,8 +176,16 @@ class ParallelStrategy(abc.ABC):
         self._closed_batches: set = set()
         self._memory_reserved: set = set()
         self.batches_completed = 0
-        #: Op tuples by batch shape, least recently used first.
-        self._ops_memo: "OrderedDict[Tuple, Tuple[OpDesc, ...]]" = OrderedDict()
+        #: Launch lists by batch shape, least recently used first.
+        self._launch_lists: "OrderedDict[Tuple, Tuple[KernelFunc, ...]]" = (
+            OrderedDict()
+        )
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_evictions = 0
+        #: Wall seconds spent enumerating and profiling on cache misses —
+        #: the cost a hit avoids (exported as a perf gauge).
+        self.build_seconds = 0.0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -175,37 +227,44 @@ class ParallelStrategy(abc.ABC):
     # ------------------------------------------------------------------
     # Op construction
     # ------------------------------------------------------------------
-    def ops_for_batch(self, batch: Batch, tp: int, layers=None) -> Tuple[OpDesc, ...]:
-        """The per-device op sequence this batch requires.
+    def launch_list(self, batch: Batch, tp: int, layers=None) -> Tuple[KernelFunc, ...]:
+        """The per-device launch list this batch requires, one profiled
+        record per op in issue order.
 
-        Memoized by ``(phase, size, seq_len, context_len, tp, layers)``,
+        Cached by ``(phase, size, seq_len, context_len, tp, layers)``,
         least recently used evicted past :data:`CACHE_SIZE` shapes.  The
-        model is fixed for the strategy's lifetime, so the tuple equals a
-        fresh enumeration; it is shared between batches, and its ops are
-        frozen.
+        model and profiler are fixed for the strategy's lifetime, so the
+        tuple equals a fresh enumeration profiled afresh; it is shared by
+        every batch of the shape, and nobody writes to it or its records.
         """
         if layers is not None:
             layers = tuple(layers)
         key = (batch.phase, batch.size, batch.seq_len, batch.context_len, tp, layers)
-        memo = self._ops_memo
-        ops = memo.get(key)
-        if ops is not None:
-            memo.move_to_end(key)
-            return ops
+        cache = self._launch_lists
+        funcs = cache.get(key)
+        if funcs is not None:
+            cache.move_to_end(key)
+            self.cache_hits += 1
+            return funcs
+        self.cache_misses += 1
+        start = time.perf_counter()
+        profiler = self.profiler
+        funcs = tuple(
+            KernelFunc.profiled(op, profiler)
+            for op in self._enumerate_ops(batch, tp, layers)
+        )
+        self.build_seconds += time.perf_counter() - start
+        cache[key] = funcs
+        if len(cache) > CACHE_SIZE:
+            cache.popitem(last=False)
+            self.cache_evictions += 1
+        return funcs
+
+    def _enumerate_ops(self, batch: Batch, tp: int, layers) -> Sequence[OpDesc]:
+        """Walk the model for one batch: its per-device ops under ``tp``."""
         if batch.phase is Phase.PREFILL:
-            ops = tuple(
-                prefill_ops(self.model, batch.size, batch.seq_len, tp, layers=layers)
-            )
-        else:
-            ops = tuple(
-                decode_step_ops(
-                    self.model, batch.size, batch.context_len, tp, layers=layers
-                )
-            )
-        memo[key] = ops
-        if len(memo) > CACHE_SIZE:
-            memo.popitem(last=False)
-        return ops
+            return prefill_ops(self.model, batch.size, batch.seq_len, tp, layers=layers)
+        return decode_step_ops(self.model, batch.size, batch.context_len, tp, layers=layers)
 
     # ------------------------------------------------------------------
     # Completion tracking

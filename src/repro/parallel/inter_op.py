@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.models.ops import OpDesc, p2p_op
+from repro.models.ops import p2p_op
 from repro.models.partition import PipelineStage, boundary_bytes, pipeline_stages
-from repro.parallel.base import ParallelStrategy, instantiate_op
+from repro.parallel.base import KernelFunc, ParallelStrategy, instantiate_op
 from repro.serving.request import Batch, Phase
 from repro.sim.events import CudaEvent
+from repro.sim.kernel import Kernel
 from repro.sim.stream import Stream
 from repro.units import FP16_BYTES
 
@@ -56,9 +57,9 @@ class InterOpStrategy(ParallelStrategy):
         }
 
     # ------------------------------------------------------------------
-    def stage_ops(self, batch: Batch, stage: PipelineStage) -> Sequence[OpDesc]:
-        """The (whole, unpartitioned) op sequence of one stage."""
-        return self.ops_for_batch(batch, tp=1, layers=stage.layers)
+    def stage_funcs(self, batch: Batch, stage: PipelineStage) -> Sequence[KernelFunc]:
+        """The launch list of one stage (whole, unpartitioned ops)."""
+        return self.launch_list(batch, tp=1, layers=stage.layers)
 
     def _boundary_bytes(self, batch: Batch) -> float:
         if batch.phase is Phase.PREFILL:
@@ -75,15 +76,14 @@ class InterOpStrategy(ParallelStrategy):
 
         bid = batch.batch_id
         total = 0
-        kernel_plan: List[List[tuple]] = []  # per-stage [(stream, kernel)]
+        kernel_plan: List[List[Kernel]] = []  # per-stage kernels, in order
         for i, stage in enumerate(self.stages):
-            dev = stage.device
-            entries = []
-            for op in self.stage_ops(batch, stage):
-                kernels = instantiate_op(op, [(dev,)], bid, self.profiler)
-                entries.append((self._streams[dev], kernels[dev]))
-                total += 1
-            kernel_plan.append(entries)
+            group = [(stage.device,)]
+            kernel_plan.append([
+                instantiate_op(func, group, bid, self.profiler)[stage.device]
+                for func in self.stage_funcs(batch, stage)
+            ])
+            total += len(kernel_plan[-1])
             if i > 0:
                 total += 2  # the boundary transfer pair
 
@@ -102,14 +102,15 @@ class InterOpStrategy(ParallelStrategy):
                 prev = self.stages[i - 1]
                 done = CudaEvent(f"stage{i-1}_done_b{bid}")
                 host.record_event(self._streams[prev.device], done)
+                xfer_op = p2p_op(
+                    f"pipe_xfer_s{i}",
+                    stage.layers[0],
+                    self._boundary_bytes(batch),
+                    prev.device,
+                    dev,
+                )
                 xfer = instantiate_op(
-                    p2p_op(
-                        f"pipe_xfer_s{i}",
-                        stage.layers[0],
-                        self._boundary_bytes(batch),
-                        prev.device,
-                        dev,
-                    ),
+                    KernelFunc.profiled(xfer_op, self.profiler),
                     [(prev.device,), (dev,)],
                     bid,
                     self.profiler,
@@ -120,5 +121,4 @@ class InterOpStrategy(ParallelStrategy):
                 host.launch_kernel(self._pipe_in[dev], xfer[dev])
                 host.record_event(self._pipe_in[dev], arrived)
                 host.wait_event(self._streams[dev], arrived)
-            for stream, kernel in kernel_plan[i]:
-                host.launch_kernel(stream, kernel)
+            host.launch_kernels(self._streams[dev], kernel_plan[i])

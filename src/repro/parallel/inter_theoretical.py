@@ -18,7 +18,6 @@ from typing import List
 
 from repro.errors import ConfigError
 from repro.models.ops import OpDesc, attention_op
-from repro.models.partition import PipelineStage
 from repro.parallel.inter_op import InterOpStrategy
 from repro.serving.request import Batch
 
@@ -81,9 +80,9 @@ class InterTheoreticalStrategy(InterOpStrategy):
         self.tp = tp or node.num_gpus
         model.validate_tp(self.tp)
 
-    def stage_ops(self, batch: Batch, stage: PipelineStage) -> List[OpDesc]:
-        whole_ops = super().stage_ops(batch, stage)
-        ops: List[OpDesc] = []
-        for op in whole_ops:
-            ops.extend(partition_op_for_theoretical(op, self.tp))
-        return ops
+    def _enumerate_ops(self, batch: Batch, tp: int, layers) -> List[OpDesc]:
+        return [
+            shard
+            for op in super()._enumerate_ops(batch, tp, layers)
+            for shard in partition_op_for_theoretical(op, self.tp)
+        ]

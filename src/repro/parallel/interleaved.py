@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.assembly import FunctionAssembler
 from repro.core.config import LigerConfig
 from repro.core.runtime import LigerRuntime
-from repro.models.ops import OpDesc
-from repro.parallel.base import ParallelStrategy
+from repro.parallel.base import KernelFunc, ParallelStrategy
 from repro.profiling.contention_profiler import ContentionProfiler
 from repro.profiling.profiler import OpProfiler
 from repro.serving.request import Batch
@@ -53,9 +51,9 @@ class InterleavedStrategy(ParallelStrategy):
         self.runtime: Optional[LigerRuntime] = None
 
     # ------------------------------------------------------------------
-    def _batch_ops(self, batch: Batch) -> Sequence[OpDesc]:
+    def _batch_funcs(self, batch: Batch) -> Sequence[KernelFunc]:
         # Interleaved parallelism partitions exactly like intra-op (§3.1).
-        return self.ops_for_batch(batch, tp=self.node.num_gpus)
+        return self.launch_list(batch, tp=self.node.num_gpus)
 
     def bind(self, machine, host, *, track_memory=True) -> None:
         super().bind(machine, host, track_memory=track_memory)
@@ -66,15 +64,11 @@ class InterleavedStrategy(ParallelStrategy):
             factors = ContentionProfiler(
                 self.node, self.profiler, contention=machine.contention
             ).profile(self.model)
-        # _batch_ops is pure in (phase, size, seq_len, context_len) — the
-        # assembly-cache contract — because model and TP degree are fixed
-        # for the strategy's lifetime.
-        assembler = FunctionAssembler(self._batch_ops, self.profiler)
         self.runtime = LigerRuntime(
             machine,
             host,
             self.profiler,
-            assembler,
+            self._batch_funcs,
             factors,
             self.config,
             on_batch_launched=self.add_pending,
@@ -127,7 +121,8 @@ class InterleavedStrategy(ParallelStrategy):
         return self.runtime.stats
 
     def perf_counters(self) -> dict:
-        """Hot-path cache statistics (the assembly cache).
+        """Hot-path cache statistics (the launch-list cache, which serves
+        function assembly).
 
         The server exports these as ``repro_perf_*`` gauges when
         observability is attached; the benchmark's ``bench/child.py`` reads
@@ -135,10 +130,9 @@ class InterleavedStrategy(ParallelStrategy):
         """
         if self.runtime is None:
             return {}
-        assembler = self.runtime.assembler
         return {
-            "assembly_cache_hits": assembler.cache_hits,
-            "assembly_cache_misses": assembler.cache_misses,
-            "assembly_cache_evictions": assembler.cache_evictions,
-            "assembly_build_seconds": assembler.build_seconds,
+            "assembly_cache_hits": self.cache_hits,
+            "assembly_cache_misses": self.cache_misses,
+            "assembly_cache_evictions": self.cache_evictions,
+            "assembly_build_seconds": self.build_seconds,
         }

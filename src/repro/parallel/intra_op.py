@@ -44,15 +44,20 @@ class IntraOpStrategy(ParallelStrategy):
         host.catch_up()
 
         groups = machine.groups
-        ops = self.ops_for_batch(batch, tp=self.node.num_gpus)
-        per_op_kernels = [
-            instantiate_op(op, groups, batch.batch_id, self.profiler) for op in ops
-        ]
+        funcs = self.launch_list(batch, tp=self.node.num_gpus)
+        bid, profiler = batch.batch_id, self.profiler
         # Every op runs on every rank.
-        self.track_batch(batch, len(ops) * self.node.num_gpus)
-        # Launch in op order, once per rank group (one group unless an
-        # armed fault injector keeps the ranks apart).
+        self.track_batch(batch, len(funcs) * self.node.num_gpus)
         streams = self._streams
-        for kernels in per_op_kernels:
-            for lead, kernel in kernels.items():
+        if len(groups) == 1:
+            # One rank group: the whole batch is one run on one stream.
+            lead = groups[0][0]
+            host.launch_kernels(streams[lead], [
+                instantiate_op(f, groups, bid, profiler)[lead] for f in funcs
+            ])
+            return
+        # An armed fault injector keeps the ranks apart: launch in op
+        # order, once per rank.
+        for f in funcs:
+            for lead, kernel in instantiate_op(f, groups, bid, profiler).items():
                 host.launch_kernel(streams[lead], kernel)

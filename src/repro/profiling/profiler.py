@@ -7,9 +7,10 @@ those durations to the scheduler (Fig. 5; §3.2's function wrappers carry
 solo kernel equals the cost-model value by construction; the profiler's job
 is therefore to be the single component that owns the
 op → (duration, occupancy, memory-intensity) mapping, with caching keyed on
-op identity.  Kernels are built from these profiles by
-:func:`~repro.parallel.base.instantiate_op`, so a lone kernel on the machine
-runs for exactly its profiled duration.
+op identity.  Each op's launch record
+(:class:`~repro.parallel.base.KernelFunc`) carries its profile, and
+:func:`~repro.parallel.base.instantiate_op` builds kernels from the record,
+so a lone kernel on the machine runs for exactly its profiled duration.
 """
 
 from __future__ import annotations

@@ -230,6 +230,8 @@ class JobServer:
     #: The ``perf`` section of the Prometheus export: hot-path cache
     #: statistics, published only by strategies that expose
     #: ``perf_counters()`` (duck-typed — the server stays strategy-agnostic).
+    #: The help texts are pinned by the ``.prom`` goldens; a cache hit now
+    #: shares the shape's launch list rather than copying it.
     _PERF_GAUGE_HELP = {
         "assembly_cache_hits": "Function-assembly cache hits (rebinds).",
         "assembly_cache_misses": "Function-assembly cache misses (rebuilds).",

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -456,6 +456,40 @@ class Machine:
             command.pump_at = now + delay
             if was_idle:
                 self._schedule_avail_pump(stream, command.pump_at)
+
+    def submit_many(self, stream: Stream, commands: Sequence[Command]) -> None:
+        """Enqueue a run of commands on one stream, in order.
+
+        Equal to :meth:`submit` once per command: each is stamped with its
+        ``pump_at``, and only the first can find the stream idle and arm a
+        pump.  With a fault injector armed every command is submitted on
+        its own, so each draws its own ``submit_delay``.
+        """
+        if self.fault_injector is not None or stream.lead is not None:
+            for command in commands:
+                self.submit(stream, command)
+            return
+        if not commands:
+            return
+        if not self._mirrored and len(self.gpus[stream.gpu_id].ranks) > 1:
+            self._mirrored = True
+        queue = stream.queue
+        was_idle = not (
+            queue
+            or stream.running_kernel is not None
+            or stream.blocked_on_event is not None
+        )
+        queue.extend(commands)
+        now = self.engine.now
+        for command in commands:
+            delay = command.available_at - now
+            command.pump_at = now if delay <= _EPS else now + delay
+        if was_idle:
+            first = commands[0]
+            if first.available_at - now <= _EPS:
+                self._schedule_pump(stream.gpu_id, 0.0)
+            else:
+                self._schedule_avail_pump(stream, first.pump_at)
 
     def launch(self, stream: Stream, kernel: Kernel, available_at: float) -> None:
         """Convenience: submit a LAUNCH command."""

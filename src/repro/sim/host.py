@@ -24,7 +24,7 @@ once, so a group's cursors never differ: a command carries its lead's.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from repro.sim.events import CudaEvent
 from repro.sim.gpu import Machine
@@ -113,6 +113,35 @@ class Host:
     def launch_kernel(self, stream: Stream, kernel: Kernel) -> float:
         """Issue one kernel launch; returns its availability time."""
         return self._issue(stream, self.launch_overhead, _LAUNCH, kernel)
+
+    def launch_kernels(self, stream: Stream, kernels: Sequence[Kernel]) -> float:
+        """Issue a run of kernel launches on one stream; returns the last
+        one's availability time (the cursor if ``kernels`` is empty).
+
+        Equal to :meth:`launch_kernel` once per kernel, in order: each
+        command is stamped with the lead's cursor after its own launch
+        cost, and the machine takes the run in one
+        :meth:`~repro.sim.gpu.Machine.submit_many`.
+        """
+        cursors = self.cursors
+        gpu_id = stream.gpu_id
+        start = at = cursors[gpu_id]
+        cost = self.launch_overhead
+        commands = []
+        for kernel in kernels:
+            at += cost
+            commands.append(_fast_command(_LAUNCH, at, kernel))
+        machine = self.machine
+        group = machine.gpus[gpu_id].ranks
+        self.launches_issued += len(commands) * len(group)
+        for rank in group:
+            if cursors[rank] == start:
+                cursors[rank] = at
+            else:
+                for _ in commands:
+                    cursors[rank] += cost
+        machine.submit_many(stream, commands)
+        return at
 
     def record_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue an event-record command."""

@@ -54,7 +54,8 @@ def make_func(
     batch_id: int = 0,
     decomposable: bool = False,
 ) -> KernelFunc:
-    """One KernelFunc of the given flavour with a fixed no-load duration."""
+    """One KernelFunc of the given flavour with a fixed no-load duration
+    (``batch_id`` only names it)."""
     name = name or f"{flavour}_{batch_id}"
     if flavour == "gemm":
         op = gemm_op(name, 0, 128, 1024, 1024, decomposable=decomposable)
@@ -70,10 +71,9 @@ def make_func(
         op=op,
         duration=duration,
         kind=op.kind,
-        batch_id=batch_id,
-        batch_size=2,
-        seq_len=64,
         decomposable=decomposable,
+        occupancy=0.5,
+        memory_intensity=0.1,
     )
 
 

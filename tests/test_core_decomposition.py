@@ -21,7 +21,6 @@ from repro.errors import ConfigError
 from repro.hw import v100_nvlink_node
 from repro.models.ops import all_to_all_op, allreduce_op, attention_op, gemm_op
 from repro.profiling import OpProfiler
-from repro.sim.kernel import KernelKind
 
 
 @pytest.fixture
@@ -30,14 +29,14 @@ def profiler():
 
 
 def kfunc(op, profiler, decomposable=True):
+    _, occupancy, mem = profiler.kernel_profile(op)
     return KernelFunc(
         op=op,
         duration=profiler.duration(op),
         kind=op.kind,
-        batch_id=0,
-        batch_size=2,
-        seq_len=64,
         decomposable=decomposable,
+        occupancy=occupancy,
+        memory_intensity=mem,
     )
 
 
@@ -174,10 +173,7 @@ class TestPlanner:
     def test_non_decomposable_kernel_refused(self, profiler):
         planner = DecompositionPlanner(profiler, 8)
         attn = attention_op("a", 0, batch=2, q_len=64, ctx_len=64, heads=14, head_dim=128)
-        f = KernelFunc(
-            op=attn, duration=profiler.duration(attn), kind=KernelKind.COMPUTE,
-            batch_id=0, batch_size=2, seq_len=64, decomposable=False,
-        )
+        f = kfunc(attn, profiler, decomposable=False)
         assert not planner.can_decompose(f)
         assert planner.split_to_fit(f, 1e9) is None
 
@@ -344,8 +340,9 @@ class TestDivisionTables:
             assert rest.duration == rest_duration
             assert (piece.decomposable, rest.decomposable) == (False, True)
             for part in (piece, rest):
-                assert (part.kind, part.batch_id, part.batch_size, part.seq_len) == (
-                    f.kind, f.batch_id, f.batch_size, f.seq_len,
+                assert part.kind == f.kind
+                assert (part.occupancy, part.memory_intensity) == tuple(
+                    reference.kernel_profile(part.op)[1:]
                 )
         assert planner.profile_divisions(f) == reference_divisions(
             reference, splitter, op, d

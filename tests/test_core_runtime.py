@@ -204,8 +204,8 @@ class TestMemoryAwareAdmission:
             [
                 KernelFunc(
                     op=gemm_op("g", 0, 128, 512, 512), duration=10.0,
-                    kind=KernelKind.COMPUTE, batch_id=batch.batch_id,
-                    batch_size=2, seq_len=64, decomposable=False,
+                    kind=KernelKind.COMPUTE, decomposable=False,
+                    occupancy=0.5, memory_intensity=0.1,
                 )
             ],
         )
@@ -223,8 +223,8 @@ class TestMemoryAwareAdmission:
             [
                 KernelFunc(
                     op=gemm_op("g2", 0, 1024, 512, 512), duration=10.0,
-                    kind=KernelKind.COMPUTE, batch_id=batch2.batch_id,
-                    batch_size=8, seq_len=128, decomposable=False,
+                    kind=KernelKind.COMPUTE, decomposable=False,
+                    occupancy=0.5, memory_intensity=0.1,
                 )
             ],
         )
@@ -253,9 +253,9 @@ class TestDecomposedPieces:
     def _rename(strat):
         """Rename every op with a ``.cproj`` suffix, as a model whose op
         names contain the collective-piece marker ``.c`` would."""
-        ops_for = strat._batch_ops
-        strat._batch_ops = lambda b: tuple(
-            replace(op, name=f"{op.name}.cproj") for op in ops_for(b)
+        ops_for = strat._enumerate_ops
+        strat._enumerate_ops = lambda b, tp, layers: tuple(
+            replace(op, name=f"{op.name}.cproj") for op in ops_for(b, tp, layers)
         )
 
     def test_whole_kernels_named_like_pieces_are_not_counted(self):

@@ -30,10 +30,9 @@ def comp(name, dur, decomposable=False):
         op=gemm_op(name, 0, 128, 1024, 1024, decomposable=decomposable),
         duration=dur,
         kind=KernelKind.COMPUTE,
-        batch_id=0,
-        batch_size=2,
-        seq_len=64,
         decomposable=decomposable,
+        occupancy=0.5,
+        memory_intensity=0.1,
     )
 
 
@@ -42,10 +41,9 @@ def comm(name, dur, decomposable=False):
         op=allreduce_op(name, 0, 1e6, decomposable=decomposable),
         duration=dur,
         kind=KernelKind.COMM,
-        batch_id=0,
-        batch_size=2,
-        seq_len=64,
         decomposable=decomposable,
+        occupancy=0.5,
+        memory_intensity=0.1,
     )
 
 
@@ -207,8 +205,8 @@ class TestDecompositionIntegration:
         big_ar = allreduce_op("bigar", 0, 8e6)
         dur = prof.duration(big_ar)
         f = KernelFunc(
-            op=big_ar, duration=dur, kind=KernelKind.COMM,
-            batch_id=1, batch_size=2, seq_len=64, decomposable=True,
+            op=big_ar, duration=dur, kind=KernelKind.COMM, decomposable=True,
+            occupancy=0.5, memory_intensity=0.1,
         )
         # window = half the big collective: must split.
         s.enqueue(FuncVec(make_batch(0), [comp("p", dur * 0.5), comm("pc", 5)]))

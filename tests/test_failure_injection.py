@@ -254,7 +254,7 @@ class TestGracefulDegradation:
         assert len(published) == report.violations
         assert all(e.overshoot_us > 0 for e in published)
 
-    def test_clean_run_never_downgrades(self):
+    def test_clean_run_counts_no_violation(self):
         """A fault-free run counts rounds but no violation."""
         from repro.faults.plan import FaultPlan
 

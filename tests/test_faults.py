@@ -330,7 +330,7 @@ class TestFaultsCli:
 
 
 class TestLifecycleUnderFaults:
-    def test_lifecycle_downgrades_and_serves_every_chat(self):
+    def test_lifecycle_counts_violations_and_serves_every_chat(self):
         """A straggler's violations are counted and every chat is served."""
         from repro.faults.plan import GpuStraggler
         from repro.models.specs import OPT_13B

@@ -1,8 +1,9 @@
 """instantiate_op against kernels built with the validated constructors.
 
 ``instantiate_op`` builds one kernel per rank group with the slot-copy
-constructors of :mod:`repro.sim.kernel` from a profile checked once per
-entry.  The reference here is the constructor path — ``Kernel(...)`` per
+constructors of :mod:`repro.sim.kernel` from an op's profiled record
+(:class:`~repro.parallel.base.KernelFunc`), whose profile was checked once
+per entry.  The reference here is the constructor path — ``Kernel(...)`` per
 group lead, ``CollectiveOp(...)`` over every rank plus ``make_member`` per
 group lead — and every field must agree.
 """
@@ -21,7 +22,7 @@ from repro.models.ops import (
     gemm_op,
     p2p_op,
 )
-from repro.parallel.base import instantiate_op
+from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
 from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel
 
@@ -90,6 +91,11 @@ def reference(op, groups, batch_id, profiler):
     return dict(coll.members)
 
 
+def instantiate(op, groups, batch_id, profiler):
+    """``instantiate_op`` on the op's record, as a launch list holds it."""
+    return instantiate_op(KernelFunc.profiled(op, profiler), groups, batch_id, profiler)
+
+
 @pytest.fixture
 def profiler():
     return OpProfiler(v100_nvlink_node(4))
@@ -99,7 +105,7 @@ def profiler():
 def test_fields_match_validated_constructors(op, profiler):
     want = reference(op, GROUPS, 7, profiler)
     for _ in range(2):  # the profile-entry miss, then the hit
-        got = instantiate_op(op, GROUPS, 7, profiler)
+        got = instantiate(op, GROUPS, 7, profiler)
         assert list(got) == list(want)
         for gpu, kern in got.items():
             for field in FIELDS:
@@ -146,7 +152,7 @@ def test_invalid_profile_raises_every_time():
     profiler = OpProfiler(node, cost_model=_Counting(node.gpu, occupancy=0.0))
     for _ in range(2):
         with pytest.raises(ConfigError, match="occupancy"):
-            instantiate_op(gemm_op("g", 0, 64, 512, 512), GROUPS, 1, profiler)
+            instantiate(gemm_op("g", 0, 64, 512, 512), GROUPS, 1, profiler)
 
 
 @pytest.mark.parametrize("shared,expected", [(True, 1), (False, 3)])
@@ -163,7 +169,7 @@ def test_only_a_shared_profiler_reuses_its_profile_memo(shared, expected):
     for b in range(3):
         if not shared:
             profiler = OpProfiler(node, cost_model=cost_model)
-        kernels.append(instantiate_op(op, GROUPS, b, profiler)[0])
+        kernels.append(instantiate(op, GROUPS, b, profiler)[0])
     assert cost_model.calls == {"occupancy": expected, "memory_intensity": expected}
     assert len({(k.duration, k.occupancy, k.memory_intensity) for k in kernels}) == 1
 
@@ -177,7 +183,7 @@ def test_repeated_instantiation_consults_the_cost_model_once():
     op = gemm_op("g", 0, 64, 512, 512)
     cold = reference(op, GROUPS, 0, OpProfiler(node))
     for b in range(3):
-        got = instantiate_op(op, GROUPS, b, profiler)
+        got = instantiate(op, GROUPS, b, profiler)
         for gpu, kern in got.items():
             for field in FIELDS:
                 want = getattr(cold[gpu], field)
@@ -205,13 +211,14 @@ def _count_allreduce_calls(ccm):
 def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
     """With healthy links a collective's duration is memoized by kind, bytes
     and ranks: each (op, ranks) is priced once, however often it is built."""
-    calls = _count_allreduce_calls(profiler.collectives)
     ops = [allreduce_op("ar", 3, 2e6), allreduce_op("ar_big", 3, 8e6)]
+    funcs = [KernelFunc.profiled(op, profiler) for op in ops]  # a launch list
+    calls = _count_allreduce_calls(profiler.collectives)
     whole = [(0, 1, 2, 3)]
     for b in range(3):
-        for op in ops:
+        for op, func in zip(ops, funcs):
             for groups in (GROUPS, whole):
-                got = instantiate_op(op, groups, b, profiler)
+                got = instantiate_op(func, groups, b, profiler)
                 coll = next(iter(got.values())).collective
                 want = reference(op, groups, b, OpProfiler(v100_nvlink_node(4)))
                 assert coll.duration == next(iter(want.values())).duration
@@ -226,14 +233,34 @@ def test_collective_is_priced_at_the_hooks_current_value(profiler):
     memo already holds."""
     op = allreduce_op("ar", 3, 2e6)
     ccm = profiler.collectives
-    healthy = instantiate_op(op, GROUPS, 0, profiler)[2].duration
+    healthy = instantiate(op, GROUPS, 0, profiler)[2].duration
     calls = _count_allreduce_calls(ccm)
     scales = [0.5, 0.25, 1.0, 0.5]
     for b, scale in enumerate(scales):
         ccm.bandwidth_scale = lambda: scale
-        got = instantiate_op(op, GROUPS, b, profiler)[2].duration
+        got = instantiate(op, GROUPS, b, profiler)[2].duration
         degraded = OpProfiler(v100_nvlink_node(4)).collectives
         degraded.bandwidth_scale = lambda: scale
         assert got == degraded.allreduce_duration(op.comm_bytes, [2, 0, 3, 1])
         assert (got == healthy) is (scale == 1.0)
     assert len(calls) == len(scales)
+
+
+def test_instantiation_reads_the_record_not_the_profile(monkeypatch, profiler):
+    """A launch builds its kernels from the record alone: neither the
+    profile memo nor its key is consulted."""
+    funcs = [KernelFunc.profiled(op, profiler) for op in OPS]
+    want = [instantiate_op(f, GROUPS, 5, profiler) for f in funcs]
+
+    def forbidden(*args):
+        raise AssertionError("instantiate_op profiled an op")
+
+    monkeypatch.setattr(OpProfiler, "kernel_profile", forbidden)
+    monkeypatch.setattr(OpProfiler, "duration", forbidden)
+    monkeypatch.setattr("repro.profiling.profiler.op_key", forbidden)
+    for func, ref in zip(funcs, want):
+        got = instantiate_op(func, GROUPS, 5, profiler)
+        assert list(got) == list(ref)
+        for gpu, kern in got.items():
+            for field in FIELDS:
+                assert getattr(kern, field) == getattr(ref[gpu], field), field

@@ -8,7 +8,7 @@ from repro.errors import ConfigError
 from repro.hw import a100_pcie_node, v100_nvlink_node
 from repro.models import GLM_130B, OPT_30B
 from repro.models.ops import allreduce_op, elementwise_op, gemm_op, p2p_op
-from repro.parallel.base import instantiate_op
+from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import ContentionFactors, ContentionProfiler, OpProfiler, op_key
 from repro.sim import Engine, Machine, Trace
 from repro.sim.contention import NullContention
@@ -59,7 +59,8 @@ class TestOpProfiler:
             machine = Machine(
                 self.node, Engine(), contention=NullContention(), trace=Trace()
             )
-            for gpu, kernel in instantiate_op(op, [(g,) for g in gpus], 0, self.prof).items():
+            func = KernelFunc.profiled(op, self.prof)
+            for gpu, kernel in instantiate_op(func, [(g,) for g in gpus], 0, self.prof).items():
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, kernel, available_at=0.0)
             machine.run()

@@ -123,7 +123,7 @@ class TestCacheOffEquivalence:
         from repro.profiling.profiler import OpProfiler
         from repro.sim import gpu
 
-        # One bound serves the op memo and the assembly cache.
+        # The strategy's launch-list cache.
         monkeypatch.setattr(base, "CACHE_SIZE", 0)
         monkeypatch.setattr(gpu, "_SHAPE_CACHE_LIMIT", -1)
         warm_profile = OpProfiler.kernel_profile
@@ -148,10 +148,8 @@ class TestCacheOffEquivalence:
             "golden — a cache is not bit-identical"
         )
         assert not keep[0].machine._shape_cache
-        assert not keep[0].strategy._ops_memo
-        runtime = getattr(keep[0].strategy, "runtime", None)
-        if runtime is not None:
-            assert runtime.assembler.cache_hits == 0
+        assert not keep[0].strategy._launch_lists
+        assert keep[0].strategy.cache_hits == 0
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.hw import (
     v100_nvlink_node,
 )
 from repro.models.ops import p2p_op
-from repro.parallel.base import instantiate_op
+from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
 from repro.units import GB, GBps, us
@@ -24,8 +24,9 @@ from repro.units import GB, GBps, us
 def _p2p_members(size, src, dst):
     """A p2p pair as runs build it: the profiler's footprint, costed and
     built by :meth:`CollectiveCostModel.instantiate`."""
-    op = p2p_op("x", 0, size, src, dst)
-    return instantiate_op(op, [src, dst], 0, OpProfiler(v100_nvlink_node(4)))
+    profiler = OpProfiler(v100_nvlink_node(4))
+    xfer = KernelFunc.profiled(p2p_op("x", 0, size, src, dst), profiler)
+    return instantiate_op(xfer, [src, dst], 0, profiler)
 
 
 class TestTopology:

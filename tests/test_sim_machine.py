@@ -15,7 +15,7 @@ import pytest
 from repro.errors import DeadlockError, StreamProtocolError
 from repro.hw import v100_nvlink_node
 from repro.models.ops import p2p_op
-from repro.parallel.base import instantiate_op
+from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
 from repro.sim import (
     ContentionModel,
@@ -295,7 +295,9 @@ class TestCollectives:
 
     def test_p2p_pair_completes_together(self):
         m = make_machine(2)
-        members = instantiate_op(p2p_op("x", 0, 2e6, 0, 1), [0, 1], 3, OpProfiler(m.node))
+        prof = OpProfiler(m.node)
+        xfer = KernelFunc.profiled(p2p_op("x", 0, 2e6, 0, 1), prof)
+        members = instantiate_op(xfer, [0, 1], 3, prof)
         m.launch(m.gpu(0).stream("c"), members[0], available_at=0.0)
         m.launch(m.gpu(1).stream("c"), members[1], available_at=0.0)
         m.run()

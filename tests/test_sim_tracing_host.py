@@ -256,3 +256,138 @@ class TestHost:
         assert t0 == pytest.approx(5.0)
         assert t1 == pytest.approx(5.0)  # not 10.0
         m.run()
+
+
+class TestBatchedLaunch:
+    """``Host.launch_kernels`` is a loop of ``launch_kernel`` issued as one
+    ``Machine.submit_many``: every observable of the loop must match."""
+
+    N = 4
+
+    @staticmethod
+    def _events(m):
+        """The engine's pending events as ``(seq, time, priority, callback)``."""
+        return sorted(
+            (seq, t, prio, getattr(h.callback, "__name__", None))
+            for t, prio, seq, h in m.engine._heap
+            if not h.cancelled
+        )
+
+    def _issue(self, batched, prepare):
+        """Issue ``N`` launches on a mirrored group's stream after
+        ``prepare(machine, host, stream)``; snapshot what the issue left."""
+        m = make_machine(4)
+        for g in m.gpus:
+            g.stream("s0")
+        m.mirror_ranks(range(4))
+        host = Host(m)
+        stream = m.gpu(0).streams[0]
+        prepare(m, host, stream)
+        queued = len(stream.queue)
+        before = self._events(m)
+        kernels = [k(f"x{i}@g0", 3.0) for i in range(self.N)]
+        if batched:
+            last = host.launch_kernels(stream, kernels)
+        else:
+            for kern in kernels:
+                last = host.launch_kernel(stream, kern)
+        after = self._events(m)
+        snap = {
+            "last": last,
+            "commands": [
+                (c.kernel.name, c.available_at, c.pump_at)
+                for c in list(stream.queue)[queued:]
+            ],
+            "cursors": list(host.cursors),
+            "launches": host.launches_issued,
+            # Events the issue scheduled (time, priority, callback).
+            "armed": [e[1:] for e in after if e not in before],
+            "avail_pump_at": stream.avail_pump_at,
+        }
+        assert [e for e in after if e in before] == before
+        return snap, m
+
+    def _same_as_loop(self, prepare):
+        (batched, m_b), (looped, m_l) = (
+            self._issue(True, prepare), self._issue(False, prepare)
+        )
+        assert batched == looped
+        m_b.run()
+        m_l.run()
+        assert [(r.name, r.start, r.end) for r in m_b.trace.rows] == [
+            (r.name, r.start, r.end) for r in m_l.trace.rows
+        ]
+        assert len(m_b.trace.rows) >= self.N
+        return batched
+
+    def test_idle_stream_with_the_run_already_visible(self):
+        """The CPU issued ahead of a late clock: the first command is due
+        now, so one zero-delay pump is armed."""
+
+        def prepare(m, host, stream):
+            m.engine.schedule(100.0, lambda: None)
+            m.engine.run()
+
+        snap = self._same_as_loop(prepare)
+        ats = [at for _, at, _ in snap["commands"]]
+        assert ats == pytest.approx([5.0 * (i + 1) for i in range(self.N)])
+        assert [pump_at for _, _, pump_at in snap["commands"]] == [100.0] * self.N
+        assert [(t, prio) for t, prio, _ in snap["armed"]] == [(100.0, 5)]
+        assert snap["cursors"] == [ats[-1]] * 4
+        assert snap["launches"] == 4 * self.N
+
+    def test_busy_stream_arms_no_pump(self):
+        """A running kernel retires into a pump of its own: the run is only
+        stamped with its pump times."""
+
+        def prepare(m, host, stream):
+            host.launch_kernel(stream, k("long@g0", 500.0))
+            m.engine.run(until=50.0)
+            assert stream.running_kernel is not None
+            host.catch_up()
+
+        snap = self._same_as_loop(prepare)
+        ats = [at for _, at, _ in snap["commands"]]
+        assert ats == pytest.approx([50.0 + 5.0 * (i + 1) for i in range(self.N)])
+        assert [pump_at for _, _, pump_at in snap["commands"]] == ats
+        assert snap["armed"] == []
+        assert snap["cursors"] == [ats[-1]] * 4
+
+    def test_first_command_visible_later_arms_its_availability_pump(self):
+        def prepare(m, host, stream):
+            pass
+
+        snap = self._same_as_loop(prepare)
+        ats = [at for _, at, _ in snap["commands"]]
+        assert ats == pytest.approx([5.0 * (i + 1) for i in range(self.N)])
+        assert [pump_at for _, _, pump_at in snap["commands"]] == ats
+        assert [(t, prio) for t, prio, _ in snap["armed"]] == [(ats[0], 5)]
+        assert snap["avail_pump_at"] == ats[0]
+        assert snap["cursors"] == [ats[-1]] * 4
+        assert snap["last"] == ats[-1]
+
+    def test_fault_armed_run_delays_every_command_on_its_own(self):
+        from repro.faults.injector import FaultInjector
+        from repro.faults.plan import FaultPlan, HostJitter
+
+        def issue(batched):
+            m = make_machine(2)
+            stream = m.gpu(0).stream("s0")
+            injector = FaultInjector(FaultPlan([HostJitter(0.0, 1e6, amplitude=4.0)]))
+            injector.arm(m)
+            host = Host(m)
+            kernels = [k(f"j{i}", 2.0) for i in range(6)]
+            if batched:
+                host.launch_kernels(stream, kernels)
+            else:
+                for kern in kernels:
+                    host.launch_kernel(stream, kern)
+            ats = [c.available_at for c in stream.queue]
+            return ats, injector.jittered_commands, list(host.cursors)
+
+        batched, looped = issue(True), issue(False)
+        assert batched == looped
+        ats, jittered, _ = batched
+        delays = [at - 5.0 * (i + 1) for i, at in enumerate(ats)]
+        assert jittered == len(ats) == 6
+        assert len({round(d, 9) for d in delays}) > 1
