@@ -21,7 +21,8 @@ def test_fig13_hybrid_vs_cpu_gpu(benchmark, scale):
     # ...and matches or beats it on throughput.
     assert s["sync=hybrid_thr_vs_sync=cpu_gpu"] >= 0.99
 
-    # Pure inter-stream never beats hybrid (comm launch lag).
+    # Pure inter-stream never beats hybrid: _advance launches every
+    # plannable round at once, so each batch is planned alone.
     records = result.records
     hybrid = [r for r in records if r.panel == "sync=hybrid"]
     inter = [r for r in records if r.panel == "sync=inter_stream"]

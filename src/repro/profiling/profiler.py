@@ -71,7 +71,8 @@ class OpProfiler:
         Communication-library configuration.  Liger passes the *reduced*
         config (§3.5); baselines profile with NCCL defaults.
     participants:
-        Ranks collectives run over (defaults to all GPUs of the node).
+        Ranks collectives run over, in ring order (defaults to all GPUs of
+        the node); stored as a tuple.
     """
 
     def __init__(
@@ -86,8 +87,8 @@ class OpProfiler:
         self.cost_model = cost_model or KernelCostModel(node.gpu)
         self.nccl = nccl or NcclConfig()
         self.collectives = CollectiveCostModel(node.topology, self.nccl)
-        self.participants = (
-            list(participants) if participants is not None else list(range(node.num_gpus))
+        self.participants: Tuple[int, ...] = (
+            tuple(participants) if participants is not None else tuple(range(node.num_gpus))
         )
         self._cache: Dict[Tuple, float] = {}
         self._profiles: Dict[Tuple, Tuple[Optional[float], float, float]] = {}
@@ -96,17 +97,23 @@ class OpProfiler:
     # The profile database
     # ------------------------------------------------------------------
     def duration(self, op: OpDesc) -> float:
-        """No-load duration (µs) of one op, cached."""
+        """No-load duration (µs) of one op, cached.
+
+        A collective is priced at full link health whatever the cost
+        model's ``bandwidth_scale`` hook reports: the entry outlives any
+        link fault, which instantiation applies per launch.
+        """
         key = op_key(op)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
+        ccm = self.collectives
         if op.op == "all_reduce":
-            value = self.collectives.allreduce_duration(op.comm_bytes, self.participants)
+            value = ccm.allreduce_duration(op.comm_bytes, self.participants, healthy=True)
         elif op.op == "all_to_all":
-            value = self.collectives.alltoall_duration(op.comm_bytes, self.participants)
+            value = ccm.alltoall_duration(op.comm_bytes, self.participants, healthy=True)
         elif op.op == "p2p":
-            value = self.collectives.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
+            value = ccm.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst, healthy=True)
         else:
             value = self.cost_model.duration(op)
         self._cache[key] = value
@@ -134,8 +141,9 @@ class OpProfiler:
         Checked against the :class:`Kernel` invariants when the entry is
         made and memoized by :func:`op_key`, so kernels built from it use
         the slot-copy constructors of :mod:`repro.sim.kernel`.  A collective's
-        duration is None: it depends on the ranks and on the current link
-        health, so the collective cost model prices it at instantiation.
+        duration is None here: the record takes :meth:`duration`'s price
+        over :attr:`participants`, and a rendezvous over other ranks or
+        under a link fault is priced at instantiation.
         """
         key = op_key(op)
         hit = self._profiles.get(key)

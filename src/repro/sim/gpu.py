@@ -22,9 +22,10 @@ depends on:
   the moment they are admitted (NCCL kernels spin while waiting for peers),
   but the operation makes progress only once *every* rank has admitted its
   member, at the rate of the most-contended member, and all members finish at
-  the same instant.  A member admitted on a rank group that holds every
-  participant completes the rendezvous by itself: it starts at admission and
-  progresses like a local kernel.
+  the same instant.  A collective one rank group holds whole is no op at
+  all: the strategy launches it as a plain COMM kernel, which progresses
+  like any other kernel and retires the way a collective does — after the
+  co-due compute-like kernels, one at a time in admission order.
 
 One :class:`Machine` owns all GPUs of a node so that cross-device state
 (collectives, the single completion timer) has a single coordinator.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
@@ -42,7 +42,7 @@ from repro.hw.devices import NodeSpec
 from repro.sim.contention import ContentionModel, DefaultContention
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.events import CudaEvent
-from repro.sim.kernel import CollectiveOp, Kernel
+from repro.sim.kernel import CollectiveOp, Kernel, KernelKind
 from repro.sim.stream import Command, CommandKind, Stream, _fast_command
 from repro.sim.tracing import Trace
 
@@ -61,6 +61,7 @@ _SHAPE_CACHE_LIMIT = 8192
 _LAUNCH = CommandKind.LAUNCH
 _RECORD_EVENT = CommandKind.RECORD_EVENT
 _WAIT_EVENT = CommandKind.WAIT_EVENT
+_COMM = KernelKind.COMM
 
 
 @dataclass(slots=True)
@@ -82,9 +83,6 @@ class _RunState:
     #: Clamped contention slowdown from the device's resident set, without
     #: fault inflation; refreshed only after the resident set changes.
     contention: float = 1.0
-    #: A whole-group collective's place in first-admission order among
-    #: collectives (see :attr:`_CollectiveRun.admit_seq`); -1 otherwise.
-    admit_seq: int = -1
 
 
 def _ready_state(
@@ -103,7 +101,6 @@ def _ready_state(
     rs.remaining = 0.0
     rs.slowdown = 1.0
     rs.contention = 1.0
-    rs.admit_seq = -1
     return rs
 
 
@@ -122,8 +119,6 @@ class _CollectiveRun:
     started_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
-    #: First-admission order among all collectives, whole-group ones too.
-    admit_seq: int = -1
 
     @property
     def started(self) -> bool:
@@ -151,7 +146,7 @@ class Gpu:
         self.resident: Dict[Kernel, _RunState] = {}
         self.used_occupancy = 0.0
         #: Residents that progress on their own, by kernel, in admission
-        #: order: local kernels and whole-group collectives — the progress
+        #: order: every kernel but a rendezvous member — the progress
         #: integrator iterates this instead of re-filtering ``resident``.
         self.active_local: Dict[Kernel, _RunState] = {}
         #: Set on every admit/release: the residents' stored contention
@@ -273,8 +268,6 @@ class Machine:
         self._mirrored = False
         #: Admission tie-break within one device's ready list (pop order).
         self._ready_seq = itertools.count()
-        #: First-admission numbers of collectives, whole-group or rendezvous.
-        self._admit_seq = itertools.count()
         #: In-flight rendezvous collectives by op, in first-admission order.
         self._collectives: Dict[CollectiveOp, _CollectiveRun] = {}
         #: Shape-keyed slowdown vectors (see ContentionModel.pure_in_shape):
@@ -314,9 +307,10 @@ class Machine:
         """Register an observer called as ``fn(kernel, end_time, ranks)``.
 
         ``ranks`` is how many ranks' copies of ``kernel`` the call retires:
-        a group kernel is observed once for its lead rank and once more for
-        the rest of its group.  Per-rank accounting adds ``ranks``; the calls
-        come in the order the per-rank calls would (see :meth:`mirror_ranks`).
+        a compute-like group kernel is observed once for its lead rank and
+        once more for the rest of its group, a COMM kernel once for all.
+        Per-rank accounting adds ``ranks``; the calls come in the order the
+        per-rank calls would (see :meth:`mirror_ranks`).
         """
         self._completion_observers.append(fn)
 
@@ -345,8 +339,8 @@ class Machine:
         count of the other ranks.  A batch can only finish on its device's
         last lane, so this is the per-rank call order with the follower
         lanes' calls folded together, exact for groups of consecutive ranks.
-        A collective is observed once per distinct run state, in member
-        order, with that state's rank count.
+        A COMM kernel retires after them as a collective does: once per
+        run state, with that state's rank count.
 
         Ignored while a fault injector is armed: faults skew the ranks, so
         each rank is then simulated on its own.  Declare before submitting
@@ -688,23 +682,13 @@ class Machine:
         if coll is None:
             gpu.active_local[kernel] = rs
             return
-        ranks = gpu.ranks
-        participants = coll.participants
-        if len(ranks) == len(participants) and set(ranks) == set(participants):
-            # The group holds every participant: the rendezvous is complete
-            # at once, and the collective progresses like a local kernel.
-            rs.remaining = coll.duration
-            rs.admit_seq = next(self._admit_seq)
-            gpu.active_local[kernel] = rs
-            return
         crun = self._collectives.get(coll)
         if crun is None:
-            crun = _CollectiveRun(
-                op=coll, remaining=coll.duration, admit_seq=next(self._admit_seq)
+            crun = self._collectives[coll] = _CollectiveRun(
+                op=coll, remaining=coll.duration
             )
-            self._collectives[coll] = crun
         members = crun.members
-        for rank in ranks:
+        for rank in gpu.ranks:
             if rank in members:
                 raise SimulationError(
                     f"collective {coll.name}: duplicate member on GPU {rank}"
@@ -837,26 +821,27 @@ class Machine:
         now = self.engine.now
 
         due_locals: Dict[int, List[_RunState]] = {}
-        # Due collectives as (first-admission number, rank → run state).
-        due_colls: List[Tuple[int, Dict[int, _RunState]]] = []
+        # Due COMM kernels, each a whole group's collective, in device then
+        # admission order.
+        due_comms: List[_RunState] = []
         for gpu in self._devices:
             due = None
             for rs in gpu.active_local.values():
                 if rs.remaining <= _EPS:
-                    if rs.kernel.collective is not None:
-                        due_colls.append((rs.admit_seq, dict.fromkeys(gpu.ranks, rs)))
+                    if rs.kernel.kind is _COMM:
+                        due_comms.append(rs)
                         continue
                     if due is None:
                         due = due_locals[gpu.gpu_id] = []
                     due.append(rs)
-        if self._collectives:
-            for crun in [
-                crun
-                for crun in self._collectives.values()
-                if crun.started_at >= 0.0 and crun.remaining <= _EPS
-            ]:
-                del self._collectives[crun.op]
-                due_colls.append((crun.admit_seq, crun.members))
+        # Due rendezvous collectives, in first-admission order.
+        due_runs = [
+            crun
+            for crun in self._collectives.values()
+            if crun.started_at >= 0.0 and crun.remaining <= _EPS
+        ] if self._collectives else ()
+        for crun in due_runs:
+            del self._collectives[crun.op]
         touched = set(due_locals)
         if due_locals:
             trace = self.trace
@@ -888,13 +873,15 @@ class Machine:
                     for rs in due:
                         for fn in observers:
                             fn(rs.kernel, now, ranks)
-        if due_colls:
-            # After every local kernel, in first-admission order.
-            if len(due_colls) > 1:
-                due_colls.sort(key=itemgetter(0))
-            for _, members in due_colls:
-                states = self._complete_collective(members, now)
-                touched.update(rs.gpu_id for rs in states)
+        # Collectives after every compute-like kernel: the whole groups'
+        # COMM kernels, then the rendezvous.
+        for rs in due_comms:
+            self._complete_collective((rs,), now)
+            touched.add(rs.gpu_id)
+        for crun in due_runs:
+            states = [rs for rank, rs in crun.members.items() if rank == rs.gpu_id]
+            self._complete_collective(states, now)
+            touched.update(rs.gpu_id for rs in states)
 
         # Every pump below runs at the same instant, so progress banking
         # between them is a no-op and one reschedule after the last covers
@@ -916,30 +903,26 @@ class Machine:
         if rs.stream.running_kernel is kernel:
             rs.stream.running_kernel = None
 
-    def _complete_collective(
-        self, members: Dict[int, _RunState], now: float
-    ) -> List[_RunState]:
-        """Retire a due collective, rendezvous or whole-group, given each
-        of its ranks' run state in member order; returns the distinct
-        states, one per group."""
+    def _complete_collective(self, states: Sequence[_RunState], now: float) -> None:
+        """Retire a due collective given its run states, one per rank
+        group in member order: a whole group's COMM kernel, or a
+        rendezvous's members.  Each state's group gets one trace row per
+        rank, in rank order, and one observer call with its rank count."""
         trace = self.trace
-        states: List[_RunState] = []
-        for rank, rs in members.items():
-            lead = rs.gpu_id
-            if rank == lead:
-                self._release(rs)
-                states.append(rs)
-            if trace is not None:
-                trace.record_kernel(
-                    rs, now, rank, rank_name(rs.kernel.name, rank, lead)
-                )
-        self.kernels_completed += len(members)
         gpus = self.gpus
+        for rs in states:
+            self._release(rs)
+            lead = rs.gpu_id
+            ranks = gpus[lead].ranks
+            self.kernels_completed += len(ranks)
+            if trace is not None:
+                for rank in ranks:
+                    trace.record_kernel(
+                        rs, now, rank, rank_name(rs.kernel.name, rank, lead)
+                    )
         for fn in self._completion_observers:
-            # Each run state stands for its group's ranks.
             for rs in states:
                 fn(rs.kernel, now, len(gpus[rs.gpu_id].ranks))
-        return states
 
     # ------------------------------------------------------------------
     # Introspection

@@ -111,39 +111,41 @@ class CollectiveCostModel:
         #: only: a collective is priced once per shape, not per instance.
         self._durations: Dict[Tuple, float] = {}
 
-    def _link_health(self) -> float:
-        """Current bandwidth fraction from the fault hook (1.0 when healthy)."""
-        if self.bandwidth_scale is None:
-            return 1.0
+    def _bandwidth(self, nominal: float, healthy: bool) -> float:
+        """``nominal`` derated by the channel count and, unless ``healthy``,
+        by the current bandwidth fraction from the fault hook."""
+        bw = nominal * self.nccl.bandwidth_fraction
+        if healthy or self.bandwidth_scale is None:
+            return bw
         scale = self.bandwidth_scale()
         if not 0.0 < scale <= 1.0:
             raise ConfigError(f"bandwidth_scale hook returned {scale}, not in (0, 1]")
-        return scale
+        return bw * scale
 
     # ------------------------------------------------------------------
     # Durations
     # ------------------------------------------------------------------
-    def allreduce_duration(self, size_bytes: float, participants: Sequence[int]) -> float:
-        """Ring all-reduce duration (µs) for ``size_bytes`` over the ranks."""
+    def allreduce_duration(
+        self, size_bytes: float, participants: Sequence[int], *, healthy: bool = False
+    ) -> float:
+        """Ring all-reduce duration (µs) for ``size_bytes`` over the ranks,
+        at the current link health, or at full health if ``healthy``."""
         if size_bytes < 0:
             raise ConfigError("allreduce size must be >= 0")
         p = len(participants)
         if p <= 1:
             return 0.0
-        bw = (
-            self.topology.allreduce_bus_bandwidth
-            * self.nccl.bandwidth_fraction
-            * self._link_health()
-        )
+        bw = self._bandwidth(self.topology.allreduce_bus_bandwidth, healthy)
         hop_latency = self._ring_hop_latency(participants)
         steps = 2 * (p - 1)
         transfer_us = (2.0 * (p - 1) / p) * size_bytes / bw * 1e6
         return self.nccl.min_latency + steps * hop_latency + transfer_us
 
     def alltoall_duration(
-        self, size_bytes: float, participants: Sequence[int]
+        self, size_bytes: float, participants: Sequence[int], *, healthy: bool = False
     ) -> float:
-        """All-to-all personalized exchange duration (µs).
+        """All-to-all personalized exchange duration (µs), at the link
+        health :meth:`allreduce_duration` uses.
 
         ``size_bytes`` is the per-rank payload: each rank scatters
         ``(p−1)/p · S`` of its buffer to peers in ``p−1`` pipelined steps,
@@ -155,28 +157,23 @@ class CollectiveCostModel:
         p = len(participants)
         if p <= 1:
             return 0.0
-        bw = (
-            self.topology.allreduce_bus_bandwidth
-            * self.nccl.bandwidth_fraction
-            * self._link_health()
-        )
+        bw = self._bandwidth(self.topology.allreduce_bus_bandwidth, healthy)
         hop_latency = self._ring_hop_latency(participants)
         steps = p - 1
         transfer_us = ((p - 1) / p) * size_bytes / bw * 1e6
         return self.nccl.min_latency + steps * hop_latency + transfer_us
 
-    def p2p_duration(self, size_bytes: float, src: int, dst: int) -> float:
-        """Point-to-point transfer duration (µs)."""
+    def p2p_duration(
+        self, size_bytes: float, src: int, dst: int, *, healthy: bool = False
+    ) -> float:
+        """Point-to-point transfer duration (µs), at the link health
+        :meth:`allreduce_duration` uses."""
         if size_bytes < 0:
             raise ConfigError("p2p size must be >= 0")
         latency = self.topology.p2p_latency(src, dst)  # range-checks both ids
         if src == dst:
             return 0.0
-        bw = (
-            self.topology.p2p_bandwidth(src, dst)
-            * self.nccl.bandwidth_fraction
-            * self._link_health()
-        )
+        bw = self._bandwidth(self.topology.p2p_bandwidth(src, dst), healthy)
         return self.nccl.min_latency + latency + size_bytes / bw * 1e6
 
     def _ring_hop_latency(self, participants: Sequence[int]) -> float:
@@ -219,15 +216,20 @@ class CollectiveCostModel:
         self, kind, size_bytes, participants, leads, occupancy,
         memory_intensity, batch_id, layer, name, op,
     ) -> CollectiveOp:
-        """Cost a collective at the current link health and build it.
+        """Cost a rendezvous collective at the current link health and
+        build it.
 
-        The footprint (``occupancy``, ``memory_intensity``) must already
-        have passed :func:`~repro.sim.kernel.check_kernel_profile`; the
-        ranks and duration are checked here, once per collective shape
-        while no ``bandwidth_scale`` hook is set (the duration is then
-        memoized by kind, bytes and ranks) and once per collective under
-        one, and the op and its members — one per rank in ``leads`` — are
-        built by the slot-copy constructor.
+        :func:`~repro.parallel.base.instantiate_op` comes here for every
+        collective but one that a single rank group over the profiler's
+        ranks holds whole while no ``bandwidth_scale`` hook is set: that
+        one is a plain kernel at its profiled duration, which equals the
+        price computed here.  The footprint
+        (``occupancy``, ``memory_intensity``) must already have passed
+        :func:`~repro.sim.kernel.check_kernel_profile`; the ranks and
+        duration are checked here, once per collective shape while no hook
+        is set (the duration is then memoized by kind, bytes and ranks) and
+        once per collective under one, and the op and its members — one per
+        rank in ``leads`` — are built by the slot-copy constructor.
         """
         participants = list(participants)
         healthy = self.bandwidth_scale is None

@@ -13,7 +13,10 @@ one :class:`CollectiveOp` owns a member kernel per participating GPU, and the
 simulator applies rendezvous semantics — no member makes progress until every
 member has been admitted on its device, and all members complete at the same
 instant.  This reproduces the real NCCL behaviour that makes communication
-kernels sensitive to per-rank launch skew (§4.5).
+kernels sensitive to per-rank launch skew (§4.5).  Ranks simulated as one
+group cannot skew, so a collective such a group holds whole is a plain COMM
+kernel with no :class:`CollectiveOp`
+(:func:`~repro.parallel.base.instantiate_op`).
 """
 
 from __future__ import annotations

@@ -214,6 +214,35 @@ class TestInjectorHooks:
         d1 = degraded.allreduce_duration(nbytes, [0, 1, 2, 3])
         assert d1 > d0  # half the bandwidth → strictly slower
 
+    def test_profile_is_priced_at_full_link_health(self):
+        """A launch-list miss or §3.6 division entry made inside a link
+        window caches the no-load duration, not a degraded one, so it is
+        still right once the window closes; each launch inside the window
+        is still priced at the degraded bandwidth."""
+        from repro.core.decomposition import DecompositionPlanner
+        from repro.models.ops import allreduce_op
+        from repro.parallel.base import KernelFunc, instantiate_op
+        from repro.profiling import OpProfiler
+
+        node = v100_nvlink_node(4)
+        healthy, profiler = OpProfiler(node), OpProfiler(node)
+        m = _machine()
+        FaultInjector(
+            FaultPlan([LinkDegradation(start=0.0, end=100.0, fraction=0.5)])
+        ).arm(m, [profiler.collectives])
+        op = allreduce_op("ar", 0, 4e6)
+        func = KernelFunc.profiled(op, profiler)  # inside the window
+        assert func.duration == healthy.duration(op)
+        divisions = DecompositionPlanner(profiler, 4).profile_divisions(func)
+        assert divisions == DecompositionPlanner(healthy, 4).profile_divisions(
+            KernelFunc.profiled(op, healthy)
+        )
+        launched = instantiate_op(func, m.groups, 0, profiler)[0].duration
+        assert launched > 1.5 * func.duration
+        m.engine.run(until=200.0)  # the window closes
+        assert profiler.duration(op) == func.duration
+        assert instantiate_op(func, m.groups, 1, profiler)[0].duration == func.duration
+
     def test_bandwidth_scale_out_of_range_rejected(self):
         from repro.sim.interconnect import CollectiveCostModel
 

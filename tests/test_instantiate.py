@@ -5,7 +5,9 @@ constructors of :mod:`repro.sim.kernel` from an op's profiled record
 (:class:`~repro.parallel.base.KernelFunc`), whose profile was checked once
 per entry.  The reference here is the constructor path — ``Kernel(...)`` per
 group lead, ``CollectiveOp(...)`` over every rank plus ``make_member`` per
-group lead — and every field must agree.
+group lead — and every field must agree.  A collective one rank group
+holds whole is the exception: one plain kernel whose fields are its
+reference member's, built from the record alone.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigError
-from repro.hw import v100_nvlink_node
+from repro.hw import a100_pcie_node, v100_nvlink_node
+from repro.models import GLM_130B, MOE_16E, OPT_30B
 from repro.models.costs import KernelCostModel
 from repro.models.ops import (
     all_to_all_op,
@@ -24,6 +27,9 @@ from repro.models.ops import (
 )
 from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
+from repro.serving.api import make_strategy
+from repro.serving.request import Batch, Phase, Request
+from repro.sim.interconnect import CollectiveCostModel
 from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel
 
 # Not sorted, and one two-rank group: member order must follow the argument,
@@ -214,10 +220,10 @@ def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
     ops = [allreduce_op("ar", 3, 2e6), allreduce_op("ar_big", 3, 8e6)]
     funcs = [KernelFunc.profiled(op, profiler) for op in ops]  # a launch list
     calls = _count_allreduce_calls(profiler.collectives)
-    whole = [(0, 1, 2, 3)]
+    per_rank = [(0,), (1,), (2,), (3,)]
     for b in range(3):
         for op, func in zip(ops, funcs):
-            for groups in (GROUPS, whole):
+            for groups in (GROUPS, per_rank):
                 got = instantiate_op(func, groups, b, profiler)
                 coll = next(iter(got.values())).collective
                 want = reference(op, groups, b, OpProfiler(v100_nvlink_node(4)))
@@ -264,3 +270,107 @@ def test_instantiation_reads_the_record_not_the_profile(monkeypatch, profiler):
         for gpu, kern in got.items():
             for field in FIELDS:
                 assert getattr(kern, field) == getattr(ref[gpu], field), field
+
+
+WHOLE = [(0, 1, 2, 3)]
+
+
+def _forbid_interconnect(monkeypatch):
+    """Make every collective cost-model method raise."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("instantiate_op called the interconnect")
+
+    for name in (
+        "instantiate", "make_allreduce", "allreduce_duration",
+        "alltoall_duration", "p2p_duration", "_bandwidth", "_ring_hop_latency",
+    ):
+        monkeypatch.setattr(CollectiveCostModel, name, forbidden)
+
+
+@pytest.mark.parametrize("op", OPS[2:4], ids=lambda op: op.op)
+def test_whole_group_collective_is_one_plain_kernel(monkeypatch, op, profiler):
+    """One rank group holding the profiler's ranks, no hook: an all-reduce
+    or all-to-all is one kernel, for the lead, with every field of the
+    member the rendezvous path would build, no op, and the record's
+    profiled duration; no interconnect method is called."""
+    func = KernelFunc.profiled(op, profiler)
+    want = reference(op, WHOLE, 7, OpProfiler(v100_nvlink_node(4)))
+    _forbid_interconnect(monkeypatch)
+    got = instantiate_op(func, WHOLE, 7, profiler)
+    assert list(got) == list(want) == [0]
+    kern = got[0]
+    for field in FIELDS:
+        assert getattr(kern, field) == getattr(want[0], field), field
+    assert kern.duration == func.duration
+    assert kern.kind is want[0].kind and kern.collective is None
+    assert want[0].collective is not None
+
+
+def _op_groups(profiler, groups, op):
+    got = instantiate_op(KernelFunc.profiled(op, profiler), groups, 1, profiler)
+    colls = {id(kern.collective) for kern in got.values()}
+    assert len(colls) == 1 and id(None) not in colls
+    return next(iter(got.values())).collective
+
+
+@pytest.mark.parametrize("op", OPS[2:4], ids=lambda op: op.op)
+def test_hook_or_partial_group_still_builds_an_op(op):
+    """A set ``bandwidth_scale`` hook, a group short of a participant, a
+    group whose ring order differs from the profiler's, and more than one
+    group all instantiate a rendezvous collective."""
+    node = v100_nvlink_node(4)
+    hooked = OpProfiler(node)
+    hooked.collectives.bandwidth_scale = lambda: 1.0
+    assert _op_groups(hooked, WHOLE, op).participants == [0, 1, 2, 3]
+    for participants, groups in (
+        ((0, 1, 2, 3), [(0, 1, 2)]),
+        ((1, 0, 2, 3), WHOLE),
+        ((0, 1, 2, 3), [(0, 1, 2), (3,)]),
+    ):
+        profiler = OpProfiler(node, participants=participants)
+        coll = _op_groups(profiler, groups, op)
+        assert coll.participants == [r for g in groups for r in g]
+
+
+def test_p2p_over_a_whole_group_builds_an_op(profiler):
+    coll = _op_groups(profiler, WHOLE, OPS[4])
+    assert coll.participants == [1, 3] and set(coll.members) == {1, 3}
+
+
+def _batch(phase):
+    return Batch(requests=[
+        Request(rid=i, arrival=0.0, seq_len=64, phase=phase,
+                context_len=128 if phase is Phase.DECODE else 0)
+        for i in range(2)
+    ])
+
+
+@pytest.mark.parametrize("strategy", ["intra", "liger"])
+@pytest.mark.parametrize("model,node", [
+    (OPT_30B, v100_nvlink_node(4)),
+    (GLM_130B, a100_pcie_node(4)),
+    (MOE_16E, a100_pcie_node(4)),
+], ids=["opt30b", "glm130b", "moe16e"])
+def test_collective_records_equal_the_instantiated_price(strategy, model, node):
+    """The whole-group kernel's duration is the record's: for the bench
+    models, prefill and decode at tp=4, every collective record's profiled
+    duration equals the price ``instantiate`` computes over the node's
+    ranks."""
+    strat = make_strategy(strategy, model.scaled_layers(2), node)
+    ranks = list(range(node.num_gpus))
+    seen = set()
+    for phase in (Phase.PREFILL, Phase.DECODE):
+        for func in strat.launch_list(_batch(phase), tp=node.num_gpus):
+            op = func.op
+            if op.op not in ("all_reduce", "all_to_all"):
+                continue
+            priced = CollectiveCostModel(node.topology, strat.profiler.nccl).instantiate(
+                CollectiveKind(op.op), op.comm_bytes, ranks, ranks,
+                func.occupancy, func.memory_intensity, 0, op.layer, op.name, op.op,
+            )
+            assert func.duration == priced.duration, op.name
+            seen.add((phase, op.op))
+    want = {(p, "all_reduce") for p in Phase}
+    if model is MOE_16E:
+        want |= {(p, "all_to_all") for p in Phase}
+    assert seen == want

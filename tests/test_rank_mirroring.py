@@ -24,7 +24,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hw import a100_pcie_node, v100_nvlink_node
 from repro.models import MOE_16E, OPT_30B
-from repro.parallel.base import ParallelStrategy
+from repro.models.ops import allreduce_op, gemm_op
+from repro.parallel.base import KernelFunc, ParallelStrategy, instantiate_op
+from repro.profiling import OpProfiler
 from repro.serving.api import make_strategy
 from repro.serving.request import Batch, Phase, Request
 from repro.serving.server import Server
@@ -443,7 +445,7 @@ def test_stranded_follower_stream_is_named():
 
 
 # ----------------------------------------------------------------------
-# A collective over exactly one group's ranks needs no rendezvous
+# A whole group's collective: a plain COMM kernel retired like an op
 # ----------------------------------------------------------------------
 def _whole_group_run(plan, num_gpus, build, *, mirror=None):
     """Run ``build(machine, op)`` on a machine whose ranks are one
@@ -489,43 +491,60 @@ def _whole_group_pair(num_gpus, build, **kw):
 
 
 def test_whole_group_collective_completes_after_a_co_due_local_kernel():
-    """Two all-reduces are admitted before a local kernel and all three
-    retire at t=10 on one device: the local kernel is released and observed
-    first, then the collectives in admission order, each once for its
-    group.  None of them waits on a rendezvous."""
-    admitted = []
+    """Two all-reduces are admitted before a compute kernel and all three
+    retire at one instant on one device.  ``instantiate_op`` builds them
+    from their records: plain COMM kernels in the mirrored arm, rendezvous
+    members in the per-rank arm.  In both the compute kernel is released
+    and observed first, then the all-reduces in admission order, each once
+    for its group."""
+    profiler = OpProfiler(v100_nvlink_node(4))
+    first, second = (
+        KernelFunc.profiled(allreduce_op(name, 0, nbytes), profiler)
+        for name, nbytes in (("ar1", 8e6), ("ar2", 2e6))
+    )
+    end = first.duration
+    second_at = end - second.duration
+    local_at = second_at + 1.0
+    local = KernelFunc(
+        gemm_op("a", 0, 64, 512, 512), end - local_at, KernelKind.COMPUTE,
+        False, 0.5, 0.3,
+    )
+    assert 0.0 < second_at and local_at < end
 
     def build(m, op):
-        first, second = op("ar1", 10.0), op("ar2", 9.0)
-        for group in m.groups:
-            lead = group[0]
-            gpu = m.gpu(lead)
-            for stream, kernel, at in (
-                ("c", first.make_member(lead, occupancy=0.2), 0.0),
-                ("h", second.make_member(lead, occupancy=0.2), 1.0),
-                ("s", _k(f"a@g{lead}", 8.0), 2.0),
-            ):
-                m.launch(gpu.stream(stream), kernel, available_at=at)
-        m.engine.schedule(3.0, lambda: admitted.append(dict(m._collectives)))
+        groups = m.groups
+        for stream, func, at in (
+            ("c", first, 0.0), ("h", second, second_at), ("s", local, local_at),
+        ):
+            kernels = instantiate_op(func, groups, 0, profiler)
+            if func.is_comm:  # an op only where the ranks are apart
+                assert all(
+                    (k.collective is None) is (len(groups) == 1)
+                    for k in kernels.values()
+                )
+            for lead, kernel in kernels.items():
+                m.launch(m.gpu(lead).stream(stream), kernel, available_at=at)
 
     rows, seen, completed, m = _whole_group_pair(4, build)
-    assert admitted[0] == {}
     assert rows == [
-        (g, "s", f"a@g{g}", 2.0, 2.0, 10.0) for g in range(4)
+        (g, "s", f"a_b0@g{g}", local_at, local_at, end) for g in range(4)
     ] + [
-        (g, "c", f"ar1@g{g}", 0.0, 0.0, 10.0) for g in range(4)
+        (g, "c", f"ar1_b0@g{g}", 0.0, 0.0, end) for g in range(4)
     ] + [
-        (g, "h", f"ar2@g{g}", 1.0, 1.0, 10.0) for g in range(4)
+        (g, "h", f"ar2_b0@g{g}", second_at, second_at, end) for g in range(4)
     ]
-    assert seen == [("a", 10.0)] * 4 + [("ar1", 10.0)] * 4 + [("ar2", 10.0)] * 4
+    assert seen == (
+        [("a_b0", end)] * 4 + [("ar1_b0", end)] * 4 + [("ar2_b0", end)] * 4
+    )
     assert completed == 12 and m.all_idle()
 
 
 def test_partial_group_collective_still_rendezvouses():
     """Ranks 0-2 are one group and rank 3 its own: the group's member waits
     in a rendezvous until rank 3 admits its member at t=20.  An all-reduce
-    over ranks 0-2 alone, admitted at t=1, is the group's whole collective;
-    it retires at the same instant, after the rendezvous admitted first."""
+    op over ranks 0-2 alone, admitted at t=1, is the group's whole
+    collective: it rendezvouses at its admission, and retires at the same
+    instant, after the rendezvous admitted first."""
     waiting = []
 
     def build(m, op):
@@ -550,9 +569,8 @@ def test_partial_group_collective_still_rendezvouses():
     assert m.groups == ((0, 1, 2), (3,))
     # The mirrored arm, then the per-rank arm, at t=10.
     assert waiting == [
-        [("ar", [0, 1, 2], False)],
         [("ar", [0, 1, 2], False), ("own", [0, 1, 2], True)],
-    ]
+    ] * 2
     assert [(r[0], r[2], r[4], r[5]) for r in rows] == [
         (0, "ar@g0", 0.0, 25.0), (1, "ar@g1", 0.0, 25.0),
         (2, "ar@g2", 0.0, 25.0), (3, "ar@g3", 20.0, 25.0),
