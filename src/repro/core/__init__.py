@@ -30,6 +30,7 @@ _EXPORTS = {
     "LigerScheduler": "scheduler",
     "Round": "scheduler",
     "LigerRuntime": "runtime",
+    "PrincipleMonitor": "runtime",
     "RuntimeStats": "runtime",
 }
 

@@ -28,9 +28,6 @@ class SyncMode(enum.Enum):
     * ``CPU_GPU`` — the host waits for each round's completion events, then
       launches the next round; precise but exposes launch overhead (the
       >20 µs multi-GPU gap of §4.5).
-    * ``INTER_STREAM`` — everything is pre-launched and ordered purely with
-      stream-wait events; no CPU involvement.  The startup lag §3.4 reports
-      for communication kernels in deep launch queues is not modelled.
     * ``HYBRID`` — Liger's approach: a first event (before the last kernel
       of the round) wakes the CPU to *pre-launch* the next round while that
       kernel still runs, hiding launch overhead; a second event gates
@@ -38,7 +35,6 @@ class SyncMode(enum.Enum):
     """
 
     CPU_GPU = "cpu_gpu"
-    INTER_STREAM = "inter_stream"
     HYBRID = "hybrid"
 
 

@@ -14,8 +14,13 @@ consecutive rounds are chained by the configured synchronization approach:
 * **CPU_GPU**: the CPU waits for *all* GPUs' end-of-round events (paying
   visibility latency plus the multi-GPU coordination penalty §4.5 measures
   at >20 µs), then launches the next round — the overhead is exposed.
-* **INTER_STREAM**: every plannable round is launched immediately with the
-  same event gating but no CPU feedback.
+
+The end events are also each round's realised subset end times.
+:class:`PrincipleMonitor` judges Principle 1 (§3.5) on executions from
+their record times: under a fault (a straggling GPU, a degraded link) the
+profiled contention factors are wrong, the plan passes
+:meth:`~repro.core.scheduler.Round.validate_principle1`, and the secondary
+subset outlives the primary.
 
 Per the paper, the communication subset is launched first within a round.
 
@@ -48,7 +53,18 @@ from repro.sim.host import Host
 from repro.sim.kernel import Kernel, KernelKind
 from repro.sim.stream import Stream
 
-__all__ = ["LigerRuntime", "RuntimeStats"]
+__all__ = ["LigerRuntime", "PrincipleMonitor", "RuntimeStats"]
+
+#: Tolerated secondary overshoot as a fraction of the round window
+#: (anticipation margins make small overshoots benign).
+MARGIN_FRAC = 0.10
+#: Absolute overshoot floor (µs) below which no violation is counted,
+#: whatever the window size.
+MIN_MARGIN_US = 10.0
+
+#: A round's end events by group lead: ``(end0, end1)``, ``end1`` ``None``
+#: without a secondary subset.
+EndEvents = Dict[int, Tuple[CudaEvent, Optional[CudaEvent]]]
 
 @dataclass
 class RuntimeStats:
@@ -113,13 +129,9 @@ class LigerRuntime:
         # Serving-side accounting hooks: (batch_id, n_kernels) / (batch_id, t).
         self._on_batch_launched = on_batch_launched or (lambda bid, n: None)
         self._on_batch_drained = on_batch_drained or (lambda bid: None)
-        #: Optional observer called as ``fn(round_index, expected_primary,
-        #: expected_secondary, window_us)`` right before a round's kernels are
-        #: issued.  When set, every launched kernel is additionally tagged
-        #: with ``meta["_round"]`` / ``meta["_subset"]`` so a completion
-        #: observer can reconstruct per-round subset end times — the
-        #: Principle-1 violation monitor (:mod:`repro.faults.monitor`) builds
-        #: on this.  ``None`` skips both the call and the tagging.
+        #: Optional observer called as ``fn(round_index, window_us,
+        #: end_events)`` once a round's commands are issued
+        #: (:meth:`PrincipleMonitor.attach`).
         self.on_round_launched = None
 
     # ------------------------------------------------------------------
@@ -152,18 +164,7 @@ class LigerRuntime:
             self._chain_active = False
             self._flush_drained()
             return
-        if self.config.sync_mode is SyncMode.INTER_STREAM:
-            # Launch every plannable round immediately; new rounds only
-            # become plannable when batches arrive, which re-enters here.
-            while planned is not None:
-                self._launch_round(*planned, pre_kick=False)
-                self._flush_drained()
-                planned = self._next_round()
-            self._chain_active = False
-            self._flush_drained()
-            return
-        pre_kick = self.config.sync_mode is SyncMode.HYBRID
-        end_events = self._launch_round(*planned, pre_kick=pre_kick)
+        end_events = self._launch_round(*planned)
         self._flush_drained()
         if self.config.sync_mode is SyncMode.CPU_GPU:
             # The CPU confirms completion on every GPU before relaunching.
@@ -204,16 +205,13 @@ class LigerRuntime:
         round_: Round,
         subset0_kernels: List[Dict[int, Kernel]],
         subset1_kernels: List[Dict[int, Kernel]],
-        *,
-        pre_kick: bool,
-    ) -> Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]]:
+    ) -> EndEvents:
         """Issue one round's commands on every rank group; returns the
         end events by group lead.
 
         The kernel maps, keyed by group lead, come from :meth:`_next_round`.
         """
-        sync_mode = self.config.sync_mode
-        inter_stream_gating = sync_mode in (SyncMode.HYBRID, SyncMode.INTER_STREAM)
+        hybrid = self.config.sync_mode is SyncMode.HYBRID
 
         self._account_launches(round_)
 
@@ -232,21 +230,6 @@ class LigerRuntime:
                         kern.meta["_policy"] = pol.name
                         kern.meta["_rclass"] = rclass
 
-        ranks = len(self._gpus)
-        if self.on_round_launched is not None:
-            for which, kernel_maps in ((0, subset0_kernels), (1, subset1_kernels)):
-                for kernels in kernel_maps:
-                    for kern in kernels.values():
-                        kern.meta["_round"] = round_.index
-                        kern.meta["_subset"] = which
-            # Expected per-rank completions: every op runs on every rank.
-            self.on_round_launched(
-                round_.index,
-                len(subset0_kernels) * ranks,
-                len(subset1_kernels) * ranks,
-                round_.window,
-            )
-
         # The paper launches the communication subset first.
         if round_.primary_kind is KernelKind.COMM:
             order = ((0, subset0_kernels), (1, subset1_kernels))
@@ -254,7 +237,7 @@ class LigerRuntime:
             order = ((1, subset1_kernels), (0, subset0_kernels))
 
         host = self.host
-        end_events: Dict[int, Tuple[Optional[CudaEvent], Optional[CudaEvent]]] = {}
+        end_events: EndEvents = {}
         pre_kick_event: Optional[CudaEvent] = None
 
         for group in self.machine.groups:
@@ -262,7 +245,7 @@ class LigerRuntime:
             s0, s1 = self._s0[g], self._s1[g]
             # Cross-stream gating: round k+1 starts only after BOTH streams
             # finished round k (each stream's own FIFO covers itself).
-            if inter_stream_gating:
+            if hybrid:
                 prev1 = self._prev_end1.get(g)
                 if prev1 is not None:
                     host.wait_event(s0, prev1)
@@ -277,7 +260,7 @@ class LigerRuntime:
                 kernels = [kernel_map[g] for kernel_map in kernel_maps]
                 if which == 1:
                     host.launch_kernels(s1, kernels)
-                elif pre_kick:
+                elif hybrid:
                     # HYBRID pre-kick: every rank's, before the last primary
                     # kernel; GPU 0's drives the chain.
                     if len(kernels) > 1:
@@ -301,10 +284,13 @@ class LigerRuntime:
                 self._prev_end1[g] = e1
             end_events[g] = (e0, e1)
 
-        if pre_kick:
+        if hybrid:
             assert pre_kick_event is not None
             host.when_event(pre_kick_event, self._advance)
+        if self.on_round_launched is not None:
+            self.on_round_launched(round_.index, round_.window, end_events)
 
+        ranks = len(self._gpus)
         self.stats.rounds_launched += 1
         self.stats.kernels_launched += (
             len(round_.subset0) + len(round_.subset1)
@@ -327,3 +313,57 @@ class LigerRuntime:
         launched(round_.primary_batch, n)
         for f, bid in zip(round_.subset1, round_.secondary_batches):
             launched(bid, ranks if f.op.op != "p2p" else 2)
+
+
+class PrincipleMonitor:
+    """Counts executed rounds whose secondary subset outlived the primary.
+
+    When the last of a round's end events records, a latest secondary end
+    beyond the latest primary end by more than ``max(MIN_MARGIN_US,
+    MARGIN_FRAC × window)`` is one violation; a round without a secondary
+    subset is observed and cannot violate.  ``on_violation(round_index,
+    overshoot_us, time_us)``, if given, fires per violation.
+
+    Passive: its callbacks only read record times and touch no stream,
+    kernel or launcher cursor, so an attached monitor leaves the timeline
+    as it is.  That is why it registers with :meth:`CudaEvent.on_host`, not
+    :meth:`Host.when_event`, which advances the launcher cursors.
+    """
+
+    def __init__(
+        self, *, on_violation: Optional[Callable[[int, float, float], None]] = None
+    ) -> None:
+        self.on_violation = on_violation
+        self.rounds_observed = 0
+        self.violations = 0
+
+    def attach(self, runtime: LigerRuntime) -> None:
+        """Hook a runtime's round launches."""
+        runtime.on_round_launched = self.on_round_launched
+
+    def on_round_launched(self, index: int, window: float, end_events: EndEvents) -> None:
+        """Judge round ``index`` once every one of its end events records."""
+        events = [e for pair in end_events.values() for e in pair if e is not None]
+        pending = len(events)
+
+        def _recorded() -> None:
+            nonlocal pending
+            pending -= 1
+            if not pending:
+                self._judge(index, window, end_events)
+
+        for event in events:
+            event.on_host(_recorded)
+
+    def _judge(self, index: int, window: float, end_events: EndEvents) -> None:
+        self.rounds_observed += 1
+        ends1 = [e1.recorded_at for _, e1 in end_events.values() if e1 is not None]
+        if not ends1:
+            return  # nothing was interleaved: Principle 1 is vacuous
+        end0 = max(e0.recorded_at for e0, _ in end_events.values())
+        end1 = max(ends1)
+        overshoot = end1 - end0
+        if overshoot > max(MIN_MARGIN_US, MARGIN_FRAC * window):
+            self.violations += 1
+            if self.on_violation is not None:
+                self.on_violation(index, overshoot, end1)

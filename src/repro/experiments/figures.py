@@ -509,7 +509,7 @@ def fig13(scale: str = "quick") -> FigureResult:
         contention_factors=factors,
     )
     rates = runner.relative_rates(sc.rate_fracs, 2)
-    for mode in (SyncMode.HYBRID, SyncMode.CPU_GPU, SyncMode.INTER_STREAM):
+    for mode in (SyncMode.HYBRID, SyncMode.CPU_GPU):
         for rate in rates:
             record, _ = runner.run_point(
                 "liger", rate, num_requests=sc.requests, batch_size=2,

@@ -12,11 +12,10 @@ and survivable:
   machine's hook sites (kernel rates, interconnect bandwidth, launch path).
 * :mod:`repro.faults.watchdog` — :class:`Watchdog` turns livelocks into
   diagnostic :class:`~repro.errors.DeadlockError`.
-* :mod:`repro.faults.monitor` — :class:`PrincipleMonitor` detects executed
-  rounds whose secondary subset outlived the primary (Principle 1, §3.5).
 * :mod:`repro.faults.resilience` — :class:`RecoveryManager` applies retry
-  with backoff and shedding, counts Principle-1 violations, and arms the
-  watchdog, summarised in a :class:`ResilienceReport`.
+  with backoff and shedding, counts Principle-1 violations through
+  :class:`repro.core.PrincipleMonitor`, and arms the watchdog, summarised
+  in a :class:`ResilienceReport`.
 
 Typical use goes through the serving layer::
 
@@ -39,7 +38,6 @@ _EXPORTS = {
     "HostJitter": "plan",
     "plan_from_specs": "plan",
     "FaultInjector": "injector",
-    "PrincipleMonitor": "monitor",
     "Watchdog": "watchdog",
     "RecoveryManager": "resilience",
     "ResilienceConfig": "resilience",

@@ -1,7 +1,7 @@
 """Recovery policy: retry, shed, count violations, and watch for livelock.
 
 This module turns the raw fault machinery (:mod:`repro.faults.injector`,
-:mod:`repro.faults.watchdog`, :mod:`repro.faults.monitor`) into serving-level
+:mod:`repro.faults.watchdog`, :class:`repro.core.PrincipleMonitor`) into serving-level
 behaviour.  The :class:`RecoveryManager` sits between the server's arrival
 loop and the bound strategy and applies three policies:
 
@@ -30,7 +30,6 @@ from typing import Callable, List, Optional
 
 from repro.errors import ConfigError, FaultError
 from repro.faults.injector import FaultInjector
-from repro.faults.monitor import PrincipleMonitor
 from repro.faults.plan import FaultPlan
 from repro.faults.watchdog import Watchdog
 from repro.obs.events import EventBus, Principle1Violation, RetryScheduled
@@ -59,7 +58,7 @@ class ResilienceConfig:
     One field per ``repro faults`` flag.  The retry backoff is this
     module's :data:`RETRY_BACKOFF_US` and :data:`BACKOFF_MULTIPLIER`; the
     violation margins and the watchdog's timings are constants of
-    :mod:`repro.faults.monitor` and :mod:`repro.faults.watchdog`.
+    :mod:`repro.core.runtime` and :mod:`repro.faults.watchdog`.
     """
 
     #: Launch retries per batch before shedding.
@@ -119,7 +118,7 @@ class RecoveryManager:
     Builds the recovery stack around the bound ``strategy``: arms a
     :class:`~repro.faults.injector.FaultInjector` for ``fault_plan`` on
     ``machine`` (wiring the strategy's collective cost model for link
-    degradation), attaches a :class:`~repro.faults.monitor.PrincipleMonitor`
+    degradation), attaches a :class:`~repro.core.runtime.PrincipleMonitor`
     when the strategy carries a Liger runtime, and builds the watchdog.
 
     Parameters
@@ -166,12 +165,15 @@ class RecoveryManager:
         #: Called with each shed batch; the server sets it to its shed
         #: callback, which owns the batch's terminal bookkeeping.
         self.on_shed: Optional[Callable[[Batch], None]] = None
-        # Principle-1 monitoring needs the Liger runtime's round hook.
+        # Principle-1 monitoring needs the Liger runtime's round hook; its
+        # module is loaded whenever a strategy carries a runtime.
         runtime = getattr(strategy, "runtime", None)
-        self.monitor: Optional[PrincipleMonitor] = None
+        self.monitor = None
         if runtime is not None:
+            from repro.core.runtime import PrincipleMonitor
+
             self.monitor = PrincipleMonitor(
-                machine, on_violation=self._on_violation if bus is not None else None
+                on_violation=self._on_violation if bus is not None else None
             )
             self.monitor.attach(runtime)
         self.watchdog: Optional[Watchdog] = None
