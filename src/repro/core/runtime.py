@@ -203,13 +203,14 @@ class LigerRuntime:
     def _launch_round(
         self,
         round_: Round,
-        subset0_kernels: List[Dict[int, Kernel]],
-        subset1_kernels: List[Dict[int, Kernel]],
+        subset0_kernels: List[List[Kernel]],
+        subset1_kernels: List[List[Kernel]],
     ) -> EndEvents:
         """Issue one round's commands on every rank group; returns the
         end events by group lead.
 
-        The kernel maps, keyed by group lead, come from :meth:`_next_round`.
+        Each op's kernels, one per rank group in :attr:`Machine.groups`
+        order, come from :meth:`_next_round`.
         """
         hybrid = self.config.sync_mode is SyncMode.HYBRID
 
@@ -220,15 +221,15 @@ class LigerRuntime:
             # (and the merged timeline) carry policy + resource class.
             # Gated on tracing: the zero-cost contract for untraced runs.
             pol = self.scheduler.policy
-            for kernel_maps, funcs in (
+            for op_kernels, funcs in (
                 (subset0_kernels, round_.subset0),
                 (subset1_kernels, round_.subset1),
             ):
-                for kernels, func in zip(kernel_maps, funcs):
+                for kernels, func in zip(op_kernels, funcs):
                     rclass = default_resource_class(func)
-                    for kern in kernels.values():
-                        kern.meta["_policy"] = pol.name
-                        kern.meta["_rclass"] = rclass
+                    for kern in kernels:
+                        kern.policy = pol.name
+                        kern.resource_class = rclass
 
         # The paper launches the communication subset first.
         if round_.primary_kind is KernelKind.COMM:
@@ -240,7 +241,7 @@ class LigerRuntime:
         end_events: EndEvents = {}
         pre_kick_event: Optional[CudaEvent] = None
 
-        for group in self.machine.groups:
+        for i, group in enumerate(self.machine.groups):
             g = group[0]
             s0, s1 = self._s0[g], self._s1[g]
             # Cross-stream gating: round k+1 starts only after BOTH streams
@@ -254,10 +255,10 @@ class LigerRuntime:
                     host.wait_event(s1, prev0)
 
             # Each subset's launches on this group go out as one run.
-            for which, kernel_maps in order:
-                if not kernel_maps:
+            for which, op_kernels in order:
+                if not op_kernels:
                     continue
-                kernels = [kernel_map[g] for kernel_map in kernel_maps]
+                kernels = [per_group[i] for per_group in op_kernels]
                 if which == 1:
                     host.launch_kernels(s1, kernels)
                 elif hybrid:

@@ -100,30 +100,31 @@ def instantiate_op(
     groups: Sequence[Sequence[int]],
     batch_id: int,
     profiler: OpProfiler,
-) -> Dict[int, Kernel]:
+) -> List[Kernel]:
     """Materialise one op record as simulator kernels, one per rank group.
 
     ``groups`` are rank groups as :attr:`~repro.sim.gpu.Machine.groups`
-    lists them, each led by its first rank; the result maps each lead to
-    the kernel issued for its group, named for the lead.  Compute-like ops
-    become independent per-group kernel clones (each device executes its
-    shard) of the record's profile.  An ``all_reduce`` / ``all_to_all``
-    that one group holds whole — the group's ranks are the profiler's
-    ``participants`` and no ``bandwidth_scale`` hook is set — is one plain
-    COMM kernel at the record's duration, which the profiler priced over
-    those ranks (§3.1: the all-reduce is just another kernel); otherwise it
-    becomes a rendezvous collective over every rank of ``groups``, with one
-    member per lead, and ``p2p`` a two-member collective over its
-    endpoints.  Those are costed here, so a link fault active now applies.
+    lists them, each led by its first rank; the result holds the kernel
+    issued for each group, in ``groups`` order, named for its lead.
+    Compute-like ops become independent per-group kernel clones (each
+    device executes its shard) of the record's profile.  An
+    ``all_reduce`` / ``all_to_all`` that one group holds whole — the
+    group's ranks are the profiler's ``participants`` and no
+    ``bandwidth_scale`` hook is set — is one plain COMM kernel at the
+    record's duration, which the profiler priced over those ranks (§3.1:
+    the all-reduce is just another kernel); otherwise it becomes a
+    rendezvous collective over every rank of ``groups``, with one member
+    per lead, and ``p2p`` a two-member collective over its endpoints,
+    source first.  Those are costed here, at the current link health.
     """
     if not groups:
         raise ConfigError(f"op {func.op.name}: no target GPUs")
     op = func.op
     flavour = op.op
     occupancy, mem = func.occupancy, func.memory_intensity
-    name = f"{op.name}_b{batch_id}"
     collective = _COLLECTIVE_KINDS.get(flavour)
     if collective is not None:
+        name = f"{op.name}_b{batch_id}"
         ccm = profiler.collectives
         if collective is CollectiveKind.P2P:
             participants = leads = (op.p2p_src, op.p2p_dst)
@@ -133,10 +134,10 @@ def instantiate_op(
             and ccm.bandwidth_scale is None
         ):
             lead = groups[0][0]
-            return {lead: kernel_from_profile(
+            return [kernel_from_profile(
                 f"{name}@g{lead}", op.kind, func.duration, occupancy, mem,
-                op.comm_bytes, batch_id, op.layer, flavour, None, False, {},
-            )}
+                op.comm_bytes, batch_id, op.layer, flavour, None, False,
+            )]
         else:
             participants = [rank for group in groups for rank in group]
             leads = [group[0] for group in groups]
@@ -144,16 +145,16 @@ def instantiate_op(
             collective, op.comm_bytes, participants, leads,
             occupancy, mem, batch_id, op.layer, name, flavour,
         )
-        return coll.members
+        return list(coll.members.values())
+    prefix = f"{op.name}_b{batch_id}@g"
     duration = func.duration
     kind, layer, decomposable = op.kind, op.layer, op.decomposable
-    kernels = {}
+    kernels = []
     for group in groups:
-        gpu = group[0]
-        kernels[gpu] = kernel_from_profile(
-            f"{name}@g{gpu}", kind, duration, occupancy, mem,
-            0.0, batch_id, layer, flavour, None, decomposable, {},
-        )
+        kernels.append(kernel_from_profile(
+            f"{prefix}{group[0]}", kind, duration, occupancy, mem,
+            0.0, batch_id, layer, flavour, None, decomposable,
+        ))
     return kernels
 
 

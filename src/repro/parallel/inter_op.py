@@ -80,7 +80,7 @@ class InterOpStrategy(ParallelStrategy):
         for i, stage in enumerate(self.stages):
             group = [(stage.device,)]
             kernel_plan.append([
-                instantiate_op(func, group, bid, self.profiler)[stage.device]
+                instantiate_op(func, group, bid, self.profiler)[0]
                 for func in self.stage_funcs(batch, stage)
             ])
             total += len(kernel_plan[-1])
@@ -109,16 +109,16 @@ class InterOpStrategy(ParallelStrategy):
                     prev.device,
                     dev,
                 )
-                xfer = instantiate_op(
+                send, recv = instantiate_op(
                     KernelFunc.profiled(xfer_op, self.profiler),
                     [(prev.device,), (dev,)],
                     bid,
                     self.profiler,
                 )
                 host.wait_event(self._pipe_out[prev.device], done)
-                host.launch_kernel(self._pipe_out[prev.device], xfer[prev.device])
+                host.launch_kernel(self._pipe_out[prev.device], send)
                 arrived = CudaEvent(f"stage{i}_input_b{bid}")
-                host.launch_kernel(self._pipe_in[dev], xfer[dev])
+                host.launch_kernel(self._pipe_in[dev], recv)
                 host.record_event(self._pipe_in[dev], arrived)
                 host.wait_event(self._streams[dev], arrived)
             host.launch_kernels(self._streams[dev], kernel_plan[i])

@@ -51,13 +51,13 @@ class IntraOpStrategy(ParallelStrategy):
         streams = self._streams
         if len(groups) == 1:
             # One rank group: the whole batch is one run on one stream.
-            lead = groups[0][0]
-            host.launch_kernels(streams[lead], [
-                instantiate_op(f, groups, bid, profiler)[lead] for f in funcs
+            host.launch_kernels(streams[groups[0][0]], [
+                instantiate_op(f, groups, bid, profiler)[0] for f in funcs
             ])
             return
         # An armed fault injector keeps the ranks apart: launch in op
         # order, once per rank.
         for f in funcs:
-            for lead, kernel in instantiate_op(f, groups, bid, profiler).items():
-                host.launch_kernel(streams[lead], kernel)
+            kernels = instantiate_op(f, groups, bid, profiler)
+            for group, kernel in zip(groups, kernels):
+                host.launch_kernel(streams[group[0]], kernel)

@@ -5,8 +5,9 @@ stream commands with the semantics the paper's scheduling contribution
 depends on:
 
 * **In-order streams** — a stream runs one kernel at a time, in FIFO order,
-  and a command is only visible to the device once the host has launched it
-  (``Command.available_at``).
+  and a launch or command is only visible to the device once the host has
+  issued it (``available_at``).  A launch is the kernel itself, which
+  carries its own run state while it is in flight.
 * **Left-over admission policy** (§2.3.1) — a kernel at the head of its
   stream becomes *ready*; ready kernels are admitted onto the device only
   while the sum of resident SM occupancies stays ≤ 1.  Among kernels ready at
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.hw.devices import NodeSpec
@@ -43,7 +44,7 @@ from repro.sim.contention import ContentionModel, DefaultContention
 from repro.sim.engine import Engine, EventHandle
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import CollectiveOp, Kernel, KernelKind
-from repro.sim.stream import Command, CommandKind, Stream, _fast_command
+from repro.sim.stream import Command, CommandKind, Stream
 from repro.sim.tracing import Trace
 
 __all__ = ["Machine", "Gpu", "rank_name"]
@@ -58,53 +59,9 @@ _SHAPE_CACHE_LIMIT = 8192
 # Hoisted enum members: the pump compares command kinds ~100k times per
 # simulated second of decode, and a module-global load beats two attribute
 # lookups at that call volume.
-_LAUNCH = CommandKind.LAUNCH
 _RECORD_EVENT = CommandKind.RECORD_EVENT
 _WAIT_EVENT = CommandKind.WAIT_EVENT
 _COMM = KernelKind.COMM
-
-
-@dataclass(slots=True)
-class _RunState:
-    """A kernel that is ready or resident on a device.
-
-    On a mirrored device the state runs the group's one ``kernel`` for every
-    rank of the group.
-    """
-
-    kernel: Kernel
-    gpu_id: int
-    stream: Stream
-    ready_seq: int
-    ready_at: float = 0.0
-    start_at: float = -1.0
-    remaining: float = 0.0
-    slowdown: float = 1.0
-    #: Clamped contention slowdown from the device's resident set, without
-    #: fault inflation; refreshed only after the resident set changes.
-    contention: float = 1.0
-
-
-def _ready_state(
-    kernel: Kernel, gpu_id: int, stream: Stream, ready_seq: int, ready_at: float
-) -> _RunState:
-    """Slot-copy constructor: the :class:`_RunState` of a kernel that just
-    became ready, every other slot at its default, without the dataclass
-    ``__init__`` — the pump builds one per launched kernel."""
-    rs = _new_run_state(_RunState)
-    rs.kernel = kernel
-    rs.gpu_id = gpu_id
-    rs.stream = stream
-    rs.ready_seq = ready_seq
-    rs.ready_at = ready_at
-    rs.start_at = -1.0
-    rs.remaining = 0.0
-    rs.slowdown = 1.0
-    rs.contention = 1.0
-    return rs
-
-
-_new_run_state = _RunState.__new__
 
 
 @dataclass(slots=True)
@@ -113,9 +70,9 @@ class _CollectiveRun:
     whose participants span more than one rank group."""
 
     op: CollectiveOp
-    #: Rank → the run state holding its member, in per-rank admission order
-    #: (a mirrored device's ranks share one state and enter together).
-    members: Dict[int, _RunState] = field(default_factory=dict)
+    #: Rank → its member kernel, in per-rank admission order (a mirrored
+    #: device's ranks share one member and enter together).
+    members: Dict[int, Kernel] = field(default_factory=dict)
     started_at: float = -1.0
     remaining: float = 0.0
     slowdown: float = 1.0
@@ -141,17 +98,19 @@ class Gpu:
         self.gpu_id = gpu_id
         self.machine = machine
         self.streams: List[Stream] = []
-        self.ready: List[_RunState] = []
-        #: Residents by kernel, in admission order.
-        self.resident: Dict[Kernel, _RunState] = {}
+        self.ready: List[Kernel] = []
+        #: Resident kernels, in admission order (values are None).
+        self.resident: Dict[Kernel, None] = {}
         self.used_occupancy = 0.0
-        #: Residents that progress on their own, by kernel, in admission
-        #: order: every kernel but a rendezvous member — the progress
-        #: integrator iterates this instead of re-filtering ``resident``.
-        self.active_local: Dict[Kernel, _RunState] = {}
+        #: Residents that progress on their own, in admission order: every
+        #: kernel but a rendezvous member — the progress integrator iterates
+        #: this instead of re-filtering ``resident``.
+        self.active_local: Dict[Kernel, None] = {}
         #: Set on every admit/release: the residents' stored contention
         #: slowdowns are stale until the next reschedule refreshes them.
         self.dirty = False
+        #: A completion callback released a kernel here: pump the device.
+        self.touched = False
         self.device: Gpu = self
         self.ranks: Tuple[int, ...] = (gpu_id,)
 
@@ -189,18 +148,33 @@ class Gpu:
         self.streams.append(s)
         return s
 
-    @property
-    def busy(self) -> bool:
-        device = self.device
-        return bool(device.resident) or bool(device.ready)
-
     def all_idle(self) -> bool:
         """True when nothing is resident, ready, or queued on any stream."""
-        return not self.busy and all(s.idle for s in self.streams)
+        device = self.device
+        return not (device.resident or device.ready) and all(
+            s.idle for s in self.streams
+        )
 
 
 def _layout(stream: Stream) -> Tuple[str, int]:
     return stream.name, stream.priority
+
+
+def _check_issuable(stream: Stream) -> None:
+    """Raise unless ``stream`` takes commands: a follower's does not."""
+    if stream.lead is not None:
+        raise SimulationError(
+            f"stream {stream.name!r} on GPU {stream.gpu_id} is rank-mirrored: "
+            f"issue to its group lead GPU {stream.lead.gpu_id}"
+        )
+
+
+def _in_flight(kernel: Kernel, stream: Stream) -> SimulationError:
+    return SimulationError(
+        f"kernel {kernel.name} launched on stream {stream.name!r} of GPU "
+        f"{stream.gpu_id} is already in flight on stream "
+        f"{kernel.stream.name!r} of GPU {kernel.stream.gpu_id}"
+    )
 
 
 def rank_name(name: str, rank: int, lead: int) -> str:
@@ -306,10 +280,8 @@ class Machine:
     def on_kernel_complete(self, fn: Callable[[Kernel, float, int], None]) -> None:
         """Register an observer called as ``fn(kernel, end_time, ranks)``.
 
-        ``ranks`` is how many ranks' copies of ``kernel`` the call retires:
-        a compute-like group kernel is observed once for its lead rank and
-        once more for the rest of its group, a COMM kernel once for all.
-        Per-rank accounting adds ``ranks``; the calls come in the order the
+        ``ranks`` is how many ranks' copies of ``kernel`` the call retires;
+        per-rank accounting adds it.  The calls come in the order the
         per-rank calls would (see :meth:`mirror_ranks`).
         """
         self._completion_observers.append(fn)
@@ -322,9 +294,9 @@ class Machine:
 
         The ranks become one group in :attr:`groups`, led by the lowest
         rank.  Work for the group is issued once, to the lead's streams:
-        one kernel (named for the lead, e.g. ``qkv_b3@g0``), one event per
-        record or wait, one command, which runs on every rank of the group
-        at the lead's launcher stamp.  Issuing to a follower's stream
+        one kernel (named for the lead, e.g. ``qkv_b3@g0``), or one event
+        and command per record or wait, which runs on every rank of the
+        group at the lead's launcher stamp.  Issuing to a follower's stream
         raises :class:`~repro.errors.SimulationError`.  The lead's device
         state pumps, admits, prices contention and banks progress for the
         group.  Every rank issues every command, so the ranks' launcher
@@ -333,14 +305,15 @@ class Machine:
         Per-rank results are kept.  :attr:`kernels_completed` counts every
         rank.  The trace gets one row per rank, in rank order, each named
         for its rank by :func:`rank_name`; deadlock messages name every
-        rank's own stream, kernel and event the same way.  Completion
-        observers see each due group kernel twice: first with ``ranks=1``
-        in the lead-lane pass, which also releases it, then once with the
-        count of the other ranks.  A batch can only finish on its device's
-        last lane, so this is the per-rank call order with the follower
-        lanes' calls folded together, exact for groups of consecutive ranks.
-        A COMM kernel retires after them as a collective does: once per
-        run state, with that state's rank count.
+        rank's own stream, kernel and event the same way.  A device's lone
+        due compute-like kernel is observed once, with the group's rank
+        count.  Co-due ones are observed twice each: with ``ranks=1`` in
+        the lead-lane pass, which also releases them, then with the count
+        of the other ranks.  A batch can only finish on its device's last
+        lane, so this is the per-rank call order with the follower lanes'
+        calls folded together, exact for groups of consecutive ranks.  A
+        COMM kernel retires after them as a collective does: once per
+        member kernel, with its group's rank count.
 
         Ignored while a fault injector is armed: faults skew the ranks, so
         each rank is then simulated on its own.  Declare before submitting
@@ -408,37 +381,36 @@ class Machine:
     # ------------------------------------------------------------------
     # Command submission (host side)
     # ------------------------------------------------------------------
-    def submit(self, stream: Stream, command: Command) -> None:
-        """Enqueue a command; a pump is scheduled only when one is needed.
+    def submit(self, stream: Stream, command: Union[Kernel, Command]) -> None:
+        """Enqueue a stamped kernel or command; a pump is scheduled only
+        when one is needed.
 
-        A pump at the command's availability instant is scheduled *eagerly*
-        only when the stream was idle — otherwise something ahead of this
-        command (a running kernel, a blocked event, an earlier queued
-        command) still has to retire, and each of those retirements already
-        triggers a pump; if that pump finds this command waiting at the head
-        it schedules the availability pump *lazily* at the pre-stamped
-        ``Command.pump_at``, which makes the skipped eager pumps pure
-        no-ops removed from the event stream.
+        A pump at the entry's availability instant is scheduled *eagerly*
+        only when the stream was idle — otherwise something ahead of it
+        still has to retire, and each retirement already triggers a pump;
+        if that pump finds this entry waiting at the head it schedules the
+        availability pump *lazily* at the pre-stamped ``pump_at``, which
+        makes the skipped eager pumps pure no-ops.
 
-        A command on a mirrored group's lead stream runs for every rank of
-        the group; a follower rank's stream takes no commands (see
-        :meth:`mirror_ranks`).
+        An entry on a mirrored group's lead stream runs for every rank of
+        the group.  A follower rank's stream takes none (see
+        :meth:`mirror_ranks`), and a kernel already queued, ready or
+        resident is not launched again: both raise
+        :class:`~repro.errors.SimulationError` before anything changes.
         """
-        lead = stream.lead
-        if lead is not None:
-            raise SimulationError(
-                f"stream {stream.name!r} on GPU {stream.gpu_id} is "
-                f"rank-mirrored: issue to its group lead GPU {lead.gpu_id}"
-            )
+        _check_issuable(stream)
+        if command.__class__ is Kernel:
+            if command.stream is not None:
+                raise _in_flight(command, stream)
+            command.stream = stream
+        self._enqueue(stream, command)
+
+    def _enqueue(self, stream: Stream, command: Union[Kernel, Command]) -> None:
         if self.fault_injector is not None:
             command.available_at += self.fault_injector.submit_delay(stream)
         elif len(self.gpus[stream.gpu_id].ranks) > 1:
             self._mirrored = True
-        was_idle = not (
-            stream.queue
-            or stream.running_kernel is not None
-            or stream.blocked_on_event is not None
-        )
+        was_idle = stream.idle
         stream.queue.append(command)
         now = self.engine.now
         delay = command.available_at - now
@@ -451,51 +423,63 @@ class Machine:
             if was_idle:
                 self._schedule_avail_pump(stream, command.pump_at)
 
-    def submit_many(self, stream: Stream, commands: Sequence[Command]) -> None:
-        """Enqueue a run of commands on one stream, in order.
+    def submit_many(
+        self, stream: Stream, kernels: Sequence[Kernel], start: float, cost: float
+    ) -> float:
+        """Launch a run of kernels on one stream, in order, the first at
+        ``start + cost``; returns the last stamp (``start`` if none).
 
-        Equal to :meth:`submit` once per command: each is stamped with its
-        ``pump_at``, and only the first can find the stream idle and arm a
-        pump.  With a fault injector armed every command is submitted on
-        its own, so each draws its own ``submit_delay``.
+        Equal to :meth:`launch` once per kernel, each stamped ``cost``
+        after the one before: only the first can find the stream idle and
+        arm a pump, and with a fault injector armed each draws its own
+        ``submit_delay``.  A run holding a kernel in flight (or one kernel
+        twice) raises :class:`~repro.errors.SimulationError` with nothing
+        launched.
         """
-        if self.fault_injector is not None or stream.lead is not None:
-            for command in commands:
-                self.submit(stream, command)
-            return
-        if not commands:
-            return
-        if not self._mirrored and len(self.gpus[stream.gpu_id].ranks) > 1:
-            self._mirrored = True
-        queue = stream.queue
-        was_idle = not (
-            queue
-            or stream.running_kernel is not None
-            or stream.blocked_on_event is not None
-        )
-        queue.extend(commands)
+        _check_issuable(stream)
         now = self.engine.now
-        for command in commands:
-            delay = command.available_at - now
-            command.pump_at = now if delay <= _EPS else now + delay
-        if was_idle:
-            first = commands[0]
-            if first.available_at - now <= _EPS:
-                self._schedule_pump(stream.gpu_id, 0.0)
-            else:
-                self._schedule_avail_pump(stream, first.pump_at)
+        at = start
+        for i, kernel in enumerate(kernels):
+            if kernel.stream is not None:
+                error = _in_flight(kernel, stream)
+                for claimed in kernels[:i]:
+                    claimed.stream = None
+                raise error
+            kernel.stream = stream
+            at += cost
+            kernel.available_at = at
+            delay = at - now
+            kernel.pump_at = now if delay <= _EPS else now + delay
+        if self.fault_injector is not None:
+            for kernel in kernels:
+                self._enqueue(stream, kernel)
+        elif kernels:
+            if len(self.gpus[stream.gpu_id].ranks) > 1:
+                self._mirrored = True
+            was_idle = stream.idle
+            stream.queue.extend(kernels)
+            if was_idle:
+                first = kernels[0]
+                if first.available_at - now <= _EPS:
+                    self._schedule_pump(stream.gpu_id, 0.0)
+                else:
+                    self._schedule_avail_pump(stream, first.pump_at)
+        return at
 
     def launch(self, stream: Stream, kernel: Kernel, available_at: float) -> None:
-        """Convenience: submit a LAUNCH command."""
-        self.submit(stream, _fast_command(_LAUNCH, available_at, kernel=kernel))
+        """Convenience: submit ``kernel`` stamped ``available_at`` (a kernel
+        in flight keeps its stamp)."""
+        if kernel.stream is None:
+            kernel.available_at = available_at
+        self.submit(stream, kernel)
 
     def record_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a RECORD_EVENT command."""
-        self.submit(stream, _fast_command(_RECORD_EVENT, available_at, event=event))
+        self.submit(stream, Command(_RECORD_EVENT, available_at, event))
 
     def wait_event(self, stream: Stream, event: CudaEvent, available_at: float) -> None:
         """Convenience: submit a WAIT_EVENT command."""
-        self.submit(stream, _fast_command(_WAIT_EVENT, available_at, event=event))
+        self.submit(stream, Command(_WAIT_EVENT, available_at, event))
 
     # ------------------------------------------------------------------
     # Running
@@ -525,9 +509,9 @@ class Machine:
             if not s.idle
         ]
         stuck += [
-            f"ready:{rank_name(rs.kernel.name, g.gpu_id, rs.gpu_id)}"
+            f"ready:{rank_name(kern.name, g.gpu_id, g.device.gpu_id)}"
             for g in self.gpus
-            for rs in g.device.ready
+            for kern in g.device.ready
         ]
         for crun in self._collectives.values():
             if not crun.started:
@@ -575,17 +559,17 @@ class Machine:
     def _pump(self, gpu: Gpu) -> bool:
         """Advance every stream on ``gpu`` as far as dependencies allow.
 
-        The sweep processes at most one command per stream per pass — the
+        The sweep processes at most one entry per stream per pass — the
         per-pass round-robin is load-bearing, because ``ready_seq`` (and
-        with it same-instant admission order) follows pop order.  Returns
+        with it same-instant admission order) follows pop order.  A popped
+        kernel becomes ready with a fresh kernel's run state.  Returns
         whether a kernel was admitted; rescheduling is the caller's job
         (see :meth:`_reschedule`).  On a mirrored device each retired
-        command stands for every rank of the group.
+        entry stands for every rank of the group.
         """
         now = self.engine.now
         threshold = now + _EPS
         streams = gpu.streams
-        kick = self._kick_pump_fns[gpu.gpu_id]
         progressed = True
         while progressed:
             progressed = False
@@ -608,20 +592,23 @@ class Machine:
                     self._schedule_avail_pump(stream, cmd.pump_at)
                     continue
                 queue.popleft()
-                kind = cmd.kind
-                if kind is _LAUNCH:
-                    kernel = cmd.kernel
-                    stream.running_kernel = kernel
-                    gpu.ready.append(
-                        _ready_state(
-                            kernel, gpu.gpu_id, stream, next(self._ready_seq), now
-                        )
-                    )
-                    progressed = True
-                elif kind is _RECORD_EVENT:
+                if cmd.__class__ is Kernel:
+                    # A launch.  Its stream now runs it, and no other
+                    # stream's head changed: it needs no further pass.
+                    stream.running_kernel = cmd
+                    cmd.ready_seq = next(self._ready_seq)
+                    cmd.ready_at = now
+                    cmd.start_at = -1.0
+                    cmd.remaining = 0.0
+                    cmd.slowdown = 1.0
+                    cmd.contention = 1.0
+                    gpu.ready.append(cmd)
+                elif cmd.kind is _RECORD_EVENT:
                     # This device's own waiters are unblocked by the next
                     # pass of this sweep, so only other devices get a kick.
-                    cmd.event.record(now, self._deferred, kick)
+                    cmd.event.record(
+                        now, self._deferred, self._kick_pump_fns[gpu.gpu_id]
+                    )
                     progressed = True
                 else:  # WAIT_EVENT
                     event = cmd.event
@@ -629,7 +616,7 @@ class Machine:
                         progressed = True
                     else:
                         stream.blocked_on_event = event
-                        event.add_stream_waiter(kick)
+                        event.add_stream_waiter(self._kick_pump_fns[gpu.gpu_id])
         return self._try_admit(gpu)
 
     def _deferred(self, delay: float, callback: Callable[[], None]) -> None:
@@ -640,47 +627,47 @@ class Machine:
     # Admission: the left-over policy
     # ------------------------------------------------------------------
     @staticmethod
-    def _admission_key(rs: _RunState):
+    def _admission_key(kern: Kernel):
         # Earlier-ready first; at the same instant compute-like kernels are
         # admitted before communication kernels (the GPU's left-over policy
         # favours computation regardless of stream priority); then stream
         # priority, then launch order.
         return (
-            rs.ready_at,
-            0 if rs.kernel.kind.is_compute_like else 1,
-            -rs.stream.priority,
-            rs.ready_seq,
+            kern.ready_at,
+            0 if kern.kind.is_compute_like else 1,
+            -kern.stream.priority,
+            kern.ready_seq,
         )
 
     def _try_admit(self, gpu: Gpu) -> bool:
         """Admit ready kernels under the left-over policy; True if any was."""
-        if not gpu.ready:
+        ready = gpu.ready
+        if not ready:
             return False
-        self._bank_progress()
-        admitted_any = False
-        if len(gpu.ready) > 1:
-            gpu.ready.sort(key=self._admission_key)
-        still_ready: List[_RunState] = []
-        for rs in gpu.ready:
-            if gpu.used_occupancy + rs.kernel.occupancy <= 1.0 + _EPS:
-                self._admit(gpu, rs)
-                admitted_any = True
+        # A completion callback has banked progress at this instant already.
+        if self._last_bank_time != self.engine.now:
+            self._bank_progress()
+        if len(ready) > 1:
+            ready.sort(key=self._admission_key)
+        still_ready: List[Kernel] = []
+        for kern in ready:
+            if gpu.used_occupancy + kern.occupancy <= 1.0 + _EPS:
+                self._admit(gpu, kern)
             else:
-                still_ready.append(rs)
+                still_ready.append(kern)
         gpu.ready = still_ready
-        return admitted_any
+        return len(still_ready) < len(ready)
 
-    def _admit(self, gpu: Gpu, rs: _RunState) -> None:
+    def _admit(self, gpu: Gpu, kernel: Kernel) -> None:
         now = self.engine.now
-        rs.start_at = now
-        kernel = rs.kernel
-        rs.remaining = kernel.duration
-        gpu.resident[kernel] = rs
+        kernel.start_at = now
+        kernel.remaining = kernel.duration
+        gpu.resident[kernel] = None
         gpu.used_occupancy += kernel.occupancy
         gpu.dirty = True
         coll = kernel.collective
         if coll is None:
-            gpu.active_local[kernel] = rs
+            gpu.active_local[kernel] = None
             return
         crun = self._collectives.get(coll)
         if crun is None:
@@ -693,7 +680,7 @@ class Machine:
                 raise SimulationError(
                     f"collective {coll.name}: duplicate member on GPU {rank}"
                 )
-            members[rank] = rs
+            members[rank] = kernel
         participants = coll.participants
         if len(members) == len(participants) and set(members) == set(participants):
             crun.started_at = now
@@ -705,21 +692,21 @@ class Machine:
         """Integrate elapsed progress at the current slowdowns."""
         now = self.engine.now
         dt = now - self._last_bank_time
+        self._last_bank_time = now
         if dt <= _EPS:
-            self._last_bank_time = now
             return
         for gpu in self._devices:
-            for rs in gpu.active_local.values():
-                rem = rs.remaining - dt / rs.slowdown
-                rs.remaining = rem if rem > 0.0 else 0.0
-        for crun in self._collectives.values():
-            if crun.started_at >= 0.0:
-                rem = crun.remaining - dt / crun.slowdown
-                crun.remaining = rem if rem > 0.0 else 0.0
-        self._last_bank_time = now
+            for kern in gpu.active_local:
+                rem = kern.remaining - dt / kern.slowdown
+                kern.remaining = rem if rem > 0.0 else 0.0
+        if self._collectives:
+            for crun in self._collectives.values():
+                if crun.started_at >= 0.0:
+                    rem = crun.remaining - dt / crun.slowdown
+                    crun.remaining = rem if rem > 0.0 else 0.0
 
     def _refresh_contention(self, gpu: Gpu) -> None:
-        """Store each resident's clamped contention slowdown on its run state.
+        """Store each resident's clamped contention slowdown on the kernel.
 
         A lone kernel gets exactly 1.0 without consulting the model — the
         :meth:`ContentionModel.slowdowns` contract.  The ≥ 1.0 clamp defends
@@ -731,10 +718,9 @@ class Machine:
         gpu.dirty = False
         resident = gpu.resident
         if len(resident) == 1:
-            for rs in resident.values():
-                rs.contention = 1.0
+            for kern in resident:
+                kern.contention = 1.0
             return
-        rss = list(resident.values())
         kernels = list(resident)
         if self._contention_pure_in_shape:
             shape = tuple(
@@ -748,8 +734,8 @@ class Machine:
                     self._shape_cache.clear()
         else:
             values = self.contention.slowdowns(kernels)
-        for rs, slow in zip(rss, values):
-            rs.contention = 1.0 if slow < 1.0 else slow
+        for kern, slow in zip(kernels, values):
+            kern.contention = 1.0 if slow < 1.0 else slow
 
     def refresh_rates(self) -> None:
         """Re-bank progress and recompute slowdowns at the current instant.
@@ -766,7 +752,7 @@ class Machine:
         """Recompute rates and (re)arm the single completion timer.
 
         One fused pass over the active sets: contention slowdowns (stored on
-        the run states, refreshed only on devices whose resident set
+        the kernels, refreshed only on devices whose resident set
         changed), fault inflation (never stored), and the min-scan for the
         next completion instant.  This is the hottest path in the simulator
         under steady-state decode.
@@ -784,22 +770,22 @@ class Machine:
                 continue
             if gpu.dirty:
                 self._refresh_contention(gpu)
-            for rs in gpu.active_local.values():
-                slow = rs.contention
+            for kern in gpu.active_local:
+                slow = kern.contention
                 if inj is not None:
-                    slow *= inj.kernel_inflation(rs.kernel, rs.gpu_id)
-                rs.slowdown = slow
-                dt = rs.remaining * slow
+                    slow *= inj.kernel_inflation(kern, gpu.gpu_id)
+                kern.slowdown = slow
+                dt = kern.remaining * slow
                 if next_dt is None or dt < next_dt:
                     next_dt = dt
         for crun in self._collectives.values():
             if crun.started_at < 0.0:
                 continue
             slow = None
-            for gid, rs in crun.members.items():
-                member = rs.contention
+            for gid, kern in crun.members.items():
+                member = kern.contention
                 if inj is not None:
-                    member *= inj.kernel_inflation(rs.kernel, gid)
+                    member *= inj.kernel_inflation(kern, gid)
                 if slow is None or member > slow:
                     slow = member
             slow = 1.0 if slow is None else slow
@@ -812,7 +798,9 @@ class Machine:
             self._completion_timer = None
         if next_dt is not None:
             self._completion_timer = self.engine.schedule(
-                max(0.0, next_dt), self._on_completion_timer, priority=1
+                next_dt if next_dt > 0.0 else 0.0,
+                self._on_completion_timer,
+                priority=1,
             )
 
     def _on_completion_timer(self) -> None:
@@ -820,20 +808,22 @@ class Machine:
         self._bank_progress()
         now = self.engine.now
 
-        due_locals: Dict[int, List[_RunState]] = {}
-        # Due COMM kernels, each a whole group's collective, in device then
-        # admission order.
-        due_comms: List[_RunState] = []
+        # Due compute-like kernels as (device, kernels) in device order,
+        # each device's in admission order; due COMM kernels, each a whole
+        # group's collective, in device then admission order.
+        due_locals: List[Tuple[Gpu, List[Kernel]]] = []
+        due_comms: List[Kernel] = []
         for gpu in self._devices:
             due = None
-            for rs in gpu.active_local.values():
-                if rs.remaining <= _EPS:
-                    if rs.kernel.kind is _COMM:
-                        due_comms.append(rs)
-                        continue
-                    if due is None:
-                        due = due_locals[gpu.gpu_id] = []
-                    due.append(rs)
+            for kern in gpu.active_local:
+                if kern.remaining <= _EPS:
+                    if kern.kind is _COMM:
+                        due_comms.append(kern)
+                    elif due is None:
+                        due = [kern]
+                        due_locals.append((gpu, due))
+                    else:
+                        due.append(kern)
         # Due rendezvous collectives, in first-admission order.
         due_runs = [
             crun
@@ -842,87 +832,103 @@ class Machine:
         ] if self._collectives else ()
         for crun in due_runs:
             del self._collectives[crun.op]
-        touched = set(due_locals)
         if due_locals:
             trace = self.trace
             if trace is not None:
                 # One row per rank, in per-rank order: GPU id, then
                 # admission order within the GPU.
                 for g in self.gpus:
-                    lead = g.device.gpu_id
-                    due = due_locals.get(lead)
-                    if due is not None:
-                        rank = g.gpu_id
-                        for rs in due:
-                            trace.record_kernel(
-                                rs, now, rank, rank_name(rs.kernel.name, rank, lead)
-                            )
-            # Devices in lead order.  The lead lane releases and observes
-            # each due kernel; the other lanes' calls follow as one call
-            # per kernel (see mirror_ranks for why the order is exact).
+                    for device, due in due_locals:
+                        if device is g.device:
+                            rank, lead = g.gpu_id, device.gpu_id
+                            for kern in due:
+                                trace.record_kernel(
+                                    kern, now, rank, rank_name(kern.name, rank, lead)
+                                )
+            # Devices in lead order.  A lone due kernel is released and
+            # observed once for its group; co-due kernels are released and
+            # observed by the lead lane, then the other lanes' calls follow
+            # as one call per kernel (see mirror_ranks for why the order is
+            # exact).
             observers = self._completion_observers
-            for device_id, due in due_locals.items():
-                ranks = len(self.gpus[device_id].ranks)
+            for device, due in due_locals:
+                ranks = len(device.ranks)
                 self.kernels_completed += len(due) * ranks
-                for rs in due:
-                    self._release(rs)
+                if len(due) == 1:
+                    kern = due[0]
+                    self._release(kern)
                     for fn in observers:
-                        fn(rs.kernel, now, 1)
+                        fn(kern, now, ranks)
+                    continue
+                for kern in due:
+                    self._release(kern)
+                    for fn in observers:
+                        fn(kern, now, 1)
                 if ranks > 1:
                     ranks -= 1
-                    for rs in due:
+                    for kern in due:
                         for fn in observers:
-                            fn(rs.kernel, now, ranks)
+                            fn(kern, now, ranks)
         # Collectives after every compute-like kernel: the whole groups'
         # COMM kernels, then the rendezvous.
-        for rs in due_comms:
-            self._complete_collective((rs,), now)
-            touched.add(rs.gpu_id)
+        for kern in due_comms:
+            self._complete_collective((kern,), now)
         for crun in due_runs:
-            states = [rs for rank, rs in crun.members.items() if rank == rs.gpu_id]
-            self._complete_collective(states, now)
-            touched.update(rs.gpu_id for rs in states)
+            members = [
+                kern for rank, kern in crun.members.items()
+                if rank == kern.stream.gpu_id
+            ]
+            self._complete_collective(members, now)
 
         # Every pump below runs at the same instant, so progress banking
         # between them is a no-op and one reschedule after the last covers
-        # them all.  Devices are pumped in id order, never set order.
-        for gpu_id in sorted(touched):
-            self._pump(self.gpus[gpu_id])
+        # them all.  The devices a release touched are pumped in id order.
+        for gpu in self._devices:
+            if gpu.touched:
+                gpu.touched = False
+                self._pump(gpu)
         self._reschedule()
 
     # ------------------------------------------------------------------
     # Completion
     # ------------------------------------------------------------------
-    def _release(self, rs: _RunState) -> None:
-        gpu = self.gpus[rs.gpu_id]
-        kernel = rs.kernel
+    def _release(self, kernel: Kernel) -> None:
+        """Take a due kernel off its device and stream; it is no longer in
+        flight, so it may be launched again."""
+        stream = kernel.stream
+        gpu = self.gpus[stream.gpu_id]
         del gpu.resident[kernel]
         gpu.active_local.pop(kernel, None)
-        gpu.used_occupancy = max(0.0, gpu.used_occupancy - kernel.occupancy)
+        used = gpu.used_occupancy - kernel.occupancy
+        gpu.used_occupancy = used if used > 0.0 else 0.0
         gpu.dirty = True
-        if rs.stream.running_kernel is kernel:
-            rs.stream.running_kernel = None
+        gpu.touched = True
+        if stream.running_kernel is kernel:
+            stream.running_kernel = None
+        kernel.stream = None
 
-    def _complete_collective(self, states: Sequence[_RunState], now: float) -> None:
-        """Retire a due collective given its run states, one per rank
+    def _complete_collective(self, members: Sequence[Kernel], now: float) -> None:
+        """Retire a due collective given its member kernels, one per rank
         group in member order: a whole group's COMM kernel, or a
-        rendezvous's members.  Each state's group gets one trace row per
+        rendezvous's members.  Each member's group gets one trace row per
         rank, in rank order, and one observer call with its rank count."""
         trace = self.trace
         gpus = self.gpus
-        for rs in states:
-            self._release(rs)
-            lead = rs.gpu_id
+        counts = []
+        for kern in members:
+            lead = kern.stream.gpu_id
             ranks = gpus[lead].ranks
-            self.kernels_completed += len(ranks)
+            counts.append(len(ranks))
             if trace is not None:
                 for rank in ranks:
                     trace.record_kernel(
-                        rs, now, rank, rank_name(rs.kernel.name, rank, lead)
+                        kern, now, rank, rank_name(kern.name, rank, lead)
                     )
+            self._release(kern)
+        self.kernels_completed += sum(counts)
         for fn in self._completion_observers:
-            for rs in states:
-                fn(rs.kernel, now, len(gpus[rs.gpu_id].ranks))
+            for kern, count in zip(members, counts):
+                fn(kern, now, count)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -24,17 +24,16 @@ once, so a group's cursors never differ: a command carries its lead's.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from repro.sim.events import CudaEvent
 from repro.sim.gpu import Machine
 from repro.sim.kernel import Kernel
-from repro.sim.stream import CommandKind, Stream, _fast_command
+from repro.sim.stream import Command, CommandKind, Stream
 from repro.units import us
 
 __all__ = ["Host"]
 
-_LAUNCH = CommandKind.LAUNCH
 _RECORD_EVENT = CommandKind.RECORD_EVENT
 _WAIT_EVENT = CommandKind.WAIT_EVENT
 
@@ -85,71 +84,61 @@ class Host:
     # ------------------------------------------------------------------
     # Command issue (each advances its ranks' CPU cursors)
     # ------------------------------------------------------------------
-    def _issue(
-        self,
-        stream: Stream,
-        cost: float,
-        kind: CommandKind,
-        kernel: Optional[Kernel] = None,
-        event: Optional[CudaEvent] = None,
-    ) -> float:
-        """Issue one command on ``stream``, advancing the cursor of every
-        rank in its rank group by ``cost``.
-
-        The command is stamped with the lead rank's cursor, which is
-        returned.  A follower's stream has no group of its own, so nothing
-        advances and the machine rejects the command.
-        """
+    def _advance(self, stream: Stream, cost: float) -> None:
+        """Advance every cursor of ``stream``'s rank group by ``cost``, once
+        the machine took a command stamped with the lead's cursor plus it."""
         cursors = self.cursors
-        group = self.machine.gpus[stream.gpu_id].ranks
-        if kind is _LAUNCH:
-            self.launches_issued += len(group)
-        for rank in group:
+        for rank in self.machine.gpus[stream.gpu_id].ranks:
             cursors[rank] += cost
-        at = cursors[stream.gpu_id]
-        self.machine.submit(stream, _fast_command(kind, at, kernel, event))
-        return at
 
     def launch_kernel(self, stream: Stream, kernel: Kernel) -> float:
         """Issue one kernel launch; returns its availability time."""
-        return self._issue(stream, self.launch_overhead, _LAUNCH, kernel)
+        machine = self.machine
+        cost = self.launch_overhead
+        at = self.cursors[stream.gpu_id] + cost
+        machine.launch(stream, kernel, at)
+        self.launches_issued += len(machine.gpus[stream.gpu_id].ranks)
+        self._advance(stream, cost)
+        return at
 
     def launch_kernels(self, stream: Stream, kernels: Sequence[Kernel]) -> float:
         """Issue a run of kernel launches on one stream; returns the last
         one's availability time (the cursor if ``kernels`` is empty).
 
-        Equal to :meth:`launch_kernel` once per kernel, in order: each
-        command is stamped with the lead's cursor after its own launch
-        cost, and the machine takes the run in one
-        :meth:`~repro.sim.gpu.Machine.submit_many`.
+        Equal to :meth:`launch_kernel` once per kernel, in order: the
+        machine takes the run in one
+        :meth:`~repro.sim.gpu.Machine.submit_many`, which stamps each
+        kernel with the lead's cursor after its own launch cost.
         """
         cursors = self.cursors
         gpu_id = stream.gpu_id
-        start = at = cursors[gpu_id]
+        start = cursors[gpu_id]
         cost = self.launch_overhead
-        commands = []
-        for kernel in kernels:
-            at += cost
-            commands.append(_fast_command(_LAUNCH, at, kernel))
         machine = self.machine
+        at = machine.submit_many(stream, kernels, start, cost)
         group = machine.gpus[gpu_id].ranks
-        self.launches_issued += len(commands) * len(group)
+        self.launches_issued += len(kernels) * len(group)
         for rank in group:
             if cursors[rank] == start:
                 cursors[rank] = at
             else:
-                for _ in commands:
+                for _ in kernels:
                     cursors[rank] += cost
-        machine.submit_many(stream, commands)
+        return at
+
+    def _issue_event(self, stream: Stream, kind: CommandKind, event: CudaEvent) -> float:
+        at = self.cursors[stream.gpu_id] + EVENT_CMD_OVERHEAD
+        self.machine.submit(stream, Command(kind, at, event))
+        self._advance(stream, EVENT_CMD_OVERHEAD)
         return at
 
     def record_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue an event-record command."""
-        return self._issue(stream, EVENT_CMD_OVERHEAD, _RECORD_EVENT, event=event)
+        return self._issue_event(stream, _RECORD_EVENT, event)
 
     def wait_event(self, stream: Stream, event: CudaEvent) -> float:
         """Issue a stream-wait command (inter-stream sync, no CPU blocking)."""
-        return self._issue(stream, EVENT_CMD_OVERHEAD, _WAIT_EVENT, event=event)
+        return self._issue_event(stream, _WAIT_EVENT, event)
 
     # ------------------------------------------------------------------
     # CPU-GPU synchronization

@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # pragma: no cover - the stream module imports this one
+    from repro.sim.stream import Stream
 
 __all__ = ["KernelKind", "Kernel", "CollectiveOp", "CollectiveKind"]
 
@@ -76,6 +79,10 @@ class CollectiveKind(enum.Enum):
 class Kernel:
     """One GPU kernel instance, equal and hashed by identity.
 
+    A kernel is also its own launch: a stream queues the kernel itself, and
+    the machine keeps its launch stamps and run state (the slots after
+    ``resource_class``) on it, so it is in flight on one stream at a time.
+
     Parameters
     ----------
     name:
@@ -103,8 +110,9 @@ class Kernel:
         The owning :class:`CollectiveOp` when this is a collective member.
     decomposable:
         Whether runtime kernel decomposition (§3.6) may split this kernel.
-    meta:
-        Free-form extras (shapes, decomposition lineage, ...).
+    policy / resource_class:
+        Scheduling provenance for trace rows: the Liger runtime writes them
+        only when the machine is traced (``""`` otherwise).
     """
 
     name: str
@@ -119,7 +127,22 @@ class Kernel:
     op: str = ""
     collective: Optional["CollectiveOp"] = None
     decomposable: bool = False
-    meta: Dict[str, Any] = field(default_factory=dict)
+    policy: str = ""
+    resource_class: str = ""
+    # Owned by the machine.  ``stream`` is the stream the kernel is queued,
+    # ready or resident on (None when not in flight); on a mirrored group
+    # it is the lead's, and the state stands for every rank.
+    stream: Optional["Stream"] = field(default=None, init=False)
+    ready_seq: int = field(default=0, init=False)
+    ready_at: float = field(default=0.0, init=False)
+    start_at: float = field(default=-1.0, init=False)
+    remaining: float = field(default=0.0, init=False)
+    slowdown: float = field(default=1.0, init=False)
+    #: Clamped contention slowdown from the device's resident set, without
+    #: fault inflation; refreshed only after the resident set changes.
+    contention: float = field(default=1.0, init=False)
+    available_at: float = field(default=0.0, init=False)  # see Stream
+    pump_at: float = field(default=0.0, init=False)  # see Command
 
     def __post_init__(self) -> None:
         check_kernel_profile(
@@ -153,7 +176,7 @@ def check_kernel_profile(
 
 def kernel_from_profile(
     name, kind, duration, occupancy, memory_intensity, nbytes, batch_id,
-    layer, op, collective, decomposable, meta,
+    layer, op, collective, decomposable,
 ) -> Kernel:
     """Slot-copy constructor: a :class:`Kernel` that skips ``__post_init__``.
 
@@ -167,14 +190,19 @@ def kernel_from_profile(
     kern.duration = duration
     kern.occupancy = occupancy
     kern.memory_intensity = memory_intensity
-    kern.flops = 0.0
     kern.bytes = nbytes
     kern.batch_id = batch_id
     kern.layer = layer
     kern.op = op
     kern.collective = collective
     kern.decomposable = decomposable
-    kern.meta = meta
+    kern.policy = kern.resource_class = ""
+    kern.stream = None
+    kern.ready_seq = 0
+    kern.start_at = -1.0
+    kern.slowdown = kern.contention = 1.0
+    kern.flops = kern.ready_at = kern.remaining = 0.0
+    kern.available_at = kern.pump_at = 0.0
     return kern
 
 
@@ -213,7 +241,6 @@ class CollectiveOp:
         memory_intensity: float = 0.4,
         layer: int = -1,
         op: str = "",
-        meta: Optional[Dict[str, Any]] = None,
     ) -> Kernel:
         """Create (and register) the member kernel for one GPU."""
         if gpu not in self.participants:
@@ -231,7 +258,6 @@ class CollectiveOp:
             layer=layer,
             op=op or self.kind.value,
             collective=self,
-            meta=dict(meta or {}),
         )
         self.members[gpu] = kernel
         return kernel
@@ -276,7 +302,7 @@ def collective_from_profile(
     for gpu in leads:
         members[gpu] = kernel_from_profile(
             f"{name}@g{gpu}", comm, duration, occupancy, memory_intensity,
-            nbytes, batch_id, layer, op, coll, False, {},
+            nbytes, batch_id, layer, op, coll, False,
         )
     return coll
 

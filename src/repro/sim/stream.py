@@ -1,18 +1,21 @@
 """CUDA-like streams: FIFO command queues per GPU.
 
-A stream executes its commands strictly in order; different streams on the
+A stream executes its entries strictly in order; different streams on the
 same GPU are independent except where :class:`~repro.sim.events.CudaEvent`
 dependencies couple them and where they compete for the device's execution
 resources (the left-over policy in :mod:`repro.sim.gpu`).
 
-Each command carries an ``available_at`` timestamp — the simulation time the
-*host* finished launching it.  This is how asynchronous kernel launch is
-modelled: the host runs ahead assigning availability times, and a command
-that reaches the head of its stream before it is available simply waits,
-exposing launch overhead exactly when the paper says it is exposed (a GPU
-that drained its queue waits for the CPU; §4.5).
+A queue entry is a launch — the :class:`~repro.sim.kernel.Kernel` itself,
+as Liger's runtime launches one function-wrapper record (§3.2) — or a
+:class:`Command` that records or waits on an event.  Each entry carries an
+``available_at`` timestamp — the simulation time the *host* issued it.
+This is how asynchronous kernel launch is modelled: the host runs ahead
+assigning availability times, and an entry that reaches the head of its
+stream before it is available simply waits, exposing launch overhead
+exactly when the paper says it is exposed (a GPU that drained its queue
+waits for the CPU; §4.5).
 
-A command issued to a rank group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`)
+An entry issued to a rank group (:meth:`~repro.sim.gpu.Machine.mirror_ranks`)
 runs on every rank of the group at one ``available_at``: the group's ranks
 issue the same commands, so their launcher cursors never differ.
 """
@@ -22,9 +25,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, Optional, Union
 
-from repro.errors import ConfigError
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import Kernel
 
@@ -32,48 +34,24 @@ __all__ = ["CommandKind", "Command", "Stream"]
 
 
 class CommandKind(enum.Enum):
-    LAUNCH = "launch"
     RECORD_EVENT = "record_event"
     WAIT_EVENT = "wait_event"
 
 
 @dataclass(slots=True)
 class Command:
-    """One entry in a stream's FIFO."""
+    """An event record or wait in a stream's FIFO."""
 
     kind: CommandKind
     available_at: float
-    kernel: Optional[Kernel] = None
-    event: Optional[CudaEvent] = None
-    #: The instant the machine would pump this command into view, stamped at
-    #: submit time with the exact ``now + max(0, available_at - now)`` float
-    #: arithmetic the submit-time pump used to be scheduled with — so a pump
-    #: scheduled lazily (when the command is first seen waiting at its
-    #: stream's head) fires at the bit-identical time.
+    event: CudaEvent
+    #: The instant the machine would pump this entry into view (a launched
+    #: kernel carries it too), stamped at submit time with the exact
+    #: ``now + max(0, available_at - now)`` float arithmetic the submit-time
+    #: pump used to be scheduled with — so a pump scheduled lazily (when the
+    #: entry is first seen waiting at its stream's head) fires at the
+    #: bit-identical time.
     pump_at: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind is CommandKind.LAUNCH and self.kernel is None:
-            raise ConfigError("LAUNCH command requires a kernel")
-        if self.kind in (CommandKind.RECORD_EVENT, CommandKind.WAIT_EVENT):
-            if self.event is None:
-                raise ConfigError(f"{self.kind.value} command requires an event")
-
-
-def _fast_command(kind, available_at, kernel=None, event=None) -> Command:
-    """Hot-path Command constructor bypassing dataclass machinery.
-
-    Only the machine's typed convenience wrappers and the host's issue
-    methods call this; they guarantee the kind/payload pairing
-    ``__post_init__`` enforces for ad-hoc callers.
-    """
-    cmd = Command.__new__(Command)
-    cmd.kind = kind
-    cmd.available_at = available_at
-    cmd.kernel = kernel
-    cmd.event = event
-    cmd.pump_at = 0.0
-    return cmd
 
 
 class Stream:
@@ -97,7 +75,8 @@ class Stream:
         self.gpu_id = gpu_id
         self.name = name
         self.priority = priority
-        self.queue: Deque[Command] = deque()
+        #: Launches (the kernels themselves) and event commands, in order.
+        self.queue: Deque[Union[Kernel, Command]] = deque()
         # Head-state flags owned by the machine pump:
         self.blocked_on_event: Optional[CudaEvent] = None
         self.running_kernel: Optional[Kernel] = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.sim.kernel import KernelKind
+from repro.sim.kernel import Kernel, KernelKind
 
 __all__ = ["TraceRow", "Trace"]
 
@@ -63,30 +63,28 @@ class Trace:
     def __init__(self) -> None:
         self.rows: List[TraceRow] = []
 
-    # Called by Machine with a _RunState; duck-typed to avoid a cycle.
-    def record_kernel(self, rs, end: float, gpu: int, name: str) -> None:
-        """Append one executed kernel's row (called by the machine).
+    def record_kernel(self, kernel: Kernel, end: float, gpu: int, name: str) -> None:
+        """Append the row of ``kernel``, retiring on ``gpu`` under ``name``
+        (the machine calls this before the release clears its run state).
 
-        Run state ``rs`` ran its kernel on ``gpu``: a rank-mirrored run
-        state carries every rank of its group, so the machine names the
-        rank and the rank's own name for the kernel.
+        A rank-mirrored kernel runs on every rank of its group, so the
+        machine names the rank and the rank's own name for the kernel.
         """
-        kernel = rs.kernel
         self.rows.append(
             TraceRow(
                 gpu=gpu,
-                stream=rs.stream.name,
+                stream=kernel.stream.name,
                 name=name,
                 kind=kernel.kind,
                 batch_id=kernel.batch_id,
                 layer=kernel.layer,
                 op=kernel.op,
-                ready=rs.ready_at,
-                start=rs.start_at,
+                ready=kernel.ready_at,
+                start=kernel.start_at,
                 end=end,
                 noload_duration=kernel.duration,
-                policy=kernel.meta.get("_policy", ""),
-                resource_class=kernel.meta.get("_rclass", ""),
+                policy=kernel.policy,
+                resource_class=kernel.resource_class,
             )
         )
 

@@ -1,11 +1,11 @@
 """instantiate_op against kernels built with the validated constructors.
 
-``instantiate_op`` builds one kernel per rank group with the slot-copy
-constructors of :mod:`repro.sim.kernel` from an op's profiled record
-(:class:`~repro.parallel.base.KernelFunc`), whose profile was checked once
-per entry.  The reference here is the constructor path — ``Kernel(...)`` per
-group lead, ``CollectiveOp(...)`` over every rank plus ``make_member`` per
-group lead — and every field must agree.  A collective one rank group
+``instantiate_op`` builds one kernel per rank group, in group order, with
+the slot-copy constructors of :mod:`repro.sim.kernel` from an op's profiled
+record (:class:`~repro.parallel.base.KernelFunc`), whose profile was checked
+once per entry.  The reference here is the constructor path — ``Kernel(...)``
+per group lead, ``CollectiveOp(...)`` over every rank plus ``make_member``
+per group lead — and every field must agree.  A collective one rank group
 holds whole is the exception: one plain kernel whose fields are its
 reference member's, built from the record alone.
 """
@@ -27,6 +27,9 @@ from repro.models.ops import (
 )
 from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
+from repro.core.policy import default_resource_class
+from repro.core.runtime import LigerRuntime
+from repro.serving import Server
 from repro.serving.api import make_strategy
 from repro.serving.request import Batch, Phase, Request
 from repro.sim.interconnect import CollectiveCostModel
@@ -37,7 +40,8 @@ from repro.sim.kernel import CollectiveKind, CollectiveOp, Kernel
 GROUPS = [(2,), (0, 3), (1,)]
 FIELDS = (
     "name", "kind", "duration", "occupancy", "memory_intensity", "flops",
-    "bytes", "batch_id", "layer", "op", "decomposable", "meta",
+    "bytes", "batch_id", "layer", "op", "decomposable", "policy",
+    "resource_class",
 )
 
 OPS = [
@@ -50,7 +54,8 @@ OPS = [
 
 
 def reference(op, groups, batch_id, profiler):
-    """Kernels built through the validated constructors."""
+    """Kernels built through the validated constructors, by group lead (a
+    p2p's by endpoint, source first)."""
     leads = [group[0] for group in groups]
     ranks = [rank for group in groups for rank in group]
     occupancy = profiler.occupancy(op)
@@ -67,7 +72,6 @@ def reference(op, groups, batch_id, profiler):
                 layer=op.layer,
                 op=op.op,
                 decomposable=op.decomposable,
-                meta={},
             )
             for gpu in leads
         }
@@ -112,23 +116,23 @@ def test_fields_match_validated_constructors(op, profiler):
     want = reference(op, GROUPS, 7, profiler)
     for _ in range(2):  # the profile-entry miss, then the hit
         got = instantiate(op, GROUPS, 7, profiler)
-        assert list(got) == list(want)
-        for gpu, kern in got.items():
+        assert len(got) == len(want)
+        for kern, ref in zip(got, want.values()):
             for field in FIELDS:
-                assert getattr(kern, field) == getattr(want[gpu], field), field
-        metas = [kern.meta for kern in got.values()]
-        assert len({id(meta) for meta in metas}) == len(metas)
-        colls = {id(kern.collective) for kern in got.values()}
+                assert getattr(kern, field) == getattr(ref, field), field
+        # No provenance until a traced runtime launches them.
+        assert {(kern.policy, kern.resource_class) for kern in got} == {("", "")}
+        colls = {id(kern.collective) for kern in got}
         if want[next(iter(want))].collective is None:
             assert colls == {id(None)}
             continue
         assert len(colls) == 1
-        coll = next(iter(got.values())).collective
+        coll = got[0].collective
         ref = next(iter(want.values())).collective
         for field in ("kind", "bytes", "participants", "duration", "batch_id", "name"):
             assert getattr(coll, field) == getattr(ref, field), field
-        assert coll.members == got
-        assert all(coll.members[g] is kern for g, kern in got.items())
+        assert list(coll.members) == list(want)
+        assert list(coll.members.values()) == got
         if op.op == "p2p":  # its endpoints, whatever the groups
             assert coll.complete_membership
         else:  # every rank, through the member of its group's lead
@@ -175,7 +179,7 @@ def test_only_a_shared_profiler_reuses_its_profile_memo(shared, expected):
     for b in range(3):
         if not shared:
             profiler = OpProfiler(node, cost_model=cost_model)
-        kernels.append(instantiate(op, GROUPS, b, profiler)[0])
+        kernels.append(instantiate(op, GROUPS, b, profiler)[1])
     assert cost_model.calls == {"occupancy": expected, "memory_intensity": expected}
     assert len({(k.duration, k.occupancy, k.memory_intensity) for k in kernels}) == 1
 
@@ -190,9 +194,9 @@ def test_repeated_instantiation_consults_the_cost_model_once():
     cold = reference(op, GROUPS, 0, OpProfiler(node))
     for b in range(3):
         got = instantiate(op, GROUPS, b, profiler)
-        for gpu, kern in got.items():
+        for kern, ref in zip(got, cold.values()):
             for field in FIELDS:
-                want = getattr(cold[gpu], field)
+                want = getattr(ref, field)
                 if field == "name":
                     want = want.replace("_b0@", f"_b{b}@")
                 elif field == "batch_id":
@@ -225,7 +229,7 @@ def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
         for op, func in zip(ops, funcs):
             for groups in (GROUPS, per_rank):
                 got = instantiate_op(func, groups, b, profiler)
-                coll = next(iter(got.values())).collective
+                coll = got[0].collective
                 want = reference(op, groups, b, OpProfiler(v100_nvlink_node(4)))
                 assert coll.duration == next(iter(want.values())).duration
     assert sorted(calls) == sorted(
@@ -239,12 +243,12 @@ def test_collective_is_priced_at_the_hooks_current_value(profiler):
     memo already holds."""
     op = allreduce_op("ar", 3, 2e6)
     ccm = profiler.collectives
-    healthy = instantiate(op, GROUPS, 0, profiler)[2].duration
+    healthy = instantiate(op, GROUPS, 0, profiler)[0].duration
     calls = _count_allreduce_calls(ccm)
     scales = [0.5, 0.25, 1.0, 0.5]
     for b, scale in enumerate(scales):
         ccm.bandwidth_scale = lambda: scale
-        got = instantiate(op, GROUPS, b, profiler)[2].duration
+        got = instantiate(op, GROUPS, b, profiler)[0].duration
         degraded = OpProfiler(v100_nvlink_node(4)).collectives
         degraded.bandwidth_scale = lambda: scale
         assert got == degraded.allreduce_duration(op.comm_bytes, [2, 0, 3, 1])
@@ -266,10 +270,10 @@ def test_instantiation_reads_the_record_not_the_profile(monkeypatch, profiler):
     monkeypatch.setattr("repro.profiling.profiler.op_key", forbidden)
     for func, ref in zip(funcs, want):
         got = instantiate_op(func, GROUPS, 5, profiler)
-        assert list(got) == list(ref)
-        for gpu, kern in got.items():
+        assert len(got) == len(ref)
+        for kern, want_kern in zip(got, ref):
             for field in FIELDS:
-                assert getattr(kern, field) == getattr(ref[gpu], field), field
+                assert getattr(kern, field) == getattr(want_kern, field), field
 
 
 WHOLE = [(0, 1, 2, 3)]
@@ -297,7 +301,7 @@ def test_whole_group_collective_is_one_plain_kernel(monkeypatch, op, profiler):
     want = reference(op, WHOLE, 7, OpProfiler(v100_nvlink_node(4)))
     _forbid_interconnect(monkeypatch)
     got = instantiate_op(func, WHOLE, 7, profiler)
-    assert list(got) == list(want) == [0]
+    assert list(want) == [0] and len(got) == 1
     kern = got[0]
     for field in FIELDS:
         assert getattr(kern, field) == getattr(want[0], field), field
@@ -308,9 +312,9 @@ def test_whole_group_collective_is_one_plain_kernel(monkeypatch, op, profiler):
 
 def _op_groups(profiler, groups, op):
     got = instantiate_op(KernelFunc.profiled(op, profiler), groups, 1, profiler)
-    colls = {id(kern.collective) for kern in got.values()}
+    colls = {id(kern.collective) for kern in got}
     assert len(colls) == 1 and id(None) not in colls
-    return next(iter(got.values())).collective
+    return got[0].collective
 
 
 @pytest.mark.parametrize("op", OPS[2:4], ids=lambda op: op.op)
@@ -374,3 +378,36 @@ def test_collective_records_equal_the_instantiated_price(strategy, model, node):
     if model is MOE_16E:
         want |= {(p, "all_to_all") for p in Phase}
     assert seen == want
+
+
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+def test_runtime_writes_provenance_only_when_traced(monkeypatch, traced):
+    """``LigerRuntime._launch_round`` labels the kernels it launches with
+    its policy and each op's resource class when the machine is traced,
+    and the trace rows carry the labels; an untraced run leaves ``""``."""
+    launched = []
+    launch_round = LigerRuntime._launch_round
+
+    def spy(self, round_, subset0, subset1):
+        end_events = launch_round(self, round_, subset0, subset1)
+        for kernels, funcs in ((subset0, round_.subset0), (subset1, round_.subset1)):
+            for per_group, func in zip(kernels, funcs):
+                launched.extend((kern, func) for kern in per_group)
+        return end_events
+
+    monkeypatch.setattr(LigerRuntime, "_launch_round", spy)
+    model, node = OPT_30B.scaled_layers(2), v100_nvlink_node(4)
+    strat = make_strategy("liger", model, node)
+    server = Server(model, node, strat, record_trace=traced, check_memory=False)
+    server.run([
+        Batch([Request(rid=r, arrival=a, seq_len=64, phase=Phase.PREFILL)])
+        for r, a in ((0, 0.0), (1, 10.0))
+    ])
+    assert launched
+    policy = strat.runtime.scheduler.policy.name
+    for kern, func in launched:
+        want = (policy, default_resource_class(func)) if traced else ("", "")
+        assert (kern.policy, kern.resource_class) == want, kern.name
+    if traced:
+        rows = {(r.policy, r.resource_class) for r in server.trace.rows}
+        assert rows == {(kern.policy, kern.resource_class) for kern, _ in launched}

@@ -60,7 +60,8 @@ class TestOpProfiler:
                 self.node, Engine(), contention=NullContention(), trace=Trace()
             )
             func = KernelFunc.profiled(op, self.prof)
-            for gpu, kernel in instantiate_op(func, [(g,) for g in gpus], 0, self.prof).items():
+            groups = [(g,) for g in gpus]
+            for gpu, kernel in zip(gpus, instantiate_op(func, groups, 0, self.prof)):
                 stream = machine.gpu(gpu).stream("profile")
                 machine.launch(stream, kernel, available_at=0.0)
             machine.run()

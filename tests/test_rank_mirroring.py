@@ -355,9 +355,50 @@ def test_mirrored_ranks_trace_every_rank():
         (0, "a@g0", 1.0, 11.0), (1, "a@g1", 1.0, 11.0), (2, "a@g2", 1.0, 11.0),
         (0, "b@g0", 11.0, 21.0), (1, "b@g1", 11.0, 21.0), (2, "b@g2", 11.0, 21.0),
     ]
-    # The lead lane first, then the other two ranks in one call.
-    assert seen == [("a@g0", 1), ("a@g0", 2), ("b@g0", 1), ("b@g0", 2)]
+    # A lone due kernel: one call for all three ranks.
+    assert seen == [("a@g0", 3), ("b@g0", 3)]
     assert m.kernels_completed == 6 and m.all_idle()
+
+
+def test_co_due_kernels_of_two_batches_keep_the_two_pass_order():
+    """Two compute kernels from different batches retire at one instant on
+    one mirrored group: the lead lane releases and observes both, then the
+    other two ranks get one call per kernel, the per-rank run's order with
+    its follower lanes folded together."""
+    def run(plan):
+        m = _machine()
+        for g in m.gpus:
+            for name in ("s", "t"):
+                g.stream(name)
+        m.mirror_ranks(range(3))
+        if plan is not None:
+            FaultInjector(plan).arm(m)
+        seen, times = [], set()
+        m.on_kernel_complete(
+            lambda k, t, ranks: (seen.append((k.name, ranks)), times.add(t))
+        )
+        for group in m.groups:
+            lead = m.gpu(group[0])
+            for stream, batch in (("s", 0), ("t", 1)):
+                m.launch(lead.stream(stream), Kernel(
+                    name=f"{stream}_b{batch}@g{group[0]}", kind=KernelKind.COMPUTE,
+                    duration=10.0, occupancy=0.5, batch_id=batch,
+                ), available_at=0.0)
+        m.run()
+        assert len(times) == 1  # co-due
+        return seen, times, m.kernels_completed
+
+    mirrored, times, completed = run(None)
+    assert mirrored == [
+        ("s_b0@g0", 1), ("t_b1@g0", 1), ("s_b0@g0", 2), ("t_b1@g0", 2),
+    ]
+    per_rank, per_rank_times, per_rank_completed = run(FaultPlan())
+    assert per_rank == [
+        (f"{stream}_b{batch}@g{g}", 1)
+        for g in range(3) for stream, batch in (("s", 0), ("t", 1))
+    ]
+    assert times == per_rank_times
+    assert completed == per_rank_completed == 6
 
 
 def test_groups_list_leads_in_rank_order():
@@ -520,10 +561,10 @@ def test_whole_group_collective_completes_after_a_co_due_local_kernel():
             if func.is_comm:  # an op only where the ranks are apart
                 assert all(
                     (k.collective is None) is (len(groups) == 1)
-                    for k in kernels.values()
+                    for k in kernels
                 )
-            for lead, kernel in kernels.items():
-                m.launch(m.gpu(lead).stream(stream), kernel, available_at=at)
+            for group, kernel in zip(groups, kernels):
+                m.launch(m.gpu(group[0]).stream(stream), kernel, available_at=at)
 
     rows, seen, completed, m = _whole_group_pair(4, build)
     assert rows == [

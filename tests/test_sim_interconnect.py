@@ -26,7 +26,7 @@ def _p2p_members(size, src, dst):
     built by :meth:`CollectiveCostModel.instantiate`."""
     profiler = OpProfiler(v100_nvlink_node(4))
     xfer = KernelFunc.profiled(p2p_op("x", 0, size, src, dst), profiler)
-    return instantiate_op(xfer, [src, dst], 0, profiler)
+    return dict(zip((src, dst), instantiate_op(xfer, [(src,), (dst,)], 0, profiler)))
 
 
 class TestTopology:

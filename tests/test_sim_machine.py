@@ -12,9 +12,9 @@ from dataclasses import fields
 
 import pytest
 
-from repro.errors import DeadlockError, StreamProtocolError
+from repro.errors import DeadlockError, SimulationError, StreamProtocolError
 from repro.hw import v100_nvlink_node
-from repro.models.ops import p2p_op
+from repro.models.ops import gemm_op, p2p_op
 from repro.parallel.base import KernelFunc, instantiate_op
 from repro.profiling import OpProfiler
 from repro.sim import (
@@ -27,8 +27,9 @@ from repro.sim import (
     NullContention,
     Trace,
 )
-from repro.sim.gpu import _RunState
+from repro.sim.host import Host
 from repro.sim.interconnect import CollectiveCostModel, NcclConfig
+from repro.sim.kernel import kernel_from_profile
 
 
 def make_machine(num_gpus=2, contention=None):
@@ -155,22 +156,115 @@ class TestAdmission:
         assert rows["late_compute"].start == pytest.approx(15.0)
 
 
-    def test_pumped_run_state_equals_its_dataclass_construction(self):
-        """The pump builds run states with a slot-copy constructor: every
-        slot is set, to what the dataclass constructor would give."""
+    def test_slot_copied_kernels_equal_their_dataclass_construction(self):
+        """``kernel_from_profile`` and ``instantiate_op`` skip the dataclass
+        ``__init__``: every slot, the provenance, run-state and launch-stamp
+        ones included, is set to what the constructor gives."""
+        prof = OpProfiler(v100_nvlink_node(1))
+        func = KernelFunc.profiled(gemm_op("g", 2, 64, 512, 512), prof)
+        want = Kernel(
+            name="g_b5@g0", kind=func.kind, duration=func.duration,
+            occupancy=func.occupancy, memory_intensity=func.memory_intensity,
+            batch_id=5, layer=2, op="gemm", decomposable=func.decomposable,
+        )
+        (instantiated,) = instantiate_op(func, [(0,)], 5, prof)
+        copied = kernel_from_profile(
+            "g_b5@g0", func.kind, func.duration, func.occupancy,
+            func.memory_intensity, 0.0, 5, 2, "gemm", None, func.decomposable,
+        )
+        for got in (instantiated, copied):
+            for field in fields(Kernel):
+                assert getattr(got, field.name) == getattr(want, field.name), (
+                    field.name
+                )
+
+    def test_pump_resets_the_run_state(self):
+        """A kernel launched again after it completed carries the previous
+        run's state; the pump sets every run-state slot to a fresh kernel's
+        value, with its own stream, ready stamp and launch sequence."""
         m = make_machine(1)
         s0 = m.gpu(0).stream("s0")
         s1 = m.gpu(0).stream("s1")
         late = k("late", 5.0, occ=0.9)
-        m.launch(s0, k("hog", 10.0, occ=0.9), available_at=0.0)
-        m.launch(s1, late, available_at=2.0)
-        m.run(until=5.0)
-        (rs,) = m.gpu(0).ready  # pumped at t=2, waiting beside the hog
-        want = _RunState(
-            kernel=late, gpu_id=0, stream=s1, ready_seq=1, ready_at=2.0
-        )
-        for field in fields(_RunState):
-            assert getattr(rs, field.name) == getattr(want, field.name), field.name
+        m.launch(s1, late, available_at=0.0)
+        m.run()
+        assert (late.stream, late.start_at, late.remaining) == (None, 0.0, 0.0)
+        late.contention = late.slowdown = 3.0  # as a contended run leaves it
+        late.remaining = 1.0
+        m.launch(s0, k("hog", 10.0, occ=0.9), available_at=5.0)
+        m.launch(s1, late, available_at=7.0)
+        m.run(until=10.0)
+        assert m.gpu(0).ready == [late]  # pumped at t=7, waiting beside the hog
+        assert (
+            late.stream, late.ready_seq, late.ready_at, late.start_at,
+            late.remaining, late.slowdown, late.contention,
+            late.available_at, late.pump_at,
+        ) == (s1, 2, 7.0, -1.0, 0.0, 1.0, 1.0, 7.0, 7.0)
+        m.run()
+        assert [(r.name, r.start, r.end) for r in m.trace.rows] == [
+            ("late", 0.0, 5.0), ("hog", 5.0, 15.0), ("late", 15.0, 20.0),
+        ]
+
+
+class TestInFlight:
+    """One kernel object is one launch: a kernel that is queued, ready or
+    resident cannot be launched again until it retires."""
+
+    @staticmethod
+    def _stage(m, state):
+        """A kernel ``x`` on GPU 0's stream s0 in ``state``."""
+        s0 = m.gpu(0).stream("s0")
+        x = k("x", 10.0, occ=0.5)
+        if state == "queued":
+            m.launch(s0, x, available_at=5.0)
+        elif state == "ready":
+            m.launch(m.gpu(0).stream("hog"), k("hog", 10.0, occ=0.9), 0.0)
+            m.launch(s0, x, available_at=1.0)
+            m.run(until=2.0)
+            assert m.gpu(0).ready == [x]
+        else:
+            m.launch(s0, x, available_at=0.0)
+            m.run(until=2.0)
+            assert x in m.gpu(0).resident
+        return x
+
+    @pytest.mark.parametrize("state", ["queued", "ready", "resident"])
+    @pytest.mark.parametrize("issue", ["launch", "host", "batched"])
+    def test_relaunch_in_flight_raises(self, state, issue):
+        m = make_machine(2)
+        x = self._stage(m, state)
+        other = m.gpu(1).stream("s1")
+        host = Host(m)
+        launches = {
+            "launch": lambda: m.launch(other, x, available_at=0.0),
+            "host": lambda: host.launch_kernel(other, x),
+            "batched": lambda: host.launch_kernels(other, [k("y", 1.0), x]),
+        }
+        with pytest.raises(
+            SimulationError, match="kernel x .* already in flight on stream 's0'"
+        ):
+            launches[issue]()
+        # Rejected whole, before anything changed: ``x`` is untouched.
+        assert x.stream is m.gpu(0).stream("s0") and not other.queue
+        assert x.available_at == {"queued": 5.0, "ready": 1.0, "resident": 0.0}[state]
+        assert host.cursors == [0.0, 0.0] and host.launches_issued == 0
+        m.run()
+        rows = [(r.gpu, r.stream, r.name) for r in m.trace.rows]
+        assert rows.count((0, "s0", "x")) == 1
+        assert not any(r[2] == "x" and r[0] == 1 for r in rows)
+        assert m.kernels_completed == len(rows) and m.all_idle()
+
+    def test_same_kernel_twice_in_one_batched_launch_raises(self):
+        m = make_machine(1)
+        s0 = m.gpu(0).stream("s0")
+        host = Host(m)
+        x, y = k("x", 1.0), k("y", 1.0)
+        with pytest.raises(SimulationError, match="kernel x .* already in flight"):
+            host.launch_kernels(s0, [x, y, x])
+        assert not s0.queue and x.stream is None and y.stream is None
+        host.launch_kernels(s0, [x, y])
+        m.run()
+        assert [r.name for r in m.trace.rows] == ["x", "y"]
 
 
 # ----------------------------------------------------------------------

@@ -95,25 +95,22 @@ class TestCollectiveOp:
 
 class TestStreamAndCommands:
     def test_command_validation(self):
-        with pytest.raises(errors.ConfigError):
-            Command(CommandKind.LAUNCH, available_at=0.0)  # no kernel
-        with pytest.raises(errors.ConfigError):
-            Command(CommandKind.RECORD_EVENT, available_at=0.0)  # no event
-        with pytest.raises(errors.ConfigError):
-            Command(CommandKind.WAIT_EVENT, available_at=0.0)
+        for kind in CommandKind:
+            with pytest.raises(TypeError):
+                Command(kind, available_at=0.0)  # no event
 
     def test_stream_fifo_and_counters(self):
         s = Stream(gpu_id=0, name="s", priority=2)
         ev = CudaEvent()
         s.queue.append(Command(CommandKind.RECORD_EVENT, available_at=0.0, event=ev))
         k = Kernel(name="k", kind=KernelKind.COMPUTE, duration=1.0)
-        s.queue.append(Command(CommandKind.LAUNCH, available_at=0.0, kernel=k))
+        s.queue.append(k)  # a launch is the kernel itself
         assert len(s.queue) == 2
         assert not s.idle
         first = s.queue.popleft()
         assert first.kind is CommandKind.RECORD_EVENT
         assert first.available_at == 0.0
-        s.queue.popleft()
+        assert s.queue.popleft() is k
         assert s.idle
 
 

@@ -295,7 +295,7 @@ class TestBatchedLaunch:
         snap = {
             "last": last,
             "commands": [
-                (c.kernel.name, c.available_at, c.pump_at)
+                (c.name, c.available_at, c.pump_at)
                 for c in list(stream.queue)[queued:]
             ],
             "cursors": list(host.cursors),
