@@ -89,11 +89,8 @@ _EXPORTS = {
     "LigerRuntime": "core.runtime",
     "FaultPlan": "faults.plan",
     "GpuStraggler": "faults.plan",
-    "LinkDegradation": "faults.plan",
     "LaunchFailure": "faults.plan",
-    "HostJitter": "faults.plan",
     "FaultInjector": "faults.injector",
-    "Watchdog": "faults.watchdog",
     "ResilienceConfig": "faults.resilience",
     "ResilienceReport": "faults.resilience",
     "RecoveryManager": "faults.resilience",

@@ -317,13 +317,8 @@ def _run_faults(args) -> int:
 
     result = _serve(
         args,
-        fault_plan=build_plan(
-            args.straggler, args.link, args.launch_fail, args.jitter
-        ),
-        resilience=ResilienceConfig(
-            max_retries=args.max_retries,
-            enable_watchdog=not args.no_watchdog,
-        ),
+        fault_plan=build_plan(args.straggler, args.launch_fail),
+        resilience=ResilienceConfig(max_retries=args.max_retries),
     )
     _print_served(result)
     print()
@@ -468,18 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--straggler", action="append", default=[],
                         metavar="GPU:FACTOR:START:END",
                         help="slow one GPU's compute kernels (window in ms)")
-    faults.add_argument("--link", action="append", default=[],
-                        metavar="FRACTION:START:END",
-                        help="degrade interconnect bandwidth (window in ms)")
     faults.add_argument("--launch-fail", action="append", default=[],
                         metavar="START:END",
                         help="transient launch failures (window in ms)")
-    faults.add_argument("--jitter", action="append", default=[],
-                        metavar="AMPLITUDE_US:START:END",
-                        help="host launch jitter (amplitude in µs, window in ms)")
     faults.add_argument("--max-retries", type=int, default=5)
-    faults.add_argument("--no-watchdog", action="store_true",
-                        help="disable the livelock watchdog")
 
     trace = command(
         "trace", _run_trace, "serve and export the merged timeline + metrics",

@@ -17,8 +17,8 @@ consecutive rounds are chained by the configured synchronization approach:
 
 The end events are also each round's realised subset end times.
 :class:`PrincipleMonitor` judges Principle 1 (§3.5) on executions from
-their record times: under a fault (a straggling GPU, a degraded link) the
-profiled contention factors are wrong, the plan passes
+their record times: under a fault (a straggling GPU) the profiled
+contention factors are wrong, the plan passes
 :meth:`~repro.core.scheduler.Round.validate_principle1`, and the secondary
 subset outlives the primary.
 

@@ -16,14 +16,12 @@ healthy run.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Optional
 
 from repro.errors import ConfigError, FaultError
 from repro.faults.plan import FaultPlan
 from repro.sim.gpu import Machine
-from repro.sim.interconnect import CollectiveCostModel
 from repro.sim.kernel import Kernel
-from repro.sim.stream import Stream
 
 __all__ = ["FaultInjector"]
 
@@ -31,8 +29,8 @@ __all__ = ["FaultInjector"]
 class FaultInjector:
     """Evaluates a fault plan against a machine's clock and hook sites.
 
-    Counters (``launch_attempts``, ``launch_failures``, ``jittered_commands``)
-    feed the :class:`~repro.faults.resilience.ResilienceReport`.
+    Counters (``launch_attempts``, ``launch_failures``) feed the
+    :class:`~repro.faults.resilience.ResilienceReport`.
     """
 
     def __init__(self, plan: Optional[FaultPlan] = None) -> None:
@@ -40,24 +38,18 @@ class FaultInjector:
         self.machine: Optional[Machine] = None
         self.launch_attempts = 0
         self.launch_failures = 0
-        self.jittered_commands = 0
-        self._jitter_seq = 0
 
     # ------------------------------------------------------------------
-    def arm(
-        self,
-        machine: Machine,
-        cost_models: Iterable[CollectiveCostModel] = (),
-    ) -> None:
-        """Attach to ``machine`` and wire the interconnect cost models.
+    def arm(self, machine: Machine) -> None:
+        """Attach to ``machine``.
 
         Schedules one rate-refresh event per fault-window boundary so
         in-flight kernels re-integrate at the new factors the instant a
         fault activates or clears.  A refresh is a background event: it
         only re-integrates in-flight kernels, each of which has its own
-        completion event, so it never keeps a heartbeat (the watchdog) alive
-        after the work is done.  Faults skew ranks, so an armed machine
-        simulates every rank on its own
+        completion event, so it never keeps a heartbeat (observability
+        sampling) alive after the work is done.  Faults skew ranks, so an
+        armed machine simulates every rank on its own
         (:meth:`~repro.sim.gpu.Machine.arm_fault_injector`).
         """
         if self.machine is not None:
@@ -70,8 +62,6 @@ class FaultInjector:
                 )
         machine.arm_fault_injector(self)
         self.machine = machine
-        for ccm in cost_models:
-            ccm.bandwidth_scale = self._bandwidth_scale
         now = machine.engine.now
         for t in self.plan.boundaries():
             if t > now:
@@ -89,10 +79,6 @@ class FaultInjector:
         """The armed machine's current simulation time."""
         return self._require_armed().engine.now
 
-    def describe_active(self) -> List[str]:
-        """Descriptions of the currently active faults."""
-        return [f.describe() for f in self.plan.active(self.now)]
-
     # ------------------------------------------------------------------
     # Hook sites (called from repro.sim when armed)
     # ------------------------------------------------------------------
@@ -106,18 +92,6 @@ class FaultInjector:
         if kernel.kind.is_comm:
             return 1.0
         return self.plan.compute_inflation(gpu_id, self.now)
-
-    def submit_delay(self, stream: Stream) -> float:
-        """Extra visibility delay (µs) for a command submitted on ``stream``."""
-        delay = self.plan.host_jitter(self.now, self._jitter_seq)
-        if delay > 0.0:
-            self._jitter_seq += 1
-            self.jittered_commands += 1
-        return delay
-
-    def _bandwidth_scale(self) -> float:
-        """Interconnect hook: current fraction of nominal bandwidth."""
-        return self.plan.bandwidth_fraction(self.now)
 
     def check_launch(self, batch_id: int) -> None:
         """Raise :class:`FaultError` when a launch-failure window is active.

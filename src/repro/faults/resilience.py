@@ -1,9 +1,9 @@
-"""Recovery policy: retry, shed, count violations, and watch for livelock.
+"""Recovery policy: retry, shed, and count violations.
 
 This module turns the raw fault machinery (:mod:`repro.faults.injector`,
-:mod:`repro.faults.watchdog`, :class:`repro.core.PrincipleMonitor`) into serving-level
-behaviour.  The :class:`RecoveryManager` sits between the server's arrival
-loop and the bound strategy and applies three policies:
+:class:`repro.core.PrincipleMonitor`) into serving-level behaviour.  The
+:class:`RecoveryManager` sits between the server's arrival loop and the
+bound strategy and applies two policies:
 
 1. **Retry with exponential backoff** — a batch submission that hits an
    injected :class:`~repro.errors.FaultError` (transient launch failure) is
@@ -14,12 +14,10 @@ loop and the bound strategy and applies three policies:
    as a :class:`~repro.obs.events.Principle1Violation`.  The schedule itself
    is never switched: the paper bounds such overruns with contention
    anticipation (§3.5) and has no runtime fallback.
-3. **Livelock watchdog** — an optional heartbeat that turns a stalled run
-   into a diagnostic :class:`~repro.errors.DeadlockError`.
 
 Every decision is appended to the :class:`ResilienceReport`, the single
-artifact a post-mortem needs: retry/shed counts, violation and watchdog
-statistics, and the faults that were active.
+artifact a post-mortem needs: retry/shed counts, violation statistics, and
+the faults that were injected.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Callable, List, Optional
 from repro.errors import ConfigError, FaultError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.faults.watchdog import Watchdog
 from repro.obs.events import EventBus, Principle1Violation, RetryScheduled
 from repro.parallel.base import ParallelStrategy
 from repro.serving.request import Batch
@@ -57,14 +54,11 @@ class ResilienceConfig:
 
     One field per ``repro faults`` flag.  The retry backoff is this
     module's :data:`RETRY_BACKOFF_US` and :data:`BACKOFF_MULTIPLIER`; the
-    violation margins and the watchdog's timings are constants of
-    :mod:`repro.core.runtime` and :mod:`repro.faults.watchdog`.
+    violation margins are constants of :mod:`repro.core.runtime`.
     """
 
     #: Launch retries per batch before shedding.
     max_retries: int = 5
-    #: Arm the livelock watchdog for the run.
-    enable_watchdog: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -83,9 +77,6 @@ class ResilienceReport:
     rounds_observed: int = 0
     launch_attempts: int = 0
     launch_failures: int = 0
-    jittered_commands: int = 0
-    watchdog_checks: int = 0
-    watchdog_tripped: bool = False
 
     def describe(self) -> str:
         """Multi-line human-readable summary."""
@@ -103,12 +94,6 @@ class ResilienceReport:
             f"retr{'y' if self.retries == 1 else 'ies'}, "
             f"{len(self.shed_batches)} shed batch(es)"
         )
-        if self.jittered_commands:
-            lines.append(f"  host jitter: {self.jittered_commands} command(s) delayed")
-        lines.append(
-            f"  watchdog: {self.watchdog_checks} check(s), "
-            f"{'TRIPPED' if self.watchdog_tripped else 'clean'}"
-        )
         return "\n".join(lines)
 
 
@@ -117,9 +102,8 @@ class RecoveryManager:
 
     Builds the recovery stack around the bound ``strategy``: arms a
     :class:`~repro.faults.injector.FaultInjector` for ``fault_plan`` on
-    ``machine`` (wiring the strategy's collective cost model for link
-    degradation), attaches a :class:`~repro.core.runtime.PrincipleMonitor`
-    when the strategy carries a Liger runtime, and builds the watchdog.
+    ``machine`` and attaches a :class:`~repro.core.runtime.PrincipleMonitor`
+    when the strategy carries a Liger runtime.
 
     Parameters
     ----------
@@ -153,7 +137,7 @@ class RecoveryManager:
     ) -> None:
         self.config = config or ResilienceConfig()
         self.injector = FaultInjector(fault_plan)
-        self.injector.arm(machine, cost_models=[strategy.profiler.collectives])
+        self.injector.arm(machine)
         self.strategy = strategy
         self.metrics = metrics
         self.bus = bus
@@ -176,25 +160,6 @@ class RecoveryManager:
                 on_violation=self._on_violation if bus is not None else None
             )
             self.monitor.attach(runtime)
-        self.watchdog: Optional[Watchdog] = None
-        if self.config.enable_watchdog:
-            self.watchdog = Watchdog(machine, context=self._watchdog_context)
-
-    # ------------------------------------------------------------------
-    # Server integration
-    # ------------------------------------------------------------------
-    def arm(self) -> None:
-        """Start the watchdog heartbeat (call once work is scheduled)."""
-        if self.watchdog is not None:
-            self.watchdog.arm()
-
-    def _watchdog_context(self) -> List[str]:
-        open_ids = self.strategy.open_batch_ids()
-        lines = [f"open batches: {open_ids if open_ids else 'none'}"]
-        active = self.injector.describe_active()
-        if active:
-            lines.append(f"active faults: {', '.join(active)}")
-        return lines
 
     # ------------------------------------------------------------------
     # Submission path: retry with backoff
@@ -267,9 +232,5 @@ class RecoveryManager:
             self.report.retries = self.metrics.retries
             self.report.launch_attempts = self.injector.launch_attempts
             self.report.launch_failures = self.injector.launch_failures
-            self.report.jittered_commands = self.injector.jittered_commands
-            if self.watchdog is not None:
-                self.report.watchdog_checks = self.watchdog.checks
-                self.report.watchdog_tripped = self.watchdog.tripped
         return self.report
 

@@ -109,13 +109,13 @@ def instantiate_op(
     Compute-like ops become independent per-group kernel clones (each
     device executes its shard) of the record's profile.  An
     ``all_reduce`` / ``all_to_all`` that one group holds whole — the
-    group's ranks are the profiler's ``participants`` and no
-    ``bandwidth_scale`` hook is set — is one plain COMM kernel at the
-    record's duration, which the profiler priced over those ranks (§3.1:
-    the all-reduce is just another kernel); otherwise it becomes a
-    rendezvous collective over every rank of ``groups``, with one member
-    per lead, and ``p2p`` a two-member collective over its endpoints,
-    source first.  Those are costed here, at the current link health.
+    group's ranks are the profiler's ``participants`` — is one plain COMM
+    kernel at the record's duration, which the profiler priced over those
+    ranks (§3.1: the all-reduce is just another kernel); otherwise it
+    becomes a rendezvous collective over every rank of ``groups``, with
+    one member per lead, and ``p2p`` a two-member collective over its
+    endpoints, source first.  Those are costed by the collective cost
+    model.
     """
     if not groups:
         raise ConfigError(f"op {func.op.name}: no target GPUs")
@@ -128,11 +128,7 @@ def instantiate_op(
         ccm = profiler.collectives
         if collective is CollectiveKind.P2P:
             participants = leads = (op.p2p_src, op.p2p_dst)
-        elif (
-            len(groups) == 1
-            and groups[0] == profiler.participants
-            and ccm.bandwidth_scale is None
-        ):
+        elif len(groups) == 1 and groups[0] == profiler.participants:
             lead = groups[0][0]
             return [kernel_from_profile(
                 f"{name}@g{lead}", op.kind, func.duration, occupancy, mem,

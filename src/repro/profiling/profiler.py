@@ -97,23 +97,18 @@ class OpProfiler:
     # The profile database
     # ------------------------------------------------------------------
     def duration(self, op: OpDesc) -> float:
-        """No-load duration (µs) of one op, cached.
-
-        A collective is priced at full link health whatever the cost
-        model's ``bandwidth_scale`` hook reports: the entry outlives any
-        link fault, which instantiation applies per launch.
-        """
+        """No-load duration (µs) of one op, cached."""
         key = op_key(op)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         ccm = self.collectives
         if op.op == "all_reduce":
-            value = ccm.allreduce_duration(op.comm_bytes, self.participants, healthy=True)
+            value = ccm.allreduce_duration(op.comm_bytes, self.participants)
         elif op.op == "all_to_all":
-            value = ccm.alltoall_duration(op.comm_bytes, self.participants, healthy=True)
+            value = ccm.alltoall_duration(op.comm_bytes, self.participants)
         elif op.op == "p2p":
-            value = ccm.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst, healthy=True)
+            value = ccm.p2p_duration(op.comm_bytes, op.p2p_src, op.p2p_dst)
         else:
             value = self.cost_model.duration(op)
         self._cache[key] = value
@@ -142,8 +137,8 @@ class OpProfiler:
         made and memoized by :func:`op_key`, so kernels built from it use
         the slot-copy constructors of :mod:`repro.sim.kernel`.  A collective's
         duration is None here: the record takes :meth:`duration`'s price
-        over :attr:`participants`, and a rendezvous over other ranks or
-        under a link fault is priced at instantiation.
+        over :attr:`participants`, and a rendezvous over other ranks is
+        priced at instantiation.
         """
         key = op_key(op)
         hit = self._profiles.get(key)

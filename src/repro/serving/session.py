@@ -8,8 +8,8 @@ layer and observability — and the run around it: one arrival callback per
 job, the one admission rule (default-deadline stamp, a pending bound
 counted in requests, the victim :func:`~repro.serving.overload.shed_victim`
 picks), the submit path (dispatch stamp, publish, hand to the recovery
-manager or the strategy), the arm sequence (recovery → observability),
-terminal bookkeeping in the one tally, the drain-or-
+manager or the strategy), arming observability, terminal bookkeeping in
+the one tally, the drain-or-
 :class:`~repro.errors.DeadlockError` check with open-batch attribution,
 and the run's result.  A *job* is whatever a server queues: one
 pre-packed batch for :class:`~repro.serving.server.Server`, one
@@ -283,8 +283,7 @@ class JobServer:
     def run(self, jobs: Sequence) -> RunResult:
         """Serve the jobs to completion and return the run's result.
 
-        Arms every subsystem (recovery → observability), drives the
-        simulation to quiescence, and raises
+        Arms observability, drives the simulation to quiescence, and raises
         :class:`~repro.errors.DeadlockError` unless every request reached a
         terminal state — a simulation that returns without resolving its
         work is a wedge, not a configuration mistake, so the error names
@@ -307,8 +306,6 @@ class JobServer:
             seen.add(r.rid)
         self._ran = True
         self._schedule_arrivals(ordered)
-        if self.recovery is not None:
-            self.recovery.arm()
         if self.obs is not None:
             self.obs.arm(self.engine)
         self.machine.run()

@@ -165,15 +165,14 @@ class Engine:
     ) -> None:
         """Invoke ``fn`` every ``interval`` µs while other live events remain.
 
-        The periodic hook the fault subsystem builds on (watchdog checks,
-        recovery probes).  ``fn`` returning ``False`` stops the beat; any
-        other return value continues it.  A beat never keeps an otherwise
-        idle engine alive: when the queue holds no live event besides
-        heartbeats and background events (:meth:`schedule_background_at`),
-        no beat is rescheduled and the run quiesces — beats do not count
-        *each other* as liveness, so any number of concurrent heartbeats
-        (watchdog, recovery probe, observability sampling) can never turn a
-        finite simulation into an infinite one.
+        The periodic hook observability sampling builds on.  ``fn``
+        returning ``False`` stops the beat; any other return value
+        continues it.  A beat never keeps an otherwise idle engine alive:
+        when the queue holds no live event besides heartbeats and
+        background events (:meth:`schedule_background_at`), no beat is
+        rescheduled and the run quiesces — beats do not count *each other*
+        as liveness, so any number of concurrent heartbeats can never turn
+        a finite simulation into an infinite one.
         """
         if not math.isfinite(interval) or interval <= 0:
             raise SimulationError(f"heartbeat interval must be positive, got {interval}")

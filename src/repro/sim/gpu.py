@@ -406,9 +406,7 @@ class Machine:
         self._enqueue(stream, command)
 
     def _enqueue(self, stream: Stream, command: Union[Kernel, Command]) -> None:
-        if self.fault_injector is not None:
-            command.available_at += self.fault_injector.submit_delay(stream)
-        elif len(self.gpus[stream.gpu_id].ranks) > 1:
+        if len(self.gpus[stream.gpu_id].ranks) > 1:
             self._mirrored = True
         was_idle = stream.idle
         stream.queue.append(command)
@@ -431,8 +429,7 @@ class Machine:
 
         Equal to :meth:`launch` once per kernel, each stamped ``cost``
         after the one before: only the first can find the stream idle and
-        arm a pump, and with a fault injector armed each draws its own
-        ``submit_delay``.  A run holding a kernel in flight (or one kernel
+        arm a pump.  A run holding a kernel in flight (or one kernel
         twice) raises :class:`~repro.errors.SimulationError` with nothing
         launched.
         """
@@ -450,10 +447,7 @@ class Machine:
             kernel.available_at = at
             delay = at - now
             kernel.pump_at = now if delay <= _EPS else now + delay
-        if self.fault_injector is not None:
-            for kernel in kernels:
-                self._enqueue(stream, kernel)
-        elif kernels:
+        if kernels:
             if len(self.gpus[stream.gpu_id].ranks) > 1:
                 self._mirrored = True
             was_idle = stream.idle
@@ -498,9 +492,9 @@ class Machine:
     def stuck_summary(self) -> List[str]:
         """Describe every piece of work currently unable to make progress.
 
-        Used by the quiescence check above and by the fault subsystem's
-        watchdog to name the stuck streams/kernels in its diagnostics.
-        Follower ranks are named rank by rank, through their group.
+        Used by the quiescence check above to name the stuck
+        streams/kernels in its diagnostics.  Follower ranks are named rank
+        by rank, through their group.
         """
         stuck = [
             self._describe_stream(s)

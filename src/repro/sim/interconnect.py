@@ -22,7 +22,7 @@ GEMM co-resident at all under the left-over policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.hw.topology import Topology
@@ -96,56 +96,32 @@ class CollectiveCostModel:
     def __init__(self, topology: Topology, nccl: Optional[NcclConfig] = None) -> None:
         self.topology = topology
         self.nccl = nccl or NcclConfig()
-        #: Optional hook returning the *currently achievable* fraction of the
-        #: nominal link bandwidth (0 < f ≤ 1).  Fault injection wires this to
-        #: the active :class:`~repro.faults.plan.FaultPlan` so collectives
-        #: issued during a degraded-interconnect window are costed at the
-        #: reduced bandwidth.  ``None`` (the default) means healthy links and
-        #: is bit-exact with the unhooked cost model.
-        self.bandwidth_scale: Optional[Callable[[], float]] = None
-        #: Ring-hop latency per participant tuple.  The topology is frozen
-        #: (link faults go through ``bandwidth_scale``), and every
-        #: instantiated collective would otherwise make ``p`` pair queries.
+        #: Ring-hop latency per participant tuple.  The topology is frozen,
+        #: and every instantiated collective would otherwise make ``p``
+        #: pair queries.
         self._hop_latency: Dict[Tuple[int, ...], float] = {}
-        #: Checked durations by ``(kind, bytes, ranks)``, at healthy links
-        #: only: a collective is priced once per shape, not per instance.
+        #: Checked durations by ``(kind, bytes, ranks)``: a collective is
+        #: priced once per shape, not per instance.
         self._durations: Dict[Tuple, float] = {}
-
-    def _bandwidth(self, nominal: float, healthy: bool) -> float:
-        """``nominal`` derated by the channel count and, unless ``healthy``,
-        by the current bandwidth fraction from the fault hook."""
-        bw = nominal * self.nccl.bandwidth_fraction
-        if healthy or self.bandwidth_scale is None:
-            return bw
-        scale = self.bandwidth_scale()
-        if not 0.0 < scale <= 1.0:
-            raise ConfigError(f"bandwidth_scale hook returned {scale}, not in (0, 1]")
-        return bw * scale
 
     # ------------------------------------------------------------------
     # Durations
     # ------------------------------------------------------------------
-    def allreduce_duration(
-        self, size_bytes: float, participants: Sequence[int], *, healthy: bool = False
-    ) -> float:
-        """Ring all-reduce duration (µs) for ``size_bytes`` over the ranks,
-        at the current link health, or at full health if ``healthy``."""
+    def allreduce_duration(self, size_bytes: float, participants: Sequence[int]) -> float:
+        """Ring all-reduce duration (µs) for ``size_bytes`` over the ranks."""
         if size_bytes < 0:
             raise ConfigError("allreduce size must be >= 0")
         p = len(participants)
         if p <= 1:
             return 0.0
-        bw = self._bandwidth(self.topology.allreduce_bus_bandwidth, healthy)
+        bw = self.topology.allreduce_bus_bandwidth * self.nccl.bandwidth_fraction
         hop_latency = self._ring_hop_latency(participants)
         steps = 2 * (p - 1)
         transfer_us = (2.0 * (p - 1) / p) * size_bytes / bw * 1e6
         return self.nccl.min_latency + steps * hop_latency + transfer_us
 
-    def alltoall_duration(
-        self, size_bytes: float, participants: Sequence[int], *, healthy: bool = False
-    ) -> float:
-        """All-to-all personalized exchange duration (µs), at the link
-        health :meth:`allreduce_duration` uses.
+    def alltoall_duration(self, size_bytes: float, participants: Sequence[int]) -> float:
+        """All-to-all personalized exchange duration (µs).
 
         ``size_bytes`` is the per-rank payload: each rank scatters
         ``(p−1)/p · S`` of its buffer to peers in ``p−1`` pipelined steps,
@@ -157,23 +133,20 @@ class CollectiveCostModel:
         p = len(participants)
         if p <= 1:
             return 0.0
-        bw = self._bandwidth(self.topology.allreduce_bus_bandwidth, healthy)
+        bw = self.topology.allreduce_bus_bandwidth * self.nccl.bandwidth_fraction
         hop_latency = self._ring_hop_latency(participants)
         steps = p - 1
         transfer_us = ((p - 1) / p) * size_bytes / bw * 1e6
         return self.nccl.min_latency + steps * hop_latency + transfer_us
 
-    def p2p_duration(
-        self, size_bytes: float, src: int, dst: int, *, healthy: bool = False
-    ) -> float:
-        """Point-to-point transfer duration (µs), at the link health
-        :meth:`allreduce_duration` uses."""
+    def p2p_duration(self, size_bytes: float, src: int, dst: int) -> float:
+        """Point-to-point transfer duration (µs)."""
         if size_bytes < 0:
             raise ConfigError("p2p size must be >= 0")
         latency = self.topology.p2p_latency(src, dst)  # range-checks both ids
         if src == dst:
             return 0.0
-        bw = self._bandwidth(self.topology.p2p_bandwidth(src, dst), healthy)
+        bw = self.topology.p2p_bandwidth(src, dst) * self.nccl.bandwidth_fraction
         return self.nccl.min_latency + latency + size_bytes / bw * 1e6
 
     def _ring_hop_latency(self, participants: Sequence[int]) -> float:
@@ -216,25 +189,22 @@ class CollectiveCostModel:
         self, kind, size_bytes, participants, leads, occupancy,
         memory_intensity, batch_id, layer, name, op,
     ) -> CollectiveOp:
-        """Cost a rendezvous collective at the current link health and
-        build it.
+        """Cost a rendezvous collective and build it.
 
         :func:`~repro.parallel.base.instantiate_op` comes here for every
         collective but one that a single rank group over the profiler's
-        ranks holds whole while no ``bandwidth_scale`` hook is set: that
-        one is a plain kernel at its profiled duration, which equals the
-        price computed here.  The footprint
+        ranks holds whole: that one is a plain kernel at its profiled
+        duration, which equals the price computed here.  The footprint
         (``occupancy``, ``memory_intensity``) must already have passed
         :func:`~repro.sim.kernel.check_kernel_profile`; the ranks and
-        duration are checked here, once per collective shape while no hook
-        is set (the duration is then memoized by kind, bytes and ranks) and
-        once per collective under one, and the op and its members — one per
-        rank in ``leads`` — are built by the slot-copy constructor.
+        duration are checked here, once per collective shape (the duration
+        is then memoized by kind, bytes and ranks), and the op and its
+        members — one per rank in ``leads`` — are built by the slot-copy
+        constructor.
         """
         participants = list(participants)
-        healthy = self.bandwidth_scale is None
         key = (kind, size_bytes, tuple(participants))
-        duration = self._durations.get(key) if healthy else None
+        duration = self._durations.get(key)
         if duration is None:
             if kind is CollectiveKind.P2P:
                 duration = self.p2p_duration(size_bytes, *participants)
@@ -245,8 +215,7 @@ class CollectiveCostModel:
             else:
                 raise ConfigError(f"no cost model for {kind.value} collectives")
             check_collective(participants, duration)
-            if healthy:
-                self._durations[key] = duration
+            self._durations[key] = duration
         return collective_from_profile(
             kind, size_bytes, participants, leads, duration, occupancy,
             memory_intensity, batch_id, layer, name, op,

@@ -163,8 +163,7 @@ OPTIONS = {
     },
     "faults": {
         **_WORKLOAD, "--model": "OPT-13B", "--rate": 40.0, "--requests": 32,
-        "--seed": 1, "--straggler": [], "--link": [], "--launch-fail": [],
-        "--jitter": [], "--max-retries": 5, "--no-watchdog": False,
+        "--seed": 1, "--straggler": [], "--launch-fail": [], "--max-retries": 5,
     },
     "trace": {
         **_WORKLOAD, **_OVERLOAD, "--summarize": None, "--out": "trace.json",
@@ -197,8 +196,8 @@ _BAD_VALUES = [
     (["faults", "--straggler", "9:4.0:0:400"], "targets GPU 9"),
     (["faults", "--straggler", "1:4.0:0"], "expects 4 colon-separated"),
     (["faults", "--straggler", "0:inf:0:100"], "straggler factor must be finite"),
-    (["faults", "--jitter", "inf:0:100"], "jitter amplitude must be finite"),
-    (["faults", "--jitter", "nan:0:100"], "jitter amplitude must be finite"),
+    (["faults", "--launch-fail", "5:1"], "is empty or invalid"),
+    (["faults", "--launch-fail", "nan:1"], "fault start must be finite"),
     (["faults", "--straggler", "1.7:4.0:0:400"], "GPU must be an integer"),
     # `=` keeps argparse from reading the leading minus as an option.
     (["faults", "--straggler=-0.5:4.0:0:400"], "GPU must be an integer"),

@@ -1,27 +1,18 @@
 """Unit tests for the fault-injection subsystem (:mod:`repro.faults`).
 
-Covers the declarative plan (validation, window queries, determinism), the
-injector's hook-site semantics (piecewise rate inflation, link degradation,
-launch failures, host jitter), the engine heartbeat, the livelock watchdog,
-the recovery configuration, and the CLI spec parser.
+Covers the declarative plan (validation, window queries), the injector's
+hook-site semantics (piecewise rate inflation, launch failures), the engine
+heartbeat, the recovery configuration, and the CLI spec parser.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import ConfigError, DeadlockError, FaultError
+from repro.errors import ConfigError, FaultError
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    FaultPlan,
-    GpuStraggler,
-    HostJitter,
-    LaunchFailure,
-    LinkDegradation,
-    plan_from_specs,
-)
+from repro.faults.plan import FaultPlan, GpuStraggler, LaunchFailure
 from repro.faults.resilience import ResilienceConfig
-from repro.faults.watchdog import STALL_TIMEOUT_US, Watchdog
 from repro.hw import v100_nvlink_node
 from repro.sim.engine import Engine
 from repro.sim.gpu import Machine
@@ -43,19 +34,17 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             GpuStraggler(start=10.0, end=10.0)
         with pytest.raises(ConfigError):
-            LinkDegradation(start=10.0, end=5.0)
+            LaunchFailure(start=10.0, end=5.0)
         with pytest.raises(ConfigError):
             LaunchFailure(start=-1.0, end=5.0)
 
     def test_parameter_ranges_enforced(self):
         with pytest.raises(ConfigError):
             GpuStraggler(start=0.0, end=1.0, factor=0.5)  # a speed-up
-        with pytest.raises(ConfigError):
-            LinkDegradation(start=0.0, end=1.0, fraction=0.0)
-        with pytest.raises(ConfigError):
-            LinkDegradation(start=0.0, end=1.0, fraction=1.5)
-        with pytest.raises(ConfigError):
-            HostJitter(start=0.0, end=1.0, amplitude=-1.0)
+        # A GPU id that matches no device would slow nothing.
+        for gpu in (1.5, 1.0, True):
+            with pytest.raises(ConfigError, match="must be an int"):
+                GpuStraggler(start=0.0, end=1.0, gpu=gpu)
 
     def test_non_fault_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,14 +58,6 @@ class TestPlanValidation:
                 [
                     GpuStraggler(start=0.0, end=100.0, gpu=1, factor=2.0),
                     GpuStraggler(start=50.0, end=150.0, gpu=1, factor=3.0),
-                ]
-            )
-        # The single shared link is one target.
-        with pytest.raises(ConfigError, match="overlap"):
-            FaultPlan(
-                [
-                    LinkDegradation(start=0.0, end=100.0, fraction=0.5),
-                    LinkDegradation(start=50.0, end=100.0, fraction=0.5),
                 ]
             )
         with pytest.raises(ConfigError, match="overlap"):
@@ -95,7 +76,7 @@ class TestPlanValidation:
                 GpuStraggler(start=0.0, end=100.0, gpu=1, factor=2.0),
                 GpuStraggler(start=100.0, end=200.0, gpu=1, factor=3.0),
                 GpuStraggler(start=0.0, end=200.0, gpu=2, factor=5.0),
-                LinkDegradation(start=0.0, end=200.0, fraction=0.5),
+                LaunchFailure(start=0.0, end=200.0),
             ]
         )
 
@@ -123,45 +104,14 @@ class TestPlanQueries:
         assert plan.compute_inflation(2, 25.0) == 5.0
         assert plan.compute_inflation(0, 25.0) == 1.0
 
-    def test_bandwidth_fraction_tracks_active_window(self):
-        plan = FaultPlan(
-            [
-                LinkDegradation(start=0.0, end=50.0, fraction=0.5),
-                LinkDegradation(start=50.0, end=100.0, fraction=0.25),
-            ]
-        )
-        assert plan.bandwidth_fraction(25.0) == 0.5
-        assert plan.bandwidth_fraction(75.0) == 0.25
-        assert plan.bandwidth_fraction(200.0) == 1.0
-
     def test_boundaries_sorted_unique(self):
         plan = FaultPlan(
             [
                 GpuStraggler(start=10.0, end=50.0),
-                LinkDegradation(start=10.0, end=80.0),
+                LaunchFailure(start=10.0, end=80.0),
             ]
         )
         assert plan.boundaries() == [10.0, 50.0, 80.0]
-
-    def test_host_jitter_is_deterministic(self):
-        j = HostJitter(start=0.0, end=100.0, amplitude=10.0)
-        seq = [j.jitter(i) for i in range(16)]
-        assert seq == [j.jitter(i) for i in range(16)]
-        assert all(0.0 <= v <= 10.0 for v in seq)
-
-    def test_plan_from_specs_round_trip(self):
-        plan = plan_from_specs(
-            stragglers=[(1, 2.0, 0.0, 50.0)],
-            links=[(0.5, 10.0, 60.0)],
-            launch_windows=[(20.0, 30.0)],
-            jitters=[(5.0, 0.0, 100.0)],
-        )
-        assert len(plan.faults) == 4
-        assert plan.compute_inflation(1, 25.0) == 2.0
-        assert plan.bandwidth_fraction(25.0) == 0.5
-        assert plan.launch_failing(25.0)
-        assert plan.host_jitter(25.0, 0) > 0.0
-
 
 class TestInjectorHooks:
     def test_straggler_inflates_compute_piecewise(self):
@@ -201,56 +151,6 @@ class TestInjectorHooks:
         compute = k("mm", kind=KernelKind.COMPUTE)
         assert inj.kernel_inflation(comm, 1) == 1.0
         assert inj.kernel_inflation(compute, 1) == 4.0
-
-    def test_link_degradation_scales_collective_cost(self):
-        from repro.sim.interconnect import CollectiveCostModel
-
-        node = v100_nvlink_node(4)
-        clean = CollectiveCostModel(node.topology)
-        degraded = CollectiveCostModel(node.topology)
-        degraded.bandwidth_scale = lambda: 0.5
-        nbytes = 64 * 1024 * 1024
-        d0 = clean.allreduce_duration(nbytes, [0, 1, 2, 3])
-        d1 = degraded.allreduce_duration(nbytes, [0, 1, 2, 3])
-        assert d1 > d0  # half the bandwidth → strictly slower
-
-    def test_profile_is_priced_at_full_link_health(self):
-        """A launch-list miss or §3.6 division entry made inside a link
-        window caches the no-load duration, not a degraded one, so it is
-        still right once the window closes; each launch inside the window
-        is still priced at the degraded bandwidth."""
-        from repro.core.decomposition import DecompositionPlanner
-        from repro.models.ops import allreduce_op
-        from repro.parallel.base import KernelFunc, instantiate_op
-        from repro.profiling import OpProfiler
-
-        node = v100_nvlink_node(4)
-        healthy, profiler = OpProfiler(node), OpProfiler(node)
-        m = _machine()
-        FaultInjector(
-            FaultPlan([LinkDegradation(start=0.0, end=100.0, fraction=0.5)])
-        ).arm(m, [profiler.collectives])
-        op = allreduce_op("ar", 0, 4e6)
-        func = KernelFunc.profiled(op, profiler)  # inside the window
-        assert func.duration == healthy.duration(op)
-        divisions = DecompositionPlanner(profiler, 4).profile_divisions(func)
-        assert divisions == DecompositionPlanner(healthy, 4).profile_divisions(
-            KernelFunc.profiled(op, healthy)
-        )
-        launched = instantiate_op(func, m.groups, 0, profiler)[0].duration
-        assert launched > 1.5 * func.duration
-        m.engine.run(until=200.0)  # the window closes
-        assert profiler.duration(op) == func.duration
-        assert instantiate_op(func, m.groups, 1, profiler)[0].duration == func.duration
-
-    def test_bandwidth_scale_out_of_range_rejected(self):
-        from repro.sim.interconnect import CollectiveCostModel
-
-        node = v100_nvlink_node(4)
-        ccm = CollectiveCostModel(node.topology)
-        ccm.bandwidth_scale = lambda: 0.0
-        with pytest.raises(ConfigError):
-            ccm.allreduce_duration(1e6, [0, 1, 2, 3])
 
     def test_check_launch_raises_inside_window(self):
         m = _machine()
@@ -301,33 +201,17 @@ class TestEngineHeartbeat:
         with pytest.raises(SimulationError):
             Engine().heartbeat(0.0, lambda: None)
 
-
-class TestWatchdog:
-    def test_trips_on_stalled_busy_machine(self):
-        m = _machine(1)
-        # One enormous kernel: busy for 10^9 µs with no completions.
-        m.launch(m.gpu(0).stream("s"), k("forever", 1e9), available_at=0.0)
-        wd = Watchdog(m)
-        wd.arm()
-        with pytest.raises(DeadlockError, match="watchdog"):
-            m.run()
-        assert wd.tripped
-        assert m.engine.now == STALL_TIMEOUT_US
-
-    def test_quiet_on_healthy_run(self):
-        m = _machine(1)
-        # Each kernel retires well inside the stall timeout; the run spans
-        # several heartbeats.
-        for i in range(5):
-            m.launch(
-                m.gpu(0).stream("s"), k(f"k{i}", STALL_TIMEOUT_US / 2),
-                available_at=0.0,
-            )
-        wd = Watchdog(m)
-        wd.arm()
-        m.run()
-        assert not wd.tripped
-        assert wd.checks >= 5
+    def test_background_event_is_not_liveness(self):
+        """A background event far in the future stops no beat early and
+        keeps none going after the last live event, and still fires."""
+        eng = Engine()
+        beats, fired = [], []
+        eng.heartbeat(10.0, lambda: beats.append(eng.now))
+        eng.schedule_at(100.0, lambda: None)
+        eng.schedule_background_at(1e12, lambda: fired.append(eng.now))
+        eng.run()
+        assert beats == pytest.approx([10.0 * (i + 1) for i in range(10)])
+        assert fired == [1e12]
 
 
 class TestResilienceConfig:
@@ -340,22 +224,19 @@ class TestFaultsCli:
     def test_build_plan_parses_all_kinds(self):
         from repro.faults.plan import build_plan
 
-        plan = build_plan(
-            ["1:4.0:0:400"], ["0.5:0:300"], ["50:53"], ["5.0:0:100"]
-        )
-        assert len(plan.faults) == 4
+        plan = build_plan(["1:4.0:0:400"], ["50:53"])
+        assert len(plan.faults) == 2
         # CLI windows are in ms → stored in µs.
         assert plan.compute_inflation(1, 200_000.0) == 4.0
-        assert plan.bandwidth_fraction(200_000.0) == 0.5
         assert plan.launch_failing(51_000.0)
 
     def test_malformed_spec_rejected(self):
         from repro.faults.plan import build_plan
 
         with pytest.raises(ConfigError):
-            build_plan(["1:4.0:0"], [], [], [])  # missing a field
+            build_plan(["1:4.0:0"], [])  # missing a field
         with pytest.raises(ConfigError):
-            build_plan([], [], ["abc:def"], [])  # non-numeric
+            build_plan([], ["abc:def"])  # non-numeric
 
 
 class TestLifecycleUnderFaults:
@@ -377,45 +258,6 @@ class TestLifecycleUnderFaults:
         assert result.num_requests == 12
         assert result.shed_requests == 0
         assert report.violations >= 1
-        assert not report.watchdog_tripped
-
-
-class TestLinkFaultEquivalence:
-    """A link fault reaches every collective launched inside its window."""
-
-    @staticmethod
-    def _decode_trace(*, link_fault: bool):
-        from repro.core import LigerConfig
-        from repro.models import OPT_30B
-        from repro.serving import ContinuousBatchingServer, generation_workload
-        from repro.serving.api import make_strategy
-        from serving_goldens import fingerprint, reset_batch_ids
-
-        reset_batch_ids()
-        model = OPT_30B.scaled_layers(2)
-        node = v100_nvlink_node(4)
-        strat = make_strategy(
-            "liger", model, node,
-            config=LigerConfig(max_inflight=6, division_factor=16),
-        )
-        plan = (
-            FaultPlan([LinkDegradation(start=5_000.0, end=20_000.0, fraction=0.3)])
-            if link_fault
-            else None
-        )
-        srv = ContinuousBatchingServer(
-            model, node, strat, max_batch=8, pipeline_depth=2,
-            fault_plan=plan, record_trace=True,
-        )
-        jobs = generation_workload(
-            120, 3770.0, context_len=16, gen_tokens=(1, 1), seed=0
-        )
-        return fingerprint(srv.run(jobs).trace)
-
-    def test_link_degradation_is_deterministic_and_visible(self):
-        faulted = self._decode_trace(link_fault=True)
-        assert faulted == self._decode_trace(link_fault=True)
-        assert faulted != self._decode_trace(link_fault=False)
 
 
 class TestTopLevelExports:
@@ -425,9 +267,7 @@ class TestTopLevelExports:
         for name in (
             "FaultPlan",
             "GpuStraggler",
-            "LinkDegradation",
             "LaunchFailure",
-            "HostJitter",
             "ResilienceConfig",
             "ResilienceReport",
             "FaultError",

@@ -219,8 +219,8 @@ def _count_allreduce_calls(ccm):
 
 
 def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
-    """With healthy links a collective's duration is memoized by kind, bytes
-    and ranks: each (op, ranks) is priced once, however often it is built."""
+    """A collective's duration is memoized by kind, bytes and ranks: each
+    (op, ranks) is priced once, however often it is built."""
     ops = [allreduce_op("ar", 3, 2e6), allreduce_op("ar_big", 3, 8e6)]
     funcs = [KernelFunc.profiled(op, profiler) for op in ops]  # a launch list
     calls = _count_allreduce_calls(profiler.collectives)
@@ -235,25 +235,6 @@ def test_collective_is_priced_once_per_shape_without_a_hook(profiler):
     assert sorted(calls) == sorted(
         (op.comm_bytes, ranks) for op in ops for ranks in ((2, 0, 3, 1), (0, 1, 2, 3))
     )
-
-
-def test_collective_is_priced_at_the_hooks_current_value(profiler):
-    """A ``bandwidth_scale`` hook bypasses the memo: every instantiation is
-    priced at the link health the hook reports then, even for a shape the
-    memo already holds."""
-    op = allreduce_op("ar", 3, 2e6)
-    ccm = profiler.collectives
-    healthy = instantiate(op, GROUPS, 0, profiler)[0].duration
-    calls = _count_allreduce_calls(ccm)
-    scales = [0.5, 0.25, 1.0, 0.5]
-    for b, scale in enumerate(scales):
-        ccm.bandwidth_scale = lambda: scale
-        got = instantiate(op, GROUPS, b, profiler)[0].duration
-        degraded = OpProfiler(v100_nvlink_node(4)).collectives
-        degraded.bandwidth_scale = lambda: scale
-        assert got == degraded.allreduce_duration(op.comm_bytes, [2, 0, 3, 1])
-        assert (got == healthy) is (scale == 1.0)
-    assert len(calls) == len(scales)
 
 
 def test_instantiation_reads_the_record_not_the_profile(monkeypatch, profiler):
@@ -286,14 +267,14 @@ def _forbid_interconnect(monkeypatch):
 
     for name in (
         "instantiate", "make_allreduce", "allreduce_duration",
-        "alltoall_duration", "p2p_duration", "_bandwidth", "_ring_hop_latency",
+        "alltoall_duration", "p2p_duration", "_ring_hop_latency",
     ):
         monkeypatch.setattr(CollectiveCostModel, name, forbidden)
 
 
 @pytest.mark.parametrize("op", OPS[2:4], ids=lambda op: op.op)
 def test_whole_group_collective_is_one_plain_kernel(monkeypatch, op, profiler):
-    """One rank group holding the profiler's ranks, no hook: an all-reduce
+    """One rank group holding the profiler's ranks: an all-reduce
     or all-to-all is one kernel, for the lead, with every field of the
     member the rendezvous path would build, no op, and the record's
     profiled duration; no interconnect method is called."""
@@ -319,13 +300,10 @@ def _op_groups(profiler, groups, op):
 
 @pytest.mark.parametrize("op", OPS[2:4], ids=lambda op: op.op)
 def test_hook_or_partial_group_still_builds_an_op(op):
-    """A set ``bandwidth_scale`` hook, a group short of a participant, a
-    group whose ring order differs from the profiler's, and more than one
-    group all instantiate a rendezvous collective."""
+    """A group short of a participant, a group whose ring order differs
+    from the profiler's, and more than one group all instantiate a
+    rendezvous collective."""
     node = v100_nvlink_node(4)
-    hooked = OpProfiler(node)
-    hooked.collectives.bandwidth_scale = lambda: 1.0
-    assert _op_groups(hooked, WHOLE, op).participants == [0, 1, 2, 3]
     for participants, groups in (
         ((0, 1, 2, 3), [(0, 1, 2)]),
         ((1, 0, 2, 3), WHOLE),

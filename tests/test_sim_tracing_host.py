@@ -365,29 +365,3 @@ class TestBatchedLaunch:
         assert snap["avail_pump_at"] == ats[0]
         assert snap["cursors"] == [ats[-1]] * 4
         assert snap["last"] == ats[-1]
-
-    def test_fault_armed_run_delays_every_command_on_its_own(self):
-        from repro.faults.injector import FaultInjector
-        from repro.faults.plan import FaultPlan, HostJitter
-
-        def issue(batched):
-            m = make_machine(2)
-            stream = m.gpu(0).stream("s0")
-            injector = FaultInjector(FaultPlan([HostJitter(0.0, 1e6, amplitude=4.0)]))
-            injector.arm(m)
-            host = Host(m)
-            kernels = [k(f"j{i}", 2.0) for i in range(6)]
-            if batched:
-                host.launch_kernels(stream, kernels)
-            else:
-                for kern in kernels:
-                    host.launch_kernel(stream, kern)
-            ats = [c.available_at for c in stream.queue]
-            return ats, injector.jittered_commands, list(host.cursors)
-
-        batched, looped = issue(True), issue(False)
-        assert batched == looped
-        ats, jittered, _ = batched
-        delays = [at - 5.0 * (i + 1) for i, at in enumerate(ats)]
-        assert jittered == len(ats) == 6
-        assert len({round(d, 9) for d in delays}) > 1
