@@ -34,13 +34,6 @@ from repro.serving.workload import general_trace
 
 
 def _serve_makespan(model, node, *, max_inflight: int):
-    import itertools
-
-    from repro.serving import request as request_mod
-
-    # Rebase the global batch-id counter so both runs see identical batch
-    # names (and therefore identical kernel streams).
-    request_mod._batch_ids = itertools.count()
     config = LigerConfig(policy="expert_overlap", max_inflight=max_inflight)
     strategy = make_strategy("liger", model, node, config=config)
     server = Server(model, node, strategy, record_trace=False, check_memory=False)

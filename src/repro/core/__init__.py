@@ -18,8 +18,7 @@ _EXPORTS = {
     "DecompositionPlanner": "decomposition",
     "split_gemm_vertical": "decomposition",
     "split_gemm_horizontal": "decomposition",
-    "split_allreduce": "decomposition",
-    "split_all_to_all": "decomposition",
+    "split_comm_bytes": "decomposition",
     "SchedulingPolicy": "policy",
     "LigerDichotomyPolicy": "policy",
     "ExpertOverlapPolicy": "policy",

@@ -20,8 +20,8 @@ Decomposition strategies (Fig. 9):
 * **All-reduce**: split the payload bytes evenly; each piece is an
   independent smaller collective (NCCL treats chunks independently), paying
   one extra latency term per piece.
-* **All-to-all**: the same byte split applied to the MoE expert
-  dispatch/combine exchange.  Not wired by default — the
+* **All-to-all**: the same byte split (:func:`split_comm_bytes`) applied
+  to the MoE expert dispatch/combine exchange.  Not wired by default — the
   ``expert_overlap`` policy registers it via
   :meth:`DecompositionPlanner.register_split_rule`, the hook that lets a
   scheduling policy teach the planner new kernel classes.
@@ -46,8 +46,7 @@ __all__ = [
     "DecompositionPlanner",
     "split_gemm_vertical",
     "split_gemm_horizontal",
-    "split_allreduce",
-    "split_all_to_all",
+    "split_comm_bytes",
 ]
 
 
@@ -95,30 +94,17 @@ def split_gemm_horizontal(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, O
     )
 
 
-def split_allreduce(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc]:
-    """Split an all-reduce payload into (numer/denom, rest) byte chunks."""
-    _check_fraction(numer, denom)
-    piece = op.comm_bytes * numer / denom
-    rest = op.comm_bytes - piece
-    if piece <= 0 or rest <= 0:
-        raise ConfigError(f"{op.name}: degenerate all-reduce split")
-    return (
-        _derive(op, f"{op.name}.c{numer}/{denom}", "comm_bytes", piece),
-        _derive(op, f"{op.name}.rest", "comm_bytes", rest),
-    )
+def split_comm_bytes(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc]:
+    """Split a collective's payload into (numer/denom, rest) byte chunks.
 
-
-def split_all_to_all(op: OpDesc, numer: int, denom: int) -> Tuple[OpDesc, OpDesc]:
-    """Split an all-to-all payload into (numer/denom, rest) byte chunks.
-
-    Reuses the ``.c`` piece-name convention so runtime decomposition
-    accounting treats collective pieces uniformly.
+    The one splitter of both collective flavours, all-reduce and
+    all-to-all; the pieces keep the op's flavour.
     """
     _check_fraction(numer, denom)
     piece = op.comm_bytes * numer / denom
     rest = op.comm_bytes - piece
     if piece <= 0 or rest <= 0:
-        raise ConfigError(f"{op.name}: degenerate all-to-all split")
+        raise ConfigError(f"{op.name}: degenerate {op.op} byte split")
     return (
         _derive(op, f"{op.name}.c{numer}/{denom}", "comm_bytes", piece),
         _derive(op, f"{op.name}.rest", "comm_bytes", rest),
@@ -161,7 +147,7 @@ class DecompositionPlanner:
         #: (``expert_overlap`` adds the all-to-all byte splitter).
         self._split_rules = {
             "gemm": split_gemm_vertical,
-            "all_reduce": split_allreduce,
+            "all_reduce": split_comm_bytes,
         }
         #: Division tables, ``(splitter, d, op_key)`` → piece duration per
         #: numerator (index 0 unused; None until profiled).

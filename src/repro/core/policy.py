@@ -206,9 +206,9 @@ class ExpertOverlapPolicy(SchedulingPolicy):
         return default_resource_class(func)
 
     def configure_decomposer(self, planner) -> None:
-        from repro.core.decomposition import split_all_to_all
+        from repro.core.decomposition import split_comm_bytes
 
-        planner.register_split_rule("all_to_all", split_all_to_all)
+        planner.register_split_rule("all_to_all", split_comm_bytes)
 
 
 # ----------------------------------------------------------------------

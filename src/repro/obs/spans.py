@@ -25,7 +25,6 @@ from typing import Dict, List, Optional
 from repro.obs.events import (
     BatchCompleted,
     BatchDispatched,
-    BatchPreempted,
     Event,
     EventBus,
     RequestsAdmitted,
@@ -141,12 +140,6 @@ class SpanBuilder:
                 if rid in completed:
                     span.state = "completed"
                     span.end_us = event.time_us
-        elif isinstance(event, BatchPreempted):
-            # The preempted batch's members go back to queued; their next
-            # dispatch opens a fresh execution segment.
-            for span in self._spans.values():
-                if span.batch_ids and span.batch_ids[-1] == event.batch_id:
-                    span._open = None
         elif isinstance(event, (RequestsShed, RequestsTimedOut)):
             terminal = (
                 "shed" if isinstance(event, RequestsShed) else "timed_out"

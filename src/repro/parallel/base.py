@@ -297,7 +297,16 @@ class ParallelStrategy(abc.ABC):
         the batch's first kernel retires — i.e. once it is actually
         executing — and released at completion, so backlog depth does not
         fictitiously exhaust HBM.
+
+        Raises :class:`~repro.errors.ConfigError` on a batch no server has
+        numbered (negative ``batch_id``): ids below 0 belong to the
+        infrastructure kernels.
         """
+        if batch.batch_id < 0:
+            raise ConfigError(
+                f"batch {batch.batch_id} is not numbered; a server numbers "
+                "the batches it serves (Batch.number)"
+            )
         if batch.batch_id in self._open_batches:
             raise ConfigError(f"batch {batch.batch_id} submitted twice")
         self._pending_kernels[batch.batch_id] = 0

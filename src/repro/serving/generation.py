@@ -263,7 +263,8 @@ class StaticBatchingServer(JobServer):
                         deadline=r.deadline,
                     )
                     for r in group
-                ]
+                ],
+                batch_id=next(self._batch_ids),
             )
             last_bid = batch.batch_id
             self._batch_group[batch.batch_id] = gid
@@ -443,7 +444,10 @@ class ContinuousBatchingServer(JobServer):
                     members.append(r)
             if not members:
                 return
-            batch = Batch(requests=[r.as_request() for r in members])
+            batch = Batch(
+                requests=[r.as_request() for r in members],
+                batch_id=next(self._batch_ids),
+            )
             self._inflight[batch.batch_id] = members
             self._busy.update(r.rid for r in members)
             self.iterations_run += 1

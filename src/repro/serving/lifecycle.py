@@ -358,7 +358,8 @@ class LifecycleServer(ContinuousBatchingServer):
                         seq_len=r.current_context, phase=Phase.PREFILL,
                     )
                     for r in group
-                ]
+                ],
+                batch_id=next(self._batch_ids),
             )
             self._prefill_inflight[batch.batch_id] = group
             self.submit(batch)

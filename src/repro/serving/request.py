@@ -17,15 +17,12 @@ passed before it could finish).  Nothing is ever silently dropped.
 from __future__ import annotations
 
 import enum
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.errors import ConfigError, IncompleteRequestError
 
 __all__ = ["Phase", "RequestState", "Request", "Batch"]
-
-_batch_ids = itertools.count()
 
 
 class Phase(enum.Enum):
@@ -63,8 +60,9 @@ class Request:
     #: mid-execution still completes but counts as a deadline miss.
     deadline: Optional[float] = None
     state: RequestState = RequestState.PENDING
-    #: Stamped by the Batch that adopts this request (−1 until batched);
-    #: lets post-run analysis join request metrics with trace rows.
+    #: The id of the batch that carries this request, stamped by
+    #: :meth:`Batch.number`; −1 until the serving server numbers that
+    #: batch.  Lets post-run analysis join request metrics with trace rows.
     batch_id: int = -1
     #: Simulated time (µs) of the request's *first* hand-off to a strategy;
     #: ``None`` while still queued (or if it never dispatched).  Pending
@@ -128,10 +126,16 @@ class Batch:
 
     ``seq_len`` is the padded sequence length (max over members), which is
     what every kernel in the batch actually runs at.
+
+    Batch ids are local to a run: the server that serves the run numbers
+    its batches from 0 (:meth:`number`).  ``Server`` numbers a pre-packed
+    batch when it arrives; the job servers number each batch they build.
+    ``batch_id`` −1 means "not numbered yet", and a strategy refuses such a
+    batch.
     """
 
     requests: List[Request]
-    batch_id: int = field(default_factory=lambda: next(_batch_ids))
+    batch_id: int = -1
 
     def __post_init__(self) -> None:
         if not self.requests:
@@ -139,8 +143,13 @@ class Batch:
         phases = {r.phase for r in self.requests}
         if len(phases) != 1:
             raise ConfigError("a batch cannot mix prefill and decode requests")
+        self.number(self.batch_id)
+
+    def number(self, batch_id: int) -> None:
+        """Give the batch ``batch_id`` and stamp it on every member."""
+        self.batch_id = batch_id
         for r in self.requests:
-            r.batch_id = self.batch_id
+            r.batch_id = batch_id
 
     @property
     def size(self) -> int:

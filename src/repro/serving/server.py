@@ -10,7 +10,8 @@ for overlap analysis.
 The server is a :class:`~repro.serving.session.JobServer` whose job is one
 pre-packed batch.  The chassis builds the simulation and its subsystems,
 admits, submits and checks the drain; this module adds only the
-batch-granularity policy: dispatch on arrival, or, with an
+batch-granularity policy: number each batch when it arrives (the run's
+ids start at 0), then dispatch it at once, or, with an
 :class:`~repro.serving.overload.OverloadConfig`, dispatch from a bounded
 queue while fewer than :data:`MAX_INFLIGHT_BATCHES` batches are open and
 their KV fits the budget.
@@ -109,6 +110,7 @@ class Server(JobServer):
     # Arrival and dispatch
     # ------------------------------------------------------------------
     def _on_arrival(self, batch: Batch) -> None:
+        batch.number(next(self._batch_ids))
         if not self._admit(batch):
             return
         if self.overload is None:

@@ -21,10 +21,15 @@ keyword left at its default, a batch goes straight from the dispatch stamp
 to the strategy, nothing is published, no heartbeat is armed, and the
 timeline is bit-identical to the pre-chassis servers (pinned by the golden
 fingerprints in ``tests/golden/serving_traces.json``).
+
+Batch ids are local to the run: the server numbers the batches it serves
+from 0, so a run's kernel names, trace rows and ``Request.batch_id`` do not
+depend on what the process served before it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -218,6 +223,9 @@ class JobServer:
         self._peak_pending = 0
         #: Set once :meth:`run` schedules: a server serves one run.
         self._ran = False
+        #: The run's batch ids, 0 upwards (:meth:`Batch.number`); one run
+        #: per server keeps them local to that run.
+        self._batch_ids = itertools.count()
 
     # ------------------------------------------------------------------
     # Observability wiring

@@ -50,7 +50,6 @@ the file is to pin behaviour across refactors.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import re
@@ -124,13 +123,6 @@ RESILIENCE_FIELDS = (
 )
 
 
-def reset_batch_ids() -> None:
-    """Rebase the process-global batch-id counter for a reproducible run."""
-    from repro.serving import request as request_mod
-
-    request_mod._batch_ids = itertools.count()
-
-
 def _model_node():
     from repro.hw import v100_nvlink_node
     from repro.models import OPT_30B
@@ -147,7 +139,6 @@ def run_scenario(server: str, strategy: str, keep=None, **extra):
     """
     from repro.serving.api import make_strategy
 
-    reset_batch_ids()
     if server.endswith(FAULTS):
         server = server[: -len(FAULTS)]
         _arm_faults(server, extra)
@@ -338,19 +329,15 @@ def _run_dense(server: str, strategy: str, keep, **extra):
     return result, result.trace
 
 
-def normalized_rows(trace):
-    """Trace rows with the process-global batch-id counter rebased to 0."""
-    base = min((r.batch_id for r in trace.rows if r.batch_id >= 0), default=0)
+def pinned_rows(trace):
+    """The trace row fields a fingerprint pins, as JSON-able tuples.
 
-    def fix(name: str) -> str:
-        return re.sub(
-            r"_b(\d+)", lambda m: f"_b{int(m.group(1)) - base}", name
-        )
-
+    Batch ids are local to a run, so ids and kernel names are pinned as
+    they are.
+    """
     return [
         (
-            r.gpu, r.stream, fix(r.name), r.kind.value,
-            r.batch_id - base if r.batch_id >= 0 else r.batch_id,
+            r.gpu, r.stream, r.name, r.kind.value, r.batch_id,
             r.layer, r.op, repr(r.ready), repr(r.start), repr(r.end),
             repr(r.noload_duration),
         )
@@ -362,7 +349,7 @@ def fingerprint(trace, overload=None, resilience=None) -> dict:
     """Bit-exact digest of a timeline plus human-debuggable aggregates;
     with an ``overload`` or ``resilience`` report, also the counts it
     holds."""
-    rows = normalized_rows(trace)
+    rows = pinned_rows(trace)
     blob = json.dumps(rows, separators=(",", ":")).encode()
     out = {
         "sha256": hashlib.sha256(blob).hexdigest(),

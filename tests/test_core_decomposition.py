@@ -12,8 +12,7 @@ from repro.core.assembly import KernelFunc
 from repro.core.decomposition import (
     DecompositionPlanner,
     _derive,
-    split_all_to_all,
-    split_allreduce,
+    split_comm_bytes,
     split_gemm_horizontal,
     split_gemm_vertical,
 )
@@ -55,7 +54,7 @@ class TestSplits:
 
     def test_allreduce_preserves_bytes(self):
         op = allreduce_op("ar", 0, 8e6)
-        piece, rest = split_allreduce(op, 5, 8)
+        piece, rest = split_comm_bytes(op, 5, 8)
         assert piece.comm_bytes + rest.comm_bytes == pytest.approx(8e6)
 
     def test_pieces_equal_their_dataclasses_replace(self):
@@ -73,11 +72,11 @@ class TestSplits:
                 replace(g, name="g.h3/8", gemm_shape=(6, 64, 64)),
                 replace(g, name="g.rest", gemm_shape=(10, 64, 64)),
             ]),
-            (split_allreduce(ar, 3, 8), [
+            (split_comm_bytes(ar, 3, 8), [
                 replace(ar, name="ar.c3/8", comm_bytes=300.0),
                 replace(ar, name="ar.rest", comm_bytes=500.0),
             ]),
-            (split_all_to_all(a2a, 3, 8), [
+            (split_comm_bytes(a2a, 3, 8), [
                 replace(a2a, name="a2a.c3/8", comm_bytes=300.0),
                 replace(a2a, name="a2a.rest", comm_bytes=500.0),
             ]),
@@ -217,9 +216,9 @@ class TestSplitToFitEdges:
 
     def test_register_split_rule_enables_flavour(self, profiler):
         planner = DecompositionPlanner(profiler, 8)
-        planner.register_split_rule("all_to_all", split_all_to_all)
+        planner.register_split_rule("all_to_all", split_comm_bytes)
         f = kfunc(all_to_all_op("a2a", 0, 8e6), profiler)
-        assert planner.split_rule("all_to_all") is split_all_to_all
+        assert planner.split_rule("all_to_all") is split_comm_bytes
         assert planner.can_decompose(f)
         window = profiler.duration(f.op) * 0.6
         result = planner.split_to_fit(f, window)
@@ -234,11 +233,11 @@ class TestSplitToFitEdges:
 
         planner = DecompositionPlanner(profiler, 8)
         ExpertOverlapPolicy().configure_decomposer(planner)
-        assert planner.split_rule("all_to_all") is split_all_to_all
+        assert planner.split_rule("all_to_all") is split_comm_bytes
 
     def test_zero_byte_collective_is_indivisible(self, profiler):
         planner = DecompositionPlanner(profiler, 8)
-        planner.register_split_rule("all_to_all", split_all_to_all)
+        planner.register_split_rule("all_to_all", split_comm_bytes)
         f = kfunc(all_to_all_op("a2a", 0, 0.0), profiler)
         assert not planner.can_decompose(f)
         assert planner.split_to_fit(f, 1e12) is None
@@ -252,22 +251,22 @@ class TestSplitToFitEdges:
             split_gemm_horizontal(gemm_op("g2", 0, 1, 4, 4), 1, 2)
 
     def test_degenerate_collective_split_error_messages(self):
-        with pytest.raises(ConfigError, match=r"ar: degenerate all-reduce split"):
-            split_allreduce(allreduce_op("ar", 0, 0.0), 1, 2)
-        with pytest.raises(ConfigError, match=r"a2a: degenerate all-to-all split"):
-            split_all_to_all(all_to_all_op("a2a", 0, 0.0), 1, 2)
+        with pytest.raises(ConfigError, match=r"ar: degenerate all_reduce byte split"):
+            split_comm_bytes(allreduce_op("ar", 0, 0.0), 1, 2)
+        with pytest.raises(ConfigError, match=r"a2a: degenerate all_to_all byte split"):
+            split_comm_bytes(all_to_all_op("a2a", 0, 0.0), 1, 2)
 
     def test_all_to_all_invalid_fraction_message(self):
         op = all_to_all_op("a2a", 0, 8e6)
         with pytest.raises(ConfigError, match=r"invalid decomposition fraction 2/2"):
-            split_all_to_all(op, 2, 2)
+            split_comm_bytes(op, 2, 2)
 
     def test_remainder_smaller_than_smallest_division_stops(self, profiler):
         # Window below the 1/d piece: None, and the kernel is untouched.
         planner = DecompositionPlanner(profiler, 4)
         op = allreduce_op("ar", 0, 8e6)
         f = kfunc(op, profiler)
-        smallest = profiler.duration(split_allreduce(op, 1, 4)[0])
+        smallest = profiler.duration(split_comm_bytes(op, 1, 4)[0])
         assert planner.split_to_fit(f, smallest * 0.5) is None
 
 
@@ -321,7 +320,7 @@ class TestDivisionTables:
         op, d = case
         node = v100_nvlink_node(4)
         planner = DecompositionPlanner(OpProfiler(node), d)
-        planner.register_split_rule("all_to_all", split_all_to_all)
+        planner.register_split_rule("all_to_all", split_comm_bytes)
         reference = OpProfiler(node)
         splitter = planner.split_rule(op.op)
         f = kfunc(op, reference)
@@ -377,7 +376,7 @@ class TestDivisionTables:
 
         def counted(op, numer, denom):
             calls.append(numer)
-            return split_allreduce(op, numer, denom)
+            return split_comm_bytes(op, numer, denom)
 
         planner = DecompositionPlanner(profiler, 4)
         planner.register_split_rule("all_reduce", counted)

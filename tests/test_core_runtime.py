@@ -234,6 +234,7 @@ class TestMemoryAwareAdmission:
         strat = make_strategy()
         Server(MODEL, NODE, strat, check_memory=False)
         batch = fixed_batch(1.0)
+        batch.number(0)
         fv = FuncVec(
             batch,
             [
@@ -253,6 +254,7 @@ class TestMemoryAwareAdmission:
         # Exhaust memory: the check declines without leaking a reservation.
         strat.memory.reserve("hog", strat.memory.devices[0].available * 0.999)
         batch2 = fixed_batch(2.0, size=8, seq=128)
+        batch2.number(1)
         fv2 = FuncVec(
             batch2,
             [

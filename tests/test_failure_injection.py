@@ -108,9 +108,28 @@ class TestServingFaults:
         strat = IntraOpStrategy(model, node)
         Server(model, node, strat, check_memory=False)
         batch = general_trace(2, 10.0, 2, seed=0)[0]
+        batch.number(0)
         strat.submit_batch(batch)
         with pytest.raises(ConfigError):
             strat.submit_batch(batch)  # still open: double submission
+
+    def test_unnumbered_batch_rejected(self):
+        """A batch no server numbered (id −1) cannot reach a strategy: its
+        id would collide with the infrastructure kernels'."""
+        from repro.models import OPT_30B
+        from repro.parallel import IntraOpStrategy
+        from repro.serving import Server
+        from repro.serving.workload import general_trace
+
+        model = OPT_30B.scaled_layers(4)
+        node = v100_nvlink_node(4)
+        strat = IntraOpStrategy(model, node)
+        Server(model, node, strat, check_memory=False)
+        batch = general_trace(2, 10.0, 2, seed=0)[0]
+        assert batch.batch_id == -1
+        with pytest.raises(ConfigError, match="not numbered"):
+            strat.submit_batch(batch)
+        assert strat.open_batch_ids() == []
 
     def test_memory_exhaustion_raises_typed_error(self):
         from repro.models import ModelSpec

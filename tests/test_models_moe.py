@@ -17,7 +17,6 @@ from repro.serving.api import make_strategy
 from repro.serving.server import Server
 from repro.serving.workload import general_trace
 from repro.units import FP16_BYTES
-from serving_goldens import reset_batch_ids
 
 
 class TestSpec:
@@ -155,8 +154,8 @@ class TestExpertOverlapGain:
         node = v100_nvlink_node(4)
 
         def serve(max_inflight):
-            # Same batch ids in both runs, so both see the same kernels.
-            reset_batch_ids()
+            # Each server numbers its batches from 0, so both runs see
+            # the same kernels.
             config = LigerConfig(policy="expert_overlap", max_inflight=max_inflight)
             strategy = make_strategy("liger", model, node, config=config)
             server = Server(model, node, strategy, record_trace=False,

@@ -34,7 +34,7 @@ from repro.serving.overload import OverloadConfig
 from repro.serving.request import Request
 from repro.sim.kernel import KernelKind
 from repro.sim.tracing import Trace, TraceRow
-from serving_goldens import normalized_rows
+from serving_goldens import pinned_rows, run_scenario
 
 MODEL = OPT_30B.scaled_layers(6)
 NODE = v100_nvlink_node(4)
@@ -264,6 +264,23 @@ class TestSpans:
         assert [seg.name for seg in s2.segments] == ["queued"]
         assert s2.end_us == pytest.approx(300.0)
 
+    def test_preempted_chat_spans_stay_ordered(self):
+        """On the observed ``lifecycle-overload/liger`` run, one chat is
+        preempted: every span's segments are in time order, never overlap
+        and are all closed, and the preempted chat (rid 7) is prefilled
+        twice."""
+        obs = Observability()
+        result, _ = run_scenario("lifecycle-overload", "liger", observability=obs)
+        assert result.overload.preempted_batches == 1
+        for span in obs.spans():
+            assert span._open is None, span.rid
+            for seg in span.segments:
+                assert seg.start_us <= seg.end_us
+            for prev, seg in zip(span.segments, span.segments[1:]):
+                assert prev.end_us <= seg.start_us, span.rid
+        segments = obs.spans_builder.get(7).segments
+        assert [s.name for s in segments].count("prefill") == 2
+
     def test_registry_derives_scenario_counters(self):
         reg = _golden_scenario().registry
         c = reg._counters
@@ -377,9 +394,8 @@ class TestServedRuns:
             (r.rid, r.completion)
             for r in sorted(observed.metrics.completed, key=key)
         ]
-        # Batch ids come from a process-global counter, so rebase before
-        # comparing: every kernel must land at the same instant either way.
-        assert normalized_rows(plain.trace) == normalized_rows(observed.trace)
+        # Every kernel must land at the same instant either way.
+        assert pinned_rows(plain.trace) == pinned_rows(observed.trace)
 
     def test_one_observability_reads_one_session(self):
         obs = Observability()
@@ -445,9 +461,7 @@ class TestPerfGauges:
         from repro.models import MODELS
         from repro.serving import ContinuousBatchingServer, generation_workload
         from repro.serving.api import make_strategy
-        from serving_goldens import reset_batch_ids
 
-        reset_batch_ids()
         model = MODELS["OPT-13B"].scaled_layers(2)
         node = v100_nvlink_node(2)
         strat = make_strategy(strategy, model, node)
@@ -596,9 +610,7 @@ class TestContinuousQueueWaits:
         the wait its span shows."""
         from repro.serving import ContinuousBatchingServer, generation_workload
         from repro.serving.api import make_strategy
-        from serving_goldens import reset_batch_ids
 
-        reset_batch_ids()
         model = OPT_30B.scaled_layers(4)
         strat = make_strategy("liger", model, NODE)
         obs = Observability(ObservabilityConfig(telemetry=True))

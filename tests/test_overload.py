@@ -38,6 +38,7 @@ from repro.serving.overload import shed_victim
 from repro.serving.server import MAX_INFLIGHT_BATCHES
 from repro.serving.workload import general_trace, generative_trace
 from repro.sim.memory import NodeMemoryModel, activation_bytes
+from serving_goldens import pinned_rows
 
 MODEL = OPT_30B.scaled_layers(6)
 NODE = v100_nvlink_node(4)
@@ -435,10 +436,10 @@ class TestServerOverload:
             arrival=BurstyProcess(4000.0, burstiness=6.0, phase_requests=64),
         )
 
-    def _run(self, overload, workload=None):
+    def _run(self, overload, workload=None, record_trace=False):
         strat = make_strategy("intra", MODEL, NODE)
         server = Server(
-            MODEL, NODE, strat, check_memory=False, record_trace=False,
+            MODEL, NODE, strat, check_memory=False, record_trace=record_trace,
             overload=overload,
         )
         return server.run(workload or self._overloaded_workload())
@@ -486,9 +487,17 @@ class TestServerOverload:
         assert m.slo_tracked > 0
         assert m.num_terminal == self.N
 
-    def test_disabled_overload_is_bit_identical(self):
-        base = self._run(None, workload=general_trace(32, 40.0, 2, seed=3))
-        again = self._run(None, workload=general_trace(32, 40.0, 2, seed=3))
+    def test_two_unarmed_runs_give_identical_rows_and_completions(self):
+        """Two runs without overload in one process: the same raw trace
+        rows (batch ids and kernel names included) and completions."""
+        base, again = (
+            self._run(
+                None, workload=general_trace(32, 40.0, 2, seed=3),
+                record_trace=True,
+            )
+            for _ in range(2)
+        )
+        assert pinned_rows(base.trace) == pinned_rows(again.trace)
         assert (
             [r.completion for r in base.metrics.completed]
             == [r.completion for r in again.metrics.completed]

@@ -34,7 +34,7 @@ from repro.serving.workload import general_trace
 from repro.sim import CudaEvent, Engine, Host, Kernel, KernelKind, Machine, Trace
 from repro.sim.contention import NullContention
 from repro.sim.kernel import CollectiveKind, CollectiveOp
-from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
+from serving_goldens import SCENARIOS, pinned_rows, run_scenario
 
 
 def _completions(metrics):
@@ -81,7 +81,7 @@ def test_golden_scenarios_match_per_rank_run(server, strategy):
         _, trace = run_scenario(server, strategy, keep=keep, **extra)
         srv = keep[0]
         runs.append(
-            (normalized_rows(trace), _completions(srv.metrics), _host_counts(srv))
+            (pinned_rows(trace), _completions(srv.metrics), _host_counts(srv))
         )
         assert _mirrored(srv.machine) is (
             plan is None and strategy in ("intra", "liger")
@@ -99,7 +99,6 @@ def _serve_pair(model, node, liger_config, num_requests, *, rate=60.0):
     and the mirrored run's groups at its kernel completions."""
     runs = []
     for plan in (None, FaultPlan()):
-        reset_batch_ids()
         strategy = make_strategy("liger", model, node, config=liger_config)
         srv = Server(
             model, node, strategy, record_trace=True, check_memory=False,
@@ -109,7 +108,7 @@ def _serve_pair(model, node, liger_config, num_requests, *, rate=60.0):
             groups = _groups_seen(srv.machine)
         result = srv.run(general_trace(num_requests, rate, 2, seed=0))
         runs.append(
-            (normalized_rows(result.trace), _completions(result.metrics),
+            (pinned_rows(result.trace), _completions(result.metrics),
              _host_counts(srv))
         )
         assert _mirrored(srv.machine) is (plan is None)
@@ -150,7 +149,6 @@ def test_hybrid_decode_with_exposed_launches_matches_per_rank_run():
 
     runs, mirrored = [], []
     for plan in (None, FaultPlan()):
-        reset_batch_ids()
         model, node = OPT_30B.scaled_layers(4), v100_nvlink_node(4)
         strategy = make_strategy(
             "liger", model, node,
@@ -164,7 +162,7 @@ def test_hybrid_decode_with_exposed_launches_matches_per_rank_run():
             groups = _groups_seen(srv.machine)
         result = srv.run(generation_workload(10, 100.0, seed=0))
         runs.append(
-            (normalized_rows(result.trace), _completions(srv.metrics),
+            (pinned_rows(result.trace), _completions(srv.metrics),
              _host_counts(srv))
         )
         mirrored.append(_mirrored(srv.machine))
@@ -184,7 +182,6 @@ def _serve(server, strategy, num_gpus, mode, policy, seed, plan):
     )
     from repro.serving.lifecycle import LifecycleServer, chat_workload
 
-    reset_batch_ids()
     moe = policy == "expert_overlap"
     model = (MOE_16E if moe else OPT_30B).scaled_layers(2)
     node = (a100_pcie_node if moe else v100_nvlink_node)(num_gpus)
@@ -212,7 +209,7 @@ def _serve(server, strategy, num_gpus, mode, policy, seed, plan):
     if plan is not None:
         assert not _mirrored(srv.machine)
     return (
-        normalized_rows(srv.trace if server == "lifecycle" else result.trace),
+        pinned_rows(srv.trace if server == "lifecycle" else result.trace),
         _completions(srv.metrics),
         _host_counts(srv),
     )
@@ -281,7 +278,10 @@ class _Scripted(ParallelStrategy):
 
 
 def _batch(rid):
-    return Batch([Request(rid=rid, arrival=0.0, seq_len=64, phase=Phase.PREFILL)])
+    return Batch(
+        [Request(rid=rid, arrival=0.0, seq_len=64, phase=Phase.PREFILL)],
+        batch_id=rid,
+    )
 
 
 def _scripted_run(plan):
@@ -290,7 +290,6 @@ def _scripted_run(plan):
     a(5) queued behind batch 0.  The finish of batch 0 logs the free HBM,
     which is lower once batch 1 reserved its workspace, and issues batch 2
     on stream b."""
-    reset_batch_ids()
     model, node = OPT_30B.scaled_layers(4), v100_nvlink_node(4)
     node = replace(node, gpu=replace(node.gpu, kernel_launch_overhead=0.0))
     machine = Machine(node, Engine(), contention=NullContention(), trace=Trace())

@@ -45,7 +45,7 @@ from serving_goldens import (
     liger_config,
     metrics_path,
     observed_prometheus,
-    reset_batch_ids,
+    pinned_rows,
     run_scenario,
 )
 
@@ -90,6 +90,25 @@ class TestGoldenEquivalence:
         )
         assert fingerprint(trace) == goldens["continuous/liger"]
 
+    @pytest.mark.parametrize(
+        "first,other", [("server", "continuous"), ("continuous", "server")]
+    )
+    def test_batch_ids_are_local_to_a_run(self, first, other):
+        """A scenario served again after another one in the same process
+        gives the same raw trace rows, kernel names included, and the same
+        ``Request.batch_id``s: each server numbers its batches from 0."""
+
+        def serve(server):
+            keep = []
+            _, trace = run_scenario(server, "liger", keep=keep)
+            completed = keep[0].metrics.completed
+            return pinned_rows(trace), [(r.rid, r.batch_id) for r in completed]
+
+        rows, ids = serve(first)
+        serve(other)
+        assert serve(first) == (rows, ids)
+        assert min(row[4] for row in rows if row[4] >= 0) == 0
+
     def test_every_mechanism_reaches_a_scenario(self):
         """Every ``LigerConfig`` field off its default, every sync mode and
         policy, and every strategy name is served by some golden scenario."""
@@ -119,20 +138,30 @@ class TestCacheOffEquivalence:
     def cold_caches(self, monkeypatch):
         """Empty every hot-path cache before each use, so every lookup
         misses and each value comes from its cold computation."""
+        from repro.core.decomposition import DecompositionPlanner
         from repro.parallel import base
         from repro.profiling.profiler import OpProfiler
         from repro.sim import gpu
+        from repro.sim.interconnect import CollectiveCostModel
 
         # The strategy's launch-list cache.
         monkeypatch.setattr(base, "CACHE_SIZE", 0)
         monkeypatch.setattr(gpu, "_SHAPE_CACHE_LIMIT", -1)
-        warm_profile = OpProfiler.kernel_profile
 
-        def cold_profile(self, op):
-            self._profiles.clear()
-            return warm_profile(self, op)
+        def cold(cls, method, memo):
+            warm = getattr(cls, method)
 
-        monkeypatch.setattr(OpProfiler, "kernel_profile", cold_profile)
+            def cold_method(self, *args):
+                getattr(self, memo).clear()
+                return warm(self, *args)
+
+            monkeypatch.setattr(cls, method, cold_method)
+
+        cold(OpProfiler, "kernel_profile", "_profiles")
+        cold(OpProfiler, "duration", "_cache")
+        # The collective duration memo and the §3.6 division tables.
+        cold(CollectiveCostModel, "instantiate", "_durations")
+        cold(DecompositionPlanner, "_table", "_tables")
 
     @pytest.mark.parametrize("server,strategy", GOLDEN_SCENARIOS)
     def test_cache_off_matches_golden(self, server, strategy, cold_caches):
@@ -214,7 +243,6 @@ class TestServingSession:
     def _serve_batches(self, **kw):
         from repro.serving.workload import general_trace
 
-        reset_batch_ids()
         srv = Server(
             MODEL, NODE, make_strategy("intra", MODEL, NODE),
             check_memory=False, **kw,
@@ -294,7 +322,6 @@ def _server_and_jobs(kind):
     """A small server of ``kind`` and a workload for it."""
     from repro.serving.workload import general_trace
 
-    reset_batch_ids()
     strat = make_strategy("intra", MODEL, NODE)
     if kind == "server":
         return Server(MODEL, NODE, strat, check_memory=False), general_trace(
@@ -347,7 +374,6 @@ class TestRunInputs:
 # ----------------------------------------------------------------------
 class TestContinuousBatchingCapabilities:
     def _serve(self, jobs, **cfg_kwargs):
-        reset_batch_ids()
         strat = make_strategy("liger", MODEL, NODE)
         srv = ContinuousBatchingServer(
             MODEL, NODE, strat, max_batch=8, pipeline_depth=2,
@@ -445,7 +471,6 @@ class TestStaticBatchingCapabilities:
     def test_admission_sheds_whole_groups(self):
         from repro.serving.overload import OverloadConfig
 
-        reset_batch_ids()
         jobs = generation_workload(16, 8000.0, seed=5)
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
@@ -460,7 +485,6 @@ class TestStaticBatchingCapabilities:
 
     def test_retry_exhaustion_sheds_group(self):
         """A permanent launch-fail window sheds the whole afflicted group."""
-        reset_batch_ids()
         jobs = generation_workload(4, 400.0, seed=6)
         strat = make_strategy("intra", MODEL, NODE)
         srv = StaticBatchingServer(
@@ -481,7 +505,6 @@ class TestRetryExhaustedJobs:
         the run returns as it does under a window that closes."""
 
         def serve(end):
-            reset_batch_ids()
             strat = make_strategy("intra", MODEL, NODE)
             kw = dict(
                 check_memory=False,
@@ -510,7 +533,6 @@ class TestRetryExhaustedJobs:
         reservation is left, as under a window that closes."""
 
         def serve(end):
-            reset_batch_ids()
             strat = make_strategy("intra", MODEL, NODE)
             kw = dict(
                 check_memory=False,
@@ -549,7 +571,6 @@ class TestRetryExhaustedJobs:
         """A 2 ms launch-fail window with no retries sheds iterations; the
         job servers requeue (or, for a lifecycle prefill, shed) their jobs,
         and the run still ends clean."""
-        reset_batch_ids()
         strat = make_strategy("liger", MODEL, NODE)
         kw = dict(
             check_memory=False,
@@ -592,7 +613,6 @@ class TestLifecycleZeroCompletion:
     def test_all_timed_out_returns_valid_result(self):
         from repro.serving.overload import OverloadConfig
 
-        reset_batch_ids()
         chats = chat_workload(4, 100.0, seed=0)
         strat = make_strategy("intra", MODEL, NODE)
         srv = LifecycleServer(

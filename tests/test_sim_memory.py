@@ -162,7 +162,8 @@ class TestStrategyIntegration:
         machine = Machine(node, Engine())
         strat.bind(machine, Host(machine), track_memory=False)
         batches = general_trace(4, 20.0, 2, seed=0)
-        for batch in batches:
+        for bid, batch in enumerate(batches):
+            batch.number(bid)
             strat.submit_batch(batch)
         machine.run()
         assert strat.batches_completed == len(batches)

@@ -28,7 +28,7 @@ from repro.obs.slo import BurnRule, SloEngine, SloPolicy
 from repro.obs.telemetry import TimeSeriesStore
 from repro.sim.kernel import KernelKind
 from repro.sim.tracing import Trace, TraceRow
-from serving_goldens import SCENARIOS, normalized_rows, reset_batch_ids, run_scenario
+from serving_goldens import SCENARIOS, pinned_rows, run_scenario
 
 MODEL = OPT_30B.scaled_layers(2)
 NODE = v100_nvlink_node(2)
@@ -453,7 +453,6 @@ class TestIndexedWalk:
         "server,strategy", SCENARIOS, ids=[f"{a}/{b}" for a, b in SCENARIOS]
     )
     def test_matches_reference_on_golden_traces(self, server, strategy):
-        reset_batch_ids()
         _, trace = run_scenario(server, strategy)
         assert trace.rows
         _assert_same_walk(trace.rows)
@@ -553,7 +552,7 @@ class TestZeroCost:
         observed = _run(
             Observability(ObservabilityConfig(telemetry=True, window_us=10_000.0))
         )
-        assert normalized_rows(plain.trace) == normalized_rows(observed.trace)
+        assert pinned_rows(plain.trace) == pinned_rows(observed.trace)
 
 
 # ----------------------------------------------------------------------
