@@ -24,7 +24,7 @@ from repro.models.ops import (
     gemm_op,
 )
 from repro.models.specs import ModelSpec
-from repro.models.transformer import lm_head_ops
+from repro.models.transformer import layer_subset, lm_head_ops
 from repro.sim.kernel import KernelKind
 from repro.units import FP16_BYTES
 
@@ -125,11 +125,13 @@ def decode_step_ops(
     The paper evaluates "one iteration of the sampling phase constantly with
     a sequence length of 16 as the starting point and a batch size of 32" —
     i.e. repeated decode steps at a fixed small context.
+
+    ``layers`` restricts to a contiguous subset, checked by
+    :func:`~repro.models.transformer.layer_subset`; the LM head is included
+    only when the subset touches the last layer.
     """
     _validate(model, batch, context, tp)
-    layer_ids = list(layers) if layers is not None else list(range(model.num_layers))
-    if not layer_ids:
-        raise ConfigError("decode_step_ops: empty layer subset")
+    layer_ids = layer_subset(model, layers, "decode_step_ops")
     ops: List[OpDesc] = []
     for lid in layer_ids:
         ops += decode_layer_ops(model, batch, context, tp, lid)

@@ -36,12 +36,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass
 class OpDesc:
     """One per-device operator in a forward pass.
 
     Only the fields relevant to ``op`` are set; the rest stay at their
     defaults.  ``layer`` is −1 for pre/post-model ops (embedding, LM head).
+
+    Construction validates the fields for ``op`` and raises
+    :class:`~repro.errors.ConfigError` on a bad one; derive a changed op
+    through the constructor (or :func:`dataclasses.replace`) so the checks
+    run again.  An op is read-only once built: launch-list records share it
+    across every batch of a shape and every §3.6 piece derived from it.
+    (Not ``frozen``, and so not hashable: a frozen ``__init__`` costs
+    several times a plain one, on every launch-list miss and §3.6 split.
+    Cache by :func:`~repro.profiling.profiler.op_key` instead.)
     """
 
     name: str
@@ -73,8 +82,18 @@ class OpDesc:
 
     def __post_init__(self) -> None:
         if self.op == "gemm":
-            if self.gemm_shape is None or any(d < 1 for d in self.gemm_shape):
-                raise ConfigError(f"{self.name}: gemm needs a positive (m,k,n) shape")
+            shape = self.gemm_shape
+            # Three positive ints, checked by C calls alone: this runs for
+            # every GEMM of every launch-list miss and §3.6 piece.
+            if (
+                type(shape) is not tuple
+                or len(shape) != 3
+                or set(map(type, shape)) != {int}
+                or min(shape) < 1
+            ):
+                raise ConfigError(
+                    f"{self.name}: gemm needs a positive (m,k,n) shape, got {shape!r}"
+                )
         elif self.op == "attention":
             if min(
                 self.attn_batch, self.attn_q_len, self.attn_ctx_len,
@@ -99,12 +118,8 @@ class OpDesc:
         return self.kind is KernelKind.COMM
 
     def with_gemm_shape(self, m: int, k: int, n: int) -> "OpDesc":
-        """A copy with a different GEMM shape (used by decomposition)."""
+        """A copy with a different GEMM shape (Inter-Th shards with it)."""
         return replace(self, gemm_shape=(m, k, n))
-
-    def with_comm_bytes(self, comm_bytes: float) -> "OpDesc":
-        """A copy with a different collective payload (used by decomposition)."""
-        return replace(self, comm_bytes=comm_bytes)
 
 
 # ----------------------------------------------------------------------

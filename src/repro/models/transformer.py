@@ -142,14 +142,12 @@ def prefill_ops(
 ) -> List[OpDesc]:
     """A full prefill (initial conditioning phase, §4.3) forward pass.
 
-    ``layers`` restricts to a contiguous subset (pipeline stages use this);
-    embedding / LM head are included only when the subset touches the first /
-    last layer respectively.
+    ``layers`` restricts to a contiguous subset (pipeline stages use this),
+    checked by :func:`layer_subset`; embedding / LM head are included only
+    when the subset touches the first / last layer respectively.
     """
     _validate(model, batch, seq, tp)
-    layer_ids = list(layers) if layers is not None else list(range(model.num_layers))
-    if not layer_ids:
-        raise ConfigError("prefill_ops: empty layer subset")
+    layer_ids = layer_subset(model, layers, "prefill_ops")
     ops: List[OpDesc] = []
     if include_embed and layer_ids[0] == 0:
         ops += embed_ops(model, batch, seq)
@@ -158,6 +156,35 @@ def prefill_ops(
     if include_lm_head and layer_ids[-1] == model.num_layers - 1:
         ops += lm_head_ops(model, batch, tp)
     return ops
+
+
+def layer_subset(
+    model: ModelSpec, layers: Optional[Sequence[int]], caller: str
+) -> Sequence[int]:
+    """The layer ids a forward pass walks: all of ``model``'s when ``layers``
+    is None, else ``layers``, which must be a non-empty, consecutive,
+    increasing run inside ``range(model.num_layers)``.
+
+    Raises :class:`~repro.errors.ConfigError` naming ``caller`` otherwise: a
+    gap or a repeat would price a pass no device runs, and a negative id
+    would collide with the pre/post-model ``layer=-1`` ops.
+    """
+    if layers is None:
+        return range(model.num_layers)
+    layer_ids = list(layers)
+    if not layer_ids:
+        raise ConfigError(f"{caller}: empty layer subset")
+    first = layer_ids[0]
+    if (
+        first < 0
+        or layer_ids[-1] >= model.num_layers
+        or layer_ids != list(range(first, first + len(layer_ids)))
+    ):
+        raise ConfigError(
+            f"{caller}: layers {layer_ids} are not a consecutive increasing "
+            f"run inside range({model.num_layers})"
+        )
+    return layer_ids
 
 
 def _validate(model: ModelSpec, batch: int, seq: int, tp: int) -> None:

@@ -9,7 +9,8 @@ strategy reports completions through registered callbacks.
 Work is issued per rank group (:attr:`~repro.sim.gpu.Machine.groups`):
 ranks that run the same command sequence share one kernel, issued to the
 group lead's streams, and :func:`instantiate_op` builds one kernel per
-group.  Completion detection is uniform and per rank: every simulator
+group (:func:`instantiate_run`: one group's kernels for a run of ops, in
+one pass).  Completion detection is uniform and per rank: every simulator
 kernel carries its ``batch_id``; the strategy counts each batch's kernels
 once per rank that runs them, and an
 :meth:`~repro.sim.gpu.Machine.on_kernel_complete` observer subtracts the
@@ -47,7 +48,9 @@ from repro.sim.host import Host
 from repro.sim.kernel import CollectiveKind, Kernel, KernelKind, kernel_from_profile
 from repro.sim.memory import NodeMemoryModel
 
-__all__ = ["ParallelStrategy", "KernelFunc", "instantiate_op", "CACHE_SIZE"]
+__all__ = [
+    "ParallelStrategy", "KernelFunc", "instantiate_op", "instantiate_run", "CACHE_SIZE",
+]
 
 #: Batch shapes a strategy's launch-list cache keeps before evicting the
 #: least recently used.
@@ -56,6 +59,11 @@ CACHE_SIZE = 128
 BatchCallback = Callable[[Batch, float], None]
 
 _COLLECTIVE_KINDS = {kind.value: kind for kind in CollectiveKind}
+
+#: The op flavours a rank group instantiates as a rendezvous collective, by
+#: whether the group holds the profiler's ranks whole: then only a p2p,
+#: whose endpoints are not a group; otherwise every collective.
+_RENDEZVOUS = {True: frozenset({"p2p"}), False: frozenset(_COLLECTIVE_KINDS)}
 
 
 @dataclass(slots=True)
@@ -119,39 +127,84 @@ def instantiate_op(
     """
     if not groups:
         raise ConfigError(f"op {func.op.name}: no target GPUs")
-    op = func.op
-    flavour = op.op
-    occupancy, mem = func.occupancy, func.memory_intensity
-    collective = _COLLECTIVE_KINDS.get(flavour)
-    if collective is not None:
-        name = f"{op.name}_b{batch_id}"
-        ccm = profiler.collectives
-        if collective is CollectiveKind.P2P:
-            participants = leads = (op.p2p_src, op.p2p_dst)
-        elif len(groups) == 1 and groups[0] == profiler.participants:
-            lead = groups[0][0]
-            return [kernel_from_profile(
-                f"{name}@g{lead}", op.kind, func.duration, occupancy, mem,
-                op.comm_bytes, batch_id, op.layer, flavour, None, False,
-            )]
-        else:
-            participants = [rank for group in groups for rank in group]
-            leads = [group[0] for group in groups]
-        coll = ccm.instantiate(
-            collective, op.comm_bytes, participants, leads,
-            occupancy, mem, batch_id, op.layer, name, flavour,
-        )
-        return list(coll.members.values())
-    prefix = f"{op.name}_b{batch_id}@g"
-    duration = func.duration
-    kind, layer, decomposable = op.kind, op.layer, op.decomposable
+    whole = len(groups) == 1 and groups[0] == profiler.participants
+    if func.op.op in _RENDEZVOUS[whole]:
+        return _rendezvous(func, groups, batch_id, profiler)
     kernels = []
     for group in groups:
-        kernels.append(kernel_from_profile(
-            f"{prefix}{group[0]}", kind, duration, occupancy, mem,
-            0.0, batch_id, layer, flavour, None, decomposable,
-        ))
+        kernels.append(_group_kernel(func, f"_b{batch_id}@g{group[0]}", batch_id))
     return kernels
+
+
+def instantiate_run(
+    funcs: Sequence[KernelFunc],
+    group: Sequence[int],
+    batch_id: int,
+    profiler: OpProfiler,
+) -> List[Kernel]:
+    """Materialise a run of op records as one rank group's kernels, in one
+    pass: one kernel per record, in order.
+
+    Kernel ``i`` equals ``instantiate_op(funcs[i], [group], batch_id,
+    profiler)[0]`` in every slot, by the same per-record rule, without an
+    :func:`instantiate_op` call, a name format and a result list per
+    record.  A strategy builds a whole batch, or a pipeline stage, for one
+    group this way.  A record that needs a rendezvous contributes the
+    collective's first member (a p2p's source).
+    """
+    suffix = f"_b{batch_id}@g{group[0]}"
+    rendezvous = _RENDEZVOUS[group == profiler.participants]
+    kernels = []
+    append = kernels.append
+    for func in funcs:
+        if func.op.op in rendezvous:
+            append(_rendezvous(func, [group], batch_id, profiler)[0])
+        else:
+            append(_group_kernel(func, suffix, batch_id))
+    return kernels
+
+
+def _group_kernel(func: KernelFunc, suffix: str, batch_id: int) -> Kernel:
+    """The per-record rule for a record that needs no rendezvous: one
+    group's kernel, named ``op.name + suffix``.  A compute-like op's is a
+    clone of the record's profile; a collective's — an all-reduce /
+    all-to-all that the group holds whole — is one plain COMM kernel at
+    the record's duration."""
+    op = func.op
+    flavour = op.op
+    if flavour in _COLLECTIVE_KINDS:
+        nbytes, decomposable = op.comm_bytes, False
+    else:
+        nbytes, decomposable = 0.0, op.decomposable
+    return kernel_from_profile(
+        op.name + suffix, op.kind, func.duration, func.occupancy,
+        func.memory_intensity, nbytes, batch_id, op.layer, flavour, None,
+        decomposable,
+    )
+
+
+def _rendezvous(
+    func: KernelFunc,
+    groups: Sequence[Sequence[int]],
+    batch_id: int,
+    profiler: OpProfiler,
+) -> List[Kernel]:
+    """A collective record as a rendezvous over ``groups`` (a p2p over its
+    endpoints), priced by the collective cost model: its members, one per
+    lead, in ``groups`` order (a p2p's source first)."""
+    op = func.op
+    collective = _COLLECTIVE_KINDS[op.op]
+    if collective is CollectiveKind.P2P:
+        participants = leads = (op.p2p_src, op.p2p_dst)
+    else:
+        participants = [rank for group in groups for rank in group]
+        leads = [group[0] for group in groups]
+    coll = profiler.collectives.instantiate(
+        collective, op.comm_bytes, participants, leads,
+        func.occupancy, func.memory_intensity, batch_id, op.layer,
+        f"{op.name}_b{batch_id}", op.op,
+    )
+    return list(coll.members.values())
 
 
 class ParallelStrategy(abc.ABC):

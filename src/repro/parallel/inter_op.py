@@ -16,7 +16,12 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.models.ops import p2p_op
 from repro.models.partition import PipelineStage, boundary_bytes, pipeline_stages
-from repro.parallel.base import KernelFunc, ParallelStrategy, instantiate_op
+from repro.parallel.base import (
+    KernelFunc,
+    ParallelStrategy,
+    instantiate_op,
+    instantiate_run,
+)
 from repro.serving.request import Batch, Phase
 from repro.sim.events import CudaEvent
 from repro.sim.kernel import Kernel
@@ -78,11 +83,9 @@ class InterOpStrategy(ParallelStrategy):
         total = 0
         kernel_plan: List[List[Kernel]] = []  # per-stage kernels, in order
         for i, stage in enumerate(self.stages):
-            group = [(stage.device,)]
-            kernel_plan.append([
-                instantiate_op(func, group, bid, self.profiler)[0]
-                for func in self.stage_funcs(batch, stage)
-            ])
+            kernel_plan.append(instantiate_run(
+                self.stage_funcs(batch, stage), (stage.device,), bid, self.profiler
+            ))
             total += len(kernel_plan[-1])
             if i > 0:
                 total += 2  # the boundary transfer pair

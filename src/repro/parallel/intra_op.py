@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.parallel.base import ParallelStrategy, instantiate_op
+from repro.parallel.base import ParallelStrategy, instantiate_op, instantiate_run
 from repro.serving.request import Batch
 from repro.sim.stream import Stream
 
@@ -51,9 +51,10 @@ class IntraOpStrategy(ParallelStrategy):
         streams = self._streams
         if len(groups) == 1:
             # One rank group: the whole batch is one run on one stream.
-            host.launch_kernels(streams[groups[0][0]], [
-                instantiate_op(f, groups, bid, profiler)[0] for f in funcs
-            ])
+            group = groups[0]
+            host.launch_kernels(
+                streams[group[0]], instantiate_run(funcs, group, bid, profiler)
+            )
             return
         # An armed fault injector keeps the ranks apart: launch in op
         # order, once per rank.

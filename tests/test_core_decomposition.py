@@ -87,9 +87,9 @@ class TestSplits:
     def test_derived_pieces_are_validated(self):
         """A degenerate piece still fails ``OpDesc`` validation."""
         with pytest.raises(ConfigError, match=r"g\.v1/8: gemm needs a positive"):
-            _derive(gemm_op("g", 0, 4, 4, 4), "g.v1/8", "gemm_shape", (4, 4, 0))
+            _derive(gemm_op("g", 0, 4, 4, 4), "g.v1/8", (4, 4, 0), 0.0)
         with pytest.raises(ConfigError, match=r"ar\.c1/8: negative comm_bytes"):
-            _derive(allreduce_op("ar", 0, 8.0), "ar.c1/8", "comm_bytes", -1.0)
+            _derive(allreduce_op("ar", 0, 8.0), "ar.c1/8", None, -1.0)
 
     def test_invalid_fraction_rejected(self):
         op = gemm_op("g", 0, 144, 512, 512)

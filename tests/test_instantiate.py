@@ -12,6 +12,8 @@ reference member's, built from the record alone.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError
@@ -25,7 +27,7 @@ from repro.models.ops import (
     gemm_op,
     p2p_op,
 )
-from repro.parallel.base import KernelFunc, instantiate_op
+from repro.parallel.base import KernelFunc, instantiate_op, instantiate_run
 from repro.profiling import OpProfiler
 from repro.core.policy import default_resource_class
 from repro.core.runtime import LigerRuntime
@@ -138,6 +140,42 @@ def test_fields_match_validated_constructors(op, profiler):
         else:  # every rank, through the member of its group's lead
             lead_of = {r: group[0] for group in GROUPS for r in group}
             assert {lead_of[r] for r in coll.participants} == set(coll.members)
+
+
+def _assert_same_kernel(got, want):
+    """Every ``Kernel`` slot equal; a rendezvous's collective (built anew
+    per call) equal in its fields and members' ranks."""
+    for field in fields(Kernel):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "collective" and b is not None:
+            assert a is not None
+            for attr in ("kind", "bytes", "participants", "duration", "batch_id", "name"):
+                assert getattr(a, attr) == getattr(b, attr), attr
+            assert list(a.members) == list(b.members)
+            continue
+        assert a == b, field.name
+
+
+@pytest.mark.parametrize("group,collectives", [
+    ((0, 1, 2, 3), {"p2p"}),
+    ((0, 1, 2), {"all_reduce", "all_to_all", "p2p"}),
+    ((2,), {"all_reduce", "all_to_all", "p2p"}),
+], ids=["whole-group", "partial-group", "one-rank"])
+def test_run_equals_per_op_instantiation(group, collectives, profiler):
+    """``instantiate_run`` is ``instantiate_op(f, [group], ...)[0]`` per
+    record in every kernel slot: compute clones, a whole group's
+    collectives as plain COMM kernels, a partial group's as rendezvous
+    collectives, and a p2p as its source member."""
+    funcs = [KernelFunc.profiled(op, profiler) for op in OPS]
+    got = instantiate_run(funcs, group, 6, profiler)
+    want = [instantiate_op(f, [group], 6, profiler)[0] for f in funcs]
+    assert len(got) == len(funcs)
+    for kern, ref in zip(got, want):
+        _assert_same_kernel(kern, ref)
+    assert {k.op for k in got if k.collective is not None} == collectives
+    assert [k.name for k in got[:2]] == [f"qkv_b6@g{group[0]}", f"attn_b6@g{group[0]}"]
+    xfer = got[4].collective
+    assert xfer.participants == [1, 3] and got[4] is xfer.members[1]
 
 
 class _Counting(KernelCostModel):

@@ -40,6 +40,16 @@ class TestOpDesc:
         ok = p2p_op("ok", 0, 1.0, 0, 1)
         assert ok.p2p_src == 0 and ok.p2p_dst == 1
 
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (), (4, 4, 4, 4), (4, 0, 4), (4, 4.0, 4), (True, 4, 4), [4, 4, 4]],
+        ids=["two", "empty", "four", "zero", "float", "bool", "list"],
+    )
+    def test_gemm_shape_must_be_three_positive_ints(self, shape):
+        """A malformed shape fails at construction, not later in the cost
+        model's ``gemm_time``."""
+        with pytest.raises(ConfigError, match="gemm needs a positive"):
+            OpDesc(name="bad", op="gemm", kind=KernelKind.COMPUTE, gemm_shape=shape)
+
     def test_with_gemm_shape(self):
         op = gemm_op("g", 0, 128, 512, 512)
         split = op.with_gemm_shape(128, 512, 64)
@@ -121,6 +131,41 @@ class TestPrefill:
     def test_empty_subset_rejected(self):
         with pytest.raises(ConfigError):
             prefill_ops(OPT_30B, 2, 64, 1, layers=[])
+
+
+#: Layer subsets of a 4-layer model that are not a consecutive, increasing
+#: run inside range(4): out of range, decreasing, repeated, negative (which
+#: would collide with the pre/post-model ``layer=-1`` ops), with a gap.
+BAD_LAYERS = [[2, 99], [3, 1], [1, 1], [-1], [0, 2], [4]]
+
+
+class TestLayerSubsets:
+    MODEL = OPT_30B.scaled_layers(4)
+
+    @pytest.mark.parametrize("layers", BAD_LAYERS, ids=str)
+    def test_prefill_rejects_a_non_contiguous_subset(self, layers):
+        with pytest.raises(ConfigError, match="prefill_ops: layers"):
+            prefill_ops(self.MODEL, 2, 64, 4, layers=layers)
+
+    @pytest.mark.parametrize("layers", BAD_LAYERS, ids=str)
+    def test_decode_rejects_a_non_contiguous_subset(self, layers):
+        with pytest.raises(ConfigError, match="decode_step_ops: layers"):
+            decode_step_ops(self.MODEL, 2, 64, 4, layers=layers)
+
+    def test_decode_rejects_an_empty_subset(self):
+        with pytest.raises(ConfigError, match="empty layer subset"):
+            decode_step_ops(self.MODEL, 2, 64, 4, layers=[])
+
+    @pytest.mark.parametrize("num_stages", [1, 2, 3, 4])
+    def test_pipeline_stage_ranges_are_accepted(self, num_stages):
+        """Every stage's range walks exactly its own layers, and the stages
+        together walk the whole model once."""
+        for enumerate_ops in (prefill_ops, decode_step_ops):
+            walked = []
+            for stage in pipeline_stages(self.MODEL, num_stages):
+                ops = enumerate_ops(self.MODEL, 2, 64, 1, layers=stage.layers)
+                walked += sorted({op.layer for op in ops} - {-1})
+            assert walked == list(range(self.MODEL.num_layers))
 
 
 class TestDecode:

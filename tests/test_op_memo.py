@@ -192,3 +192,32 @@ def test_one_lookup_per_assembled_batch(strategy):
     assert sorted(lookups) == sorted(b.batch_id for b in batches)
     assert strat.cache_hits + strat.cache_misses == len(batches)
     assert strat.cache_hits > 0
+
+
+def cold_launch_list(strat, key):
+    """The records a cache key stands for, enumerated and profiled cold."""
+    phase, size, seq_len, context_len, tp, layers = key
+    if phase is Phase.PREFILL:
+        ops = prefill_ops(strat.model, size, seq_len, tp, layers=layers)
+    else:
+        ops = decode_step_ops(strat.model, size, context_len, tp, layers=layers)
+    return cold_records(strat, ops)
+
+
+@pytest.mark.parametrize("strategy", ["liger", "intra"])
+def test_served_records_still_equal_a_cold_enumeration(strategy):
+    """Records and their ops are shared read-only and not frozen: after a
+    run that splits kernels (§3.6) and instantiates every record, each
+    cached record still equals a cold enumeration profiled by a fresh
+    profiler, field for field."""
+    cls = InterleavedStrategy if strategy == "liger" else IntraOpStrategy
+    model = OPT_30B.scaled_layers(4)
+    strat = cls(model, NODE)
+    batches = general_trace(24, 1000.0, 2, seq_range=(16, 96), seed=3)
+    result = Server(model, NODE, strat, check_memory=False).run(batches)
+    assert result.metrics.num_completed == 24
+    if strategy == "liger":
+        assert strat.runtime.stats.decomposed_pieces > 0
+    assert len(strat._launch_lists) > 1
+    for key, funcs in strat._launch_lists.items():
+        assert funcs == cold_launch_list(strat, key), key
